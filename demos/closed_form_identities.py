@@ -11,14 +11,17 @@ tiny binary dataset and checks four things numerically: the constrained
 solution matches a per-column brute-force fit that simply deletes the
 offending feature; its diagonal is exactly zero; when input and target
 are the same matrix the whole model can be read off the inverse of the
-regularized Gram matrix; and the gradient at the constrained optimum is
+regularized Gram matrix, which the solver does by itself when C is G, and
+agrees with the general correction run on a copy of G; and the gradient at the constrained optimum is
 diagonal, with the multipliers on the diagonal.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from gramrec import UserItemMatrix, build_gram, solve_ease, solve_rr, solve_zero_diag
+from gramrec import UserItemMatrix, build_gram, solve_rr, solve_zero_diag
 
 rng = np.random.default_rng(0)
 n_users, n_items, lam = 60, 8, 2.0
@@ -44,9 +47,10 @@ for j in range(n_items):
     brute[rest, j] = np.linalg.solve(a, xs.T @ dense[:, j])
 print("\nmax |closed form - brute force| =", np.max(np.abs(zd.b - brute)))
 
-# identical input and target: the shortcut solver needs only the precision matrix
-shortcut = solve_ease(stats, lam=lam)
-print("max |general - shortcut|        =", np.max(np.abs(zd.b - shortcut.b)))
+# identical input and target (C is G): zd was read off the precision matrix;
+# an equal copy of G as C makes the solver take the general correction
+general = solve_zero_diag(replace(stats, c=stats.g.copy()), lam=lam)
+print("max |general - read-off|        =", np.max(np.abs(general.b - zd.b)))
 
 # stationarity: the gradient 2(G B - C + lam B) is diagonal at the optimum,
 # and minus half its diagonal is the stored multiplier vector

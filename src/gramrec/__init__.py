@@ -50,7 +50,6 @@ from .solver import (
     load_model,
     predict_scores,
     save_model,
-    solve_ease,
     solve_rr,
     solve_zero_diag,
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -43,6 +42,7 @@ from .evaluation import (
     popularity_rank,
     score_histories,
 )
+from .files import atomic_write
 from .gram import (
     build_disjoint_gram,
     build_gram,
@@ -54,7 +54,6 @@ from .solver import (
     invert_regularized,
     load_model,
     save_model,
-    solve_ease,
     solve_rr,
     solve_zero_diag,
 )
@@ -68,7 +67,7 @@ from .weighting import (
     time_popularity_weights,
 )
 
-_VARIANT_FLAGS = {"rr": solve_rr, "zero-diag": solve_zero_diag, "ease": solve_ease}
+_VARIANT_FLAGS = {"rr": solve_rr, "zero-diag": solve_zero_diag}
 
 
 class UsageError(Exception):
@@ -89,10 +88,8 @@ def _log(message: str) -> None:
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    with atomic_write(path) as fh:
+        fh.write(text)
 
 
 def _opt(args, name, default=None):
@@ -203,9 +200,7 @@ def cmd_ingest(args) -> int:
     min_item = int(_opt(args, "min_item_events", 0))
     if min_user or min_item:
         iset = filter_activity(iset, min_user_events=min_user, min_item_events=min_item)
-    dst = Path(dst)
-    tmp = dst.with_name(dst.name + ".tmp")
-    with tmp.open("w", newline="", encoding="utf-8") as fh:
+    with atomic_write(dst) as fh:
         writer = csv.writer(fh)
         has_time = iset.timestamps is not None
         writer.writerow(["user", "item", "value"] + (["timestamp"] if has_time else []))
@@ -218,7 +213,6 @@ def cmd_ingest(args) -> int:
             if has_time:
                 row.append(repr(float(iset.timestamps[e])))
             writer.writerow(row)
-    os.replace(tmp, dst)
     _log(f"ingested {iset.n_events} events, {iset.n_users} users, {iset.n_items} items -> {dst}")
     return 0
 
@@ -276,23 +270,22 @@ def cmd_train(args) -> int:
     t_gram = time.perf_counter()
     _log(f"phase gram: {t_gram - t0:.2f}s ({gram.n_items} items, {gram.n_users} users)")
 
+    solver_fn = _VARIANT_FLAGS[variant]
     if grid is not None:
         lams = [_check_lambda(v) for v in _float_list(grid, "--lambda-grid")]
-        lam, reports = grid_search_lambda(gram, matrix, split, lams)
+        lam, reports, model = grid_search_lambda(gram, matrix, split, lams, solver=solver_fn)
+        _log(f"phase grid search: {time.perf_counter() - t_gram:.2f}s")
         for val in sorted(reports):
             mean, stderr = reports[val].metrics["ndcg@100"]
             _log(f"grid lambda={val:g}: ndcg@100 = {mean:.5f} (stderr {stderr:.5f})")
         _log(f"grid search chose lambda={lam:g}")
     else:
         lam = _check_lambda(lam)
-
-    solver_fn = _VARIANT_FLAGS[variant]
-    precision = invert_regularized(gram, lam)
-    t_invert = time.perf_counter()
-    _log(f"phase invert: {t_invert - t_gram:.2f}s")
-    model = solver_fn(gram, lam, precision=precision)
-    t_correct = time.perf_counter()
-    _log(f"phase correct: {t_correct - t_invert:.2f}s")
+        precision = invert_regularized(gram, lam)
+        t_invert = time.perf_counter()
+        _log(f"phase invert: {t_invert - t_gram:.2f}s")
+        model = solver_fn(gram, lam, precision=precision)
+        _log(f"phase correct: {time.perf_counter() - t_invert:.2f}s")
 
     save_gram_path = _opt(args, "save_gram")
     if save_gram_path is not None:
@@ -494,14 +487,11 @@ def cmd_popularity(args) -> int:
         _log(f"popularity over {len(split.train_users)} training users")
     else:
         pop = popularity(matrix)
-    out_path = Path(out_path)
-    tmp = out_path.with_name(out_path.name + ".tmp")
-    with tmp.open("w", newline="", encoding="utf-8") as fh:
+    with atomic_write(out_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["item", "count"])
         for i, key in enumerate(iset.item_keys):
             writer.writerow([key, repr(float(pop.pop[i]))])
-    os.replace(tmp, out_path)
     _log(f"popularity for {iset.n_items} items -> {out_path}")
     return 0
 
@@ -556,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-grid", dest="lambda_grid",
                    help="comma-separated candidates; best on validation users wins")
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS),
-                   help="rr, zero-diag (default), or ease (self-target shortcut)")
+                   help="rr or zero-diag (default)")
     p.add_argument("--center", action="store_true", default=None,
                    help="center target columns; means are added back at scoring")
     p.add_argument("--disjoint", action="store_true", default=None,

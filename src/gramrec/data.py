@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
+from .files import atomic_write
 
 DEDUP_POLICIES = ("keep_max", "keep_last", "error")
 
@@ -507,7 +508,7 @@ def time_intervals(
 
 
 def save_split_files(split_dir: str | Path, split: SplitSpec, user_keys: list[str]) -> None:
-    """Write the three user sets as newline-delimited user keys."""
+    """Write the three user sets as newline-delimited user keys, one atomic file each."""
     split_dir = Path(split_dir)
     split_dir.mkdir(parents=True, exist_ok=True)
     for name, ids in (
@@ -515,8 +516,8 @@ def save_split_files(split_dir: str | Path, split: SplitSpec, user_keys: list[st
         ("validation_users.txt", split.validation_users),
         ("test_users.txt", split.test_users),
     ):
-        text = "".join(user_keys[i] + "\n" for i in ids)
-        (split_dir / name).write_text(text)
+        with atomic_write(split_dir / name) as fh:
+            fh.writelines(user_keys[i] + "\n" for i in ids)
 
 
 def load_split_files(
@@ -533,7 +534,7 @@ def load_split_files(
         if not fpath.exists():
             raise DataError(f"missing split file {fpath}")
         ids = []
-        for key in fpath.read_text().splitlines():
+        for key in fpath.read_text(encoding="utf-8").splitlines():
             if not key:
                 continue
             if key not in user_index:

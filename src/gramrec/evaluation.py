@@ -29,7 +29,7 @@ from .data import (
 )
 from .errors import DataError
 from .gram import GramStats
-from .solver import VARIANT_EASE, VARIANT_ZERO_DIAG, DenseModel, predict_scores, solve_zero_diag
+from .solver import VARIANT_ZERO_DIAG, DenseModel, predict_scores, solve_zero_diag
 from .sparse import SparseModel
 from .weighting import DEFAULT_EPSILON, time_popularity_weights
 
@@ -262,10 +262,7 @@ def evaluate_time_aware(
     protocol scores each event with a model and with fold-in items that are
     not restricted to the event's past.
     """
-    if not isinstance(model, DenseModel) or model.variant not in (
-        VARIANT_ZERO_DIAG,
-        VARIANT_EASE,
-    ):
+    if not isinstance(model, DenseModel) or model.variant != VARIANT_ZERO_DIAG:
         raise DataError("time-aware evaluation needs a dense zero-diagonal model")
     if model.applied_item_weights is not None:
         raise DataError("pass the unweighted model; interval weights are applied here")
@@ -344,10 +341,12 @@ def grid_search_lambda(
     split: SplitSpec,
     lambdas,
     metric: str = "ndcg@100",
-) -> tuple[float, dict[float, EvalReport]]:
-    """Train and evaluate on validation users per lambda; best wins.
+    solver=solve_zero_diag,
+) -> tuple[float, dict[float, EvalReport], DenseModel]:
+    """Train with ``solver`` and evaluate on validation users per lambda.
 
-    Ties go to the smallest lambda.  Returns the winner and every report.
+    Ties go to the smallest lambda.  Returns the winner, every report and the
+    winner's model, holding only the best model so far and the current one.
     """
     lams = sorted({float(l) for l in lambdas})
     if not lams:
@@ -355,16 +354,16 @@ def grid_search_lambda(
     if any(l <= 0 for l in lams):
         raise DataError("all grid lambdas must be positive")
     reports: dict[float, EvalReport] = {}
-    best_lam = None
+    best_lam = best_model = None
     best_score = -np.inf
     for lam in lams:
-        model = solve_zero_diag(gram, lam)
+        model = solver(gram, lam)
         report = evaluate_model(model, matrix, split, users="validation")
         if metric not in report.metrics:
             raise DataError(f"unknown search metric {metric!r}; have {sorted(report.metrics)}")
         reports[lam] = report
         score = report.metrics[metric][0]
         if score > best_score:
-            best_score = score
-            best_lam = lam
-    return best_lam, reports
+            best_score, best_lam, best_model = score, lam, model
+        del model
+    return best_lam, reports, best_model

@@ -10,7 +10,6 @@ binary persistence format.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +19,7 @@ import scipy.sparse as sp
 
 from .data import UserItemMatrix
 from .errors import DataError
+from .files import atomic_write
 
 PROVENANCE_PLAIN = "plain"
 PROVENANCE_DISJOINT = "disjoint_split"
@@ -39,7 +39,8 @@ class GramStats:
 
     ``mu`` holds the column means of Y when the targets were centered
     (centering is recorded by its presence); ``provenance`` records which
-    construction produced the statistics.
+    construction produced the statistics.  For self-target statistics C is
+    G itself, not a copy, which lets the solver skip the product P*C.
     """
 
     g: np.ndarray
@@ -64,12 +65,17 @@ def _check_dims(x: UserItemMatrix, y: UserItemMatrix) -> None:
         )
 
 
-def _products(x: sp.csr_matrix, y: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Densified XᵀX and XᵀY, accumulated in float64 over ascending user ids."""
+def _products(
+    x: sp.csr_matrix, xw: sp.csr_matrix, yw: sp.csr_matrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """Densified XᵀXw and XᵀYw, accumulated in float64 over ascending user
+    ids; C is returned as G itself when the targets are the inputs."""
     xt = x.T.tocsr()
-    g = (xt @ x).toarray().astype(np.float64, copy=False)
+    g = (xt @ xw).toarray().astype(np.float64, copy=False)
     g = 0.5 * (g + g.T)
-    c = (xt @ y).toarray().astype(np.float64, copy=False)
+    if yw is xw:
+        return g, g
+    c = (xt @ yw).toarray().astype(np.float64, copy=False)
     return g, c
 
 
@@ -81,7 +87,7 @@ def build_gram(x: UserItemMatrix, y: UserItemMatrix, center_y: bool = False) -> 
     The means are stored so scoring can add them back.
     """
     _check_dims(x, y)
-    g, c = _products(x.matrix, y.matrix)
+    g, c = _products(x.matrix, x.matrix, y.matrix)
     mu = None
     if center_y:
         n = x.n_users
@@ -118,7 +124,7 @@ def build_disjoint_gram(
     """
     if not z.binarized or (z.matrix.nnz > 0 and not np.all(z.matrix.data == 1.0)):
         raise DataError("disjoint-split statistics require a binary matrix")
-    g, _ = _products(z.matrix, z.matrix)
+    g, _ = _products(z.matrix, z.matrix, z.matrix)
     diag = np.diag(g).copy()
     c = g.copy()
     np.fill_diagonal(c, 0.0)
@@ -148,12 +154,11 @@ def build_user_weighted_gram(x: UserItemMatrix, y: UserItemMatrix, w_u: np.ndarr
     scale = sp.diags(w_u, format="csr")
     xw = (scale @ x.matrix).tocsr()
     xw.sort_indices()
-    yw = (scale @ y.matrix).tocsr()
-    yw.sort_indices()
-    xt = x.matrix.T.tocsr()
-    g = (xt @ xw).toarray().astype(np.float64, copy=False)
-    g = 0.5 * (g + g.T)
-    c = (xt @ yw).toarray().astype(np.float64, copy=False)
+    yw = xw
+    if y.matrix is not x.matrix:
+        yw = (scale @ y.matrix).tocsr()
+        yw.sort_indices()
+    g, c = _products(x.matrix, xw, yw)
     return GramStats(g=g, c=c, mu=None, n_users=x.n_users, provenance=PROVENANCE_USER_WEIGHTED)
 
 
@@ -168,15 +173,12 @@ def save_gram_stats(path: str | Path, stats: GramStats) -> None:
         _PROVENANCE_CODES[stats.provenance],
         1 if stats.mu is not None else 0,
     )
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(stats.g, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(stats.c, dtype="<f8").tobytes())
         if stats.mu is not None:
             fh.write(np.ascontiguousarray(stats.mu, dtype="<f8").tobytes())
-    os.replace(tmp, path)
 
 
 def load_gram_stats(path: str | Path) -> GramStats:

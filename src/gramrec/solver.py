@@ -8,14 +8,14 @@ Lagrange multiplier per item and costs only a rank correction:
 
 When input and target coincide (C = G) the correction swallows the whole
 product and B can be read off P alone: B_ij = -P_ij / P_jj off the diagonal,
-zero on it.  The solvers return :class:`DenseModel`, which also carries the
+zero on it (Steck, "Embarrassingly Shallow Autoencoders for Sparse Data",
+WWW 2019).  The solvers return :class:`DenseModel`, which also carries the
 provenance needed for scoring (centering means, applied item weights) and
 the multipliers as diagnostics.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DataError, NumericalError
+from .files import atomic_write
 from .gram import GramStats
 
 if TYPE_CHECKING:
@@ -32,10 +33,11 @@ if TYPE_CHECKING:
 
 VARIANT_RR = "rr"
 VARIANT_ZERO_DIAG = "zero_diag"
-VARIANT_EASE = "ease_xy"
 
-_VARIANT_CODES = {VARIANT_RR: 0, VARIANT_ZERO_DIAG: 1, VARIANT_EASE: 2}
-_CODES_VARIANT = {v: k for k, v in _VARIANT_CODES.items()}
+_VARIANT_CODES = {VARIANT_RR: 0, VARIANT_ZERO_DIAG: 1}
+# Code 2 marked zero-diagonal models that were read off P for C = G; it is the
+# same model, so files written with it still load.
+_CODES_VARIANT = {0: VARIANT_RR, 1: VARIANT_ZERO_DIAG, 2: VARIANT_ZERO_DIAG}
 _WEIGHT_KIND_CODES = {"uniform": 0, "inverse_pop": 1, "time_adjusted": 2}
 _CODES_WEIGHT_KIND = {v: k for k, v in _WEIGHT_KIND_CODES.items()}
 
@@ -133,41 +135,29 @@ def solve_zero_diag(
 ) -> DenseModel:
     """Ridge solution constrained to a zero diagonal.
 
-    The multipliers gamma = diag(P*C) / diag(P) are stored as diagnostics;
-    the diagonal is written to exactly zero after the correction so that
+    Statistics whose C is G itself (self-target, uncentered) are read off P
+    alone, since P*G = I - lambda*P; any other C takes the general product
+    and rank correction.  The multipliers gamma = diag(P*C) / diag(P) are
+    stored as diagnostics; the diagonal is written to exactly zero so that
     downstream code can rely on it.  ``precision`` lets callers reuse an
     inverse computed with the same gram and lambda.
     """
     p = _precision(gram, lam, precision)
-    b = p @ gram.c
     dp = _positive_diag(p)
-    gamma = np.diag(b) / dp
-    b -= p * gamma[np.newaxis, :]
+    if gram.c is gram.g:
+        b = p / -dp
+        gamma = 1.0 / dp - lam
+    else:
+        b = p @ gram.c
+        gamma = np.diag(b) / dp
+        b -= p * gamma[np.newaxis, :]
     np.fill_diagonal(b, 0.0)
     mu = None if gram.mu is None else gram.mu.copy()
     return DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=lam, mu=mu, gamma=gamma)
 
 
-def solve_ease(gram: GramStats, lam: float, precision: PrecisionMatrix | None = None) -> DenseModel:
-    """Zero-diagonal solution for the self-target case, read off P alone.
-
-    With C = G the constrained solution reduces to dividing each column of
-    P by the negated diagonal element: B_ij = -P_ij / P_jj, diag(B) = 0.
-    Refuses statistics where C differs from G; those need the general
-    :func:`solve_zero_diag`.
-    """
-    if gram.c is not gram.g and not np.array_equal(gram.c, gram.g):
-        raise DataError(
-            "this shortcut requires identical input and target statistics (C = G); "
-            "use solve_zero_diag when they differ"
-        )
-    p = _precision(gram, lam, precision)
-    dp = _positive_diag(p)
-    b = -(p / dp[np.newaxis, :])
-    np.fill_diagonal(b, 0.0)
-    gamma = 1.0 / dp - lam
-    mu = None if gram.mu is None else gram.mu.copy()
-    return DenseModel(b=b, variant=VARIANT_EASE, lam=lam, mu=mu, gamma=gamma)
+# perfbench/trace_child.py looks this name up; nothing in the package calls it.
+solve_ease = solve_zero_diag
 
 
 def clamp_nonnegative(model: DenseModel) -> DenseModel:
@@ -216,9 +206,7 @@ def save_model(path: str | Path, model: DenseModel, item_keys: list[str] | None 
         1 if model.mu is not None else 0,
         1 if w is not None else 0,
     )
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(header)
         if w is not None:
             fh.write(_WEIGHT_FIELDS.pack(_WEIGHT_KIND_CODES[w.kind], w.alpha))
@@ -233,7 +221,6 @@ def save_model(path: str | Path, model: DenseModel, item_keys: list[str] | None 
             fh.write(np.ascontiguousarray(model.mu, dtype="<f8").tobytes())
         if w is not None:
             fh.write(np.ascontiguousarray(w.w, dtype="<f8").tobytes())
-    os.replace(tmp, path)
 
 
 def load_model(path: str | Path) -> tuple[DenseModel, list[str] | None]:

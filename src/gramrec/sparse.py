@@ -14,7 +14,6 @@ or inverting, an n_items x n_items matrix.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,8 +22,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
+from .files import atomic_write
 from .gram import GramStats
-from .solver import DenseModel, solve_ease
+from .solver import DenseModel, solve_zero_diag
 
 SOURCE_MODEL_ABS = "model_abs"
 SOURCE_CORRELATION = "correlation"
@@ -219,7 +219,7 @@ def solve_blocks(gram: GramStats, blocks: list[np.ndarray], lam: float) -> list[
         stats = GramStats(
             g=sub, c=sub, mu=None, n_users=gram.n_users, provenance=gram.provenance
         )
-        subs.append(solve_ease(stats, lam).b)
+        subs.append(solve_zero_diag(stats, lam).b)
     return subs
 
 
@@ -295,9 +295,7 @@ def save_sparse_model(
         _SOURCE_CODES[model.pattern.source],
         model.pattern.n_max,
     )
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(header)
         keys = item_keys if item_keys is not None else []
         fh.write(struct.pack("<Q", len(keys)))
@@ -308,7 +306,6 @@ def save_sparse_model(
         fh.write(np.ascontiguousarray(values.indptr, dtype="<i8").tobytes())
         fh.write(np.ascontiguousarray(values.indices, dtype="<i8").tobytes())
         fh.write(np.ascontiguousarray(values.data, dtype="<f8").tobytes())
-    os.replace(tmp, path)
 
 
 def load_sparse_model(path: str | Path) -> tuple[SparseModel, list[str] | None]:

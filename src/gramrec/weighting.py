@@ -11,7 +11,6 @@ time interval (w_i proportional to (pop_i(t)/pop_i)^alpha).
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,7 +18,8 @@ import numpy as np
 
 from .data import PopularityVector
 from .errors import DataError
-from .solver import VARIANT_EASE, VARIANT_ZERO_DIAG, DenseModel
+from .files import atomic_write
+from .solver import VARIANT_ZERO_DIAG, DenseModel
 
 KIND_UNIFORM = "uniform"
 KIND_INVERSE_POP = "inverse_pop"
@@ -104,7 +104,7 @@ def apply_item_rescaling(model: DenseModel, weights: ItemWeightVector) -> DenseM
     exact optimum of the column-scaled objective).  The original model is
     never mutated, so weights can change per request without retraining.
     """
-    if model.variant not in (VARIANT_ZERO_DIAG, VARIANT_EASE):
+    if model.variant != VARIANT_ZERO_DIAG:
         raise DataError(f"re-scaling applies to zero-diagonal models, not variant {model.variant!r}")
     if weights.n_items != model.n_items:
         raise DataError(f"expected {model.n_items} weights, got {weights.n_items}")
@@ -123,15 +123,12 @@ def save_weights_csv(path: str | Path, weights: ItemWeightVector, item_keys: lis
     """Item-key/weight CSV with a leading comment carrying kind and alpha."""
     if len(item_keys) != weights.n_items:
         raise DataError(f"expected {weights.n_items} item keys, got {len(item_keys)}")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# kind={weights.kind} alpha={float(weights.alpha)!r}\n")
         writer = csv.writer(fh)
         writer.writerow(["item", "weight"])
         for key, val in zip(item_keys, weights.w):
             writer.writerow([key, repr(float(val))])
-    os.replace(tmp, path)
 
 
 def load_weights_csv(path: str | Path, item_index: dict[str, int]) -> ItemWeightVector:

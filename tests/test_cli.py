@@ -177,6 +177,21 @@ def test_train_lambda_grid(workdir, tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("variant", ["zero-diag", "rr"])
+def test_train_lambda_grid_saves_searched_model(workdir, tmp_path, variant):
+    # the grid trains with the requested variant and its winner is saved as is
+    base = [
+        "train", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+        "--variant", variant,
+    ]
+    single, grid = tmp_path / "single.ease", tmp_path / "grid.ease"
+    res = run_cli(base + ["--lambda", "2", "--output", str(single)])
+    assert res.returncode == 0, res.stderr
+    res = run_cli(base + ["--lambda-grid", "2", "--output", str(grid)])
+    assert res.returncode == 0, res.stderr
+    assert filecmp.cmp(single, grid, shallow=False)
+
+
 def test_train_usage_errors(workdir, tmp_path):
     base = [
         "train", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
@@ -196,14 +211,14 @@ def test_train_usage_errors(workdir, tmp_path):
     assert "--output" in missing_output.stderr
 
 
-def test_train_center_with_ease_refused(workdir, tmp_path):
-    res = run_cli([
+def test_train_ease_variant_removed_center_trains(workdir, tmp_path):
+    base = [
         "train", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
-        "--lambda", "1", "--variant", "ease", "--center",
-        "--output", str(tmp_path / "m.ease"),
-    ])
-    assert res.returncode == 2
-    assert "error:" in res.stderr
+        "--lambda", "1", "--output", str(tmp_path / "m.ease"),
+    ]
+    assert run_cli(base + ["--variant", "ease"]).returncode == 1
+    res = run_cli(base + ["--center"])
+    assert res.returncode == 0, res.stderr
 
 
 def test_numeric_failure_exit_code(tmp_path):

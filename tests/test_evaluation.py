@@ -436,7 +436,7 @@ def test_grid_search_interior_lambda_wins():
     # dominated by the hub items
     stats, matrix, split = grid_setup()
     lams = [1e-6, 1e-3, 0.1, 1.0, 10.0, 1e5]
-    best, reports = grid_search_lambda(stats, matrix, split, lams, metric="ndcg@100")
+    best, reports, _ = grid_search_lambda(stats, matrix, split, lams, metric="ndcg@100")
     assert best == 1.0
     curve = [reports[l].metrics["ndcg@100"][0] for l in lams]
     assert curve[3] > curve[0]
@@ -464,7 +464,7 @@ def test_grid_search_tie_goes_to_smallest_lambda():
     )
     tm = matrix6.restrict_users(split6.train_users)
     stats6 = build_gram(tm, tm)
-    best, reports = grid_search_lambda(
+    best, reports, _ = grid_search_lambda(
         stats6, matrix6, split6, [8.0, 2.0, 4.0], metric="recall@20"
     )
     assert all(r.metrics["recall@20"][0] == 1.0 for r in reports.values())

@@ -42,6 +42,20 @@ def test_gram_symmetric_and_psd(rng):
     assert np.linalg.eigvalsh(stats.g).min() >= -1e-10
 
 
+def test_self_target_statistics_alias_c_to_g(rng):
+    x = binary_matrix(rng, 20, 6)
+    y = binary_matrix(rng, 20, 6)
+    for stats in (build_gram(x, x), build_user_weighted_gram(x, x, rng.uniform(0.5, 2.0, 20))):
+        assert stats.c is stats.g
+    for stats in (
+        build_gram(x, y),
+        build_gram(x, x, center_y=True),
+        build_disjoint_gram(x),
+        build_user_weighted_gram(x, y, np.ones(20)),
+    ):
+        assert stats.c is not stats.g
+
+
 def test_gram_orthogonal_columns():
     x = matrix_from_dense([[1, 0], [1, 0], [0, 1]])
     stats = build_gram(x, x)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramrec import (
     DataError,
@@ -8,18 +10,18 @@ from gramrec import (
     NumericalError,
     build_disjoint_gram,
     build_gram,
+    build_user_weighted_gram,
     clamp_nonnegative,
     invert_regularized,
     load_model,
     predict_scores,
     save_model,
-    solve_ease,
     solve_rr,
     solve_zero_diag,
 )
 from gramrec.gram import PROVENANCE_PLAIN
-from gramrec.solver import VARIANT_EASE, VARIANT_RR, VARIANT_ZERO_DIAG
-from gramrec.weighting import popularity_weights
+from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG
+from gramrec.weighting import apply_item_rescaling, popularity_weights
 from gramrec import PopularityVector
 
 from conftest import binary_matrix, constrained_ridge_oracle, gram_of, matrix_from_dense, ridge_oracle
@@ -99,6 +101,19 @@ def test_zero_diag_two_by_two():
     assert model.variant == VARIANT_ZERO_DIAG
 
 
+def test_ease_two_by_two():
+    # the EASE case (C is G) reads B off the precision matrix; the same
+    # problem with C an equal copy of G must take the general path to the
+    # same hand-computed B and gamma
+    g = np.array([[2.0, 1.0], [1.0, 2.0]])
+    for stats in (stats_of(g), stats_of(g, g.copy())):
+        model = solve_zero_diag(stats, lam=1.0)
+        np.testing.assert_allclose(model.b, [[0.0, 1 / 3], [1 / 3, 0.0]], atol=1e-14)
+        np.testing.assert_allclose(model.gamma, [5 / 3, 5 / 3], atol=1e-14)
+        assert np.all(np.diag(model.b) == 0.0)
+        assert model.variant == VARIANT_ZERO_DIAG
+
+
 def test_zero_diag_diagonal_is_exact_zero(rng):
     x = binary_matrix(rng, 40, 12)
     model = solve_zero_diag(build_gram(x, x), lam=0.7)
@@ -117,6 +132,29 @@ def test_zero_diag_matches_oracle_distinct_target(rng):
     yd = (rng.random((30, 7)) < 0.35).astype(np.float64)
     model = solve_zero_diag(gram_of(xd, yd), lam=0.5)
     np.testing.assert_allclose(model.b, constrained_ridge_oracle(xd, yd, 0.5), atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["centered", "disjoint", "user_weighted"])
+def test_zero_diag_general_path_matches_oracle(rng, kind):
+    x = binary_matrix(rng, 30, 7)
+    xd = x.matrix.toarray()
+    lam = 0.7
+    if kind == "centered":
+        stats = build_gram(x, x, center_y=True)
+        expected = constrained_ridge_oracle(xd, xd - xd.mean(axis=0), lam)
+    elif kind == "disjoint":
+        # C differs from G only on the diagonal, which the constraint ignores
+        stats = build_disjoint_gram(x)
+        expected = constrained_ridge_oracle(xd, xd, lam)
+    else:
+        yd = (rng.random((30, 7)) < 0.3).astype(np.float64)
+        w = rng.uniform(0.5, 2.0, 30)
+        stats = build_user_weighted_gram(x, matrix_from_dense(yd), w)
+        root = np.sqrt(w)[:, np.newaxis]
+        expected = constrained_ridge_oracle(root * xd, root * yd, lam)
+    assert stats.c is not stats.g
+    model = solve_zero_diag(stats, lam=lam)
+    np.testing.assert_allclose(model.b, expected, atol=1e-9)
 
 
 def test_zero_diag_stationarity(rng):
@@ -151,55 +189,54 @@ def test_disjoint_ridge_identity(rng):
     np.testing.assert_allclose(model.b, np.eye(6) - p @ (d + lam * np.eye(6)), atol=1e-12)
 
 
-def test_ease_two_by_two():
-    model = solve_ease(stats_of([[2, 1], [1, 2]]), lam=1.0)
-    np.testing.assert_allclose(model.b, [[0.0, 1 / 3], [1 / 3, 0.0]], atol=1e-14)
-    np.testing.assert_allclose(model.gamma, [5 / 3, 5 / 3], atol=1e-14)
-    assert model.variant == VARIANT_EASE
+@settings(max_examples=60, deadline=None)
+@given(
+    n_users=st.integers(1, 40),
+    n_items=st.integers(1, 12),
+    density=st.floats(0.05, 0.95),
+    max_value=st.integers(1, 5),
+    lam=st.floats(0.1, 1000.0),
+    seed=st.integers(0, 10**6),
+)
+def test_self_target_readoff_matches_general_path(n_users, n_items, density, max_value, lam, seed):
+    # C is G takes the read-off B = -P/diag(P); an equal copy of G forces the
+    # general P*C - P*diagMat(gamma) path on the same problem
+    r = np.random.default_rng(seed)
+    x = (r.random((n_users, n_items)) < density) * r.integers(1, max_value + 1, (n_users, n_items))
+    g = x.T @ x.astype(np.float64)
+    readoff = solve_zero_diag(stats_of(g), lam=lam)
+    general = solve_zero_diag(stats_of(g, g.copy()), lam=lam)
+    assert np.abs(readoff.b - general.b).max() <= 1e-12 * np.abs(general.b).max()
+    # gamma = 1/P_jj - lam cancels for items without interactions, so its
+    # round-off is measured against lam as well
+    gamma_scale = np.abs(general.gamma).max() + lam
+    assert np.abs(readoff.gamma - general.gamma).max() <= 1e-10 * gamma_scale
+    assert np.all(np.diag(readoff.b) == 0.0)
+    assert np.all(np.diag(general.b) == 0.0)
 
 
-def test_ease_equals_zero_diag(rng):
+def test_self_target_is_read_off_precision(rng):
+    # bitwise equal to -P_ij / P_jj, which the general path's GEMM and
+    # correction do not reproduce in the last bits
     x = binary_matrix(rng, 45, 11)
     stats = build_gram(x, x)
-    lam = 0.8
-    a = solve_zero_diag(stats, lam=lam)
-    b = solve_ease(stats, lam=lam)
-    scale = np.abs(a.b).max()
-    assert np.abs(a.b - b.b).max() <= 1e-12 * scale
-    np.testing.assert_allclose(a.gamma, b.gamma, rtol=1e-10)
-    assert np.all(np.diag(a.b) == 0.0)
-    assert np.all(np.diag(b.b) == 0.0)
-
-
-def test_ease_gamma_identity(rng):
-    x = binary_matrix(rng, 30, 7)
-    stats = build_gram(x, x)
-    model = solve_ease(stats, lam=1.5)
-    p = invert_regularized(stats, 1.5).p
-    np.testing.assert_allclose(model.gamma, 1.0 / np.diag(p) - 1.5, rtol=1e-12)
-
-
-def test_ease_refuses_distinct_target(rng):
-    xd = (rng.random((20, 5)) < 0.5).astype(np.float64)
-    yd = (rng.random((20, 5)) < 0.5).astype(np.float64)
-    with pytest.raises(DataError, match="identical input and target"):
-        solve_ease(gram_of(xd, yd), lam=1.0)
-
-
-def test_ease_refuses_centered_stats(rng):
-    x = binary_matrix(rng, 20, 5)
-    stats = build_gram(x, x, center_y=True)
-    with pytest.raises(DataError, match="identical input and target"):
-        solve_ease(stats, lam=1.0)
+    assert stats.c is stats.g
+    p = invert_regularized(stats, 0.8).p
+    expected = -(p / np.diag(p)[np.newaxis, :])
+    np.fill_diagonal(expected, 0.0)
+    model = solve_zero_diag(stats, lam=0.8)
+    np.testing.assert_array_equal(model.b, expected)
+    np.testing.assert_array_equal(model.gamma, 1.0 / np.diag(p) - 0.8)
 
 
 def test_precision_reuse_is_bitwise(rng):
     x = binary_matrix(rng, 30, 8)
     stats = build_gram(x, x)
     prec = invert_regularized(stats, 1.2)
-    for solver in (solve_rr, solve_zero_diag, solve_ease):
-        direct = solver(stats, 1.2)
-        reused = solver(stats, 1.2, precision=prec)
+    general = stats_of(stats.g, stats.g.copy())
+    for solver, gram in ((solve_rr, stats), (solve_zero_diag, stats), (solve_zero_diag, general)):
+        direct = solver(gram, 1.2)
+        reused = solver(gram, 1.2, precision=prec)
         np.testing.assert_array_equal(direct.b, reused.b)
 
 
@@ -229,7 +266,7 @@ def test_clamp():
 
 def test_predict_single_item_reads_row():
     b = np.array([[0.0, 0.3, 0.1], [0.2, 0.0, 0.4], [0.6, 0.5, 0.0]])
-    model = DenseModel(b=b, variant=VARIANT_EASE, lam=1.0)
+    model = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
     np.testing.assert_array_equal(predict_scores(model, [1]), b[1])
     np.testing.assert_allclose(predict_scores(model, [0, 2]), b[0] + b[2])
     np.testing.assert_allclose(predict_scores(model, [0, 2], [2.0, 1.0]), 2.0 * b[0] + b[2])
@@ -253,7 +290,7 @@ def test_predict_validates_input():
 
 def test_model_round_trip(tmp_path, rng):
     x = binary_matrix(rng, 20, 5)
-    model = solve_ease(build_gram(x, x), lam=3.5)
+    model = solve_zero_diag(build_gram(x, x), lam=3.5)
     keys = [f"item-{k}" for k in range(5)]
     path = tmp_path / "model.ease"
     save_model(path, model, item_keys=keys)
@@ -295,7 +332,7 @@ def test_model_key_count_checked(tmp_path):
 def test_model_file_rejects_corruption(tmp_path, rng):
     x = binary_matrix(rng, 10, 4)
     path = tmp_path / "model.ease"
-    save_model(path, solve_ease(build_gram(x, x), lam=1.0), item_keys=[f"k{j}" for j in range(4)])
+    save_model(path, solve_zero_diag(build_gram(x, x), lam=1.0), item_keys=[f"k{j}" for j in range(4)])
     raw = bytearray(path.read_bytes())
 
     nope = tmp_path / "bad-magic"
@@ -314,3 +351,20 @@ def test_model_file_rejects_corruption(tmp_path, rng):
     vpath.write_bytes(bytes(versioned))
     with pytest.raises(DataError, match="version"):
         load_model(vpath)
+
+
+def test_model_file_variant_code_2_loads_as_zero_diag(tmp_path):
+    # code 2 marked self-target zero-diagonal models in older files
+    model = DenseModel(b=np.array([[0.0, 0.25], [0.5, 0.0]]), variant=VARIANT_ZERO_DIAG, lam=2.0)
+    path = tmp_path / "model.ease"
+    save_model(path, model)
+    raw = bytearray(path.read_bytes())
+    assert raw[16] == 1  # variant byte after magic, version and item count
+    raw[16] = 2
+    path.write_bytes(bytes(raw))
+    loaded, _ = load_model(path)
+    assert loaded.variant == VARIANT_ZERO_DIAG
+    np.testing.assert_array_equal(loaded.b, model.b)
+    weights = popularity_weights(PopularityVector(np.array([1.0, 4.0])), alpha=0.5)
+    rescaled = apply_item_rescaling(loaded, weights)
+    np.testing.assert_array_equal(rescaled.b, model.b * weights.w[np.newaxis, :])

@@ -17,7 +17,7 @@ from gramrec import (
     mask_model,
     save_sparse_model,
     solve_blocks,
-    solve_ease,
+    solve_zero_diag,
     threshold_pattern,
     train_sparse,
 )
@@ -171,7 +171,7 @@ def test_mask_restricts_to_pattern():
 
 def test_mask_full_pattern_equals_dense_off_diagonal(rng):
     x = binary_matrix(rng, 25, 6)
-    model = solve_ease(build_gram(x, x), lam=1.0)
+    model = solve_zero_diag(build_gram(x, x), lam=1.0)
     pat = pattern_from_dense(np.ones((6, 6)))
     masked = mask_model(model, pat)
     np.testing.assert_array_equal(masked.values.toarray(), model.b)
@@ -179,7 +179,7 @@ def test_mask_full_pattern_equals_dense_off_diagonal(rng):
 
 def test_mask_shape_checked(rng):
     x = binary_matrix(rng, 10, 4)
-    model = solve_ease(build_gram(x, x), lam=1.0)
+    model = solve_zero_diag(build_gram(x, x), lam=1.0)
     with pytest.raises(DataError, match="pattern"):
         mask_model(model, pattern_from_dense(np.ones((3, 3))))
 
@@ -238,7 +238,7 @@ def test_solve_blocks_single_block_is_dense(rng):
     x = binary_matrix(rng, 20, 6)
     stats = build_gram(x, x)
     subs = solve_blocks(stats, [np.arange(6)], lam=1.5)
-    dense = solve_ease(stats, lam=1.5)
+    dense = solve_zero_diag(stats, lam=1.5)
     np.testing.assert_allclose(subs[0], dense.b, atol=1e-12)
 
 
@@ -294,7 +294,7 @@ def test_train_sparse_block_diagonal_is_exact(rng):
 
     lam = 2.0
     model = train_sparse(stats, theta=0.4, n_max=1000, lam=lam)
-    dense = solve_ease(stats, lam=lam)
+    dense = solve_zero_diag(stats, lam=lam)
     reference = mask_model(dense, pat)
     diff = np.abs(model.values.toarray() - reference.values.toarray()).max()
     assert diff <= 1e-12
@@ -305,7 +305,7 @@ def test_train_sparse_full_pattern_equals_dense(rng):
     x = binary_matrix(rng, 20, 5)
     stats = build_gram(x, x)
     model = train_sparse(stats, theta=0.0, n_max=5, lam=1.0)
-    dense = solve_ease(stats, lam=1.0)
+    dense = solve_zero_diag(stats, lam=1.0)
     np.testing.assert_allclose(model.values.toarray(), dense.b, atol=1e-12)
 
 
@@ -371,7 +371,7 @@ def test_sparse_model_rejects_corruption(tmp_path, rng):
 
 def test_pattern_source_recorded(tmp_path, rng):
     x = binary_matrix(rng, 15, 4)
-    model = solve_ease(build_gram(x, x), lam=1.0)
+    model = solve_zero_diag(build_gram(x, x), lam=1.0)
     pat = threshold_pattern(np.abs(model.b), theta=0.01, n_max=3, source=SOURCE_MODEL_ABS)
     masked = mask_model(model, pat)
     path = tmp_path / "m.easp"

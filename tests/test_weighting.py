@@ -9,7 +9,6 @@ from gramrec import (
     load_weights_csv,
     popularity_weights,
     save_weights_csv,
-    solve_ease,
     solve_rr,
     solve_zero_diag,
     time_popularity_weights,
@@ -83,7 +82,7 @@ def test_uniform_weights():
 
 def test_rescaling_scales_columns(rng):
     x = binary_matrix(rng, 30, 6)
-    model = solve_ease(build_gram(x, x), lam=1.0)
+    model = solve_zero_diag(build_gram(x, x), lam=1.0)
     w = popularity_weights(PopularityVector(np.arange(1.0, 7.0)), alpha=0.5)
     rescaled = apply_item_rescaling(model, w)
     np.testing.assert_allclose(rescaled.b, model.b * w.w[np.newaxis, :])
@@ -115,7 +114,7 @@ def test_rescaling_matches_constrained_oracle(rng):
 
 def test_rescaling_with_unit_weights_is_identity(rng):
     x = binary_matrix(rng, 20, 5)
-    model = solve_ease(build_gram(x, x), lam=2.0)
+    model = solve_zero_diag(build_gram(x, x), lam=2.0)
     rescaled = apply_item_rescaling(model, uniform_weights(5))
     np.testing.assert_array_equal(rescaled.b, model.b)
 
@@ -129,7 +128,7 @@ def test_rescaling_refuses_unconstrained_variant(rng):
 
 def test_rescaling_refuses_double_application(rng):
     x = binary_matrix(rng, 20, 5)
-    model = solve_ease(build_gram(x, x), lam=1.0)
+    model = solve_zero_diag(build_gram(x, x), lam=1.0)
     once = apply_item_rescaling(model, uniform_weights(5))
     with pytest.raises(DataError, match="already carries"):
         apply_item_rescaling(once, uniform_weights(5))
@@ -137,7 +136,7 @@ def test_rescaling_refuses_double_application(rng):
 
 def test_rescaling_length_checked(rng):
     x = binary_matrix(rng, 20, 5)
-    model = solve_ease(build_gram(x, x), lam=1.0)
+    model = solve_zero_diag(build_gram(x, x), lam=1.0)
     with pytest.raises(DataError, match="weights"):
         apply_item_rescaling(model, uniform_weights(4))
 
