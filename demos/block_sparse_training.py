@@ -43,7 +43,7 @@ for blk in range(3):
 x = UserItemMatrix(matrix=sp.csr_matrix(dense), binarized=True)
 stats = build_gram(x, x)
 cor_stats = correlation_from_gram(stats)
-cor = cor_stats.cor
+cor = cor_stats[:, :]  # the whole matrix; fine at this size
 print("mean |correlation| within communities :", np.abs(cor[:ipb, :ipb]).mean().round(3))
 print("mean |correlation| across communities :", np.abs(cor[:ipb, ipb:2 * ipb]).mean().round(3))
 

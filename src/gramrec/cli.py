@@ -51,7 +51,6 @@ from .gram import (
 )
 from .solver import (
     DenseModel,
-    invert_regularized,
     load_model,
     save_model,
     solve_rr,
@@ -281,11 +280,8 @@ def cmd_train(args) -> int:
         _log(f"grid search chose lambda={lam:g}")
     else:
         lam = _check_lambda(lam)
-        precision = invert_regularized(gram, lam)
-        t_invert = time.perf_counter()
-        _log(f"phase invert: {t_invert - t_gram:.2f}s")
-        model = solver_fn(gram, lam, precision=precision)
-        _log(f"phase correct: {time.perf_counter() - t_invert:.2f}s")
+        model = solver_fn(gram, lam)
+        _log(f"phase solve: {time.perf_counter() - t_gram:.2f}s")
 
     save_gram_path = _opt(args, "save_gram")
     if save_gram_path is not None:

@@ -1,10 +1,19 @@
-"""Atomic file output shared by every writer in the package."""
+"""File output and the pieces of the binary formats shared by every writer
+and reader in the package."""
 
 from __future__ import annotations
 
 import os
+import struct
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
+
+from .errors import DataError
+
+_COUNT = struct.Struct("<Q")
+_KEY_LEN = struct.Struct("<I")
 
 
 @contextmanager
@@ -21,3 +30,39 @@ def atomic_write(path: str | Path, binary: bool = False):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_array(fh, arr, dtype: str) -> None:
+    """Write ``arr`` row-major as ``dtype``, straight from its buffer when it
+    already has that dtype and layout (no ``tobytes`` copy)."""
+    fh.write(memoryview(np.ascontiguousarray(arr, dtype=dtype)))
+
+
+def write_keys(fh, keys: list[str] | None) -> None:
+    """Key table: a u64 count (0 for none), then u32-length-prefixed UTF-8."""
+    keys = keys if keys is not None else []
+    fh.write(_COUNT.pack(len(keys)))
+    for key in keys:
+        raw = key.encode("utf-8")
+        fh.write(_KEY_LEN.pack(len(raw)))
+        fh.write(raw)
+
+
+def read_record(fh, record: struct.Struct) -> tuple:
+    """One fixed-size record from ``fh``; a short read raises struct.error."""
+    return record.unpack(fh.read(record.size))
+
+
+def read_keys(fh, path, n: int) -> list[str] | None:
+    """The key table :func:`write_keys` wrote, None when it is empty; a short
+    read raises struct.error."""
+    (n_keys,) = read_record(fh, _COUNT)
+    if not n_keys:
+        return None
+    if n_keys != n:
+        raise DataError(f"{path}: key table has {n_keys} entries for {n} items")
+    keys = []
+    for _ in range(n_keys):
+        (klen,) = read_record(fh, _KEY_LEN)
+        keys.append(fh.read(klen).decode("utf-8"))
+    return keys

@@ -10,6 +10,7 @@ binary persistence format.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ import scipy.sparse as sp
 
 from .data import UserItemMatrix
 from .errors import DataError
-from .files import atomic_write
+from .files import atomic_write, read_record, write_array
 
 PROVENANCE_PLAIN = "plain"
 PROVENANCE_DISJOINT = "disjoint_split"
@@ -29,8 +30,15 @@ _PROVENANCE_CODES = {PROVENANCE_PLAIN: 0, PROVENANCE_DISJOINT: 1, PROVENANCE_USE
 _CODES_PROVENANCE = {v: k for k, v in _PROVENANCE_CODES.items()}
 
 _GRAM_MAGIC = b"GRAM"
-_GRAM_VERSION = 1
+_GRAM_VERSION = 2
+# magic, version, n_items, n_users, provenance, has_mu; version 2 follows it
+# with the flags C-is-G and has-column-sums.
 _GRAM_HEADER = struct.Struct("<4sIQQBB")
+_GRAM_FLAGS = struct.Struct("<BB")
+
+# Rows or columns per panel wherever an n×n result is built or rewritten
+# piecewise: temporaries stay at PANEL·n floats.
+PANEL = 256
 
 
 @dataclass
@@ -41,6 +49,9 @@ class GramStats:
     (centering is recorded by its presence); ``provenance`` records which
     construction produced the statistics.  For self-target statistics C is
     G itself, not a copy, which lets the solver skip the product P*C.
+    ``colsum`` holds the input column sums Xᵀ1, which correlations need
+    beyond G for non-binary X; it is None for statistics read from a
+    version-1 GRAM file, which did not store it.
     """
 
     g: np.ndarray
@@ -48,6 +59,7 @@ class GramStats:
     mu: np.ndarray | None
     n_users: int
     provenance: str
+    colsum: np.ndarray | None = None
 
     @property
     def n_items(self) -> int:
@@ -65,18 +77,54 @@ def _check_dims(x: UserItemMatrix, y: UserItemMatrix) -> None:
         )
 
 
+def _colsum(x: sp.csr_matrix) -> np.ndarray:
+    return np.asarray(x.sum(axis=0)).ravel().astype(np.float64)
+
+
+def _dense_product(xt: sp.csr_matrix, y: sp.csr_matrix) -> np.ndarray:
+    """xt @ y as a dense float64 array, written one row panel at a time so
+    that no sparse product of all rows is held.  Each row of the product
+    sums over xt's row in the same order whatever other rows are taken, so
+    the panels are bitwise the whole product."""
+    n = xt.shape[0]
+    out = np.empty((n, y.shape[1]), dtype=np.float64)
+    for lo in range(0, n, PANEL):
+        hi = min(lo + PANEL, n)
+        start, end = xt.indptr[lo], xt.indptr[hi]
+        rows = sp.csr_matrix(  # a view of xt's rows, where xt[lo:hi] would copy them
+            (xt.data[start:end], xt.indices[start:end], xt.indptr[lo : hi + 1] - start),
+            shape=(hi - lo, xt.shape[1]),
+        )
+        (rows @ y).astype(np.float64, copy=False).toarray(out=out[lo:hi])
+    return out
+
+
+def _symmetrize(g: np.ndarray) -> None:
+    """g ← 0.5*(g + gᵀ) in place, one row panel at a time: each panel's
+    rows from the diagonal rightwards are averaged with the matching columns
+    and written to both halves.  Addition commutes, so every entry is
+    bitwise what the whole-matrix expression gives."""
+    n = g.shape[0]
+    for lo in range(0, n, PANEL):
+        hi = min(lo + PANEL, n)
+        half = g[lo:hi, lo:] + g[lo:, lo:hi].T
+        half *= 0.5
+        g[lo:hi, lo:] = half
+        g[lo:, lo:hi] = half.T
+        del half  # before the next panel is allocated
+
+
 def _products(
     x: sp.csr_matrix, xw: sp.csr_matrix, yw: sp.csr_matrix
 ) -> tuple[np.ndarray, np.ndarray]:
     """Densified XᵀXw and XᵀYw, accumulated in float64 over ascending user
     ids; C is returned as G itself when the targets are the inputs."""
     xt = x.T.tocsr()
-    g = (xt @ xw).toarray().astype(np.float64, copy=False)
-    g = 0.5 * (g + g.T)
+    g = _dense_product(xt, xw)
+    _symmetrize(g)
     if yw is xw:
         return g, g
-    c = (xt @ yw).toarray().astype(np.float64, copy=False)
-    return g, c
+    return g, _dense_product(xt, yw)
 
 
 def build_gram(x: UserItemMatrix, y: UserItemMatrix, center_y: bool = False) -> GramStats:
@@ -88,15 +136,17 @@ def build_gram(x: UserItemMatrix, y: UserItemMatrix, center_y: bool = False) -> 
     """
     _check_dims(x, y)
     g, c = _products(x.matrix, x.matrix, y.matrix)
+    colsum = _colsum(x.matrix)
     mu = None
     if center_y:
         n = x.n_users
         if n == 0:
             raise DataError("cannot center with zero users")
-        mu = np.asarray(y.matrix.sum(axis=0)).ravel().astype(np.float64) / n
-        x_colsum = np.asarray(x.matrix.sum(axis=0)).ravel().astype(np.float64)
-        c = c - np.outer(x_colsum, mu)
-    return GramStats(g=g, c=c, mu=mu, n_users=x.n_users, provenance=PROVENANCE_PLAIN)
+        mu = _colsum(y.matrix) / n
+        c = c - np.outer(colsum, mu)
+    return GramStats(
+        g=g, c=c, mu=mu, n_users=x.n_users, provenance=PROVENANCE_PLAIN, colsum=colsum
+    )
 
 
 def build_disjoint_gram(
@@ -135,7 +185,10 @@ def build_disjoint_gram(
         c = (p * (1.0 - p)) * c
         g = (1.0 - p) ** 2 * g
         np.fill_diagonal(g, (1.0 - p) ** 2 * diag + p * (1.0 - p) * diag)
-    return GramStats(g=g, c=c, mu=None, n_users=z.n_users, provenance=PROVENANCE_DISJOINT)
+    return GramStats(
+        g=g, c=c, mu=None, n_users=z.n_users, provenance=PROVENANCE_DISJOINT,
+        colsum=_colsum(z.matrix),
+    )
 
 
 def build_user_weighted_gram(x: UserItemMatrix, y: UserItemMatrix, w_u: np.ndarray) -> GramStats:
@@ -159,49 +212,59 @@ def build_user_weighted_gram(x: UserItemMatrix, y: UserItemMatrix, w_u: np.ndarr
         yw = (scale @ y.matrix).tocsr()
         yw.sort_indices()
     g, c = _products(x.matrix, xw, yw)
-    return GramStats(g=g, c=c, mu=None, n_users=x.n_users, provenance=PROVENANCE_USER_WEIGHTED)
+    return GramStats(
+        g=g, c=c, mu=None, n_users=x.n_users, provenance=PROVENANCE_USER_WEIGHTED,
+        colsum=_colsum(x.matrix),
+    )
 
 
 def save_gram_stats(path: str | Path, stats: GramStats) -> None:
-    """Write GramStats: header, then G and C as row-major little-endian f64."""
-    n = stats.n_items
+    """Write GramStats: header, G, then C unless it is G itself, then the
+    optional mu and column sums, each row-major little-endian f64."""
+    shared = stats.c is stats.g
     header = _GRAM_HEADER.pack(
         _GRAM_MAGIC,
         _GRAM_VERSION,
-        n,
+        stats.n_items,
         stats.n_users,
         _PROVENANCE_CODES[stats.provenance],
-        1 if stats.mu is not None else 0,
+        stats.mu is not None,
     )
+    flags = _GRAM_FLAGS.pack(shared, stats.colsum is not None)
     with atomic_write(path, binary=True) as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(stats.g, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(stats.c, dtype="<f8").tobytes())
-        if stats.mu is not None:
-            fh.write(np.ascontiguousarray(stats.mu, dtype="<f8").tobytes())
+        fh.write(header + flags)
+        for arr in (stats.g, None if shared else stats.c, stats.mu, stats.colsum):
+            if arr is not None:
+                write_array(fh, arr, "<f8")
 
 
 def load_gram_stats(path: str | Path) -> GramStats:
-    raw = Path(path).read_bytes()
-    if len(raw) < _GRAM_HEADER.size:
-        raise DataError(f"{path}: truncated Gram file")
-    magic, version, n, n_users, prov_code, has_mu = _GRAM_HEADER.unpack_from(raw)
-    if magic != _GRAM_MAGIC:
-        raise DataError(f"{path}: not a Gram statistics file (magic {magic!r})")
-    if version != _GRAM_VERSION:
-        raise DataError(f"{path}: unsupported Gram file version {version}")
-    if prov_code not in _CODES_PROVENANCE:
-        raise DataError(f"{path}: unknown provenance code {prov_code}")
-    offset = _GRAM_HEADER.size
-    block = n * n * 8
-    expected = offset + 2 * block + (n * 8 if has_mu else 0)
-    if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    g = np.frombuffer(raw, dtype="<f8", count=n * n, offset=offset).reshape(n, n).copy()
-    offset += block
-    c = np.frombuffer(raw, dtype="<f8", count=n * n, offset=offset).reshape(n, n).copy()
-    offset += block
-    mu = None
-    if has_mu:
-        mu = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).copy()
-    return GramStats(g=g, c=c, mu=mu, n_users=n_users, provenance=_CODES_PROVENANCE[prov_code])
+    """Read a GRAM file of version 2, or of version 1 (C stored apart from G
+    and no column sums)."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        try:
+            magic, version, n, n_users, prov_code, has_mu = read_record(fh, _GRAM_HEADER)
+            if magic == _GRAM_MAGIC and version == _GRAM_VERSION:
+                shared, has_colsum = read_record(fh, _GRAM_FLAGS)
+            else:
+                shared = has_colsum = False
+        except struct.error:
+            raise DataError(f"{path}: truncated Gram file") from None
+        if magic != _GRAM_MAGIC:
+            raise DataError(f"{path}: not a Gram statistics file (magic {magic!r})")
+        if version not in (1, _GRAM_VERSION):
+            raise DataError(f"{path}: unsupported Gram file version {version}")
+        if prov_code not in _CODES_PROVENANCE:
+            raise DataError(f"{path}: unknown provenance code {prov_code}")
+        floats = (1 if shared else 2) * n * n + (bool(has_mu) + bool(has_colsum)) * n
+        expected = fh.tell() + 8 * floats
+        if size != expected:
+            raise DataError(f"{path}: expected {expected} bytes, found {size}")
+        g = np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n)
+        c = g if shared else np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n)
+        mu = np.fromfile(fh, dtype="<f8", count=n) if has_mu else None
+        colsum = np.fromfile(fh, dtype="<f8", count=n) if has_colsum else None
+    return GramStats(
+        g=g, c=c, mu=mu, n_users=n_users, provenance=_CODES_PROVENANCE[prov_code], colsum=colsum
+    )

@@ -16,6 +16,7 @@ the multipliers as diagnostics.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,8 +26,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DataError, NumericalError
-from .files import atomic_write
-from .gram import GramStats
+from .files import atomic_write, read_keys, read_record, write_array, write_keys
+from .gram import PANEL, GramStats
 
 if TYPE_CHECKING:
     from .weighting import ItemWeightVector
@@ -83,7 +84,9 @@ def invert_regularized(gram: GramStats, lam: float) -> PrecisionMatrix:
     """(G + lambda*I)^-1 by Cholesky factorization.
 
     lambda > 0 makes the matrix positive definite whenever G is positive
-    semi-definite, so the factorization doubles as the error check.
+    semi-definite, so the factorization doubles as the error check.  One
+    copy of G is factored and inverted in place; the result is its
+    C-contiguous transpose view with the triangle mirrored panel by panel.
     """
     if lam <= 0:
         raise DataError(f"regularization strength must be positive, got {lam}")
@@ -101,7 +104,18 @@ def invert_regularized(gram: GramStats, lam: float) -> PrecisionMatrix:
     inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"triangular inversion failed (info={info})")
-    p = np.tril(inv) + np.tril(inv, -1).T
+    # The inverse fills the lower triangle of the Fortran-ordered buffer, so
+    # the upper triangle of its transpose; the other triangle is zero (clean=1).
+    # Every entry gets +0.0, which turns -0.0 into 0.0: exact zeros of P
+    # (between unconnected items) are written to model files as +0.0.
+    p = inv.T
+    n = p.shape[0]
+    for lo in range(0, n, PANEL):
+        hi = min(lo + PANEL, n)
+        block = p[lo:hi, lo:hi]
+        block += np.triu(block, 1).T
+        p[lo:hi, hi:] += 0.0
+        p[hi:, lo:hi] = p[lo:hi, hi:].T
     return PrecisionMatrix(p=p)
 
 
@@ -140,17 +154,19 @@ def solve_zero_diag(
     and rank correction.  The multipliers gamma = diag(P*C) / diag(P) are
     stored as diagnostics; the diagonal is written to exactly zero so that
     downstream code can rely on it.  ``precision`` lets callers reuse an
-    inverse computed with the same gram and lambda.
+    inverse computed with the same gram and lambda; it is left unchanged,
+    while an inverse computed here is overwritten by the result.
     """
     p = _precision(gram, lam, precision)
     dp = _positive_diag(p)
+    out = p if precision is None else None  # overwrite only an inverse made here
     if gram.c is gram.g:
-        b = p / -dp
+        b = np.divide(p, -dp, out=out)
         gamma = 1.0 / dp - lam
     else:
         b = p @ gram.c
         gamma = np.diag(b) / dp
-        b -= p * gamma[np.newaxis, :]
+        b -= np.multiply(p, gamma[np.newaxis, :], out=out)
     np.fill_diagonal(b, 0.0)
     mu = None if gram.mu is None else gram.mu.copy()
     return DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=lam, mu=mu, gamma=gamma)
@@ -210,70 +226,46 @@ def save_model(path: str | Path, model: DenseModel, item_keys: list[str] | None 
         fh.write(header)
         if w is not None:
             fh.write(_WEIGHT_FIELDS.pack(_WEIGHT_KIND_CODES[w.kind], w.alpha))
-        keys = item_keys if item_keys is not None else []
-        fh.write(struct.pack("<Q", len(keys)))
-        for key in keys:
-            raw = key.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        fh.write(np.ascontiguousarray(model.b, dtype="<f8").tobytes())
-        if model.mu is not None:
-            fh.write(np.ascontiguousarray(model.mu, dtype="<f8").tobytes())
-        if w is not None:
-            fh.write(np.ascontiguousarray(w.w, dtype="<f8").tobytes())
+        write_keys(fh, item_keys)
+        for arr in (model.b, model.mu, None if w is None else w.w):
+            if arr is not None:
+                write_array(fh, arr, "<f8")
 
 
 def load_model(path: str | Path) -> tuple[DenseModel, list[str] | None]:
     """Read a model file back; returns the model and its item keys (None
     when the file was written without a key table)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _MODEL_HEADER.size or raw[:4] != _MODEL_MAGIC:
-        raise DataError(f"{path}: not a dense model file")
-    magic, version, n, variant_code, lam, has_mu, has_w = _MODEL_HEADER.unpack_from(raw)
-    if version != _MODEL_VERSION:
-        raise DataError(f"{path}: unsupported model file version {version}")
-    if variant_code not in _CODES_VARIANT:
-        raise DataError(f"{path}: unknown variant code {variant_code}")
-    offset = _MODEL_HEADER.size
-    kind = alpha = None
-    if has_w:
-        if len(raw) < offset + _WEIGHT_FIELDS.size:
-            raise DataError(f"{path}: truncated model file")
-        kind_code, alpha = _WEIGHT_FIELDS.unpack_from(raw, offset)
-        offset += _WEIGHT_FIELDS.size
-        if kind_code not in _CODES_WEIGHT_KIND:
-            raise DataError(f"{path}: unknown weight kind code {kind_code}")
-        kind = _CODES_WEIGHT_KIND[kind_code]
-    try:
-        (n_keys,) = struct.unpack_from("<Q", raw, offset)
-        offset += 8
-        item_keys = None
-        if n_keys:
-            if n_keys != n:
-                raise DataError(f"{path}: key table has {n_keys} entries for {n} items")
-            item_keys = []
-            for _ in range(n_keys):
-                (klen,) = struct.unpack_from("<I", raw, offset)
-                offset += 4
-                item_keys.append(raw[offset : offset + klen].decode("utf-8"))
-                offset += klen
-    except struct.error:
-        raise DataError(f"{path}: truncated model file") from None
-    expected = offset + n * n * 8 + (n * 8 if has_mu else 0) + (n * 8 if has_w else 0)
-    if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    b = np.frombuffer(raw, dtype="<f8", count=n * n, offset=offset).reshape(n, n).copy()
-    offset += n * n * 8
-    mu = None
-    if has_mu:
-        mu = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).copy()
-        offset += n * 8
-    weights = None
-    if has_w:
-        from .weighting import ItemWeightVector
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_MODEL_HEADER.size)
+        if len(head) < _MODEL_HEADER.size or head[:4] != _MODEL_MAGIC:
+            raise DataError(f"{path}: not a dense model file")
+        magic, version, n, variant_code, lam, has_mu, has_w = _MODEL_HEADER.unpack(head)
+        if version != _MODEL_VERSION:
+            raise DataError(f"{path}: unsupported model file version {version}")
+        if variant_code not in _CODES_VARIANT:
+            raise DataError(f"{path}: unknown variant code {variant_code}")
+        kind = alpha = None
+        try:
+            if has_w:
+                kind_code, alpha = read_record(fh, _WEIGHT_FIELDS)
+                if kind_code not in _CODES_WEIGHT_KIND:
+                    raise DataError(f"{path}: unknown weight kind code {kind_code}")
+                kind = _CODES_WEIGHT_KIND[kind_code]
+            item_keys = read_keys(fh, path, n)
+        except struct.error:
+            raise DataError(f"{path}: truncated model file") from None
+        expected = fh.tell() + 8 * (n * n + (n if has_mu else 0) + (n if has_w else 0))
+        if size != expected:
+            raise DataError(f"{path}: expected {expected} bytes, found {size}")
+        b = np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n)
+        mu = np.fromfile(fh, dtype="<f8", count=n) if has_mu else None
+        weights = None
+        if has_w:
+            from .weighting import ItemWeightVector
 
-        wvec = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).copy()
-        weights = ItemWeightVector(w=wvec, kind=kind, alpha=alpha)
+            wvec = np.fromfile(fh, dtype="<f8", count=n)
+            weights = ItemWeightVector(w=wvec, kind=kind, alpha=alpha)
     model = DenseModel(
         b=b,
         variant=_CODES_VARIANT[variant_code],

@@ -8,12 +8,20 @@ of its non-zero rows as one block, and all members are marked visited.
 Third each block is solved exactly by the dense zero-diagonal closed form
 on its Gram sub-matrix, and overlapping estimates are averaged.  When A is
 block-diagonal the result equals the masked dense solution exactly;
-otherwise it is an approximation that trades accuracy for never forming,
-or inverting, an n_items x n_items matrix.
+otherwise it is an approximation that trades accuracy for never inverting
+an n_items x n_items matrix (Steck, "Markov Random Fields for
+Collaborative Filtering", NeurIPS 2019).
+
+G itself is still a dense n_items x n_items array.  Beyond it, training
+holds O(n_items · panel width + nnz(A)) memory plus the block solutions
+(k² values for a block of k items): correlations are produced from G in
+column panels of bounded width, block ranking reads only pattern entries,
+and the block solutions are accumulated at pattern positions only.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
-from .files import atomic_write
-from .gram import GramStats
+from .files import atomic_write, read_keys, write_array, write_keys
+from .gram import PANEL, GramStats
 from .solver import DenseModel, solve_zero_diag
 
 SOURCE_MODEL_ABS = "model_abs"
@@ -65,13 +73,48 @@ class SparsityPattern:
 
 @dataclass
 class CorrelationMatrix:
-    """Dense symmetric item-item correlations with unit diagonal."""
+    """Item-item Pearson correlations, computed on demand from G.
 
-    cor: np.ndarray
+    Holds a reference to G and the per-item moments.  Indexing reads it
+    like the dense symmetric matrix with unit diagonal, in the two forms the
+    trainer uses: ``cor[:, lo:hi]`` gives a column panel and
+    ``cor[rows, cols]`` the entries at paired index arrays.  Each entry is
+    (G_ij/n − m_i·m_j)/(s_i·s_j), zero where item i or j has no variance.
+    """
+
+    g: np.ndarray
+    n_users: int
+    mean: np.ndarray
+    std: np.ndarray  # 1 where the item has zero variance
+    constant: np.ndarray  # zero-variance items
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.g.shape
 
     @property
     def n_items(self) -> int:
-        return self.cor.shape[0]
+        return self.g.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key
+        if isinstance(rows, slice):
+            if rows != slice(None) or not isinstance(cols, slice):
+                raise TypeError("correlation panels are indexed as cor[:, lo:hi]")
+            items = np.arange(self.n_items)
+            return self._entries(self.g[:, cols], items[:, None], items[cols])
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        return self._entries(self.g[rows, cols], rows, cols)
+
+    def _entries(self, g: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Correlations at the broadcast (rows, cols) given G's entries there."""
+        m, s = self.mean, self.std
+        cor = g / self.n_users
+        cor -= m[rows] * m[cols]
+        cor /= s[rows] * s[cols]
+        cor[np.broadcast_to(self.constant[rows] | self.constant[cols], cor.shape)] = 0.0
+        cor[np.broadcast_to(rows == cols, cor.shape)] = 1.0
+        return cor
 
 
 @dataclass
@@ -92,30 +135,32 @@ class SparseModel:
 
 
 def correlation_from_gram(gram: GramStats) -> CorrelationMatrix:
-    """Pearson correlations recovered from G = XᵀX alone.
+    """Pearson correlations recovered from G = XᵀX and the column sums Xᵀ1.
 
-    Valid for a binarized X, where column sums equal diag(G): with
-    m = diag(G)/n the correlation is (G_ij/n − m_i·m_j)/(s_i·s_j) and
-    s_i = sqrt(G_ii/n − m_i²).  Zero-variance items (empty or ubiquitous)
-    get zero correlation to everything; the diagonal is always 1.
+    With n users, m = Xᵀ1/n and s² = diag(G)/n − m², the correlation is
+    (G_ij/n − m_i·m_j)/(s_i·s_j), exact for any X.  Zero-variance items
+    (empty or constant) get zero correlation to everything; the diagonal is
+    always 1.  Only the moments are computed here: the result refers to G
+    and produces entries when indexed.
     """
     n = gram.n_users
     if n < 2:
         raise DataError(f"correlations need at least 2 users, got {n}")
-    d = np.diag(gram.g)
-    m = d / n
-    s = np.sqrt(np.maximum(d / n - m * m, 0.0))
-    zero = s == 0.0
-    s_safe = np.where(zero, 1.0, s)
-    cor = (gram.g / n - np.outer(m, m)) / np.outer(s_safe, s_safe)
-    cor[zero, :] = 0.0
-    cor[:, zero] = 0.0
-    np.fill_diagonal(cor, 1.0)
-    return CorrelationMatrix(cor=cor)
+    if gram.colsum is None:
+        raise DataError(
+            "Gram statistics without column sums (GRAM file version 1) cannot give "
+            "correlations; rebuild them from the data"
+        )
+    m = gram.colsum / n
+    s = np.sqrt(np.maximum(np.diag(gram.g) / n - m * m, 0.0))
+    constant = s == 0.0
+    return CorrelationMatrix(
+        g=gram.g, n_users=n, mean=m, std=np.where(constant, 1.0, s), constant=constant
+    )
 
 
 def threshold_pattern(
-    m: np.ndarray,
+    m: np.ndarray | CorrelationMatrix,
     theta: float,
     use_abs: bool = True,
     n_max: int = 1000,
@@ -126,7 +171,9 @@ def threshold_pattern(
     The criterion is |m_ij| with use_abs, m_ij otherwise.  A column
     exceeding the cap keeps its diagonal plus the n_max − 1 strongest other
     entries (ties broken by ascending row); the diagonal is always present
-    regardless of its own criterion value.
+    regardless of its own criterion value.  ``m`` is read in column panels
+    ``m[:, lo:hi]``, so a :class:`CorrelationMatrix` is never materialized
+    whole; a plain array is sliced the same way.
     """
     if theta < 0:
         raise DataError(f"threshold must be non-negative, got {theta}")
@@ -138,15 +185,20 @@ def threshold_pattern(
     if m.shape != (n, n):
         raise DataError(f"pattern source matrix must be square, got {m.shape}")
     per_col: list[np.ndarray] = []
-    for j in range(n):
-        crit = np.abs(m[:, j]) if use_abs else m[:, j]
-        sel = np.flatnonzero(crit >= theta)
-        sel = sel[sel != j]
-        if sel.size > n_max - 1:
-            order = np.lexsort((sel, -crit[sel]))
-            sel = sel[order[: n_max - 1]]
-        rows = np.sort(np.append(sel, j))
-        per_col.append(rows)
+    for lo in range(0, n, PANEL):
+        crits = m[:, lo : lo + PANEL]
+        if use_abs:
+            crits = np.abs(crits)
+        for k in range(crits.shape[1]):
+            j = lo + k
+            crit = crits[:, k]
+            sel = np.flatnonzero(crit >= theta)
+            sel = sel[sel != j]
+            if sel.size > n_max - 1:
+                order = np.lexsort((sel, -crit[sel]))
+                sel = sel[order[: n_max - 1]]
+            per_col.append(np.sort(np.append(sel, j)))
+        del crits  # before the next panel is computed
     counts = np.fromiter((r.size for r in per_col), dtype=np.int64, count=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -175,7 +227,9 @@ def mask_model(model: DenseModel, pattern: SparsityPattern) -> SparseModel:
     return SparseModel(pattern=pattern, values=values, lam=model.lam)
 
 
-def block_partition(pattern: SparsityPattern, cor: CorrelationMatrix) -> list[np.ndarray]:
+def block_partition(
+    pattern: SparsityPattern, cor: np.ndarray | CorrelationMatrix
+) -> list[np.ndarray]:
     """Item blocks from the pattern columns.
 
     Columns are ordered by support size descending, then by the largest
@@ -184,19 +238,18 @@ def block_partition(pattern: SparsityPattern, cor: CorrelationMatrix) -> list[np
     block {j : A_ji = 1} and marks its members covered; emitted blocks may
     still overlap.  The ordering keys are fixed up front, which is
     equivalent to re-sorting the remaining columns after each removal since
-    removals never change a column's keys.
+    removals never change a column's keys.  Only the correlations at the
+    pattern's off-diagonal positions are read, as ``cor[rows, cols]``.
     """
     a = pattern.a
     n = pattern.n_items
     if n and np.any(a.diagonal() == 0):
         raise DataError("pattern must contain every diagonal entry")
     nnz_col = np.diff(a.indptr)
+    cols = np.repeat(np.arange(n), nnz_col)
+    offd = a.indices != cols
     sec = np.full(n, -1.0)
-    for j in range(n):
-        rows = a.indices[a.indptr[j] : a.indptr[j + 1]]
-        offd = rows[rows != j]
-        if offd.size:
-            sec[j] = np.max(np.abs(cor.cor[offd, j]))
+    np.maximum.at(sec, cols[offd], np.abs(cor[a.indices[offd], cols[offd]]))
     order = np.lexsort((np.arange(n), -sec, -nnz_col))
     covered = np.zeros(n, dtype=bool)
     blocks: list[np.ndarray] = []
@@ -231,46 +284,42 @@ def aggregate_blocks(
 ) -> SparseModel:
     """Merge block solutions onto the pattern, averaging where blocks overlap.
 
-    Accumulates per-position sums and counts, divides once, and reads the
-    result off at the pattern positions (anything no block covered stays
-    zero).  Sum-then-divide keeps the average independent of block order.
+    Accumulates per-position sums and counts over the pattern's entries,
+    divides once, and leaves zero where no block covered a position.  Each
+    block contributes only at the pattern positions inside it: for each of
+    its columns, the pattern rows that are also members.  Sum-then-divide
+    keeps the average independent of block order.
     """
     if len(blocks) != len(submatrices):
         raise DataError(f"{len(blocks)} blocks but {len(submatrices)} solutions")
-    n = pattern.n_items
-    rows, cols, vals = [], [], []
+    a = pattern.a
+    starts, nnz_col = a.indptr[:-1], np.diff(a.indptr)
+    sums = np.zeros(a.nnz, dtype=np.float64)
+    counts = np.zeros(a.nnz, dtype=np.float64)
+    local = np.full(pattern.n_items, -1, dtype=np.int64)  # item -> index in the block
     for members, sub in zip(blocks, submatrices):
         k = len(members)
         if sub.shape != (k, k):
             raise DataError(f"block of {k} items got a {sub.shape} solution")
-        rows.append(np.repeat(members, k))
-        cols.append(np.tile(members, k))
-        vals.append(np.asarray(sub, dtype=np.float64).ravel())
-    a = pattern.a
-    pcols = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))
-    pkeys = pcols * n + a.indices
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        sums = sp.coo_matrix((np.concatenate(vals), (r, c)), shape=(n, n)).tocsc()
-        counts = sp.coo_matrix((np.ones(len(r), dtype=np.float64), (r, c)), shape=(n, n)).tocsc()
-        means = sums.data / counts.data
-        ecols = np.repeat(np.arange(n, dtype=np.int64), np.diff(sums.indptr))
-        ekeys = ecols * n + sums.indices
-        pos = np.searchsorted(ekeys, pkeys)
-        pos_safe = np.minimum(pos, len(ekeys) - 1)
-        matched = ekeys[pos_safe] == pkeys
-        aligned = np.where(matched, means[pos_safe], 0.0)
-    else:
-        aligned = np.zeros(len(pkeys), dtype=np.float64)
-    values = sp.csc_matrix((aligned, a.indices.copy(), a.indptr.copy()), shape=(n, n))
+        # every pattern position in the members' columns, column by column
+        lens = nnz_col[members]
+        col = np.repeat(np.arange(k), lens)
+        pos = np.repeat(starts[members] - (np.cumsum(lens) - lens), lens) + np.arange(col.size)
+        local[members] = np.arange(k)
+        row = local[a.indices[pos]]
+        local[members] = -1
+        inside = row >= 0
+        sums[pos[inside]] += np.asarray(sub, dtype=np.float64)[row[inside], col[inside]]
+        counts[pos[inside]] += 1.0
+    means = np.divide(sums, counts, out=sums, where=counts > 0)
+    values = sp.csc_matrix((means, a.indices.copy(), a.indptr.copy()), shape=a.shape)
     return SparseModel(pattern=pattern, values=values, lam=lam)
 
 
 def train_sparse(gram: GramStats, theta: float, n_max: int, lam: float) -> SparseModel:
     """Three-step sparse trainer: pattern, blocks, aggregated block solves."""
     cor = correlation_from_gram(gram)
-    pattern = threshold_pattern(cor.cor, theta, use_abs=True, n_max=n_max)
+    pattern = threshold_pattern(cor, theta, use_abs=True, n_max=n_max)
     blocks = block_partition(pattern, cor)
     subs = solve_blocks(gram, blocks, lam)
     return aggregate_blocks(blocks, subs, pattern, lam)
@@ -297,50 +346,33 @@ def save_sparse_model(
     )
     with atomic_write(path, binary=True) as fh:
         fh.write(header)
-        keys = item_keys if item_keys is not None else []
-        fh.write(struct.pack("<Q", len(keys)))
-        for key in keys:
-            raw = key.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        fh.write(np.ascontiguousarray(values.indptr, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(values.indices, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(values.data, dtype="<f8").tobytes())
+        write_keys(fh, item_keys)
+        write_array(fh, values.indptr, "<i8")
+        write_array(fh, values.indices, "<i8")
+        write_array(fh, values.data, "<f8")
 
 
 def load_sparse_model(path: str | Path) -> tuple[SparseModel, list[str] | None]:
-    raw = Path(path).read_bytes()
-    if len(raw) < _SPARSE_HEADER.size or raw[:4] != _SPARSE_MAGIC:
-        raise DataError(f"{path}: not a sparse model file")
-    magic, version, n, nnz, lam, theta, source_code, n_max = _SPARSE_HEADER.unpack_from(raw)
-    if version != _SPARSE_VERSION:
-        raise DataError(f"{path}: unsupported sparse model version {version}")
-    if source_code not in _CODES_SOURCE:
-        raise DataError(f"{path}: unknown pattern source code {source_code}")
-    offset = _SPARSE_HEADER.size
-    try:
-        (n_keys,) = struct.unpack_from("<Q", raw, offset)
-        offset += 8
-        item_keys = None
-        if n_keys:
-            if n_keys != n:
-                raise DataError(f"{path}: key table has {n_keys} entries for {n} items")
-            item_keys = []
-            for _ in range(n_keys):
-                (klen,) = struct.unpack_from("<I", raw, offset)
-                offset += 4
-                item_keys.append(raw[offset : offset + klen].decode("utf-8"))
-                offset += klen
-    except struct.error:
-        raise DataError(f"{path}: truncated sparse model file") from None
-    expected = offset + (n + 1) * 8 + nnz * 8 + nnz * 8
-    if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    indptr = np.frombuffer(raw, dtype="<i8", count=n + 1, offset=offset).copy()
-    offset += (n + 1) * 8
-    indices = np.frombuffer(raw, dtype="<i8", count=nnz, offset=offset).copy()
-    offset += nnz * 8
-    data = np.frombuffer(raw, dtype="<f8", count=nnz, offset=offset).copy()
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_SPARSE_HEADER.size)
+        if len(head) < _SPARSE_HEADER.size or head[:4] != _SPARSE_MAGIC:
+            raise DataError(f"{path}: not a sparse model file")
+        magic, version, n, nnz, lam, theta, source_code, n_max = _SPARSE_HEADER.unpack(head)
+        if version != _SPARSE_VERSION:
+            raise DataError(f"{path}: unsupported sparse model version {version}")
+        if source_code not in _CODES_SOURCE:
+            raise DataError(f"{path}: unknown pattern source code {source_code}")
+        try:
+            item_keys = read_keys(fh, path, n)
+        except struct.error:
+            raise DataError(f"{path}: truncated sparse model file") from None
+        expected = fh.tell() + (n + 1) * 8 + nnz * 8 + nnz * 8
+        if size != expected:
+            raise DataError(f"{path}: expected {expected} bytes, found {size}")
+        indptr = np.fromfile(fh, dtype="<i8", count=n + 1)
+        indices = np.fromfile(fh, dtype="<i8", count=nnz)
+        data = np.fromfile(fh, dtype="<f8", count=nnz)
     a = sp.csc_matrix((np.ones(nnz, dtype=np.int8), indices.copy(), indptr.copy()), shape=(n, n))
     values = sp.csc_matrix((data, indices, indptr), shape=(n, n))
     pattern = SparsityPattern(

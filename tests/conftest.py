@@ -6,6 +6,11 @@ feature sets (the library uses a Cholesky inverse plus a rank correction),
 and correlations are computed with a two-pass loop over raw columns (the
 library derives them from Gram statistics).  Agreement between the two
 routes is the point of the tests.
+
+The ``*_reference`` functions are the sparse trainer's steps as whole-matrix
+code: one dense correlation matrix, a column loop over it, and one COO sum
+over every block's k² entries.  The library computes the same results in
+panels and at pattern positions only; property tests hold it to these.
 """
 
 import subprocess
@@ -56,6 +61,75 @@ def two_pass_correlation(x: np.ndarray) -> np.ndarray:
             out[i, j] = cov / (s[i] * s[j])
     np.fill_diagonal(out, 1.0)
     return out
+
+
+def correlation_reference(gram) -> np.ndarray:
+    """The whole correlation matrix from G and the column sums in one
+    expression."""
+    n = gram.n_users
+    m = gram.colsum / n
+    s = np.sqrt(np.maximum(np.diag(gram.g) / n - m * m, 0.0))
+    zero = s == 0.0
+    s_safe = np.where(zero, 1.0, s)
+    cor = (gram.g / n - np.outer(m, m)) / np.outer(s_safe, s_safe)
+    cor[zero, :] = 0.0
+    cor[:, zero] = 0.0
+    np.fill_diagonal(cor, 1.0)
+    return cor
+
+
+def threshold_pattern_reference(m: np.ndarray, theta: float, n_max: int) -> sp.csc_matrix:
+    """|m_ij| ≥ theta plus the diagonal, capped per column at n_max with the
+    strongest entries kept and ties going to the lower row."""
+    n = m.shape[0]
+    per_col = []
+    for j in range(n):
+        crit = np.abs(m[:, j])
+        sel = np.flatnonzero(crit >= theta)
+        sel = sel[sel != j]
+        if sel.size > n_max - 1:
+            order = np.lexsort((sel, -crit[sel]))
+            sel = sel[order[: n_max - 1]]
+        per_col.append(np.sort(np.append(sel, j)))
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in per_col])]).astype(np.int64)
+    indices = np.concatenate(per_col) if n else np.zeros(0, dtype=np.int64)
+    return sp.csc_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
+
+
+def block_partition_reference(a: sp.csc_matrix, cor: np.ndarray) -> list[np.ndarray]:
+    """Blocks from columns ranked by support, then by the largest
+    off-diagonal |correlation| in the column, then by index."""
+    n = a.shape[0]
+    nnz_col = np.diff(a.indptr)
+    sec = np.full(n, -1.0)
+    for j in range(n):
+        rows = a.indices[a.indptr[j] : a.indptr[j + 1]]
+        offd = rows[rows != j]
+        if offd.size:
+            sec[j] = np.max(np.abs(cor[offd, j]))
+    covered = np.zeros(n, dtype=bool)
+    blocks = []
+    for i in np.lexsort((np.arange(n), -sec, -nnz_col)):
+        if not covered[i]:
+            members = a.indices[a.indptr[i] : a.indptr[i + 1]].astype(np.int64)
+            blocks.append(members)
+            covered[members] = True
+    return blocks
+
+
+def aggregate_blocks_reference(blocks, submatrices, a: sp.csc_matrix) -> np.ndarray:
+    """Dense n×n average of every block's full k×k solution, masked to the
+    pattern a."""
+    n = a.shape[0]
+    if not blocks:
+        return np.zeros((n, n))
+    rows = np.concatenate([np.repeat(b, len(b)) for b in blocks])
+    cols = np.concatenate([np.tile(b, len(b)) for b in blocks])
+    vals = np.concatenate([np.asarray(s, dtype=np.float64).ravel() for s in submatrices])
+    sums = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).toarray()
+    counts = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).toarray()
+    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    return means * (a.toarray() != 0)
 
 
 def binary_matrix(

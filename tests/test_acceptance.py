@@ -173,7 +173,7 @@ def test_acceptance_6_block_sparse_exactness():
     rng = np.random.default_rng(60)
     stats, expected = three_block_gram(rng, users_per_block=12, items_per_block=10)
     assert stats.n_items == 30
-    pattern = threshold_pattern(np.abs(correlation_from_gram(stats).cor), theta=0.3, n_max=30)
+    pattern = threshold_pattern(correlation_from_gram(stats), theta=0.3, n_max=30)
     assert np.array_equal(pattern.a.toarray().astype(bool), expected)
 
     lam = 2.0

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from gramrec import load_sparse_model
+
 from conftest import run_cli
 
 
@@ -101,8 +103,7 @@ def test_train_reports_phases_and_model(workdir):
     ])
     assert res.returncode == 0
     assert "phase gram:" in res.stderr
-    assert "phase invert:" in res.stderr
-    assert "phase correct:" in res.stderr
+    assert "phase solve:" in res.stderr
     assert "lambda=2" in res.stderr
     assert filecmp.cmp(workdir["model"], workdir["root"] / "model_again.ease", shallow=False)
 
@@ -323,6 +324,20 @@ def test_train_sparse_and_evaluate(workdir, tmp_path):
     ])
     assert warn.returncode == 0, warn.stderr
     assert "warning: threshold 0" in warn.stderr
+
+
+def test_train_sparse_on_ratings_writes_offdiagonal_weights(workdir, tmp_path):
+    # the workdir data holds 1-5 ratings; without --binarize the correlations
+    # must come from the rated values, not from diag(G) as if binary
+    out = tmp_path / "ratings.easp"
+    res = run_cli([
+        "train-sparse", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+        "--lambda", "2.0", "--threshold", "0.05", "--n-max", "6", "--output", str(out),
+    ])
+    assert res.returncode == 0, res.stderr
+    model, _ = load_sparse_model(out)
+    v = model.values.tocoo()
+    assert np.count_nonzero(v.data[v.row != v.col]) > 0
 
 
 def test_rescale_weights_and_model(workdir, tmp_path):

@@ -1,11 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramrec import (
     DataError,
     build_disjoint_gram,
     build_gram,
     build_user_weighted_gram,
+    correlation_from_gram,
     load_gram_stats,
     save_gram_stats,
 )
@@ -54,6 +60,44 @@ def test_self_target_statistics_alias_c_to_g(rng):
         build_user_weighted_gram(x, y, np.ones(20)),
     ):
         assert stats.c is not stats.g
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_items=st.sampled_from([1, 5, 255, 256, 257, 600]),
+    n_users=st.integers(1, 30),
+    density=st.floats(0.05, 0.8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_panelled_products_are_bitwise_whole_products(n_items, n_users, density, seed):
+    r = np.random.default_rng(seed)
+    xd = r.normal(size=(n_users, n_items)) * (r.random((n_users, n_items)) < density)
+    yd = r.normal(size=(n_users, n_items)) * (r.random((n_users, n_items)) < density)
+    x, y = matrix_from_dense(xd), matrix_from_dense(yd)
+    w = r.uniform(0.5, 2.0, n_users)
+    stats = build_user_weighted_gram(x, y, w)
+    # the whole-matrix expressions: X^T (W X) is not exactly symmetric in
+    # floating point, so the symmetrisation is exercised
+    xt = x.matrix.T.tocsr()
+    scale = sp.diags(w, format="csr")
+    xw, yw = (scale @ x.matrix).tocsr(), (scale @ y.matrix).tocsr()
+    xw.sort_indices()
+    yw.sort_indices()
+    g = (xt @ xw).toarray()
+    np.testing.assert_array_equal(stats.g, 0.5 * (g + g.T))
+    np.testing.assert_array_equal(stats.c, (xt @ yw).toarray())
+
+
+def test_every_builder_records_column_sums(rng):
+    x = matrix_from_dense(rng.integers(0, 4, (20, 6)))
+    z = binary_matrix(rng, 20, 6)
+    for stats, m in (
+        (build_gram(x, x), x),
+        (build_gram(x, x, center_y=True), x),
+        (build_user_weighted_gram(x, x, rng.uniform(0.5, 2.0, 20)), x),
+        (build_disjoint_gram(z), z),
+    ):
+        np.testing.assert_array_equal(stats.colsum, m.matrix.toarray().sum(axis=0))
 
 
 def test_gram_orthogonal_columns():
@@ -171,12 +215,36 @@ def test_gram_file_round_trip(tmp_path, rng, center):
     loaded = load_gram_stats(path)
     np.testing.assert_array_equal(loaded.g, stats.g)
     np.testing.assert_array_equal(loaded.c, stats.c)
+    assert (loaded.c is loaded.g) == (not center)
+    np.testing.assert_array_equal(loaded.colsum, stats.colsum)
     assert loaded.n_users == stats.n_users
     assert loaded.provenance == stats.provenance
     if center:
         np.testing.assert_array_equal(loaded.mu, stats.mu)
     else:
         assert loaded.mu is None
+
+
+def test_gram_file_stores_self_target_g_once(tmp_path, rng):
+    x = binary_matrix(rng, 10, 6)
+    path = tmp_path / "stats.gram"
+    save_gram_stats(path, build_gram(x, x))
+    # 28-byte header, G (36 floats), column sums (6 floats)
+    assert path.stat().st_size == 28 + 8 * 36 + 8 * 6
+
+
+def test_gram_file_version_1_loads_without_column_sums(tmp_path, rng):
+    x = binary_matrix(rng, 10, 4)
+    stats = build_gram(x, x)
+    path = tmp_path / "v1.gram"
+    header = struct.pack("<4sIQQBB", b"GRAM", 1, 4, 10, 0, 0)
+    path.write_bytes(header + stats.g.tobytes() + stats.c.tobytes())
+    loaded = load_gram_stats(path)
+    np.testing.assert_array_equal(loaded.g, stats.g)
+    np.testing.assert_array_equal(loaded.c, stats.g)
+    assert loaded.colsum is None
+    with pytest.raises(DataError, match="version 1"):
+        correlation_from_gram(loaded)
 
 
 def test_gram_file_rejects_corruption(tmp_path, rng):

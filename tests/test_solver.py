@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from gramrec import (
     DataError,
@@ -50,6 +51,30 @@ def test_invert_residual_and_symmetry(rng):
     residual = prec.p @ (g + 0.5 * np.eye(40)) - np.eye(40)
     assert np.abs(residual).max() < 1e-10
     np.testing.assert_array_equal(prec.p, prec.p.T)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([1, 3, 255, 256, 257, 258, 600]),
+    blocks=st.integers(1, 4),
+    lam=st.floats(0.1, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=258, blocks=2, lam=2.0, seed=0)  # -0.0 in P across a panel boundary
+def test_invert_is_bitwise_the_tril_mirror(n, blocks, lam, seed):
+    # block-diagonal G gives exact zeros in P, where -0.0 must read as 0.0
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(8, n)) * (r.random((8, n)) < 0.5)
+    group = r.integers(0, blocks, n)
+    g = (x.T @ x) * (group[:, None] == group[None, :])
+    prec = invert_regularized(stats_of(g), lam)
+    a = np.array(g, order="F")
+    a[np.diag_indices_from(a)] += lam
+    chol, _ = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
+    inv, _ = lapack.dpotri(chol, lower=1, overwrite_c=1)
+    expected = np.tril(inv) + np.tril(inv, -1).T
+    assert prec.p.flags.c_contiguous
+    assert prec.p.tobytes() == expected.tobytes()
 
 
 def test_invert_rejects_non_positive_lambda():
@@ -234,10 +259,12 @@ def test_precision_reuse_is_bitwise(rng):
     stats = build_gram(x, x)
     prec = invert_regularized(stats, 1.2)
     general = stats_of(stats.g, stats.g.copy())
+    kept = prec.p.copy()
     for solver, gram in ((solve_rr, stats), (solve_zero_diag, stats), (solve_zero_diag, general)):
         direct = solver(gram, 1.2)
         reused = solver(gram, 1.2, precision=prec)
         np.testing.assert_array_equal(direct.b, reused.b)
+    np.testing.assert_array_equal(prec.p, kept)  # a supplied inverse is never overwritten
 
 
 def test_precision_shape_checked(rng):

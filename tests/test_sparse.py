@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramrec import (
-    CorrelationMatrix,
     DataError,
     DenseModel,
     SparsityPattern,
@@ -24,7 +23,16 @@ from gramrec import (
 from gramrec.solver import VARIANT_RR
 from gramrec.sparse import SOURCE_CORRELATION, SOURCE_MODEL_ABS
 
-from conftest import binary_matrix, gram_of, matrix_from_dense, two_pass_correlation
+from conftest import (
+    aggregate_blocks_reference,
+    block_partition_reference,
+    binary_matrix,
+    correlation_reference,
+    gram_of,
+    matrix_from_dense,
+    threshold_pattern_reference,
+    two_pass_correlation,
+)
 
 
 def pattern_from_dense(mask: np.ndarray, theta=0.0, n_max=1000) -> SparsityPattern:
@@ -50,30 +58,45 @@ def three_block_gram(rng, users_per_block=8, items_per_block=5):
 
 def test_correlation_identical_columns():
     stats = gram_of([[1, 1], [0, 0], [1, 1], [0, 0]])
-    cor = correlation_from_gram(stats)
-    np.testing.assert_allclose(cor.cor, np.ones((2, 2)), atol=1e-12)
+    cor = correlation_from_gram(stats)[:, :]
+    np.testing.assert_allclose(cor, np.ones((2, 2)), atol=1e-12)
 
 
 def test_correlation_independent_balanced_pair():
     stats = gram_of([[0, 0], [0, 1], [1, 0], [1, 1]])
-    cor = correlation_from_gram(stats)
-    assert cor.cor[0, 1] == 0.0
-    np.testing.assert_array_equal(np.diag(cor.cor), [1.0, 1.0])
+    cor = correlation_from_gram(stats)[:, :]
+    assert cor[0, 1] == 0.0
+    np.testing.assert_array_equal(np.diag(cor), [1.0, 1.0])
 
 
 def test_correlation_zero_variance_column():
     stats = gram_of([[1, 1], [1, 0], [1, 1]])  # item 0 is ubiquitous
-    cor = correlation_from_gram(stats)
-    assert cor.cor[0, 1] == 0.0
-    assert cor.cor[1, 0] == 0.0
-    assert cor.cor[0, 0] == 1.0
+    cor = correlation_from_gram(stats)[:, :]
+    assert cor[0, 1] == 0.0
+    assert cor[1, 0] == 0.0
+    assert cor[0, 0] == 1.0
 
 
 def test_correlation_matches_two_pass_oracle(rng):
     x = binary_matrix(rng, 50, 6)
     cor = correlation_from_gram(build_gram(x, x))
-    np.testing.assert_allclose(cor.cor, two_pass_correlation(x.matrix.toarray()), atol=1e-10)
-    assert np.abs(cor.cor).max() <= 1.0 + 1e-12
+    np.testing.assert_allclose(cor[:, :], two_pass_correlation(x.matrix.toarray()), atol=1e-10)
+    assert np.abs(cor[:, :]).max() <= 1.0 + 1e-12
+
+
+def test_correlation_on_ratings_matches_corrcoef(rng):
+    dense = rng.integers(1, 6, (300, 30)) * (rng.random((300, 30)) < 0.3)
+    dense[:, 1] = dense[:, 0]  # item 1 copies item 0
+    cor = correlation_from_gram(gram_of(dense))[:, :]
+    np.testing.assert_allclose(cor, np.corrcoef(dense.T), atol=1e-10)
+    assert cor[0, 1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_correlation_needs_column_sums(rng):
+    stats = gram_of(rng.integers(0, 2, (5, 3)))
+    stats.colsum = None  # as read from a version-1 GRAM file
+    with pytest.raises(DataError, match="version 1"):
+        correlation_from_gram(stats)
 
 
 def test_correlation_needs_two_users():
@@ -158,6 +181,70 @@ def test_threshold_pattern_invariants(n, theta, n_max, seed):
         assert np.all(np.diff(rows) > 0)  # sorted, no duplicates
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    n_items=st.sampled_from([1, 4, 255, 256, 257, 600]),
+    n_users=st.integers(2, 30),
+    density=st.floats(0.02, 0.6),
+    ratings=st.booleans(),
+    theta=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+    n_max=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sparse_steps_match_whole_matrix_references(
+    n_items, n_users, density, ratings, theta, n_max, seed
+):
+    r = np.random.default_rng(seed)
+    dense = (r.random((n_users, n_items)) < density).astype(np.float64)
+    if ratings:
+        dense *= r.integers(1, 6, dense.shape)
+    dense[:, ::7] = 0.0  # empty items and
+    dense[:, 3::11] = 2.0  # constant ones have zero variance
+    x = matrix_from_dense(dense)
+    gram = build_gram(x, x)
+
+    cor = correlation_from_gram(gram)
+    ref = correlation_reference(gram)
+    np.testing.assert_array_equal(cor[:, :], ref)
+
+    pattern = threshold_pattern(cor, theta=theta, n_max=n_max)
+    ref_a = threshold_pattern_reference(ref, theta, n_max)
+    np.testing.assert_array_equal(pattern.a.indptr, ref_a.indptr)
+    np.testing.assert_array_equal(pattern.a.indices, ref_a.indices)
+    cols = np.repeat(np.arange(n_items), np.diff(ref_a.indptr))
+    np.testing.assert_array_equal(cor[ref_a.indices, cols], ref[ref_a.indices, cols])
+
+    blocks = block_partition(pattern, cor)
+    ref_blocks = block_partition_reference(ref_a, ref)
+    assert [b.tolist() for b in blocks] == [b.tolist() for b in ref_blocks]
+
+    subs = solve_blocks(gram, blocks, lam=1.0)
+    got = aggregate_blocks(blocks, subs, pattern, lam=1.0).values.toarray()
+    expected = aggregate_blocks_reference(blocks, subs, ref_a)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    n_blocks=st.integers(0, 8),
+    fill=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aggregate_matches_reference_on_overlapping_blocks(n, n_blocks, fill, seed):
+    r = np.random.default_rng(seed)
+    mask = r.random((n, n)) < fill
+    np.fill_diagonal(mask, True)
+    pattern = pattern_from_dense(mask)
+    blocks = [r.permutation(n)[: r.integers(1, n + 1)] for _ in range(n_blocks)]
+    subs = [r.normal(size=(len(b), len(b))) for b in blocks]
+    got = aggregate_blocks(blocks, subs, pattern, lam=1.0).values
+    expected = aggregate_blocks_reference(blocks, subs, pattern.a)
+    scale = np.abs(expected).max() if n_blocks else 0.0
+    assert np.max(np.abs(got.toarray() - expected)) <= 1e-12 * scale
+    np.testing.assert_array_equal(got.indices, pattern.a.indices)
+
+
 def test_mask_restricts_to_pattern():
     b = np.array([[9.0, 0.5, 0.2], [0.7, 9.0, 0.1], [0.3, 0.4, 9.0]])
     model = DenseModel(b=b, variant=VARIANT_RR, lam=2.0)
@@ -189,15 +276,13 @@ def test_blocks_for_block_diagonal_pattern():
     mask[:2, :2] = 1
     mask[2:, 2:] = 1
     pat = pattern_from_dense(mask)
-    cor = CorrelationMatrix(cor=np.asarray(mask, dtype=np.float64))
-    blocks = block_partition(pat, cor)
+    blocks = block_partition(pat, np.asarray(mask, dtype=np.float64))
     assert [b.tolist() for b in blocks] == [[2, 3, 4], [0, 1]]
 
 
 def test_blocks_identity_pattern_gives_singletons():
     pat = pattern_from_dense(np.eye(4))
-    cor = CorrelationMatrix(cor=np.eye(4))
-    blocks = block_partition(pat, cor)
+    blocks = block_partition(pat, np.eye(4))
     assert [b.tolist() for b in blocks] == [[0], [1], [2], [3]]
 
 
@@ -213,7 +298,7 @@ def test_blocks_chain_overlap():
             [0.0, 0.0, 0.8, 1.0],
         ]
     )
-    blocks = block_partition(pattern_from_dense(mask), CorrelationMatrix(cor=cor))
+    blocks = block_partition(pattern_from_dense(mask), cor)
     assert [b.tolist() for b in blocks] == [[0, 1, 2], [2, 3]]
 
 
@@ -221,14 +306,14 @@ def test_blocks_require_diagonal():
     a = sp.csc_matrix(np.array([[0, 1], [1, 0]], dtype=np.int8))
     pat = SparsityPattern(a=a, threshold=0.0, source=SOURCE_CORRELATION, n_max=10)
     with pytest.raises(DataError, match="diagonal"):
-        block_partition(pat, CorrelationMatrix(cor=np.eye(2)))
+        block_partition(pat, np.eye(2))
 
 
 def test_blocks_cover_every_item(rng):
     x = binary_matrix(rng, 30, 10)
     stats = build_gram(x, x)
     cor = correlation_from_gram(stats)
-    pat = threshold_pattern(cor.cor, theta=0.2, n_max=4)
+    pat = threshold_pattern(cor, theta=0.2, n_max=4)
     blocks = block_partition(pat, cor)
     covered = np.unique(np.concatenate(blocks))
     np.testing.assert_array_equal(covered, np.arange(10))
@@ -289,7 +374,7 @@ def test_aggregate_validation():
 def test_train_sparse_block_diagonal_is_exact(rng):
     stats, expected = three_block_gram(rng)
     cor = correlation_from_gram(stats)
-    pat = threshold_pattern(cor.cor, theta=0.4, n_max=1000)
+    pat = threshold_pattern(cor, theta=0.4, n_max=1000)
     np.testing.assert_array_equal(pat.a.toarray() != 0, expected)
 
     lam = 2.0
