@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -67,6 +68,7 @@ from .weighting import (
 )
 
 _VARIANT_FLAGS = {"rr": solve_rr, "zero-diag": solve_zero_diag}
+_ROWS_PER_WRITE = 4096  # canonical CSV rows per file write in ingest
 
 
 class UsageError(Exception):
@@ -180,6 +182,13 @@ def _check_model_keys(item_keys, iset: InteractionSet, n_items: int) -> None:
         raise DataError("model item keys do not match the data; was it trained on this dataset?")
 
 
+def _csv_field(key: str) -> str:
+    """``key`` as csv.writer writes it within a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((key,))
+    return buf.getvalue()[:-2]
+
+
 def cmd_ingest(args) -> int:
     src = _require(args, "input", "--input")
     dst = _require(args, "output", "--output")
@@ -199,19 +208,25 @@ def cmd_ingest(args) -> int:
     min_item = int(_opt(args, "min_item_events", 0))
     if min_user or min_item:
         iset = filter_activity(iset, min_user_events=min_user, min_item_events=min_item)
+    # The rows csv.writer would write: each key's field and each distinct
+    # value's repr is rendered once (bit patterns, so -0.0 stays apart from 0.0).
+    user_fields = list(map(_csv_field, iset.user_keys))
+    item_fields = list(map(_csv_field, iset.item_keys))
+    bits, value_of = np.unique(iset.values.view(np.int64), return_inverse=True)
+    value_texts = list(map(repr, bits.view(np.float64).tolist()))
+    has_time = iset.timestamps is not None
     with atomic_write(dst) as fh:
-        writer = csv.writer(fh)
-        has_time = iset.timestamps is not None
-        writer.writerow(["user", "item", "value"] + (["timestamp"] if has_time else []))
-        for e in range(iset.n_events):
-            row = [
-                iset.user_keys[iset.user_ids[e]],
-                iset.item_keys[iset.item_ids[e]],
-                repr(float(iset.values[e])),
+        fh.write("user,item,value" + (",timestamp" if has_time else "") + "\r\n")
+        for lo in range(0, iset.n_events, _ROWS_PER_WRITE):
+            rows = slice(lo, lo + _ROWS_PER_WRITE)
+            cols = [
+                map(user_fields.__getitem__, iset.user_ids[rows].tolist()),
+                map(item_fields.__getitem__, iset.item_ids[rows].tolist()),
+                map(value_texts.__getitem__, value_of[rows].tolist()),
             ]
             if has_time:
-                row.append(repr(float(iset.timestamps[e])))
-            writer.writerow(row)
+                cols.append(map(repr, iset.timestamps[rows].astype(float).tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
     _log(f"ingested {iset.n_events} events, {iset.n_users} users, {iset.n_items} items -> {dst}")
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from .errors import DataError
 from .files import atomic_write
 
 DEDUP_POLICIES = ("keep_max", "keep_last", "error")
+_CHUNK_CHARS = 1 << 16  # characters of whole lines parsed at a time
+_TIMESTAMP_BOUND = 2.0**63  # timestamps are int64
 
 
 @dataclass
@@ -138,16 +141,6 @@ class TimeIntervalIndex:
         return np.searchsorted(inner, ts, side="left")
 
 
-def _parse_float(text: str, line_no: int, column: str) -> float:
-    try:
-        parsed = float(text)
-    except ValueError:
-        raise DataError(f"line {line_no}: column {column!r} is not a number: {text!r}") from None
-    if not np.isfinite(parsed):
-        raise DataError(f"line {line_no}: column {column!r} is not finite: {text!r}")
-    return parsed
-
-
 def load_interactions(
     path: str | Path,
     fmt: str = "csv",
@@ -161,7 +154,8 @@ def load_interactions(
     Parameters
     ----------
     path:
-        CSV or TSV file with a header row.
+        UTF-8 CSV or TSV file with a header row.  Quoted fields may hold
+        delimiters, quotes and line breaks.
     fmt:
         ``"csv"`` or ``"tsv"``.
     schema:
@@ -176,7 +170,8 @@ def load_interactions(
         Drop events with value below this threshold before indexing.
 
     Dense ids are assigned in first-appearance order of the retained events.
-    A missing value column means every event has value 1.0.
+    A missing value column means every event has value 1.0.  Errors name the
+    record (``line N``, the header being line 1) of the first bad event.
     """
     if fmt not in ("csv", "tsv"):
         raise DataError(f"unknown format {fmt!r}; expected 'csv' or 'tsv'")
@@ -185,84 +180,106 @@ def load_interactions(
     delimiter = "," if fmt == "csv" else "\t"
 
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        if schema is None:
-            schema = InteractionSchema(
-                user="user",
-                item="item",
-                value="value" if "value" in header else None,
-                time="timestamp" if "timestamp" in header else None,
-            )
-        col = {}
-        for role, name in (
-            ("user", schema.user),
-            ("item", schema.item),
-            ("value", schema.value),
-            ("time", schema.time),
-        ):
-            if name is None:
-                continue
-            if name not in header:
-                raise DataError(f"{path}: header has no column {name!r} (columns: {header})")
-            col[role] = header.index(name)
-        n_cols = len(header)
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
 
-        user_index: dict[str, int] = {}
-        item_index: dict[str, int] = {}
-        user_keys: list[str] = []
-        item_keys: list[str] = []
-        uids: list[int] = []
-        iids: list[int] = []
-        vals: list[float] = []
-        times: list[int] = []
-        has_time = "time" in col
+    def parse(n_fields: np.ndarray, fields: list[str], line_no: int):
+        """Id, value and timestamp arrays of one chunk whose first record is
+        line ``line_no``, laid out by the header (``col``, ``n_cols``, read
+        below).  Each check looks only at the records before the first error
+        found so far, so the error raised is the earliest one."""
+        rows = np.flatnonzero(n_fields)  # blank records have no fields
+        stop, error = len(rows), None
+        ragged = np.flatnonzero(n_fields[rows] != n_cols)
+        if len(ragged):
+            stop = int(ragged[0])
+            error = f"expected {n_cols} columns, got {n_fields[rows[stop]]}"
 
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_cols:
-                raise DataError(
-                    f"line {line_no}: expected {n_cols} columns, got {len(row)}"
+        def column(role: str) -> list[str]:
+            return fields[col[role] : stop * n_cols : n_cols]
+
+        users = list(map(str.strip, column("user")))
+        items = list(map(str.strip, column("item")))
+        empty = min(_find(users, ""), _find(items, ""))
+        if empty < stop:
+            stop, error = empty, "empty user or item key"
+        if "value" in col:
+            texts = column("value")
+            values, bad = _floats(texts)
+            if bad < stop:
+                stop, error = bad, f"column {schema.value!r} is not a number: {texts[bad]!r}"
+            nonfinite = np.flatnonzero(~np.isfinite(values))
+            if len(nonfinite):
+                stop = int(nonfinite[0])
+                error = f"column {schema.value!r} is not finite: {texts[stop]!r}"
+        else:
+            values = np.ones(stop)
+        kept = np.ones(stop, dtype=bool) if min_value is None else ~(values[:stop] < min_value)
+        stamps = None
+        if "time" in col:
+            texts = list(map(str.strip, compress(column("time"), kept.tolist())))
+            stamps, bad = _floats(texts)
+            out = np.flatnonzero(~((stamps >= -_TIMESTAMP_BOUND) & (stamps < _TIMESTAMP_BOUND)))
+            if len(out):
+                bad = min(bad, int(out[0]))
+            if bad < len(texts):
+                stop = int(np.flatnonzero(kept)[bad])
+                error = f"column {schema.time!r} is not a timestamp: {texts[bad]!r}"
+        if error is not None:
+            raise DataError(f"line {line_no + rows[stop]}: {error}")
+        if min_value is not None:
+            keep = kept.tolist()
+            users, items = list(compress(users, keep)), list(compress(items, keep))
+            values = values[kept]
+        return (
+            _ids(user_index, users),
+            _ids(item_index, items),
+            values,
+            None if stamps is None else stamps.astype(np.int64),  # truncates toward zero, as int()
+        )
+
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            chunks = _chunks(fh, delimiter)
+            n_fields, fields = next(chunks, (None, None))
+            if n_fields is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            header = [h.strip() for h in fields[: n_fields[0]]]
+            if schema is None:
+                schema = InteractionSchema(
+                    user="user",
+                    item="item",
+                    value="value" if "value" in header else None,
+                    time="timestamp" if "timestamp" in header else None,
                 )
-            user_key = row[col["user"]].strip()
-            item_key = row[col["item"]].strip()
-            if not user_key or not item_key:
-                raise DataError(f"line {line_no}: empty user or item key")
-            value = 1.0 if "value" not in col else _parse_float(row[col["value"]], line_no, schema.value)
-            if min_value is not None and value < min_value:
-                continue
-            uid = user_index.get(user_key)
-            if uid is None:
-                uid = len(user_keys)
-                user_index[user_key] = uid
-                user_keys.append(user_key)
-            iid = item_index.get(item_key)
-            if iid is None:
-                iid = len(item_keys)
-                item_index[item_key] = iid
-                item_keys.append(item_key)
-            uids.append(uid)
-            iids.append(iid)
-            vals.append(value)
-            if has_time:
-                raw = row[col["time"]].strip()
-                try:
-                    times.append(int(float(raw)))
-                except ValueError:
-                    raise DataError(
-                        f"line {line_no}: column {schema.time!r} is not a timestamp: {raw!r}"
-                    ) from None
+            col = {}
+            for role, name in (
+                ("user", schema.user),
+                ("item", schema.item),
+                ("value", schema.value),
+                ("time", schema.time),
+            ):
+                if name is None:
+                    continue
+                if name not in header:
+                    raise DataError(f"{path}: header has no column {name!r} (columns: {header})")
+                col[role] = header.index(name)
+            n_cols = len(header)
 
-    user_arr = np.asarray(uids, dtype=np.int64)
-    item_arr = np.asarray(iids, dtype=np.int64)
-    value_arr = np.asarray(vals, dtype=np.float64)
-    time_arr = np.asarray(times, dtype=np.int64) if has_time else None
+            parts = [parse(n_fields[1:], fields[n_fields[0] :], 2)]
+            line_no = 1 + len(n_fields)
+            for n_fields, fields in chunks:
+                parts.append(parse(n_fields, fields, line_no))
+                line_no += len(n_fields)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+    user_arr, item_arr, value_arr, time_arr = (
+        None if arrays[0] is None else np.concatenate(arrays) for arrays in zip(*parts)
+    )
+    del parts  # the chunks' arrays, before dedup allocates
 
     keep = _dedup_indices(user_arr, item_arr, value_arr, dedup)
     user_arr, item_arr, value_arr = user_arr[keep], item_arr[keep], value_arr[keep]
@@ -276,44 +293,92 @@ def load_interactions(
         item_ids=item_arr,
         values=value_arr,
         timestamps=time_arr,
-        user_keys=user_keys,
-        item_keys=item_keys,
+        user_keys=list(user_index),
+        item_keys=list(item_index),
         user_index=user_index,
         item_index=item_index,
     )
+
+
+def _chunks(fh, delimiter: str):
+    """The records of ``fh`` in chunks of about ``_CHUNK_CHARS`` characters,
+    each as (field count per record, every field in file order); a blank
+    record has 0 fields.
+
+    A chunk with no quote and no lone carriage return is split with
+    ``str.split``.  From the first chunk that has either, the rest of the
+    file goes through ``csv.reader``, the only path that parses quoted
+    fields, which may span lines."""
+    while lines := fh.readlines(_CHUNK_CHARS):
+        text = "".join(lines).replace("\r\n", "\n")
+        if '"' in text or "\r" in text:
+            reader = csv.reader(chain(lines, fh), delimiter=delimiter)
+            # blocks of as many records as a chunk holds 16-character lines
+            while block := list(islice(reader, _CHUNK_CHARS // 16 or 1)):
+                yield np.fromiter(map(len, block), np.intp, len(block)), list(chain.from_iterable(block))
+            return
+        records = text.split("\n")
+        if not records[-1]:
+            records.pop()
+        n_fields = np.fromiter(map(str.count, records, repeat(delimiter)), np.intp, len(records)) + 1
+        if "" in records:
+            n_fields *= np.fromiter(map(bool, records), bool, len(records))
+            records = list(filter(None, records))
+        yield n_fields, delimiter.join(records).split(delimiter) if records else []
+
+
+def _find(keys: list[str], key: str) -> int:
+    """Position of the first ``key`` in ``keys``, ``len(keys)`` if absent."""
+    return keys.index(key) if key in keys else len(keys)
+
+
+def _floats(texts: list[str]) -> tuple[np.ndarray, int]:
+    """``float`` of each text up to the first one it rejects, and that
+    position (``len(texts)`` when it accepts all)."""
+    try:
+        return np.fromiter(map(float, texts), np.float64, len(texts)), len(texts)
+    except ValueError:
+        parsed = []
+        for text in texts:
+            try:
+                parsed.append(float(text))
+            except ValueError:
+                return np.asarray(parsed, dtype=np.float64), len(parsed)
+        raise
+
+
+def _ids(index: dict[str, int], keys: list[str]) -> np.ndarray:
+    """Dense id of each key; keys new to ``index`` take the next ids in order
+    of first appearance."""
+    index.update(zip([k for k in dict.fromkeys(keys) if k not in index], count(len(index))))
+    return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
 
 
 def _dedup_indices(uids: np.ndarray, iids: np.ndarray, vals: np.ndarray, policy: str) -> np.ndarray:
     """Indices of the surviving event per (user, item) pair, in file order."""
     if len(uids) == 0:
         return np.empty(0, dtype=np.intp)
-    order = np.lexsort((iids, uids))  # stable: file order preserved within a pair
+    # Stable sort, so file order holds within a pair (and within equal values
+    # of a pair under keep_max, where -0.0 and 0.0 are equal as for argmax).
+    order = np.lexsort((-vals, iids, uids) if policy == "keep_max" else (iids, uids))
     su, si = uids[order], iids[order]
     boundary = np.empty(len(order), dtype=bool)
     boundary[0] = True
     boundary[1:] = (su[1:] != su[:-1]) | (si[1:] != si[:-1])
-    group_of = np.cumsum(boundary) - 1
-    n_groups = group_of[-1] + 1
-    if n_groups == len(order):
+    del su, si  # the sorted copies would set the peak of a load
+    starts = np.flatnonzero(boundary)
+    if len(starts) == len(order):
         return np.sort(order)
 
     if policy == "error":
-        dup_pos = np.flatnonzero(~boundary)[0]
+        dup = order[np.flatnonzero(~boundary)[0]]
         raise DataError(
             "duplicate (user, item) events under dedup policy 'error' "
-            f"(first duplicated pair: user id {su[dup_pos]}, item id {si[dup_pos]})"
+            f"(first duplicated pair: user id {uids[dup]}, item id {iids[dup]})"
         )
-    starts = np.flatnonzero(boundary)
-    keep = np.empty(n_groups, dtype=np.intp)
     if policy == "keep_last":
-        ends = np.append(starts[1:], len(order)) - 1
-        keep = order[ends]
-    else:  # keep_max: largest value wins, earliest occurrence on ties
-        for g, start in enumerate(starts):
-            stop = starts[g + 1] if g + 1 < n_groups else len(order)
-            grp = order[start:stop]
-            keep[g] = grp[np.argmax(vals[grp])]
-    return np.sort(keep)
+        return np.sort(order[np.append(starts[1:], len(order)) - 1])
+    return np.sort(order[starts])  # keep_max: largest value, earliest on ties
 
 
 def filter_activity(
@@ -338,27 +403,8 @@ def filter_activity(
 
 
 def _reindex(iset: InteractionSet, event_idx: np.ndarray) -> InteractionSet:
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    user_keys: list[str] = []
-    item_keys: list[str] = []
-    uids = np.empty(len(event_idx), dtype=np.int64)
-    iids = np.empty(len(event_idx), dtype=np.int64)
-    for pos, ev in enumerate(event_idx):
-        ukey = iset.user_keys[iset.user_ids[ev]]
-        ikey = iset.item_keys[iset.item_ids[ev]]
-        uid = user_index.get(ukey)
-        if uid is None:
-            uid = len(user_keys)
-            user_index[ukey] = uid
-            user_keys.append(ukey)
-        iid = item_index.get(ikey)
-        if iid is None:
-            iid = len(item_keys)
-            item_index[ikey] = iid
-            item_keys.append(ikey)
-        uids[pos] = uid
-        iids[pos] = iid
+    uids, user_keys = _first_appearance(iset.user_ids[event_idx], iset.user_keys)
+    iids, item_keys = _first_appearance(iset.item_ids[event_idx], iset.item_keys)
     return InteractionSet(
         user_ids=uids,
         item_ids=iids,
@@ -366,9 +412,19 @@ def _reindex(iset: InteractionSet, event_idx: np.ndarray) -> InteractionSet:
         timestamps=None if iset.timestamps is None else iset.timestamps[event_idx],
         user_keys=user_keys,
         item_keys=item_keys,
-        user_index=user_index,
-        item_index=item_index,
+        user_index=dict(zip(user_keys, count())),
+        item_index=dict(zip(item_keys, count())),
     )
+
+
+def _first_appearance(ids: np.ndarray, keys: list[str]) -> tuple[np.ndarray, list[str]]:
+    """``ids`` renumbered from 0 in order of first appearance, and the keys
+    of the new ids."""
+    old, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    new = np.empty(len(old), dtype=np.int64)
+    new[order] = np.arange(len(old))
+    return new[inverse], list(map(keys.__getitem__, old[order].tolist()))
 
 
 def to_user_item_matrix(iset: InteractionSet, binarize: bool = False) -> UserItemMatrix:

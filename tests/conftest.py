@@ -11,16 +11,20 @@ The ``*_reference`` functions are the sparse trainer's steps as whole-matrix
 code: one dense correlation matrix, a column loop over it, and one COO sum
 over every block's k² entries.  The library computes the same results in
 panels and at pattern positions only; property tests hold it to these.
+The data-layer references parse, deduplicate, reindex and write one event
+at a time; the library does each column-wise in chunks.
 """
 
+import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gramrec import InteractionSet, UserItemMatrix, build_gram
+from gramrec import DataError, InteractionSchema, InteractionSet, UserItemMatrix, build_gram
 
 
 def ridge_oracle(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -132,6 +136,191 @@ def aggregate_blocks_reference(blocks, submatrices, a: sp.csc_matrix) -> np.ndar
     return means * (a.toarray() != 0)
 
 
+def _parse_float_reference(text: str, line_no: int, column: str) -> float:
+    try:
+        parsed = float(text)
+    except ValueError:
+        raise DataError(f"line {line_no}: column {column!r} is not a number: {text!r}") from None
+    if not np.isfinite(parsed):
+        raise DataError(f"line {line_no}: column {column!r} is not finite: {text!r}")
+    return parsed
+
+
+def load_interactions_reference(
+    path,
+    fmt: str = "csv",
+    schema: InteractionSchema | None = None,
+    binarize: bool = False,
+    dedup: str = "keep_max",
+    min_value: float | None = None,
+) -> InteractionSet:
+    """One ``csv.reader`` pass with one dict lookup per event, then
+    :func:`dedup_indices_reference`."""
+    delimiter = "," if fmt == "csv" else "\t"
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") from None
+        header = [h.strip() for h in header]
+        if schema is None:
+            schema = InteractionSchema(
+                user="user",
+                item="item",
+                value="value" if "value" in header else None,
+                time="timestamp" if "timestamp" in header else None,
+            )
+        col = {}
+        for role, name in (
+            ("user", schema.user),
+            ("item", schema.item),
+            ("value", schema.value),
+            ("time", schema.time),
+        ):
+            if name is None:
+                continue
+            if name not in header:
+                raise DataError(f"{path}: header has no column {name!r} (columns: {header})")
+            col[role] = header.index(name)
+        n_cols = len(header)
+
+        user_index: dict[str, int] = {}
+        item_index: dict[str, int] = {}
+        user_keys: list[str] = []
+        item_keys: list[str] = []
+        uids: list[int] = []
+        iids: list[int] = []
+        vals: list[float] = []
+        times: list[int] = []
+        has_time = "time" in col
+
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != n_cols:
+                raise DataError(f"line {line_no}: expected {n_cols} columns, got {len(row)}")
+            user_key = row[col["user"]].strip()
+            item_key = row[col["item"]].strip()
+            if not user_key or not item_key:
+                raise DataError(f"line {line_no}: empty user or item key")
+            value = 1.0 if "value" not in col else _parse_float_reference(row[col["value"]], line_no, schema.value)
+            if min_value is not None and value < min_value:
+                continue
+            uid = user_index.get(user_key)
+            if uid is None:
+                uid = len(user_keys)
+                user_index[user_key] = uid
+                user_keys.append(user_key)
+            iid = item_index.get(item_key)
+            if iid is None:
+                iid = len(item_keys)
+                item_index[item_key] = iid
+                item_keys.append(item_key)
+            uids.append(uid)
+            iids.append(iid)
+            vals.append(value)
+            if has_time:
+                raw = row[col["time"]].strip()
+                try:
+                    stamp = float(raw)
+                    if not -(2.0**63) <= stamp < 2.0**63:  # int64
+                        raise ValueError(raw)
+                    times.append(int(stamp))
+                except ValueError:
+                    raise DataError(
+                        f"line {line_no}: column {schema.time!r} is not a timestamp: {raw!r}"
+                    ) from None
+
+    user_arr = np.asarray(uids, dtype=np.int64)
+    item_arr = np.asarray(iids, dtype=np.int64)
+    value_arr = np.asarray(vals, dtype=np.float64)
+    time_arr = np.asarray(times, dtype=np.int64) if has_time else None
+
+    keep = dedup_indices_reference(user_arr, item_arr, value_arr, dedup)
+    user_arr, item_arr, value_arr = user_arr[keep], item_arr[keep], value_arr[keep]
+    if time_arr is not None:
+        time_arr = time_arr[keep]
+    if binarize:
+        value_arr = np.ones_like(value_arr)
+    return InteractionSet(
+        user_ids=user_arr,
+        item_ids=item_arr,
+        values=value_arr,
+        timestamps=time_arr,
+        user_keys=user_keys,
+        item_keys=item_keys,
+        user_index=user_index,
+        item_index=item_index,
+    )
+
+
+def dedup_indices_reference(uids, iids, vals, policy: str) -> np.ndarray:
+    """Surviving event per (user, item) pair, in file order; ``keep_max``
+    takes each group's ``argmax``."""
+    if len(uids) == 0:
+        return np.empty(0, dtype=np.intp)
+    order = np.lexsort((iids, uids))
+    su, si = uids[order], iids[order]
+    boundary = np.empty(len(order), dtype=bool)
+    boundary[0] = True
+    boundary[1:] = (su[1:] != su[:-1]) | (si[1:] != si[:-1])
+    starts = np.flatnonzero(boundary)
+    if len(starts) == len(order):
+        return np.sort(order)
+    if policy == "error":
+        dup_pos = np.flatnonzero(~boundary)[0]
+        raise DataError(
+            "duplicate (user, item) events under dedup policy 'error' "
+            f"(first duplicated pair: user id {su[dup_pos]}, item id {si[dup_pos]})"
+        )
+    keep = np.empty(len(starts), dtype=np.intp)
+    for g, start in enumerate(starts):
+        stop = starts[g + 1] if g + 1 < len(starts) else len(order)
+        grp = order[start:stop]
+        keep[g] = grp[-1] if policy == "keep_last" else grp[np.argmax(vals[grp])]
+    return np.sort(keep)
+
+
+def reindex_reference(iset: InteractionSet, event_idx: np.ndarray) -> InteractionSet:
+    """The given events with ids reassigned by a walk in event order."""
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    uids = np.empty(len(event_idx), dtype=np.int64)
+    iids = np.empty(len(event_idx), dtype=np.int64)
+    for pos, ev in enumerate(event_idx):
+        uids[pos] = user_index.setdefault(iset.user_keys[iset.user_ids[ev]], len(user_index))
+        iids[pos] = item_index.setdefault(iset.item_keys[iset.item_ids[ev]], len(item_index))
+    return InteractionSet(
+        user_ids=uids,
+        item_ids=iids,
+        values=iset.values[event_idx],
+        timestamps=None if iset.timestamps is None else iset.timestamps[event_idx],
+        user_keys=list(user_index),
+        item_keys=list(item_index),
+        user_index=user_index,
+        item_index=item_index,
+    )
+
+
+def write_canonical_reference(iset: InteractionSet, path) -> None:
+    """The canonical CSV ``ingest`` writes, one ``csv.writer`` row per event."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        has_time = iset.timestamps is not None
+        writer.writerow(["user", "item", "value"] + (["timestamp"] if has_time else []))
+        for e in range(iset.n_events):
+            row = [
+                iset.user_keys[iset.user_ids[e]],
+                iset.item_keys[iset.item_ids[e]],
+                repr(float(iset.values[e])),
+            ]
+            if has_time:
+                row.append(repr(float(iset.timestamps[e])))
+            writer.writerow(row)
+
+
 def binary_matrix(
     rng: np.random.Generator,
     n_users: int,
@@ -186,13 +375,15 @@ def make_iset(
     )
 
 
-def run_cli(args: list[str], cwd=None) -> subprocess.CompletedProcess:
+def run_cli(args: list[str], cwd=None, env=None) -> subprocess.CompletedProcess:
     """Run the command-line interface in a subprocess."""
     return subprocess.run(
         [sys.executable, "-m", "gramrec", *args],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         cwd=cwd,
+        env=env,
     )
 
 

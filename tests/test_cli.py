@@ -1,5 +1,6 @@
 import filecmp
 import json
+import os
 
 import numpy as np
 import pytest
@@ -254,6 +255,31 @@ def test_data_errors_exit_code(workdir, tmp_path):
         "--n-val", "100", "--n-test", "100",
     ])
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("stamp", ["inf", "1e300"])
+def test_ingest_bad_timestamp_exit_code(tmp_path, stamp):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(f"user,item,value,timestamp\nu1,i1,1,{stamp}\n", encoding="utf-8")
+    res = run_cli(["ingest", "--input", str(raw), "--output", str(tmp_path / "out.csv")])
+    assert res.returncode == 2
+    assert f"line 2: column 'timestamp' is not a timestamp: '{stamp}'" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_ingest_reads_utf8_under_c_locale(tmp_path):
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes("user,item\nJosé,Müller\n".encode("utf-8"))
+    out = tmp_path / "out.csv"
+    res = run_cli(["ingest", "--input", str(raw), "--output", str(out)], env=env)
+    assert res.returncode == 0, res.stderr
+    assert out.read_bytes() == "user,item,value\r\nJosé,Müller,1.0\r\n".encode("utf-8")
+
+    raw.write_bytes("user,item\nJosé,x\n".encode("latin-1"))
+    res = run_cli(["ingest", "--input", str(raw), "--output", str(out)], env=env)
+    assert res.returncode == 2
+    assert "not UTF-8" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_usage_errors_exit_code(workdir):

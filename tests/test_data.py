@@ -1,8 +1,12 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gramrec import data
 from gramrec import (
     DataError,
     InteractionSchema,
@@ -16,9 +20,16 @@ from gramrec import (
     time_intervals,
     to_user_item_matrix,
 )
-from gramrec.data import fold_in_indices
+from gramrec.cli import main
+from gramrec.data import DEDUP_POLICIES, _dedup_indices, _reindex, fold_in_indices
 
-from conftest import make_iset
+from conftest import (
+    dedup_indices_reference,
+    load_interactions_reference,
+    make_iset,
+    reindex_reference,
+    write_canonical_reference,
+)
 
 
 def write(tmp_path, text, name="log.csv"):
@@ -83,6 +94,43 @@ def test_load_bad_value_reports_line(tmp_path):
 def test_load_rejects_non_finite(tmp_path):
     path = write(tmp_path, "user,item,value\na,x,inf\n")
     with pytest.raises(DataError, match="finite"):
+        load_interactions(path)
+
+
+@pytest.mark.parametrize(
+    "stamp", ["inf", "-inf", "nan", "1e300", "-1e300", "9.3e18", "9223372036854775807"]
+)
+def test_load_rejects_timestamps_outside_int64(tmp_path, stamp):
+    path = write(tmp_path, f"user,item,value,timestamp\na,x,1,5\nb,y,1, {stamp}\n")
+    with pytest.raises(DataError) as exc:
+        load_interactions(path)
+    assert str(exc.value) == f"line 3: column 'timestamp' is not a timestamp: {stamp!r}"
+
+
+def test_load_timestamp_range_ends(tmp_path):
+    path = write(tmp_path, "user,item,timestamp\na,x,-9223372036854775808\nb,y,9.2e18\nc,z,-7.9\n")
+    np.testing.assert_array_equal(load_interactions(path).timestamps, [-(2**63), 9.2e18, -7])
+
+
+def test_min_value_skips_row_before_its_timestamp(tmp_path):
+    path = write(tmp_path, "user,item,value,timestamp\na,x,1,inf\nb,y,5,7\n")
+    iset = load_interactions(path, min_value=2.0)
+    assert iset.user_keys == ["b"]
+    np.testing.assert_array_equal(iset.timestamps, [7])
+
+
+def test_load_reads_utf8_and_rejects_other_bytes(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_bytes("user,item\nJosé,x\n".encode("utf-8"))
+    assert load_interactions(path).user_keys == ["José"]
+    path.write_bytes("user,item\nJosé,x\n".encode("latin-1"))
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_interactions(path)
+
+
+def test_load_reports_csv_reader_errors(tmp_path):
+    path = write(tmp_path, 'user,item\n"' + "k" * 200_000 + '",x\n')
+    with pytest.raises(DataError, match="field larger than field limit"):
         load_interactions(path)
 
 
@@ -363,3 +411,164 @@ def test_split_files_unknown_key(tmp_path):
 def test_split_files_missing_file(tmp_path):
     with pytest.raises(DataError, match="missing split file"):
         load_split_files(tmp_path / "nowhere", {})
+
+
+# Keys the csv writer must quote (delimiters, quotes, line breaks) next to
+# plain and space-padded ones; few enough that events repeat.
+KEYS = ["a", "b", "u1", " pad ", "c,d", 'say "hi"', "two\nlines", "cr\r\nlf", "t\tab", "é"]
+VALUES = ["1", "2.5", "0", "0.0", "-0.0", "-0", " 4 ", "5", "1e2", "3.5"]
+STAMPS = ["100", "7", "5.9", "-3", " 42 ", "1e18", "-9223372036854775808"]
+# Each corruption hits one field or record of an otherwise valid log.
+DAMAGE = ["short", "long", "no_user", "no_item", "value", "timestamp", "timestamp"]
+BAD = {"value": ["x", "", "nan", "inf", "1,5"], "timestamp": ["inf", "-inf", "1e300", "nan", "t", ""]}
+
+
+@st.composite
+def interaction_files(draw):
+    """Text of an interaction log and the loader arguments to read it with."""
+    fmt = draw(st.sampled_from(["csv", "tsv"]))
+    columns = ["user", "item"] + draw(st.sampled_from([["value", "timestamp"], ["value"], ["timestamp"], []]))
+    columns = draw(st.permutations(columns + draw(st.sampled_from([[], ["extra"]]))))
+    buf = io.StringIO()
+    terminator = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    writer = csv.writer(buf, delimiter="," if fmt == "csv" else "\t", lineterminator=terminator)
+    writer.writerow([draw(st.sampled_from(["", " "])) + c for c in columns])
+    n_rows = draw(st.integers(0, 30))
+    damage = dict(draw(st.lists(st.tuples(st.integers(0, n_rows), st.sampled_from(DAMAGE)), max_size=2)))
+    blank = draw(st.sets(st.integers(0, n_rows), max_size=3))
+    for r in range(n_rows):
+        if r in blank:
+            buf.write(terminator)
+        event = {
+            "user": draw(st.sampled_from(KEYS)),
+            "item": draw(st.sampled_from(KEYS)),
+            "value": draw(st.sampled_from(VALUES)),
+            "timestamp": draw(st.sampled_from(STAMPS)),
+            "extra": "z",
+        }
+        kind = damage.get(r)
+        if kind in ("no_user", "no_item"):
+            event[kind[3:]] = draw(st.sampled_from(["", "  "]))
+        if kind in BAD:
+            event[kind] = draw(st.sampled_from(BAD[kind]))
+        row = [event[c] for c in columns]
+        if kind == "short":
+            row.pop()
+        if kind == "long":
+            row.append("1")
+        writer.writerow(row)
+    text = buf.getvalue()
+    if draw(st.booleans()):
+        text = text.removesuffix(terminator)
+    kwargs = {
+        "fmt": fmt,
+        "dedup": draw(st.sampled_from(DEDUP_POLICIES)),
+        "min_value": draw(st.sampled_from([None, 0.0, 2.0, 4.5])),
+        "binarize": draw(st.booleans()),
+    }
+    return text, kwargs
+
+
+def load_outcome(load, path, **kwargs):
+    try:
+        return load(path, **kwargs)
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_same_interactions(got, want):
+    for name in ("user_ids", "item_ids", "values", "timestamps"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name  # bitwise, so -0.0 and 0.0 differ
+    assert got.user_keys == want.user_keys
+    assert got.item_keys == want.item_keys
+    assert got.user_index == want.user_index
+    assert got.item_index == want.item_index
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=interaction_files(), chunk=st.sampled_from([1, 8, 30, 100, 1 << 16]))
+def test_load_matches_per_row_reference(tmp_path_factory, case, chunk):
+    """Same ids, keys, indexes, values, timestamps, dedup choices and errors
+    (with line numbers) as the per-row reader, with chunks small enough that
+    records cross chunk boundaries and the first quote comes in a later chunk."""
+    text, kwargs = case
+    path = tmp_path_factory.mktemp("load") / "log.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    want = load_outcome(load_interactions_reference, path, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_CHUNK_CHARS", chunk)
+        got = load_outcome(load_interactions, path, **kwargs)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert_same_interactions(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    events=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0])),
+        max_size=40,
+    ),
+    policy=st.sampled_from(DEDUP_POLICIES),
+)
+@example(events=[(0, 0, -0.0), (1, 0, 1.0), (0, 0, 0.0)], policy="keep_max")
+@example(events=[(0, 0, 0.0), (0, 0, -0.0)], policy="keep_max")
+def test_dedup_matches_group_loop(events, policy):
+    """keep_max ties go to the earliest event, exactly as argmax, ±0.0 included."""
+    uids = np.array([e[0] for e in events], dtype=np.int64)
+    iids = np.array([e[1] for e in events], dtype=np.int64)
+    vals = np.array([e[2] for e in events], dtype=np.float64)
+    outcome = []
+    for dedup in (_dedup_indices, dedup_indices_reference):
+        try:
+            outcome.append(dedup(uids, iids, vals, policy).tolist())
+        except DataError as exc:
+            outcome.append(str(exc))
+    assert outcome[0] == outcome[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    events=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=40),
+    keep=st.lists(st.booleans(), min_size=40, max_size=40),
+)
+def test_reindex_matches_event_walk(events, keep):
+    iset = make_iset([(u, i, float(k)) for k, (u, i) in enumerate(events)], timestamps=list(range(len(events))))
+    idx = np.flatnonzero(keep[: len(events)])
+    assert_same_interactions(_reindex(iset, idx), reindex_reference(iset, idx))
+
+
+SIGNED_ZEROS = (
+    "user,item,value\na,x,0\nb,x,-0.0\nc,y,-0\n",
+    {"fmt": "csv", "dedup": "keep_max", "min_value": None, "binarize": False},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=interaction_files(), min_user_events=st.sampled_from([0, 2]))
+@example(case=SIGNED_ZEROS, min_user_events=0)
+def test_ingest_writes_reference_bytes(tmp_path_factory, case, min_user_events):
+    text, kwargs = case
+    root = tmp_path_factory.mktemp("ingest")
+    raw = root / "raw.txt"
+    raw.write_text(text, encoding="utf-8", newline="")
+    want = load_outcome(load_interactions_reference, raw, **kwargs)
+    if isinstance(want, str):
+        return
+    if min_user_events:
+        want = filter_activity(want, min_user_events=min_user_events)
+    write_canonical_reference(want, root / "want.csv")
+    argv = ["ingest", "--input", str(raw), "--output", str(root / "got.csv"),
+            "--format", kwargs["fmt"], "--dedup", kwargs["dedup"],
+            "--min-user-events", str(min_user_events)]
+    argv += ["--binarize"] if kwargs["binarize"] else []
+    argv += [] if kwargs["min_value"] is None else ["--min-value", str(kwargs["min_value"])]
+    assert main(argv) == 0
+    assert (root / "got.csv").read_bytes() == (root / "want.csv").read_bytes()

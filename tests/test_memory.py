@@ -1,4 +1,5 @@
-"""Peak memory of the training steps, in units of one n×n float64 matrix.
+"""Peak memory of the training steps, in units of one n×n float64 matrix,
+and of the loader, in units of the arrays it returns.
 
 tracemalloc counts the allocations numpy makes (scipy's sparse products and
 LAPACK's in-place calls allocate through numpy or not at all), so a peak
@@ -10,9 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gramrec import build_gram, solve_zero_diag, train_sparse
+from gramrec import build_gram, load_interactions, solve_zero_diag, train_sparse
 
-from conftest import binary_matrix
+from conftest import binary_matrix, make_iset, write_canonical_reference
 
 
 @pytest.fixture(scope="module")
@@ -21,14 +22,18 @@ def wide():
     return x, build_gram(x, x)
 
 
-def peak_n2(fn, n: int) -> float:
+def peak_bytes(fn):
     tracemalloc.start()
     try:
-        fn()
+        result = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / (n * n * 8)
+    return peak, result
+
+
+def peak_n2(fn, n: int) -> float:
+    return peak_bytes(fn)[0] / (n * n * 8)
 
 
 def test_build_gram_holds_g_plus_panels(wide):
@@ -44,3 +49,28 @@ def test_zero_diag_solve_holds_one_matrix_beyond_g(wide):
 def test_train_sparse_holds_no_matrix_beyond_g(wide):
     _, gram = wide
     assert peak_n2(lambda: train_sparse(gram, theta=0.1, n_max=50, lam=50.0), gram.n_items) < 1.5
+
+
+@pytest.fixture(scope="module")
+def canonical_log(tmp_path_factory):
+    """A canonical CSV of 104,000 rated, timestamped events: 8,000 users with
+    13 of 250 items each."""
+    r = np.random.default_rng(11)
+    events = [
+        (u, int(i), float(v))
+        for u in range(8000)
+        for i, v in zip(r.choice(250, 13, replace=False), r.integers(1, 6, 13))
+    ]
+    iset = make_iset(events, timestamps=r.integers(8e8, 1.6e9, len(events)).tolist())
+    path = tmp_path_factory.mktemp("memory") / "data.csv"
+    write_canonical_reference(iset, path)
+    return path
+
+
+def test_load_holds_a_few_times_its_arrays(canonical_log):
+    """Per-event Python objects kept across the file would cost several
+    times the 32 bytes per event of the returned arrays."""
+    peak, iset = peak_bytes(lambda: load_interactions(canonical_log))
+    arrays = sum(a.nbytes for a in (iset.user_ids, iset.item_ids, iset.values, iset.timestamps))
+    assert iset.n_events == 104_000
+    assert peak <= 4 * arrays
