@@ -48,7 +48,6 @@ from .solver import (
     clamp_nonnegative,
     invert_regularized,
     load_model,
-    predict_scores,
     save_model,
     solve_rr,
     solve_zero_diag,

@@ -43,7 +43,7 @@ from .evaluation import (
     popularity_rank,
     score_histories,
 )
-from .files import atomic_write
+from .files import atomic_write, read_item_csv
 from .gram import (
     build_disjoint_gram,
     build_gram,
@@ -417,28 +417,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _load_popularity_csv(path: str, item_index: dict[str, int]) -> PopularityVector:
-    pop = np.zeros(len(item_index), dtype=np.float64)
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["item", "count"]:
-            raise DataError(f"{path}: expected an 'item,count' header row")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}: line {line_no}: expected 2 fields")
-            key, count = row
-            if key not in item_index:
-                raise DataError(f"{path}: line {line_no}: unknown item key {key!r}")
-            try:
-                pop[item_index[key]] = float(count)
-            except ValueError:
-                raise DataError(f"{path}: line {line_no}: count is not a number") from None
-    return PopularityVector(pop=pop)
-
-
 def cmd_recommend(args) -> int:
     model_path = _require(args, "model", "--model")
     model, item_keys = _load_any_model(model_path)
@@ -479,7 +457,7 @@ def cmd_recommend(args) -> int:
                 "file is available for the fallback ranking"
             )
         _log("warning: empty history; falling back to popularity order")
-        pop = _load_popularity_csv(pop_path, item_index)
+        pop = PopularityVector(read_item_csv(pop_path, item_index, "count", 0.0)[0])
         ranked = popularity_rank(pop)
         scores = pop.pop
     for rank in range(min(top_k, n - len(ids))):

@@ -589,8 +589,12 @@ def load_split_files(
         fpath = split_dir / name
         if not fpath.exists():
             raise DataError(f"missing split file {fpath}")
+        try:
+            keys = fpath.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{fpath}: not UTF-8 text ({exc.reason})") from None
         ids = []
-        for key in fpath.read_text(encoding="utf-8").splitlines():
+        for key in keys:
             if not key:
                 continue
             if key not in user_index:

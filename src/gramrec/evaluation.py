@@ -7,14 +7,22 @@ Input items are forced to the bottom of the ranking so only unseen items
 compete.  All randomness flows through one seed, drawn per user, so
 reports are reproducible bit for bit.
 
-Ties are broken by ascending item id everywhere.  Metric means come with
-the standard error of the mean across evaluated users.
+Both protocols run on one engine: each user's split is drawn once, users
+are scored in batches by :func:`score_histories`, and held-out item i gets
+rank 1 + #{j : s_j > s_i} + #{j < i : s_j == s_i} in its score row s.  That
+is its position in ``argsort(-s, kind="stable")``: ties go to the lower
+item id, and NaN scores rank last, among themselves by id.  The ranks then
+reduce to per-user metrics.  Score batches and comparison blocks hold at
+most ``_CHUNK`` floats.  Metric means come with the standard error of the
+mean across evaluated users.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,11 +37,11 @@ from .data import (
 )
 from .errors import DataError
 from .gram import GramStats
-from .solver import VARIANT_ZERO_DIAG, DenseModel, predict_scores, solve_zero_diag
+from .solver import VARIANT_ZERO_DIAG, DenseModel, solve_zero_diag
 from .sparse import SparseModel
 from .weighting import DEFAULT_EPSILON, time_popularity_weights
 
-_BATCH_USERS = 1024
+_CHUNK = 1 << 16  # floats per score batch (_CHUNK // n_items users) and per comparison block
 
 
 @dataclass
@@ -161,6 +169,121 @@ def _select_users(split: SplitSpec, users: str) -> np.ndarray:
     raise DataError(f"users must be 'test' or 'validation', got {users!r}")
 
 
+class _Batch(NamedTuple):
+    """Input rows of folded users; held-out (row, item, folded position)."""
+
+    xin: sp.csr_matrix
+    rows: np.ndarray
+    items: np.ndarray
+    events: np.ndarray
+
+
+class _Folds(NamedTuple):
+    batches: list[_Batch]
+    n_items: int
+    n_skipped: int
+    config: dict
+
+
+def _draw_folds(indptr, items, values, n_items: int, split: SplitSpec, users: str, seed) -> _Folds:
+    """Fold each selected user's id-sorted row ``indptr[u]:indptr[u + 1]``
+    with ``default_rng((seed, u))``, skipping (and counting) rows that cannot
+    be split, and batch the users ``_CHUNK // n_items`` at a time."""
+    user_ids = _select_users(split, users)
+    fraction = split.fold_in_fraction
+    if not 0.0 < fraction < 1.0:
+        raise DataError(f"fold-in fraction must be in (0, 1), got {fraction}")
+    seed = split.seed if seed is None else seed
+
+    def draws():  # input and held-out positions of each user whose row splits
+        for u in user_ids:
+            start, n = int(indptr[u]), int(indptr[u + 1] - indptr[u])
+            if n >= 2:
+                pos_in, pos_out = fold_in_indices(n, fraction, np.random.default_rng((seed, int(u))))
+                if pos_out.size:
+                    yield pos_in + start, pos_out + start
+
+    folds, batches = draws(), []
+    while batch := list(islice(folds, max(1, _CHUNK // max(n_items, 1)))):
+        ins, outs = zip(*batch)
+        pos_in, pos_out = np.concatenate(ins), np.concatenate(outs)
+        indptr_in = np.concatenate([[0], np.cumsum([len(p) for p in ins])])
+        xin = sp.csr_matrix((values[pos_in], items[pos_in], indptr_in), shape=(len(ins), n_items))
+        rows = np.repeat(np.arange(len(outs)), [len(p) for p in outs])
+        batches.append(_Batch(xin, rows, items[pos_out], pos_out))
+    n_skipped = len(user_ids) - sum(b.xin.shape[0] for b in batches)
+    config = {"users": users, "fold_in_fraction": float(fraction), "seed": int(seed)}
+    return _Folds(batches, n_items, n_skipped, config)
+
+
+def _rank_held_out(model, folds: _Folds, scale=None, shift=None) -> np.ndarray:
+    """Rank of every held-out item in its user's score row, in fold order.
+
+    Input items score -inf.  With ``scale = (table, idx)``, the row of the
+    held-out event at folded position p is multiplied by ``table[idx[p]]``
+    and ``shift`` is then added.  Comparisons run ``_CHUNK // n_items``
+    events at a time.
+    """
+    ranks = [np.zeros(0, dtype=np.int64)]
+    for b in folds.batches:
+        scores = score_histories(model, b.xin)
+        scores[np.repeat(np.arange(b.xin.shape[0]), np.diff(b.xin.indptr)), b.xin.indices] = -np.inf
+        step = max(1, _CHUNK // max(scores.shape[1], 1))
+        for lo in range(0, len(b.items), step):
+            items = b.items[lo : lo + step]
+            s = scores[b.rows[lo : lo + step]]
+            if scale is not None:
+                s *= scale[0][scale[1][b.events[lo : lo + step]]]
+            if shift is not None:
+                s += shift
+            si = s[np.arange(len(items)), items][:, None]
+            before = np.arange(s.shape[1]) < items[:, None]
+            tied_before = s == si
+            tied_before &= before
+            rank = 1 + np.count_nonzero(s > si, axis=1) + np.count_nonzero(tied_before, axis=1)
+            nan = np.isnan(si[:, 0])
+            if nan.any():
+                s_nan = np.isnan(s[nan])
+                rank[nan] = (1 + np.count_nonzero(~s_nan, axis=1)
+                             + np.count_nonzero(s_nan & before[nan], axis=1))
+            ranks.append(rank)
+    return np.concatenate(ranks)
+
+
+def _reduce(ranks, folds: _Folds, recall_ks, ndcg_k: int, config: dict, cap: bool) -> EvalReport:
+    """Per-user recall and ndcg from held-out ranks (each capped at 1 with
+    ``cap``), aggregated into the report."""
+    if min((*recall_ks, ndcg_k)) < 1:
+        raise DataError(f"metric cutoffs must be at least 1, got {tuple(recall_ks)} and {ndcg_k}")
+    offsets = np.cumsum([0] + [b.xin.shape[0] for b in folds.batches])
+    users = np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [b.rows + o for b, o in zip(folds.batches, offsets)])
+    held = np.bincount(users, minlength=offsets[-1])
+    per_user = {}
+    for k in recall_ks:
+        per_user[f"recall@{k}"] = np.bincount(users[ranks <= k], minlength=offsets[-1]) / np.minimum(k, held)
+    top = ranks <= ndcg_k
+    order = np.lexsort((ranks[top], users[top]))
+    hit_users, hit_ranks = users[top][order], ranks[top][order]
+    first = np.flatnonzero(np.diff(hit_users, prepend=-1))
+    dcg = np.zeros(offsets[-1])
+    if first.size:  # a leading 0.0 per user makes each sum round as np.sum does
+        gains = np.insert(1.0 / np.log2(hit_ranks + 1.0), first, 0.0)
+        dcg[hit_users[first]] = np.add.reduceat(gains, first + np.arange(first.size))
+    m, inv = np.unique(np.minimum(ndcg_k, held), return_inverse=True)
+    per_user[f"ndcg@{ndcg_k}"] = dcg / np.array([_ideal_dcg(v) for v in m.tolist()])[inv]
+    if cap:
+        per_user = {name: np.minimum(vals, 1.0) for name, vals in per_user.items()}
+    return _aggregate(per_user, folds.n_skipped, config)
+
+
+def _evaluate(model, folds: _Folds, recall_ks, ndcg_k: int) -> EvalReport:
+    if model.n_items != folds.n_items:
+        raise DataError(f"model has {model.n_items} items, matrix has {folds.n_items}")
+    config = {**_model_config(model), "protocol": "strong_generalization", **folds.config}
+    return _reduce(_rank_held_out(model, folds), folds, recall_ks, ndcg_k, config, cap=False)
+
+
 def evaluate_model(
     model,
     matrix: UserItemMatrix,
@@ -177,62 +300,9 @@ def evaluate_model(
     id), and read the metrics off against the held-out part.  Users whose
     rows cannot be split (fewer than two events) are skipped and counted.
     """
-    user_ids = _select_users(split, users)
-    if model.n_items != matrix.n_items:
-        raise DataError(f"model has {model.n_items} items, matrix has {matrix.n_items}")
-    fraction = split.fold_in_fraction
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"fold-in fraction must be in (0, 1), got {fraction}")
-    eval_seed = split.seed if seed is None else seed
     csr = matrix.matrix
-    metric_names = [f"recall@{k}" for k in recall_ks] + [f"ndcg@{ndcg_k}"]
-    per_user: dict[str, list[float]] = {name: [] for name in metric_names}
-    n_skipped = 0
-    for lo in range(0, len(user_ids), _BATCH_USERS):
-        batch = user_ids[lo : lo + _BATCH_USERS]
-        folds = []
-        for u in batch:
-            start, end = csr.indptr[u], csr.indptr[u + 1]
-            ids = csr.indices[start:end]
-            rng = np.random.default_rng((eval_seed, int(u)))
-            if end - start < 2:
-                n_skipped += 1
-                continue
-            pos_in, pos_out = fold_in_indices(end - start, fraction, rng)
-            if pos_out.size == 0:
-                n_skipped += 1
-                continue
-            folds.append((ids[pos_in], csr.data[start:end][pos_in], ids[pos_out]))
-        if not folds:
-            continue
-        indptr = np.zeros(len(folds) + 1, dtype=np.int64)
-        np.cumsum([len(f[0]) for f in folds], out=indptr[1:])
-        xin = sp.csr_matrix(
-            (
-                np.concatenate([f[1] for f in folds]),
-                np.concatenate([f[0] for f in folds]),
-                indptr,
-            ),
-            shape=(len(folds), matrix.n_items),
-        )
-        scores = score_histories(model, xin)
-        row_idx = np.repeat(np.arange(len(folds)), np.diff(indptr))
-        scores[row_idx, xin.indices] = -np.inf
-        for r, (in_ids, _, out_ids) in enumerate(folds):
-            ranked = np.argsort(-scores[r], kind="stable")
-            for k in recall_ks:
-                per_user[f"recall@{k}"].append(recall_at_k(ranked, out_ids, k))
-            per_user[f"ndcg@{ndcg_k}"].append(ndcg_at_k(ranked, out_ids, ndcg_k))
-    config = _model_config(model)
-    config.update(
-        {
-            "protocol": "strong_generalization",
-            "users": users,
-            "fold_in_fraction": float(fraction),
-            "seed": int(eval_seed),
-        }
-    )
-    return _aggregate(per_user, n_skipped, config)
+    folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, users, seed)
+    return _evaluate(model, folds, recall_ks, ndcg_k)
 
 
 def evaluate_time_aware(
@@ -250,12 +320,12 @@ def evaluate_time_aware(
     """Per-event protocol with interval-dependent popularity re-scaling.
 
     Folding matches :func:`evaluate_model` (same per-user draws on the
-    id-sorted row), but each held-out event is scored on its own: the
-    event's timestamp selects a time interval, the base scores are scaled
-    by that interval's weight vector, and the event item's rank among
-    non-input items is recorded.  Per-user metrics are then rebuilt from
-    the ranks.  With a single interval all weights are 1 and the report
-    equals the time-agnostic one.
+    id-sorted row).  Each held-out event gets its own score row: the user's
+    base scores (without mu, input items at -inf) times the weight vector of
+    the interval its timestamp falls in, plus mu.  The event item's rank in
+    that row follows the module's rule, so NaN scores rank last.  Per-user
+    metrics are then rebuilt from the ranks.  With a single interval all
+    weights are 1 and the report equals the time-agnostic one.
 
     Ranks from different events are computed under different weightings, so
     they can collide; metrics are capped at 1 when that happens.  Note the
@@ -270,11 +340,10 @@ def evaluate_time_aware(
         raise DataError("time-aware evaluation needs timestamped events")
     if model.n_items != iset.n_items:
         raise DataError(f"model has {model.n_items} items, events cover {iset.n_items}")
-    user_ids = _select_users(split, users)
-    fraction = split.fold_in_fraction
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"fold-in fraction must be in (0, 1), got {fraction}")
-    eval_seed = split.seed if seed is None else seed
+    order = np.lexsort((iset.item_ids, iset.user_ids))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(iset.user_ids, minlength=iset.n_users))])
+    folds = _draw_folds(indptr, iset.item_ids[order], iset.values[order], iset.n_items,
+                        split, users, seed)
     total = intervals.total_popularity()
     wmat = np.stack(
         [
@@ -282,57 +351,18 @@ def evaluate_time_aware(
             for k in range(intervals.n_intervals)
         ]
     )
-    order = np.lexsort((iset.item_ids, iset.user_ids))
-    sorted_users = iset.user_ids[order]
-    base_model = replace(model, mu=None)
-    metric_names = [f"recall@{k}" for k in recall_ks] + [f"ndcg@{ndcg_k}"]
-    per_user: dict[str, list[float]] = {name: [] for name in metric_names}
-    n_skipped = 0
-    for u in user_ids:
-        lo, hi = np.searchsorted(sorted_users, [u, u + 1])
-        ev = order[lo:hi]
-        rng = np.random.default_rng((eval_seed, int(u)))
-        if hi - lo < 2:
-            n_skipped += 1
-            continue
-        pos_in, pos_out = fold_in_indices(hi - lo, fraction, rng)
-        if pos_out.size == 0:
-            n_skipped += 1
-            continue
-        in_ids = iset.item_ids[ev[pos_in]]
-        base = predict_scores(base_model, in_ids, iset.values[ev[pos_in]])
-        base[in_ids] = -np.inf
-        out_ids = iset.item_ids[ev[pos_out]]
-        out_intervals = intervals.locate(iset.timestamps[ev[pos_out]])
-        ranks = np.empty(len(out_ids), dtype=np.int64)
-        for e, (item, k) in enumerate(zip(out_ids, out_intervals)):
-            s = base * wmat[k]
-            if model.mu is not None:
-                s = s + model.mu
-            si = s[item]
-            ranks[e] = 1 + np.count_nonzero(s > si) + np.count_nonzero(s[:item] == si)
-        ranks = np.sort(ranks)
-        n_held = len(ranks)
-        for k in recall_ks:
-            hits = int(np.count_nonzero(ranks <= k))
-            per_user[f"recall@{k}"].append(min(1.0, hits / min(k, n_held)))
-        top = ranks[ranks <= ndcg_k]
-        dcg = float(np.sum(1.0 / np.log2(top + 1.0)))
-        per_user[f"ndcg@{ndcg_k}"].append(min(1.0, dcg / _ideal_dcg(min(ndcg_k, n_held))))
-    config = _model_config(model)
-    config.update(
-        {
-            "protocol": "time_aware",
-            "users": users,
-            "fold_in_fraction": float(fraction),
-            "seed": int(eval_seed),
-            "n_intervals": int(intervals.n_intervals),
-            "alpha": float(alpha),
-            "epsilon": float(epsilon),
-            "note": "per-event scoring; fold-in items and training data may postdate the scored event",
-        }
-    )
-    return _aggregate(per_user, n_skipped, config)
+    scale = (wmat, intervals.locate(iset.timestamps[order]))
+    ranks = _rank_held_out(replace(model, mu=None), folds, scale, model.mu)
+    config = {
+        **_model_config(model),
+        "protocol": "time_aware",
+        **folds.config,
+        "n_intervals": int(intervals.n_intervals),
+        "alpha": float(alpha),
+        "epsilon": float(epsilon),
+        "note": "per-event scoring; fold-in items and training data may postdate the scored event",
+    }
+    return _reduce(ranks, folds, recall_ks, ndcg_k, config, cap=True)
 
 
 def grid_search_lambda(
@@ -345,20 +375,23 @@ def grid_search_lambda(
 ) -> tuple[float, dict[float, EvalReport], DenseModel]:
     """Train with ``solver`` and evaluate on validation users per lambda.
 
-    Ties go to the smallest lambda.  Returns the winner, every report and the
-    winner's model, holding only the best model so far and the current one.
+    Validation folds are drawn once for the whole grid.  Ties go to the
+    smallest lambda.  Returns the winner, every report and the winner's
+    model, holding only the best model so far and the current one.
     """
     lams = sorted({float(l) for l in lambdas})
     if not lams:
         raise DataError("empty lambda grid")
     if any(l <= 0 for l in lams):
         raise DataError("all grid lambdas must be positive")
+    csr = matrix.matrix
+    folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, "validation", None)
     reports: dict[float, EvalReport] = {}
     best_lam = best_model = None
     best_score = -np.inf
     for lam in lams:
         model = solver(gram, lam)
-        report = evaluate_model(model, matrix, split, users="validation")
+        report = _evaluate(model, folds, (20, 50), 100)
         if metric not in report.metrics:
             raise DataError(f"unknown search metric {metric!r}; have {sorted(report.metrics)}")
         reports[lam] = report

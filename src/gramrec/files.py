@@ -1,8 +1,9 @@
-"""File output and the pieces of the binary formats shared by every writer
-and reader in the package."""
+"""File output, the pieces of the binary formats shared by every writer and
+reader in the package, and the reader of item-keyed CSV columns."""
 
 from __future__ import annotations
 
+import csv
 import os
 import struct
 from contextlib import contextmanager
@@ -66,3 +67,31 @@ def read_keys(fh, path, n: int) -> list[str] | None:
         (klen,) = read_record(fh, _KEY_LEN)
         keys.append(fh.read(klen).decode("utf-8"))
     return keys
+
+
+def read_item_csv(path, index: dict[str, int], column: str, fill: float) -> tuple[np.ndarray, str]:
+    """The ``column`` of an ``item,<column>`` CSV aligned to ``index`` (``fill``
+    where no row names a key), and the file's leading ``#`` line, if any."""
+    out = np.full(len(index), fill)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            first = fh.readline()
+            comment = first if first.startswith("#") else ""
+            header = next(csv.reader([fh.readline() if comment else first]), None)
+            if header is None or [h.strip().lower() for h in header] != ["item", column]:
+                raise DataError(f"{path}: expected an 'item,{column}' header row")
+            for line_no, row in enumerate(csv.reader(fh), start=3 if comment else 2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise DataError(f"{path}: line {line_no}: expected 2 fields, got {len(row)}")
+                key, val = row
+                if key not in index:
+                    raise DataError(f"{path}: line {line_no}: unknown item key {key!r}")
+                try:
+                    out[index[key]] = float(val)
+                except ValueError:
+                    raise DataError(f"{path}: line {line_no}: {column} is not a number: {val!r}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return out, comment

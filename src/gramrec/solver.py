@@ -184,28 +184,6 @@ def clamp_nonnegative(model: DenseModel) -> DenseModel:
     return replace(model, b=np.maximum(model.b, 0.0), gamma=None)
 
 
-def predict_scores(model: DenseModel, item_ids, values=None) -> np.ndarray:
-    """Scores for all items given one user history row.
-
-    ``values`` defaults to ones (binary history).  Cost is
-    O(nnz(history) * n_items): only the history's rows of B are touched.
-    """
-    ids = np.asarray(item_ids, dtype=np.int64)
-    n = model.n_items
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise DataError(f"history item id out of range [0, {n})")
-    if values is None:
-        vals = np.ones(ids.size, dtype=np.float64)
-    else:
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.shape != ids.shape:
-            raise DataError("history ids and values differ in length")
-    scores = vals @ model.b[ids, :] if ids.size else np.zeros(n, dtype=np.float64)
-    if model.mu is not None:
-        scores = scores + model.mu
-    return scores
-
-
 def save_model(path: str | Path, model: DenseModel, item_keys: list[str] | None = None) -> None:
     """Write a DenseModel: header, item-key table, B row-major little-endian
     64-bit, then the optional mu and weight vectors.  The write is atomic."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import PopularityVector
 from .errors import DataError
-from .files import atomic_write
+from .files import atomic_write, read_item_csv
 from .solver import VARIANT_ZERO_DIAG, DenseModel
 
 KIND_UNIFORM = "uniform"
@@ -137,38 +137,17 @@ def load_weights_csv(path: str | Path, item_index: dict[str, int]) -> ItemWeight
     Every item must receive a weight.  Files without the leading comment
     (hand-written ones) load as kind uniform, alpha 0.
     """
-    kind = KIND_UNIFORM
-    alpha = 0.0
-    with Path(path).open("r", newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            fields = dict(
-                tok.split("=", 1) for tok in first[1:].strip().split() if "=" in tok
-            )
-            kind = fields.get("kind", KIND_UNIFORM)
-            if kind not in WEIGHT_KINDS:
-                raise DataError(f"{path}: unknown weight kind {kind!r}")
-            try:
-                alpha = float(fields.get("alpha", "0"))
-            except ValueError:
-                raise DataError(f"{path}: bad alpha in weight header") from None
-            first = fh.readline()
-        header = next(csv.reader([first]), None)
-        if header is None or [h.strip().lower() for h in header] != ["item", "weight"]:
-            raise DataError(f"{path}: expected an 'item,weight' header row")
-        w = np.full(len(item_index), np.nan)
-        for line_no, row in enumerate(csv.reader(fh), start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}: line {line_no}: expected 2 fields, got {len(row)}")
-            key, val = row
-            if key not in item_index:
-                raise DataError(f"{path}: line {line_no}: unknown item key {key!r}")
-            try:
-                w[item_index[key]] = float(val)
-            except ValueError:
-                raise DataError(f"{path}: line {line_no}: weight is not a number: {val!r}") from None
+    w, comment = read_item_csv(path, item_index, "weight", np.nan)
+    kind, alpha = KIND_UNIFORM, 0.0
+    if comment:
+        fields = dict(tok.split("=", 1) for tok in comment[1:].strip().split() if "=" in tok)
+        kind = fields.get("kind", KIND_UNIFORM)
+        if kind not in WEIGHT_KINDS:
+            raise DataError(f"{path}: unknown weight kind {kind!r}")
+        try:
+            alpha = float(fields.get("alpha", "0"))
+        except ValueError:
+            raise DataError(f"{path}: bad alpha in weight header") from None
     if np.any(np.isnan(w)):
         missing = int(np.isnan(w).sum())
         raise DataError(f"{path}: {missing} items received no weight")

@@ -12,7 +12,9 @@ code: one dense correlation matrix, a column loop over it, and one COO sum
 over every block's k² entries.  The library computes the same results in
 panels and at pattern positions only; property tests hold it to these.
 The data-layer references parse, deduplicate, reindex and write one event
-at a time; the library does each column-wise in chunks.
+at a time; the library does each column-wise in chunks.  The evaluation
+references fold, score and sort one user (time-aware: one held-out event)
+at a time; the library ranks batches of events by counting comparisons.
 """
 
 import csv
@@ -24,7 +26,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gramrec import DataError, InteractionSchema, InteractionSet, UserItemMatrix, build_gram
+from gramrec import (
+    DataError,
+    InteractionSchema,
+    InteractionSet,
+    UserItemMatrix,
+    build_gram,
+    ndcg_at_k,
+    recall_at_k,
+    score_histories,
+    time_popularity_weights,
+)
+from gramrec.data import fold_in_indices
+from gramrec.evaluation import _aggregate, _model_config, _select_users
+from gramrec.weighting import DEFAULT_EPSILON
 
 
 def ridge_oracle(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -319,6 +334,101 @@ def write_canonical_reference(iset: InteractionSet, path) -> None:
             if has_time:
                 row.append(repr(float(iset.timestamps[e])))
             writer.writerow(row)
+
+
+def evaluate_model_reference(model, matrix, split, recall_ks=(20, 50), ndcg_k=100,
+                             seed=None, users="test"):
+    """Strong-generalization report one user at a time: a full stable argsort
+    of the user's scores, read off with ``recall_at_k`` and ``ndcg_at_k``."""
+    user_ids = _select_users(split, users)
+    eval_seed = split.seed if seed is None else seed
+    csr = matrix.matrix
+    per_user = {name: [] for name in [f"recall@{k}" for k in recall_ks] + [f"ndcg@{ndcg_k}"]}
+    n_skipped = 0
+    for u in user_ids:
+        start, end = csr.indptr[u], csr.indptr[u + 1]
+        ids = csr.indices[start:end]
+        if end - start < 2:
+            n_skipped += 1
+            continue
+        rng = np.random.default_rng((eval_seed, int(u)))
+        pos_in, pos_out = fold_in_indices(end - start, split.fold_in_fraction, rng)
+        if pos_out.size == 0:
+            n_skipped += 1
+            continue
+        xin = sp.csr_matrix(
+            (csr.data[start:end][pos_in], ids[pos_in], [0, len(pos_in)]),
+            shape=(1, matrix.n_items),
+        )
+        scores = score_histories(model, xin)[0]
+        scores[ids[pos_in]] = -np.inf
+        ranked = np.argsort(-scores, kind="stable")
+        for k in recall_ks:
+            per_user[f"recall@{k}"].append(recall_at_k(ranked, ids[pos_out], k))
+        per_user[f"ndcg@{ndcg_k}"].append(ndcg_at_k(ranked, ids[pos_out], ndcg_k))
+    config = _model_config(model)
+    config.update({"protocol": "strong_generalization", "users": users,
+                   "fold_in_fraction": float(split.fold_in_fraction), "seed": int(eval_seed)})
+    return _aggregate(per_user, n_skipped, config)
+
+
+def evaluate_time_aware_reference(model, iset, split, intervals, alpha,
+                                  epsilon=DEFAULT_EPSILON, recall_ks=(20, 50), ndcg_k=100,
+                                  seed=None, users="test"):
+    """Time-aware report one held-out event at a time: the user's history
+    scored by a dense vector-matrix product, the event's interval weights
+    applied, and the event item's rank read off a full stable argsort of that
+    row."""
+    user_ids = _select_users(split, users)
+    eval_seed = split.seed if seed is None else seed
+    total = intervals.total_popularity()
+    wmat = np.stack([
+        time_popularity_weights(intervals.interval_popularity(k), total, alpha, epsilon).w
+        for k in range(intervals.n_intervals)
+    ])
+    order = np.lexsort((iset.item_ids, iset.user_ids))
+    sorted_users = iset.user_ids[order]
+    per_user = {name: [] for name in [f"recall@{k}" for k in recall_ks] + [f"ndcg@{ndcg_k}"]}
+    n_skipped = 0
+    for u in user_ids:
+        lo, hi = np.searchsorted(sorted_users, [u, u + 1])
+        ev = order[lo:hi]
+        if hi - lo < 2:
+            n_skipped += 1
+            continue
+        rng = np.random.default_rng((eval_seed, int(u)))
+        pos_in, pos_out = fold_in_indices(hi - lo, split.fold_in_fraction, rng)
+        if pos_out.size == 0:
+            n_skipped += 1
+            continue
+        in_ids = iset.item_ids[ev[pos_in]]
+        base = iset.values[ev[pos_in]] @ model.b[in_ids, :]
+        base[in_ids] = -np.inf
+        out_ids = iset.item_ids[ev[pos_out]]
+        out_intervals = intervals.locate(iset.timestamps[ev[pos_out]])
+        ranks = np.empty(len(out_ids), dtype=np.int64)
+        for e, (item, k) in enumerate(zip(out_ids, out_intervals)):
+            s = base * wmat[k]
+            if model.mu is not None:
+                s = s + model.mu
+            ranks[e] = 1 + np.flatnonzero(np.argsort(-s, kind="stable") == item)[0]
+        ranks = np.sort(ranks)
+        n_held = len(ranks)
+        for k in recall_ks:
+            hits = int(np.count_nonzero(ranks <= k))
+            per_user[f"recall@{k}"].append(min(1.0, hits / min(k, n_held)))
+        top = ranks[ranks <= ndcg_k]
+        dcg = float(np.sum(1.0 / np.log2(top + 1.0)))
+        ideal = float(np.sum(1.0 / np.log2(np.arange(min(ndcg_k, n_held)) + 2.0)))
+        per_user[f"ndcg@{ndcg_k}"].append(min(1.0, dcg / ideal))
+    config = _model_config(model)
+    config.update({"protocol": "time_aware", "users": users,
+                   "fold_in_fraction": float(split.fold_in_fraction), "seed": int(eval_seed),
+                   "n_intervals": int(intervals.n_intervals), "alpha": float(alpha),
+                   "epsilon": float(epsilon),
+                   "note": "per-event scoring; fold-in items and training data may "
+                           "postdate the scored event"})
+    return _aggregate(per_user, n_skipped, config)
 
 
 def binary_matrix(

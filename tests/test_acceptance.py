@@ -277,6 +277,7 @@ def _run_pipeline(root):
     model, gram = root / "model.ease", root / "stats.grm"
     sparse, weights = root / "model.easp", root / "weights.csv"
     rescaled, pop, report = root / "rescaled.ease", root / "pop.csv", root / "report.json"
+    report_time, report_pop = root / "report_time.json", root / "report_pop.json"
 
     steps = [
         ["ingest", "--input", str(raw), "--output", str(data),
@@ -295,13 +296,17 @@ def _run_pipeline(root):
         ["evaluate", "--data", str(data), "--split-dir", str(splits), "--seed", "0",
          "--model", str(model), "--report-json", str(report)],
         ["recommend", "--model", str(model), "--history", "i0,i1", "--top-k", "5"],
+        ["evaluate", "--data", str(data), "--split-dir", str(splits), "--seed", "0",
+         "--model", str(model), "--time-intervals", "3", "--report-json", str(report_time)],
+        ["evaluate", "--data", str(data), "--split-dir", str(splits), "--seed", "0",
+         "--baseline", "popularity", "--report-json", str(report_pop)],
     ]
     stdouts = []
     for step in steps:
         res = run_cli(step)
         assert res.returncode == 0, (step[0], res.stderr)
         stdouts.append(res.stdout)
-    files = [data, model, gram, sparse, weights, rescaled, pop, report]
+    files = [data, model, gram, sparse, weights, rescaled, pop, report, report_time, report_pop]
     files += [splits / name for name in
               ("train_users.txt", "validation_users.txt", "test_users.txt")]
     return files, stdouts

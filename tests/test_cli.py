@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -280,6 +281,29 @@ def test_ingest_reads_utf8_under_c_locale(tmp_path):
     res = run_cli(["ingest", "--input", str(raw), "--output", str(out)], env=env)
     assert res.returncode == 2
     assert "not UTF-8" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("reader", ["split-file", "weights", "popularity"])
+def test_non_utf8_input_exit_code(workdir, tmp_path, reader):
+    model, data = str(workdir["model"]), str(workdir["data"])
+    if reader == "split-file":
+        bad = tmp_path / "splits" / "train_users.txt"
+        shutil.copytree(workdir["splits"], bad.parent)
+        bad.write_bytes(bad.read_bytes() + b"caf\xe9\n")
+        argv = ["train", "--data", data, "--split-dir", str(bad.parent), "--lambda", "2.0",
+                "--output", str(tmp_path / "m.ease")]
+    elif reader == "weights":
+        bad = tmp_path / "weights.csv"
+        bad.write_bytes(b"item,weight\ni0,1.0\ncaf\xe9,2.0\n")
+        argv = ["recommend", "--model", model, "--history", "i0", "--weights", str(bad)]
+    else:
+        bad = workdir["root"] / "pop_latin1.csv"
+        bad.write_bytes(workdir["pop"].read_bytes() + b"caf\xe9,2\n")
+        argv = ["recommend", "--model", model, "--history", "", "--popularity", str(bad)]
+    res = run_cli(argv)
+    assert res.returncode == 2
+    assert f"{bad}: not UTF-8 text" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_usage_errors_exit_code(workdir):

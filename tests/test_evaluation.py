@@ -1,7 +1,11 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramrec import (
     DataError,
@@ -19,6 +23,7 @@ from gramrec import (
     ndcg_at_k,
     popularity,
     popularity_rank,
+    popularity_weights,
     recall_at_k,
     score_histories,
     solve_rr,
@@ -28,10 +33,11 @@ from gramrec import (
     to_user_item_matrix,
     uniform_weights,
 )
+import gramrec.evaluation as evaluation
 from gramrec.data import fold_in_indices
-from gramrec.solver import VARIANT_ZERO_DIAG
+from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG
 
-from conftest import make_iset
+from conftest import evaluate_model_reference, evaluate_time_aware_reference, make_iset
 
 
 def test_recall_examples():
@@ -64,8 +70,6 @@ def test_popularity_rank_stable_ties():
 
 
 def test_score_histories_kinds(rng):
-    import scipy.sparse as sp
-
     xin = sp.csr_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
     b = rng.random((3, 3))
     dense = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
@@ -78,6 +82,24 @@ def test_score_histories_kinds(rng):
     pop = PopularityScorer(PopularityVector(np.array([5.0, 1.0, 3.0])))
     scores = score_histories(pop, xin)
     np.testing.assert_array_equal(scores, [[5.0, 1.0, 3.0], [5.0, 1.0, 3.0]])
+
+
+def test_score_histories_single_item_reads_row():
+    b = np.array([[0.0, 0.3, 0.1], [0.2, 0.0, 0.4], [0.6, 0.5, 0.0]])
+    model = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
+    xin = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0]]))
+    scores = score_histories(model, xin)
+    np.testing.assert_array_equal(scores[0], b[1])
+    np.testing.assert_allclose(scores[1], b[0] + b[2])
+    np.testing.assert_allclose(scores[2], 2.0 * b[0] + b[2])
+
+
+def test_score_histories_empty_history_and_mu():
+    xin = sp.csr_matrix((1, 2))
+    model = DenseModel(b=np.zeros((2, 2)), variant=VARIANT_RR, lam=1.0, mu=np.array([0.25, 0.75]))
+    np.testing.assert_array_equal(score_histories(model, xin), [[0.25, 0.75]])
+    plain = DenseModel(b=np.zeros((2, 2)), variant=VARIANT_RR, lam=1.0)
+    np.testing.assert_array_equal(score_histories(plain, xin), [[0.0, 0.0]])
 
 
 def eval_setup(seed=0, n_users=30, n_items=12, lam=1.0):
@@ -497,3 +519,164 @@ def test_report_serialization():
     text = report.to_text()
     assert "recall@20" in text
     assert "evaluated 7 users, skipped 1" in text
+
+
+@st.composite
+def eval_cases(draw):
+    """A small event log with timestamps, a fold-in split and cutoffs.  Row
+    sizes include 0, 1 and 2 events; cutoffs can exceed the item count."""
+    n_items = draw(st.integers(1, 9))
+    sizes = draw(st.lists(st.integers(0, n_items), min_size=1, max_size=12))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ratings = draw(st.booleans())
+    events, stamps = [], []
+    for u, size in enumerate(sizes):
+        for it in r.choice(n_items, size, replace=False):
+            events.append((u, int(it), float(r.integers(1, 6)) if ratings else 1.0))
+            stamps.append(int(r.integers(0, 5)))
+    if not events:
+        events, stamps = [(0, 0, 1.0)], [0]
+    iset = make_iset(events, n_users=len(sizes), n_items=n_items, timestamps=stamps)
+    split = SplitSpec(
+        train_users=np.array([], dtype=np.int64),
+        validation_users=np.array([], dtype=np.int64),
+        test_users=np.arange(len(sizes)),
+        fold_in_fraction=draw(st.sampled_from([0.3, 0.5, 0.8])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    recall_ks = tuple(draw(st.lists(st.integers(1, n_items + 3), min_size=1, max_size=3,
+                                    unique=True)))
+    ndcg_k = draw(st.integers(1, n_items + 3))
+    chunk = draw(st.sampled_from([None, 1, n_items + 1, 2 * n_items + 3]))
+    return iset, split, recall_ks, ndcg_k, chunk, r
+
+
+def integer_b(r, n, nan: bool):
+    """Small integers (exact sums in any order, many ties), optionally with NaNs."""
+    b = r.integers(-2, 3, (n, n)).astype(np.float64)
+    np.fill_diagonal(b, 0.0)
+    if nan:
+        b[r.random((n, n)) < 0.15] = np.nan
+    return b
+
+
+def reports_or_errors(*calls):
+    out = []
+    for call in calls:
+        try:
+            out.append(call().to_json())
+        except DataError as exc:
+            out.append(f"DataError: {exc}")
+    return out
+
+
+def with_chunk(chunk):
+    return mock.patch.object(evaluation, "_CHUNK", chunk if chunk else evaluation._CHUNK)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eval_cases(), st.sampled_from(["float", "integer", "nan", "mu", "weights", "sparse",
+                                      "popularity", "popularity-flat"]))
+def test_evaluate_model_matches_per_user_sort(case, kind):
+    iset, split, recall_ks, ndcg_k, chunk, r = case
+    matrix = to_user_item_matrix(iset)
+    n = iset.n_items
+    b = r.standard_normal((n, n)) if kind in ("float", "weights", "sparse") else (
+        integer_b(r, n, nan=kind == "nan"))
+    model = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0,
+                       mu=r.standard_normal(n) if kind == "mu" else None)
+    if kind == "weights":
+        model = apply_item_rescaling(
+            model, popularity_weights(popularity(matrix), alpha=0.5))
+    elif kind == "sparse":
+        model = mask_model(model, threshold_pattern(r.random((n, n)), theta=0.7))
+    elif kind.startswith("popularity"):
+        pop = popularity(matrix) if kind == "popularity" else PopularityVector(np.ones(n))
+        model = PopularityScorer(pop)
+    kwargs = dict(recall_ks=recall_ks, ndcg_k=ndcg_k)
+    with with_chunk(chunk):
+        got, expected = reports_or_errors(
+            lambda: evaluate_model(model, matrix, split, **kwargs),
+            lambda: evaluate_model_reference(model, matrix, split, **kwargs),
+        )
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(eval_cases(), st.integers(1, 4), st.sampled_from([0.0, 0.5, 1.0]),
+       st.sampled_from(["integer", "nan", "mu"]))
+def test_evaluate_time_aware_matches_per_event_sort(case, n_intervals, alpha, kind):
+    iset, split, recall_ks, ndcg_k, chunk, r = case
+    n = iset.n_items
+    model = DenseModel(b=integer_b(r, n, nan=kind == "nan"), variant=VARIANT_ZERO_DIAG,
+                       lam=1.0, mu=r.integers(-2, 3, n).astype(np.float64) if kind == "mu" else None)
+    idx = time_intervals(iset, n_intervals, split.test_users)
+    kwargs = dict(alpha=alpha, recall_ks=recall_ks, ndcg_k=ndcg_k)
+    with with_chunk(chunk):
+        got, expected = reports_or_errors(
+            lambda: evaluate_time_aware(model, iset, split, idx, **kwargs),
+            lambda: evaluate_time_aware_reference(model, iset, split, idx, **kwargs),
+        )
+    assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_ranks_are_stable_descending_sort_positions(n, n_events, seed, special):
+    """rank = position in argsort(-s, kind="stable") + 1, NaN and ±inf included."""
+    r = np.random.default_rng(seed)
+    pool = [0.0, 1.0, 2.0] + ([np.nan, np.inf, -np.inf] if special else [])
+    rows = np.sort(r.integers(0, 3, n_events))
+    items = r.integers(0, n, n_events)
+    xin = sp.csr_matrix((3, n))
+    folds = evaluation._Folds([evaluation._Batch(xin, rows, items, np.arange(n_events))],
+                              n, 0, {})
+    table = r.choice(pool, (3, n))
+    model = PopularityScorer(PopularityVector(np.ones(n)))
+    with with_chunk(int(r.integers(1, 2 * n + 2))):
+        ranks = evaluation._rank_held_out(model, folds, (table, rows), None)
+    for rank, row, item in zip(ranks, rows, items):
+        order = np.argsort(-table[row], kind="stable")
+        assert rank == 1 + np.flatnonzero(order == item)[0]
+
+
+def test_engine_metrics_match_public_metric_functions():
+    """recall_at_k and ndcg_at_k read off the sorted row give the engine's
+    per-user values."""
+    model, matrix, split, _ = eval_setup()
+    csr = matrix.matrix
+    folds = evaluation._draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split,
+                                   "test", None)
+    ranks = evaluation._rank_held_out(model, folds)
+    batch = folds.batches[0]
+    scores = score_histories(model, batch.xin)
+    for row in range(batch.xin.shape[0]):
+        scores[row, batch.xin.indices[batch.xin.indptr[row]:batch.xin.indptr[row + 1]]] = -np.inf
+        ranked = np.argsort(-scores[row], kind="stable")
+        held = batch.items[batch.rows == row]
+        mine = ranks[: len(batch.rows)][batch.rows == row]
+        for k in (1, 3, 20):
+            assert recall_at_k(ranked, held, k) == np.count_nonzero(mine <= k) / min(k, len(held))
+        top = np.sort(mine[mine <= 5])
+        expected_ndcg = np.sum(1.0 / np.log2(top + 1.0)) / np.sum(
+            1.0 / np.log2(np.arange(min(5, len(held))) + 2.0))
+        assert ndcg_at_k(ranked, held, 5) == expected_ndcg
+
+
+def test_metric_cutoffs_must_be_positive():
+    model, matrix, split, iset = timed_setup()
+    with pytest.raises(DataError, match="cutoffs"):
+        evaluate_model(model, matrix, split, recall_ks=(0, 20))
+    idx = time_intervals(iset, 2, split.train_users)
+    with pytest.raises(DataError, match="cutoffs"):
+        evaluate_time_aware(model, iset, split, idx, alpha=0.5, ndcg_k=0)
+
+
+def test_grid_search_draws_folds_once():
+    stats, matrix, split = grid_setup()
+    with mock.patch.object(evaluation, "_draw_folds", wraps=evaluation._draw_folds) as draw:
+        _, reports, _ = grid_search_lambda(stats, matrix, split, [0.1, 1.0, 10.0])
+    assert draw.call_count == 1
+    for lam, report in reports.items():
+        expected = evaluate_model(solve_zero_diag(stats, lam), matrix, split, users="validation")
+        assert report.to_json() == expected.to_json()

@@ -1,5 +1,6 @@
 """Peak memory of the training steps, in units of one n×n float64 matrix,
-and of the loader, in units of the arrays it returns.
+of the loader, in units of the arrays it returns, and of evaluation, in
+units of a score batch.
 
 tracemalloc counts the allocations numpy makes (scipy's sparse products and
 LAPACK's in-place calls allocate through numpy or not at all), so a peak
@@ -11,7 +12,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gramrec import build_gram, load_interactions, solve_zero_diag, train_sparse
+from gramrec import (
+    DenseModel,
+    SplitSpec,
+    build_gram,
+    evaluate_model,
+    load_interactions,
+    solve_zero_diag,
+    train_sparse,
+    to_user_item_matrix,
+)
+from gramrec.solver import VARIANT_ZERO_DIAG
 
 from conftest import binary_matrix, make_iset, write_canonical_reference
 
@@ -74,3 +85,34 @@ def test_load_holds_a_few_times_its_arrays(canonical_log):
     arrays = sum(a.nbytes for a in (iset.user_ids, iset.item_ids, iset.values, iset.timestamps))
     assert iset.n_events == 104_000
     assert peak <= 4 * arrays
+
+
+@pytest.fixture(scope="module", params=["wide", "tall"])
+def eval_case(request):
+    """All users evaluated against a random dense model: 1,100 users with
+    about 26 of 1,024 items each, or 1,500 users with 12 of 250 items."""
+    r = np.random.default_rng(13)
+    if request.param == "wide":
+        matrix = binary_matrix(r, 1100, 1024, density=0.025)
+    else:
+        events = [(u, int(i), 1.0) for u in range(1500) for i in r.choice(250, 12, replace=False)]
+        matrix = to_user_item_matrix(make_iset(events, n_items=250))
+    n_users, n = matrix.matrix.shape
+    split = SplitSpec(
+        train_users=np.array([], dtype=np.int64),
+        validation_users=np.array([], dtype=np.int64),
+        test_users=np.arange(n_users),
+        fold_in_fraction=0.8,
+        seed=0,
+    )
+    return DenseModel(b=r.random((n, n)), variant=VARIANT_ZERO_DIAG, lam=1.0), matrix, split
+
+
+def test_evaluate_peak_within_one_score_batch_and_a_quarter(eval_case):
+    """Scoring users 1,024 at a time holds a 1,024 × n score batch.  The
+    engine's bounded batches and comparison blocks, and its folds, must fit
+    in that and a quarter more, however many held-out events there are."""
+    model, matrix, split = eval_case
+    peak, report = peak_bytes(lambda: evaluate_model(model, matrix, split))
+    assert report.n_users == matrix.matrix.shape[0]
+    assert peak <= 1.25 * 1024 * model.n_items * 8

@@ -15,7 +15,6 @@ from gramrec import (
     clamp_nonnegative,
     invert_regularized,
     load_model,
-    predict_scores,
     save_model,
     solve_rr,
     solve_zero_diag,
@@ -289,30 +288,6 @@ def test_clamp():
     assert clamped.lam == 1.0
     again = clamp_nonnegative(clamped)
     np.testing.assert_array_equal(again.b, clamped.b)
-
-
-def test_predict_single_item_reads_row():
-    b = np.array([[0.0, 0.3, 0.1], [0.2, 0.0, 0.4], [0.6, 0.5, 0.0]])
-    model = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
-    np.testing.assert_array_equal(predict_scores(model, [1]), b[1])
-    np.testing.assert_allclose(predict_scores(model, [0, 2]), b[0] + b[2])
-    np.testing.assert_allclose(predict_scores(model, [0, 2], [2.0, 1.0]), 2.0 * b[0] + b[2])
-
-
-def test_predict_empty_history_and_mu():
-    b = np.zeros((2, 2))
-    model = DenseModel(b=b, variant=VARIANT_RR, lam=1.0, mu=np.array([0.25, 0.75]))
-    np.testing.assert_array_equal(predict_scores(model, []), [0.25, 0.75])
-    plain = DenseModel(b=b, variant=VARIANT_RR, lam=1.0)
-    np.testing.assert_array_equal(predict_scores(plain, []), [0.0, 0.0])
-
-
-def test_predict_validates_input():
-    model = DenseModel(b=np.zeros((2, 2)), variant=VARIANT_RR, lam=1.0)
-    with pytest.raises(DataError, match="range"):
-        predict_scores(model, [5])
-    with pytest.raises(DataError, match="length"):
-        predict_scores(model, [0, 1], [1.0])
 
 
 def test_model_round_trip(tmp_path, rng):
