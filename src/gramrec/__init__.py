@@ -13,7 +13,6 @@ from .data import (
     TimeIntervalIndex,
     UserItemMatrix,
     filter_activity,
-    fold_in_split,
     load_interactions,
     load_split_files,
     popularity,
@@ -34,18 +33,10 @@ from .evaluation import (
     recall_at_k,
     score_histories,
 )
-from .gram import (
-    GramStats,
-    build_disjoint_gram,
-    build_gram,
-    build_user_weighted_gram,
-    load_gram_stats,
-    save_gram_stats,
-)
+from .gram import GramStats, build_disjoint_gram, build_gram, build_user_weighted_gram
 from .solver import (
     DenseModel,
     PrecisionMatrix,
-    clamp_nonnegative,
     invert_regularized,
     load_model,
     save_model,

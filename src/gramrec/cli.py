@@ -44,12 +44,7 @@ from .evaluation import (
     score_histories,
 )
 from .files import atomic_write, read_item_csv
-from .gram import (
-    build_disjoint_gram,
-    build_gram,
-    build_user_weighted_gram,
-    save_gram_stats,
-)
+from .gram import build_disjoint_gram, build_gram, build_user_weighted_gram
 from .solver import (
     DenseModel,
     load_model,
@@ -120,7 +115,10 @@ def _float_list(value, flag) -> list[float]:
 
 
 def _int_list(value, flag) -> list[int]:
-    return [int(v) for v in _float_list(value, flag)]
+    values = _float_list(value, flag)
+    if not all(v.is_integer() for v in values):
+        raise UsageError(f"{flag} expects comma-separated integers, got {value!r}")
+    return [int(v) for v in values]
 
 
 def _check_lambda(lam) -> float:
@@ -232,7 +230,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_split(args) -> int:
-    iset, _ = _load_dataset(args)
+    iset = load_interactions(_require(args, "data", "--data"))
     out_dir = _require(args, "output_dir", "--output-dir")
     n_val = int(_require(args, "n_val", "--n-val"))
     n_test = int(_require(args, "n_test", "--n-test"))
@@ -298,10 +296,6 @@ def cmd_train(args) -> int:
         model = solver_fn(gram, lam)
         _log(f"phase solve: {time.perf_counter() - t_gram:.2f}s")
 
-    save_gram_path = _opt(args, "save_gram")
-    if save_gram_path is not None:
-        save_gram_stats(save_gram_path, gram)
-        _log(f"gram statistics -> {save_gram_path}")
     save_model(out_path, model, item_keys=iset.item_keys)
     _log(f"trained variant={model.variant} lambda={lam:g} -> {out_path}")
     return 0
@@ -398,6 +392,7 @@ def cmd_evaluate(args) -> int:
             model,
             iset,
             split,
+            matrix,
             index,
             alpha=alpha,
             epsilon=epsilon,
@@ -546,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target fraction for --exact-expectation (default 0.05)")
     p.add_argument("--user-weights", dest="user_weights",
                    help="CSV of per-user error weights")
-    p.add_argument("--save-gram", dest="save_gram", help="also write the Gram statistics file")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("train-sparse", help="train a block-wise sparse model")

@@ -485,30 +485,6 @@ def fold_in_indices(n: int, fraction: float, rng: np.random.Generator) -> tuple[
     return np.sort(perm[:n_in]), np.sort(perm[n_in:])
 
 
-def fold_in_split(
-    item_ids: np.ndarray,
-    values: np.ndarray,
-    fraction: float,
-    seed,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Split one user's row into an input part and a held-out part.
-
-    The input part receives ceil(fraction * nnz) events chosen uniformly at
-    random; the two parts are disjoint and their union is the row.  A row
-    with a single event goes entirely to the input part (empty held-out;
-    metrics must skip such users).
-
-    ``seed`` may be an integer or a ``numpy.random.Generator``.
-    """
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"fold-in fraction must be in (0, 1), got {fraction}")
-    item_ids = np.asarray(item_ids)
-    values = np.asarray(values)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    pos_in, pos_out = fold_in_indices(len(item_ids), fraction, rng)
-    return (item_ids[pos_in], values[pos_in]), (item_ids[pos_out], values[pos_out])
-
-
 def popularity(matrix: UserItemMatrix, user_subset: np.ndarray | None = None) -> PopularityVector:
     """Column sums of the matrix, optionally restricted to a user subset."""
     if user_subset is None:

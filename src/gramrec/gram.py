@@ -4,37 +4,18 @@ These two item-item matrices fully determine every model in this package, so
 they can be computed once (a single pass over the sparse interaction rows, in
 ascending user-id order) and reused across regularization strengths and model
 variants.  Includes the disjoint-split construction that zeroes the diagonal
-of C, optional target-column centering, per-user error weighting, and a small
-binary persistence format.
+of C, optional target-column centering and per-user error weighting.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .data import UserItemMatrix
 from .errors import DataError
-from .files import atomic_write, read_record, write_array
-
-PROVENANCE_PLAIN = "plain"
-PROVENANCE_DISJOINT = "disjoint_split"
-PROVENANCE_USER_WEIGHTED = "user_weighted"
-
-_PROVENANCE_CODES = {PROVENANCE_PLAIN: 0, PROVENANCE_DISJOINT: 1, PROVENANCE_USER_WEIGHTED: 2}
-_CODES_PROVENANCE = {v: k for k, v in _PROVENANCE_CODES.items()}
-
-_GRAM_MAGIC = b"GRAM"
-_GRAM_VERSION = 2
-# magic, version, n_items, n_users, provenance, has_mu; version 2 follows it
-# with the flags C-is-G and has-column-sums.
-_GRAM_HEADER = struct.Struct("<4sIQQBB")
-_GRAM_FLAGS = struct.Struct("<BB")
 
 # Rows or columns per panel wherever an n×n result is built or rewritten
 # piecewise: temporaries stay at PANEL·n floats.
@@ -46,20 +27,17 @@ class GramStats:
     """Dense item-item statistics G = XᵀX and C = XᵀY.
 
     ``mu`` holds the column means of Y when the targets were centered
-    (centering is recorded by its presence); ``provenance`` records which
-    construction produced the statistics.  For self-target statistics C is
-    G itself, not a copy, which lets the solver skip the product P*C.
+    (centering is recorded by its presence).  For self-target statistics C
+    is G itself, not a copy, which lets the solver skip the product P*C.
     ``colsum`` holds the input column sums Xᵀ1, which correlations need
-    beyond G for non-binary X; it is None for statistics read from a
-    version-1 GRAM file, which did not store it.
+    beyond G for non-binary X.
     """
 
     g: np.ndarray
     c: np.ndarray
     mu: np.ndarray | None
     n_users: int
-    provenance: str
-    colsum: np.ndarray | None = None
+    colsum: np.ndarray
 
     @property
     def n_items(self) -> int:
@@ -144,9 +122,7 @@ def build_gram(x: UserItemMatrix, y: UserItemMatrix, center_y: bool = False) -> 
             raise DataError("cannot center with zero users")
         mu = _colsum(y.matrix) / n
         c = c - np.outer(colsum, mu)
-    return GramStats(
-        g=g, c=c, mu=mu, n_users=x.n_users, provenance=PROVENANCE_PLAIN, colsum=colsum
-    )
+    return GramStats(g=g, c=c, mu=mu, n_users=x.n_users, colsum=colsum)
 
 
 def build_disjoint_gram(
@@ -185,10 +161,7 @@ def build_disjoint_gram(
         c = (p * (1.0 - p)) * c
         g = (1.0 - p) ** 2 * g
         np.fill_diagonal(g, (1.0 - p) ** 2 * diag + p * (1.0 - p) * diag)
-    return GramStats(
-        g=g, c=c, mu=None, n_users=z.n_users, provenance=PROVENANCE_DISJOINT,
-        colsum=_colsum(z.matrix),
-    )
+    return GramStats(g=g, c=c, mu=None, n_users=z.n_users, colsum=_colsum(z.matrix))
 
 
 def build_user_weighted_gram(x: UserItemMatrix, y: UserItemMatrix, w_u: np.ndarray) -> GramStats:
@@ -212,59 +185,4 @@ def build_user_weighted_gram(x: UserItemMatrix, y: UserItemMatrix, w_u: np.ndarr
         yw = (scale @ y.matrix).tocsr()
         yw.sort_indices()
     g, c = _products(x.matrix, xw, yw)
-    return GramStats(
-        g=g, c=c, mu=None, n_users=x.n_users, provenance=PROVENANCE_USER_WEIGHTED,
-        colsum=_colsum(x.matrix),
-    )
-
-
-def save_gram_stats(path: str | Path, stats: GramStats) -> None:
-    """Write GramStats: header, G, then C unless it is G itself, then the
-    optional mu and column sums, each row-major little-endian f64."""
-    shared = stats.c is stats.g
-    header = _GRAM_HEADER.pack(
-        _GRAM_MAGIC,
-        _GRAM_VERSION,
-        stats.n_items,
-        stats.n_users,
-        _PROVENANCE_CODES[stats.provenance],
-        stats.mu is not None,
-    )
-    flags = _GRAM_FLAGS.pack(shared, stats.colsum is not None)
-    with atomic_write(path, binary=True) as fh:
-        fh.write(header + flags)
-        for arr in (stats.g, None if shared else stats.c, stats.mu, stats.colsum):
-            if arr is not None:
-                write_array(fh, arr, "<f8")
-
-
-def load_gram_stats(path: str | Path) -> GramStats:
-    """Read a GRAM file of version 2, or of version 1 (C stored apart from G
-    and no column sums)."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        try:
-            magic, version, n, n_users, prov_code, has_mu = read_record(fh, _GRAM_HEADER)
-            if magic == _GRAM_MAGIC and version == _GRAM_VERSION:
-                shared, has_colsum = read_record(fh, _GRAM_FLAGS)
-            else:
-                shared = has_colsum = False
-        except struct.error:
-            raise DataError(f"{path}: truncated Gram file") from None
-        if magic != _GRAM_MAGIC:
-            raise DataError(f"{path}: not a Gram statistics file (magic {magic!r})")
-        if version not in (1, _GRAM_VERSION):
-            raise DataError(f"{path}: unsupported Gram file version {version}")
-        if prov_code not in _CODES_PROVENANCE:
-            raise DataError(f"{path}: unknown provenance code {prov_code}")
-        floats = (1 if shared else 2) * n * n + (bool(has_mu) + bool(has_colsum)) * n
-        expected = fh.tell() + 8 * floats
-        if size != expected:
-            raise DataError(f"{path}: expected {expected} bytes, found {size}")
-        g = np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n)
-        c = g if shared else np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n)
-        mu = np.fromfile(fh, dtype="<f8", count=n) if has_mu else None
-        colsum = np.fromfile(fh, dtype="<f8", count=n) if has_colsum else None
-    return GramStats(
-        g=g, c=c, mu=mu, n_users=n_users, provenance=_CODES_PROVENANCE[prov_code], colsum=colsum
-    )
+    return GramStats(g=g, c=c, mu=None, n_users=x.n_users, colsum=_colsum(x.matrix))

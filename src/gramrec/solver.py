@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -174,14 +174,6 @@ def solve_zero_diag(
 
 # perfbench/trace_child.py looks this name up; nothing in the package calls it.
 solve_ease = solve_zero_diag
-
-
-def clamp_nonnegative(model: DenseModel) -> DenseModel:
-    """Copy of the model with all negative weights set to zero.
-
-    The multipliers describe the unclamped optimum, so they are dropped.
-    """
-    return replace(model, b=np.maximum(model.b, 0.0), gamma=None)
 
 
 def save_model(path: str | Path, model: DenseModel, item_keys: list[str] | None = None) -> None:

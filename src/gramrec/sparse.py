@@ -36,10 +36,10 @@ from .solver import DenseModel, solve_zero_diag
 
 SOURCE_MODEL_ABS = "model_abs"
 SOURCE_CORRELATION = "correlation"
-SOURCE_GRAM_COUNT = "gram_count"
-PATTERN_SOURCES = (SOURCE_MODEL_ABS, SOURCE_CORRELATION, SOURCE_GRAM_COUNT)
+SOURCE_COUNT = "gram_count"
+PATTERN_SOURCES = (SOURCE_MODEL_ABS, SOURCE_CORRELATION, SOURCE_COUNT)
 
-_SOURCE_CODES = {SOURCE_MODEL_ABS: 0, SOURCE_CORRELATION: 1, SOURCE_GRAM_COUNT: 2}
+_SOURCE_CODES = {SOURCE_MODEL_ABS: 0, SOURCE_CORRELATION: 1, SOURCE_COUNT: 2}
 _CODES_SOURCE = {v: k for k, v in _SOURCE_CODES.items()}
 
 _SPARSE_MAGIC = b"EASP"
@@ -146,11 +146,6 @@ def correlation_from_gram(gram: GramStats) -> CorrelationMatrix:
     n = gram.n_users
     if n < 2:
         raise DataError(f"correlations need at least 2 users, got {n}")
-    if gram.colsum is None:
-        raise DataError(
-            "Gram statistics without column sums (GRAM file version 1) cannot give "
-            "correlations; rebuild them from the data"
-        )
     m = gram.colsum / n
     s = np.sqrt(np.maximum(np.diag(gram.g) / n - m * m, 0.0))
     constant = s == 0.0
@@ -162,18 +157,16 @@ def correlation_from_gram(gram: GramStats) -> CorrelationMatrix:
 def threshold_pattern(
     m: np.ndarray | CorrelationMatrix,
     theta: float,
-    use_abs: bool = True,
     n_max: int = 1000,
     source: str = SOURCE_CORRELATION,
 ) -> SparsityPattern:
-    """A_ij = 1 where the criterion reaches theta, capped per column.
+    """A_ij = 1 where |m_ij| reaches theta, capped per column.
 
-    The criterion is |m_ij| with use_abs, m_ij otherwise.  A column
-    exceeding the cap keeps its diagonal plus the n_max − 1 strongest other
-    entries (ties broken by ascending row); the diagonal is always present
-    regardless of its own criterion value.  ``m`` is read in column panels
-    ``m[:, lo:hi]``, so a :class:`CorrelationMatrix` is never materialized
-    whole; a plain array is sliced the same way.
+    A column exceeding the cap keeps its diagonal plus the n_max − 1
+    strongest other entries (ties broken by ascending row); the diagonal is
+    always present regardless of its own magnitude.  ``m`` is read in column
+    panels ``m[:, lo:hi]``, so a :class:`CorrelationMatrix` is never
+    materialized whole; a plain array is sliced the same way.
     """
     if theta < 0:
         raise DataError(f"threshold must be non-negative, got {theta}")
@@ -186,9 +179,7 @@ def threshold_pattern(
         raise DataError(f"pattern source matrix must be square, got {m.shape}")
     per_col: list[np.ndarray] = []
     for lo in range(0, n, PANEL):
-        crits = m[:, lo : lo + PANEL]
-        if use_abs:
-            crits = np.abs(crits)
+        crits = np.abs(m[:, lo : lo + PANEL])
         for k in range(crits.shape[1]):
             j = lo + k
             crit = crits[:, k]
@@ -270,7 +261,7 @@ def solve_blocks(gram: GramStats, blocks: list[np.ndarray], lam: float) -> list[
     for members in blocks:
         sub = np.ascontiguousarray(gram.g[np.ix_(members, members)])
         stats = GramStats(
-            g=sub, c=sub, mu=None, n_users=gram.n_users, provenance=gram.provenance
+            g=sub, c=sub, mu=None, n_users=gram.n_users, colsum=gram.colsum[members]
         )
         subs.append(solve_zero_diag(stats, lam).b)
     return subs
@@ -319,7 +310,7 @@ def aggregate_blocks(
 def train_sparse(gram: GramStats, theta: float, n_max: int, lam: float) -> SparseModel:
     """Three-step sparse trainer: pattern, blocks, aggregated block solves."""
     cor = correlation_from_gram(gram)
-    pattern = threshold_pattern(cor, theta, use_abs=True, n_max=n_max)
+    pattern = threshold_pattern(cor, theta, n_max=n_max)
     blocks = block_partition(pattern, cor)
     subs = solve_blocks(gram, blocks, lam)
     return aggregate_blocks(blocks, subs, pattern, lam)

@@ -274,7 +274,7 @@ def _run_pipeline(root):
     raw.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     data, splits = root / "data.csv", root / "splits"
-    model, gram = root / "model.ease", root / "stats.grm"
+    model = root / "model.ease"
     sparse, weights = root / "model.easp", root / "weights.csv"
     rescaled, pop, report = root / "rescaled.ease", root / "pop.csv", root / "report.json"
     report_time, report_pop = root / "report_time.json", root / "report_pop.json"
@@ -286,7 +286,7 @@ def _run_pipeline(root):
         ["split", "--data", str(data), "--output-dir", str(splits),
          "--n-val", "4", "--n-test", "6", "--seed", "0"],
         ["train", "--data", str(data), "--split-dir", str(splits), "--seed", "0",
-         "--lambda", "3.0", "--output", str(model), "--save-gram", str(gram)],
+         "--lambda", "3.0", "--output", str(model)],
         ["train-sparse", "--data", str(data), "--split-dir", str(splits), "--seed", "0",
          "--lambda", "3.0", "--threshold", "0.05", "--output", str(sparse)],
         ["rescale", "--data", str(data), "--split-dir", str(splits), "--seed", "0",
@@ -306,7 +306,7 @@ def _run_pipeline(root):
         res = run_cli(step)
         assert res.returncode == 0, (step[0], res.stderr)
         stdouts.append(res.stdout)
-    files = [data, model, gram, sparse, weights, rescaled, pop, report, report_time, report_pop]
+    files = [data, model, sparse, weights, rescaled, pop, report, report_time, report_pop]
     files += [splits / name for name in
               ("train_users.txt", "validation_users.txt", "test_users.txt")]
     return files, stdouts

@@ -46,10 +46,9 @@ def workdir(tmp_path_factory):
     assert res.returncode == 0, res.stderr
 
     model = root / "model.ease"
-    gram = root / "stats.grm"
     res = run_cli([
         "train", "--data", str(data), "--split-dir", str(splits),
-        "--lambda", "2.0", "--output", str(model), "--save-gram", str(gram),
+        "--lambda", "2.0", "--output", str(model),
     ])
     assert res.returncode == 0, res.stderr
 
@@ -76,7 +75,7 @@ def workdir(tmp_path_factory):
 
     return {
         "root": root, "raw": raw, "data": data, "splits": splits,
-        "model": model, "gram": gram, "pop": pop,
+        "model": model, "pop": pop,
         "tiny": tiny, "tiny_splits": tiny_splits,
         "n_raw_rows": len(rows),
     }
@@ -158,6 +157,29 @@ def test_evaluate_time_intervals(workdir):
     assert "recall@20" in res.stdout
 
 
+def test_evaluate_binarized_single_interval_equals_plain(workdir):
+    # one interval weights every item by 1, so on the rated log the per-event
+    # protocol must score the same binarized histories as the plain one
+    base = [
+        "evaluate", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+        "--model", str(workdir["model"]), "--binarize",
+    ]
+    plain = run_cli(base)
+    timed = run_cli(base + ["--time-intervals", "1"])
+    assert plain.returncode == 0 and timed.returncode == 0, timed.stderr
+    assert timed.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("cutoffs", ["2.5", "0.9", "20,1e400"])
+def test_evaluate_rejects_fractional_cutoffs(workdir, cutoffs):
+    res = run_cli([
+        "evaluate", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+        "--model", str(workdir["model"]), "--recall-ks", cutoffs,
+    ])
+    assert res.returncode == 1
+    assert "--recall-ks expects comma-separated integers" in res.stderr
+
+
 def test_evaluate_model_data_mismatch(workdir):
     res = run_cli([
         "evaluate", "--data", str(workdir["tiny"]), "--split-dir", str(workdir["tiny_splits"]),
@@ -205,6 +227,7 @@ def test_train_usage_errors(workdir, tmp_path):
     assert run_cli(base + ["--lambda", "-1"]).returncode == 1
     assert run_cli(base + ["--lambda", "1", "--disjoint", "--center"]).returncode == 1
     assert run_cli(base + ["--lambda", "1", "--variant", "bogus"]).returncode == 1
+    assert run_cli(base + ["--lambda", "1", "--save-gram", str(tmp_path / "g")]).returncode == 1
 
     missing_output = run_cli([
         "train", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),

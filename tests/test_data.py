@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from gramrec import data
 from gramrec import (
     DataError,
+    DenseModel,
     InteractionSchema,
-    fold_in_split,
+    SplitSpec,
+    evaluate_model,
     filter_activity,
     load_interactions,
     load_split_files,
@@ -22,6 +24,7 @@ from gramrec import (
 )
 from gramrec.cli import main
 from gramrec.data import DEDUP_POLICIES, _dedup_indices, _reindex, fold_in_indices
+from gramrec.solver import VARIANT_ZERO_DIAG
 
 from conftest import (
     dedup_indices_reference,
@@ -269,42 +272,40 @@ def test_split_requires_training_users():
 
 
 def test_fold_in_single_event_goes_to_input():
-    (in_ids, in_vals), (out_ids, out_vals) = fold_in_split(
-        np.array([7]), np.array([1.0]), fraction=0.8, seed=0
-    )
-    np.testing.assert_array_equal(in_ids, [7])
-    assert len(out_ids) == 0
+    pos_in, pos_out = fold_in_indices(1, 0.8, np.random.default_rng(0))
+    np.testing.assert_array_equal(pos_in, [0])
+    assert len(pos_out) == 0
 
 
 def test_fold_in_fraction_validated():
-    with pytest.raises(DataError, match="fraction"):
-        fold_in_split(np.array([1, 2]), np.ones(2), fraction=1.0, seed=0)
-    with pytest.raises(DataError, match="fraction"):
-        fold_in_split(np.array([1, 2]), np.ones(2), fraction=0.0, seed=0)
+    """Folding refuses the fractions that leave one part always empty."""
+    iset = make_iset([(u, i, 1.0) for u in range(3) for i in range(3)])
+    matrix = to_user_item_matrix(iset)
+    model = DenseModel(b=np.zeros((3, 3)), variant=VARIANT_ZERO_DIAG, lam=1.0)
+    for fraction in (1.0, 0.0):
+        split = SplitSpec(train_users=np.array([0]), validation_users=np.array([1]),
+                          test_users=np.array([2]), fold_in_fraction=fraction)
+        with pytest.raises(DataError, match="fraction"):
+            evaluate_model(model, matrix, split)
 
 
 def test_fold_in_accepts_generator():
-    ids = np.arange(10)
-    vals = np.linspace(1, 2, 10)
-    a = fold_in_split(ids, vals, 0.8, seed=5)
-    b = fold_in_split(ids, vals, 0.8, seed=np.random.default_rng(5))
-    np.testing.assert_array_equal(a[0][0], b[0][0])
-    np.testing.assert_array_equal(a[1][0], b[1][0])
+    """The split is drawn from the given generator alone, so a generator
+    seeded as the evaluation seeds it, (seed, user), reproduces it."""
+    a = fold_in_indices(10, 0.8, np.random.default_rng((5, 3)))
+    b = fold_in_indices(10, 0.8, np.random.default_rng((5, 3)))
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 40), frac=st.floats(0.05, 0.95), seed=st.integers(0, 2**20))
 def test_fold_in_partition_properties(n, frac, seed):
-    ids = np.arange(100, 100 + n)
-    vals = np.arange(n, dtype=np.float64) + 0.5
-    (in_ids, in_vals), (out_ids, out_vals) = fold_in_split(ids, vals, frac, seed)
-    assert len(in_ids) == int(np.ceil(frac * n))
-    assert len(in_ids) + len(out_ids) == n
-    assert np.intersect1d(in_ids, out_ids).size == 0
-    np.testing.assert_array_equal(np.sort(np.concatenate([in_ids, out_ids])), ids)
-    # values travel with their ids
-    lookup = dict(zip(ids.tolist(), vals.tolist()))
-    assert all(lookup[i] == v for i, v in zip(in_ids.tolist(), in_vals.tolist()))
+    pos_in, pos_out = fold_in_indices(n, frac, np.random.default_rng(seed))
+    assert len(pos_in) == int(np.ceil(frac * n))
+    assert len(pos_in) + len(pos_out) == n
+    assert np.all(np.diff(pos_in) > 0) and np.all(np.diff(pos_out) > 0)
+    np.testing.assert_array_equal(np.sort(np.concatenate([pos_in, pos_out])), np.arange(n))
 
 
 def test_fold_in_indices_rejects_empty():

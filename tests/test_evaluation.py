@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from gramrec import (
     PopularityScorer,
     PopularityVector,
     SplitSpec,
+    UserItemMatrix,
     apply_item_rescaling,
     build_gram,
     evaluate_model,
@@ -334,7 +336,7 @@ def test_time_aware_single_interval_equals_plain():
     plain = evaluate_model(model, matrix, split, recall_ks=(3, 5), ndcg_k=6)
     idx = time_intervals(iset, 1, split.train_users)
     timed = evaluate_time_aware(
-        model, iset, split, idx, alpha=0.5, recall_ks=(3, 5), ndcg_k=6
+        model, iset, split, matrix, idx, alpha=0.5, recall_ks=(3, 5), ndcg_k=6
     )
     assert plain.metrics == timed.metrics  # bit-for-bit, not approximately
     assert plain.n_users == timed.n_users
@@ -346,7 +348,7 @@ def test_time_aware_alpha_zero_equals_plain():
     plain = evaluate_model(model, matrix, split, recall_ks=(3, 5), ndcg_k=6)
     idx = time_intervals(iset, 5, split.train_users)
     timed = evaluate_time_aware(
-        model, iset, split, idx, alpha=0.0, recall_ks=(3, 5), ndcg_k=6
+        model, iset, split, matrix, idx, alpha=0.0, recall_ks=(3, 5), ndcg_k=6
     )
     assert plain.metrics == timed.metrics
 
@@ -354,8 +356,8 @@ def test_time_aware_alpha_zero_equals_plain():
 def test_time_aware_weighting_changes_ranks():
     model, matrix, split, iset = timed_setup()
     idx = time_intervals(iset, 5, split.train_users)
-    a = evaluate_time_aware(model, iset, split, idx, alpha=0.0, recall_ks=(3,), ndcg_k=6)
-    b = evaluate_time_aware(model, iset, split, idx, alpha=1.0, recall_ks=(3,), ndcg_k=6)
+    a = evaluate_time_aware(model, iset, split, matrix, idx, alpha=0.0, recall_ks=(3,), ndcg_k=6)
+    b = evaluate_time_aware(model, iset, split, matrix, idx, alpha=1.0, recall_ks=(3,), ndcg_k=6)
     assert a.metrics != b.metrics
     assert b.config["n_intervals"] == 5
     assert "note" in b.config
@@ -396,7 +398,7 @@ def test_time_aware_rank_collisions_clamped():
     b[np.ix_([1, 2], [out0, out1])] = 0.5
     model = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
     report = evaluate_time_aware(
-        model, iset, split, idx, alpha=1.0, recall_ks=(1,), ndcg_k=2
+        model, iset, split, to_user_item_matrix(iset), idx, alpha=1.0, recall_ks=(1,), ndcg_k=2
     )
     assert report.metrics["recall@1"][0] == 1.0
     assert report.metrics["ndcg@2"][0] == 1.0
@@ -409,15 +411,47 @@ def test_time_aware_input_validation():
 
     rr = solve_rr(build_gram(matrix, matrix), lam=1.0)
     with pytest.raises(DataError, match="zero-diagonal"):
-        evaluate_time_aware(rr, iset, split, idx, alpha=0.5)
+        evaluate_time_aware(rr, iset, split, matrix, idx, alpha=0.5)
 
     weighted = apply_item_rescaling(model, uniform_weights(model.n_items))
     with pytest.raises(DataError, match="unweighted"):
-        evaluate_time_aware(weighted, iset, split, idx, alpha=0.5)
+        evaluate_time_aware(weighted, iset, split, matrix, idx, alpha=0.5)
 
     bare = make_iset([(0, 0, 1.0), (0, 1, 1.0)])
     with pytest.raises(DataError, match="timestamp"):
-        evaluate_time_aware(model, bare, split, idx, alpha=0.5)
+        evaluate_time_aware(model, bare, split, matrix, idx, alpha=0.5)
+
+    with pytest.raises(DataError, match="matrix is"):
+        evaluate_time_aware(model, iset, split, matrix.restrict_users([0, 1]), idx, alpha=0.5)
+    extra = matrix.matrix.tolil()
+    extra[0, np.flatnonzero(matrix.matrix[0].toarray().ravel() == 0)[0]] = 1.0
+    with pytest.raises(DataError, match="not events"):
+        evaluate_time_aware(model, iset, split, UserItemMatrix(extra.tocsr(), True), idx, alpha=0.5)
+
+
+def test_time_aware_folds_the_matrix_rows():
+    """Events the matrix does not store (zero values) are not folded, and the
+    rest keep their own timestamps: one interval reproduces evaluate_model,
+    and five match the reference run on the log without those events."""
+    model, matrix, split, iset = timed_setup()
+    values = iset.values.copy()
+    values[::7] = 0.0
+    iset = replace(iset, values=values)
+    matrix = to_user_item_matrix(iset)
+    assert matrix.matrix.nnz < iset.n_events
+    kwargs = dict(alpha=0.5, recall_ks=(3, 5), ndcg_k=6)
+    plain = evaluate_model(model, matrix, split, recall_ks=(3, 5), ndcg_k=6)
+    timed = evaluate_time_aware(model, iset, split, matrix,
+                                time_intervals(iset, 1, split.train_users), **kwargs)
+    assert plain.metrics == timed.metrics
+    assert (plain.n_users, plain.n_skipped) == (timed.n_users, timed.n_skipped)
+
+    idx = time_intervals(iset, 5, split.train_users)
+    kept = values != 0.0
+    stored = replace(iset, user_ids=iset.user_ids[kept], item_ids=iset.item_ids[kept],
+                     values=values[kept], timestamps=iset.timestamps[kept])
+    assert (evaluate_time_aware(model, iset, split, matrix, idx, **kwargs).to_json()
+            == evaluate_time_aware_reference(model, stored, split, idx, **kwargs).to_json())
 
 
 def grid_setup():
@@ -604,18 +638,21 @@ def test_evaluate_model_matches_per_user_sort(case, kind):
 
 @settings(max_examples=300, deadline=None)
 @given(eval_cases(), st.integers(1, 4), st.sampled_from([0.0, 0.5, 1.0]),
-       st.sampled_from(["integer", "nan", "mu"]))
-def test_evaluate_time_aware_matches_per_event_sort(case, n_intervals, alpha, kind):
+       st.sampled_from(["integer", "nan", "mu"]), st.booleans())
+def test_evaluate_time_aware_matches_per_event_sort(case, n_intervals, alpha, kind, binarize):
     iset, split, recall_ks, ndcg_k, chunk, r = case
     n = iset.n_items
     model = DenseModel(b=integer_b(r, n, nan=kind == "nan"), variant=VARIANT_ZERO_DIAG,
                        lam=1.0, mu=r.integers(-2, 3, n).astype(np.float64) if kind == "mu" else None)
     idx = time_intervals(iset, n_intervals, split.test_users)
+    matrix = to_user_item_matrix(iset, binarize=binarize)
+    # the reference folds the log's own values, so it gets the binarized log
+    ref_iset = replace(iset, values=np.ones_like(iset.values)) if binarize else iset
     kwargs = dict(alpha=alpha, recall_ks=recall_ks, ndcg_k=ndcg_k)
     with with_chunk(chunk):
         got, expected = reports_or_errors(
-            lambda: evaluate_time_aware(model, iset, split, idx, **kwargs),
-            lambda: evaluate_time_aware_reference(model, iset, split, idx, **kwargs),
+            lambda: evaluate_time_aware(model, iset, split, matrix, idx, **kwargs),
+            lambda: evaluate_time_aware_reference(model, ref_iset, split, idx, **kwargs),
         )
     assert got == expected
 
@@ -669,7 +706,7 @@ def test_metric_cutoffs_must_be_positive():
         evaluate_model(model, matrix, split, recall_ks=(0, 20))
     idx = time_intervals(iset, 2, split.train_users)
     with pytest.raises(DataError, match="cutoffs"):
-        evaluate_time_aware(model, iset, split, idx, alpha=0.5, ndcg_k=0)
+        evaluate_time_aware(model, iset, split, matrix, idx, alpha=0.5, ndcg_k=0)
 
 
 def test_grid_search_draws_folds_once():

@@ -7,7 +7,6 @@ import pytest
 from gramrec import (
     SplitSpec,
     build_gram,
-    save_gram_stats,
     save_model,
     save_sparse_model,
     save_split_files,
@@ -67,7 +66,6 @@ _WRITERS = {
     "ingest": lambda t, data: main(["ingest", "--input", str(data), "--output", str(t)]),
     "popularity": lambda t, data: main(["popularity", "--data", str(data), "--output", str(t)]),
     "report_json": lambda t, data: _write_text(t, '{"metrics": {}}\n'),
-    "gram": lambda t, data: save_gram_stats(t, _stats()),
     "model": lambda t, data: save_model(t, solve_zero_diag(_stats(), 1.0), ["a", "b", "c"]),
     "sparse_model": lambda t, data: save_sparse_model(
         t, train_sparse(_stats(), theta=0.0, n_max=3, lam=1.0), ["a", "b", "c"]

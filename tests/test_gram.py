@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,11 +9,7 @@ from gramrec import (
     build_disjoint_gram,
     build_gram,
     build_user_weighted_gram,
-    correlation_from_gram,
-    load_gram_stats,
-    save_gram_stats,
 )
-from gramrec.gram import PROVENANCE_DISJOINT, PROVENANCE_PLAIN, PROVENANCE_USER_WEIGHTED
 
 from conftest import binary_matrix, matrix_from_dense
 
@@ -28,7 +22,6 @@ def test_gram_small_example():
     assert stats.n_users == 2
     assert stats.mu is None
     assert not stats.centered
-    assert stats.provenance == PROVENANCE_PLAIN
 
 
 def test_gram_matches_dense_products(rng):
@@ -137,7 +130,6 @@ def test_disjoint_small_example():
     stats = build_disjoint_gram(z)
     np.testing.assert_array_equal(stats.g, [[2, 1], [1, 1]])
     np.testing.assert_array_equal(stats.c, [[0, 1], [1, 0]])
-    assert stats.provenance == PROVENANCE_DISJOINT
     np.testing.assert_array_equal(np.diag(stats.c), [0.0, 0.0])
 
 
@@ -170,7 +162,6 @@ def test_unit_weights_bitwise_identical(rng):
     weighted = build_user_weighted_gram(x, x, np.ones(35))
     np.testing.assert_array_equal(plain.g, weighted.g)
     np.testing.assert_array_equal(plain.c, weighted.c)
-    assert weighted.provenance == PROVENANCE_USER_WEIGHTED
 
 
 def test_weighting_scales_linearly(rng):
@@ -204,73 +195,3 @@ def test_weighting_validation(rng):
     bad[2] = np.inf
     with pytest.raises(DataError, match="positive and finite"):
         build_user_weighted_gram(x, x, bad)
-
-
-@pytest.mark.parametrize("center", [False, True])
-def test_gram_file_round_trip(tmp_path, rng, center):
-    x = binary_matrix(rng, 15, 6)
-    stats = build_gram(x, x, center_y=center)
-    path = tmp_path / "stats.gram"
-    save_gram_stats(path, stats)
-    loaded = load_gram_stats(path)
-    np.testing.assert_array_equal(loaded.g, stats.g)
-    np.testing.assert_array_equal(loaded.c, stats.c)
-    assert (loaded.c is loaded.g) == (not center)
-    np.testing.assert_array_equal(loaded.colsum, stats.colsum)
-    assert loaded.n_users == stats.n_users
-    assert loaded.provenance == stats.provenance
-    if center:
-        np.testing.assert_array_equal(loaded.mu, stats.mu)
-    else:
-        assert loaded.mu is None
-
-
-def test_gram_file_stores_self_target_g_once(tmp_path, rng):
-    x = binary_matrix(rng, 10, 6)
-    path = tmp_path / "stats.gram"
-    save_gram_stats(path, build_gram(x, x))
-    # 28-byte header, G (36 floats), column sums (6 floats)
-    assert path.stat().st_size == 28 + 8 * 36 + 8 * 6
-
-
-def test_gram_file_version_1_loads_without_column_sums(tmp_path, rng):
-    x = binary_matrix(rng, 10, 4)
-    stats = build_gram(x, x)
-    path = tmp_path / "v1.gram"
-    header = struct.pack("<4sIQQBB", b"GRAM", 1, 4, 10, 0, 0)
-    path.write_bytes(header + stats.g.tobytes() + stats.c.tobytes())
-    loaded = load_gram_stats(path)
-    np.testing.assert_array_equal(loaded.g, stats.g)
-    np.testing.assert_array_equal(loaded.c, stats.g)
-    assert loaded.colsum is None
-    with pytest.raises(DataError, match="version 1"):
-        correlation_from_gram(loaded)
-
-
-def test_gram_file_rejects_corruption(tmp_path, rng):
-    x = binary_matrix(rng, 8, 3)
-    path = tmp_path / "stats.gram"
-    save_gram_stats(path, build_gram(x, x))
-    raw = bytearray(path.read_bytes())
-
-    truncated = tmp_path / "short.gram"
-    truncated.write_bytes(bytes(raw[:-4]))
-    with pytest.raises(DataError, match="bytes"):
-        load_gram_stats(truncated)
-
-    bad_magic = tmp_path / "magic.gram"
-    bad_magic.write_bytes(b"NOPE" + bytes(raw[4:]))
-    with pytest.raises(DataError, match="magic"):
-        load_gram_stats(bad_magic)
-
-    bad_version = bytearray(raw)
-    bad_version[4] = 99
-    versioned = tmp_path / "version.gram"
-    versioned.write_bytes(bytes(bad_version))
-    with pytest.raises(DataError, match="version"):
-        load_gram_stats(versioned)
-
-    tiny = tmp_path / "tiny.gram"
-    tiny.write_bytes(b"GR")
-    with pytest.raises(DataError, match="truncated"):
-        load_gram_stats(tiny)

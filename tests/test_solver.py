@@ -12,14 +12,12 @@ from gramrec import (
     build_disjoint_gram,
     build_gram,
     build_user_weighted_gram,
-    clamp_nonnegative,
     invert_regularized,
     load_model,
     save_model,
     solve_rr,
     solve_zero_diag,
 )
-from gramrec.gram import PROVENANCE_PLAIN
 from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG
 from gramrec.weighting import apply_item_rescaling, popularity_weights
 from gramrec import PopularityVector
@@ -30,7 +28,7 @@ from conftest import binary_matrix, constrained_ridge_oracle, gram_of, matrix_fr
 def stats_of(g, c=None):
     g = np.asarray(g, dtype=np.float64)
     c = g if c is None else np.asarray(c, dtype=np.float64)
-    return GramStats(g=g, c=c, mu=None, n_users=10, provenance=PROVENANCE_PLAIN)
+    return GramStats(g=g, c=c, mu=None, n_users=10, colsum=np.diag(g).copy())  # as for binary X
 
 
 def test_invert_two_by_two():
@@ -272,22 +270,6 @@ def test_precision_shape_checked(rng):
     wrong = invert_regularized(stats_of(np.eye(3)), 1.0)
     with pytest.raises(DataError, match="shape"):
         solve_rr(stats, 1.0, precision=wrong)
-
-
-def test_clamp():
-    model = DenseModel(
-        b=np.array([[0.0, -0.5], [2.0, 0.0]]),
-        variant=VARIANT_ZERO_DIAG,
-        lam=1.0,
-        gamma=np.array([1.0, 2.0]),
-    )
-    clamped = clamp_nonnegative(model)
-    np.testing.assert_array_equal(clamped.b, [[0.0, 0.0], [2.0, 0.0]])
-    assert clamped.gamma is None
-    assert clamped.variant == VARIANT_ZERO_DIAG
-    assert clamped.lam == 1.0
-    again = clamp_nonnegative(clamped)
-    np.testing.assert_array_equal(again.b, clamped.b)
 
 
 def test_model_round_trip(tmp_path, rng):

@@ -92,13 +92,6 @@ def test_correlation_on_ratings_matches_corrcoef(rng):
     assert cor[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_correlation_needs_column_sums(rng):
-    stats = gram_of(rng.integers(0, 2, (5, 3)))
-    stats.colsum = None  # as read from a version-1 GRAM file
-    with pytest.raises(DataError, match="version 1"):
-        correlation_from_gram(stats)
-
-
 def test_correlation_needs_two_users():
     stats = gram_of([[1, 0]])
     with pytest.raises(DataError, match="2 users"):
@@ -115,14 +108,6 @@ def test_threshold_small_example():
     assert pat.threshold == 0.3
     assert pat.source == SOURCE_CORRELATION
     assert pat.sparsity == pytest.approx(7 / 9)
-
-
-def test_threshold_signed_criterion():
-    cor = np.array([[1.0, 0.8, 0.1], [0.8, 1.0, -0.4], [0.1, -0.4, 1.0]])
-    pat = threshold_pattern(cor, theta=0.3, use_abs=False)
-    np.testing.assert_array_equal(
-        pat.a.toarray(), [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
-    )
 
 
 def test_threshold_cap_keeps_strongest():
