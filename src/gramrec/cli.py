@@ -1,8 +1,9 @@
 """Command-line pipeline: ingest, split, train, evaluate, recommend.
 
 One binary with subcommands.  Options can come from a JSON config file
-(--config) whose keys are the option names with underscores; flags given on
-the command line win.  Exit codes: 0 success, 1 usage, 2 data error,
+(--config) whose keys are the option names with underscores; each entry is
+turned into a flag and checked by the same parser, and flags given on the
+command line win.  Exit codes: 0 success, 1 usage, 2 data error,
 3 numeric failure.  All output files are written to a temporary name and
 renamed, so a failed run leaves nothing half-written behind.
 """
@@ -67,7 +68,7 @@ _ROWS_PER_WRITE = 4096  # canonical CSV rows per file write in ingest
 
 
 class UsageError(Exception):
-    """Bad or missing options after config merging; exits with code 1."""
+    """Options the parser accepts but the command cannot use; exits with code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,28 +89,9 @@ def _write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def _opt(args, name, default=None):
-    """Command-line value if given, else config-file value, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return args._cfg.get(name, default)
-
-
-def _require(args, name, flag):
-    value = _opt(args, name)
-    if value is None:
-        raise UsageError(f"{flag} is required (flag or config key {name!r})")
-    return value
-
-
-def _float_list(value, flag) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        items = [tok for tok in str(value).split(",") if tok.strip()]
+def _float_list(value: str, flag) -> list[float]:
     try:
-        return [float(v) for v in items]
+        return [float(v) for v in value.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated numbers, got {value!r}") from None
 
@@ -121,45 +103,35 @@ def _int_list(value, flag) -> list[int]:
     return [int(v) for v in values]
 
 
-def _check_lambda(lam) -> float:
-    lam = float(lam)
+def _check_lambda(lam: float) -> float:
     if lam <= 0:
         raise UsageError(f"--lambda must be positive, got {lam}")
     return lam
 
 
-def _check_alpha(alpha) -> float:
-    alpha = float(alpha)
+def _check_alpha(alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise UsageError(f"--alpha must be in [0, 1], got {alpha}")
     return alpha
 
 
 def _schema_from_args(args) -> InteractionSchema | None:
-    user = _opt(args, "user_col")
-    item = _opt(args, "item_col")
-    value = _opt(args, "value_col")
-    tcol = _opt(args, "time_col")
-    if user is None and item is None and value is None and tcol is None:
+    columns = (args.user_col, args.item_col, args.value_col, args.time_col)
+    if all(c is None for c in columns):
         return None
-    if user is None or item is None:
+    if args.user_col is None or args.item_col is None:
         raise UsageError("--user-col and --item-col must be given together")
-    return InteractionSchema(user=user, item=item, value=value, time=tcol)
+    return InteractionSchema(*columns)
 
 
 def _load_dataset(args):
-    path = _require(args, "data", "--data")
-    iset = load_interactions(path)
-    binarize = bool(_opt(args, "binarize", False))
-    matrix = to_user_item_matrix(iset, binarize=binarize)
-    return iset, matrix
+    iset = load_interactions(args.data)
+    return iset, to_user_item_matrix(iset, binarize=args.binarize)
 
 
 def _load_split(args, iset):
-    split_dir = _require(args, "split_dir", "--split-dir")
-    fraction = float(_opt(args, "fold_in", 0.8))
-    seed = int(_opt(args, "seed", 0))
-    return load_split_files(split_dir, iset.user_index, fold_in_fraction=fraction, seed=seed)
+    return load_split_files(args.split_dir, iset.user_index, fold_in_fraction=args.fold_in,
+                            seed=args.seed)
 
 
 def _load_any_model(path: str):
@@ -188,24 +160,17 @@ def _csv_field(key: str) -> str:
 
 
 def cmd_ingest(args) -> int:
-    src = _require(args, "input", "--input")
-    dst = _require(args, "output", "--output")
-    dedup = _opt(args, "dedup", "keep_max")
-    if dedup not in DEDUP_POLICIES:
-        raise UsageError(f"--dedup must be one of {DEDUP_POLICIES}, got {dedup!r}")
-    min_value = _opt(args, "min_value")
     iset = load_interactions(
-        src,
-        fmt=_opt(args, "format", "csv"),
+        args.input,
+        fmt=args.format,
         schema=_schema_from_args(args),
-        binarize=bool(_opt(args, "binarize", False)),
-        dedup=dedup,
-        min_value=None if min_value is None else float(min_value),
+        binarize=args.binarize,
+        dedup=args.dedup,
+        min_value=args.min_value,
     )
-    min_user = int(_opt(args, "min_user_events", 0))
-    min_item = int(_opt(args, "min_item_events", 0))
-    if min_user or min_item:
-        iset = filter_activity(iset, min_user_events=min_user, min_item_events=min_item)
+    if args.min_user_events or args.min_item_events:
+        iset = filter_activity(iset, min_user_events=args.min_user_events,
+                               min_item_events=args.min_item_events)
     # The rows csv.writer would write: each key's field and each distinct
     # value's repr is rendered once (bit patterns, so -0.0 stays apart from 0.0).
     user_fields = list(map(_csv_field, iset.user_keys))
@@ -213,7 +178,7 @@ def cmd_ingest(args) -> int:
     bits, value_of = np.unique(iset.values.view(np.int64), return_inverse=True)
     value_texts = list(map(repr, bits.view(np.float64).tolist()))
     has_time = iset.timestamps is not None
-    with atomic_write(dst) as fh:
+    with atomic_write(args.output) as fh:
         fh.write("user,item,value" + (",timestamp" if has_time else "") + "\r\n")
         for lo in range(0, iset.n_events, _ROWS_PER_WRITE):
             rows = slice(lo, lo + _ROWS_PER_WRITE)
@@ -225,66 +190,50 @@ def cmd_ingest(args) -> int:
             if has_time:
                 cols.append(map(repr, iset.timestamps[rows].astype(float).tolist()))
             fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
-    _log(f"ingested {iset.n_events} events, {iset.n_users} users, {iset.n_items} items -> {dst}")
+    _log(f"ingested {iset.n_events} events, {iset.n_users} users, {iset.n_items} items "
+         f"-> {args.output}")
     return 0
 
 
 def cmd_split(args) -> int:
-    iset = load_interactions(_require(args, "data", "--data"))
-    out_dir = _require(args, "output_dir", "--output-dir")
-    n_val = int(_require(args, "n_val", "--n-val"))
-    n_test = int(_require(args, "n_test", "--n-test"))
-    seed = int(_opt(args, "seed", 0))
-    split = split_strong_generalization(iset, n_val=n_val, n_test=n_test, seed=seed)
-    save_split_files(out_dir, split, iset.user_keys)
+    iset = load_interactions(args.data)
+    split = split_strong_generalization(iset, n_val=args.n_val, n_test=args.n_test, seed=args.seed)
+    save_split_files(args.output_dir, split, iset.user_keys)
     _log(
         f"split {iset.n_users} users into {len(split.train_users)} train, "
-        f"{len(split.validation_users)} validation, {len(split.test_users)} test -> {out_dir}"
+        f"{len(split.validation_users)} validation, {len(split.test_users)} test "
+        f"-> {args.output_dir}"
     )
     return 0
 
 
 def _build_train_gram(args, iset, matrix, split):
     train_matrix = matrix.restrict_users(split.train_users)
-    disjoint = bool(_opt(args, "disjoint", False))
-    center = bool(_opt(args, "center", False))
-    user_weights_path = _opt(args, "user_weights")
-    if disjoint + center + (user_weights_path is not None) > 1:
-        raise UsageError("--disjoint, --center and --user-weights are mutually exclusive")
-    if disjoint:
-        exact = bool(_opt(args, "exact_expectation", False))
-        fraction = float(_opt(args, "split_fraction", 0.05))
+    if args.disjoint:
         return build_disjoint_gram(
-            train_matrix, explicit_lambda=not exact, split_fraction=fraction
+            train_matrix, explicit_lambda=not args.exact_expectation,
+            split_fraction=args.split_fraction,
         )
-    if user_weights_path is not None:
-        w_all = load_weights_csv(user_weights_path, iset.user_index).w
+    if args.user_weights is not None:
+        w_all = load_weights_csv(args.user_weights, iset.user_index).w
         return build_user_weighted_gram(
             train_matrix, train_matrix, w_all[split.train_users]
         )
-    return build_gram(train_matrix, train_matrix, center_y=center)
+    return build_gram(train_matrix, train_matrix, center_y=args.center)
 
 
 def cmd_train(args) -> int:
     iset, matrix = _load_dataset(args)
     split = _load_split(args, iset)
-    out_path = _require(args, "output", "--output")
-    variant = _opt(args, "variant", "zero-diag")
-    if variant not in _VARIANT_FLAGS:
-        raise UsageError(f"--variant must be one of {sorted(_VARIANT_FLAGS)}, got {variant!r}")
-    grid = _opt(args, "lambda_grid")
-    lam = _opt(args, "lambda")
-    if (grid is None) == (lam is None):
-        raise UsageError("exactly one of --lambda and --lambda-grid is required")
 
     t0 = time.perf_counter()
     gram = _build_train_gram(args, iset, matrix, split)
     t_gram = time.perf_counter()
     _log(f"phase gram: {t_gram - t0:.2f}s ({gram.n_items} items, {gram.n_users} users)")
 
-    solver_fn = _VARIANT_FLAGS[variant]
-    if grid is not None:
-        lams = [_check_lambda(v) for v in _float_list(grid, "--lambda-grid")]
+    solver_fn = _VARIANT_FLAGS[args.variant]
+    if args.lambda_grid is not None:
+        lams = [_check_lambda(v) for v in _float_list(args.lambda_grid, "--lambda-grid")]
         lam, reports, model = grid_search_lambda(gram, matrix, split, lams, solver=solver_fn)
         _log(f"phase grid search: {time.perf_counter() - t_gram:.2f}s")
         for val in sorted(reports):
@@ -292,26 +241,25 @@ def cmd_train(args) -> int:
             _log(f"grid lambda={val:g}: ndcg@100 = {mean:.5f} (stderr {stderr:.5f})")
         _log(f"grid search chose lambda={lam:g}")
     else:
-        lam = _check_lambda(lam)
+        lam = _check_lambda(getattr(args, "lambda"))
         model = solver_fn(gram, lam)
         _log(f"phase solve: {time.perf_counter() - t_gram:.2f}s")
 
-    save_model(out_path, model, item_keys=iset.item_keys)
-    _log(f"trained variant={model.variant} lambda={lam:g} -> {out_path}")
+    save_model(args.output, model, item_keys=iset.item_keys)
+    _log(f"trained variant={model.variant} lambda={lam:g} -> {args.output}")
     return 0
 
 
 def cmd_train_sparse(args) -> int:
     iset, matrix = _load_dataset(args)
     split = _load_split(args, iset)
-    out_path = _require(args, "output", "--output")
-    lam = _check_lambda(_require(args, "lambda", "--lambda"))
-    theta = float(_require(args, "threshold", "--threshold"))
+    lam = _check_lambda(getattr(args, "lambda"))
+    theta = args.threshold
     if theta < 0:
         raise UsageError(f"--threshold must be non-negative, got {theta}")
     if theta == 0:
         _log("warning: threshold 0 keeps every pair; expect one giant block capped by --n-max")
-    n_max = int(_opt(args, "n_max", 1000))
+    n_max = args.n_max
     if n_max < 1:
         raise UsageError(f"--n-max must be at least 1, got {n_max}")
 
@@ -324,44 +272,36 @@ def cmd_train_sparse(args) -> int:
     t_solve = time.perf_counter()
     _log(f"phase sparse solve: {t_solve - t_gram:.2f}s")
     _log(f"sparsity level {model.sparsity:.6f} ({model.values.nnz} non-zeros)")
-    save_sparse_model(out_path, model, item_keys=iset.item_keys)
-    _log(f"trained sparse lambda={lam:g} threshold={theta:g} -> {out_path}")
+    save_sparse_model(args.output, model, item_keys=iset.item_keys)
+    _log(f"trained sparse lambda={lam:g} threshold={theta:g} -> {args.output}")
     return 0
 
 
 def cmd_rescale(args) -> int:
-    model_path = _require(args, "model", "--model")
-    model, item_keys = load_model(model_path)
+    model, item_keys = load_model(args.model)
     iset, matrix = _load_dataset(args)
     split = _load_split(args, iset)
     _check_model_keys(item_keys, iset, model.n_items)
-    mode = _opt(args, "mode", "remove-pop")
-    alpha = _check_alpha(_opt(args, "alpha", 0.5))
-    epsilon = float(_opt(args, "epsilon", DEFAULT_EPSILON))
-    train_pop = popularity(matrix, split.train_users)
-    if mode == "remove-pop":
-        weights = popularity_weights(train_pop, alpha, epsilon)
-    elif mode == "time":
-        n_intervals = _require(args, "intervals", "--intervals")
-        at_time = _require(args, "at_time", "--at-time")
-        index = time_intervals(iset, int(n_intervals), user_subset=split.train_users)
-        k = int(index.locate(np.asarray([float(at_time)]))[0])
+    alpha = _check_alpha(args.alpha)
+    if args.mode == "time":
+        if args.intervals is None or args.at_time is None:
+            raise UsageError("--mode time needs --intervals and --at-time")
+        index = time_intervals(iset, args.intervals, user_subset=split.train_users)
+        k = int(index.locate(np.asarray([args.at_time]))[0])
         weights = time_popularity_weights(
-            index.interval_popularity(k), index.total_popularity(), alpha, epsilon
+            index.interval_popularity(k), index.total_popularity(), alpha, args.epsilon
         )
-        _log(f"timestamp {at_time} falls into interval {k} of {index.n_intervals}")
+        _log(f"timestamp {args.at_time} falls into interval {k} of {index.n_intervals}")
     else:
-        raise UsageError(f"--mode must be 'remove-pop' or 'time', got {mode!r}")
-    weights_out = _opt(args, "weights_out")
-    if weights_out is not None:
-        save_weights_csv(weights_out, weights, iset.item_keys)
-        _log(f"weights ({weights.kind}, alpha={alpha:g}) -> {weights_out}")
-    out_path = _opt(args, "output")
-    if out_path is not None:
+        weights = popularity_weights(popularity(matrix, split.train_users), alpha, args.epsilon)
+    if args.weights_out is not None:
+        save_weights_csv(args.weights_out, weights, iset.item_keys)
+        _log(f"weights ({weights.kind}, alpha={alpha:g}) -> {args.weights_out}")
+    if args.output is not None:
         rescaled = apply_item_rescaling(model, weights)
-        save_model(out_path, rescaled, item_keys=iset.item_keys)
-        _log(f"rescaled model -> {out_path}")
-    if weights_out is None and out_path is None:
+        save_model(args.output, rescaled, item_keys=iset.item_keys)
+        _log(f"rescaled model -> {args.output}")
+    if args.weights_out is None and args.output is None:
         raise UsageError("nothing to do: give --weights-out and/or --output")
     return 0
 
@@ -369,25 +309,15 @@ def cmd_rescale(args) -> int:
 def cmd_evaluate(args) -> int:
     iset, matrix = _load_dataset(args)
     split = _load_split(args, iset)
-    baseline = _opt(args, "baseline")
-    model_path = _opt(args, "model")
-    if (baseline is None) == (model_path is None):
-        raise UsageError("exactly one of --model and --baseline is required")
-    if baseline is not None:
-        if baseline != "popularity":
-            raise UsageError(f"--baseline supports 'popularity', got {baseline!r}")
+    if args.baseline is not None:
         model = PopularityScorer(popularity(matrix, split.train_users))
     else:
-        model, item_keys = _load_any_model(model_path)
+        model, item_keys = _load_any_model(args.model)
         _check_model_keys(item_keys, iset, model.n_items)
-    recall_ks = tuple(_int_list(_opt(args, "recall_ks", "20,50"), "--recall-ks"))
-    ndcg_k = int(_opt(args, "ndcg_k", 100))
-    users = _opt(args, "users", "test")
-    n_intervals = _opt(args, "time_intervals")
-    if n_intervals is not None:
-        alpha = _check_alpha(_opt(args, "alpha", 0.5))
-        epsilon = float(_opt(args, "epsilon", DEFAULT_EPSILON))
-        index = time_intervals(iset, int(n_intervals), user_subset=split.train_users)
+    recall_ks = tuple(_int_list(args.recall_ks, "--recall-ks"))
+    if args.time_intervals is not None:
+        alpha = _check_alpha(args.alpha)
+        index = time_intervals(iset, args.time_intervals, user_subset=split.train_users)
         report = evaluate_time_aware(
             model,
             iset,
@@ -395,41 +325,36 @@ def cmd_evaluate(args) -> int:
             matrix,
             index,
             alpha=alpha,
-            epsilon=epsilon,
+            epsilon=args.epsilon,
             recall_ks=recall_ks,
-            ndcg_k=ndcg_k,
-            users=users,
+            ndcg_k=args.ndcg_k,
+            users=args.users,
         )
     else:
         report = evaluate_model(
-            model, matrix, split, recall_ks=recall_ks, ndcg_k=ndcg_k, users=users
+            model, matrix, split, recall_ks=recall_ks, ndcg_k=args.ndcg_k, users=args.users
         )
     sys.stdout.write(report.to_text())
-    report_json = _opt(args, "report_json")
-    if report_json is not None:
-        _write_text(report_json, report.to_json())
-        _log(f"report -> {report_json}")
+    if args.report_json is not None:
+        _write_text(args.report_json, report.to_json())
+        _log(f"report -> {args.report_json}")
     return 0
 
 
 def cmd_recommend(args) -> int:
-    model_path = _require(args, "model", "--model")
-    model, item_keys = _load_any_model(model_path)
+    model, item_keys = _load_any_model(args.model)
     if item_keys is None:
-        raise DataError(f"{model_path}: model file carries no item keys; cannot map history")
+        raise DataError(f"{args.model}: model file carries no item keys; cannot map history")
     item_index = {key: i for i, key in enumerate(item_keys)}
-    top_k = int(_opt(args, "top_k", 10))
+    top_k = args.top_k
     if top_k < 0:
         raise UsageError(f"--top-k must be non-negative, got {top_k}")
-    weights_path = _opt(args, "weights")
-    if weights_path is not None:
+    if args.weights is not None:
         if not isinstance(model, DenseModel):
             raise DataError("--weights applies to dense model files")
-        model = apply_item_rescaling(model, load_weights_csv(weights_path, item_index))
-    history_arg = _opt(args, "history", "")
-    keys = [k for k in str(history_arg).split(",") if k]
+        model = apply_item_rescaling(model, load_weights_csv(args.weights, item_index))
     ids = []
-    for key in keys:
+    for key in filter(None, args.history.split(",")):
         if key in item_index:
             ids.append(item_index[key])
         else:
@@ -445,14 +370,13 @@ def cmd_recommend(args) -> int:
         scores[ids] = -np.inf
         ranked = np.argsort(-scores, kind="stable")
     else:
-        pop_path = _opt(args, "popularity")
-        if pop_path is None:
+        if args.popularity is None:
             raise DataError(
                 "history is empty after dropping unknown keys and no --popularity "
                 "file is available for the fallback ranking"
             )
         _log("warning: empty history; falling back to popularity order")
-        pop = PopularityVector(read_item_csv(pop_path, item_index, "count", 0.0)[0])
+        pop = PopularityVector(read_item_csv(args.popularity, item_index, "count", 0.0)[0])
         ranked = popularity_rank(pop)
         scores = pop.pop
     for rank in range(min(top_k, n - len(ids))):
@@ -463,102 +387,110 @@ def cmd_recommend(args) -> int:
 
 def cmd_popularity(args) -> int:
     iset, matrix = _load_dataset(args)
-    out_path = _require(args, "output", "--output")
-    split_dir = _opt(args, "split_dir")
-    if split_dir is not None:
+    if args.split_dir is not None:
         split = _load_split(args, iset)
         pop = popularity(matrix, split.train_users)
         _log(f"popularity over {len(split.train_users)} training users")
     else:
         pop = popularity(matrix)
-    with atomic_write(out_path) as fh:
+    with atomic_write(args.output) as fh:
         writer = csv.writer(fh)
         writer.writerow(["item", "count"])
         for i, key in enumerate(iset.item_keys):
             writer.writerow([key, repr(float(pop.pop[i]))])
-    _log(f"popularity for {iset.n_items} items -> {out_path}")
+    _log(f"popularity for {iset.n_items} items -> {args.output}")
     return 0
 
 
 def _add_data_options(p) -> None:
-    p.add_argument("--data", help="canonical interactions CSV (from ingest)")
-    p.add_argument("--binarize", action="store_true", default=None,
+    p.add_argument("--data", required=True, help="canonical interactions CSV (from ingest)")
+    p.add_argument("--binarize", action="store_true",
                    help="binarize values when building the user-item matrix")
 
 
-def _add_split_options(p) -> None:
-    p.add_argument("--split-dir", dest="split_dir", help="directory written by the split command")
-    p.add_argument("--fold-in", dest="fold_in", type=float,
+def _add_split_options(p, required: bool = True) -> None:
+    p.add_argument("--split-dir", dest="split_dir", required=required,
+                   help="directory written by the split command")
+    p.add_argument("--fold-in", dest="fold_in", type=float, default=0.8,
                    help="fraction of each evaluation row fed to the model (default 0.8)")
-    p.add_argument("--seed", type=int, help="seed for all randomness (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gramrec", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser,
+                                required=True)
+    parser.commands = sub.choices  # command name -> its parser, for --config
 
     p = sub.add_parser("ingest", help="normalize a raw interactions file")
-    p.add_argument("--input", help="raw CSV/TSV file with a header row")
-    p.add_argument("--output", help="canonical CSV to write")
-    p.add_argument("--format", choices=("csv", "tsv"), help="input delimiter (default csv)")
+    p.add_argument("--input", required=True, help="raw CSV/TSV file with a header row")
+    p.add_argument("--output", required=True, help="canonical CSV to write")
+    p.add_argument("--format", choices=("csv", "tsv"), default="csv",
+                   help="input delimiter (default csv)")
     p.add_argument("--user-col", dest="user_col")
     p.add_argument("--item-col", dest="item_col")
     p.add_argument("--value-col", dest="value_col")
     p.add_argument("--time-col", dest="time_col")
     p.add_argument("--min-value", dest="min_value", type=float,
                    help="drop events with value below this before anything else")
-    p.add_argument("--binarize", action="store_true", default=None,
-                   help="write all kept values as 1.0")
-    p.add_argument("--dedup", help="duplicate (user,item) policy: keep_max, keep_last, error")
-    p.add_argument("--min-user-events", dest="min_user_events", type=int)
-    p.add_argument("--min-item-events", dest="min_item_events", type=int)
+    p.add_argument("--binarize", action="store_true", help="write all kept values as 1.0")
+    p.add_argument("--dedup", choices=DEDUP_POLICIES, default="keep_max",
+                   help="duplicate (user,item) policy (default keep_max)")
+    p.add_argument("--min-user-events", dest="min_user_events", type=int, default=0)
+    p.add_argument("--min-item-events", dest="min_item_events", type=int, default=0)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("split", help="partition users into train/validation/test")
-    _add_data_options(p)
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--n-val", dest="n_val", type=int)
-    p.add_argument("--n-test", dest="n_test", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--data", required=True, help="canonical interactions CSV (from ingest)")
+    p.add_argument("--output-dir", dest="output_dir", required=True)
+    p.add_argument("--n-val", dest="n_val", type=int, required=True)
+    p.add_argument("--n-test", dest="n_test", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train a dense model on the training users")
     _add_data_options(p)
     _add_split_options(p)
-    p.add_argument("--output", help="model file to write")
-    p.add_argument("--lambda", type=float, help="regularization strength")
-    p.add_argument("--lambda-grid", dest="lambda_grid",
-                   help="comma-separated candidates; best on validation users wins")
-    p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS),
+    p.add_argument("--output", required=True, help="model file to write")
+    lam = p.add_mutually_exclusive_group(required=True)
+    lam.add_argument("--lambda", type=float, help="regularization strength")
+    lam.add_argument("--lambda-grid", dest="lambda_grid",
+                     help="comma-separated candidates; best on validation users wins")
+    p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default="zero-diag",
                    help="rr or zero-diag (default)")
-    p.add_argument("--center", action="store_true", default=None,
-                   help="center target columns; means are added back at scoring")
-    p.add_argument("--disjoint", action="store_true", default=None,
-                   help="expected statistics of random disjoint input/target splits")
+    gram = p.add_mutually_exclusive_group()
+    gram.add_argument("--center", action="store_true",
+                      help="center target columns; means are added back at scoring")
+    gram.add_argument("--disjoint", action="store_true",
+                      help="expected statistics of random disjoint input/target splits")
     p.add_argument("--exact-expectation", dest="exact_expectation", action="store_true",
-                   default=None, help="keep the exact split expectations (with --disjoint)")
-    p.add_argument("--split-fraction", dest="split_fraction", type=float,
+                   help="keep the exact split expectations (with --disjoint)")
+    p.add_argument("--split-fraction", dest="split_fraction", type=float, default=0.05,
                    help="target fraction for --exact-expectation (default 0.05)")
-    p.add_argument("--user-weights", dest="user_weights",
-                   help="CSV of per-user error weights")
+    gram.add_argument("--user-weights", dest="user_weights",
+                      help="CSV of per-user error weights")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("train-sparse", help="train a block-wise sparse model")
     _add_data_options(p)
     _add_split_options(p)
-    p.add_argument("--output")
-    p.add_argument("--lambda", type=float)
-    p.add_argument("--threshold", type=float, help="minimum |correlation| kept in the pattern")
-    p.add_argument("--n-max", dest="n_max", type=int, help="per-column cap (default 1000)")
+    p.add_argument("--output", required=True)
+    p.add_argument("--lambda", type=float, required=True)
+    p.add_argument("--threshold", type=float, required=True,
+                   help="minimum |correlation| kept in the pattern")
+    p.add_argument("--n-max", dest="n_max", type=int, default=1000,
+                   help="per-column cap (default 1000)")
     p.set_defaults(func=cmd_train_sparse)
 
     p = sub.add_parser("rescale", help="build item weights and optionally a rescaled model")
     _add_data_options(p)
     _add_split_options(p)
-    p.add_argument("--model", help="trained dense model file")
-    p.add_argument("--mode", help="remove-pop (default) or time")
-    p.add_argument("--alpha", type=float, help="re-scaling exponent (default 0.5)")
-    p.add_argument("--epsilon", type=float, help="additive popularity smoothing")
+    p.add_argument("--model", required=True, help="trained dense model file")
+    p.add_argument("--mode", choices=("remove-pop", "time"), default="remove-pop",
+                   help="remove-pop (default) or time")
+    p.add_argument("--alpha", type=float, default=0.5, help="re-scaling exponent (default 0.5)")
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+                   help="additive popularity smoothing")
     p.add_argument("--intervals", type=int, help="number of equal-count time intervals")
     p.add_argument("--at-time", dest="at_time", type=float,
                    help="timestamp whose interval supplies the weights (mode time)")
@@ -569,30 +501,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="strong-generalization ranking report")
     _add_data_options(p)
     _add_split_options(p)
-    p.add_argument("--model", help="model file (dense or sparse)")
-    p.add_argument("--baseline", help="'popularity' to score by training popularity")
-    p.add_argument("--users", choices=("test", "validation"))
-    p.add_argument("--recall-ks", dest="recall_ks", help="comma-separated cutoffs (default 20,50)")
-    p.add_argument("--ndcg-k", dest="ndcg_k", type=int, help="gain cutoff (default 100)")
+    scorer = p.add_mutually_exclusive_group(required=True)
+    scorer.add_argument("--model", help="model file (dense or sparse)")
+    scorer.add_argument("--baseline", choices=("popularity",),
+                        help="score by training popularity")
+    p.add_argument("--users", choices=("test", "validation"), default="test")
+    p.add_argument("--recall-ks", dest="recall_ks", default="20,50",
+                   help="comma-separated cutoffs (default 20,50)")
+    p.add_argument("--ndcg-k", dest="ndcg_k", type=int, default=100,
+                   help="gain cutoff (default 100)")
     p.add_argument("--time-intervals", dest="time_intervals", type=int,
                    help="evaluate per event with interval popularity re-scaling")
-    p.add_argument("--alpha", type=float, help="re-scaling exponent for --time-intervals")
-    p.add_argument("--epsilon", type=float)
+    p.add_argument("--alpha", type=float, default=0.5,
+                   help="re-scaling exponent for --time-intervals")
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--report-json", dest="report_json", help="write the report as JSON here")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("recommend", help="top-k items for an ad-hoc history")
-    p.add_argument("--model", help="model file (dense or sparse)")
-    p.add_argument("--history", help="comma-separated item keys")
-    p.add_argument("--top-k", dest="top_k", type=int)
+    p.add_argument("--model", required=True, help="model file (dense or sparse)")
+    p.add_argument("--history", default="", help="comma-separated item keys")
+    p.add_argument("--top-k", dest="top_k", type=int, default=10)
     p.add_argument("--weights", help="item weight CSV applied by column scaling")
     p.add_argument("--popularity", help="popularity CSV for the empty-history fallback")
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("popularity", help="write per-item interaction counts")
     _add_data_options(p)
-    _add_split_options(p)
-    p.add_argument("--output", help="CSV to write")
+    _add_split_options(p, required=False)
+    p.add_argument("--output", required=True, help="CSV to write")
     p.set_defaults(func=cmd_popularity)
 
     for sub_parser in sub.choices.values():
@@ -600,27 +537,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_tokens(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
+    """The flags a config file stands for, one per key that is an option of
+    ``command``: a list becomes one comma-joined value, an on/off flag takes
+    true or false, and null or a key of no option gives nothing."""
+    tokens = []
+    for action in command._actions:
+        value = cfg.get(action.dest)
+        if value is None or action.dest in ("help", "config"):
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                command.error(f"config key {action.dest!r} must be true or false, got {value!r}")
+            if value:
+                tokens.append(flag)
+        elif isinstance(value, list):
+            tokens.append(f"{flag}={','.join(map(str, value))}")
+        else:
+            tokens.append(f"{flag}={value}")
+    return tokens
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    cfg_path = getattr(args, "config", None)
-    args._cfg = {}
+    pre = _Parser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    cfg_path = pre.parse_known_args(argv)[0].config
     if cfg_path is not None:
         try:
             with open(cfg_path, "r", encoding="utf-8") as fh:
-                args._cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+                cfg = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             print(f"error: {cfg_path}: invalid JSON config: {exc}", file=sys.stderr)
             return 2
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
-        if not isinstance(args._cfg, dict):
+        if not isinstance(cfg, dict):
             print(f"error: {cfg_path}: config must be a JSON object", file=sys.stderr)
             return 2
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is not None:
+            # after the command name, so flags given on the command line win
+            argv[1:1] = _config_tokens(command, cfg)
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

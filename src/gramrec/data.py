@@ -308,7 +308,9 @@ def _chunks(fh, delimiter: str):
     A chunk with no quote and no lone carriage return is split with
     ``str.split``.  From the first chunk that has either, the rest of the
     file goes through ``csv.reader``, the only path that parses quoted
-    fields, which may span lines."""
+    fields, which may span lines.  Both paths refuse a field longer than
+    ``csv.field_size_limit()``."""
+    limit = csv.field_size_limit()
     while lines := fh.readlines(_CHUNK_CHARS):
         text = "".join(lines).replace("\r\n", "\n")
         if '"' in text or "\r" in text:
@@ -324,7 +326,10 @@ def _chunks(fh, delimiter: str):
         if "" in records:
             n_fields *= np.fromiter(map(bool, records), bool, len(records))
             records = list(filter(None, records))
-        yield n_fields, delimiter.join(records).split(delimiter) if records else []
+        fields = delimiter.join(records).split(delimiter) if records else []
+        if len(text) > limit and max(map(len, fields)) > limit:  # as csv.reader would
+            raise csv.Error(f"field larger than field limit ({limit})")
+        yield n_fields, fields
 
 
 def _find(keys: list[str], key: str) -> int:

@@ -281,6 +281,8 @@ def _evaluate(model, folds: _Folds, recall_ks, ndcg_k: int) -> EvalReport:
     if model.n_items != folds.n_items:
         raise DataError(f"model has {model.n_items} items, matrix has {folds.n_items}")
     config = {**_model_config(model), "protocol": "strong_generalization", **folds.config}
+    if isinstance(model, SparseModel):  # a CSC model would be converted again for every batch
+        model = replace(model, values=model.values.tocsr())
     return _reduce(_rank_held_out(model, folds), folds, recall_ks, ndcg_k, config, cap=False)
 
 

@@ -4,6 +4,8 @@ the benchmark or its per-layer tracing (``--trace 1``)."""
 
 import ast
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +53,50 @@ def test_traced_functions_resolve():
     missing = [f"{layer}.{fname}" for layer, names in trace_child.TRACED.items()
                for fname in names if not callable(getattr(trace_child.MODULES[layer], fname, None))]
     assert not missing, f"traced names missing from gramrec: {missing}"
+
+
+# Collects every gramrec command line run.py builds: the pipeline of each
+# workload, and the recommend and popularity-baseline calls its gates make
+# (through a runner that records the argv and reports a failed command).
+_COLLECT_ARGV = """
+import json, sys, types
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import run
+import gramrec.solver
+
+argvs = []
+for wl in run.WORKLOADS.values():
+    argvs += run.pipeline(wl, 1, Path("raw.csv"), Path("in"), Path("out")).values()
+
+class Recorder:
+    def run(self, step, argv, log_dir, trace=None):
+        argvs.append(argv)
+        return run.CmdResult(step, 1, 0.0, 0.0, 0, Path("out") / step)
+
+# recommend_gate reads the model file to pick a history; a stand-in does
+model = types.SimpleNamespace(n_items=3)
+gramrec.solver.load_model = lambda path: (model, ["a", "b", "c"])
+run.recommend_gate(run.Gates(), Recorder(), Path("out"), "model.ease", False)
+run.baseline_gate(run.Gates(), Recorder(), Path("out"), 1, 0.5)
+print(json.dumps(argvs))
+"""
+
+
+def test_benchmark_command_lines_parse():
+    # importing run.py sets the BLAS thread variables, so it runs apart
+    res = subprocess.run([sys.executable, "-c", _COLLECT_ARGV, str(BENCH)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    argvs = json.loads(res.stdout)
+    assert {argv[0] for argv in argvs[:-2]} >= {"ingest", "split", "train", "evaluate"}
+    assert argvs[-2][0] == "recommend" and "--baseline" in argvs[-1]
+
+    from gramrec.cli import build_parser
+
+    parser = build_parser()
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the benchmark's command line does not parse: {argv}")

@@ -374,6 +374,87 @@ def test_config_file_errors(workdir, tmp_path):
     assert "JSON object" in res.stderr
 
 
+def test_config_file_not_utf8(workdir, tmp_path):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes('{"history": "caf\u00e9"}'.encode("latin-1"))
+    res = run_cli(["recommend", "--model", str(workdir["model"]), "--config", str(cfg)])
+    assert res.returncode == 2
+    assert "invalid JSON config" in res.stderr and "Traceback" not in res.stderr
+
+
+def _evaluate_args(workdir):
+    return ["evaluate", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+            "--model", str(workdir["model"])]
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("evaluate", "ndcg_k", 2.5),
+    ("evaluate", "binarize", "false"),
+    ("evaluate", "seed", "x"),
+    ("evaluate", "fold_in", "q"),
+    ("train", "lambda", "abc"),
+    ("split", "n_val", "abc"),
+])
+def test_config_values_checked_as_flags(workdir, tmp_path, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    argv = {
+        "evaluate": _evaluate_args(workdir),
+        "train": ["train", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+                  "--output", str(tmp_path / "m.ease")],
+        "split": ["split", "--data", str(workdir["data"]), "--output-dir", str(tmp_path / "s"),
+                  "--n-test", "6"],
+    }[command]
+    res = run_cli(argv + ["--config", str(cfg)])
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"usage: gramrec {command}")
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_config_false_and_null_mean_unset(workdir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    plain = run_cli(_evaluate_args(workdir))
+    cfg.write_text(json.dumps({"binarize": False, "users": None}), encoding="utf-8")
+    res = run_cli(_evaluate_args(workdir) + ["--config", str(cfg)])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == plain.stdout
+
+    cfg.write_text(json.dumps({"binarize": True}), encoding="utf-8")
+    res = run_cli(_evaluate_args(workdir) + ["--config", str(cfg)])
+    assert res.stdout == run_cli(_evaluate_args(workdir) + ["--binarize"]).stdout
+
+    out = tmp_path / "m.ease"
+    cfg.write_text(json.dumps({"lambda_grid": None}), encoding="utf-8")
+    res = run_cli(["train", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+                   "--lambda", "2.0", "--output", str(out), "--config", str(cfg)])
+    assert res.returncode == 0, res.stderr
+    assert filecmp.cmp(out, workdir["model"], shallow=False)
+
+
+def test_config_list_is_comma_joined(workdir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"recall_ks": [5, 10]}), encoding="utf-8")
+    from_cfg, from_flag = tmp_path / "cfg_report.json", tmp_path / "flag_report.json"
+    a = run_cli(_evaluate_args(workdir) + ["--config", str(cfg), "--report-json", str(from_cfg)])
+    b = run_cli(_evaluate_args(workdir) + ["--recall-ks", "5,10", "--report-json", str(from_flag)])
+    assert a.returncode == 0 and b.returncode == 0, a.stderr
+    assert "recall@10" in a.stdout and a.stdout == b.stdout
+    assert from_cfg.read_bytes() == from_flag.read_bytes()
+
+
+def test_split_takes_no_binarize(workdir, tmp_path):
+    argv = ["split", "--data", str(workdir["data"]), "--n-val", "4", "--n-test", "6"]
+    res = run_cli(argv + ["--output-dir", str(tmp_path / "a"), "--binarize"])
+    assert res.returncode == 1
+    assert "unrecognized arguments: --binarize" in res.stderr
+    # a config shared with the matrix-building commands still serves split
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"binarize": True}), encoding="utf-8")
+    res = run_cli(argv + ["--output-dir", str(tmp_path / "b"), "--config", str(cfg)])
+    assert res.returncode == 0, res.stderr
+
+
 def test_train_sparse_and_evaluate(workdir, tmp_path):
     out = tmp_path / "model.easp"
     res = run_cli([

@@ -137,6 +137,19 @@ def test_load_reports_csv_reader_errors(tmp_path):
         load_interactions(path)
 
 
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_load_field_limit_on_both_parse_paths(tmp_path, quote):
+    # an unquoted log is split with str.split, a quoted one is read by
+    # csv.reader; both keep a key of exactly the limit and refuse a longer one
+    limit = csv.field_size_limit()
+    path = write(tmp_path, f"user,item\n{quote}{'k' * limit}{quote},x\n")
+    assert load_interactions(path).user_keys == ["k" * limit]
+    path = write(tmp_path, f"user,item\na,x\n{quote}{'k' * (limit + 1)}{quote},x\n")
+    with pytest.raises(DataError) as exc:
+        load_interactions(path)
+    assert str(exc.value) == f"{path}: field larger than field limit ({limit})"
+
+
 def test_load_rejects_empty_key(tmp_path):
     path = write(tmp_path, "user,item\na,x\n,y\n")
     with pytest.raises(DataError, match="line 3"):

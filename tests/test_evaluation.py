@@ -237,6 +237,25 @@ def test_sparse_full_pattern_matches_dense_report():
     assert sparse_report.config["model"] == "sparse"
 
 
+def test_sparse_model_converted_to_csr_once():
+    # csr @ csc converts the csc operand; evaluation converts the model once
+    # up front instead of once per score batch, with the same report
+    model, matrix, split, _ = eval_setup(n_users=60)
+    masked = mask_model(model, threshold_pattern(np.ones((model.n_items, model.n_items)), 0.5))
+    expected = evaluate_model(masked, matrix, split).to_json()
+    tocsr = sp.csc_matrix.tocsr
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.shape)
+        return tocsr(self, *args, **kwargs)
+
+    with with_chunk(2 * model.n_items), mock.patch.object(sp.csc_matrix, "tocsr", counted):
+        report = evaluate_model(masked, matrix, split)
+    assert calls == [masked.values.shape]
+    assert report.to_json() == expected
+
+
 def test_skipped_users_counted():
     events = [(0, j, 1.0) for j in range(6)] + [(1, 3, 1.0)]
     iset = make_iset(events, n_items=8)
