@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -44,7 +45,7 @@ from .evaluation import (
     popularity_rank,
     score_histories,
 )
-from .files import atomic_write, read_item_csv
+from .files import atomic_write, read_key_csv
 from .gram import build_disjoint_gram, build_gram, build_user_weighted_gram
 from .solver import (
     DenseModel,
@@ -72,7 +73,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage failures exit with code 1, not 2."""
+    """ArgumentParser whose usage failures exit with code 1, not 2, and that
+    takes no abbreviated option names."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -207,42 +212,54 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _build_train_gram(args, iset, matrix, split):
+def _training_user_weights(path: str, iset: InteractionSet, split) -> np.ndarray:
+    """The weights of a ``user,weight`` CSV for the training users, in
+    their order; users outside the training set need no weight."""
+    w = read_key_csv(path, iset.user_index, "user", "weight", np.nan)[0][split.train_users]
+    missing = int(np.isnan(w).sum())
+    if missing:
+        raise DataError(f"{path}: {missing} training users received no weight")
+    return w
+
+
+def _build_train_gram(args, matrix, split, user_weights):
     train_matrix = matrix.restrict_users(split.train_users)
     if args.disjoint:
         return build_disjoint_gram(
             train_matrix, explicit_lambda=not args.exact_expectation,
             split_fraction=args.split_fraction,
         )
-    if args.user_weights is not None:
-        w_all = load_weights_csv(args.user_weights, iset.user_index).w
-        return build_user_weighted_gram(
-            train_matrix, train_matrix, w_all[split.train_users]
-        )
+    if user_weights is not None:
+        return build_user_weighted_gram(train_matrix, train_matrix, user_weights)
     return build_gram(train_matrix, train_matrix, center_y=args.center)
 
 
 def cmd_train(args) -> int:
     iset, matrix = _load_dataset(args)
     split = _load_split(args, iset)
-
-    t0 = time.perf_counter()
-    gram = _build_train_gram(args, iset, matrix, split)
-    t_gram = time.perf_counter()
-    _log(f"phase gram: {t_gram - t0:.2f}s ({gram.n_items} items, {gram.n_users} users)")
+    user_weights = None
+    if args.user_weights is not None:
+        user_weights = _training_user_weights(args.user_weights, iset, split)
+    # Each call builds G afresh: the solvers below factor it in place.
+    build = functools.partial(_build_train_gram, args, matrix, split, user_weights)
 
     solver_fn = _VARIANT_FLAGS[args.variant]
+    t0 = time.perf_counter()
     if args.lambda_grid is not None:
         lams = [_check_lambda(v) for v in _float_list(args.lambda_grid, "--lambda-grid")]
-        lam, reports, model = grid_search_lambda(gram, matrix, split, lams, solver=solver_fn)
-        _log(f"phase grid search: {time.perf_counter() - t_gram:.2f}s")
+        lam, reports, model = grid_search_lambda(build, matrix, split, lams, solver=solver_fn)
+        _log(f"phase grid search: {time.perf_counter() - t0:.2f}s")
         for val in sorted(reports):
             mean, stderr = reports[val].metrics["ndcg@100"]
             _log(f"grid lambda={val:g}: ndcg@100 = {mean:.5f} (stderr {stderr:.5f})")
         _log(f"grid search chose lambda={lam:g}")
     else:
         lam = _check_lambda(getattr(args, "lambda"))
-        model = solver_fn(gram, lam)
+        gram = build()
+        t_gram = time.perf_counter()
+        _log(f"phase gram: {t_gram - t0:.2f}s ({gram.n_items} items, {gram.n_users} users)")
+        model = solver_fn(gram, lam, overwrite_g=True)
+        del gram  # C, when it is not G, goes before the model is written
         _log(f"phase solve: {time.perf_counter() - t_gram:.2f}s")
 
     save_model(args.output, model, item_keys=iset.item_keys)
@@ -376,7 +393,7 @@ def cmd_recommend(args) -> int:
                 "file is available for the fallback ranking"
             )
         _log("warning: empty history; falling back to popularity order")
-        pop = PopularityVector(read_item_csv(args.popularity, item_index, "count", 0.0)[0])
+        pop = PopularityVector(read_key_csv(args.popularity, item_index, "item", "count", 0.0)[0])
         ranked = popularity_rank(pop)
         scores = pop.pop
     for rank in range(min(top_k, n - len(ids))):
@@ -468,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-fraction", dest="split_fraction", type=float, default=0.05,
                    help="target fraction for --exact-expectation (default 0.05)")
     gram.add_argument("--user-weights", dest="user_weights",
-                      help="CSV of per-user error weights")
+                      help="user,weight CSV of error weights for the training users")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("train-sparse", help="train a block-wise sparse model")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -379,7 +379,7 @@ def evaluate_time_aware(
 
 
 def grid_search_lambda(
-    gram: GramStats,
+    build: Callable[[], GramStats],
     matrix: UserItemMatrix,
     split: SplitSpec,
     lambdas,
@@ -388,9 +388,16 @@ def grid_search_lambda(
 ) -> tuple[float, dict[float, EvalReport], DenseModel]:
     """Train with ``solver`` and evaluate on validation users per lambda.
 
-    Validation folds are drawn once for the whole grid.  Ties go to the
-    smallest lambda.  Returns the winner, every report and the winner's
-    model, holding only the best model so far and the current one.
+    ``build`` returns fresh Gram statistics of the training users on each
+    call; the grid calls it once per lambda and lets the solver overwrite
+    them (``overwrite_g=True``), since a Gram build costs far less than the
+    solve.  Only the reports are kept: the last lambda's model stays in
+    hand, and when another lambda won, that model is dropped and the winner
+    is built and solved once more.  So the matrices of two lambdas are
+    never held at once; the Gram build must be repeatable for the winner
+    to come out as it was evaluated.  Validation folds are drawn once for
+    the whole grid.  Ties go to the smallest lambda.  Returns the winner,
+    every report and the winner's model.
     """
     lams = sorted({float(l) for l in lambdas})
     if not lams:
@@ -400,16 +407,19 @@ def grid_search_lambda(
     csr = matrix.matrix
     folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, "validation", None)
     reports: dict[float, EvalReport] = {}
-    best_lam = best_model = None
+    best_lam = None
     best_score = -np.inf
     for lam in lams:
-        model = solver(gram, lam)
+        model = None  # before the next G is built
+        model = solver(build(), lam, overwrite_g=True)
         report = _evaluate(model, folds, (20, 50), 100)
         if metric not in report.metrics:
             raise DataError(f"unknown search metric {metric!r}; have {sorted(report.metrics)}")
         reports[lam] = report
         score = report.metrics[metric][0]
         if score > best_score:
-            best_score, best_lam, best_model = score, lam, model
-        del model
-    return best_lam, reports, best_model
+            best_score, best_lam = score, lam
+    if best_lam != lams[-1]:
+        model = None
+        model = solver(build(), best_lam, overwrite_g=True)
+    return best_lam, reports, model

@@ -1,5 +1,5 @@
 """File output, the pieces of the binary formats shared by every writer and
-reader in the package, and the reader of item-keyed CSV columns."""
+reader in the package, and the reader of key-indexed CSV columns."""
 
 from __future__ import annotations
 
@@ -69,17 +69,20 @@ def read_keys(fh, path, n: int) -> list[str] | None:
     return keys
 
 
-def read_item_csv(path, index: dict[str, int], column: str, fill: float) -> tuple[np.ndarray, str]:
-    """The ``column`` of an ``item,<column>`` CSV aligned to ``index`` (``fill``
-    where no row names a key), and the file's leading ``#`` line, if any."""
+def read_key_csv(
+    path, index: dict[str, int], key_column: str, column: str, fill: float
+) -> tuple[np.ndarray, str]:
+    """The ``column`` of a ``<key_column>,<column>`` CSV aligned to ``index``
+    (``fill`` where no row names a key), and the file's leading ``#`` line,
+    if any."""
     out = np.full(len(index), fill)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             first = fh.readline()
             comment = first if first.startswith("#") else ""
             header = next(csv.reader([fh.readline() if comment else first]), None)
-            if header is None or [h.strip().lower() for h in header] != ["item", column]:
-                raise DataError(f"{path}: expected an 'item,{column}' header row")
+            if header is None or [h.strip().lower() for h in header] != [key_column, column]:
+                raise DataError(f"{path}: expected the header row '{key_column},{column}'")
             for line_no, row in enumerate(csv.reader(fh), start=3 if comment else 2):
                 if not row:
                     continue
@@ -87,7 +90,7 @@ def read_item_csv(path, index: dict[str, int], column: str, fill: float) -> tupl
                     raise DataError(f"{path}: line {line_no}: expected 2 fields, got {len(row)}")
                 key, val = row
                 if key not in index:
-                    raise DataError(f"{path}: line {line_no}: unknown item key {key!r}")
+                    raise DataError(f"{path}: line {line_no}: unknown {key_column} key {key!r}")
                 try:
                     out[index[key]] = float(val)
                 except ValueError:

@@ -109,8 +109,9 @@ def build_gram(x: UserItemMatrix, y: UserItemMatrix, center_y: bool = False) -> 
     """G = XᵀX and C = XᵀY, optionally with Y's columns centered.
 
     Centering never densifies Y: with column means μ and the vector of
-    X's column sums s = Xᵀ1, the centered cross-product is XᵀY − s·μᵀ.
-    The means are stored so scoring can add them back.
+    X's column sums s = Xᵀ1, the centered cross-product is XᵀY − s·μᵀ,
+    subtracted from C one row panel at a time.  The means are stored so
+    scoring can add them back.
     """
     _check_dims(x, y)
     g, c = _products(x.matrix, x.matrix, y.matrix)
@@ -121,7 +122,10 @@ def build_gram(x: UserItemMatrix, y: UserItemMatrix, center_y: bool = False) -> 
         if n == 0:
             raise DataError("cannot center with zero users")
         mu = _colsum(y.matrix) / n
-        c = c - np.outer(colsum, mu)
+        if c is g:
+            c = g.copy()
+        for lo in range(0, c.shape[0], PANEL):
+            c[lo : lo + PANEL] -= np.outer(colsum[lo : lo + PANEL], mu)
     return GramStats(g=g, c=c, mu=mu, n_users=x.n_users, colsum=colsum)
 
 
@@ -158,8 +162,8 @@ def build_disjoint_gram(
         p = split_fraction
         if not 0.0 < p < 1.0:
             raise DataError(f"split fraction must be in (0, 1), got {p}")
-        c = (p * (1.0 - p)) * c
-        g = (1.0 - p) ** 2 * g
+        c *= p * (1.0 - p)
+        g *= (1.0 - p) ** 2
         np.fill_diagonal(g, (1.0 - p) ** 2 * diag + p * (1.0 - p) * diag)
     return GramStats(g=g, c=c, mu=None, n_users=z.n_users, colsum=_colsum(z.matrix))
 

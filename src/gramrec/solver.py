@@ -80,19 +80,30 @@ class DenseModel:
         return self.b.shape[0]
 
 
-def invert_regularized(gram: GramStats, lam: float) -> PrecisionMatrix:
+def invert_regularized(gram: GramStats, lam: float, overwrite_g: bool = False) -> PrecisionMatrix:
     """(G + lambda*I)^-1 by Cholesky factorization.
 
     lambda > 0 makes the matrix positive definite whenever G is positive
     semi-definite, so the factorization doubles as the error check.  One
     copy of G is factored and inverted in place; the result is its
     C-contiguous transpose view with the triangle mirrored panel by panel.
+
+    With ``overwrite_g`` (after scipy's ``overwrite_a``) no copy is made:
+    Gᵀ, which is G's own buffer in Fortran order and equal to G since every
+    builder makes G exactly symmetric, is factored and inverted, so the
+    result is G's buffer and ``gram.g`` holds P afterwards (or is left
+    unusable, if the factorization fails).
     """
     if lam <= 0:
         raise DataError(f"regularization strength must be positive, got {lam}")
-    a = np.array(gram.g, dtype=np.float64, order="F")
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("Gram matrix contains non-finite entries")
+    n = gram.g.shape[0]
+    for lo in range(0, n, PANEL):
+        if not np.isfinite(gram.g[lo : lo + PANEL]).all():
+            raise NumericalError("Gram matrix contains non-finite entries")
+    if overwrite_g:
+        a = np.asarray(gram.g, dtype=np.float64, order="C").T
+    else:
+        a = np.array(gram.g, dtype=np.float64, order="F")
     idx = np.diag_indices_from(a)
     a[idx] += lam
     chol, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
@@ -109,7 +120,6 @@ def invert_regularized(gram: GramStats, lam: float) -> PrecisionMatrix:
     # Every entry gets +0.0, which turns -0.0 into 0.0: exact zeros of P
     # (between unconnected items) are written to model files as +0.0.
     p = inv.T
-    n = p.shape[0]
     for lo in range(0, n, PANEL):
         hi = min(lo + PANEL, n)
         block = p[lo:hi, lo:hi]
@@ -126,9 +136,11 @@ def _positive_diag(p: np.ndarray) -> np.ndarray:
     return dp
 
 
-def _precision(gram: GramStats, lam: float, precision: PrecisionMatrix | None) -> np.ndarray:
+def _precision(
+    gram: GramStats, lam: float, precision: PrecisionMatrix | None, overwrite_g: bool
+) -> np.ndarray:
     if precision is None:
-        return invert_regularized(gram, lam).p
+        return invert_regularized(gram, lam, overwrite_g=overwrite_g).p
     if precision.p.shape != gram.g.shape:
         raise DataError(
             f"precision matrix shape {precision.p.shape} does not match Gram {gram.g.shape}"
@@ -136,16 +148,24 @@ def _precision(gram: GramStats, lam: float, precision: PrecisionMatrix | None) -
     return precision.p
 
 
-def solve_rr(gram: GramStats, lam: float, precision: PrecisionMatrix | None = None) -> DenseModel:
-    """Unconstrained ridge solution B = P*C."""
-    p = _precision(gram, lam, precision)
+def solve_rr(
+    gram: GramStats, lam: float, precision: PrecisionMatrix | None = None, overwrite_g: bool = False
+) -> DenseModel:
+    """Unconstrained ridge solution B = P*C.
+
+    ``overwrite_g`` lets the inverse be made in G's buffer (see
+    :func:`invert_regularized`) when C is a separate matrix; when C is G the
+    product still reads G, so a copy is inverted as without it.
+    """
+    overwrite_g = overwrite_g and gram.c is not gram.g
+    p = _precision(gram, lam, precision, overwrite_g)
     b = p @ gram.c
     mu = None if gram.mu is None else gram.mu.copy()
     return DenseModel(b=b, variant=VARIANT_RR, lam=lam, mu=mu)
 
 
 def solve_zero_diag(
-    gram: GramStats, lam: float, precision: PrecisionMatrix | None = None
+    gram: GramStats, lam: float, precision: PrecisionMatrix | None = None, overwrite_g: bool = False
 ) -> DenseModel:
     """Ridge solution constrained to a zero diagonal.
 
@@ -155,9 +175,13 @@ def solve_zero_diag(
     stored as diagnostics; the diagonal is written to exactly zero so that
     downstream code can rely on it.  ``precision`` lets callers reuse an
     inverse computed with the same gram and lambda; it is left unchanged,
-    while an inverse computed here is overwritten by the result.
+    while an inverse computed here is overwritten by the result.  With
+    ``overwrite_g`` that inverse is made in G's own buffer (see
+    :func:`invert_regularized`), so when C is G the returned B is that
+    buffer and training holds one n×n matrix in all; neither path reads G
+    once P exists.
     """
-    p = _precision(gram, lam, precision)
+    p = _precision(gram, lam, precision, overwrite_g)
     dp = _positive_diag(p)
     out = p if precision is None else None  # overwrite only an inverse made here
     if gram.c is gram.g:

@@ -230,17 +230,21 @@ def block_partition(
     still overlap.  The ordering keys are fixed up front, which is
     equivalent to re-sorting the remaining columns after each removal since
     removals never change a column's keys.  Only the correlations at the
-    pattern's off-diagonal positions are read, as ``cor[rows, cols]``.
+    pattern's off-diagonal positions are read, as ``cor[rows, cols]``, a
+    panel of columns at a time.
     """
     a = pattern.a
     n = pattern.n_items
     if n and np.any(a.diagonal() == 0):
         raise DataError("pattern must contain every diagonal entry")
     nnz_col = np.diff(a.indptr)
-    cols = np.repeat(np.arange(n), nnz_col)
-    offd = a.indices != cols
     sec = np.full(n, -1.0)
-    np.maximum.at(sec, cols[offd], np.abs(cor[a.indices[offd], cols[offd]]))
+    for lo in range(0, n, PANEL):
+        hi = min(lo + PANEL, n)
+        rows = a.indices[a.indptr[lo] : a.indptr[hi]]
+        cols = np.repeat(np.arange(lo, hi), nnz_col[lo:hi])
+        offd = rows != cols
+        np.maximum.at(sec, cols[offd], np.abs(cor[rows[offd], cols[offd]]))
     order = np.lexsort((np.arange(n), -sec, -nnz_col))
     covered = np.zeros(n, dtype=bool)
     blocks: list[np.ndarray] = []
@@ -259,11 +263,11 @@ def solve_blocks(gram: GramStats, blocks: list[np.ndarray], lam: float) -> list[
         raise DataError("block-wise training requires self-target statistics (C = G)")
     subs = []
     for members in blocks:
-        sub = np.ascontiguousarray(gram.g[np.ix_(members, members)])
+        sub = gram.g[np.ix_(members, members)]  # a fresh copy, solved in place
         stats = GramStats(
             g=sub, c=sub, mu=None, n_users=gram.n_users, colsum=gram.colsum[members]
         )
-        subs.append(solve_zero_diag(stats, lam).b)
+        subs.append(solve_zero_diag(stats, lam, overwrite_g=True).b)
     return subs
 
 

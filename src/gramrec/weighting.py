@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import PopularityVector
 from .errors import DataError
-from .files import atomic_write, read_item_csv
+from .files import atomic_write, read_key_csv
 from .solver import VARIANT_ZERO_DIAG, DenseModel
 
 KIND_UNIFORM = "uniform"
@@ -137,7 +137,7 @@ def load_weights_csv(path: str | Path, item_index: dict[str, int]) -> ItemWeight
     Every item must receive a weight.  Files without the leading comment
     (hand-written ones) load as kind uniform, alpha 0.
     """
-    w, comment = read_item_csv(path, item_index, "weight", np.nan)
+    w, comment = read_key_csv(path, item_index, "item", "weight", np.nan)
     kind, alpha = KIND_UNIFORM, 0.0
     if comment:
         fields = dict(tok.split("=", 1) for tok in comment[1:].strip().split() if "=" in tok)

@@ -5,10 +5,12 @@ the benchmark or its per-layer tracing (``--trace 1``)."""
 import ast
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -100,3 +102,47 @@ def test_benchmark_command_lines_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"the benchmark's command line does not parse: {argv}")
+
+
+def test_traced_train_grid_spans(tmp_path):
+    """run.py reads the spans of a traced ``train``: ``gram.x_nnz`` indexes
+    the first ``gram.build_gram`` span, and ``solver.invert_regularized_s``
+    and the GFLOP/s rate add up ``solver.invert_regularized`` spans.  A
+    grid that builds G for each lambda must still make them, inside
+    ``cli.cmd_train``, and through the module globals the tracer patches."""
+    from conftest import run_cli
+
+    r = np.random.default_rng(3)
+    rows = [f"u{u},i{i},1.0" for u in range(40) for i in sorted(r.choice(12, 5, replace=False))]
+    data = tmp_path / "data.csv"
+    data.write_text("user,item,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    split = tmp_path / "split"
+    res = run_cli(["split", "--data", str(data), "--output-dir", str(split),
+                   "--n-val", "8", "--n-test", "8"])
+    assert res.returncode == 0, res.stderr
+
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, str(BENCH / "trace_child.py"), str(spans_path), "--",
+         "train", "--data", str(data), "--split-dir", str(split),
+         "--lambda-grid", "1,10", "--output", str(tmp_path / "m.ease")],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+
+    def under_train(span) -> bool:
+        while span["parent"] is not None:
+            span = spans[span["parent"]]
+            if span["name"] == "cli.cmd_train":
+                return True
+        return False
+
+    for name in ("gram.build_gram", "solver.invert_regularized", "solver.solve_zero_diag"):
+        found = [s for s in spans if s["name"] == name]
+        assert found and all(map(under_train, found)), name
+    assert [s["x_nnz"] for s in spans if s["name"] == "gram.build_gram"][0] > 0
+    assert all(s["n_items"] == 12 for s in spans if s["name"] == "solver.invert_regularized")
+    grid = [s for s in spans if s["name"] == "evaluation.grid_search_lambda"]
+    assert len(grid) == 1 and grid[0]["grid_points"] == 2

@@ -217,6 +217,66 @@ def test_train_lambda_grid_saves_searched_model(workdir, tmp_path, variant):
     assert filecmp.cmp(single, grid, shallow=False)
 
 
+def test_train_lambda_grid_solves_winner_again(workdir, tmp_path):
+    # the grid keeps only the last lambda's model; a winner before it is
+    # built and solved once more, and must come out as a plain run gives it
+    base = ["train", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"])]
+    grid = tmp_path / "grid.ease"
+    # these rank alike on the workdir data, and ties go to the smallest
+    res = run_cli(base + ["--lambda-grid", "1e4,1e6,1e8", "--output", str(grid)])
+    assert res.returncode == 0, res.stderr
+    chosen = res.stderr.split("grid search chose lambda=")[1].split()[0]
+    assert float(chosen) < 1e8
+    single = tmp_path / "single.ease"
+    res = run_cli(base + ["--lambda", chosen, "--output", str(single)])
+    assert res.returncode == 0, res.stderr
+    assert filecmp.cmp(single, grid, shallow=False)
+
+
+def _train_users(workdir) -> list[str]:
+    return (workdir["splits"] / "train_users.txt").read_text(encoding="utf-8").split()
+
+
+def test_train_user_weights(workdir, tmp_path):
+    data = ["train", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"])]
+    base = data + ["--lambda", "2.0", "--output", str(tmp_path / "m.ease")]
+    weights = tmp_path / "w.csv"
+    # unit weights for the training users alone give the unweighted model
+    weights.write_text("user,weight\n" + "".join(f"{u},1.0\n" for u in _train_users(workdir)),
+                       encoding="utf-8")
+    res = run_cli(base + ["--user-weights", str(weights)])
+    assert res.returncode == 0, res.stderr
+    assert filecmp.cmp(tmp_path / "m.ease", workdir["model"], shallow=False)
+    res = run_cli(data + ["--lambda-grid", "2,20", "--user-weights", str(weights),
+                          "--output", str(tmp_path / "grid.ease")])
+    assert res.returncode == 0, res.stderr
+
+    weights.write_text("user,weight\n" + "".join(f"{u},2.0\n" for u in _train_users(workdir)[1:]),
+                       encoding="utf-8")
+    res = run_cli(base + ["--user-weights", str(weights)])
+    assert res.returncode == 2
+    assert "1 training users received no weight" in res.stderr
+
+    weights.write_text("item,weight\ni1,1.0\n", encoding="utf-8")
+    res = run_cli(base + ["--user-weights", str(weights)])
+    assert res.returncode == 2
+    assert "user,weight" in res.stderr
+
+
+def test_option_names_are_not_abbreviated(workdir, tmp_path):
+    data = ["--data", str(workdir["data"]), "--split-dir", str(workdir["splits"])]
+    res = run_cli(["train-sparse", *data, "--lambda", "2", "--threshold", "0.05",
+                   "--n-m", "6", "--output", str(tmp_path / "m.easp")])
+    assert res.returncode == 1
+    assert "unrecognized arguments: --n-m" in res.stderr
+    res = run_cli(["train", *data, "--lambda-g", "1", "--output", str(tmp_path / "m.ease")])
+    assert res.returncode == 1
+    # the --config pre-parser takes no prefix either: --c names no file to read
+    res = run_cli(_evaluate_args(workdir) + ["--c", str(tmp_path / "absent.json")])
+    assert res.returncode == 1
+    assert "cannot read config" not in res.stderr
+
+
 def test_train_usage_errors(workdir, tmp_path):
     base = [
         "train", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),

@@ -502,16 +502,16 @@ def grid_setup():
         seed=0,
     )
     tm = matrix.restrict_users(split.train_users)
-    return build_gram(tm, tm), matrix, split
+    return lambda: build_gram(tm, tm), matrix, split
 
 
 def test_grid_search_interior_lambda_wins():
     # too little regularization memorizes which genre-mates co-occurred in
     # the small training set; too much collapses to co-occurrence counts
     # dominated by the hub items
-    stats, matrix, split = grid_setup()
+    build, matrix, split = grid_setup()
     lams = [1e-6, 1e-3, 0.1, 1.0, 10.0, 1e5]
-    best, reports, _ = grid_search_lambda(stats, matrix, split, lams, metric="ndcg@100")
+    best, reports, _ = grid_search_lambda(build, matrix, split, lams, metric="ndcg@100")
     assert best == 1.0
     curve = [reports[l].metrics["ndcg@100"][0] for l in lams]
     assert curve[3] > curve[0]
@@ -538,22 +538,21 @@ def test_grid_search_tie_goes_to_smallest_lambda():
         seed=0,
     )
     tm = matrix6.restrict_users(split6.train_users)
-    stats6 = build_gram(tm, tm)
     best, reports, _ = grid_search_lambda(
-        stats6, matrix6, split6, [8.0, 2.0, 4.0], metric="recall@20"
+        lambda: build_gram(tm, tm), matrix6, split6, [8.0, 2.0, 4.0], metric="recall@20"
     )
     assert all(r.metrics["recall@20"][0] == 1.0 for r in reports.values())
     assert best == 2.0
 
 
 def test_grid_search_validation():
-    stats, matrix, split = grid_setup()
+    build, matrix, split = grid_setup()
     with pytest.raises(DataError, match="empty"):
-        grid_search_lambda(stats, matrix, split, [])
+        grid_search_lambda(build, matrix, split, [])
     with pytest.raises(DataError, match="positive"):
-        grid_search_lambda(stats, matrix, split, [1.0, -2.0])
+        grid_search_lambda(build, matrix, split, [1.0, -2.0])
     with pytest.raises(DataError, match="metric"):
-        grid_search_lambda(stats, matrix, split, [1.0], metric="auc")
+        grid_search_lambda(build, matrix, split, [1.0], metric="auc")
 
 
 def test_report_serialization():
@@ -729,10 +728,10 @@ def test_metric_cutoffs_must_be_positive():
 
 
 def test_grid_search_draws_folds_once():
-    stats, matrix, split = grid_setup()
+    build, matrix, split = grid_setup()
     with mock.patch.object(evaluation, "_draw_folds", wraps=evaluation._draw_folds) as draw:
-        _, reports, _ = grid_search_lambda(stats, matrix, split, [0.1, 1.0, 10.0])
+        _, reports, _ = grid_search_lambda(build, matrix, split, [0.1, 1.0, 10.0])
     assert draw.call_count == 1
     for lam, report in reports.items():
-        expected = evaluate_model(solve_zero_diag(stats, lam), matrix, split, users="validation")
+        expected = evaluate_model(solve_zero_diag(build(), lam), matrix, split, users="validation")
         assert report.to_json() == expected.to_json()

@@ -79,6 +79,10 @@ def test_panelled_products_are_bitwise_whole_products(n_items, n_users, density,
     g = (xt @ xw).toarray()
     np.testing.assert_array_equal(stats.g, 0.5 * (g + g.T))
     np.testing.assert_array_equal(stats.c, (xt @ yw).toarray())
+    if n_users:
+        centered = build_gram(x, y, center_y=True)
+        expected = (xt @ y.matrix).toarray() - np.outer(centered.colsum, centered.mu)
+        np.testing.assert_array_equal(centered.c, expected)
 
 
 def test_every_builder_records_column_sums(rng):

@@ -17,6 +17,7 @@ from gramrec import (
     SplitSpec,
     build_gram,
     evaluate_model,
+    grid_search_lambda,
     load_interactions,
     solve_zero_diag,
     train_sparse,
@@ -55,6 +56,43 @@ def test_build_gram_holds_g_plus_panels(wide):
 def test_zero_diag_solve_holds_one_matrix_beyond_g(wide):
     _, gram = wide
     assert peak_n2(lambda: solve_zero_diag(gram, 50.0), gram.n_items) < 1.5
+
+
+def test_zero_diag_solve_in_place_holds_panels_beyond_g(wide):
+    x, _ = wide
+    gram = build_gram(x, x)
+    peak, model = peak_bytes(lambda: solve_zero_diag(gram, 50.0, overwrite_g=True))
+    assert np.shares_memory(model.b, gram.g)
+    assert peak < 0.25 * gram.n_items ** 2 * 8
+
+
+def test_grid_holds_one_matrix_at_a_time(wide):
+    """Three lambdas, whose winner is solved again: G is built for each and
+    solved in place, and a model is dropped before the next G is built."""
+    x, gram = wide
+    split = SplitSpec(
+        train_users=np.arange(300),
+        validation_users=np.arange(300, 400),
+        test_users=np.array([], dtype=np.int64),
+        fold_in_fraction=0.8,
+        seed=0,
+    )
+    tm = x.restrict_users(split.train_users)
+    peak, (lam, reports, _) = peak_bytes(
+        lambda: grid_search_lambda(lambda: build_gram(tm, tm), x, split, [1e4, 1e6, 1e8])
+    )
+    assert len(reports) == 3 and lam == 1e6  # 1e8 ranks as 1e6 does; ties go to the smaller
+    assert peak < 1.5 * gram.n_items ** 2 * 8
+
+
+def test_centered_build_and_solve_hold_three_matrices(wide):
+    """G, C = XᵀX − s·μᵀ and B, with P made in G's buffer."""
+    x, gram = wide
+    peak = peak_n2(
+        lambda: solve_zero_diag(build_gram(x, x, center_y=True), 50.0, overwrite_g=True),
+        gram.n_items,
+    )
+    assert peak < 3.25
 
 
 def test_train_sparse_holds_no_matrix_beyond_g(wide):

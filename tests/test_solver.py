@@ -264,6 +264,32 @@ def test_precision_reuse_is_bitwise(rng):
     np.testing.assert_array_equal(prec.p, kept)  # a supplied inverse is never overwritten
 
 
+@pytest.mark.parametrize("solver", [solve_zero_diag, solve_rr])
+@pytest.mark.parametrize("kind", ["plain", "centered", "disjoint", "exact", "user_weighted"])
+def test_in_place_solve_is_bitwise_the_copying_one(rng, solver, kind):
+    # 300 items: the finiteness check and the mirror cross a panel boundary
+    x = binary_matrix(rng, 40, 300, density=0.1)
+    w = rng.uniform(0.5, 2.0, 40)
+    build = {
+        "plain": lambda: build_gram(x, x),
+        "centered": lambda: build_gram(x, x, center_y=True),
+        "disjoint": lambda: build_disjoint_gram(x),
+        "exact": lambda: build_disjoint_gram(x, explicit_lambda=False),
+        "user_weighted": lambda: build_user_weighted_gram(x, x, w),
+    }[kind]
+    copying = solver(build(), 3.0)
+    gram = build()
+    g = gram.g.copy()
+    in_place = solver(gram, 3.0, overwrite_g=True)
+    assert in_place.b.tobytes() == copying.b.tobytes()
+    if solver is solve_zero_diag:
+        assert in_place.gamma.tobytes() == copying.gamma.tobytes()
+    # G is given up except where B = P*G still reads it
+    overwritten = solver is solve_zero_diag or gram.c is not gram.g
+    assert np.array_equal(gram.g, g) != overwritten
+    assert np.shares_memory(in_place.b, gram.g) == (solver is solve_zero_diag and gram.c is gram.g)
+
+
 def test_precision_shape_checked(rng):
     x = binary_matrix(rng, 20, 6)
     stats = build_gram(x, x)
