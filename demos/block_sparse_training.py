@@ -53,7 +53,7 @@ print("\nblocks found:", [len(b) for b in blocks])
 
 lam = 2.0
 sparse_model = train_sparse(stats, theta=0.3, n_max=n_items, lam=lam)
-dense_model = solve_zero_diag(stats, lam=lam)
+dense_model = solve_zero_diag(build_gram(x, x), lam=lam)  # a solve consumes its statistics
 masked = mask_model(dense_model, pattern)
 gap = np.max(np.abs(sparse_model.values.toarray() - masked.values.toarray()))
 print(f"stored entries: {sparse_model.values.nnz} of {n_items * n_items}")

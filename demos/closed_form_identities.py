@@ -28,13 +28,15 @@ n_users, n_items, lam = 60, 8, 2.0
 
 dense = (rng.random((n_users, n_items)) < 0.35).astype(np.float64)
 x = UserItemMatrix(matrix=sp.csr_matrix(dense), binarized=True)
-stats = build_gram(x, x)
+g = build_gram(x, x).g  # C is G here
 
 print("Gram diagonal (per-item interaction counts):")
-print(np.diag(stats.g).astype(int))
+print(np.diag(g).astype(int))
 
-rr = solve_rr(stats, lam=lam)
-zd = solve_zero_diag(stats, lam=lam)
+# each solve consumes the statistics it is given (P is made in G's buffer),
+# so every solve below gets a fresh build
+rr = solve_rr(build_gram(x, x), lam=lam)
+zd = solve_zero_diag(build_gram(x, x), lam=lam)
 print("\nridge diagonal       :", np.round(np.diag(rr.b), 3))
 print("constrained diagonal :", np.diag(zd.b))
 
@@ -49,12 +51,12 @@ print("\nmax |closed form - brute force| =", np.max(np.abs(zd.b - brute)))
 
 # identical input and target (C is G): zd was read off the precision matrix;
 # an equal copy of G as C makes the solver take the general correction
-general = solve_zero_diag(replace(stats, c=stats.g.copy()), lam=lam)
+general = solve_zero_diag(replace(build_gram(x, x), c=g.copy()), lam=lam)
 print("max |general - read-off|        =", np.max(np.abs(general.b - zd.b)))
 
 # stationarity: the gradient 2(G B - C + lam B) is diagonal at the optimum,
 # and minus half its diagonal is the stored multiplier vector
-grad = 2.0 * (stats.g @ zd.b - stats.c + lam * zd.b)
+grad = 2.0 * (g @ zd.b - g + lam * zd.b)
 off = grad - np.diag(np.diag(grad))
 print("\nmax off-diagonal gradient entry =", np.max(np.abs(off)))
 print("max |multiplier mismatch|       =", np.max(np.abs(np.diag(grad) / -2.0 - zd.gamma)))

@@ -94,15 +94,27 @@ def _write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def _float_list(value: str, flag) -> list[float]:
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: NaN and infinities are refused."""
     try:
-        return [float(v) for v in value.split(",") if v.strip()]
+        value = float(text)
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {value!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_floats(text: str) -> list[float]:
+    """argparse type of a comma-separated list of finite floats."""
+    return [_finite_float(v) for v in text.split(",") if v.strip()]
 
 
 def _int_list(value, flag) -> list[int]:
-    values = _float_list(value, flag)
+    try:
+        values = [float(v) for v in value.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"{flag} expects comma-separated numbers, got {value!r}") from None
     if not all(v.is_integer() for v in values):
         raise UsageError(f"{flag} expects comma-separated integers, got {value!r}")
     return [int(v) for v in values]
@@ -246,7 +258,7 @@ def cmd_train(args) -> int:
     solver_fn = _VARIANT_FLAGS[args.variant]
     t0 = time.perf_counter()
     if args.lambda_grid is not None:
-        lams = [_check_lambda(v) for v in _float_list(args.lambda_grid, "--lambda-grid")]
+        lams = [_check_lambda(v) for v in args.lambda_grid]
         lam, reports, model = grid_search_lambda(build, matrix, split, lams, solver=solver_fn)
         _log(f"phase grid search: {time.perf_counter() - t0:.2f}s")
         for val in sorted(reports):
@@ -258,7 +270,7 @@ def cmd_train(args) -> int:
         gram = build()
         t_gram = time.perf_counter()
         _log(f"phase gram: {t_gram - t0:.2f}s ({gram.n_items} items, {gram.n_users} users)")
-        model = solver_fn(gram, lam, overwrite_g=True)
+        model = solver_fn(gram, lam)
         del gram  # C, when it is not G, goes before the model is written
         _log(f"phase solve: {time.perf_counter() - t_gram:.2f}s")
 
@@ -295,14 +307,16 @@ def cmd_train_sparse(args) -> int:
 
 
 def cmd_rescale(args) -> int:
+    if args.mode == "time" and (args.intervals is None or args.at_time is None):
+        raise UsageError("--mode time needs --intervals and --at-time")
+    if args.weights_out is None and args.output is None:
+        raise UsageError("nothing to do: give --weights-out and/or --output")
+    alpha = _check_alpha(args.alpha)
     model, item_keys = load_model(args.model)
     iset, matrix = _load_dataset(args)
     split = _load_split(args, iset)
     _check_model_keys(item_keys, iset, model.n_items)
-    alpha = _check_alpha(args.alpha)
     if args.mode == "time":
-        if args.intervals is None or args.at_time is None:
-            raise UsageError("--mode time needs --intervals and --at-time")
         index = time_intervals(iset, args.intervals, user_subset=split.train_users)
         k = int(index.locate(np.asarray([args.at_time]))[0])
         weights = time_popularity_weights(
@@ -318,8 +332,6 @@ def cmd_rescale(args) -> int:
         rescaled = apply_item_rescaling(model, weights)
         save_model(args.output, rescaled, item_keys=iset.item_keys)
         _log(f"rescaled model -> {args.output}")
-    if args.weights_out is None and args.output is None:
-        raise UsageError("nothing to do: give --weights-out and/or --output")
     return 0
 
 
@@ -428,7 +440,7 @@ def _add_data_options(p) -> None:
 def _add_split_options(p, required: bool = True) -> None:
     p.add_argument("--split-dir", dest="split_dir", required=required,
                    help="directory written by the split command")
-    p.add_argument("--fold-in", dest="fold_in", type=float, default=0.8,
+    p.add_argument("--fold-in", dest="fold_in", type=_finite_float, default=0.8,
                    help="fraction of each evaluation row fed to the model (default 0.8)")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
 
@@ -448,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--item-col", dest="item_col")
     p.add_argument("--value-col", dest="value_col")
     p.add_argument("--time-col", dest="time_col")
-    p.add_argument("--min-value", dest="min_value", type=float,
+    p.add_argument("--min-value", dest="min_value", type=_finite_float,
                    help="drop events with value below this before anything else")
     p.add_argument("--binarize", action="store_true", help="write all kept values as 1.0")
     p.add_argument("--dedup", choices=DEDUP_POLICIES, default="keep_max",
@@ -470,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_split_options(p)
     p.add_argument("--output", required=True, help="model file to write")
     lam = p.add_mutually_exclusive_group(required=True)
-    lam.add_argument("--lambda", type=float, help="regularization strength")
-    lam.add_argument("--lambda-grid", dest="lambda_grid",
+    lam.add_argument("--lambda", type=_finite_float, help="regularization strength")
+    lam.add_argument("--lambda-grid", dest="lambda_grid", type=_finite_floats,
                      help="comma-separated candidates; best on validation users wins")
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default="zero-diag",
                    help="rr or zero-diag (default)")
@@ -482,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="expected statistics of random disjoint input/target splits")
     p.add_argument("--exact-expectation", dest="exact_expectation", action="store_true",
                    help="keep the exact split expectations (with --disjoint)")
-    p.add_argument("--split-fraction", dest="split_fraction", type=float, default=0.05,
+    p.add_argument("--split-fraction", dest="split_fraction", type=_finite_float, default=0.05,
                    help="target fraction for --exact-expectation (default 0.05)")
     gram.add_argument("--user-weights", dest="user_weights",
                       help="user,weight CSV of error weights for the training users")
@@ -492,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_options(p)
     _add_split_options(p)
     p.add_argument("--output", required=True)
-    p.add_argument("--lambda", type=float, required=True)
-    p.add_argument("--threshold", type=float, required=True,
+    p.add_argument("--lambda", type=_finite_float, required=True)
+    p.add_argument("--threshold", type=_finite_float, required=True,
                    help="minimum |correlation| kept in the pattern")
     p.add_argument("--n-max", dest="n_max", type=int, default=1000,
                    help="per-column cap (default 1000)")
@@ -505,11 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="trained dense model file")
     p.add_argument("--mode", choices=("remove-pop", "time"), default="remove-pop",
                    help="remove-pop (default) or time")
-    p.add_argument("--alpha", type=float, default=0.5, help="re-scaling exponent (default 0.5)")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+    p.add_argument("--alpha", type=_finite_float, default=0.5,
+                   help="re-scaling exponent (default 0.5)")
+    p.add_argument("--epsilon", type=_finite_float, default=DEFAULT_EPSILON,
                    help="additive popularity smoothing")
     p.add_argument("--intervals", type=int, help="number of equal-count time intervals")
-    p.add_argument("--at-time", dest="at_time", type=float,
+    p.add_argument("--at-time", dest="at_time", type=_finite_float,
                    help="timestamp whose interval supplies the weights (mode time)")
     p.add_argument("--weights-out", dest="weights_out", help="weight CSV to write")
     p.add_argument("--output", help="rescaled model file to write")
@@ -529,9 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gain cutoff (default 100)")
     p.add_argument("--time-intervals", dest="time_intervals", type=int,
                    help="evaluate per event with interval popularity re-scaling")
-    p.add_argument("--alpha", type=float, default=0.5,
+    p.add_argument("--alpha", type=_finite_float, default=0.5,
                    help="re-scaling exponent for --time-intervals")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=_finite_float, default=DEFAULT_EPSILON)
     p.add_argument("--report-json", dest="report_json", help="write the report as JSON here")
     p.set_defaults(func=cmd_evaluate)
 

@@ -563,9 +563,11 @@ def load_split_files(
     fold_in_fraction: float = 0.8,
     seed: int = 0,
 ) -> SplitSpec:
-    """Read user-key files back into a :class:`SplitSpec` over dense ids."""
+    """Read user-key files back into a :class:`SplitSpec` over dense ids.
+    A user listed twice, in one file or in two, is refused."""
     split_dir = Path(split_dir)
     sets = {}
+    listed: dict[str, Path] = {}  # user key -> the file that lists it
     for name in ("train_users.txt", "validation_users.txt", "test_users.txt"):
         fpath = split_dir / name
         if not fpath.exists():
@@ -580,6 +582,9 @@ def load_split_files(
                 continue
             if key not in user_index:
                 raise DataError(f"{fpath}: unknown user key {key!r}")
+            if key in listed:
+                raise DataError(f"{fpath}: user key {key!r} is already listed in {listed[key]}")
+            listed[key] = fpath
             ids.append(user_index[key])
         sets[name] = np.sort(np.asarray(ids, dtype=np.int64))
     return SplitSpec(

@@ -185,15 +185,14 @@ class _Folds(NamedTuple):
     config: dict
 
 
-def _draw_folds(indptr, items, values, n_items: int, split: SplitSpec, users: str, seed) -> _Folds:
+def _draw_folds(indptr, items, values, n_items: int, split: SplitSpec, users: str) -> _Folds:
     """Fold each selected user's id-sorted row ``indptr[u]:indptr[u + 1]``
-    with ``default_rng((seed, u))``, skipping (and counting) rows that cannot
-    be split, and batch the users ``_CHUNK // n_items`` at a time."""
+    with ``default_rng((split.seed, u))``, skipping (and counting) rows that
+    cannot be split, and batch the users ``_CHUNK // n_items`` at a time."""
     user_ids = _select_users(split, users)
-    fraction = split.fold_in_fraction
+    fraction, seed = split.fold_in_fraction, split.seed
     if not 0.0 < fraction < 1.0:
         raise DataError(f"fold-in fraction must be in (0, 1), got {fraction}")
-    seed = split.seed if seed is None else seed
 
     def draws():  # input and held-out positions of each user whose row splits
         for u in user_ids:
@@ -292,7 +291,6 @@ def evaluate_model(
     split: SplitSpec,
     recall_ks: tuple[int, ...] = (20, 50),
     ndcg_k: int = 100,
-    seed: int | None = None,
     users: str = "test",
 ) -> EvalReport:
     """Strong-generalization report for a dense, sparse, or popularity model.
@@ -303,7 +301,7 @@ def evaluate_model(
     rows cannot be split (fewer than two events) are skipped and counted.
     """
     csr = matrix.matrix
-    folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, users, seed)
+    folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, users)
     return _evaluate(model, folds, recall_ks, ndcg_k)
 
 
@@ -317,7 +315,6 @@ def evaluate_time_aware(
     epsilon: float = DEFAULT_EPSILON,
     recall_ks: tuple[int, ...] = (20, 50),
     ndcg_k: int = 100,
-    seed: int | None = None,
     users: str = "test",
 ) -> EvalReport:
     """Per-event protocol with interval-dependent popularity re-scaling.
@@ -356,7 +353,7 @@ def evaluate_time_aware(
     pos = np.searchsorted(keys, entry_keys)
     if np.any(pos == len(keys)) or not np.array_equal(keys[pos], entry_keys):
         raise DataError("the user-item matrix holds entries that are not events of the log")
-    folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, users, seed)
+    folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, users)
     total = intervals.total_popularity()
     wmat = np.stack(
         [
@@ -388,30 +385,29 @@ def grid_search_lambda(
 ) -> tuple[float, dict[float, EvalReport], DenseModel]:
     """Train with ``solver`` and evaluate on validation users per lambda.
 
-    ``build`` returns fresh Gram statistics of the training users on each
-    call; the grid calls it once per lambda and lets the solver overwrite
-    them (``overwrite_g=True``), since a Gram build costs far less than the
-    solve.  Only the reports are kept: the last lambda's model stays in
-    hand, and when another lambda won, that model is dropped and the winner
-    is built and solved once more.  So the matrices of two lambdas are
-    never held at once; the Gram build must be repeatable for the winner
-    to come out as it was evaluated.  Validation folds are drawn once for
-    the whole grid.  Ties go to the smallest lambda.  Returns the winner,
-    every report and the winner's model.
+    ``build`` returns fresh Gram statistics of the training users; the
+    solver consumes them, so the grid calls it once per lambda (a Gram
+    build costs far less than the solve).  Only the reports are kept: the
+    last lambda's model stays in hand, and when another lambda won, that
+    model is dropped and the winner is built and solved once more.  So the
+    matrices of two lambdas are never held at once; the Gram build must be
+    repeatable for the winner to come out as it was evaluated.  Validation
+    folds are drawn once for the whole grid.  Ties go to the smallest
+    lambda.  Returns the winner, every report and the winner's model.
     """
     lams = sorted({float(l) for l in lambdas})
     if not lams:
         raise DataError("empty lambda grid")
-    if any(l <= 0 for l in lams):
-        raise DataError("all grid lambdas must be positive")
+    if not all(0 < l < np.inf for l in lams):
+        raise DataError("all grid lambdas must be positive and finite")
     csr = matrix.matrix
-    folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, "validation", None)
+    folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, "validation")
     reports: dict[float, EvalReport] = {}
     best_lam = None
     best_score = -np.inf
     for lam in lams:
         model = None  # before the next G is built
-        model = solver(build(), lam, overwrite_g=True)
+        model = solver(build(), lam)
         report = _evaluate(model, folds, (20, 50), 100)
         if metric not in report.metrics:
             raise DataError(f"unknown search metric {metric!r}; have {sorted(report.metrics)}")
@@ -421,5 +417,5 @@ def grid_search_lambda(
             best_score, best_lam = score, lam
     if best_lam != lams[-1]:
         model = None
-        model = solver(build(), best_lam, overwrite_g=True)
+        model = solver(build(), best_lam)
     return best_lam, reports, model

@@ -56,16 +56,19 @@ def read_record(fh, record: struct.Struct) -> tuple:
 
 def read_keys(fh, path, n: int) -> list[str] | None:
     """The key table :func:`write_keys` wrote, None when it is empty; a short
-    read raises struct.error."""
+    read raises struct.error, a key that is not UTF-8 a DataError."""
     (n_keys,) = read_record(fh, _COUNT)
     if not n_keys:
         return None
     if n_keys != n:
         raise DataError(f"{path}: key table has {n_keys} entries for {n} items")
     keys = []
-    for _ in range(n_keys):
+    for k in range(n_keys):
         (klen,) = read_record(fh, _KEY_LEN)
-        keys.append(fh.read(klen).decode("utf-8"))
+        try:
+            keys.append(fh.read(klen).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: key {k} is not UTF-8 ({exc.reason})") from None
     return keys
 
 
@@ -74,8 +77,9 @@ def read_key_csv(
 ) -> tuple[np.ndarray, str]:
     """The ``column`` of a ``<key_column>,<column>`` CSV aligned to ``index``
     (``fill`` where no row names a key), and the file's leading ``#`` line,
-    if any."""
+    if any.  A key named by two rows is refused."""
     out = np.full(len(index), fill)
+    seen = set()
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             first = fh.readline()
@@ -91,6 +95,9 @@ def read_key_csv(
                 key, val = row
                 if key not in index:
                     raise DataError(f"{path}: line {line_no}: unknown {key_column} key {key!r}")
+                if key in seen:
+                    raise DataError(f"{path}: line {line_no}: {key_column} key {key!r} repeats")
+                seen.add(key)
                 try:
                     out[index[key]] = float(val)
                 except ValueError:

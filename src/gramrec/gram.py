@@ -30,7 +30,7 @@ class GramStats:
     (centering is recorded by its presence).  For self-target statistics C
     is G itself, not a copy, which lets the solver skip the product P*C.
     ``colsum`` holds the input column sums Xᵀ1, which correlations need
-    beyond G for non-binary X.
+    beyond G for non-binary X.  A dense solve consumes the statistics.
     """
 
     g: np.ndarray
@@ -41,7 +41,7 @@ class GramStats:
 
     @property
     def n_items(self) -> int:
-        return self.g.shape[0]
+        return len(self.colsum)
 
     @property
     def centered(self) -> bool:

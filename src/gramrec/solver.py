@@ -80,30 +80,33 @@ class DenseModel:
         return self.b.shape[0]
 
 
-def invert_regularized(gram: GramStats, lam: float, overwrite_g: bool = False) -> PrecisionMatrix:
-    """(G + lambda*I)^-1 by Cholesky factorization.
+def _check_solvable(gram: GramStats, lam: float) -> None:
+    if gram.g is None:
+        raise DataError("Gram statistics were consumed by an earlier solve; build them again")
+    if not 0 < lam < np.inf:
+        raise DataError(f"regularization strength must be positive and finite, got {lam}")
+
+
+def invert_regularized(gram: GramStats, lam: float) -> PrecisionMatrix:
+    """(G + lambda*I)^-1 by Cholesky factorization, made in G's own buffer.
 
     lambda > 0 makes the matrix positive definite whenever G is positive
-    semi-definite, so the factorization doubles as the error check.  One
-    copy of G is factored and inverted in place; the result is its
-    C-contiguous transpose view with the triangle mirrored panel by panel.
-
-    With ``overwrite_g`` (after scipy's ``overwrite_a``) no copy is made:
-    Gᵀ, which is G's own buffer in Fortran order and equal to G since every
-    builder makes G exactly symmetric, is factored and inverted, so the
-    result is G's buffer and ``gram.g`` holds P afterwards (or is left
-    unusable, if the factorization fails).
+    semi-definite, so the factorization doubles as the error check.  Gᵀ,
+    which is G's buffer in Fortran order and equal to G since every builder
+    makes G exactly symmetric, is factored and inverted in place; the result
+    is that buffer with the triangle mirrored panel by panel.  The
+    statistics are consumed: ``gram.g`` is set to None, and ``gram.c`` too
+    when it is G, so solving them again raises instead of inverting P.
     """
-    if lam <= 0:
-        raise DataError(f"regularization strength must be positive, got {lam}")
+    _check_solvable(gram, lam)
     n = gram.g.shape[0]
     for lo in range(0, n, PANEL):
         if not np.isfinite(gram.g[lo : lo + PANEL]).all():
             raise NumericalError("Gram matrix contains non-finite entries")
-    if overwrite_g:
-        a = np.asarray(gram.g, dtype=np.float64, order="C").T
-    else:
-        a = np.array(gram.g, dtype=np.float64, order="F")
+    a = np.asarray(gram.g, dtype=np.float64, order="C").T
+    if gram.c is gram.g:
+        gram.c = None
+    gram.g = None
     idx = np.diag_indices_from(a)
     a[idx] += lam
     chol, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
@@ -131,69 +134,44 @@ def invert_regularized(gram: GramStats, lam: float, overwrite_g: bool = False) -
 
 def _positive_diag(p: np.ndarray) -> np.ndarray:
     dp = np.diag(p).copy()
-    if np.any(dp <= 0):
+    if not np.all(dp > 0):
         raise NumericalError("precision matrix has a non-positive diagonal entry")
     return dp
 
 
-def _precision(
-    gram: GramStats, lam: float, precision: PrecisionMatrix | None, overwrite_g: bool
-) -> np.ndarray:
-    if precision is None:
-        return invert_regularized(gram, lam, overwrite_g=overwrite_g).p
-    if precision.p.shape != gram.g.shape:
-        raise DataError(
-            f"precision matrix shape {precision.p.shape} does not match Gram {gram.g.shape}"
-        )
-    return precision.p
+def solve_rr(gram: GramStats, lam: float) -> DenseModel:
+    """Unconstrained ridge solution B = P*C, consuming the statistics (see
+    :func:`invert_regularized`).  The product still reads C after P is made
+    in G's buffer, so when C is G it is copied first."""
+    _check_solvable(gram, lam)
+    c = gram.c.copy() if gram.c is gram.g else gram.c
+    p = invert_regularized(gram, lam).p
+    return DenseModel(b=p @ c, variant=VARIANT_RR, lam=lam, mu=gram.mu)
 
 
-def solve_rr(
-    gram: GramStats, lam: float, precision: PrecisionMatrix | None = None, overwrite_g: bool = False
-) -> DenseModel:
-    """Unconstrained ridge solution B = P*C.
-
-    ``overwrite_g`` lets the inverse be made in G's buffer (see
-    :func:`invert_regularized`) when C is a separate matrix; when C is G the
-    product still reads G, so a copy is inverted as without it.
-    """
-    overwrite_g = overwrite_g and gram.c is not gram.g
-    p = _precision(gram, lam, precision, overwrite_g)
-    b = p @ gram.c
-    mu = None if gram.mu is None else gram.mu.copy()
-    return DenseModel(b=b, variant=VARIANT_RR, lam=lam, mu=mu)
-
-
-def solve_zero_diag(
-    gram: GramStats, lam: float, precision: PrecisionMatrix | None = None, overwrite_g: bool = False
-) -> DenseModel:
-    """Ridge solution constrained to a zero diagonal.
+def solve_zero_diag(gram: GramStats, lam: float) -> DenseModel:
+    """Ridge solution constrained to a zero diagonal, consuming the
+    statistics (see :func:`invert_regularized`).
 
     Statistics whose C is G itself (self-target, uncentered) are read off P
     alone, since P*G = I - lambda*P; any other C takes the general product
     and rank correction.  The multipliers gamma = diag(P*C) / diag(P) are
     stored as diagnostics; the diagonal is written to exactly zero so that
-    downstream code can rely on it.  ``precision`` lets callers reuse an
-    inverse computed with the same gram and lambda; it is left unchanged,
-    while an inverse computed here is overwritten by the result.  With
-    ``overwrite_g`` that inverse is made in G's own buffer (see
-    :func:`invert_regularized`), so when C is G the returned B is that
-    buffer and training holds one n×n matrix in all; neither path reads G
-    once P exists.
+    downstream code can rely on it.  P, made in G's buffer, is overwritten
+    by the result, so when C is G the returned B is that buffer and training
+    holds one n×n matrix in all.
     """
-    p = _precision(gram, lam, precision, overwrite_g)
+    p = invert_regularized(gram, lam).p
     dp = _positive_diag(p)
-    out = p if precision is None else None  # overwrite only an inverse made here
-    if gram.c is gram.g:
-        b = np.divide(p, -dp, out=out)
+    if gram.c is None:  # C was G, consumed with it
+        b = np.divide(p, -dp, out=p)
         gamma = 1.0 / dp - lam
     else:
         b = p @ gram.c
         gamma = np.diag(b) / dp
-        b -= np.multiply(p, gamma[np.newaxis, :], out=out)
+        b -= np.multiply(p, gamma[np.newaxis, :], out=p)
     np.fill_diagonal(b, 0.0)
-    mu = None if gram.mu is None else gram.mu.copy()
-    return DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=lam, mu=mu, gamma=gamma)
+    return DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=lam, mu=gram.mu, gamma=gamma)
 
 
 # perfbench/trace_child.py looks this name up; nothing in the package calls it.

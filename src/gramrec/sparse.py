@@ -168,8 +168,8 @@ def threshold_pattern(
     panels ``m[:, lo:hi]``, so a :class:`CorrelationMatrix` is never
     materialized whole; a plain array is sliced the same way.
     """
-    if theta < 0:
-        raise DataError(f"threshold must be non-negative, got {theta}")
+    if not theta >= 0:
+        raise DataError(f"threshold must be a non-negative number, got {theta}")
     if n_max < 1:
         raise DataError(f"per-column cap must be at least 1, got {n_max}")
     if source not in PATTERN_SOURCES:
@@ -259,7 +259,7 @@ def block_partition(
 
 def solve_blocks(gram: GramStats, blocks: list[np.ndarray], lam: float) -> list[np.ndarray]:
     """Solve each block by the dense closed form on its Gram sub-matrix."""
-    if gram.c is not gram.g and not np.array_equal(gram.c, gram.g):
+    if gram.c is not gram.g:
         raise DataError("block-wise training requires self-target statistics (C = G)")
     subs = []
     for members in blocks:
@@ -267,7 +267,7 @@ def solve_blocks(gram: GramStats, blocks: list[np.ndarray], lam: float) -> list[
         stats = GramStats(
             g=sub, c=sub, mu=None, n_users=gram.n_users, colsum=gram.colsum[members]
         )
-        subs.append(solve_zero_diag(stats, lam, overwrite_g=True).b)
+        subs.append(solve_zero_diag(stats, lam).b)
     return subs
 
 

@@ -20,17 +20,20 @@ at a time; the library ranks batches of events by counting comparisons.
 import csv
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from gramrec import (
     DataError,
     InteractionSchema,
     InteractionSet,
     UserItemMatrix,
+    GramStats,
     build_gram,
     ndcg_at_k,
     recall_at_k,
@@ -39,6 +42,7 @@ from gramrec import (
 )
 from gramrec.data import fold_in_indices
 from gramrec.evaluation import _aggregate, _model_config, _select_users
+from gramrec.gram import PANEL
 from gramrec.weighting import DEFAULT_EPSILON
 
 
@@ -63,6 +67,36 @@ def constrained_ridge_oracle(x: np.ndarray, y: np.ndarray, lam: float) -> np.nda
         a = xs.T @ xs + lam * np.eye(n - 1)
         b[rest, j] = np.linalg.solve(a, xs.T @ y[:, j])
     return b
+
+
+def kept(stats: GramStats) -> GramStats:
+    """A copy of ``stats`` for a solver to consume, so that the caller keeps
+    G and C; C aliases G in the copy when it does in ``stats``."""
+    g = stats.g.copy()
+    return replace(stats, g=g, c=g if stats.c is stats.g else stats.c.copy())
+
+
+def invert_regularized_copying(gram: GramStats, lam: float) -> np.ndarray:
+    """(G + lambda*I)^-1 as the solvers made it while they left G intact: a
+    Fortran-ordered copy of G is factored and inverted, then mirrored in
+    panels.  The in-place inverse, which factors Gᵀ in G's own buffer, must
+    match it bit for bit."""
+    n = gram.g.shape[0]
+    a = np.array(gram.g, dtype=np.float64, order="F")
+    idx = np.diag_indices_from(a)
+    a[idx] += lam
+    chol, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
+    assert info == 0
+    inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
+    assert info == 0
+    p = inv.T
+    for lo in range(0, n, PANEL):
+        hi = min(lo + PANEL, n)
+        block = p[lo:hi, lo:hi]
+        block += np.triu(block, 1).T
+        p[lo:hi, hi:] += 0.0
+        p[hi:, lo:hi] = p[lo:hi, hi:].T
+    return p
 
 
 def two_pass_correlation(x: np.ndarray) -> np.ndarray:
@@ -337,11 +371,11 @@ def write_canonical_reference(iset: InteractionSet, path) -> None:
 
 
 def evaluate_model_reference(model, matrix, split, recall_ks=(20, 50), ndcg_k=100,
-                             seed=None, users="test"):
+                             users="test"):
     """Strong-generalization report one user at a time: a full stable argsort
     of the user's scores, read off with ``recall_at_k`` and ``ndcg_at_k``."""
     user_ids = _select_users(split, users)
-    eval_seed = split.seed if seed is None else seed
+    eval_seed = split.seed
     csr = matrix.matrix
     per_user = {name: [] for name in [f"recall@{k}" for k in recall_ks] + [f"ndcg@{ndcg_k}"]}
     n_skipped = 0
@@ -374,13 +408,13 @@ def evaluate_model_reference(model, matrix, split, recall_ks=(20, 50), ndcg_k=10
 
 def evaluate_time_aware_reference(model, iset, split, intervals, alpha,
                                   epsilon=DEFAULT_EPSILON, recall_ks=(20, 50), ndcg_k=100,
-                                  seed=None, users="test"):
+                                  users="test"):
     """Time-aware report one held-out event at a time: the user's history
     scored by a dense vector-matrix product, the event's interval weights
     applied, and the event item's rank read off a full stable argsort of that
     row."""
     user_ids = _select_users(split, users)
-    eval_seed = split.seed if seed is None else seed
+    eval_seed = split.seed
     total = intervals.total_popularity()
     wmat = np.stack([
         time_popularity_weights(intervals.interval_popularity(k), total, alpha, epsilon).w

@@ -91,8 +91,9 @@ def test_acceptance_2_self_target_shortcut_identity():
         stats = gram_of(dense)
         assert stats.c is stats.g
         # the read-off path (C is G) against the general path on an equal copy
+        general = replace(stats, g=stats.g.copy(), c=stats.g.copy())
         e = solve_zero_diag(stats, lam=lam)
-        z = solve_zero_diag(replace(stats, c=stats.g.copy()), lam=lam)
+        z = solve_zero_diag(general, lam=lam)
         scale = max(1.0, float(np.max(np.abs(z.b))))
         worst = max(worst, float(np.max(np.abs(z.b - e.b))) / scale)
         diag_ok &= bool(np.all(np.diag(z.b) == 0.0) and np.all(np.diag(e.b) == 0.0))
@@ -109,8 +110,9 @@ def test_acceptance_3_stationarity_at_optimum():
     worst_gamma = 0.0
     for dense, lam in _oracle_instances():
         stats = gram_of(dense)
+        g, c = stats.g.copy(), stats.c.copy()
         model = solve_zero_diag(stats, lam=lam)
-        grad = 2.0 * (stats.g @ model.b - stats.c + lam * model.b)
+        grad = 2.0 * (g @ model.b - c + lam * model.b)
         scale = max(1.0, float(np.max(np.abs(np.diag(grad)))))
         off = grad - np.diag(np.diag(grad))
         worst_off = max(worst_off, float(np.max(np.abs(off))) / scale)

@@ -104,33 +104,53 @@ def test_benchmark_command_lines_parse():
             pytest.fail(f"the benchmark's command line does not parse: {argv}")
 
 
-def test_traced_train_grid_spans(tmp_path):
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """Spans of each traced command run.py can trace, on a small timestamped
+    log: a ``train`` grid, ``train-sparse``, ``evaluate`` of the sparse model
+    and ``evaluate --time-intervals 2`` of the grid's dense model."""
+    from conftest import run_cli
+
+    tmp = tmp_path_factory.mktemp("traced")
+    r = np.random.default_rng(3)
+    rows = [f"u{u},i{i},1.0,{int(r.integers(0, 1000))}"
+            for u in range(40) for i in sorted(r.choice(12, 5, replace=False))]
+    data = tmp / "data.csv"
+    data.write_text("user,item,value,timestamp\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    split = tmp / "split"
+    res = run_cli(["split", "--data", str(data), "--output-dir", str(split),
+                   "--n-val", "8", "--n-test", "8"])
+    assert res.returncode == 0, res.stderr
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    common = ["--data", str(data), "--split-dir", str(split)]
+    commands = {
+        "train": ["train", *common, "--lambda-grid", "1,10", "--output", str(tmp / "m.ease")],
+        "train-sparse": ["train-sparse", *common, "--lambda", "1", "--threshold", "0.05",
+                         "--output", str(tmp / "m.easp")],
+        "evaluate": ["evaluate", *common, "--model", str(tmp / "m.easp")],
+        "evaluate-time": ["evaluate", *common, "--model", str(tmp / "m.ease"),
+                          "--time-intervals", "2"],
+    }
+    spans = {}
+    for name, argv in commands.items():
+        spans_path = tmp / f"{name}.json"
+        res = subprocess.run(
+            [sys.executable, str(BENCH / "trace_child.py"), str(spans_path), "--", *argv],
+            capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        spans[name] = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+    return spans
+
+
+def test_traced_train_grid_spans(traced):
     """run.py reads the spans of a traced ``train``: ``gram.x_nnz`` indexes
     the first ``gram.build_gram`` span, and ``solver.invert_regularized_s``
     and the GFLOP/s rate add up ``solver.invert_regularized`` spans.  A
     grid that builds G for each lambda must still make them, inside
     ``cli.cmd_train``, and through the module globals the tracer patches."""
-    from conftest import run_cli
-
-    r = np.random.default_rng(3)
-    rows = [f"u{u},i{i},1.0" for u in range(40) for i in sorted(r.choice(12, 5, replace=False))]
-    data = tmp_path / "data.csv"
-    data.write_text("user,item,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    split = tmp_path / "split"
-    res = run_cli(["split", "--data", str(data), "--output-dir", str(split),
-                   "--n-val", "8", "--n-test", "8"])
-    assert res.returncode == 0, res.stderr
-
-    spans_path = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]))
-    res = subprocess.run(
-        [sys.executable, str(BENCH / "trace_child.py"), str(spans_path), "--",
-         "train", "--data", str(data), "--split-dir", str(split),
-         "--lambda-grid", "1,10", "--output", str(tmp_path / "m.ease")],
-        capture_output=True, text=True, env=env)
-    assert res.returncode == 0, res.stderr
-    spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+    spans = traced["train"]
 
     def under_train(span) -> bool:
         while span["parent"] is not None:
@@ -146,3 +166,30 @@ def test_traced_train_grid_spans(tmp_path):
     assert all(s["n_items"] == 12 for s in spans if s["name"] == "solver.invert_regularized")
     grid = [s for s in spans if s["name"] == "evaluation.grid_search_lambda"]
     assert len(grid) == 1 and grid[0]["grid_points"] == 2
+
+
+def test_every_traced_count_is_recorded(traced):
+    """Each ``ATTRS`` entry reads the result of the function it names; a
+    change to what that function returns would end ``--trace 1`` runs with
+    an exception, so every entry must record its counts in some command."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import trace_child
+    finally:
+        sys.path.remove(str(BENCH))
+    base = {"name", "parent", "start", "end", "maxrss_kb"}
+    every = [s for spans in traced.values() for s in spans]
+    for name in trace_child.ATTRS:
+        found = [s for s in every if s["name"] == name]
+        assert found and all(set(s) > base for s in found), name
+
+    sparse = {s["name"]: s for s in traced["train-sparse"]}
+    assert sparse["sparse.threshold_pattern"]["pattern_nnz"] >= 12
+    blocks = sparse["sparse.block_partition"]
+    assert 1 <= blocks["n_blocks"] <= 12 and 1 <= blocks["max_block_items"] <= 12
+    assert blocks["block_items"] >= 12 and blocks["block_flop"] >= blocks["block_items"]
+    plain = {s["name"]: s for s in traced["evaluate"]}["evaluation.evaluate_model"]
+    timed = {s["name"]: s for s in traced["evaluate-time"]}["evaluation.evaluate_time_aware"]
+    for report in (plain, timed):
+        assert report["users"] + report["skipped"] == 8 and report["users"] > 0
+    assert timed["heldout_events"] == timed["users"]  # one of five events held out per user

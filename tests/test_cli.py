@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gramrec import load_sparse_model
+from gramrec.cli import main
 
 from conftest import run_cli
 
@@ -672,3 +673,48 @@ def test_popularity_all_users_versus_train(workdir, tmp_path):
         return sum(float(line.split(",")[1]) for line in lines)
 
     assert totals(all_pop) > totals(workdir["pop"])
+
+
+_D = ["--data", "d.csv", "--split-dir", "s"]  # never read: parsing fails first
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["train", *_D, "--output", "m", "--lambda", "nan"], "--lambda"),
+    (["train", *_D, "--output", "m", "--lambda-grid", "nan,1"], "--lambda-grid"),
+    (["train", *_D, "--output", "m", "--variant", "rr", "--lambda", "inf"], "--lambda"),
+    (["train", *_D, "--output", "m", "--lambda", "1", "--fold-in", "nan"], "--fold-in"),
+    (["train", *_D, "--output", "m", "--lambda", "1", "--disjoint", "--exact-expectation",
+      "--split-fraction=-inf"], "--split-fraction"),
+    (["train-sparse", *_D, "--output", "m", "--lambda", "1", "--threshold", "nan"], "--threshold"),
+    (["ingest", "--input", "r.csv", "--output", "o.csv", "--min-value", "nan"], "--min-value"),
+    (["rescale", *_D, "--model", "m", "--weights-out", "w", "--alpha", "nan"], "--alpha"),
+    (["rescale", *_D, "--model", "m", "--weights-out", "w", "--epsilon", "inf"], "--epsilon"),
+    (["rescale", *_D, "--model", "m", "--weights-out", "w", "--mode", "time", "--intervals", "2",
+      "--at-time", "nan"], "--at-time"),
+    (["evaluate", *_D, "--model", "m", "--time-intervals", "2", "--alpha", "1e999"], "--alpha"),
+], ids=lambda v: v if isinstance(v, str) else f"{v[0]}:{v[-1].rsplit('=', 1)[-1]}")
+def test_non_finite_options_exit_1(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+
+
+def test_non_finite_config_entry_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": float("nan")}), encoding="utf-8")  # JSON NaN
+    with pytest.raises(SystemExit) as exc:
+        main(["train", *_D, "--output", "m", "--config", str(cfg)])
+    assert exc.value.code == 1
+    assert "argument --lambda: expected a finite number, got 'nan'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--mode", "time", "--weights-out", "w"], "--mode time needs --intervals and --at-time"),
+    ([], "nothing to do"),
+])
+def test_rescale_usage_checked_before_loading(tmp_path, capsys, extra, message):
+    missing = str(tmp_path / "missing")
+    argv = ["rescale", "--data", missing, "--split-dir", missing, "--model", missing, *extra]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err

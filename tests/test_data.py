@@ -422,6 +422,21 @@ def test_split_files_unknown_key(tmp_path):
         load_split_files(tmp_path / "split", {"someone": 0})
 
 
+@pytest.mark.parametrize("extra", [("train_users.txt", "u1"), ("test_users.txt", "u0")])
+def test_split_files_refuse_a_user_listed_twice(tmp_path, extra):
+    """Within one file, or across two, where a repeat would put a held-out
+    user into training."""
+    split = SplitSpec(train_users=np.array([0, 1]), validation_users=np.array([2]),
+                      test_users=np.array([3]))
+    keys = ["u0", "u1", "u2", "u3"]
+    save_split_files(tmp_path, split, keys)
+    name, key = extra
+    with open(tmp_path / name, "a", encoding="utf-8") as fh:
+        fh.write(key + "\n")
+    with pytest.raises(DataError, match=f"user key '{key}' is already listed in"):
+        load_split_files(tmp_path, {k: i for i, k in enumerate(keys)})
+
+
 def test_split_files_missing_file(tmp_path):
     with pytest.raises(DataError, match="missing split file"):
         load_split_files(tmp_path / "nowhere", {})

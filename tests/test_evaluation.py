@@ -214,7 +214,7 @@ def test_evaluation_deterministic_and_seed_sensitive():
     a = evaluate_model(model, matrix, split)
     b = evaluate_model(model, matrix, split)
     assert a.to_json() == b.to_json()
-    c = evaluate_model(model, matrix, split, seed=123)
+    c = evaluate_model(model, matrix, replace(split, seed=123))
     assert a.metrics != c.metrics
     assert c.config["seed"] == 123
 
@@ -549,8 +549,9 @@ def test_grid_search_validation():
     build, matrix, split = grid_setup()
     with pytest.raises(DataError, match="empty"):
         grid_search_lambda(build, matrix, split, [])
-    with pytest.raises(DataError, match="positive"):
-        grid_search_lambda(build, matrix, split, [1.0, -2.0])
+    for lams in ([1.0, -2.0], [1.0, np.nan], [np.inf]):
+        with pytest.raises(DataError, match="positive and finite"):
+            grid_search_lambda(build, matrix, split, lams)
     with pytest.raises(DataError, match="metric"):
         grid_search_lambda(build, matrix, split, [1.0], metric="auc")
 
@@ -701,7 +702,7 @@ def test_engine_metrics_match_public_metric_functions():
     model, matrix, split, _ = eval_setup()
     csr = matrix.matrix
     folds = evaluation._draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split,
-                                   "test", None)
+                                   "test")
     ranks = evaluation._rank_held_out(model, folds)
     batch = folds.batches[0]
     scores = score_histories(model, batch.xin)

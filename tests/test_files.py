@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from gramrec import (
+    DataError,
     SplitSpec,
     build_gram,
+    load_model,
+    load_sparse_model,
     save_model,
     save_sparse_model,
     save_split_files,
@@ -16,6 +19,9 @@ from gramrec import (
     uniform_weights,
 )
 from gramrec.cli import _write_text, main
+from gramrec.files import read_key_csv
+from gramrec.solver import _MODEL_HEADER
+from gramrec.sparse import _SPARSE_HEADER
 
 from conftest import matrix_from_dense
 
@@ -103,3 +109,34 @@ def test_failed_write_leaves_no_target_and_no_tmp(tmp_path, monkeypatch, writer)
         assert list(target.iterdir()) == []
     else:
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("comment", ["", "# kind=uniform alpha=0.0\n"])
+def test_key_csv_refuses_a_repeated_key(tmp_path, comment):
+    path = tmp_path / "weights.csv"
+    path.write_text(comment + "item,weight\na,1.0\nb,2.0\na,3.0\n", encoding="utf-8")
+    line = 5 if comment else 4
+    with pytest.raises(DataError, match=f"line {line}: item key 'a' repeats"):
+        read_key_csv(path, {"a": 0, "b": 1}, "item", "weight", 0.0)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_model_key_table_not_utf8(tmp_path, capsys, kind):
+    """One key byte set to 0xff: loading refuses the file, and ``recommend``
+    exits with code 2 and no traceback."""
+    path = tmp_path / "model"
+    if kind == "dense":
+        save_model(path, solve_zero_diag(_stats(), 1.0), ["a", "b", "c"])
+        header, load = _MODEL_HEADER, load_model
+    else:
+        save_sparse_model(path, train_sparse(_stats(), theta=0.0, n_max=3, lam=1.0), ["a", "b", "c"])
+        header, load = _SPARSE_HEADER, load_sparse_model
+    raw = bytearray(path.read_bytes())
+    first_key = header.size + 8 + 4  # after the key count and the first key's length
+    assert raw[first_key : first_key + 1] == b"a"
+    raw[first_key] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=f"{path}: key 0 is not UTF-8"):
+        load(path)
+    assert main(["recommend", "--model", str(path), "--history", "b"]) == 2
+    assert f"{path}: key 0 is not UTF-8" in capsys.readouterr().err

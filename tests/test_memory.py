@@ -25,7 +25,7 @@ from gramrec import (
 )
 from gramrec.solver import VARIANT_ZERO_DIAG
 
-from conftest import binary_matrix, make_iset, write_canonical_reference
+from conftest import binary_matrix, kept, make_iset, write_canonical_reference
 
 
 @pytest.fixture(scope="module")
@@ -54,15 +54,17 @@ def test_build_gram_holds_g_plus_panels(wide):
 
 
 def test_zero_diag_solve_holds_one_matrix_beyond_g(wide):
+    """A caller that keeps G hands the solver a copy of it."""
     _, gram = wide
-    assert peak_n2(lambda: solve_zero_diag(gram, 50.0), gram.n_items) < 1.5
+    assert peak_n2(lambda: solve_zero_diag(kept(gram), 50.0), gram.n_items) < 1.5
 
 
 def test_zero_diag_solve_in_place_holds_panels_beyond_g(wide):
     x, _ = wide
     gram = build_gram(x, x)
-    peak, model = peak_bytes(lambda: solve_zero_diag(gram, 50.0, overwrite_g=True))
-    assert np.shares_memory(model.b, gram.g)
+    g = gram.g
+    peak, model = peak_bytes(lambda: solve_zero_diag(gram, 50.0))
+    assert np.shares_memory(model.b, g)
     assert peak < 0.25 * gram.n_items ** 2 * 8
 
 
@@ -89,7 +91,7 @@ def test_centered_build_and_solve_hold_three_matrices(wide):
     """G, C = XᵀX − s·μᵀ and B, with P made in G's buffer."""
     x, gram = wide
     peak = peak_n2(
-        lambda: solve_zero_diag(build_gram(x, x, center_y=True), 50.0, overwrite_g=True),
+        lambda: solve_zero_diag(build_gram(x, x, center_y=True), 50.0),
         gram.n_items,
     )
     assert peak < 3.25

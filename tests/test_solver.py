@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
+import gramrec.solver
 from gramrec import (
     DataError,
     DenseModel,
@@ -18,11 +19,19 @@ from gramrec import (
     solve_rr,
     solve_zero_diag,
 )
-from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG
+from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG, PrecisionMatrix, _positive_diag
 from gramrec.weighting import apply_item_rescaling, popularity_weights
 from gramrec import PopularityVector
 
-from conftest import binary_matrix, constrained_ridge_oracle, gram_of, matrix_from_dense, ridge_oracle
+from conftest import (
+    binary_matrix,
+    constrained_ridge_oracle,
+    gram_of,
+    invert_regularized_copying,
+    kept,
+    matrix_from_dense,
+    ridge_oracle,
+)
 
 
 def stats_of(g, c=None):
@@ -44,7 +53,7 @@ def test_invert_zero_gram():
 def test_invert_residual_and_symmetry(rng):
     x = rng.random((60, 40))
     g = x.T @ x
-    prec = invert_regularized(stats_of(g), lam=0.5)
+    prec = invert_regularized(stats_of(g.copy()), lam=0.5)
     residual = prec.p @ (g + 0.5 * np.eye(40)) - np.eye(40)
     assert np.abs(residual).max() < 1e-10
     np.testing.assert_array_equal(prec.p, prec.p.T)
@@ -64,7 +73,7 @@ def test_invert_is_bitwise_the_tril_mirror(n, blocks, lam, seed):
     x = r.normal(size=(8, n)) * (r.random((8, n)) < 0.5)
     group = r.integers(0, blocks, n)
     g = (x.T @ x) * (group[:, None] == group[None, :])
-    prec = invert_regularized(stats_of(g), lam)
+    prec = invert_regularized(stats_of(g.copy()), lam)
     a = np.array(g, order="F")
     a[np.diag_indices_from(a)] += lam
     chol, _ = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
@@ -75,10 +84,9 @@ def test_invert_is_bitwise_the_tril_mirror(n, blocks, lam, seed):
 
 
 def test_invert_rejects_non_positive_lambda():
-    with pytest.raises(DataError, match="positive"):
-        invert_regularized(stats_of(np.eye(2)), lam=0.0)
-    with pytest.raises(DataError, match="positive"):
-        invert_regularized(stats_of(np.eye(2)), lam=-1.0)
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DataError, match="positive and finite"):
+            invert_regularized(stats_of(np.eye(2)), lam=lam)
 
 
 def test_invert_non_finite_gram():
@@ -91,6 +99,26 @@ def test_invert_non_finite_gram():
 def test_invert_indefinite_gram():
     with pytest.raises(NumericalError, match="positive definite"):
         invert_regularized(stats_of(np.diag([-5.0, 1.0])), lam=1.0)
+
+
+def test_positive_diag_refuses_nan():
+    with pytest.raises(NumericalError, match="non-positive"):
+        _positive_diag(np.diag([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("first", [invert_regularized, solve_rr, solve_zero_diag])
+@pytest.mark.parametrize("center", [False, True])
+def test_consumed_statistics_are_refused(rng, first, center):
+    # a second solve would otherwise invert P + lambda*I, left in G's buffer
+    x = binary_matrix(rng, 20, 6)
+    stats = build_gram(x, x, center_y=center)
+    self_target = stats.c is stats.g
+    first(stats, 1.0)
+    assert stats.g is None and (stats.c is None) == self_target
+    assert stats.n_items == 6
+    for solver in (invert_regularized, solve_rr, solve_zero_diag):
+        with pytest.raises(DataError, match="consumed by an earlier solve"):
+            solver(stats, 1.0)
 
 
 def test_ridge_two_by_two():
@@ -112,8 +140,9 @@ def test_ridge_matches_oracle(rng):
 def test_ridge_shrinks_to_scaled_cooccurrence(rng):
     x = binary_matrix(rng, 25, 6)
     stats = build_gram(x, x)
+    c = stats.c.copy()
     model = solve_rr(stats, lam=1e9)
-    np.testing.assert_allclose(model.b, stats.c / 1e9, rtol=1e-6)
+    np.testing.assert_allclose(model.b, c / 1e9, rtol=1e-6)
 
 
 def test_zero_diag_two_by_two():
@@ -128,7 +157,7 @@ def test_ease_two_by_two():
     # problem with C an equal copy of G must take the general path to the
     # same hand-computed B and gamma
     g = np.array([[2.0, 1.0], [1.0, 2.0]])
-    for stats in (stats_of(g), stats_of(g, g.copy())):
+    for stats in (stats_of(g.copy()), stats_of(g.copy(), g.copy())):
         model = solve_zero_diag(stats, lam=1.0)
         np.testing.assert_allclose(model.b, [[0.0, 1 / 3], [1 / 3, 0.0]], atol=1e-14)
         np.testing.assert_allclose(model.gamma, [5 / 3, 5 / 3], atol=1e-14)
@@ -182,9 +211,10 @@ def test_zero_diag_general_path_matches_oracle(rng, kind):
 def test_zero_diag_stationarity(rng):
     x = binary_matrix(rng, 30, 8)
     stats = build_gram(x, x)
+    g, c = stats.g.copy(), stats.c.copy()
     lam = 0.9
     model = solve_zero_diag(stats, lam=lam)
-    grad = 2.0 * (stats.g @ model.b - stats.c + lam * model.b)
+    grad = 2.0 * (g @ model.b - c + lam * model.b)
     off = grad - np.diag(np.diag(grad))
     assert np.abs(off).max() <= 1e-10 * max(np.abs(grad).max(), 1.0)
     np.testing.assert_allclose(np.diag(grad), -2.0 * model.gamma, rtol=1e-10)
@@ -205,9 +235,9 @@ def test_disjoint_ridge_identity(rng):
     z = binary_matrix(rng, 25, 6)
     stats = build_disjoint_gram(z)
     lam = 2.0
-    model = solve_rr(stats, lam=lam)
-    p = invert_regularized(stats, lam).p
     d = np.diag(np.diag(stats.g))
+    p = invert_regularized(kept(stats), lam).p
+    model = solve_rr(stats, lam=lam)
     np.testing.assert_allclose(model.b, np.eye(6) - p @ (d + lam * np.eye(6)), atol=1e-12)
 
 
@@ -226,7 +256,7 @@ def test_self_target_readoff_matches_general_path(n_users, n_items, density, max
     r = np.random.default_rng(seed)
     x = (r.random((n_users, n_items)) < density) * r.integers(1, max_value + 1, (n_users, n_items))
     g = x.T @ x.astype(np.float64)
-    readoff = solve_zero_diag(stats_of(g), lam=lam)
+    readoff = solve_zero_diag(stats_of(g.copy()), lam=lam)
     general = solve_zero_diag(stats_of(g, g.copy()), lam=lam)
     assert np.abs(readoff.b - general.b).max() <= 1e-12 * np.abs(general.b).max()
     # gamma = 1/P_jj - lam cancels for items without interactions, so its
@@ -243,7 +273,7 @@ def test_self_target_is_read_off_precision(rng):
     x = binary_matrix(rng, 45, 11)
     stats = build_gram(x, x)
     assert stats.c is stats.g
-    p = invert_regularized(stats, 0.8).p
+    p = invert_regularized(kept(stats), 0.8).p
     expected = -(p / np.diag(p)[np.newaxis, :])
     np.fill_diagonal(expected, 0.0)
     model = solve_zero_diag(stats, lam=0.8)
@@ -251,23 +281,12 @@ def test_self_target_is_read_off_precision(rng):
     np.testing.assert_array_equal(model.gamma, 1.0 / np.diag(p) - 0.8)
 
 
-def test_precision_reuse_is_bitwise(rng):
-    x = binary_matrix(rng, 30, 8)
-    stats = build_gram(x, x)
-    prec = invert_regularized(stats, 1.2)
-    general = stats_of(stats.g, stats.g.copy())
-    kept = prec.p.copy()
-    for solver, gram in ((solve_rr, stats), (solve_zero_diag, stats), (solve_zero_diag, general)):
-        direct = solver(gram, 1.2)
-        reused = solver(gram, 1.2, precision=prec)
-        np.testing.assert_array_equal(direct.b, reused.b)
-    np.testing.assert_array_equal(prec.p, kept)  # a supplied inverse is never overwritten
-
-
 @pytest.mark.parametrize("solver", [solve_zero_diag, solve_rr])
 @pytest.mark.parametrize("kind", ["plain", "centered", "disjoint", "exact", "user_weighted"])
-def test_in_place_solve_is_bitwise_the_copying_one(rng, solver, kind):
-    # 300 items: the finiteness check and the mirror cross a panel boundary
+def test_in_place_solve_is_bitwise_the_copying_one(rng, monkeypatch, solver, kind):
+    # 300 items: the finiteness check and the mirror cross a panel boundary.
+    # The reference solve runs the same solver on the copying inverse, which
+    # leaves G intact but marks the statistics consumed as the solvers expect.
     x = binary_matrix(rng, 40, 300, density=0.1)
     w = rng.uniform(0.5, 2.0, 40)
     build = {
@@ -277,25 +296,25 @@ def test_in_place_solve_is_bitwise_the_copying_one(rng, solver, kind):
         "exact": lambda: build_disjoint_gram(x, explicit_lambda=False),
         "user_weighted": lambda: build_user_weighted_gram(x, x, w),
     }[kind]
-    copying = solver(build(), 3.0)
+    def copying(gram, lam):
+        p = invert_regularized_copying(gram, lam)
+        if gram.c is gram.g:
+            gram.c = None
+        gram.g = None
+        return PrecisionMatrix(p=p)
+
+    with monkeypatch.context() as m:
+        m.setattr(gramrec.solver, "invert_regularized", copying)
+        copying_model = solver(build(), 3.0)
     gram = build()
-    g = gram.g.copy()
-    in_place = solver(gram, 3.0, overwrite_g=True)
-    assert in_place.b.tobytes() == copying.b.tobytes()
+    g, self_target = gram.g, gram.c is gram.g
+    in_place = solver(gram, 3.0)
+    assert in_place.b.tobytes() == copying_model.b.tobytes()
     if solver is solve_zero_diag:
-        assert in_place.gamma.tobytes() == copying.gamma.tobytes()
-    # G is given up except where B = P*G still reads it
-    overwritten = solver is solve_zero_diag or gram.c is not gram.g
-    assert np.array_equal(gram.g, g) != overwritten
-    assert np.shares_memory(in_place.b, gram.g) == (solver is solve_zero_diag and gram.c is gram.g)
-
-
-def test_precision_shape_checked(rng):
-    x = binary_matrix(rng, 20, 6)
-    stats = build_gram(x, x)
-    wrong = invert_regularized(stats_of(np.eye(3)), 1.0)
-    with pytest.raises(DataError, match="shape"):
-        solve_rr(stats, 1.0, precision=wrong)
+        assert in_place.gamma.tobytes() == copying_model.gamma.tobytes()
+    # the statistics are consumed, and B is G's buffer where P alone gives it
+    assert gram.g is None and (gram.c is None) == self_target
+    assert np.shares_memory(in_place.b, g) == (solver is solve_zero_diag and self_target)
 
 
 def test_model_round_trip(tmp_path, rng):

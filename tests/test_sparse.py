@@ -136,6 +136,8 @@ def test_threshold_validation():
     m = np.eye(2)
     with pytest.raises(DataError, match="non-negative"):
         threshold_pattern(m, theta=-0.1)
+    with pytest.raises(DataError, match="non-negative"):
+        threshold_pattern(m, theta=np.nan)
     with pytest.raises(DataError, match="cap"):
         threshold_pattern(m, theta=0.0, n_max=0)
     with pytest.raises(DataError, match="source"):
