@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 import time
@@ -31,6 +30,7 @@ from .data import (
     load_interactions,
     load_split_files,
     popularity,
+    save_interactions,
     save_split_files,
     split_strong_generalization,
     time_intervals,
@@ -65,7 +65,6 @@ from .weighting import (
 )
 
 _VARIANT_FLAGS = {"rr": solve_rr, "zero-diag": solve_zero_diag}
-_ROWS_PER_WRITE = 4096  # canonical CSV rows per file write in ingest
 
 
 class UsageError(Exception):
@@ -169,13 +168,6 @@ def _check_model_keys(item_keys, iset: InteractionSet, n_items: int) -> None:
         raise DataError("model item keys do not match the data; was it trained on this dataset?")
 
 
-def _csv_field(key: str) -> str:
-    """``key`` as csv.writer writes it within a row."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow((key,))
-    return buf.getvalue()[:-2]
-
-
 def cmd_ingest(args) -> int:
     iset = load_interactions(
         args.input,
@@ -188,25 +180,7 @@ def cmd_ingest(args) -> int:
     if args.min_user_events or args.min_item_events:
         iset = filter_activity(iset, min_user_events=args.min_user_events,
                                min_item_events=args.min_item_events)
-    # The rows csv.writer would write: each key's field and each distinct
-    # value's repr is rendered once (bit patterns, so -0.0 stays apart from 0.0).
-    user_fields = list(map(_csv_field, iset.user_keys))
-    item_fields = list(map(_csv_field, iset.item_keys))
-    bits, value_of = np.unique(iset.values.view(np.int64), return_inverse=True)
-    value_texts = list(map(repr, bits.view(np.float64).tolist()))
-    has_time = iset.timestamps is not None
-    with atomic_write(args.output) as fh:
-        fh.write("user,item,value" + (",timestamp" if has_time else "") + "\r\n")
-        for lo in range(0, iset.n_events, _ROWS_PER_WRITE):
-            rows = slice(lo, lo + _ROWS_PER_WRITE)
-            cols = [
-                map(user_fields.__getitem__, iset.user_ids[rows].tolist()),
-                map(item_fields.__getitem__, iset.item_ids[rows].tolist()),
-                map(value_texts.__getitem__, value_of[rows].tolist()),
-            ]
-            if has_time:
-                cols.append(map(repr, iset.timestamps[rows].astype(float).tolist()))
-            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+    save_interactions(args.output, iset)
     _log(f"ingested {iset.n_events} events, {iset.n_users} users, {iset.n_items} items "
          f"-> {args.output}")
     return 0

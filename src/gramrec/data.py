@@ -4,11 +4,20 @@ Raw event logs (CSV/TSV with a header) are mapped onto dense integer user and
 item ids in first-appearance order.  Everything downstream (matrices, Gram
 statistics, models) works in that dense id space; the key tables are kept for
 serialization and for talking to the outside world.
+
+The canonical CSV that ``ingest`` writes gets a binary event container
+beside it (``<name>.events``) holding the parsed events and the sha256 of
+the CSV's bytes; a default load of the CSV reads the container instead of
+parsing while that digest matches.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
+import os
+import struct
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
@@ -17,11 +26,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
-from .files import atomic_write
+from .files import atomic_write, read_keys, read_record, write_array, write_keys
 
 DEDUP_POLICIES = ("keep_max", "keep_last", "error")
 _CHUNK_CHARS = 1 << 16  # characters of whole lines parsed at a time
 _TIMESTAMP_BOUND = 2.0**63  # timestamps are int64
+_ROWS_PER_WRITE = 4096  # canonical CSV rows per file write
+
+_EVENTS_MAGIC = b"GREV"
+_EVENTS_VERSION = 1
+# magic, version, events, users, items, has timestamps, sha256 of the CSV
+_EVENTS_HEADER = struct.Struct("<4sIQQQ?32s")
 
 
 @dataclass
@@ -172,6 +187,10 @@ def load_interactions(
     Dense ids are assigned in first-appearance order of the retained events.
     A missing value column means every event has value 1.0.  Errors name the
     record (``line N``, the header being line 1) of the first bad event.
+
+    With every option at its default, the event container ``ingest`` wrote
+    beside ``path`` is read instead of the text, when it is intact and
+    holds the sha256 of ``path``'s current bytes; it gives the same result.
     """
     if fmt not in ("csv", "tsv"):
         raise DataError(f"unknown format {fmt!r}; expected 'csv' or 'tsv'")
@@ -180,6 +199,10 @@ def load_interactions(
     delimiter = "," if fmt == "csv" else "\t"
 
     path = Path(path)
+    if (fmt, schema, binarize, dedup, min_value) == ("csv", None, False, "keep_max", None):
+        iset = _load_events(path)
+        if iset is not None:
+            return iset
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
 
@@ -298,6 +321,98 @@ def load_interactions(
         user_index=user_index,
         item_index=item_index,
     )
+
+
+def _events_path(path: Path) -> Path:
+    return path.with_name(path.name + ".events")
+
+
+def _load_events(path: Path) -> InteractionSet | None:
+    """The events in the container beside ``path``; None when there is no
+    container, or it is unreadable, of another version or size, or was
+    written for other bytes than ``path`` holds now."""
+    try:
+        with _events_path(path).open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            magic, version, n_events, n_users, n_items, has_time, digest = read_record(fh, _EVENTS_HEADER)
+            if (magic, version) != (_EVENTS_MAGIC, _EVENTS_VERSION):
+                return None
+            user_keys = read_keys(fh, path, n_users) or []
+            item_keys = read_keys(fh, path, n_items) or []
+            if size != fh.tell() + 8 * n_events * (4 if has_time else 3):
+                return None
+            with path.open("rb") as csv_fh:
+                if hashlib.file_digest(csv_fh, "sha256").digest() != digest:
+                    return None
+            user_ids = np.fromfile(fh, "<i8", n_events)
+            item_ids = np.fromfile(fh, "<i8", n_events)
+            values = np.fromfile(fh, "<f8", n_events)
+            timestamps = np.fromfile(fh, "<i8", n_events) if has_time else None
+    except (OSError, struct.error, DataError):
+        return None
+    return InteractionSet(
+        user_ids=user_ids,
+        item_ids=item_ids,
+        values=values,
+        timestamps=timestamps,
+        user_keys=user_keys,
+        item_keys=item_keys,
+        user_index=dict(zip(user_keys, count())),
+        item_index=dict(zip(item_keys, count())),
+    )
+
+
+def save_interactions(path: str | Path, iset: InteractionSet) -> None:
+    """Write ``iset`` as the canonical CSV at ``path`` (a ``user,item,value``
+    header, plus ``timestamp`` when the events have them), then its event
+    container beside it, each atomically.  The container holds what loading
+    the CSV gives: the events with ids renumbered in first-appearance order,
+    which a dedup can have changed."""
+    path = Path(path)
+    iset = _reindex(iset, np.arange(iset.n_events))
+    # The rows csv.writer would write: each key's field and each distinct
+    # value's repr is rendered once (bit patterns, so -0.0 stays apart from 0.0).
+    user_fields = list(map(_csv_field, iset.user_keys))
+    item_fields = list(map(_csv_field, iset.item_keys))
+    bits, value_of = np.unique(iset.values.view(np.int64), return_inverse=True)
+    value_texts = list(map(repr, bits.view(np.float64).tolist()))
+    has_time = iset.timestamps is not None
+    digest = hashlib.sha256()
+    with atomic_write(path, binary=True) as fh:
+
+        def write(text: str) -> None:
+            raw = text.encode("utf-8")
+            digest.update(raw)
+            fh.write(raw)
+
+        write("user,item,value" + (",timestamp" if has_time else "") + "\r\n")
+        for lo in range(0, iset.n_events, _ROWS_PER_WRITE):
+            rows = slice(lo, lo + _ROWS_PER_WRITE)
+            cols = [
+                map(user_fields.__getitem__, iset.user_ids[rows].tolist()),
+                map(item_fields.__getitem__, iset.item_ids[rows].tolist()),
+                map(value_texts.__getitem__, value_of[rows].tolist()),
+            ]
+            if has_time:
+                cols.append(map(repr, iset.timestamps[rows].astype(float).tolist()))
+            write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+    with atomic_write(_events_path(path), binary=True) as fh:
+        fh.write(_EVENTS_HEADER.pack(_EVENTS_MAGIC, _EVENTS_VERSION, iset.n_events, iset.n_users,
+                                     iset.n_items, has_time, digest.digest()))
+        write_keys(fh, iset.user_keys)
+        write_keys(fh, iset.item_keys)
+        write_array(fh, iset.user_ids, "<i8")
+        write_array(fh, iset.item_ids, "<i8")
+        write_array(fh, iset.values, "<f8")
+        if has_time:
+            write_array(fh, iset.timestamps, "<i8")
+
+
+def _csv_field(key: str) -> str:
+    """``key`` as csv.writer writes it within a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((key,))
+    return buf.getvalue()[:-2]
 
 
 def _chunks(fh, delimiter: str):

@@ -47,6 +47,12 @@ class GramStats:
     def centered(self) -> bool:
         return self.mu is not None
 
+    def require_g(self) -> np.ndarray:
+        """G, or a DataError once a dense solve has consumed the statistics."""
+        if self.g is None:
+            raise DataError("Gram statistics were consumed by an earlier solve; build them again")
+        return self.g
+
 
 def _check_dims(x: UserItemMatrix, y: UserItemMatrix) -> None:
     if x.matrix.shape != y.matrix.shape:

@@ -81,8 +81,7 @@ class DenseModel:
 
 
 def _check_solvable(gram: GramStats, lam: float) -> None:
-    if gram.g is None:
-        raise DataError("Gram statistics were consumed by an earlier solve; build them again")
+    gram.require_g()
     if not 0 < lam < np.inf:
         raise DataError(f"regularization strength must be positive and finite, got {lam}")
 

@@ -75,41 +75,43 @@ class SparsityPattern:
 class CorrelationMatrix:
     """Item-item Pearson correlations, computed on demand from G.
 
-    Holds a reference to G and the per-item moments.  Indexing reads it
-    like the dense symmetric matrix with unit diagonal, in the two forms the
-    trainer uses: ``cor[:, lo:hi]`` gives a column panel and
-    ``cor[rows, cols]`` the entries at paired index arrays.  Each entry is
-    (G_ij/n − m_i·m_j)/(s_i·s_j), zero where item i or j has no variance.
+    Holds the Gram statistics and the per-item moments, and reads G when
+    indexed, so indexing after a dense solve has consumed the statistics
+    raises.  Indexing reads it like the dense symmetric matrix with unit
+    diagonal, in the two forms the trainer uses: ``cor[:, lo:hi]`` gives a
+    column panel and ``cor[rows, cols]`` the entries at paired index arrays.
+    Each entry is (G_ij/n − m_i·m_j)/(s_i·s_j), zero where item i or j has
+    no variance.
     """
 
-    g: np.ndarray
-    n_users: int
+    gram: GramStats
     mean: np.ndarray
     std: np.ndarray  # 1 where the item has zero variance
     constant: np.ndarray  # zero-variance items
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.g.shape
+        return (self.n_items, self.n_items)
 
     @property
     def n_items(self) -> int:
-        return self.g.shape[0]
+        return len(self.mean)
 
     def __getitem__(self, key) -> np.ndarray:
         rows, cols = key
+        g = self.gram.require_g()
         if isinstance(rows, slice):
             if rows != slice(None) or not isinstance(cols, slice):
                 raise TypeError("correlation panels are indexed as cor[:, lo:hi]")
             items = np.arange(self.n_items)
-            return self._entries(self.g[:, cols], items[:, None], items[cols])
+            return self._entries(g[:, cols], items[:, None], items[cols])
         rows, cols = np.asarray(rows), np.asarray(cols)
-        return self._entries(self.g[rows, cols], rows, cols)
+        return self._entries(g[rows, cols], rows, cols)
 
     def _entries(self, g: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Correlations at the broadcast (rows, cols) given G's entries there."""
         m, s = self.mean, self.std
-        cor = g / self.n_users
+        cor = g / self.gram.n_users
         cor -= m[rows] * m[cols]
         cor /= s[rows] * s[cols]
         cor[np.broadcast_to(self.constant[rows] | self.constant[cols], cor.shape)] = 0.0
@@ -140,18 +142,16 @@ def correlation_from_gram(gram: GramStats) -> CorrelationMatrix:
     With n users, m = Xᵀ1/n and s² = diag(G)/n − m², the correlation is
     (G_ij/n − m_i·m_j)/(s_i·s_j), exact for any X.  Zero-variance items
     (empty or constant) get zero correlation to everything; the diagonal is
-    always 1.  Only the moments are computed here: the result refers to G
-    and produces entries when indexed.
+    always 1.  Only the moments are computed here: the result refers to the
+    statistics and produces entries from G when indexed.
     """
     n = gram.n_users
     if n < 2:
         raise DataError(f"correlations need at least 2 users, got {n}")
     m = gram.colsum / n
-    s = np.sqrt(np.maximum(np.diag(gram.g) / n - m * m, 0.0))
+    s = np.sqrt(np.maximum(np.diag(gram.require_g()) / n - m * m, 0.0))
     constant = s == 0.0
-    return CorrelationMatrix(
-        g=gram.g, n_users=n, mean=m, std=np.where(constant, 1.0, s), constant=constant
-    )
+    return CorrelationMatrix(gram=gram, mean=m, std=np.where(constant, 1.0, s), constant=constant)
 
 
 def threshold_pattern(

@@ -193,3 +193,38 @@ def test_every_traced_count_is_recorded(traced):
     for report in (plain, timed):
         assert report["users"] + report["skipped"] == 8 and report["users"] > 0
     assert timed["heldout_events"] == timed["users"]  # one of five events held out per user
+
+
+def test_traced_train_on_ingested_data_records_one_load(tmp_path):
+    """``data.rows_per_s`` divides the ``events`` of each non-ingest
+    ``data.load_interactions`` span by its time; a load that reads the
+    event container ``ingest`` wrote must still be one such span, counting
+    every row of the canonical CSV."""
+    from conftest import run_cli
+
+    r = np.random.default_rng(4)
+    rows = [f"u{u},i{i},{int(r.integers(1, 6))},{int(r.integers(0, 1000))}"
+            for u in range(40) for i in r.choice(12, 5, replace=False)]
+    raw = tmp_path / "raw.csv"
+    raw.write_text("user,item,value,timestamp\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    data, split = tmp_path / "data.csv", tmp_path / "split"
+    for argv in (["ingest", "--input", str(raw), "--output", str(data)],
+                 ["split", "--data", str(data), "--output-dir", str(split),
+                  "--n-val", "8", "--n-test", "8"]):
+        res = run_cli(argv)
+        assert res.returncode == 0, res.stderr
+    assert (tmp_path / "data.csv.events").is_file()
+    n_rows = len(data.read_text(encoding="utf-8").splitlines()) - 1
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    spans_path = tmp_path / "train.json"
+    res = subprocess.run(
+        [sys.executable, str(BENCH / "trace_child.py"), str(spans_path), "--", "train",
+         "--data", str(data), "--split-dir", str(split), "--lambda", "1",
+         "--output", str(tmp_path / "m.ease")],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+    loads = [s for s in spans if s["name"] == "data.load_interactions"]
+    assert len(loads) == 1 and loads[0]["events"] == n_rows == 200

@@ -718,3 +718,52 @@ def test_rescale_usage_checked_before_loading(tmp_path, capsys, extra, message):
     argv = ["rescale", "--data", missing, "--split-dir", missing, "--model", missing, *extra]
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+
+
+def _commands_after_ingest(out):
+    """Every command the benchmark runs after ``ingest``, on ``out/data.csv``."""
+    common = ["--data", str(out / "data.csv"), "--split-dir", str(out / "split")]
+    model = ["--model", str(out / "model.ease")]
+    return [
+        ["split", "--data", str(out / "data.csv"), "--output-dir", str(out / "split"),
+         "--n-val", "4", "--n-test", "6"],
+        ["train", *common, "--lambda-grid", "1,10", "--output", str(out / "model.ease")],
+        ["train-sparse", *common, "--lambda", "2", "--threshold", "0.05",
+         "--output", str(out / "model.easp")],
+        ["rescale", *common, *model, "--output", str(out / "model.rescaled")],
+        ["evaluate", *common, *model, "--report-json", str(out / "report.json")],
+        ["evaluate", *common, *model, "--time-intervals", "3",
+         "--report-json", str(out / "report_time.json")],
+    ]
+
+
+def test_commands_after_ingest_skip_the_parser(workdir, tmp_path, monkeypatch, capsys):
+    """With the container ``ingest`` wrote, no later command parses the CSV,
+    and each writes the bytes it writes when the CSV is parsed."""
+    from gramrec import data
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CSV was parsed")
+
+    ingest = ["ingest", "--input", str(workdir["raw"]), "--user-col", "user", "--item-col", "item",
+              "--value-col", "rating", "--time-col", "ts", "--min-value", "1"]
+    stdout = {}
+    for name in ("container", "parsed"):
+        out = tmp_path / name
+        out.mkdir()
+        assert main([*ingest, "--output", str(out / "data.csv")]) == 0
+        with monkeypatch.context() as m:
+            if name == "container":
+                m.setattr(data, "_chunks", refuse)
+            else:
+                (out / "data.csv.events").unlink()
+            capsys.readouterr()
+            for argv in _commands_after_ingest(out):
+                assert main(argv) == 0, argv
+            stdout[name] = capsys.readouterr().out
+    assert stdout["container"] == stdout["parsed"] != ""
+    outputs = ["data.csv", "model.ease", "model.easp", "model.rescaled", "report.json",
+               "report_time.json", "split/train_users.txt", "split/validation_users.txt",
+               "split/test_users.txt"]
+    for name in outputs:
+        assert (tmp_path / "container" / name).read_bytes() == (tmp_path / "parsed" / name).read_bytes(), name

@@ -594,10 +594,131 @@ def test_ingest_writes_reference_bytes(tmp_path_factory, case, min_user_events):
     if min_user_events:
         want = filter_activity(want, min_user_events=min_user_events)
     write_canonical_reference(want, root / "want.csv")
-    argv = ["ingest", "--input", str(raw), "--output", str(root / "got.csv"),
+    assert main(ingest_argv(raw, root / "got.csv", kwargs, min_user_events)) == 0
+    assert (root / "got.csv").read_bytes() == (root / "want.csv").read_bytes()
+
+
+def ingest_argv(raw, output, kwargs, min_user_events):
+    """``ingest`` of ``raw`` as :func:`interaction_files` says to read it."""
+    argv = ["ingest", "--input", str(raw), "--output", str(output),
             "--format", kwargs["fmt"], "--dedup", kwargs["dedup"],
             "--min-user-events", str(min_user_events)]
     argv += ["--binarize"] if kwargs["binarize"] else []
     argv += [] if kwargs["min_value"] is None else ["--min-value", str(kwargs["min_value"])]
-    assert main(argv) == 0
-    assert (root / "got.csv").read_bytes() == (root / "want.csv").read_bytes()
+    return argv
+
+
+class Parses:
+    """Counts the loads that parse text (calls of ``data._chunks``)."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        chunks = data._chunks
+
+        def counted(*args, **kwargs):
+            self.count += 1
+            return chunks(*args, **kwargs)
+
+        monkeypatch.setattr(data, "_chunks", counted)
+
+
+# keep_max keeps u1's second event, so re-reading the CSV meets u2 first:
+# ingest holds user ids [1, 0] with keys [u1, u2], the CSV gives [0, 1], [u2, u1]
+DEDUP_RENUMBERS = (
+    "user,item,value\nu1,i1,1\nu2,i2,1\nu1,i1,5\n",
+    {"fmt": "csv", "dedup": "keep_max", "min_value": None, "binarize": False},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=interaction_files(), min_user_events=st.sampled_from([0, 2]))
+@example(case=DEDUP_RENUMBERS, min_user_events=0)
+@example(case=SIGNED_ZEROS, min_user_events=0)
+def test_event_container_loads_what_parsing_gives(tmp_path_factory, case, min_user_events):
+    text, kwargs = case
+    root = tmp_path_factory.mktemp("container")
+    raw = root / "raw.txt"
+    raw.write_text(text, encoding="utf-8", newline="")
+    if main(ingest_argv(raw, root / "data.csv", kwargs, min_user_events)) != 0:
+        return  # the log is refused; ingest wrote nothing
+    with pytest.MonkeyPatch.context() as mp:
+        parses = Parses(mp)
+        got = load_interactions(root / "data.csv")
+    assert parses.count == 0
+    (root / "data.csv.events").unlink()
+    assert_same_interactions(got, load_interactions(root / "data.csv"))
+
+
+CANONICAL_LOG = "user,item,value,timestamp\nu1,i1,1,10\nu2,i2,4,11\nu1,i1,5,12\nu3,i1,2,13\n"
+
+
+def _rewrite(path, edit):
+    path.write_bytes(edit(path.read_bytes()))
+
+
+def _not_a_file(path):
+    path.unlink()
+    path.mkdir()
+
+
+# Each damages the CSV or its container after ingest; parsing must win.
+BAD_CONTAINERS = {
+    "csv_edited_same_size": lambda d: _rewrite(d / "data.csv", lambda b: b.replace(b"4.0", b"3.0")),
+    "csv_row_appended": lambda d: _rewrite(d / "data.csv", lambda b: b + b"u4,i2,1.0,14.0\r\n"),
+    "truncated": lambda d: _rewrite(d / "data.csv.events", lambda b: b[:-1]),
+    "truncated_header": lambda d: _rewrite(d / "data.csv.events", lambda b: b[:20]),
+    "one_byte_longer": lambda d: _rewrite(d / "data.csv.events", lambda b: b + b"\0"),
+    "wrong_magic": lambda d: _rewrite(d / "data.csv.events", lambda b: b"EASE" + b[4:]),
+    "other_version": lambda d: _rewrite(d / "data.csv.events", lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:]),
+    "not_a_file": lambda d: _not_a_file(d / "data.csv.events"),
+}
+
+
+@pytest.fixture
+def ingested(tmp_path):
+    raw = write(tmp_path, CANONICAL_LOG, "raw.csv")
+    assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "data.csv")]) == 0
+    return tmp_path
+
+
+def parsed(directory, **kwargs):
+    """The load with the container out of the way."""
+    copy = directory / "parsed"
+    copy.mkdir()
+    (copy / "data.csv").write_bytes((directory / "data.csv").read_bytes())
+    return load_outcome(load_interactions, copy / "data.csv", **kwargs)
+
+
+def test_intact_container_is_read_without_parsing(ingested, monkeypatch):
+    parses = Parses(monkeypatch)
+    got = load_interactions(ingested / "data.csv")
+    assert parses.count == 0
+    assert got.user_keys == ["u2", "u1", "u3"] and got.values.tolist() == [4.0, 5.0, 2.0]
+    assert_same_interactions(got, parsed(ingested))
+
+
+@pytest.mark.parametrize("damage", list(BAD_CONTAINERS))
+def test_bad_container_is_never_used(ingested, monkeypatch, damage):
+    BAD_CONTAINERS[damage](ingested)
+    parses = Parses(monkeypatch)
+    got = load_interactions(ingested / "data.csv")
+    assert parses.count == 1
+    assert_same_interactions(got, parsed(ingested))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"binarize": True},
+    {"min_value": 3.0},
+    {"dedup": "keep_last"},
+    {"schema": InteractionSchema(user="user", item="item")},
+    {"fmt": "tsv"},
+], ids=["binarize", "min_value", "keep_last", "schema", "tsv"])
+def test_container_is_not_used_with_other_options(ingested, monkeypatch, kwargs):
+    parses = Parses(monkeypatch)
+    got = load_outcome(load_interactions, ingested / "data.csv", **kwargs)
+    assert parses.count == 1
+    want = parsed(ingested, **kwargs)
+    if isinstance(want, str):
+        assert got == want.replace(str(ingested / "parsed"), str(ingested))
+    else:
+        assert_same_interactions(got, want)

@@ -98,6 +98,30 @@ def test_correlation_needs_two_users():
         correlation_from_gram(stats)
 
 
+def test_correlations_of_consumed_statistics_are_refused(rng):
+    # a dense solve leaves B in G's buffer and the statistics without G
+    x = binary_matrix(rng, 30, 8)
+    stats = build_gram(x, x)
+    solve_zero_diag(stats, 1.0)
+    with pytest.raises(DataError, match="consumed by an earlier solve"):
+        correlation_from_gram(stats)
+    with pytest.raises(DataError, match="consumed by an earlier solve"):
+        train_sparse(stats, theta=0.1, n_max=8, lam=1.0)
+
+
+def test_correlations_indexed_after_a_solve_are_refused(rng):
+    # made before the solve, they would otherwise be read off B
+    x = binary_matrix(rng, 30, 8)
+    stats = build_gram(x, x)
+    cor = correlation_from_gram(stats)
+    np.testing.assert_array_equal(cor[:, :], correlation_reference(stats))
+    solve_zero_diag(stats, 1.0)
+    assert cor.shape == (8, 8)
+    for key in ((slice(None), slice(0, 8)), (np.arange(8), np.arange(8)[::-1])):
+        with pytest.raises(DataError, match="consumed by an earlier solve"):
+            cor[key]
+
+
 def test_threshold_small_example():
     cor = np.array([[1.0, 0.8, 0.1], [0.8, 1.0, -0.4], [0.1, -0.4, 1.0]])
     pat = threshold_pattern(cor, theta=0.3)
