@@ -34,9 +34,12 @@ _TIMESTAMP_BOUND = 2.0**63  # timestamps are int64
 _ROWS_PER_WRITE = 4096  # canonical CSV rows per file write
 
 _EVENTS_MAGIC = b"GREV"
-_EVENTS_VERSION = 1
-# magic, version, events, users, items, has timestamps, sha256 of the CSV
+_EVENTS_VERSION = 2
+# magic, version, events, users, items, has timestamps, sha256 of the CSV;
+# then the key tables, the columns below, and the sha256 of all before it
 _EVENTS_HEADER = struct.Struct("<4sIQQQ?32s")
+_EVENTS_DTYPES = ("<i8", "<i8", "<f8", "<i8")  # user ids, item ids, values, timestamps
+_DIGEST_SIZE = 32
 
 
 @dataclass
@@ -329,37 +332,51 @@ def _events_path(path: Path) -> Path:
 
 def _load_events(path: Path) -> InteractionSet | None:
     """The events in the container beside ``path``; None when there is no
-    container, or it is unreadable, of another version or size, or was
-    written for other bytes than ``path`` holds now."""
+    container, or it is unreadable, of another version or size, fails its
+    own digest, or was written for other bytes than ``path`` holds now."""
     try:
         with _events_path(path).open("rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            magic, version, n_events, n_users, n_items, has_time, digest = read_record(fh, _EVENTS_HEADER)
+            magic, version, n_events, n_users, n_items, has_time, csv_digest = read_record(fh, _EVENTS_HEADER)
             if (magic, version) != (_EVENTS_MAGIC, _EVENTS_VERSION):
                 return None
             user_keys = read_keys(fh, path, n_users) or []
             item_keys = read_keys(fh, path, n_items) or []
-            if size != fh.tell() + 8 * n_events * (4 if has_time else 3):
+            head = fh.tell()
+            dtypes = _EVENTS_DTYPES[: 4 if has_time else 3]
+            if size != head + 8 * n_events * len(dtypes) + _DIGEST_SIZE:
                 return None
             with path.open("rb") as csv_fh:
-                if hashlib.file_digest(csv_fh, "sha256").digest() != digest:
+                if _sha256(csv_fh).digest() != csv_digest:
                     return None
-            user_ids = np.fromfile(fh, "<i8", n_events)
-            item_ids = np.fromfile(fh, "<i8", n_events)
-            values = np.fromfile(fh, "<f8", n_events)
-            timestamps = np.fromfile(fh, "<i8", n_events) if has_time else None
+            columns = [np.fromfile(fh, dtype, n_events) for dtype in dtypes]
+            stored = fh.read(_DIGEST_SIZE)
+            fh.seek(0)
+            digest = hashlib.sha256(fh.read(head))
+            for column in columns:
+                digest.update(column)
+            if digest.digest() != stored:
+                return None
     except (OSError, struct.error, DataError):
         return None
     return InteractionSet(
-        user_ids=user_ids,
-        item_ids=item_ids,
-        values=values,
-        timestamps=timestamps,
+        user_ids=columns[0],
+        item_ids=columns[1],
+        values=columns[2],
+        timestamps=columns[3] if has_time else None,
         user_keys=user_keys,
         item_keys=item_keys,
         user_index=dict(zip(user_keys, count())),
         item_index=dict(zip(item_keys, count())),
     )
+
+
+def _sha256(fh):
+    """The sha256 of the rest of ``fh``, read a MiB at a time."""
+    digest = hashlib.sha256()
+    for block in iter(lambda: fh.read(1 << 20), b""):
+        digest.update(block)
+    return digest
 
 
 def save_interactions(path: str | Path, iset: InteractionSet) -> None:
@@ -369,7 +386,7 @@ def save_interactions(path: str | Path, iset: InteractionSet) -> None:
     the CSV gives: the events with ids renumbered in first-appearance order,
     which a dedup can have changed."""
     path = Path(path)
-    iset = _reindex(iset, np.arange(iset.n_events))
+    iset = _reindex(iset, slice(None))
     # The rows csv.writer would write: each key's field and each distinct
     # value's repr is rendered once (bit patterns, so -0.0 stays apart from 0.0).
     user_fields = list(map(_csv_field, iset.user_keys))
@@ -377,12 +394,12 @@ def save_interactions(path: str | Path, iset: InteractionSet) -> None:
     bits, value_of = np.unique(iset.values.view(np.int64), return_inverse=True)
     value_texts = list(map(repr, bits.view(np.float64).tolist()))
     has_time = iset.timestamps is not None
-    digest = hashlib.sha256()
+    csv_digest = hashlib.sha256()
     with atomic_write(path, binary=True) as fh:
 
         def write(text: str) -> None:
             raw = text.encode("utf-8")
-            digest.update(raw)
+            csv_digest.update(raw)
             fh.write(raw)
 
         write("user,item,value" + (",timestamp" if has_time else "") + "\r\n")
@@ -396,16 +413,20 @@ def save_interactions(path: str | Path, iset: InteractionSet) -> None:
             if has_time:
                 cols.append(map(repr, iset.timestamps[rows].astype(float).tolist()))
             write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+    head = io.BytesIO()
+    head.write(_EVENTS_HEADER.pack(_EVENTS_MAGIC, _EVENTS_VERSION, iset.n_events, iset.n_users,
+                                   iset.n_items, has_time, csv_digest.digest()))
+    write_keys(head, iset.user_keys)
+    write_keys(head, iset.item_keys)
+    digest = hashlib.sha256(head.getbuffer())
     with atomic_write(_events_path(path), binary=True) as fh:
-        fh.write(_EVENTS_HEADER.pack(_EVENTS_MAGIC, _EVENTS_VERSION, iset.n_events, iset.n_users,
-                                     iset.n_items, has_time, digest.digest()))
-        write_keys(fh, iset.user_keys)
-        write_keys(fh, iset.item_keys)
-        write_array(fh, iset.user_ids, "<i8")
-        write_array(fh, iset.item_ids, "<i8")
-        write_array(fh, iset.values, "<f8")
-        if has_time:
-            write_array(fh, iset.timestamps, "<i8")
+        fh.write(head.getbuffer())
+        columns = (iset.user_ids, iset.item_ids, iset.values, iset.timestamps)
+        for column, dtype in zip(columns, _EVENTS_DTYPES[: 4 if has_time else 3]):
+            column = np.ascontiguousarray(column, dtype)
+            write_array(fh, column, dtype)
+            digest.update(column)
+        fh.write(digest.digest())
 
 
 def _csv_field(key: str) -> str:
@@ -522,7 +543,7 @@ def filter_activity(
     return _reindex(iset, idx)
 
 
-def _reindex(iset: InteractionSet, event_idx: np.ndarray) -> InteractionSet:
+def _reindex(iset: InteractionSet, event_idx: np.ndarray | slice) -> InteractionSet:
     uids, user_keys = _first_appearance(iset.user_ids[event_idx], iset.user_keys)
     iids, item_keys = _first_appearance(iset.item_ids[event_idx], iset.item_keys)
     return InteractionSet(
@@ -539,7 +560,13 @@ def _reindex(iset: InteractionSet, event_idx: np.ndarray) -> InteractionSet:
 
 def _first_appearance(ids: np.ndarray, keys: list[str]) -> tuple[np.ndarray, list[str]]:
     """``ids`` renumbered from 0 in order of first appearance, and the keys
-    of the new ids."""
+    of the new ids; ``ids`` and ``keys`` themselves when already so."""
+    if len(ids):
+        # So numbered: each id is at most one above all before it, and the
+        # largest is the last key's.
+        peak = np.maximum.accumulate(ids)
+        if ids[0] == 0 and peak[-1] == len(keys) - 1 and (ids[1:] <= peak[:-1] + 1).all():
+            return ids, keys
     old, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)
     new = np.empty(len(old), dtype=np.int64)

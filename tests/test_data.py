@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -661,6 +662,24 @@ def _not_a_file(path):
     path.mkdir()
 
 
+def _flip(offset):
+    """An edit of the container that flips the low bit of one byte, so its
+    size stays; ``offset`` counts from the end when negative."""
+
+    def edit(raw):
+        raw = bytearray(raw)
+        raw[offset] ^= 1
+        return bytes(raw)
+
+    return lambda d: _rewrite(d / "data.csv.events", edit)
+
+
+# CANONICAL_LOG's container: a 65-byte header, the user keys [u2, u1, u3]
+# (8 + 3 * 6 bytes), the item keys [i1, i2] (8 + 2 * 6 bytes), the user ids,
+# item ids, values and timestamps of its 3 events (24 bytes each), and a
+# 32-byte sha256 of all before it.
+_KEYS_AT, _COLUMNS_AT = 65, 65 + 26 + 20
+
 # Each damages the CSV or its container after ingest; parsing must win.
 BAD_CONTAINERS = {
     "csv_edited_same_size": lambda d: _rewrite(d / "data.csv", lambda b: b.replace(b"4.0", b"3.0")),
@@ -669,7 +688,14 @@ BAD_CONTAINERS = {
     "truncated_header": lambda d: _rewrite(d / "data.csv.events", lambda b: b[:20]),
     "one_byte_longer": lambda d: _rewrite(d / "data.csv.events", lambda b: b + b"\0"),
     "wrong_magic": lambda d: _rewrite(d / "data.csv.events", lambda b: b"EASE" + b[4:]),
-    "other_version": lambda d: _rewrite(d / "data.csv.events", lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:]),
+    "other_version": lambda d: _rewrite(
+        d / "data.csv.events", lambda b: b[:4] + (data._EVENTS_VERSION + 1).to_bytes(4, "little") + b[8:]),
+    "event_count_edited": _flip(8),
+    "key_edited": _flip(_KEYS_AT + 8 + 4),  # u2 -> t2
+    "user_id_out_of_range": _flip(_COLUMNS_AT + 4),  # id 0 -> 2**32
+    "value_edited_finite": _flip(_COLUMNS_AT + 2 * 24 + 6),  # 4.0 -> 4.25
+    "timestamp_edited": _flip(_COLUMNS_AT + 3 * 24),
+    "own_digest_edited": _flip(-1),
     "not_a_file": lambda d: _not_a_file(d / "data.csv.events"),
 }
 
@@ -690,6 +716,9 @@ def parsed(directory, **kwargs):
 
 
 def test_intact_container_is_read_without_parsing(ingested, monkeypatch):
+    # hashlib.file_digest is new in Python 3.11; the package supports 3.10
+    monkeypatch.delattr(hashlib, "file_digest", raising=False)
+    assert (ingested / "data.csv.events").stat().st_size == _COLUMNS_AT + 4 * 24 + 32
     parses = Parses(monkeypatch)
     got = load_interactions(ingested / "data.csv")
     assert parses.count == 0
