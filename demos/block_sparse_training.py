@@ -41,7 +41,7 @@ for blk in range(3):
     )
 
 x = UserItemMatrix(matrix=sp.csr_matrix(dense), binarized=True)
-stats = build_gram(x, x)
+stats = build_gram(x)
 cor_stats = correlation_from_gram(stats)
 cor = cor_stats[:, :]  # the whole matrix; fine at this size
 print("mean |correlation| within communities :", np.abs(cor[:ipb, :ipb]).mean().round(3))
@@ -53,7 +53,7 @@ print("\nblocks found:", [len(b) for b in blocks])
 
 lam = 2.0
 sparse_model = train_sparse(stats, theta=0.3, n_max=n_items, lam=lam)
-dense_model = solve_zero_diag(build_gram(x, x), lam=lam)  # a solve consumes its statistics
+dense_model = solve_zero_diag(build_gram(x), lam=lam)  # a solve consumes its statistics
 masked = mask_model(dense_model, pattern)
 gap = np.max(np.abs(sparse_model.values.toarray() - masked.values.toarray()))
 print(f"stored entries: {sparse_model.values.nnz} of {n_items * n_items}")

@@ -9,14 +9,13 @@ rank correction: one Lagrange multiplier per item.
 This script trains the unconstrained and the constrained variants on a
 tiny binary dataset and checks four things numerically: the constrained
 solution matches a per-column brute-force fit that simply deletes the
-offending feature; its diagonal is exactly zero; when input and target
-are the same matrix the whole model can be read off the inverse of the
-regularized Gram matrix, which the solver does by itself when C is G, and
-agrees with the general correction run on a copy of G; and the gradient at the constrained optimum is
+offending feature; its diagonal is exactly zero; the whole model can be
+read off the inverse P of the regularized Gram matrix, which the solver
+does for every target it trains on, and agrees with the general formula
+P·C − P·diagMat(γ) written out with an explicit target C, for C = G and
+for centered targets; and the gradient at the constrained optimum is
 diagonal, with the multipliers on the diagonal.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,15 +27,15 @@ n_users, n_items, lam = 60, 8, 2.0
 
 dense = (rng.random((n_users, n_items)) < 0.35).astype(np.float64)
 x = UserItemMatrix(matrix=sp.csr_matrix(dense), binarized=True)
-g = build_gram(x, x).g  # C is G here
+g = build_gram(x).g  # the target C is G here
 
 print("Gram diagonal (per-item interaction counts):")
 print(np.diag(g).astype(int))
 
 # each solve consumes the statistics it is given (P is made in G's buffer),
 # so every solve below gets a fresh build
-rr = solve_rr(build_gram(x, x), lam=lam)
-zd = solve_zero_diag(build_gram(x, x), lam=lam)
+rr = solve_rr(build_gram(x), lam=lam)
+zd = solve_zero_diag(build_gram(x), lam=lam)
 print("\nridge diagonal       :", np.round(np.diag(rr.b), 3))
 print("constrained diagonal :", np.diag(zd.b))
 
@@ -49,10 +48,24 @@ for j in range(n_items):
     brute[rest, j] = np.linalg.solve(a, xs.T @ dense[:, j])
 print("\nmax |closed form - brute force| =", np.max(np.abs(zd.b - brute)))
 
-# identical input and target (C is G): zd was read off the precision matrix;
-# an equal copy of G as C makes the solver take the general correction
-general = solve_zero_diag(replace(build_gram(x, x), c=g.copy()), lam=lam)
-print("max |general - read-off|        =", np.max(np.abs(general.b - zd.b)))
+
+
+def general(c):
+    """B = P·C − P·diagMat(γ) with γ = diag(P·C)/diag(P), zero diagonal."""
+    p = np.linalg.inv(g + lam * np.eye(n_items))
+    b = p @ c
+    b -= p * (np.diag(b) / np.diag(p))[np.newaxis, :]
+    np.fill_diagonal(b, 0.0)
+    return b
+
+
+# zd was read off the precision matrix, B = -P·diagMat(1/diag(P)); the
+# general formula takes the product P·C with C = G
+print("max |general - read-off|        =", np.max(np.abs(general(g) - zd.b)))
+# centered targets are read off P too, through the column sums and means
+centered = solve_zero_diag(build_gram(x, center=True), lam=lam)
+c = dense.T @ (dense - dense.mean(axis=0))
+print("centered: max |general - read-off| =", np.max(np.abs(general(c) - centered.b)))
 
 # stationarity: the gradient 2(G B - C + lam B) is diagonal at the optimum,
 # and minus half its diagonal is the stored multiplier vector

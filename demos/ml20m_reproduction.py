@@ -57,7 +57,7 @@ print(f"[{time.perf_counter() - t0:7.1f}s] split: {len(split.train_users)} train
 
 t_train = time.perf_counter()
 train_matrix = matrix.restrict_users(split.train_users)
-stats = build_gram(train_matrix, train_matrix)
+stats = build_gram(train_matrix)
 print(f"[{time.perf_counter() - t0:7.1f}s] gram built")
 model = solve_zero_diag(stats, lam=500.0)
 print(f"[{time.perf_counter() - t0:7.1f}s] model solved "

@@ -57,7 +57,7 @@ matrix = to_user_item_matrix(iset)
 pop = popularity(matrix)
 print("interaction counts:", pop.pop.astype(int))
 
-model = solve_zero_diag(build_gram(matrix, matrix), lam=5.0)
+model = solve_zero_diag(build_gram(matrix), lam=5.0)
 weights = popularity_weights(pop, alpha=1.0)
 print("item weights      :", np.round(weights.w, 3))
 rescaled = apply_item_rescaling(model, weights)

@@ -64,7 +64,7 @@ split = SplitSpec(
     seed=0,
 )
 train_matrix = matrix.restrict_users(split.train_users)
-stats = build_gram(train_matrix, train_matrix)
+stats = build_gram(train_matrix)
 
 model = solve_zero_diag(stats, lam=1.0)
 report = evaluate_model(model, matrix, split, users="validation")
@@ -79,7 +79,7 @@ print(baseline.to_text())
 lams = [1e-6, 1e-3, 0.1, 1.0, 10.0, 1e5]
 # the grid rebuilds the statistics for each lambda and solves them in place
 best, reports, _ = grid_search_lambda(
-    lambda: build_gram(train_matrix, train_matrix), matrix, split, lams, metric="ndcg@100"
+    lambda: build_gram(train_matrix), matrix, split, lams, metric="ndcg@100"
 )
 print("regularization sweep (ndcg@100 on validation users):")
 for lam in lams:

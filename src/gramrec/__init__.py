@@ -1,9 +1,9 @@
 """Linear item-item collaborative filtering with closed-form training.
 
-Models are dense or sparse item-item weight matrices learned from the
-sufficient statistics G = XᵀX and C = XᵀY, with an exact zero-diagonal
-constraint, optional popularity re-scaling, and a strong-generalization
-ranking evaluation."""
+Models are dense or sparse item-item weight matrices learned from the Gram
+matrix G = XᵀX and a few per-item vectors that describe the target, with an
+exact zero-diagonal constraint, optional popularity re-scaling, and a
+strong-generalization ranking evaluation."""
 
 from .data import (
     InteractionSchema,

@@ -213,14 +213,20 @@ def _build_train_gram(args, matrix, split, user_weights):
     if args.disjoint:
         return build_disjoint_gram(
             train_matrix, explicit_lambda=not args.exact_expectation,
-            split_fraction=args.split_fraction,
+            split_fraction=0.05 if args.split_fraction is None else args.split_fraction,
         )
     if user_weights is not None:
-        return build_user_weighted_gram(train_matrix, train_matrix, user_weights)
-    return build_gram(train_matrix, train_matrix, center_y=args.center)
+        return build_user_weighted_gram(train_matrix, user_weights)
+    return build_gram(train_matrix, center=args.center)
 
 
 def cmd_train(args) -> int:
+    if args.exact_expectation and not args.disjoint:
+        raise UsageError("--exact-expectation applies only with --disjoint")
+    if args.split_fraction is not None and not args.exact_expectation:
+        raise UsageError("--split-fraction applies only with --exact-expectation")
+    if args.split_fraction is not None and not 0.0 < args.split_fraction < 1.0:
+        raise UsageError(f"--split-fraction must be in (0, 1), got {args.split_fraction}")
     iset, matrix = _load_dataset(args)
     split = _load_split(args, iset)
     user_weights = None
@@ -245,7 +251,6 @@ def cmd_train(args) -> int:
         t_gram = time.perf_counter()
         _log(f"phase gram: {t_gram - t0:.2f}s ({gram.n_items} items, {gram.n_users} users)")
         model = solver_fn(gram, lam)
-        del gram  # C, when it is not G, goes before the model is written
         _log(f"phase solve: {time.perf_counter() - t_gram:.2f}s")
 
     save_model(args.output, model, item_keys=iset.item_keys)
@@ -268,7 +273,7 @@ def cmd_train_sparse(args) -> int:
 
     t0 = time.perf_counter()
     train_matrix = matrix.restrict_users(split.train_users)
-    gram = build_gram(train_matrix, train_matrix)
+    gram = build_gram(train_matrix)
     t_gram = time.perf_counter()
     _log(f"phase gram: {t_gram - t0:.2f}s ({gram.n_items} items, {gram.n_users} users)")
     model = train_sparse(gram, theta=theta, n_max=n_max, lam=lam)
@@ -468,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="expected statistics of random disjoint input/target splits")
     p.add_argument("--exact-expectation", dest="exact_expectation", action="store_true",
                    help="keep the exact split expectations (with --disjoint)")
-    p.add_argument("--split-fraction", dest="split_fraction", type=_finite_float, default=0.05,
+    p.add_argument("--split-fraction", dest="split_fraction", type=_finite_float,
                    help="target fraction for --exact-expectation (default 0.05)")
     gram.add_argument("--user-weights", dest="user_weights",
                       help="user,weight CSV of error weights for the training users")

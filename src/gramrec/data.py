@@ -308,13 +308,14 @@ def load_interactions(
     del parts  # the chunks' arrays, before dedup allocates
 
     keep = _dedup_indices(user_arr, item_arr, value_arr, dedup)
+    dropped = len(keep) < len(user_arr)
     user_arr, item_arr, value_arr = user_arr[keep], item_arr[keep], value_arr[keep]
     if time_arr is not None:
         time_arr = time_arr[keep]
     if binarize:
         value_arr = np.ones_like(value_arr)
 
-    return InteractionSet(
+    iset = InteractionSet(
         user_ids=user_arr,
         item_ids=item_arr,
         values=value_arr,
@@ -324,6 +325,9 @@ def load_interactions(
         user_index=user_index,
         item_index=item_index,
     )
+    # ids were given over every parsed event; the dropped duplicates can
+    # have been the first appearances
+    return _reindex(iset, slice(None)) if dropped else iset
 
 
 def _events_path(path: Path) -> Path:
@@ -383,10 +387,9 @@ def save_interactions(path: str | Path, iset: InteractionSet) -> None:
     """Write ``iset`` as the canonical CSV at ``path`` (a ``user,item,value``
     header, plus ``timestamp`` when the events have them), then its event
     container beside it, each atomically.  The container holds what loading
-    the CSV gives: the events with ids renumbered in first-appearance order,
-    which a dedup can have changed."""
+    the CSV gives, so the ids must be numbered in first-appearance order, as
+    :func:`load_interactions` and :func:`filter_activity` number them."""
     path = Path(path)
-    iset = _reindex(iset, slice(None))
     # The rows csv.writer would write: each key's field and each distinct
     # value's repr is rendered once (bit patterns, so -0.0 stays apart from 0.0).
     user_fields = list(map(_csv_field, iset.user_keys))

@@ -134,7 +134,6 @@ def _model_config(model) -> dict:
             "model": "sparse",
             "lambda": float(model.lam),
             "threshold": float(model.pattern.threshold),
-            "pattern_source": model.pattern.source,
             "n_max": int(model.pattern.n_max),
         }
     w = model.applied_item_weights

@@ -1,10 +1,11 @@
-"""Sufficient statistics for the closed-form solvers: G = XᵀX and C = XᵀY.
+"""Sufficient statistics for the closed-form solvers: G = XᵀX and the
+description of the target C = XᵀY.
 
-These two item-item matrices fully determine every model in this package, so
-they can be computed once (a single pass over the sparse interaction rows, in
-ascending user-id order) and reused across regularization strengths and model
-variants.  Includes the disjoint-split construction that zeroes the diagonal
-of C, optional target-column centering and per-user error weighting.
+Every model in this package is a function of G and a few per-item vectors,
+computed in a single pass over the sparse interaction rows, in ascending
+user-id order.  Includes the disjoint-split construction that removes the
+diagonal of C, optional target-column centering and per-user error
+weighting; none of them forms C.
 """
 
 from __future__ import annotations
@@ -24,20 +25,29 @@ PANEL = 256
 
 @dataclass
 class GramStats:
-    """Dense item-item statistics G = XᵀX and C = XᵀY.
+    """The Gram matrix G = XᵀX plus the O(n) vectors that describe the
+    target C = XᵀY a solve fits, without C itself.
 
-    ``mu`` holds the column means of Y when the targets were centered
-    (centering is recorded by its presence).  For self-target statistics C
-    is G itself, not a copy, which lets the solver skip the product P*C.
-    ``colsum`` holds the input column sums Xᵀ1, which correlations need
-    beyond G for non-binary X.  A dense solve consumes the statistics.
+    Every target a builder makes is C = κ·(G − diagMat(d)) − s·μᵀ, where
+    s = ``colsum`` holds the column sums Xᵀ1, ``mu`` the target column means
+    when the targets were centered (centering is recorded by its presence),
+    d = diag(G) when ``removed_diag`` is set and 0 otherwise, and κ =
+    ``kappa``.  Plain statistics have C = G.  The solvers read every model
+    off P = (G + λI)⁻¹ and these vectors, and consume the statistics.
     """
 
     g: np.ndarray
-    c: np.ndarray
-    mu: np.ndarray | None
     n_users: int
     colsum: np.ndarray
+    mu: np.ndarray | None = None
+    kappa: float = 1.0
+    removed_diag: bool = False
+
+    @property
+    def c(self) -> np.ndarray:
+        """G under its old name: perfbench/trace_child.py reads it to size
+        the dense statistics; nothing in the package does."""
+        return self.g
 
     @property
     def n_items(self) -> int:
@@ -47,6 +57,11 @@ class GramStats:
     def centered(self) -> bool:
         return self.mu is not None
 
+    @property
+    def plain(self) -> bool:
+        """Whether the target is G itself."""
+        return self.mu is None and self.kappa == 1.0 and not self.removed_diag
+
     def require_g(self) -> np.ndarray:
         """G, or a DataError once a dense solve has consumed the statistics."""
         if self.g is None:
@@ -54,33 +69,8 @@ class GramStats:
         return self.g
 
 
-def _check_dims(x: UserItemMatrix, y: UserItemMatrix) -> None:
-    if x.matrix.shape != y.matrix.shape:
-        raise DataError(
-            f"input and target matrices disagree in shape: {x.matrix.shape} vs {y.matrix.shape}"
-        )
-
-
 def _colsum(x: sp.csr_matrix) -> np.ndarray:
     return np.asarray(x.sum(axis=0)).ravel().astype(np.float64)
-
-
-def _dense_product(xt: sp.csr_matrix, y: sp.csr_matrix) -> np.ndarray:
-    """xt @ y as a dense float64 array, written one row panel at a time so
-    that no sparse product of all rows is held.  Each row of the product
-    sums over xt's row in the same order whatever other rows are taken, so
-    the panels are bitwise the whole product."""
-    n = xt.shape[0]
-    out = np.empty((n, y.shape[1]), dtype=np.float64)
-    for lo in range(0, n, PANEL):
-        hi = min(lo + PANEL, n)
-        start, end = xt.indptr[lo], xt.indptr[hi]
-        rows = sp.csr_matrix(  # a view of xt's rows, where xt[lo:hi] would copy them
-            (xt.data[start:end], xt.indices[start:end], xt.indptr[lo : hi + 1] - start),
-            shape=(hi - lo, xt.shape[1]),
-        )
-        (rows @ y).astype(np.float64, copy=False).toarray(out=out[lo:hi])
-    return out
 
 
 def _symmetrize(g: np.ndarray) -> None:
@@ -98,41 +88,42 @@ def _symmetrize(g: np.ndarray) -> None:
         del half  # before the next panel is allocated
 
 
-def _products(
-    x: sp.csr_matrix, xw: sp.csr_matrix, yw: sp.csr_matrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """Densified XᵀXw and XᵀYw, accumulated in float64 over ascending user
-    ids; C is returned as G itself when the targets are the inputs."""
+def _gram(x: sp.csr_matrix, xw: sp.csr_matrix) -> np.ndarray:
+    """Densified, symmetrized XᵀXw, accumulated in float64 over ascending
+    user ids.  The product is written one row panel of Xᵀ at a time, so
+    that no sparse product of all rows is held; each row of it sums over
+    Xᵀ's row in the same order whatever other rows are taken, so the panels
+    are bitwise the whole product."""
     xt = x.T.tocsr()
-    g = _dense_product(xt, xw)
+    n = xt.shape[0]
+    g = np.empty((n, n), dtype=np.float64)
+    for lo in range(0, n, PANEL):
+        hi = min(lo + PANEL, n)
+        start, end = xt.indptr[lo], xt.indptr[hi]
+        rows = sp.csr_matrix(  # a view of xt's rows, where xt[lo:hi] would copy them
+            (xt.data[start:end], xt.indices[start:end], xt.indptr[lo : hi + 1] - start),
+            shape=(hi - lo, xt.shape[1]),
+        )
+        (rows @ xw).astype(np.float64, copy=False).toarray(out=g[lo:hi])
     _symmetrize(g)
-    if yw is xw:
-        return g, g
-    return g, _dense_product(xt, yw)
+    return g
 
 
-def build_gram(x: UserItemMatrix, y: UserItemMatrix, center_y: bool = False) -> GramStats:
-    """G = XᵀX and C = XᵀY, optionally with Y's columns centered.
+def build_gram(x: UserItemMatrix, center: bool = False) -> GramStats:
+    """G = XᵀX, with the targets X optionally centered by column.
 
-    Centering never densifies Y: with column means μ and the vector of
-    X's column sums s = Xᵀ1, the centered cross-product is XᵀY − s·μᵀ,
-    subtracted from C one row panel at a time.  The means are stored so
-    scoring can add them back.
+    Centering changes the target only: with column means μ and column sums
+    s = Xᵀ1 the centered cross-product is XᵀX − s·μᵀ, which the solvers
+    apply through s and μ.  The means are stored so scoring can add them
+    back.
     """
-    _check_dims(x, y)
-    g, c = _products(x.matrix, x.matrix, y.matrix)
     colsum = _colsum(x.matrix)
     mu = None
-    if center_y:
-        n = x.n_users
-        if n == 0:
+    if center:
+        if x.n_users == 0:
             raise DataError("cannot center with zero users")
-        mu = _colsum(y.matrix) / n
-        if c is g:
-            c = g.copy()
-        for lo in range(0, c.shape[0], PANEL):
-            c[lo : lo + PANEL] -= np.outer(colsum[lo : lo + PANEL], mu)
-    return GramStats(g=g, c=c, mu=mu, n_users=x.n_users, colsum=colsum)
+        mu = colsum / x.n_users
+    return GramStats(g=_gram(x.matrix, x.matrix), n_users=x.n_users, colsum=colsum, mu=mu)
 
 
 def build_disjoint_gram(
@@ -156,43 +147,39 @@ def build_disjoint_gram(
     diagonal and thereby add an implicit regularization of their own:
 
         G = (1−p)²·ZᵀZ + p(1−p)·diagMat(diag(ZᵀZ)),
-        C = p(1−p)·(ZᵀZ − diagMat(diag(ZᵀZ))).
+        C = p(1−p)·(ZᵀZ − diagMat(diag(ZᵀZ))) = p/(1−p)·(G − diagMat(diag(G))).
+
+    Either way C is κ·(G − diagMat(diag(G))), recorded as ``removed_diag``
+    and ``kappa``.
     """
     if not z.binarized or (z.matrix.nnz > 0 and not np.all(z.matrix.data == 1.0)):
         raise DataError("disjoint-split statistics require a binary matrix")
-    g, _ = _products(z.matrix, z.matrix, z.matrix)
-    diag = np.diag(g).copy()
-    c = g.copy()
-    np.fill_diagonal(c, 0.0)
+    g = _gram(z.matrix, z.matrix)
+    kappa = 1.0
     if not explicit_lambda:
         p = split_fraction
         if not 0.0 < p < 1.0:
             raise DataError(f"split fraction must be in (0, 1), got {p}")
-        c *= p * (1.0 - p)
+        kappa = p / (1.0 - p)
+        diag = np.diag(g).copy()
         g *= (1.0 - p) ** 2
         np.fill_diagonal(g, (1.0 - p) ** 2 * diag + p * (1.0 - p) * diag)
-    return GramStats(g=g, c=c, mu=None, n_users=z.n_users, colsum=_colsum(z.matrix))
+    return GramStats(g=g, n_users=z.n_users, colsum=_colsum(z.matrix), kappa=kappa,
+                     removed_diag=True)
 
 
-def build_user_weighted_gram(x: UserItemMatrix, y: UserItemMatrix, w_u: np.ndarray) -> GramStats:
-    """G = Xᵀ·diagMat(w)·X and C = Xᵀ·diagMat(w)·Y for positive user weights.
+def build_user_weighted_gram(x: UserItemMatrix, w_u: np.ndarray) -> GramStats:
+    """G = Xᵀ·diagMat(w)·X for positive user weights; the target is G.
 
-    Weighting each user's squared errors by w_u folds entirely into these
-    statistics, so training proceeds unchanged downstream.  With unit
-    weights the result is bit-for-bit identical to :func:`build_gram`.
+    Weighting each user's squared errors by w_u folds entirely into G, so
+    training proceeds unchanged downstream.  With unit weights the result
+    is bit-for-bit identical to :func:`build_gram`.
     """
-    _check_dims(x, y)
     w_u = np.asarray(w_u, dtype=np.float64)
     if len(w_u) != x.n_users:
         raise DataError(f"expected {x.n_users} user weights, got {len(w_u)}")
     if np.any(w_u <= 0) or not np.all(np.isfinite(w_u)):
         raise DataError("user weights must be positive and finite")
-    scale = sp.diags(w_u, format="csr")
-    xw = (scale @ x.matrix).tocsr()
+    xw = (sp.diags(w_u, format="csr") @ x.matrix).tocsr()
     xw.sort_indices()
-    yw = xw
-    if y.matrix is not x.matrix:
-        yw = (scale @ y.matrix).tocsr()
-        yw.sort_indices()
-    g, c = _products(x.matrix, xw, yw)
-    return GramStats(g=g, c=c, mu=None, n_users=x.n_users, colsum=_colsum(x.matrix))
+    return GramStats(g=_gram(x.matrix, xw), n_users=x.n_users, colsum=_colsum(x.matrix))

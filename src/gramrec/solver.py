@@ -1,17 +1,23 @@
 """Closed-form dense models from Gram statistics.
 
-Everything here is a direct function of P = (G + lambda*I)^-1 and C.  The
-unconstrained ridge solution is B = P*C.  Forcing a zero diagonal adds one
-Lagrange multiplier per item and costs only a rank correction:
+With P = (G + lambda*I)^-1, the unconstrained ridge solution is B = P*C.
+Forcing a zero diagonal adds one Lagrange multiplier per item and costs
+only a rank correction:
 
     gamma = diag(P*C) / diag(P),    B = P*C - P*diagMat(gamma).
 
-When input and target coincide (C = G) the correction swallows the whole
-product and B can be read off P alone: B_ij = -P_ij / P_jj off the diagonal,
-zero on it (Steck, "Embarrassingly Shallow Autoencoders for Sparse Data",
-WWW 2019).  The solvers return :class:`DenseModel`, which also carries the
-provenance needed for scoring (centering means, applied item weights) and
-the multipliers as diagnostics.
+Every target C the builders describe is kappa*(G - diagMat(d)) - s*mu^T
+(see :class:`GramStats`), and P*G = I - lambda*P, so P*C is never
+formed: with v = P*s,
+
+    ridge:          B = kappa*(I - P*diagMat(lambda + d)) - v*mu^T,
+    zero-diagonal:  B_ij = -P_ij*(kappa - v_j*mu_j)/P_jj - v_i*mu_j  (i != j),
+
+the EASE read-off B_ij = -P_ij / P_jj for plain statistics (Steck,
+"Embarrassingly Shallow Autoencoders for Sparse Data", WWW 2019).  Both are
+written into P's buffer, which is G's.  The solvers return
+:class:`DenseModel`, which also carries the provenance needed for scoring
+(centering means, applied item weights) and the multipliers as diagnostics.
 """
 
 from __future__ import annotations
@@ -80,12 +86,6 @@ class DenseModel:
         return self.b.shape[0]
 
 
-def _check_solvable(gram: GramStats, lam: float) -> None:
-    gram.require_g()
-    if not 0 < lam < np.inf:
-        raise DataError(f"regularization strength must be positive and finite, got {lam}")
-
-
 def invert_regularized(gram: GramStats, lam: float) -> PrecisionMatrix:
     """(G + lambda*I)^-1 by Cholesky factorization, made in G's own buffer.
 
@@ -94,17 +94,16 @@ def invert_regularized(gram: GramStats, lam: float) -> PrecisionMatrix:
     which is G's buffer in Fortran order and equal to G since every builder
     makes G exactly symmetric, is factored and inverted in place; the result
     is that buffer with the triangle mirrored panel by panel.  The
-    statistics are consumed: ``gram.g`` is set to None, and ``gram.c`` too
-    when it is G, so solving them again raises instead of inverting P.
+    statistics are consumed: ``gram.g`` is set to None, so solving them
+    again raises instead of inverting P.
     """
-    _check_solvable(gram, lam)
-    n = gram.g.shape[0]
+    n = gram.require_g().shape[0]
+    if not 0 < lam < np.inf:
+        raise DataError(f"regularization strength must be positive and finite, got {lam}")
     for lo in range(0, n, PANEL):
         if not np.isfinite(gram.g[lo : lo + PANEL]).all():
             raise NumericalError("Gram matrix contains non-finite entries")
     a = np.asarray(gram.g, dtype=np.float64, order="C").T
-    if gram.c is gram.g:
-        gram.c = None
     gram.g = None
     idx = np.diag_indices_from(a)
     a[idx] += lam
@@ -138,38 +137,49 @@ def _positive_diag(p: np.ndarray) -> np.ndarray:
     return dp
 
 
-def solve_rr(gram: GramStats, lam: float) -> DenseModel:
-    """Unconstrained ridge solution B = P*C, consuming the statistics (see
-    :func:`invert_regularized`).  The product still reads C after P is made
-    in G's buffer, so when C is G it is copied first."""
-    _check_solvable(gram, lam)
-    c = gram.c.copy() if gram.c is gram.g else gram.c
+def _target_vectors(gram: GramStats, lam: float):
+    """P in G's buffer (see :func:`invert_regularized`), the diagonal d the
+    target removes (0 when it keeps it) and v = P*s for centered targets."""
+    d = np.diag(gram.require_g()).copy() if gram.removed_diag else 0.0
     p = invert_regularized(gram, lam).p
-    return DenseModel(b=p @ c, variant=VARIANT_RR, lam=lam, mu=gram.mu)
+    return p, d, None if gram.mu is None else p @ gram.colsum
+
+
+def _subtract_outer(b: np.ndarray, v: np.ndarray | None, mu: np.ndarray | None) -> None:
+    """b -= v*mu^T in row panels, when the target is centered."""
+    if v is not None:
+        for lo in range(0, len(v), PANEL):
+            b[lo : lo + PANEL] -= np.outer(v[lo : lo + PANEL], mu)
+
+
+def solve_rr(gram: GramStats, lam: float) -> DenseModel:
+    """Unconstrained ridge solution B = P*C, written into P's buffer and
+    consuming the statistics (see :func:`invert_regularized`)."""
+    p, d, v = _target_vectors(gram, lam)
+    kappa = gram.kappa
+    b = np.multiply(p, -kappa * (lam + d), out=p)
+    b[np.diag_indices_from(b)] += kappa
+    _subtract_outer(b, v, gram.mu)
+    return DenseModel(b=b, variant=VARIANT_RR, lam=lam, mu=gram.mu)
 
 
 def solve_zero_diag(gram: GramStats, lam: float) -> DenseModel:
-    """Ridge solution constrained to a zero diagonal, consuming the
-    statistics (see :func:`invert_regularized`).
+    """Ridge solution constrained to a zero diagonal, written into P's
+    buffer and consuming the statistics (see :func:`invert_regularized`).
 
-    Statistics whose C is G itself (self-target, uncentered) are read off P
-    alone, since P*G = I - lambda*P; any other C takes the general product
-    and rank correction.  The multipliers gamma = diag(P*C) / diag(P) are
-    stored as diagnostics; the diagonal is written to exactly zero so that
-    downstream code can rely on it.  P, made in G's buffer, is overwritten
-    by the result, so when C is G the returned B is that buffer and training
-    holds one n×n matrix in all.
+    Column j of P is divided by -P_jj/t_j with t_j = kappa - v_j*mu_j, which
+    is exactly -P_jj for plain statistics.  The multipliers
+    gamma_j = t_j/P_jj - kappa*(lambda + d_j) are stored as diagnostics; the
+    diagonal is written to exactly zero so that downstream code can rely on
+    it.  Training holds one n×n matrix in all.
     """
-    p = invert_regularized(gram, lam).p
+    p, d, v = _target_vectors(gram, lam)
     dp = _positive_diag(p)
-    if gram.c is None:  # C was G, consumed with it
-        b = np.divide(p, -dp, out=p)
-        gamma = 1.0 / dp - lam
-    else:
-        b = p @ gram.c
-        gamma = np.diag(b) / dp
-        b -= np.multiply(p, gamma[np.newaxis, :], out=p)
+    t = gram.kappa if v is None else gram.kappa - v * gram.mu
+    b = np.divide(p, -dp / t, out=p)
+    _subtract_outer(b, v, gram.mu)
     np.fill_diagonal(b, 0.0)
+    gamma = t / dp - gram.kappa * (lam + d)
     return DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=lam, mu=gram.mu, gamma=gamma)
 
 

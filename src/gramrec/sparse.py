@@ -34,13 +34,10 @@ from .files import atomic_write, read_keys, write_array, write_keys
 from .gram import PANEL, GramStats
 from .solver import DenseModel, solve_zero_diag
 
-SOURCE_MODEL_ABS = "model_abs"
-SOURCE_CORRELATION = "correlation"
-SOURCE_COUNT = "gram_count"
-PATTERN_SOURCES = (SOURCE_MODEL_ABS, SOURCE_CORRELATION, SOURCE_COUNT)
-
-_SOURCE_CODES = {SOURCE_MODEL_ABS: 0, SOURCE_CORRELATION: 1, SOURCE_COUNT: 2}
-_CODES_SOURCE = {v: k for k, v in _SOURCE_CODES.items()}
+# A header byte once named what a pattern was thresholded from; every
+# pattern thresholds correlations (code 1), and files with codes 0-2 still load.
+_SOURCE_CODE = 1
+_SOURCE_CODES_READ = (0, 1, 2)
 
 _SPARSE_MAGIC = b"EASP"
 _SPARSE_VERSION = 1
@@ -57,7 +54,6 @@ class SparsityPattern:
 
     a: sp.csc_matrix
     threshold: float
-    source: str
     n_max: int
 
     @property
@@ -155,10 +151,7 @@ def correlation_from_gram(gram: GramStats) -> CorrelationMatrix:
 
 
 def threshold_pattern(
-    m: np.ndarray | CorrelationMatrix,
-    theta: float,
-    n_max: int = 1000,
-    source: str = SOURCE_CORRELATION,
+    m: np.ndarray | CorrelationMatrix, theta: float, n_max: int = 1000
 ) -> SparsityPattern:
     """A_ij = 1 where |m_ij| reaches theta, capped per column.
 
@@ -172,8 +165,6 @@ def threshold_pattern(
         raise DataError(f"threshold must be a non-negative number, got {theta}")
     if n_max < 1:
         raise DataError(f"per-column cap must be at least 1, got {n_max}")
-    if source not in PATTERN_SOURCES:
-        raise DataError(f"unknown pattern source {source!r}; expected one of {PATTERN_SOURCES}")
     n = m.shape[0]
     if m.shape != (n, n):
         raise DataError(f"pattern source matrix must be square, got {m.shape}")
@@ -197,7 +188,7 @@ def threshold_pattern(
     a = sp.csc_matrix(
         (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n)
     )
-    return SparsityPattern(a=a, threshold=theta, source=source, n_max=n_max)
+    return SparsityPattern(a=a, threshold=theta, n_max=n_max)
 
 
 def mask_model(model: DenseModel, pattern: SparsityPattern) -> SparseModel:
@@ -259,14 +250,12 @@ def block_partition(
 
 def solve_blocks(gram: GramStats, blocks: list[np.ndarray], lam: float) -> list[np.ndarray]:
     """Solve each block by the dense closed form on its Gram sub-matrix."""
-    if gram.c is not gram.g:
-        raise DataError("block-wise training requires self-target statistics (C = G)")
+    if not gram.plain:
+        raise DataError("block-wise training requires plain statistics (target C = G)")
     subs = []
     for members in blocks:
         sub = gram.g[np.ix_(members, members)]  # a fresh copy, solved in place
-        stats = GramStats(
-            g=sub, c=sub, mu=None, n_users=gram.n_users, colsum=gram.colsum[members]
-        )
+        stats = GramStats(g=sub, n_users=gram.n_users, colsum=gram.colsum[members])
         subs.append(solve_zero_diag(stats, lam).b)
     return subs
 
@@ -336,7 +325,7 @@ def save_sparse_model(
         values.nnz,
         model.lam,
         model.pattern.threshold,
-        _SOURCE_CODES[model.pattern.source],
+        _SOURCE_CODE,
         model.pattern.n_max,
     )
     with atomic_write(path, binary=True) as fh:
@@ -356,7 +345,7 @@ def load_sparse_model(path: str | Path) -> tuple[SparseModel, list[str] | None]:
         magic, version, n, nnz, lam, theta, source_code, n_max = _SPARSE_HEADER.unpack(head)
         if version != _SPARSE_VERSION:
             raise DataError(f"{path}: unsupported sparse model version {version}")
-        if source_code not in _CODES_SOURCE:
+        if source_code not in _SOURCE_CODES_READ:
             raise DataError(f"{path}: unknown pattern source code {source_code}")
         try:
             item_keys = read_keys(fh, path, n)
@@ -370,7 +359,5 @@ def load_sparse_model(path: str | Path) -> tuple[SparseModel, list[str] | None]:
         data = np.fromfile(fh, dtype="<f8", count=nnz)
     a = sp.csc_matrix((np.ones(nnz, dtype=np.int8), indices.copy(), indptr.copy()), shape=(n, n))
     values = sp.csc_matrix((data, indices, indptr), shape=(n, n))
-    pattern = SparsityPattern(
-        a=a, threshold=theta, source=_CODES_SOURCE[source_code], n_max=n_max
-    )
+    pattern = SparsityPattern(a=a, threshold=theta, n_max=n_max)
     return SparseModel(pattern=pattern, values=values, lam=lam), item_keys

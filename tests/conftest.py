@@ -7,6 +7,10 @@ and correlations are computed with a two-pass loop over raw columns (the
 library derives them from Gram statistics).  Agreement between the two
 routes is the point of the tests.
 
+``general_solve`` is the closed form on an explicit target matrix C, the
+P·C product and rank correction that the solvers avoid by reading every
+model off P; ``target_of`` writes out the C that Gram statistics describe.
+
 The ``*_reference`` functions are the sparse trainer's steps as whole-matrix
 code: one dense correlation matrix, a column loop over it, and one COO sum
 over every block's k² entries.  The library computes the same results in
@@ -70,19 +74,17 @@ def constrained_ridge_oracle(x: np.ndarray, y: np.ndarray, lam: float) -> np.nda
 
 
 def kept(stats: GramStats) -> GramStats:
-    """A copy of ``stats`` for a solver to consume, so that the caller keeps
-    G and C; C aliases G in the copy when it does in ``stats``."""
-    g = stats.g.copy()
-    return replace(stats, g=g, c=g if stats.c is stats.g else stats.c.copy())
+    """A copy of ``stats`` for a solver to consume, so that the caller keeps G."""
+    return replace(stats, g=stats.g.copy())
 
 
-def invert_regularized_copying(gram: GramStats, lam: float) -> np.ndarray:
+def invert_regularized_copying(g: np.ndarray, lam: float) -> np.ndarray:
     """(G + lambda*I)^-1 as the solvers made it while they left G intact: a
     Fortran-ordered copy of G is factored and inverted, then mirrored in
     panels.  The in-place inverse, which factors Gᵀ in G's own buffer, must
     match it bit for bit."""
-    n = gram.g.shape[0]
-    a = np.array(gram.g, dtype=np.float64, order="F")
+    n = g.shape[0]
+    a = np.array(g, dtype=np.float64, order="F")
     idx = np.diag_indices_from(a)
     a[idx] += lam
     chol, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
@@ -97,6 +99,31 @@ def invert_regularized_copying(gram: GramStats, lam: float) -> np.ndarray:
         p[lo:hi, hi:] += 0.0
         p[hi:, lo:hi] = p[lo:hi, hi:].T
     return p
+
+
+def target_of(stats: GramStats) -> np.ndarray:
+    """The target C = κ·(G − diagMat(d)) − s·μᵀ that ``stats`` describe, as
+    one dense matrix."""
+    g = stats.g
+    c = stats.kappa * (g - np.diag(np.diag(g)) if stats.removed_diag else g)
+    return c if stats.mu is None else c - np.outer(stats.colsum, stats.mu)
+
+
+def general_solve(g: np.ndarray, c: np.ndarray, lam: float, zero_diag: bool = True):
+    """The closed form on an explicit target C, as the solvers once computed
+    it for every target but G: B = P·C for ridge, and
+    B = P·C − P·diagMat(γ) with γ = diag(P·C)/diag(P) and a zero diagonal
+    for the constrained model.  P = (G + λI)⁻¹ is the solvers' own inverse,
+    so only the way B is formed from it differs.  Returns B and γ (None for
+    ridge)."""
+    p = invert_regularized_copying(g, lam)
+    b = p @ c
+    if not zero_diag:
+        return b, None
+    gamma = np.diag(b) / np.diag(p)
+    b -= p * gamma[np.newaxis, :]
+    np.fill_diagonal(b, 0.0)
+    return b, gamma
 
 
 def two_pass_correlation(x: np.ndarray) -> np.ndarray:
@@ -204,7 +231,8 @@ def load_interactions_reference(
     min_value: float | None = None,
 ) -> InteractionSet:
     """One ``csv.reader`` pass with one dict lookup per event, then
-    :func:`dedup_indices_reference`."""
+    :func:`dedup_indices_reference`, and ids numbered over the kept events
+    by :func:`reindex_reference`."""
     delimiter = "," if fmt == "csv" else "\t"
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -288,12 +316,9 @@ def load_interactions_reference(
     time_arr = np.asarray(times, dtype=np.int64) if has_time else None
 
     keep = dedup_indices_reference(user_arr, item_arr, value_arr, dedup)
-    user_arr, item_arr, value_arr = user_arr[keep], item_arr[keep], value_arr[keep]
-    if time_arr is not None:
-        time_arr = time_arr[keep]
     if binarize:
         value_arr = np.ones_like(value_arr)
-    return InteractionSet(
+    parsed = InteractionSet(
         user_ids=user_arr,
         item_ids=item_arr,
         values=value_arr,
@@ -303,6 +328,7 @@ def load_interactions_reference(
         user_index=user_index,
         item_index=item_index,
     )
+    return reindex_reference(parsed, keep)
 
 
 def dedup_indices_reference(uids, iids, vals, policy: str) -> np.ndarray:
@@ -486,11 +512,9 @@ def matrix_from_dense(dense: np.ndarray) -> UserItemMatrix:
     return UserItemMatrix(matrix=sp.csr_matrix(dense), binarized=binarized)
 
 
-def gram_of(dense: np.ndarray, target: np.ndarray | None = None, **kwargs):
-    """Gram statistics of a dense array, optionally with a separate target."""
-    x = matrix_from_dense(dense)
-    y = x if target is None else matrix_from_dense(target)
-    return build_gram(x, y, **kwargs)
+def gram_of(dense: np.ndarray, **kwargs):
+    """Gram statistics of a dense array."""
+    return build_gram(matrix_from_dense(dense), **kwargs)
 
 
 def make_iset(

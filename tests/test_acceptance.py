@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +39,14 @@ from gramrec.evaluation import PopularityScorer
 from gramrec.gram import build_disjoint_gram
 from gramrec.solver import VARIANT_ZERO_DIAG
 
-from conftest import constrained_ridge_oracle, gram_of, make_iset, run_cli
+from conftest import (
+    constrained_ridge_oracle,
+    general_solve,
+    gram_of,
+    make_iset,
+    run_cli,
+    target_of,
+)
 from test_sparse import three_block_gram
 
 
@@ -89,14 +95,13 @@ def test_acceptance_2_self_target_shortcut_identity():
     diag_ok = True
     for dense, lam in _oracle_instances():
         stats = gram_of(dense)
-        assert stats.c is stats.g
-        # the read-off path (C is G) against the general path on an equal copy
-        general = replace(stats, g=stats.g.copy(), c=stats.g.copy())
+        assert stats.plain
+        # the read-off (C is G) against the general P*C - P*diagMat(gamma) oracle
+        z, _ = general_solve(stats.g, stats.g, lam)
         e = solve_zero_diag(stats, lam=lam)
-        z = solve_zero_diag(general, lam=lam)
-        scale = max(1.0, float(np.max(np.abs(z.b))))
-        worst = max(worst, float(np.max(np.abs(z.b - e.b))) / scale)
-        diag_ok &= bool(np.all(np.diag(z.b) == 0.0) and np.all(np.diag(e.b) == 0.0))
+        scale = max(1.0, float(np.max(np.abs(z))))
+        worst = max(worst, float(np.max(np.abs(z - e.b))) / scale)
+        diag_ok &= bool(np.all(np.diag(z) == 0.0) and np.all(np.diag(e.b) == 0.0))
     _verdict(
         2,
         "self-target-shortcut-identity",
@@ -110,7 +115,7 @@ def test_acceptance_3_stationarity_at_optimum():
     worst_gamma = 0.0
     for dense, lam in _oracle_instances():
         stats = gram_of(dense)
-        g, c = stats.g.copy(), stats.c.copy()
+        g, c = stats.g.copy(), target_of(stats)
         model = solve_zero_diag(stats, lam=lam)
         grad = 2.0 * (g @ model.b - c + lam * model.b)
         scale = max(1.0, float(np.max(np.abs(np.diag(grad)))))
@@ -133,9 +138,10 @@ def test_acceptance_4_rescaling_decomposition():
     worst = 0.0
     for dense, lam in _oracle_instances():
         w = rng.uniform(0.2, 3.0, size=dense.shape[1])
-        direct = solve_zero_diag(gram_of(dense, target=dense * w), lam=lam)
+        # training against the column-scaled target Y = X·diagMat(w) directly
+        direct, _ = general_solve(dense.T @ dense, dense.T @ (dense * w), lam)
         pulled = solve_zero_diag(gram_of(dense), lam=lam).b * w[None, :]
-        worst = max(worst, float(np.max(np.abs(direct.b - pulled))))
+        worst = max(worst, float(np.max(np.abs(direct - pulled))))
     _verdict(4, "rescaling-decomposition", worst <= 1e-8, f"max abs diff {worst:.2e}")
 
 
@@ -161,7 +167,7 @@ def test_acceptance_5_disjoint_split_expectation():
     from conftest import matrix_from_dense
 
     exact = build_disjoint_gram(matrix_from_dense(z), explicit_lambda=False, split_fraction=p)
-    library_ok = bool(np.allclose(exact.c / (p * (1.0 - p)), target, atol=1e-10))
+    library_ok = bool(np.allclose(target_of(exact) / (p * (1.0 - p)), target, atol=1e-10))
 
     _verdict(
         5,
@@ -237,7 +243,7 @@ def test_acceptance_8_ml20m_reproduction():
 
     t0 = time.perf_counter()
     train_matrix = matrix.restrict_users(split.train_users)
-    stats = build_gram(train_matrix, train_matrix)
+    stats = build_gram(train_matrix)
     model = solve_zero_diag(stats, lam=500.0)
     train_seconds = time.perf_counter() - t0
 

@@ -6,10 +6,16 @@ import shutil
 import numpy as np
 import pytest
 
-from gramrec import load_sparse_model
+from gramrec import (
+    load_interactions,
+    load_model,
+    load_sparse_model,
+    load_split_files,
+    to_user_item_matrix,
+)
 from gramrec.cli import main
 
-from conftest import run_cli
+from conftest import general_solve, invert_regularized_copying, run_cli
 
 
 @pytest.fixture(scope="session")
@@ -306,6 +312,74 @@ def test_train_ease_variant_removed_center_trains(workdir, tmp_path):
     assert run_cli(base + ["--variant", "ease"]).returncode == 1
     res = run_cli(base + ["--center"])
     assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("options,config,message", [
+    (["--exact-expectation"], {}, "--exact-expectation applies only with --disjoint"),
+    (["--center"], {"exact_expectation": True}, "--exact-expectation applies only with --disjoint"),
+    (["--split-fraction", "0.2"], {}, "--split-fraction applies only with --exact-expectation"),
+    (["--disjoint", "--split-fraction", "0.2"], {},
+     "--split-fraction applies only with --exact-expectation"),
+    ([], {"disjoint": True, "split_fraction": 0.2},
+     "--split-fraction applies only with --exact-expectation"),
+    (["--disjoint", "--exact-expectation", "--split-fraction", "1"], {},
+     "--split-fraction must be in (0, 1), got 1.0"),
+], ids=["exact-alone", "exact-config", "fraction-alone", "fraction-disjoint", "fraction-config",
+        "fraction-range"])
+def test_train_refuses_options_it_would_ignore(tmp_path, capsys, options, config, message):
+    # checked before the data are read, by flag or by config entry alike
+    missing = str(tmp_path / "missing")
+    argv = ["train", "--data", missing, "--split-dir", missing, "--lambda", "1",
+            "--output", str(tmp_path / "m.ease"), *options]
+    if config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.ease").exists()
+
+
+@pytest.mark.parametrize("variant", ["zero-diag", "rr"])
+@pytest.mark.parametrize("option", ["plain", "center", "disjoint", "exact"])
+def test_train_options_match_general_oracle(workdir, tmp_path, option, variant):
+    """Each training option's model file against the P·C − P·diagMat(γ)
+    oracle on its target, written out from the training users' rows."""
+    lam, p = 3.0, 0.2
+    extra = {"plain": [], "center": ["--center"], "disjoint": ["--binarize", "--disjoint"],
+             "exact": ["--binarize", "--disjoint", "--exact-expectation",
+                       "--split-fraction", str(p)]}[option]
+    out = tmp_path / "m.ease"
+    res = run_cli(["train", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+                   "--lambda", str(lam), "--variant", variant, "--output", str(out), *extra])
+    assert res.returncode == 0, res.stderr
+    model, _ = load_model(out)
+
+    iset = load_interactions(workdir["data"])
+    split = load_split_files(workdir["splits"], iset.user_index)
+    matrix = to_user_item_matrix(iset, binarize="--binarize" in extra)
+    x = matrix.restrict_users(split.train_users).matrix.toarray()
+    g = x.T @ x
+    c = g.copy()
+    if option == "center":
+        c = x.T @ (x - x.mean(axis=0))
+    elif option in ("disjoint", "exact"):
+        np.fill_diagonal(c, 0.0)
+    if option == "exact":
+        g = (1 - p) ** 2 * g + p * (1 - p) * np.diag(np.diag(g))
+        c *= p * (1 - p)
+    expected, _ = general_solve(g, c, lam, zero_diag=variant == "zero-diag")
+    kappa = p / (1 - p) if option == "exact" else 1.0
+    if variant == "zero-diag":
+        bound = 1e-10 * max(np.abs(expected).max(), kappa)
+    else:  # kappa*(1 - P_jj*(lambda + d_j)) on rr's diagonal cancels as lambda grows
+        d = np.diag(g).max() if option in ("disjoint", "exact") else 0.0
+        bound = 1e-12 * (np.abs(expected).max()
+                         + kappa * (lam + d) * np.abs(invert_regularized_copying(g, lam)).max())
+    assert np.abs(model.b - expected).max() <= bound
+    assert (model.mu is not None) == (option == "center")
+    if option == "center":
+        np.testing.assert_allclose(model.mu, x.mean(axis=0), rtol=1e-15)
 
 
 def test_numeric_failure_exit_code(tmp_path):

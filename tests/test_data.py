@@ -197,6 +197,15 @@ def test_dedup_keep_max(tmp_path):
     assert iset.timestamps[row][0] == 2  # earliest among tied maxima
 
 
+def test_dedup_numbers_ids_over_retained_events(tmp_path):
+    path = write(tmp_path, DEDUP_RENUMBERS[0])
+    iset = load_interactions(path)
+    assert iset.user_keys == ["u2", "u1"] and iset.item_keys == ["i2", "i1"]
+    assert iset.user_ids.tolist() == [0, 1] and iset.item_ids.tolist() == [0, 1]
+    assert iset.user_index == {"u2": 0, "u1": 1}
+    np.testing.assert_array_equal(iset.values, [1.0, 5.0])
+
+
 def test_dedup_keep_last(tmp_path):
     path = write(tmp_path, "user,item,value\na,x,9.0\na,x,1.0\n")
     iset = load_interactions(path, dedup="keep_last")
@@ -623,8 +632,9 @@ class Parses:
         monkeypatch.setattr(data, "_chunks", counted)
 
 
-# keep_max keeps u1's second event, so re-reading the CSV meets u2 first:
-# ingest holds user ids [1, 0] with keys [u1, u2], the CSV gives [0, 1], [u2, u1]
+# keep_max keeps u1's second event, so u2 appears first among the retained
+# events: the loader gives user ids [0, 1] with keys [u2, u1], as re-reading
+# the CSV does
 DEDUP_RENUMBERS = (
     "user,item,value\nu1,i1,1\nu2,i2,1\nu1,i1,5\n",
     {"fmt": "csv", "dedup": "keep_max", "min_value": None, "binarize": False},

@@ -121,7 +121,7 @@ def eval_setup(seed=0, n_users=30, n_items=12, lam=1.0):
         seed=seed,
     )
     tm = matrix.restrict_users(split.train_users)
-    model = solve_zero_diag(build_gram(tm, tm), lam=lam)
+    model = solve_zero_diag(build_gram(tm), lam=lam)
     return model, matrix, split, iset
 
 
@@ -346,7 +346,7 @@ def timed_setup():
         seed=0,
     )
     tm = matrix.restrict_users(split.train_users)
-    model = solve_zero_diag(build_gram(tm, tm), lam=1.0)
+    model = solve_zero_diag(build_gram(tm), lam=1.0)
     return model, matrix, split, iset
 
 
@@ -428,7 +428,7 @@ def test_time_aware_input_validation():
     model, matrix, split, iset = timed_setup()
     idx = time_intervals(iset, 2, split.train_users)
 
-    rr = solve_rr(build_gram(matrix, matrix), lam=1.0)
+    rr = solve_rr(build_gram(matrix), lam=1.0)
     with pytest.raises(DataError, match="zero-diagonal"):
         evaluate_time_aware(rr, iset, split, matrix, idx, alpha=0.5)
 
@@ -502,7 +502,7 @@ def grid_setup():
         seed=0,
     )
     tm = matrix.restrict_users(split.train_users)
-    return lambda: build_gram(tm, tm), matrix, split
+    return lambda: build_gram(tm), matrix, split
 
 
 def test_grid_search_interior_lambda_wins():
@@ -539,7 +539,7 @@ def test_grid_search_tie_goes_to_smallest_lambda():
     )
     tm = matrix6.restrict_users(split6.train_users)
     best, reports, _ = grid_search_lambda(
-        lambda: build_gram(tm, tm), matrix6, split6, [8.0, 2.0, 4.0], metric="recall@20"
+        lambda: build_gram(tm), matrix6, split6, [8.0, 2.0, 4.0], metric="recall@20"
     )
     assert all(r.metrics["recall@20"][0] == 1.0 for r in reports.values())
     assert best == 2.0

@@ -57,7 +57,7 @@ class _FullDisk:
 
 def _stats():
     x = matrix_from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
-    return build_gram(x, x)
+    return build_gram(x)
 
 
 _SPLIT = SplitSpec(

@@ -15,10 +15,12 @@ import pytest
 from gramrec import (
     DenseModel,
     SplitSpec,
+    build_disjoint_gram,
     build_gram,
     evaluate_model,
     grid_search_lambda,
     load_interactions,
+    solve_rr,
     solve_zero_diag,
     train_sparse,
     to_user_item_matrix,
@@ -31,7 +33,7 @@ from conftest import binary_matrix, kept, make_iset, write_canonical_reference
 @pytest.fixture(scope="module")
 def wide():
     x = binary_matrix(np.random.default_rng(7), 400, 1024, density=0.05)
-    return x, build_gram(x, x)
+    return x, build_gram(x)
 
 
 def peak_bytes(fn):
@@ -50,7 +52,7 @@ def peak_n2(fn, n: int) -> float:
 
 def test_build_gram_holds_g_plus_panels(wide):
     x, gram = wide
-    assert peak_n2(lambda: build_gram(x, x), gram.n_items) < 1.5
+    assert peak_n2(lambda: build_gram(x), gram.n_items) < 1.5
 
 
 def test_zero_diag_solve_holds_one_matrix_beyond_g(wide):
@@ -61,7 +63,7 @@ def test_zero_diag_solve_holds_one_matrix_beyond_g(wide):
 
 def test_zero_diag_solve_in_place_holds_panels_beyond_g(wide):
     x, _ = wide
-    gram = build_gram(x, x)
+    gram = build_gram(x)
     g = gram.g
     peak, model = peak_bytes(lambda: solve_zero_diag(gram, 50.0))
     assert np.shares_memory(model.b, g)
@@ -81,20 +83,39 @@ def test_grid_holds_one_matrix_at_a_time(wide):
     )
     tm = x.restrict_users(split.train_users)
     peak, (lam, reports, _) = peak_bytes(
-        lambda: grid_search_lambda(lambda: build_gram(tm, tm), x, split, [1e4, 1e6, 1e8])
+        lambda: grid_search_lambda(lambda: build_gram(tm), x, split, [1e4, 1e6, 1e8])
     )
     assert len(reports) == 3 and lam == 1e6  # 1e8 ranks as 1e6 does; ties go to the smaller
     assert peak < 1.5 * gram.n_items ** 2 * 8
 
 
-def test_centered_build_and_solve_hold_three_matrices(wide):
-    """G, C = XᵀX − s·μᵀ and B, with P made in G's buffer."""
+def test_centered_build_and_solve_hold_one_matrix(wide):
+    """G, with P made and B read off in its buffer; the centering is the
+    vectors s and μ, not a matrix C = XᵀX − s·μᵀ."""
     x, gram = wide
-    peak = peak_n2(
-        lambda: solve_zero_diag(build_gram(x, x, center_y=True), 50.0),
-        gram.n_items,
-    )
-    assert peak < 3.25
+    peak = peak_n2(lambda: solve_zero_diag(build_gram(x, center=True), 50.0), gram.n_items)
+    assert peak < 1.5
+
+
+BUILDS = {
+    "center": lambda x: build_gram(x, center=True),
+    "disjoint": build_disjoint_gram,
+    "exact": lambda x: build_disjoint_gram(x, explicit_lambda=False),
+    "plain": build_gram,
+}
+
+
+@pytest.mark.parametrize("build,solver", [
+    ("center", solve_rr),
+    *[(name, solver) for name in ("disjoint", "exact") for solver in (solve_zero_diag, solve_rr)],
+    ("plain", solve_rr),
+])
+def test_every_option_trains_in_one_matrix(wide, build, solver):
+    """``train`` with --disjoint or --disjoint --exact-expectation in either
+    variant, or plain or --center with --variant rr: G is built, and B is
+    written into its buffer."""
+    x, gram = wide
+    assert peak_n2(lambda: solver(BUILDS[build](x), 50.0), gram.n_items) < 1.5
 
 
 def test_train_sparse_holds_no_matrix_beyond_g(wide):

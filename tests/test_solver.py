@@ -26,18 +26,19 @@ from gramrec import PopularityVector
 from conftest import (
     binary_matrix,
     constrained_ridge_oracle,
+    general_solve,
     gram_of,
     invert_regularized_copying,
     kept,
     matrix_from_dense,
     ridge_oracle,
+    target_of,
 )
 
 
-def stats_of(g, c=None):
+def stats_of(g):
     g = np.asarray(g, dtype=np.float64)
-    c = g if c is None else np.asarray(c, dtype=np.float64)
-    return GramStats(g=g, c=c, mu=None, n_users=10, colsum=np.diag(g).copy())  # as for binary X
+    return GramStats(g=g, n_users=10, colsum=np.diag(g).copy())  # as for binary X
 
 
 def test_invert_two_by_two():
@@ -111,10 +112,9 @@ def test_positive_diag_refuses_nan():
 def test_consumed_statistics_are_refused(rng, first, center):
     # a second solve would otherwise invert P + lambda*I, left in G's buffer
     x = binary_matrix(rng, 20, 6)
-    stats = build_gram(x, x, center_y=center)
-    self_target = stats.c is stats.g
+    stats = build_gram(x, center=center)
     first(stats, 1.0)
-    assert stats.g is None and (stats.c is None) == self_target
+    assert stats.g is None
     assert stats.n_items == 6
     for solver in (invert_regularized, solve_rr, solve_zero_diag):
         with pytest.raises(DataError, match="consumed by an earlier solve"):
@@ -130,17 +130,23 @@ def test_ridge_two_by_two():
 
 
 def test_ridge_matches_oracle(rng):
+    # the plain and the centered target read off P, and a general target by
+    # the conftest oracle's P*C, against per-column linear solves
     xd = (rng.random((30, 8)) < 0.4).astype(np.float64)
     yd = (rng.random((30, 8)) < 0.3).astype(np.float64)
     for lam in (0.1, 1.0, 10.0):
-        model = solve_rr(gram_of(xd, yd), lam=lam)
-        np.testing.assert_allclose(model.b, ridge_oracle(xd, yd, lam), atol=1e-10)
+        model = solve_rr(gram_of(xd), lam=lam)
+        np.testing.assert_allclose(model.b, ridge_oracle(xd, xd, lam), atol=1e-10)
+        model = solve_rr(gram_of(xd, center=True), lam=lam)
+        np.testing.assert_allclose(model.b, ridge_oracle(xd, xd - xd.mean(axis=0), lam), atol=1e-10)
+        general, _ = general_solve(xd.T @ xd, xd.T @ yd, lam, zero_diag=False)
+        np.testing.assert_allclose(general, ridge_oracle(xd, yd, lam), atol=1e-10)
 
 
 def test_ridge_shrinks_to_scaled_cooccurrence(rng):
     x = binary_matrix(rng, 25, 6)
-    stats = build_gram(x, x)
-    c = stats.c.copy()
+    stats = build_gram(x)
+    c = target_of(stats)
     model = solve_rr(stats, lam=1e9)
     np.testing.assert_allclose(model.b, c / 1e9, rtol=1e-6)
 
@@ -153,21 +159,22 @@ def test_zero_diag_two_by_two():
 
 
 def test_ease_two_by_two():
-    # the EASE case (C is G) reads B off the precision matrix; the same
-    # problem with C an equal copy of G must take the general path to the
-    # same hand-computed B and gamma
+    # the EASE case (C is G) reads B off the precision matrix; the general
+    # P*C - P*diagMat(gamma) oracle must reach the same hand-computed B and
+    # gamma
     g = np.array([[2.0, 1.0], [1.0, 2.0]])
-    for stats in (stats_of(g.copy()), stats_of(g.copy(), g.copy())):
-        model = solve_zero_diag(stats, lam=1.0)
-        np.testing.assert_allclose(model.b, [[0.0, 1 / 3], [1 / 3, 0.0]], atol=1e-14)
-        np.testing.assert_allclose(model.gamma, [5 / 3, 5 / 3], atol=1e-14)
-        assert np.all(np.diag(model.b) == 0.0)
-        assert model.variant == VARIANT_ZERO_DIAG
+    model = solve_zero_diag(stats_of(g.copy()), lam=1.0)
+    general = general_solve(g, g, 1.0)
+    for b, gamma in ((model.b, model.gamma), general):
+        np.testing.assert_allclose(b, [[0.0, 1 / 3], [1 / 3, 0.0]], atol=1e-14)
+        np.testing.assert_allclose(gamma, [5 / 3, 5 / 3], atol=1e-14)
+        assert np.all(np.diag(b) == 0.0)
+    assert model.variant == VARIANT_ZERO_DIAG
 
 
 def test_zero_diag_diagonal_is_exact_zero(rng):
     x = binary_matrix(rng, 40, 12)
-    model = solve_zero_diag(build_gram(x, x), lam=0.7)
+    model = solve_zero_diag(build_gram(x), lam=0.7)
     assert np.all(np.diag(model.b) == 0.0)
 
 
@@ -179,10 +186,12 @@ def test_zero_diag_matches_constrained_oracle(rng):
 
 
 def test_zero_diag_matches_oracle_distinct_target(rng):
+    # no builder describes this target: the conftest oracle's general path
+    # is held to the per-column fits, since other tests hold the solvers to it
     xd = (rng.random((30, 7)) < 0.5).astype(np.float64)
     yd = (rng.random((30, 7)) < 0.35).astype(np.float64)
-    model = solve_zero_diag(gram_of(xd, yd), lam=0.5)
-    np.testing.assert_allclose(model.b, constrained_ridge_oracle(xd, yd, 0.5), atol=1e-9)
+    b, _ = general_solve(xd.T @ xd, xd.T @ yd, 0.5)
+    np.testing.assert_allclose(b, constrained_ridge_oracle(xd, yd, 0.5), atol=1e-9)
 
 
 @pytest.mark.parametrize("kind", ["centered", "disjoint", "user_weighted"])
@@ -191,27 +200,25 @@ def test_zero_diag_general_path_matches_oracle(rng, kind):
     xd = x.matrix.toarray()
     lam = 0.7
     if kind == "centered":
-        stats = build_gram(x, x, center_y=True)
+        stats = build_gram(x, center=True)
         expected = constrained_ridge_oracle(xd, xd - xd.mean(axis=0), lam)
     elif kind == "disjoint":
         # C differs from G only on the diagonal, which the constraint ignores
         stats = build_disjoint_gram(x)
         expected = constrained_ridge_oracle(xd, xd, lam)
     else:
-        yd = (rng.random((30, 7)) < 0.3).astype(np.float64)
         w = rng.uniform(0.5, 2.0, 30)
-        stats = build_user_weighted_gram(x, matrix_from_dense(yd), w)
+        stats = build_user_weighted_gram(x, w)
         root = np.sqrt(w)[:, np.newaxis]
-        expected = constrained_ridge_oracle(root * xd, root * yd, lam)
-    assert stats.c is not stats.g
+        expected = constrained_ridge_oracle(root * xd, root * xd, lam)
     model = solve_zero_diag(stats, lam=lam)
     np.testing.assert_allclose(model.b, expected, atol=1e-9)
 
 
 def test_zero_diag_stationarity(rng):
     x = binary_matrix(rng, 30, 8)
-    stats = build_gram(x, x)
-    g, c = stats.g.copy(), stats.c.copy()
+    stats = build_gram(x)
+    g, c = stats.g.copy(), target_of(stats)
     lam = 0.9
     model = solve_zero_diag(stats, lam=lam)
     grad = 2.0 * (g @ model.b - c + lam * model.b)
@@ -251,28 +258,66 @@ def test_disjoint_ridge_identity(rng):
     seed=st.integers(0, 10**6),
 )
 def test_self_target_readoff_matches_general_path(n_users, n_items, density, max_value, lam, seed):
-    # C is G takes the read-off B = -P/diag(P); an equal copy of G forces the
+    # C is G takes the read-off B = -P/diag(P); the conftest oracle takes the
     # general P*C - P*diagMat(gamma) path on the same problem
     r = np.random.default_rng(seed)
     x = (r.random((n_users, n_items)) < density) * r.integers(1, max_value + 1, (n_users, n_items))
     g = x.T @ x.astype(np.float64)
     readoff = solve_zero_diag(stats_of(g.copy()), lam=lam)
-    general = solve_zero_diag(stats_of(g, g.copy()), lam=lam)
-    assert np.abs(readoff.b - general.b).max() <= 1e-12 * np.abs(general.b).max()
+    general_b, general_gamma = general_solve(g, g, lam)
+    assert np.abs(readoff.b - general_b).max() <= 1e-12 * np.abs(general_b).max()
     # gamma = 1/P_jj - lam cancels for items without interactions, so its
     # round-off is measured against lam as well
-    gamma_scale = np.abs(general.gamma).max() + lam
-    assert np.abs(readoff.gamma - general.gamma).max() <= 1e-10 * gamma_scale
+    gamma_scale = np.abs(general_gamma).max() + lam
+    assert np.abs(readoff.gamma - general_gamma).max() <= 1e-10 * gamma_scale
     assert np.all(np.diag(readoff.b) == 0.0)
-    assert np.all(np.diag(general.b) == 0.0)
+    assert np.all(np.diag(general_b) == 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_users=st.integers(2, 50),
+    n_items=st.integers(1, 30),
+    density=st.floats(0.05, 0.95),
+    log_lam=st.floats(-1.0, 7.0),
+    kind=st.sampled_from(["plain", "centered", "disjoint", "exact"]),
+    seed=st.integers(0, 10**6),
+)
+def test_every_target_reads_off_like_the_general_oracle(n_users, n_items, density, log_lam, kind, seed):
+    # Every target a builder describes, read off P by both solvers, against
+    # the P*C - P*diagMat(gamma) oracle on the written-out target.  The rr
+    # diagonal kappa*(1 - P_jj*(lambda + d_j)) cancels as lambda grows, so its
+    # bound scales with kappa*(lambda + max d)*max|P| as well.
+    x = matrix_from_dense(np.random.default_rng(seed).random((n_users, n_items)) < density)
+    lam = 10.0 ** log_lam
+    stats = {
+        "plain": lambda: build_gram(x),
+        "centered": lambda: build_gram(x, center=True),
+        "disjoint": lambda: build_disjoint_gram(x),
+        "exact": lambda: build_disjoint_gram(x, explicit_lambda=False, split_fraction=0.2),
+    }[kind]()
+    g, c = stats.g.copy(), target_of(stats)
+    d = np.diag(g).max(initial=0.0) if stats.removed_diag else 0.0
+    kappa_lam = stats.kappa * (lam + d)
+    p_max = np.abs(invert_regularized_copying(g, lam)).max()
+    zero_diag = solve_zero_diag(kept(stats), lam)
+    expected, gamma = general_solve(g, c, lam)
+    # relative to kappa as well: centering can cancel a column to about zero
+    assert np.abs(zero_diag.b - expected).max() <= 1e-10 * max(np.abs(expected).max(), stats.kappa)
+    assert np.all(np.diag(zero_diag.b) == 0.0)
+    # gamma = t_j/P_jj - kappa*(lambda + d_j) cancels as lambda grows too
+    assert np.abs(zero_diag.gamma - gamma).max() <= 1e-10 * (np.abs(gamma).max() + kappa_lam)
+    rr = solve_rr(stats, lam)
+    expected, _ = general_solve(g, c, lam, zero_diag=False)
+    assert np.abs(rr.b - expected).max() <= 1e-12 * (np.abs(expected).max() + kappa_lam * p_max)
 
 
 def test_self_target_is_read_off_precision(rng):
     # bitwise equal to -P_ij / P_jj, which the general path's GEMM and
     # correction do not reproduce in the last bits
     x = binary_matrix(rng, 45, 11)
-    stats = build_gram(x, x)
-    assert stats.c is stats.g
+    stats = build_gram(x)
+    assert stats.plain
     p = invert_regularized(kept(stats), 0.8).p
     expected = -(p / np.diag(p)[np.newaxis, :])
     np.fill_diagonal(expected, 0.0)
@@ -290,16 +335,14 @@ def test_in_place_solve_is_bitwise_the_copying_one(rng, monkeypatch, solver, kin
     x = binary_matrix(rng, 40, 300, density=0.1)
     w = rng.uniform(0.5, 2.0, 40)
     build = {
-        "plain": lambda: build_gram(x, x),
-        "centered": lambda: build_gram(x, x, center_y=True),
+        "plain": lambda: build_gram(x),
+        "centered": lambda: build_gram(x, center=True),
         "disjoint": lambda: build_disjoint_gram(x),
         "exact": lambda: build_disjoint_gram(x, explicit_lambda=False),
-        "user_weighted": lambda: build_user_weighted_gram(x, x, w),
+        "user_weighted": lambda: build_user_weighted_gram(x, w),
     }[kind]
     def copying(gram, lam):
-        p = invert_regularized_copying(gram, lam)
-        if gram.c is gram.g:
-            gram.c = None
+        p = invert_regularized_copying(gram.g, lam)
         gram.g = None
         return PrecisionMatrix(p=p)
 
@@ -307,19 +350,19 @@ def test_in_place_solve_is_bitwise_the_copying_one(rng, monkeypatch, solver, kin
         m.setattr(gramrec.solver, "invert_regularized", copying)
         copying_model = solver(build(), 3.0)
     gram = build()
-    g, self_target = gram.g, gram.c is gram.g
+    g = gram.g
     in_place = solver(gram, 3.0)
     assert in_place.b.tobytes() == copying_model.b.tobytes()
     if solver is solve_zero_diag:
         assert in_place.gamma.tobytes() == copying_model.gamma.tobytes()
-    # the statistics are consumed, and B is G's buffer where P alone gives it
-    assert gram.g is None and (gram.c is None) == self_target
-    assert np.shares_memory(in_place.b, g) == (solver is solve_zero_diag and self_target)
+    # the statistics are consumed, and B is G's buffer for every target
+    assert gram.g is None
+    assert np.shares_memory(in_place.b, g)
 
 
 def test_model_round_trip(tmp_path, rng):
     x = binary_matrix(rng, 20, 5)
-    model = solve_zero_diag(build_gram(x, x), lam=3.5)
+    model = solve_zero_diag(build_gram(x), lam=3.5)
     keys = [f"item-{k}" for k in range(5)]
     path = tmp_path / "model.ease"
     save_model(path, model, item_keys=keys)
@@ -335,7 +378,7 @@ def test_model_round_trip(tmp_path, rng):
 
 def test_model_round_trip_with_mu_and_weights(tmp_path, rng):
     x = binary_matrix(rng, 20, 5)
-    stats = build_gram(x, x, center_y=True)
+    stats = build_gram(x, center=True)
     model = solve_zero_diag(stats, lam=1.0)
     weights = popularity_weights(PopularityVector(np.arange(1.0, 6.0)), alpha=0.5)
     model = DenseModel(
@@ -361,7 +404,7 @@ def test_model_key_count_checked(tmp_path):
 def test_model_file_rejects_corruption(tmp_path, rng):
     x = binary_matrix(rng, 10, 4)
     path = tmp_path / "model.ease"
-    save_model(path, solve_zero_diag(build_gram(x, x), lam=1.0), item_keys=[f"k{j}" for j in range(4)])
+    save_model(path, solve_zero_diag(build_gram(x), lam=1.0), item_keys=[f"k{j}" for j in range(4)])
     raw = bytearray(path.read_bytes())
 
     nope = tmp_path / "bad-magic"

@@ -10,6 +10,7 @@ from gramrec import (
     SparsityPattern,
     aggregate_blocks,
     block_partition,
+    build_disjoint_gram,
     build_gram,
     correlation_from_gram,
     load_sparse_model,
@@ -21,7 +22,6 @@ from gramrec import (
     train_sparse,
 )
 from gramrec.solver import VARIANT_RR
-from gramrec.sparse import SOURCE_CORRELATION, SOURCE_MODEL_ABS
 
 from conftest import (
     aggregate_blocks_reference,
@@ -37,7 +37,7 @@ from conftest import (
 
 def pattern_from_dense(mask: np.ndarray, theta=0.0, n_max=1000) -> SparsityPattern:
     a = sp.csc_matrix(np.asarray(mask, dtype=np.int8))
-    return SparsityPattern(a=a, threshold=theta, source=SOURCE_CORRELATION, n_max=n_max)
+    return SparsityPattern(a=a, threshold=theta, n_max=n_max)
 
 
 def three_block_gram(rng, users_per_block=8, items_per_block=5):
@@ -53,7 +53,7 @@ def three_block_gram(rng, users_per_block=8, items_per_block=5):
     groups = np.repeat(np.arange(3), ipb)
     expected = (groups[:, None] == groups[None, :])
     x = matrix_from_dense(dense)
-    return build_gram(x, x), expected
+    return build_gram(x), expected
 
 
 def test_correlation_identical_columns():
@@ -79,7 +79,7 @@ def test_correlation_zero_variance_column():
 
 def test_correlation_matches_two_pass_oracle(rng):
     x = binary_matrix(rng, 50, 6)
-    cor = correlation_from_gram(build_gram(x, x))
+    cor = correlation_from_gram(build_gram(x))
     np.testing.assert_allclose(cor[:, :], two_pass_correlation(x.matrix.toarray()), atol=1e-10)
     assert np.abs(cor[:, :]).max() <= 1.0 + 1e-12
 
@@ -101,7 +101,7 @@ def test_correlation_needs_two_users():
 def test_correlations_of_consumed_statistics_are_refused(rng):
     # a dense solve leaves B in G's buffer and the statistics without G
     x = binary_matrix(rng, 30, 8)
-    stats = build_gram(x, x)
+    stats = build_gram(x)
     solve_zero_diag(stats, 1.0)
     with pytest.raises(DataError, match="consumed by an earlier solve"):
         correlation_from_gram(stats)
@@ -112,7 +112,7 @@ def test_correlations_of_consumed_statistics_are_refused(rng):
 def test_correlations_indexed_after_a_solve_are_refused(rng):
     # made before the solve, they would otherwise be read off B
     x = binary_matrix(rng, 30, 8)
-    stats = build_gram(x, x)
+    stats = build_gram(x)
     cor = correlation_from_gram(stats)
     np.testing.assert_array_equal(cor[:, :], correlation_reference(stats))
     solve_zero_diag(stats, 1.0)
@@ -130,7 +130,6 @@ def test_threshold_small_example():
         dense, [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
     )
     assert pat.threshold == 0.3
-    assert pat.source == SOURCE_CORRELATION
     assert pat.sparsity == pytest.approx(7 / 9)
 
 
@@ -164,8 +163,6 @@ def test_threshold_validation():
         threshold_pattern(m, theta=np.nan)
     with pytest.raises(DataError, match="cap"):
         threshold_pattern(m, theta=0.0, n_max=0)
-    with pytest.raises(DataError, match="source"):
-        threshold_pattern(m, theta=0.0, source="vibes")
     with pytest.raises(DataError, match="square"):
         threshold_pattern(np.zeros((2, 3)), theta=0.0)
 
@@ -212,7 +209,7 @@ def test_sparse_steps_match_whole_matrix_references(
     dense[:, ::7] = 0.0  # empty items and
     dense[:, 3::11] = 2.0  # constant ones have zero variance
     x = matrix_from_dense(dense)
-    gram = build_gram(x, x)
+    gram = build_gram(x)
 
     cor = correlation_from_gram(gram)
     ref = correlation_reference(gram)
@@ -269,7 +266,7 @@ def test_mask_restricts_to_pattern():
 
 def test_mask_full_pattern_equals_dense_off_diagonal(rng):
     x = binary_matrix(rng, 25, 6)
-    model = solve_zero_diag(build_gram(x, x), lam=1.0)
+    model = solve_zero_diag(build_gram(x), lam=1.0)
     pat = pattern_from_dense(np.ones((6, 6)))
     masked = mask_model(model, pat)
     np.testing.assert_array_equal(masked.values.toarray(), model.b)
@@ -277,7 +274,7 @@ def test_mask_full_pattern_equals_dense_off_diagonal(rng):
 
 def test_mask_shape_checked(rng):
     x = binary_matrix(rng, 10, 4)
-    model = solve_zero_diag(build_gram(x, x), lam=1.0)
+    model = solve_zero_diag(build_gram(x), lam=1.0)
     with pytest.raises(DataError, match="pattern"):
         mask_model(model, pattern_from_dense(np.ones((3, 3))))
 
@@ -315,14 +312,14 @@ def test_blocks_chain_overlap():
 
 def test_blocks_require_diagonal():
     a = sp.csc_matrix(np.array([[0, 1], [1, 0]], dtype=np.int8))
-    pat = SparsityPattern(a=a, threshold=0.0, source=SOURCE_CORRELATION, n_max=10)
+    pat = SparsityPattern(a=a, threshold=0.0, n_max=10)
     with pytest.raises(DataError, match="diagonal"):
         block_partition(pat, np.eye(2))
 
 
 def test_blocks_cover_every_item(rng):
     x = binary_matrix(rng, 30, 10)
-    stats = build_gram(x, x)
+    stats = build_gram(x)
     cor = correlation_from_gram(stats)
     pat = threshold_pattern(cor, theta=0.2, n_max=4)
     blocks = block_partition(pat, cor)
@@ -332,7 +329,7 @@ def test_blocks_cover_every_item(rng):
 
 def test_solve_blocks_single_block_is_dense(rng):
     x = binary_matrix(rng, 20, 6)
-    stats = build_gram(x, x)
+    stats = build_gram(x)
     subs = solve_blocks(stats, [np.arange(6)], lam=1.5)
     dense = solve_zero_diag(stats, lam=1.5)
     np.testing.assert_allclose(subs[0], dense.b, atol=1e-12)
@@ -340,16 +337,15 @@ def test_solve_blocks_single_block_is_dense(rng):
 
 def test_solve_blocks_singleton(rng):
     x = binary_matrix(rng, 15, 4)
-    subs = solve_blocks(build_gram(x, x), [np.array([2])], lam=1.0)
+    subs = solve_blocks(build_gram(x), [np.array([2])], lam=1.0)
     np.testing.assert_array_equal(subs[0], [[0.0]])
 
 
 def test_solve_blocks_refuses_distinct_target(rng):
     x = binary_matrix(rng, 15, 4)
-    y = binary_matrix(rng, 15, 4)
-    stats = build_gram(x, y)
-    with pytest.raises(DataError, match="self-target"):
-        solve_blocks(stats, [np.arange(4)], lam=1.0)
+    for stats in (build_gram(x, center=True), build_disjoint_gram(x)):
+        with pytest.raises(DataError, match="plain statistics"):
+            solve_blocks(stats, [np.arange(4)], lam=1.0)
 
 
 def test_aggregate_averages_overlaps():
@@ -399,7 +395,7 @@ def test_train_sparse_block_diagonal_is_exact(rng):
 
 def test_train_sparse_full_pattern_equals_dense(rng):
     x = binary_matrix(rng, 20, 5)
-    stats = build_gram(x, x)
+    stats = build_gram(x)
     model = train_sparse(stats, theta=0.0, n_max=5, lam=1.0)
     dense = solve_zero_diag(stats, lam=1.0)
     np.testing.assert_allclose(model.values.toarray(), dense.b, atol=1e-12)
@@ -407,7 +403,7 @@ def test_train_sparse_full_pattern_equals_dense(rng):
 
 def test_train_sparse_overlapping_blocks_stay_sane(rng):
     x = binary_matrix(rng, 40, 12)
-    stats = build_gram(x, x)
+    stats = build_gram(x)
     model = train_sparse(stats, theta=0.15, n_max=5, lam=1.0)
     dense = model.values.toarray()
     assert np.all(np.isfinite(dense))
@@ -418,7 +414,7 @@ def test_train_sparse_overlapping_blocks_stay_sane(rng):
 
 def test_sparse_model_round_trip(tmp_path, rng):
     x = binary_matrix(rng, 30, 8)
-    model = train_sparse(build_gram(x, x), theta=0.1, n_max=5, lam=3.0)
+    model = train_sparse(build_gram(x), theta=0.1, n_max=5, lam=3.0)
     keys = [f"it{j}" for j in range(8)]
     path = tmp_path / "model.easp"
     save_sparse_model(path, model, item_keys=keys)
@@ -426,7 +422,6 @@ def test_sparse_model_round_trip(tmp_path, rng):
     assert loaded_keys == keys
     assert loaded.lam == 3.0
     assert loaded.pattern.threshold == model.pattern.threshold
-    assert loaded.pattern.source == model.pattern.source
     assert loaded.pattern.n_max == model.pattern.n_max
     np.testing.assert_array_equal(loaded.values.indptr, model.values.indptr)
     np.testing.assert_array_equal(loaded.values.indices, model.values.indices)
@@ -439,7 +434,7 @@ def test_sparse_model_round_trip(tmp_path, rng):
 
 def test_sparse_model_rejects_corruption(tmp_path, rng):
     x = binary_matrix(rng, 15, 4)
-    model = train_sparse(build_gram(x, x), theta=0.1, n_max=4, lam=1.0)
+    model = train_sparse(build_gram(x), theta=0.1, n_max=4, lam=1.0)
     path = tmp_path / "model.easp"
     save_sparse_model(path, model)
     raw = bytearray(path.read_bytes())
@@ -466,11 +461,23 @@ def test_sparse_model_rejects_corruption(tmp_path, rng):
 
 
 def test_pattern_source_recorded(tmp_path, rng):
+    # the header byte after magic, version, item and entry counts, lambda and
+    # threshold once named the pattern's source: every file is written with
+    # code 1 (correlation), and files with the old codes 0-2 still load
     x = binary_matrix(rng, 15, 4)
-    model = solve_zero_diag(build_gram(x, x), lam=1.0)
-    pat = threshold_pattern(np.abs(model.b), theta=0.01, n_max=3, source=SOURCE_MODEL_ABS)
-    masked = mask_model(model, pat)
+    model = solve_zero_diag(build_gram(x), lam=1.0)
+    masked = mask_model(model, threshold_pattern(np.abs(model.b), theta=0.01, n_max=3))
     path = tmp_path / "m.easp"
     save_sparse_model(path, masked)
-    loaded, _ = load_sparse_model(path)
-    assert loaded.pattern.source == SOURCE_MODEL_ABS
+    raw = bytearray(path.read_bytes())
+    assert raw[40] == 1
+    for code in (0, 1, 2):
+        raw[40] = code
+        path.write_bytes(bytes(raw))
+        loaded, _ = load_sparse_model(path)
+        np.testing.assert_array_equal(loaded.values.toarray(), masked.values.toarray())
+        assert loaded.pattern.n_max == 3
+    raw[40] = 3
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="pattern source code 3"):
+        load_sparse_model(path)

@@ -17,7 +17,7 @@ from gramrec import (
 from gramrec.gram import build_user_weighted_gram
 from gramrec.weighting import KIND_INVERSE_POP, KIND_TIME_ADJUSTED, KIND_UNIFORM
 
-from conftest import binary_matrix, constrained_ridge_oracle, gram_of
+from conftest import binary_matrix, constrained_ridge_oracle, general_solve, gram_of
 
 
 def test_popularity_weights_example():
@@ -82,7 +82,7 @@ def test_uniform_weights():
 
 def test_rescaling_scales_columns(rng):
     x = binary_matrix(rng, 30, 6)
-    model = solve_zero_diag(build_gram(x, x), lam=1.0)
+    model = solve_zero_diag(build_gram(x), lam=1.0)
     w = popularity_weights(PopularityVector(np.arange(1.0, 7.0)), alpha=0.5)
     rescaled = apply_item_rescaling(model, w)
     np.testing.assert_allclose(rescaled.b, model.b * w.w[np.newaxis, :])
@@ -98,9 +98,10 @@ def test_rescaling_equals_retraining_on_scaled_targets(rng):
     lam = 0.8
     w = popularity_weights(PopularityVector(xd.sum(axis=0)), alpha=0.5)
     rescaled = apply_item_rescaling(solve_zero_diag(gram_of(xd), lam), w)
-    retrained = solve_zero_diag(gram_of(xd, xd * w.w[np.newaxis, :]), lam)
-    np.testing.assert_allclose(rescaled.b, retrained.b, atol=1e-12)
-    np.testing.assert_allclose(rescaled.gamma, retrained.gamma, atol=1e-12)
+    # retrained on the column-scaled target by the general P*C oracle
+    b, gamma = general_solve(xd.T @ xd, xd.T @ (xd * w.w[np.newaxis, :]), lam)
+    np.testing.assert_allclose(rescaled.b, b, atol=1e-12)
+    np.testing.assert_allclose(rescaled.gamma, gamma, atol=1e-12)
 
 
 def test_rescaling_matches_constrained_oracle(rng):
@@ -114,21 +115,21 @@ def test_rescaling_matches_constrained_oracle(rng):
 
 def test_rescaling_with_unit_weights_is_identity(rng):
     x = binary_matrix(rng, 20, 5)
-    model = solve_zero_diag(build_gram(x, x), lam=2.0)
+    model = solve_zero_diag(build_gram(x), lam=2.0)
     rescaled = apply_item_rescaling(model, uniform_weights(5))
     np.testing.assert_array_equal(rescaled.b, model.b)
 
 
 def test_rescaling_refuses_unconstrained_variant(rng):
     x = binary_matrix(rng, 20, 5)
-    model = solve_rr(build_gram(x, x), lam=1.0)
+    model = solve_rr(build_gram(x), lam=1.0)
     with pytest.raises(DataError, match="zero-diagonal"):
         apply_item_rescaling(model, uniform_weights(5))
 
 
 def test_rescaling_refuses_double_application(rng):
     x = binary_matrix(rng, 20, 5)
-    model = solve_zero_diag(build_gram(x, x), lam=1.0)
+    model = solve_zero_diag(build_gram(x), lam=1.0)
     once = apply_item_rescaling(model, uniform_weights(5))
     with pytest.raises(DataError, match="already carries"):
         apply_item_rescaling(once, uniform_weights(5))
@@ -136,7 +137,7 @@ def test_rescaling_refuses_double_application(rng):
 
 def test_rescaling_length_checked(rng):
     x = binary_matrix(rng, 20, 5)
-    model = solve_zero_diag(build_gram(x, x), lam=1.0)
+    model = solve_zero_diag(build_gram(x), lam=1.0)
     with pytest.raises(DataError, match="weights"):
         apply_item_rescaling(model, uniform_weights(4))
 
@@ -144,8 +145,8 @@ def test_rescaling_length_checked(rng):
 def test_constant_user_weights_shift_lambda(rng):
     # scaling every user's error by c is the same problem with lambda/c
     x = binary_matrix(rng, 25, 6)
-    plain = solve_zero_diag(build_gram(x, x), lam=1.0)
-    weighted_stats = build_user_weighted_gram(x, x, np.full(25, 4.0))
+    plain = solve_zero_diag(build_gram(x), lam=1.0)
+    weighted_stats = build_user_weighted_gram(x, np.full(25, 4.0))
     weighted = solve_zero_diag(weighted_stats, lam=4.0)
     np.testing.assert_allclose(weighted.b, plain.b, atol=1e-12)
 
