@@ -46,8 +46,6 @@ def make_events(rng, n_users=200, n_pairs=5):
         user_ids=np.asarray(users), item_ids=np.asarray(items),
         values=np.ones(len(users)), timestamps=np.asarray(stamps),
         user_keys=keys_u, item_keys=keys_i,
-        user_index={k: i for i, k in enumerate(keys_u)},
-        item_index={k: i for i, k in enumerate(keys_i)},
     )
 
 

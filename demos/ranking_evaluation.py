@@ -48,8 +48,6 @@ def make_events(rng, n_users, n_hubs=4, n_genres=6, genre_size=4):
         user_ids=np.asarray(users), item_ids=np.asarray(items),
         values=np.ones(len(users)), timestamps=None,
         user_keys=keys_u, item_keys=keys_i,
-        user_index={k: i for i, k in enumerate(keys_u)},
-        item_index={k: i for i, k in enumerate(keys_i)},
     )
 
 

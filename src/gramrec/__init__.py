@@ -28,9 +28,7 @@ from .evaluation import (
     evaluate_model,
     evaluate_time_aware,
     grid_search_lambda,
-    ndcg_at_k,
     popularity_rank,
-    recall_at_k,
     score_histories,
 )
 from .gram import GramStats, build_disjoint_gram, build_gram, build_user_weighted_gram

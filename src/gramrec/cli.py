@@ -45,7 +45,7 @@ from .evaluation import (
     popularity_rank,
     score_histories,
 )
-from .files import atomic_write, read_key_csv
+from .files import atomic_write, container_kind, read_key_csv
 from .gram import build_disjoint_gram, build_gram, build_user_weighted_gram
 from .solver import (
     DenseModel,
@@ -151,14 +151,13 @@ def _load_split(args, iset):
 
 
 def _load_any_model(path: str):
-    """Dense or sparse model file, detected by its magic bytes."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"EASE":
+    """Dense or sparse model file, told apart by the kind of its container."""
+    kind = container_kind(path)
+    if kind == "dense_model":
         return load_model(path)
-    if magic == b"EASP":
+    if kind == "sparse_model":
         return load_sparse_model(path)
-    raise DataError(f"{path}: not a model file (magic {magic!r})")
+    raise DataError(f"{path}: holds a container of kind {kind!r}, not a model")
 
 
 def _check_model_keys(item_keys, iset: InteractionSet, n_items: int) -> None:

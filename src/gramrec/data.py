@@ -5,10 +5,10 @@ item ids in first-appearance order.  Everything downstream (matrices, Gram
 statistics, models) works in that dense id space; the key tables are kept for
 serialization and for talking to the outside world.
 
-The canonical CSV that ``ingest`` writes gets a binary event container
-beside it (``<name>.events``) holding the parsed events and the sha256 of
-the CSV's bytes; a default load of the CSV reads the container instead of
-parsing while that digest matches.
+The canonical CSV that ``ingest`` writes gets an ``events`` container (see
+:mod:`gramrec.files`) beside it, ``<name>.events``, holding the parsed
+events and the sha256 of the CSV's bytes; a default load of the CSV reads
+the container instead of parsing while that digest matches.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import os
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 
@@ -26,20 +25,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
-from .files import atomic_write, read_keys, read_record, write_array, write_keys
+from .files import atomic_write, read_container, write_container
 
 DEDUP_POLICIES = ("keep_max", "keep_last", "error")
 _CHUNK_CHARS = 1 << 16  # characters of whole lines parsed at a time
 _TIMESTAMP_BOUND = 2.0**63  # timestamps are int64
 _ROWS_PER_WRITE = 4096  # canonical CSV rows per file write
-
-_EVENTS_MAGIC = b"GREV"
-_EVENTS_VERSION = 2
-# magic, version, events, users, items, has timestamps, sha256 of the CSV;
-# then the key tables, the columns below, and the sha256 of all before it
-_EVENTS_HEADER = struct.Struct("<4sIQQQ?32s")
-_EVENTS_DTYPES = ("<i8", "<i8", "<f8", "<i8")  # user ids, item ids, values, timestamps
-_DIGEST_SIZE = 32
 
 
 @dataclass
@@ -57,8 +48,9 @@ class InteractionSet:
     """A deduplicated interaction log with dense user/item index maps.
 
     Events are stored as parallel arrays; ``user_keys[i]`` / ``item_keys[i]``
-    recover the original opaque keys for dense id ``i``.  At most one event
-    exists per (user, item) pair.
+    recover the original opaque keys for dense id ``i``, and ``user_index``
+    / ``item_index`` map them back.  At most one event exists per (user,
+    item) pair.
     """
 
     user_ids: np.ndarray
@@ -67,8 +59,14 @@ class InteractionSet:
     timestamps: np.ndarray | None
     user_keys: list[str]
     item_keys: list[str]
-    user_index: dict[str, int] = field(repr=False)
-    item_index: dict[str, int] = field(repr=False)
+
+    @cached_property
+    def user_index(self) -> dict[str, int]:
+        return dict(zip(self.user_keys, count()))
+
+    @cached_property
+    def item_index(self) -> dict[str, int]:
+        return dict(zip(self.item_keys, count()))
 
     @property
     def n_users(self) -> int:
@@ -322,8 +320,6 @@ def load_interactions(
         timestamps=time_arr,
         user_keys=list(user_index),
         item_keys=list(item_index),
-        user_index=user_index,
-        item_index=item_index,
     )
     # ids were given over every parsed event; the dropped duplicates can
     # have been the first appearances
@@ -336,43 +332,26 @@ def _events_path(path: Path) -> Path:
 
 def _load_events(path: Path) -> InteractionSet | None:
     """The events in the container beside ``path``; None when there is no
-    container, or it is unreadable, of another version or size, fails its
-    own digest, or was written for other bytes than ``path`` holds now."""
+    container, or it is unreadable, malformed or damaged, or was written
+    for other bytes than ``path`` holds now."""
     try:
-        with _events_path(path).open("rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            magic, version, n_events, n_users, n_items, has_time, csv_digest = read_record(fh, _EVENTS_HEADER)
-            if (magic, version) != (_EVENTS_MAGIC, _EVENTS_VERSION):
+        c = read_container(_events_path(path), "events")
+        user_ids = c.array("user_ids", (-1,))
+        n = user_ids.shape
+        iset = InteractionSet(
+            user_ids=user_ids,
+            item_ids=c.array("item_ids", n),
+            values=c.array("values", n),
+            timestamps=c.array("timestamps", n) if "timestamps" in c.arrays else None,
+            user_keys=c.keys["users"],
+            item_keys=c.keys["items"],
+        )
+        with path.open("rb") as csv_fh:
+            if _sha256(csv_fh).hexdigest() != c.meta.get("csv_sha256"):
                 return None
-            user_keys = read_keys(fh, path, n_users) or []
-            item_keys = read_keys(fh, path, n_items) or []
-            head = fh.tell()
-            dtypes = _EVENTS_DTYPES[: 4 if has_time else 3]
-            if size != head + 8 * n_events * len(dtypes) + _DIGEST_SIZE:
-                return None
-            with path.open("rb") as csv_fh:
-                if _sha256(csv_fh).digest() != csv_digest:
-                    return None
-            columns = [np.fromfile(fh, dtype, n_events) for dtype in dtypes]
-            stored = fh.read(_DIGEST_SIZE)
-            fh.seek(0)
-            digest = hashlib.sha256(fh.read(head))
-            for column in columns:
-                digest.update(column)
-            if digest.digest() != stored:
-                return None
-    except (OSError, struct.error, DataError):
+    except (OSError, KeyError, DataError):
         return None
-    return InteractionSet(
-        user_ids=columns[0],
-        item_ids=columns[1],
-        values=columns[2],
-        timestamps=columns[3] if has_time else None,
-        user_keys=user_keys,
-        item_keys=item_keys,
-        user_index=dict(zip(user_keys, count())),
-        item_index=dict(zip(item_keys, count())),
-    )
+    return iset
 
 
 def _sha256(fh):
@@ -416,20 +395,11 @@ def save_interactions(path: str | Path, iset: InteractionSet) -> None:
             if has_time:
                 cols.append(map(repr, iset.timestamps[rows].astype(float).tolist()))
             write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
-    head = io.BytesIO()
-    head.write(_EVENTS_HEADER.pack(_EVENTS_MAGIC, _EVENTS_VERSION, iset.n_events, iset.n_users,
-                                   iset.n_items, has_time, csv_digest.digest()))
-    write_keys(head, iset.user_keys)
-    write_keys(head, iset.item_keys)
-    digest = hashlib.sha256(head.getbuffer())
-    with atomic_write(_events_path(path), binary=True) as fh:
-        fh.write(head.getbuffer())
-        columns = (iset.user_ids, iset.item_ids, iset.values, iset.timestamps)
-        for column, dtype in zip(columns, _EVENTS_DTYPES[: 4 if has_time else 3]):
-            column = np.ascontiguousarray(column, dtype)
-            write_array(fh, column, dtype)
-            digest.update(column)
-        fh.write(digest.digest())
+    columns = {"user_ids": iset.user_ids, "item_ids": iset.item_ids, "values": iset.values}
+    if has_time:
+        columns["timestamps"] = iset.timestamps
+    write_container(_events_path(path), "events", iset.n_items, {"csv_sha256": csv_digest.hexdigest()},
+                    columns, {"users": iset.user_keys, "items": iset.item_keys})
 
 
 def _csv_field(key: str) -> str:
@@ -556,8 +526,6 @@ def _reindex(iset: InteractionSet, event_idx: np.ndarray | slice) -> Interaction
         timestamps=None if iset.timestamps is None else iset.timestamps[event_idx],
         user_keys=user_keys,
         item_keys=item_keys,
-        user_index=dict(zip(user_keys, count())),
-        item_index=dict(zip(item_keys, count())),
     )
 
 

@@ -90,25 +90,6 @@ def _ideal_dcg(m: int) -> float:
     return float(np.sum(1.0 / np.log2(np.arange(m) + 2.0)))
 
 
-def recall_at_k(ranked: np.ndarray, held_out: np.ndarray, k: int) -> float:
-    """|top-k hits| / min(k, |held_out|)."""
-    held_out = np.asarray(held_out)
-    if held_out.size == 0:
-        raise DataError("recall is undefined for an empty held-out set")
-    hits = int(np.isin(np.asarray(ranked)[:k], held_out).sum())
-    return hits / min(k, held_out.size)
-
-
-def ndcg_at_k(ranked: np.ndarray, held_out: np.ndarray, k: int) -> float:
-    """Binary-relevance discounted gain in the top k, against the ideal."""
-    held_out = np.asarray(held_out)
-    if held_out.size == 0:
-        raise DataError("ndcg is undefined for an empty held-out set")
-    hit_pos = np.flatnonzero(np.isin(np.asarray(ranked)[:k], held_out))
-    dcg = float(np.sum(1.0 / np.log2(hit_pos + 2.0)))
-    return dcg / _ideal_dcg(min(k, held_out.size))
-
-
 def popularity_rank(pop: PopularityVector) -> np.ndarray:
     """All items by popularity descending, ties by ascending id."""
     return np.argsort(-pop.pop, kind="stable")

@@ -1,20 +1,45 @@
-"""File output, the pieces of the binary formats shared by every writer and
-reader in the package, and the reader of key-indexed CSV columns."""
+"""File output, the one binary container every model and event file is
+stored in, and the reader of key-indexed CSV columns.
+
+A container is, in order:
+
+- a fixed head ``<4sIQQ``: the magic ``GRMC``, the format version, the item
+  count and the length of the header;
+- the header, UTF-8 JSON with sorted keys: ``kind`` (``dense_model``,
+  ``sparse_model`` or ``events``), ``meta`` (the kind's scalars), ``keys``
+  (key tables as string lists; an ``items`` table has one key per item) and
+  ``arrays`` (each array's name, dtype and shape, in file order);
+- the arrays, C-order, as little-endian ``<f8`` or ``<i8``;
+- the sha256 of every byte before it.
+
+The item count sits at bytes 8-16, where the dense model format kept it,
+so a model's size can be read without parsing the header, as
+``perfbench/run.py`` does.
+"""
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
+import math
 import os
 import struct
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 
-_COUNT = struct.Struct("<Q")
-_KEY_LEN = struct.Struct("<I")
+_MAGIC = b"GRMC"
+_VERSION = 1
+_HEAD = struct.Struct("<4sIQQ")  # magic, version, item count, header length
+_DIGEST_SIZE = 32
+_DTYPES = ("<f8", "<i8")
+# The per-kind formats the container replaced, named when one is refused.
+_OLD_MAGIC = {b"EASE": "dense model", b"EASP": "sparse model", b"GREV": "event container"}
 
 
 @contextmanager
@@ -33,43 +58,131 @@ def atomic_write(path: str | Path, binary: bool = False):
         raise
 
 
-def write_array(fh, arr, dtype: str) -> None:
-    """Write ``arr`` row-major as ``dtype``, straight from its buffer when it
-    already has that dtype and layout (no ``tobytes`` copy)."""
-    fh.write(memoryview(np.ascontiguousarray(arr, dtype=dtype)))
+@dataclass
+class Container:
+    """What a container holds; :func:`read_container` has checked its digest."""
+
+    path: str | Path
+    kind: str
+    n_items: int
+    meta: dict
+    keys: dict[str, list[str]]
+    arrays: dict[str, np.ndarray]
+
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The array ``name``, which must have ``shape`` (-1 matches any length)."""
+        arr = self.arrays.get(name)
+        if arr is None:
+            raise DataError(f"{self.path}: the {self.kind} container has no array {name!r}")
+        if len(arr.shape) != len(shape) or any(s not in (-1, a) for s, a in zip(shape, arr.shape)):
+            raise DataError(f"{self.path}: array {name!r} has shape {arr.shape}, expected {shape}")
+        return arr
+
+    def scalar(self, name: str, kind: type, choices=None):
+        """The metadata entry ``name``, which must be a ``kind`` (and one of ``choices``)."""
+        value = self.meta.get(name)
+        if not isinstance(value, kind) or (choices is not None and value not in choices):
+            raise DataError(f"{self.path}: metadata {name!r} is {value!r}")
+        return value
 
 
-def write_keys(fh, keys: list[str] | None) -> None:
-    """Key table: a u64 count (0 for none), then u32-length-prefixed UTF-8."""
-    keys = keys if keys is not None else []
-    fh.write(_COUNT.pack(len(keys)))
-    for key in keys:
-        raw = key.encode("utf-8")
-        fh.write(_KEY_LEN.pack(len(raw)))
-        fh.write(raw)
+def write_container(
+    path: str | Path,
+    kind: str,
+    n_items: int,
+    meta: dict,
+    arrays: dict[str, np.ndarray],
+    keys: dict[str, list[str] | None],
+) -> None:
+    """Write one container atomically.  Integer arrays are stored as ``<i8``,
+    the others as ``<f8``, each from its own buffer when it already has that
+    dtype and layout; key tables given as None are left out."""
+    keys = {name: table for name, table in keys.items() if table is not None}
+    if "items" in keys and len(keys["items"]) != n_items:
+        raise DataError(f"expected {n_items} item keys, got {len(keys['items'])}")
+    arrays = {
+        name: np.ascontiguousarray(arr, "<i8" if np.issubdtype(arr.dtype, np.integer) else "<f8")
+        for name, arr in arrays.items()
+    }
+    header = json.dumps(
+        {"kind": kind, "meta": meta, "keys": keys,
+         "arrays": [{"name": name, "dtype": arr.dtype.str, "shape": arr.shape}
+                    for name, arr in arrays.items()]},
+        sort_keys=True, ensure_ascii=False, allow_nan=False, separators=(",", ":"),
+    ).encode("utf-8")
+    head = _HEAD.pack(_MAGIC, _VERSION, n_items, len(header))
+    digest = hashlib.sha256(head)
+    digest.update(header)
+    with atomic_write(path, binary=True) as fh:
+        fh.write(head)
+        fh.write(header)
+        for arr in arrays.values():
+            buf = memoryview(arr)
+            fh.write(buf)
+            digest.update(buf)
+        fh.write(digest.digest())
 
 
-def read_record(fh, record: struct.Struct) -> tuple:
-    """One fixed-size record from ``fh``; a short read raises struct.error."""
-    return record.unpack(fh.read(record.size))
+def container_kind(path: str | Path) -> str:
+    """The kind a container declares, read from its head and header only."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path, os.fstat(fh.fileno()).st_size)[2]
 
 
-def read_keys(fh, path, n: int) -> list[str] | None:
-    """The key table :func:`write_keys` wrote, None when it is empty; a short
-    read raises struct.error, a key that is not UTF-8 a DataError."""
-    (n_keys,) = read_record(fh, _COUNT)
-    if not n_keys:
-        return None
-    if n_keys != n:
-        raise DataError(f"{path}: key table has {n_keys} entries for {n} items")
-    keys = []
-    for k in range(n_keys):
-        (klen,) = read_record(fh, _KEY_LEN)
-        try:
-            keys.append(fh.read(klen).decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: key {k} is not UTF-8 ({exc.reason})") from None
-    return keys
+def read_container(path: str | Path, kind: str) -> Container:
+    """Read a container of ``kind``: each array is read into its own buffer
+    and hashed there.  A file that is not a container, of another version or
+    kind, truncated, or whose bytes fail its digest is a DataError."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        digest, n_items, found, specs, header = _read_header(fh, path, size)
+        if found != kind:
+            raise DataError(f"{path}: holds a container of kind {found!r}, expected {kind!r}")
+        expected = fh.tell() + sum(8 * math.prod(shape) for _, _, shape in specs) + _DIGEST_SIZE
+        if size != expected:
+            raise DataError(f"{path}: expected {expected} bytes, found {size}")
+        arrays = {}
+        for name, dtype, shape in specs:
+            arrays[name] = np.fromfile(fh, dtype, math.prod(shape)).reshape(shape)
+            digest.update(arrays[name])
+        if fh.read(_DIGEST_SIZE) != digest.digest():
+            raise DataError(f"{path}: damaged: its bytes do not match their sha256")
+    return Container(path, kind, n_items, header["meta"], header["keys"], arrays)
+
+
+def _read_header(fh, path, size: int):
+    """The running digest after the head and header, the item count, the
+    kind, each array's (name, dtype, shape), and the header itself."""
+    head = fh.read(_HEAD.size)
+    if head[:4] != _MAGIC:
+        magic = head[:4]
+        if magic in _OLD_MAGIC:
+            raise DataError(f"{path}: a {_OLD_MAGIC[magic]} file in the format before "
+                            f"containers (magic {magic!r}); write it again")
+        raise DataError(f"{path}: not a gramrec container (magic {magic!r})")
+    if len(head) < _HEAD.size:
+        raise DataError(f"{path}: truncated container")
+    _, version, n_items, header_len = _HEAD.unpack(head)
+    if version != _VERSION:
+        raise DataError(f"{path}: unsupported container version {version}")
+    if header_len > size - _HEAD.size - _DIGEST_SIZE:
+        raise DataError(f"{path}: truncated container")
+    raw = fh.read(header_len)
+    digest = hashlib.sha256(head)
+    digest.update(raw)
+    # Only what reading the arrays relies on is checked here; the digest
+    # covers the rest of the header.
+    try:
+        header = json.loads(raw.decode("utf-8"))
+        del raw
+        kind = header["kind"]
+        specs = [(spec["name"], spec["dtype"], tuple(spec["shape"])) for spec in header["arrays"]]
+        for name, dtype, shape in specs:
+            if dtype not in _DTYPES or not all(isinstance(s, int) and s >= 0 for s in shape):
+                raise TypeError(f"array {name!r}")
+    except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
+        raise DataError(f"{path}: damaged header ({exc})") from None
+    return digest, n_items, kind, specs, header
 
 
 def read_key_csv(

@@ -54,10 +54,6 @@ class GramStats:
         return len(self.colsum)
 
     @property
-    def centered(self) -> bool:
-        return self.mu is not None
-
-    @property
     def plain(self) -> bool:
         """Whether the target is G itself."""
         return self.mu is None and self.kappa == 1.0 and not self.removed_diag

@@ -22,8 +22,6 @@ written into P's buffer, which is G's.  The solvers return
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -32,7 +30,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DataError, NumericalError
-from .files import atomic_write, read_keys, read_record, write_array, write_keys
+from .files import read_container, write_container
 from .gram import PANEL, GramStats
 
 if TYPE_CHECKING:
@@ -40,18 +38,6 @@ if TYPE_CHECKING:
 
 VARIANT_RR = "rr"
 VARIANT_ZERO_DIAG = "zero_diag"
-
-_VARIANT_CODES = {VARIANT_RR: 0, VARIANT_ZERO_DIAG: 1}
-# Code 2 marked zero-diagonal models that were read off P for C = G; it is the
-# same model, so files written with it still load.
-_CODES_VARIANT = {0: VARIANT_RR, 1: VARIANT_ZERO_DIAG, 2: VARIANT_ZERO_DIAG}
-_WEIGHT_KIND_CODES = {"uniform": 0, "inverse_pop": 1, "time_adjusted": 2}
-_CODES_WEIGHT_KIND = {v: k for k, v in _WEIGHT_KIND_CODES.items()}
-
-_MODEL_MAGIC = b"EASE"
-_MODEL_VERSION = 1
-_MODEL_HEADER = struct.Struct("<4sIQBdBB")
-_WEIGHT_FIELDS = struct.Struct("<Bd")
 
 
 @dataclass
@@ -188,70 +174,38 @@ solve_ease = solve_zero_diag
 
 
 def save_model(path: str | Path, model: DenseModel, item_keys: list[str] | None = None) -> None:
-    """Write a DenseModel: header, item-key table, B row-major little-endian
-    64-bit, then the optional mu and weight vectors.  The write is atomic."""
-    n = model.n_items
-    if item_keys is not None and len(item_keys) != n:
-        raise DataError(f"expected {n} item keys, got {len(item_keys)}")
+    """Write a DenseModel as a ``dense_model`` container (see :mod:`gramrec.files`):
+    B, then the target means and the applied item weights when it has them."""
+    meta = {"lam": float(model.lam), "variant": model.variant}
+    arrays = {"b": model.b}
+    if model.mu is not None:
+        arrays["mu"] = model.mu
     w = model.applied_item_weights
-    header = _MODEL_HEADER.pack(
-        _MODEL_MAGIC,
-        _MODEL_VERSION,
-        n,
-        _VARIANT_CODES[model.variant],
-        model.lam,
-        1 if model.mu is not None else 0,
-        1 if w is not None else 0,
-    )
-    with atomic_write(path, binary=True) as fh:
-        fh.write(header)
-        if w is not None:
-            fh.write(_WEIGHT_FIELDS.pack(_WEIGHT_KIND_CODES[w.kind], w.alpha))
-        write_keys(fh, item_keys)
-        for arr in (model.b, model.mu, None if w is None else w.w):
-            if arr is not None:
-                write_array(fh, arr, "<f8")
+    if w is not None:
+        meta |= {"weight_alpha": float(w.alpha), "weight_kind": w.kind}
+        arrays["weights"] = w.w
+    write_container(path, "dense_model", model.n_items, meta, arrays, {"items": item_keys})
 
 
 def load_model(path: str | Path) -> tuple[DenseModel, list[str] | None]:
     """Read a model file back; returns the model and its item keys (None
     when the file was written without a key table)."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(_MODEL_HEADER.size)
-        if len(head) < _MODEL_HEADER.size or head[:4] != _MODEL_MAGIC:
-            raise DataError(f"{path}: not a dense model file")
-        magic, version, n, variant_code, lam, has_mu, has_w = _MODEL_HEADER.unpack(head)
-        if version != _MODEL_VERSION:
-            raise DataError(f"{path}: unsupported model file version {version}")
-        if variant_code not in _CODES_VARIANT:
-            raise DataError(f"{path}: unknown variant code {variant_code}")
-        kind = alpha = None
-        try:
-            if has_w:
-                kind_code, alpha = read_record(fh, _WEIGHT_FIELDS)
-                if kind_code not in _CODES_WEIGHT_KIND:
-                    raise DataError(f"{path}: unknown weight kind code {kind_code}")
-                kind = _CODES_WEIGHT_KIND[kind_code]
-            item_keys = read_keys(fh, path, n)
-        except struct.error:
-            raise DataError(f"{path}: truncated model file") from None
-        expected = fh.tell() + 8 * (n * n + (n if has_mu else 0) + (n if has_w else 0))
-        if size != expected:
-            raise DataError(f"{path}: expected {expected} bytes, found {size}")
-        b = np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n)
-        mu = np.fromfile(fh, dtype="<f8", count=n) if has_mu else None
-        weights = None
-        if has_w:
-            from .weighting import ItemWeightVector
+    from .weighting import WEIGHT_KINDS, ItemWeightVector
 
-            wvec = np.fromfile(fh, dtype="<f8", count=n)
-            weights = ItemWeightVector(w=wvec, kind=kind, alpha=alpha)
+    c = read_container(path, "dense_model")
+    n = c.n_items
+    weights = None
+    if "weights" in c.arrays:
+        weights = ItemWeightVector(
+            w=c.array("weights", (n,)),
+            kind=c.scalar("weight_kind", str, WEIGHT_KINDS),
+            alpha=c.scalar("weight_alpha", float),
+        )
     model = DenseModel(
-        b=b,
-        variant=_CODES_VARIANT[variant_code],
-        lam=lam,
-        mu=mu,
+        b=c.array("b", (n, n)),
+        variant=c.scalar("variant", str, (VARIANT_RR, VARIANT_ZERO_DIAG)),
+        lam=c.scalar("lam", float),
+        mu=c.array("mu", (n,)) if "mu" in c.arrays else None,
         applied_item_weights=weights,
     )
-    return model, item_keys
+    return model, c.keys.get("items")

@@ -21,8 +21,6 @@ and the block solutions are accumulated at pattern positions only.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,18 +28,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
-from .files import atomic_write, read_keys, write_array, write_keys
+from .files import read_container, write_container
 from .gram import PANEL, GramStats
 from .solver import DenseModel, solve_zero_diag
-
-# A header byte once named what a pattern was thresholded from; every
-# pattern thresholds correlations (code 1), and files with codes 0-2 still load.
-_SOURCE_CODE = 1
-_SOURCE_CODES_READ = (0, 1, 2)
-
-_SPARSE_MAGIC = b"EASP"
-_SPARSE_VERSION = 1
-_SPARSE_HEADER = struct.Struct("<4sIQQddBQ")
 
 
 @dataclass
@@ -312,52 +301,23 @@ def train_sparse(gram: GramStats, theta: float, n_max: int, lam: float) -> Spars
 def save_sparse_model(
     path: str | Path, model: SparseModel, item_keys: list[str] | None = None
 ) -> None:
-    """Write a SparseModel: header, item-key table, then the compressed
-    column arrays (pointers, row indices, values), little-endian."""
-    n = model.n_items
-    if item_keys is not None and len(item_keys) != n:
-        raise DataError(f"expected {n} item keys, got {len(item_keys)}")
+    """Write a SparseModel as a ``sparse_model`` container (see
+    :mod:`gramrec.files`): the compressed column arrays (pointers, row
+    indices, values) and the pattern's threshold and cap."""
     values = model.values
-    header = _SPARSE_HEADER.pack(
-        _SPARSE_MAGIC,
-        _SPARSE_VERSION,
-        n,
-        values.nnz,
-        model.lam,
-        model.pattern.threshold,
-        _SOURCE_CODE,
-        model.pattern.n_max,
-    )
-    with atomic_write(path, binary=True) as fh:
-        fh.write(header)
-        write_keys(fh, item_keys)
-        write_array(fh, values.indptr, "<i8")
-        write_array(fh, values.indices, "<i8")
-        write_array(fh, values.data, "<f8")
+    meta = {"lam": float(model.lam), "n_max": int(model.pattern.n_max),
+            "threshold": float(model.pattern.threshold)}
+    arrays = {"indptr": values.indptr, "indices": values.indices, "data": values.data}
+    write_container(path, "sparse_model", model.n_items, meta, arrays, {"items": item_keys})
 
 
 def load_sparse_model(path: str | Path) -> tuple[SparseModel, list[str] | None]:
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(_SPARSE_HEADER.size)
-        if len(head) < _SPARSE_HEADER.size or head[:4] != _SPARSE_MAGIC:
-            raise DataError(f"{path}: not a sparse model file")
-        magic, version, n, nnz, lam, theta, source_code, n_max = _SPARSE_HEADER.unpack(head)
-        if version != _SPARSE_VERSION:
-            raise DataError(f"{path}: unsupported sparse model version {version}")
-        if source_code not in _SOURCE_CODES_READ:
-            raise DataError(f"{path}: unknown pattern source code {source_code}")
-        try:
-            item_keys = read_keys(fh, path, n)
-        except struct.error:
-            raise DataError(f"{path}: truncated sparse model file") from None
-        expected = fh.tell() + (n + 1) * 8 + nnz * 8 + nnz * 8
-        if size != expected:
-            raise DataError(f"{path}: expected {expected} bytes, found {size}")
-        indptr = np.fromfile(fh, dtype="<i8", count=n + 1)
-        indices = np.fromfile(fh, dtype="<i8", count=nnz)
-        data = np.fromfile(fh, dtype="<f8", count=nnz)
+    c = read_container(path, "sparse_model")
+    n = c.n_items
+    indptr = c.array("indptr", (n + 1,))
+    nnz = int(indptr[-1])
+    indices, data = c.array("indices", (nnz,)), c.array("data", (nnz,))
     a = sp.csc_matrix((np.ones(nnz, dtype=np.int8), indices.copy(), indptr.copy()), shape=(n, n))
     values = sp.csc_matrix((data, indices, indptr), shape=(n, n))
-    pattern = SparsityPattern(a=a, threshold=theta, n_max=n_max)
-    return SparseModel(pattern=pattern, values=values, lam=lam), item_keys
+    pattern = SparsityPattern(a=a, threshold=c.scalar("threshold", float), n_max=c.scalar("n_max", int))
+    return SparseModel(pattern=pattern, values=values, lam=c.scalar("lam", float)), c.keys.get("items")

@@ -39,8 +39,6 @@ from gramrec import (
     UserItemMatrix,
     GramStats,
     build_gram,
-    ndcg_at_k,
-    recall_at_k,
     score_histories,
     time_popularity_weights,
 )
@@ -325,8 +323,6 @@ def load_interactions_reference(
         timestamps=time_arr,
         user_keys=user_keys,
         item_keys=item_keys,
-        user_index=user_index,
-        item_index=item_index,
     )
     return reindex_reference(parsed, keep)
 
@@ -374,8 +370,6 @@ def reindex_reference(iset: InteractionSet, event_idx: np.ndarray) -> Interactio
         timestamps=None if iset.timestamps is None else iset.timestamps[event_idx],
         user_keys=list(user_index),
         item_keys=list(item_index),
-        user_index=user_index,
-        item_index=item_index,
     )
 
 
@@ -394,6 +388,25 @@ def write_canonical_reference(iset: InteractionSet, path) -> None:
             if has_time:
                 row.append(repr(float(iset.timestamps[e])))
             writer.writerow(row)
+
+
+def recall_at_k(ranked: np.ndarray, held_out: np.ndarray, k: int) -> float:
+    """One user's recall: |top-k hits| / min(k, |held_out|)."""
+    held_out = np.asarray(held_out)
+    if held_out.size == 0:
+        raise DataError("recall is undefined for an empty held-out set")
+    hits = int(np.isin(np.asarray(ranked)[:k], held_out).sum())
+    return hits / min(k, held_out.size)
+
+
+def ndcg_at_k(ranked: np.ndarray, held_out: np.ndarray, k: int) -> float:
+    """One user's binary-relevance discounted gain in the top k, against the ideal."""
+    held_out = np.asarray(held_out)
+    if held_out.size == 0:
+        raise DataError("ndcg is undefined for an empty held-out set")
+    hit_pos = np.flatnonzero(np.isin(np.asarray(ranked)[:k], held_out))
+    dcg = float(np.sum(1.0 / np.log2(hit_pos + 2.0)))
+    return dcg / float(np.sum(1.0 / np.log2(np.arange(min(k, held_out.size)) + 2.0)))
 
 
 def evaluate_model_reference(model, matrix, split, recall_ks=(20, 50), ndcg_k=100,
@@ -497,13 +510,17 @@ def binary_matrix(
     n_items: int,
     density: float = 0.4,
 ) -> UserItemMatrix:
-    """Random binary interaction matrix with no empty or full columns."""
-    while True:
+    """Random binary interaction matrix with no empty or full columns; a
+    shape and density that miss that in 1,000 draws are a ValueError."""
+    for _ in range(1000):
         dense = (rng.random((n_users, n_items)) < density).astype(np.float64)
         sums = dense.sum(axis=0)
         if np.all(sums > 0) and np.all(sums < n_users):
-            break
-    return UserItemMatrix(matrix=sp.csr_matrix(dense), binarized=True)
+            return UserItemMatrix(matrix=sp.csr_matrix(dense), binarized=True)
+    raise ValueError(
+        f"no {n_users} x {n_items} draw at density {density} in 1000 had every column "
+        "neither empty nor full"
+    )
 
 
 def matrix_from_dense(dense: np.ndarray) -> UserItemMatrix:
@@ -538,9 +555,21 @@ def make_iset(
         timestamps=None if timestamps is None else np.asarray(timestamps, dtype=np.int64),
         user_keys=user_keys,
         item_keys=item_keys,
-        user_index={k: i for i, k in enumerate(user_keys)},
-        item_index={k: i for i, k in enumerate(item_keys)},
     )
+
+
+def assert_same_interactions(got, want):
+    for name in ("user_ids", "item_ids", "values", "timestamps"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name  # bitwise, so -0.0 and 0.0 differ
+    assert got.user_keys == want.user_keys
+    assert got.item_keys == want.item_keys
+    assert got.user_index == want.user_index
+    assert got.item_index == want.item_index
 
 
 def run_cli(args: list[str], cwd=None, env=None) -> subprocess.CompletedProcess:

@@ -25,9 +25,7 @@ from gramrec import (
     filter_activity,
     load_interactions,
     mask_model,
-    ndcg_at_k,
     popularity,
-    recall_at_k,
     solve_zero_diag,
     split_strong_generalization,
     threshold_pattern,
@@ -44,6 +42,8 @@ from conftest import (
     general_solve,
     gram_of,
     make_iset,
+    ndcg_at_k,
+    recall_at_k,
     run_cli,
     target_of,
 )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gramrec import data
+from gramrec import data, files
 from gramrec import (
     DataError,
     DenseModel,
@@ -28,6 +28,7 @@ from gramrec.data import DEDUP_POLICIES, _dedup_indices, _reindex, fold_in_indic
 from gramrec.solver import VARIANT_ZERO_DIAG
 
 from conftest import (
+    assert_same_interactions,
     dedup_indices_reference,
     load_interactions_reference,
     make_iset,
@@ -515,20 +516,6 @@ def load_outcome(load, path, **kwargs):
         return str(exc)
 
 
-def assert_same_interactions(got, want):
-    for name in ("user_ids", "item_ids", "values", "timestamps"):
-        a, b = getattr(got, name), getattr(want, name)
-        if b is None:
-            assert a is None, name
-            continue
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name  # bitwise, so -0.0 and 0.0 differ
-    assert got.user_keys == want.user_keys
-    assert got.item_keys == want.item_keys
-    assert got.user_index == want.user_index
-    assert got.item_index == want.item_index
-
-
 @settings(max_examples=400, deadline=None)
 @given(case=interaction_files(), chunk=st.sampled_from([1, 8, 30, 100, 1 << 16]))
 def test_load_matches_per_row_reference(tmp_path_factory, case, chunk):
@@ -684,11 +671,11 @@ def _flip(offset):
     return lambda d: _rewrite(d / "data.csv.events", edit)
 
 
-# CANONICAL_LOG's container: a 65-byte header, the user keys [u2, u1, u3]
-# (8 + 3 * 6 bytes), the item keys [i1, i2] (8 + 2 * 6 bytes), the user ids,
-# item ids, values and timestamps of its 3 events (24 bytes each), and a
-# 32-byte sha256 of all before it.
-_KEYS_AT, _COLUMNS_AT = 65, 65 + 26 + 20
+# CANONICAL_LOG's container: a 24-byte head, a 355-byte JSON header (the
+# event count of the first array's shape at byte 77, the user keys
+# [u2, u1, u3] from byte 258), the user ids, item ids, values and timestamps
+# of its 3 events (24 bytes each), and a 32-byte sha256 of all before it.
+_EVENT_COUNT_AT, _KEYS_AT, _COLUMNS_AT = 77, 258, 24 + 355
 
 # Each damages the CSV or its container after ingest; parsing must win.
 BAD_CONTAINERS = {
@@ -699,9 +686,9 @@ BAD_CONTAINERS = {
     "one_byte_longer": lambda d: _rewrite(d / "data.csv.events", lambda b: b + b"\0"),
     "wrong_magic": lambda d: _rewrite(d / "data.csv.events", lambda b: b"EASE" + b[4:]),
     "other_version": lambda d: _rewrite(
-        d / "data.csv.events", lambda b: b[:4] + (data._EVENTS_VERSION + 1).to_bytes(4, "little") + b[8:]),
-    "event_count_edited": _flip(8),
-    "key_edited": _flip(_KEYS_AT + 8 + 4),  # u2 -> t2
+        d / "data.csv.events", lambda b: b[:4] + (files._VERSION + 1).to_bytes(4, "little") + b[8:]),
+    "event_count_edited": _flip(_EVENT_COUNT_AT),  # 3 -> 2
+    "key_edited": _flip(_KEYS_AT),  # u2 -> t2
     "user_id_out_of_range": _flip(_COLUMNS_AT + 4),  # id 0 -> 2**32
     "value_edited_finite": _flip(_COLUMNS_AT + 2 * 24 + 6),  # 4.0 -> 4.25
     "timestamp_edited": _flip(_COLUMNS_AT + 3 * 24),
@@ -728,7 +715,9 @@ def parsed(directory, **kwargs):
 def test_intact_container_is_read_without_parsing(ingested, monkeypatch):
     # hashlib.file_digest is new in Python 3.11; the package supports 3.10
     monkeypatch.delattr(hashlib, "file_digest", raising=False)
-    assert (ingested / "data.csv.events").stat().st_size == _COLUMNS_AT + 4 * 24 + 32
+    raw = (ingested / "data.csv.events").read_bytes()
+    assert len(raw) == _COLUMNS_AT + 4 * 24 + 32
+    assert raw[_EVENT_COUNT_AT : _EVENT_COUNT_AT + 2] == b"3]" and raw[_KEYS_AT : _KEYS_AT + 2] == b"u2"
     parses = Parses(monkeypatch)
     got = load_interactions(ingested / "data.csv")
     assert parses.count == 0

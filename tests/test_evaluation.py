@@ -22,11 +22,9 @@ from gramrec import (
     evaluate_time_aware,
     grid_search_lambda,
     mask_model,
-    ndcg_at_k,
     popularity,
     popularity_rank,
     popularity_weights,
-    recall_at_k,
     score_histories,
     solve_rr,
     solve_zero_diag,
@@ -39,7 +37,13 @@ import gramrec.evaluation as evaluation
 from gramrec.data import fold_in_indices
 from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG
 
-from conftest import evaluate_model_reference, evaluate_time_aware_reference, make_iset
+from conftest import (
+    evaluate_model_reference,
+    evaluate_time_aware_reference,
+    make_iset,
+    ndcg_at_k,
+    recall_at_k,
+)
 
 
 def test_recall_examples():

@@ -1,9 +1,16 @@
+import ast
 import errno
+import re
+import tempfile
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gramrec
 from gramrec import (
     DataError,
     SplitSpec,
@@ -19,11 +26,10 @@ from gramrec import (
     uniform_weights,
 )
 from gramrec.cli import _write_text, main
-from gramrec.files import read_key_csv
-from gramrec.solver import _MODEL_HEADER
-from gramrec.sparse import _SPARSE_HEADER
+from gramrec.data import _load_events, load_interactions, save_interactions
+from gramrec.files import read_key_csv, write_container
 
-from conftest import matrix_from_dense
+from conftest import assert_same_interactions, make_iset, matrix_from_dense
 
 _DISK_BYTES = 8
 
@@ -127,16 +133,107 @@ def test_model_key_table_not_utf8(tmp_path, capsys, kind):
     path = tmp_path / "model"
     if kind == "dense":
         save_model(path, solve_zero_diag(_stats(), 1.0), ["a", "b", "c"])
-        header, load = _MODEL_HEADER, load_model
+        load = load_model
     else:
         save_sparse_model(path, train_sparse(_stats(), theta=0.0, n_max=3, lam=1.0), ["a", "b", "c"])
-        header, load = _SPARSE_HEADER, load_sparse_model
+        load = load_sparse_model
     raw = bytearray(path.read_bytes())
-    first_key = header.size + 8 + 4  # after the key count and the first key's length
-    assert raw[first_key : first_key + 1] == b"a"
+    first_key = raw.index(b'"items":["a"') + len(b'"items":["')  # in the JSON header
     raw[first_key] = 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(DataError, match=f"{path}: key 0 is not UTF-8"):
+    message = f"{path}: damaged header ('utf-8' codec can't decode byte 0xff"
+    with pytest.raises(DataError, match=re.escape(message)):
         load(path)
     assert main(["recommend", "--model", str(path), "--history", "b"]) == 2
-    assert f"{path}: key 0 is not UTF-8" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def _events():
+    return make_iset([(0, 0, 1.0), (1, 1, 4.0), (0, 1, 2.5), (2, 0, 1.0)], timestamps=[10, 11, 12, 13])
+
+
+@cache
+def _container_bytes():
+    """The bytes of a saved dense model, sparse model, and event container
+    with the CSV beside it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_model(tmp / "m.ease", solve_zero_diag(_stats(), 1.0), ["a", "b", "c"])
+        save_sparse_model(tmp / "m.easp", train_sparse(_stats(), theta=0.0, n_max=3, lam=1.0), ["a", "b", "c"])
+        save_interactions(tmp / "data.csv", _events())
+        return {name: (tmp / name).read_bytes() for name in ("m.ease", "m.easp", "data.csv", "data.csv.events")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["m.ease", "m.easp", "data.csv.events"]), at=st.integers(0, 2**32),
+       mask=st.integers(1, 255))
+def test_any_flipped_byte_is_refused(tmp_path_factory, name, at, mask):
+    """Any one byte of a container changed: both model loaders raise a
+    DataError, and loading the CSV ignores its event container and parses."""
+    saved = _container_bytes()
+    raw = bytearray(saved[name])
+    raw[at % len(raw)] ^= mask
+    d = tmp_path_factory.mktemp("flip")
+    (d / name).write_bytes(bytes(raw))
+    if name == "data.csv.events":
+        (d / "data.csv").write_bytes(saved["data.csv"])
+        assert _load_events(d / "data.csv") is None
+        assert_same_interactions(load_interactions(d / "data.csv"), _events())
+    else:
+        with pytest.raises(DataError):
+            (load_model if name == "m.ease" else load_sparse_model)(d / name)
+
+
+def test_intact_containers_load(tmp_path):
+    saved = _container_bytes()
+    for name, data in saved.items():
+        (tmp_path / name).write_bytes(data)
+    assert load_model(tmp_path / "m.ease")[1] == ["a", "b", "c"]
+    assert load_sparse_model(tmp_path / "m.easp")[1] == ["a", "b", "c"]
+    assert_same_interactions(_load_events(tmp_path / "data.csv"), _events())
+
+
+def _old_dense_model(path):
+    """The head of a dense model file in the format containers replaced."""
+    path.write_bytes(b"EASE" + (1).to_bytes(4, "little") + (3).to_bytes(8, "little") + bytes(64))
+
+
+# Each writes a malformed model file; loading it is a DataError naming what is wrong.
+MALFORMED = {
+    "old_format": (_old_dense_model, "a dense model file in the format before containers"),
+    "wrong_kind": (lambda p: p.write_bytes(_container_bytes()["data.csv.events"]),
+                   "holds a container of kind 'events'"),
+    "missing_array": (lambda p: write_container(p, "dense_model", 3, {"lam": 1.0, "variant": "rr"},
+                                                {"mu": np.zeros(3)}, {}),
+                      "the dense_model container has no array 'b'"),
+    "misshaped_array": (lambda p: write_container(p, "dense_model", 3, {"lam": 1.0, "variant": "rr"},
+                                                  {"b": np.zeros((3, 2))}, {"items": ["a", "b", "c"]}),
+                        "array 'b' has shape (3, 2), expected (3, 3)"),
+    "truncated": (lambda p: p.write_bytes(b"GRMC" + bytes(10)), "truncated container"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_model_exits_2(tmp_path, capsys, case):
+    write, message = MALFORMED[case]
+    path = tmp_path / "model.ease"
+    write(path)
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_model(path)
+    assert main(["recommend", "--model", str(path), "--history", "a"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_container_format_is_decided_in_files_only():
+    """Among the package's modules only files.py imports struct or reads
+    arrays with np.fromfile."""
+    holders = set()
+    for module in Path(gramrec.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names):
+                holders.add(module.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "struct":
+                holders.add(module.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "fromfile":
+                holders.add(module.name)
+    assert holders == {"files.py"}

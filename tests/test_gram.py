@@ -21,7 +21,6 @@ def test_gram_small_example():
     np.testing.assert_array_equal(target_of(stats), [[1, 1], [1, 2]])
     assert stats.n_users == 2
     assert stats.mu is None
-    assert not stats.centered
 
 
 def test_gram_matches_dense_products(rng):
@@ -106,7 +105,6 @@ def test_centered_targets_small_example():
     np.testing.assert_allclose(stats.mu, [0.5, 1.0])
     np.testing.assert_allclose(target_of(stats), [[0.5, 0.0], [0.0, 0.0]])
     np.testing.assert_array_equal(stats.g, [[1, 1], [1, 2]])  # inputs stay raw
-    assert stats.centered
 
 
 def test_centered_matches_explicit_densified(rng):
@@ -187,3 +185,9 @@ def test_weighting_validation(rng):
     bad[2] = np.inf
     with pytest.raises(DataError, match="positive and finite"):
         build_user_weighted_gram(x, bad)
+
+
+def test_binary_matrix_gives_up_on_a_shape_it_can_hardly_draw(rng):
+    # each of the 150 columns is empty with probability 0.95**5 = 0.77
+    with pytest.raises(ValueError, match="no 5 x 150 draw at density 0.05"):
+        binary_matrix(rng, 5, 150, density=0.05)

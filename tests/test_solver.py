@@ -20,7 +20,7 @@ from gramrec import (
     solve_zero_diag,
 )
 from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG, PrecisionMatrix, _positive_diag
-from gramrec.weighting import apply_item_rescaling, popularity_weights
+from gramrec.weighting import popularity_weights
 from gramrec import PopularityVector
 
 from conftest import (
@@ -409,7 +409,7 @@ def test_model_file_rejects_corruption(tmp_path, rng):
 
     nope = tmp_path / "bad-magic"
     nope.write_bytes(b"ZZZZ" + bytes(raw[4:]))
-    with pytest.raises(DataError, match="not a dense model"):
+    with pytest.raises(DataError, match="not a gramrec container"):
         load_model(nope)
 
     short = tmp_path / "short"
@@ -423,20 +423,3 @@ def test_model_file_rejects_corruption(tmp_path, rng):
     vpath.write_bytes(bytes(versioned))
     with pytest.raises(DataError, match="version"):
         load_model(vpath)
-
-
-def test_model_file_variant_code_2_loads_as_zero_diag(tmp_path):
-    # code 2 marked self-target zero-diagonal models in older files
-    model = DenseModel(b=np.array([[0.0, 0.25], [0.5, 0.0]]), variant=VARIANT_ZERO_DIAG, lam=2.0)
-    path = tmp_path / "model.ease"
-    save_model(path, model)
-    raw = bytearray(path.read_bytes())
-    assert raw[16] == 1  # variant byte after magic, version and item count
-    raw[16] = 2
-    path.write_bytes(bytes(raw))
-    loaded, _ = load_model(path)
-    assert loaded.variant == VARIANT_ZERO_DIAG
-    np.testing.assert_array_equal(loaded.b, model.b)
-    weights = popularity_weights(PopularityVector(np.array([1.0, 4.0])), alpha=0.5)
-    rescaled = apply_item_rescaling(loaded, weights)
-    np.testing.assert_array_equal(rescaled.b, model.b * weights.w[np.newaxis, :])

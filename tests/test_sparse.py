@@ -441,7 +441,7 @@ def test_sparse_model_rejects_corruption(tmp_path, rng):
 
     bad = tmp_path / "magic"
     bad.write_bytes(b"XXXX" + bytes(raw[4:]))
-    with pytest.raises(DataError, match="not a sparse model"):
+    with pytest.raises(DataError, match="not a gramrec container"):
         load_sparse_model(bad)
 
     short = tmp_path / "short"
@@ -458,26 +458,3 @@ def test_sparse_model_rejects_corruption(tmp_path, rng):
 
     with pytest.raises(DataError, match="item keys"):
         save_sparse_model(tmp_path / "k.easp", model, item_keys=["just-one"])
-
-
-def test_pattern_source_recorded(tmp_path, rng):
-    # the header byte after magic, version, item and entry counts, lambda and
-    # threshold once named the pattern's source: every file is written with
-    # code 1 (correlation), and files with the old codes 0-2 still load
-    x = binary_matrix(rng, 15, 4)
-    model = solve_zero_diag(build_gram(x), lam=1.0)
-    masked = mask_model(model, threshold_pattern(np.abs(model.b), theta=0.01, n_max=3))
-    path = tmp_path / "m.easp"
-    save_sparse_model(path, masked)
-    raw = bytearray(path.read_bytes())
-    assert raw[40] == 1
-    for code in (0, 1, 2):
-        raw[40] = code
-        path.write_bytes(bytes(raw))
-        loaded, _ = load_sparse_model(path)
-        np.testing.assert_array_equal(loaded.values.toarray(), masked.values.toarray())
-        assert loaded.pattern.n_max == 3
-    raw[40] = 3
-    path.write_bytes(bytes(raw))
-    with pytest.raises(DataError, match="pattern source code 3"):
-        load_sparse_model(path)
