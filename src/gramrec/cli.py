@@ -151,13 +151,13 @@ def _load_split(args, iset):
 
 
 def _load_any_model(path: str):
-    """Dense or sparse model file, told apart by the kind of its container."""
+    """Dense or sparse model file, told apart by the kind of its container,
+    refused when its bytes fail their sha256."""
     kind = container_kind(path)
-    if kind == "dense_model":
-        return load_model(path)
-    if kind == "sparse_model":
-        return load_sparse_model(path)
-    raise DataError(f"{path}: holds a container of kind {kind!r}, not a model")
+    loader = {"dense_model": load_model, "sparse_model": load_sparse_model}.get(kind)
+    if loader is None:
+        raise DataError(f"{path}: holds a container of kind {kind!r}, not a model")
+    return loader(path, verify=True)
 
 
 def _check_model_keys(item_keys, iset: InteractionSet, n_items: int) -> None:
@@ -290,7 +290,7 @@ def cmd_rescale(args) -> int:
     if args.weights_out is None and args.output is None:
         raise UsageError("nothing to do: give --weights-out and/or --output")
     alpha = _check_alpha(args.alpha)
-    model, item_keys = load_model(args.model)
+    model, item_keys = load_model(args.model, verify=True)
     iset, matrix = _load_dataset(args)
     split = _load_split(args, iset)
     _check_model_keys(item_keys, iset, model.n_items)

@@ -335,7 +335,7 @@ def _load_events(path: Path) -> InteractionSet | None:
     container, or it is unreadable, malformed or damaged, or was written
     for other bytes than ``path`` holds now."""
     try:
-        c = read_container(_events_path(path), "events")
+        c = read_container(_events_path(path), "events", verify=True)
         user_ids = c.array("user_ids", (-1,))
         n = user_ids.shape
         iset = InteractionSet(

@@ -5,16 +5,17 @@ A container is, in order:
 
 - a fixed head ``<4sIQQ``: the magic ``GRMC``, the format version, the item
   count and the length of the header;
+- the sha256 of every other byte of the file;
 - the header, UTF-8 JSON with sorted keys: ``kind`` (``dense_model``,
   ``sparse_model`` or ``events``), ``meta`` (the kind's scalars), ``keys``
   (key tables as string lists; an ``items`` table has one key per item) and
   ``arrays`` (each array's name, dtype and shape, in file order);
-- the arrays, C-order, as little-endian ``<f8`` or ``<i8``;
-- the sha256 of every byte before it.
+- the arrays, C-order, as little-endian ``<f8`` or ``<i8``.
 
 The item count sits at bytes 8-16, where the dense model format kept it,
 so a model's size can be read without parsing the header, as
-``perfbench/run.py`` does.
+``perfbench/run.py`` does; and a dense model without means or weights ends
+with B's last row, which ``perfbench/test_perfbench.py`` edits in place.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from .errors import DataError
 _MAGIC = b"GRMC"
 _VERSION = 1
 _HEAD = struct.Struct("<4sIQQ")  # magic, version, item count, header length
-_DIGEST_SIZE = 32
+_DIGEST_SIZE = 32  # the sha256 that follows the head
 _DTYPES = ("<f8", "<i8")
-# The per-kind formats the container replaced, named when one is refused.
-_OLD_MAGIC = {b"EASE": "dense model", b"EASP": "sparse model", b"GREV": "event container"}
+_OLD_MAGIC = {b"EASE": "dense model", b"EASP": "sparse model"}  # formats containers replaced
 
 
 @contextmanager
@@ -60,7 +60,7 @@ def atomic_write(path: str | Path, binary: bool = False):
 
 @dataclass
 class Container:
-    """What a container holds; :func:`read_container` has checked its digest."""
+    """What a container holds, as :func:`read_container` read it."""
 
     path: str | Path
     kind: str
@@ -111,78 +111,86 @@ def write_container(
         sort_keys=True, ensure_ascii=False, allow_nan=False, separators=(",", ":"),
     ).encode("utf-8")
     head = _HEAD.pack(_MAGIC, _VERSION, n_items, len(header))
+    buffers = [memoryview(arr) for arr in arrays.values()]
     digest = hashlib.sha256(head)
     digest.update(header)
+    for buf in buffers:
+        digest.update(buf)
     with atomic_write(path, binary=True) as fh:
         fh.write(head)
-        fh.write(header)
-        for arr in arrays.values():
-            buf = memoryview(arr)
-            fh.write(buf)
-            digest.update(buf)
         fh.write(digest.digest())
+        fh.write(header)
+        for buf in buffers:
+            fh.write(buf)
 
 
 def container_kind(path: str | Path) -> str:
     """The kind a container declares, read from its head and header only."""
     with open(path, "rb") as fh:
-        return _read_header(fh, path, os.fstat(fh.fileno()).st_size)[2]
+        return _read_header(fh, path, os.fstat(fh.fileno()).st_size)[3]["kind"]
 
 
-def read_container(path: str | Path, kind: str) -> Container:
-    """Read a container of ``kind``: each array is read into its own buffer
-    and hashed there.  A file that is not a container, of another version or
-    kind, truncated, or whose bytes fail its digest is a DataError."""
+def read_container(path: str | Path, kind: str, verify: bool) -> Container:
+    """Read a container of ``kind``, each array into its own buffer.  A file
+    that is not a container, of another version or kind, truncated, or
+    with a malformed header is a DataError; with ``verify``, each array is
+    hashed in its buffer, and a file whose bytes fail its sha256 is too."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        digest, n_items, found, specs, header = _read_header(fh, path, size)
-        if found != kind:
-            raise DataError(f"{path}: holds a container of kind {found!r}, expected {kind!r}")
-        expected = fh.tell() + sum(8 * math.prod(shape) for _, _, shape in specs) + _DIGEST_SIZE
+        digest, stored, n_items, header, specs = _read_header(fh, path, size)
+        if header["kind"] != kind:
+            raise DataError(f"{path}: holds a container of kind {header['kind']!r}, expected {kind!r}")
+        expected = fh.tell() + sum(8 * math.prod(shape) for _, _, shape in specs)
         if size != expected:
             raise DataError(f"{path}: expected {expected} bytes, found {size}")
         arrays = {}
         for name, dtype, shape in specs:
             arrays[name] = np.fromfile(fh, dtype, math.prod(shape)).reshape(shape)
-            digest.update(arrays[name])
-        if fh.read(_DIGEST_SIZE) != digest.digest():
-            raise DataError(f"{path}: damaged: its bytes do not match their sha256")
+            if verify:
+                digest.update(arrays[name])
+    if verify and digest.digest() != stored:
+        raise DataError(f"{path}: damaged: its bytes do not match their sha256")
     return Container(path, kind, n_items, header["meta"], header["keys"], arrays)
 
 
 def _read_header(fh, path, size: int):
-    """The running digest after the head and header, the item count, the
-    kind, each array's (name, dtype, shape), and the header itself."""
-    head = fh.read(_HEAD.size)
+    """The running digest after the head and header, the stored digest, the
+    item count, the header, and each array's (name, dtype, shape)."""
+    head = fh.read(_HEAD.size + _DIGEST_SIZE)
     if head[:4] != _MAGIC:
         magic = head[:4]
         if magic in _OLD_MAGIC:
             raise DataError(f"{path}: a {_OLD_MAGIC[magic]} file in the format before "
                             f"containers (magic {magic!r}); write it again")
         raise DataError(f"{path}: not a gramrec container (magic {magic!r})")
-    if len(head) < _HEAD.size:
+    if len(head) < _HEAD.size + _DIGEST_SIZE:
         raise DataError(f"{path}: truncated container")
-    _, version, n_items, header_len = _HEAD.unpack(head)
+    _, version, n_items, header_len = _HEAD.unpack_from(head)
     if version != _VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
-    if header_len > size - _HEAD.size - _DIGEST_SIZE:
+    if header_len > size - len(head):
         raise DataError(f"{path}: truncated container")
     raw = fh.read(header_len)
-    digest = hashlib.sha256(head)
+    digest = hashlib.sha256(head[: _HEAD.size])
     digest.update(raw)
-    # Only what reading the arrays relies on is checked here; the digest
-    # covers the rest of the header.
     try:
         header = json.loads(raw.decode("utf-8"))
         del raw
-        kind = header["kind"]
+        keys = header["keys"]
+        if not (isinstance(header["kind"], str) and isinstance(header["meta"], dict)
+                and isinstance(keys, dict) and all(isinstance(table, list) for table in keys.values())
+                and all(isinstance(k, str) for table in keys.values() for k in table)):
+            raise TypeError("kind, metadata or key tables of the wrong type")
+        if "items" in keys and len(keys["items"]) != n_items:
+            raise ValueError(f"{len(keys['items'])} item keys for {n_items} items")
         specs = [(spec["name"], spec["dtype"], tuple(spec["shape"])) for spec in header["arrays"]]
         for name, dtype, shape in specs:
-            if dtype not in _DTYPES or not all(isinstance(s, int) and s >= 0 for s in shape):
+            if not isinstance(name, str) or dtype not in _DTYPES or not all(
+                    isinstance(s, int) and s >= 0 for s in shape):
                 raise TypeError(f"array {name!r}")
     except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
-        raise DataError(f"{path}: damaged header ({exc})") from None
-    return digest, n_items, kind, specs, header
+        raise DataError(f"{path}: malformed header ({exc})") from None
+    return digest, head[_HEAD.size :], n_items, header, specs
 
 
 def read_key_csv(

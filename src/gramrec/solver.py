@@ -187,12 +187,14 @@ def save_model(path: str | Path, model: DenseModel, item_keys: list[str] | None 
     write_container(path, "dense_model", model.n_items, meta, arrays, {"items": item_keys})
 
 
-def load_model(path: str | Path) -> tuple[DenseModel, list[str] | None]:
+def load_model(path: str | Path, verify: bool = False) -> tuple[DenseModel, list[str] | None]:
     """Read a model file back; returns the model and its item keys (None
-    when the file was written without a key table)."""
+    when the file was written without a key table).  With ``verify``, as
+    every command reads it, a file whose bytes fail its sha256 is refused;
+    without, B is used as stored, so in-process checks of B see it."""
     from .weighting import WEIGHT_KINDS, ItemWeightVector
 
-    c = read_container(path, "dense_model")
+    c = read_container(path, "dense_model", verify)
     n = c.n_items
     weights = None
     if "weights" in c.arrays:

@@ -311,8 +311,9 @@ def save_sparse_model(
     write_container(path, "sparse_model", model.n_items, meta, arrays, {"items": item_keys})
 
 
-def load_sparse_model(path: str | Path) -> tuple[SparseModel, list[str] | None]:
-    c = read_container(path, "sparse_model")
+def load_sparse_model(path: str | Path, verify: bool = False) -> tuple[SparseModel, list[str] | None]:
+    """Read a sparse model file back, as :func:`gramrec.solver.load_model` does."""
+    c = read_container(path, "sparse_model", verify)
     n = c.n_items
     indptr = c.array("indptr", (n + 1,))
     nnz = int(indptr[-1])

@@ -673,16 +673,18 @@ def test_rescale_time_mode(workdir, tmp_path):
     assert bad_mode.returncode == 1
 
 
-@pytest.mark.parametrize("command", ["evaluate", "recommend"])
+@pytest.mark.parametrize("command", ["evaluate", "recommend", "rescale"])
 def test_flipped_model_byte_exits_2(workdir, tmp_path, capsys, command):
     """The lowest bit of one weight of B flipped: the file's sha256 refuses
     it, with exit code 2 and a message, where it once loaded as it stood."""
     raw = bytearray(workdir["model"].read_bytes())
-    raw[-32 - 16] ^= 1  # B[n-1, n-2], the last weight before the digest, little-endian
+    raw[-16] ^= 1  # B[n-1, n-2], the file's last weight but one, little-endian
     model = tmp_path / "model.ease"
     model.write_bytes(bytes(raw))
     argv = {"evaluate": [*_evaluate_args(workdir)[:-1], str(model)],
-            "recommend": ["recommend", "--model", str(model), "--history", "i1"]}[command]
+            "recommend": ["recommend", "--model", str(model), "--history", "i1"],
+            "rescale": ["rescale", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+                        "--model", str(model), "--weights-out", str(tmp_path / "w.csv")]}[command]
     assert main(argv) == 2
     assert f"error: {model}: damaged: its bytes do not match their sha256" in capsys.readouterr().err
 

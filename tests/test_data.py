@@ -661,7 +661,7 @@ def _not_a_file(path):
 
 def _flip(offset):
     """An edit of the container that flips the low bit of one byte, so its
-    size stays; ``offset`` counts from the end when negative."""
+    size stays."""
 
     def edit(raw):
         raw = bytearray(raw)
@@ -671,11 +671,11 @@ def _flip(offset):
     return lambda d: _rewrite(d / "data.csv.events", edit)
 
 
-# CANONICAL_LOG's container: a 24-byte head, a 355-byte JSON header (the
-# event count of the first array's shape at byte 77, the user keys
-# [u2, u1, u3] from byte 258), the user ids, item ids, values and timestamps
-# of its 3 events (24 bytes each), and a 32-byte sha256 of all before it.
-_EVENT_COUNT_AT, _KEYS_AT, _COLUMNS_AT = 77, 258, 24 + 355
+# CANONICAL_LOG's container: a 24-byte head, the 32-byte sha256 of every
+# other byte, a 355-byte JSON header (the event count of the first array's
+# shape at byte 109, the user keys [u2, u1, u3] from byte 290), and the user
+# ids, item ids, values and timestamps of its 3 events (24 bytes each).
+_DIGEST_AT, _EVENT_COUNT_AT, _KEYS_AT, _COLUMNS_AT = 24, 109, 290, 24 + 32 + 355
 
 # Each damages the CSV or its container after ingest; parsing must win.
 BAD_CONTAINERS = {
@@ -692,7 +692,7 @@ BAD_CONTAINERS = {
     "user_id_out_of_range": _flip(_COLUMNS_AT + 4),  # id 0 -> 2**32
     "value_edited_finite": _flip(_COLUMNS_AT + 2 * 24 + 6),  # 4.0 -> 4.25
     "timestamp_edited": _flip(_COLUMNS_AT + 3 * 24),
-    "own_digest_edited": _flip(-1),
+    "own_digest_edited": _flip(_DIGEST_AT),
     "not_a_file": lambda d: _not_a_file(d / "data.csv.events"),
 }
 
@@ -716,7 +716,7 @@ def test_intact_container_is_read_without_parsing(ingested, monkeypatch):
     # hashlib.file_digest is new in Python 3.11; the package supports 3.10
     monkeypatch.delattr(hashlib, "file_digest", raising=False)
     raw = (ingested / "data.csv.events").read_bytes()
-    assert len(raw) == _COLUMNS_AT + 4 * 24 + 32
+    assert len(raw) == _COLUMNS_AT + 4 * 24
     assert raw[_EVENT_COUNT_AT : _EVENT_COUNT_AT + 2] == b"3]" and raw[_KEYS_AT : _KEYS_AT + 2] == b"u2"
     parses = Parses(monkeypatch)
     got = load_interactions(ingested / "data.csv")

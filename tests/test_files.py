@@ -141,7 +141,7 @@ def test_model_key_table_not_utf8(tmp_path, capsys, kind):
     first_key = raw.index(b'"items":["a"') + len(b'"items":["')  # in the JSON header
     raw[first_key] = 0xFF
     path.write_bytes(bytes(raw))
-    message = f"{path}: damaged header ('utf-8' codec can't decode byte 0xff"
+    message = f"{path}: malformed header ('utf-8' codec can't decode byte 0xff"
     with pytest.raises(DataError, match=re.escape(message)):
         load(path)
     assert main(["recommend", "--model", str(path), "--history", "b"]) == 2
@@ -168,8 +168,9 @@ def _container_bytes():
 @given(name=st.sampled_from(["m.ease", "m.easp", "data.csv.events"]), at=st.integers(0, 2**32),
        mask=st.integers(1, 255))
 def test_any_flipped_byte_is_refused(tmp_path_factory, name, at, mask):
-    """Any one byte of a container changed: both model loaders raise a
-    DataError, and loading the CSV ignores its event container and parses."""
+    """Any one byte of a container changed: both model loaders, verifying,
+    raise a DataError, and loading the CSV ignores its event container and
+    parses."""
     saved = _container_bytes()
     raw = bytearray(saved[name])
     raw[at % len(raw)] ^= mask
@@ -181,16 +182,22 @@ def test_any_flipped_byte_is_refused(tmp_path_factory, name, at, mask):
         assert_same_interactions(load_interactions(d / "data.csv"), _events())
     else:
         with pytest.raises(DataError):
-            (load_model if name == "m.ease" else load_sparse_model)(d / name)
+            (load_model if name == "m.ease" else load_sparse_model)(d / name, verify=True)
 
 
-def test_intact_containers_load(tmp_path):
-    saved = _container_bytes()
-    for name, data in saved.items():
-        (tmp_path / name).write_bytes(data)
-    assert load_model(tmp_path / "m.ease")[1] == ["a", "b", "c"]
-    assert load_sparse_model(tmp_path / "m.easp")[1] == ["a", "b", "c"]
-    assert_same_interactions(_load_events(tmp_path / "data.csv"), _events())
+def test_unverified_load_uses_the_weights_as_stored(tmp_path):
+    """Without ``verify``, a weight edited in place loads as edited, so an
+    in-process check of B, such as the benchmark's stationarity gate, sees
+    it; a dense model without means or weights ends with B's last row."""
+    path = tmp_path / "m.ease"
+    model = solve_zero_diag(_stats(), 1.0)
+    save_model(path, model, ["a", "b", "c"])
+    raw = bytearray(path.read_bytes())
+    raw[-16:-8] = np.float64(model.b[2, 1] + 0.5).tobytes()
+    path.write_bytes(bytes(raw))
+    assert load_model(path)[0].b[2, 1] == model.b[2, 1] + 0.5
+    with pytest.raises(DataError, match="do not match their sha256"):
+        load_model(path, verify=True)
 
 
 def _old_dense_model(path):
@@ -210,6 +217,15 @@ MALFORMED = {
                                                   {"b": np.zeros((3, 2))}, {"items": ["a", "b", "c"]}),
                         "array 'b' has shape (3, 2), expected (3, 3)"),
     "truncated": (lambda p: p.write_bytes(b"GRMC" + bytes(10)), "truncated container"),
+    "key_table_length": (lambda p: p.write_bytes(_container_bytes()["m.ease"].replace(
+                             b'"items":["a","b","c"]', b'"items":["abcde","f"]')),
+                         'malformed header (2 item keys for 3 items)'),
+    "key_table_not_strings": (lambda p: write_container(p, "dense_model", 3, {"lam": 1.0, "variant": "rr"},
+                                                        {"b": np.zeros((3, 3))}, {"items": [1, 2, 3]}),
+                              "malformed header (kind, metadata or key tables of the wrong type)"),
+    "metadata_not_an_object": (lambda p: write_container(p, "dense_model", 3, [1.0, "rr"],
+                                                         {"b": np.zeros((3, 3))}, {}),
+                               "malformed header (kind, metadata or key tables of the wrong type)"),
 }
 
 
