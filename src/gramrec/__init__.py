@@ -62,7 +62,6 @@ from .weighting import (
     popularity_weights,
     save_weights_csv,
     time_popularity_weights,
-    uniform_weights,
 )
 
 __version__ = "0.1.0"

@@ -13,14 +13,15 @@ an n_items x n_items matrix (Steck, "Markov Random Fields for
 Collaborative Filtering", NeurIPS 2019).
 
 G itself is still a dense n_items x n_items array.  Beyond it, training
-holds O(n_items · panel width + nnz(A)) memory plus the block solutions
-(k² values for a block of k items): correlations are produced from G in
-column panels of bounded width, block ranking reads only pattern entries,
-and the block solutions are accumulated at pattern positions only.
+holds O(n_items · panel width + nnz(A)) memory plus the largest block's
+solution (k² values for k items): correlations are produced from G in
+panels of bounded width, block ranking reads only pattern entries, and each
+block is solved when the aggregation reads it, then added at pattern positions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,31 +77,31 @@ class CorrelationMatrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.n_items, self.n_items)
-
-    @property
-    def n_items(self) -> int:
-        return len(self.mean)
+        return (len(self.mean), len(self.mean))
 
     def __getitem__(self, key) -> np.ndarray:
         rows, cols = key
         g = self.gram.require_g()
+        m, s, n = self.mean, self.std, self.gram.n_users
         if isinstance(rows, slice):
             if rows != slice(None) or not isinstance(cols, slice):
                 raise TypeError("correlation panels are indexed as cor[:, lo:hi]")
-            items = np.arange(self.n_items)
-            return self._entries(g[:, cols], items[:, None], items[cols])
+            # G is exactly symmetric: the panel is built from G's contiguous
+            # rows and returned transposed, entry for entry the same products
+            idx = np.arange(len(m))[cols]
+            cor = g[cols] / n
+            cor -= np.outer(m[idx], m)
+            cor /= np.outer(s[idx], s)
+            cor[:, self.constant] = 0.0
+            cor[self.constant[idx]] = 0.0
+            cor[np.arange(len(idx)), idx] = 1.0
+            return cor.T
         rows, cols = np.asarray(rows), np.asarray(cols)
-        return self._entries(g[rows, cols], rows, cols)
-
-    def _entries(self, g: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Correlations at the broadcast (rows, cols) given G's entries there."""
-        m, s = self.mean, self.std
-        cor = g / self.gram.n_users
+        cor = g[rows, cols] / n
         cor -= m[rows] * m[cols]
         cor /= s[rows] * s[cols]
-        cor[np.broadcast_to(self.constant[rows] | self.constant[cols], cor.shape)] = 0.0
-        cor[np.broadcast_to(rows == cols, cor.shape)] = 1.0
+        cor[self.constant[rows] | self.constant[cols]] = 0.0
+        cor[rows == cols] = 1.0
         return cor
 
 
@@ -148,7 +149,8 @@ def threshold_pattern(
     strongest other entries (ties broken by ascending row); the diagonal is
     always present regardless of its own magnitude.  ``m`` is read in column
     panels ``m[:, lo:hi]``, so a :class:`CorrelationMatrix` is never
-    materialized whole; a plain array is sliced the same way.
+    materialized whole; a plain array is sliced the same way and never
+    written to.  Each panel is capped at once (see :func:`_cap_panel`).
     """
     if not theta >= 0:
         raise DataError(f"threshold must be a non-negative number, got {theta}")
@@ -157,27 +159,41 @@ def threshold_pattern(
     n = m.shape[0]
     if m.shape != (n, n):
         raise DataError(f"pattern source matrix must be square, got {m.shape}")
-    per_col: list[np.ndarray] = []
+    counts, indices = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int32)]
     for lo in range(0, n, PANEL):
-        crits = np.abs(m[:, lo : lo + PANEL])
-        for k in range(crits.shape[1]):
-            j = lo + k
-            crit = crits[:, k]
-            sel = np.flatnonzero(crit >= theta)
-            sel = sel[sel != j]
-            if sel.size > n_max - 1:
-                order = np.lexsort((sel, -crit[sel]))
-                sel = sel[order[: n_max - 1]]
-            per_col.append(np.sort(np.append(sel, j)))
-        del crits  # before the next panel is computed
-    counts = np.fromiter((r.size for r in per_col), dtype=np.int64, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.concatenate(per_col) if n else np.zeros(0, dtype=np.int64)
-    a = sp.csc_matrix(
-        (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n)
-    )
+        keep = _cap_panel(m[:, lo : lo + PANEL], lo, theta, n_max, isinstance(m, CorrelationMatrix))
+        counts.append(np.count_nonzero(keep, axis=1))
+        indices.append((np.flatnonzero(keep) % n).astype(np.int32))  # as the CSC arrays store them
+    indices, indptr = np.concatenate(indices), np.cumsum(np.concatenate(counts))
+    a = sp.csc_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
     return SparsityPattern(a=a, threshold=theta, n_max=n_max)
+
+
+def _cap_panel(panel: np.ndarray, lo: int, theta: float, n_max: int, fresh: bool) -> np.ndarray:
+    """Pattern mask of a panel's columns lo, lo + 1, …, one row each: a column
+    over the cap keeps the entries above its (n_max − 1)-th largest value and
+    then the ties at it in row order.  |panel| is made in place if ``fresh``."""
+    crit = (np.abs(panel, out=panel) if fresh else np.abs(panel)).T
+    diag = (np.arange(crit.shape[0]), np.arange(lo, lo + crit.shape[0]))
+    keep = crit >= theta
+    keep[diag] = False
+    over = np.flatnonzero((n_kept := np.count_nonzero(keep, axis=1)) > n_max - 1)
+    if over.size:
+        # their kept values in row order, padded with -1 (below every kept value)
+        rows, cols = np.divmod(np.flatnonzero(keep[over]), keep.shape[1])
+        cnt = n_kept[over]
+        at = np.arange(rows.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        vals = np.full((over.size, cnt.max()), -1.0)
+        vals[rows, at] = crit[over[rows], cols]
+        # the (n_max − 1)-th largest, or the largest under a cap of 1
+        k = vals.shape[1] - max(n_max, 2) + 1
+        kth = np.partition(vals, k, axis=1)[:, [k]]
+        above, ties = vals > kth, vals == kth
+        room = n_max - 1 - np.count_nonzero(above, axis=1)
+        top = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32) <= room[:, None]))
+        keep[over[rows], cols] = top[rows, at]
+    keep[diag] = True
+    return keep
 
 
 def mask_model(model: DenseModel, pattern: SparsityPattern) -> SparseModel:
@@ -224,7 +240,9 @@ def block_partition(
         rows = a.indices[a.indptr[lo] : a.indptr[hi]]
         cols = np.repeat(np.arange(lo, hi), nnz_col[lo:hi])
         offd = rows != cols
-        np.maximum.at(sec, cols[offd], np.abs(cor[rows[offd], cols[offd]]))
+        mag = np.full(rows.size, -1.0)  # the diagonal ranks as no entry but keeps
+        mag[offd] = np.abs(cor[rows[offd], cols[offd]])  # every segment non-empty
+        sec[lo:hi] = np.maximum.reduceat(mag, a.indptr[lo:hi] - a.indptr[lo])
     order = np.lexsort((np.arange(n), -sec, -nnz_col))
     covered = np.zeros(n, dtype=bool)
     blocks: list[np.ndarray] = []
@@ -237,21 +255,19 @@ def block_partition(
     return blocks
 
 
-def solve_blocks(gram: GramStats, blocks: list[np.ndarray], lam: float) -> list[np.ndarray]:
-    """Solve each block by the dense closed form on its Gram sub-matrix."""
+def solve_blocks(gram: GramStats, blocks: list[np.ndarray], lam: float) -> Iterator[np.ndarray]:
+    """Each block's solution by the dense closed form on its Gram sub-matrix,
+    in block order.  The statistics are checked now; each sub-matrix is copied
+    out of G and solved in place only when its solution is asked for."""
     if not gram.plain:
         raise DataError("block-wise training requires plain statistics (target C = G)")
-    subs = []
-    for members in blocks:
-        sub = gram.g[np.ix_(members, members)]  # a fresh copy, solved in place
-        stats = GramStats(g=sub, n_users=gram.n_users, colsum=gram.colsum[members])
-        subs.append(solve_zero_diag(stats, lam).b)
-    return subs
+    return (solve_zero_diag(GramStats(g=gram.require_g()[np.ix_(b, b)], n_users=gram.n_users,
+                                      colsum=gram.colsum[b]), lam).b for b in blocks)
 
 
 def aggregate_blocks(
     blocks: list[np.ndarray],
-    submatrices: list[np.ndarray],
+    submatrices: Iterable[np.ndarray],
     pattern: SparsityPattern,
     lam: float,
 ) -> SparseModel:
@@ -261,16 +277,18 @@ def aggregate_blocks(
     divides once, and leaves zero where no block covered a position.  Each
     block contributes only at the pattern positions inside it: for each of
     its columns, the pattern rows that are also members.  Sum-then-divide
-    keeps the average independent of block order.
+    keeps the average independent of block order.  Each solution is read in
+    turn and dropped once added, so lazy ones are held one block at a time.
     """
-    if len(blocks) != len(submatrices):
-        raise DataError(f"{len(blocks)} blocks but {len(submatrices)} solutions")
     a = pattern.a
     starts, nnz_col = a.indptr[:-1], np.diff(a.indptr)
     sums = np.zeros(a.nnz, dtype=np.float64)
     counts = np.zeros(a.nnz, dtype=np.float64)
     local = np.full(pattern.n_items, -1, dtype=np.int64)  # item -> index in the block
-    for members, sub in zip(blocks, submatrices):
+    subs = iter(submatrices)
+    for b, members in enumerate(blocks):
+        if (sub := next(subs, None)) is None:
+            raise DataError(f"{len(blocks)} blocks but {b} solutions")
         k = len(members)
         if sub.shape != (k, k):
             raise DataError(f"block of {k} items got a {sub.shape} solution")
@@ -284,6 +302,9 @@ def aggregate_blocks(
         inside = row >= 0
         sums[pos[inside]] += np.asarray(sub, dtype=np.float64)[row[inside], col[inside]]
         counts[pos[inside]] += 1.0
+        del sub  # before the next block is solved
+    if next(subs, None) is not None:
+        raise DataError(f"{len(blocks)} blocks but more solutions")
     means = np.divide(sums, counts, out=sums, where=counts > 0)
     values = sp.csc_matrix((means, a.indices.copy(), a.indptr.copy()), shape=a.shape)
     return SparseModel(pattern=pattern, values=values, lam=lam)
@@ -294,8 +315,7 @@ def train_sparse(gram: GramStats, theta: float, n_max: int, lam: float) -> Spars
     cor = correlation_from_gram(gram)
     pattern = threshold_pattern(cor, theta, n_max=n_max)
     blocks = block_partition(pattern, cor)
-    subs = solve_blocks(gram, blocks, lam)
-    return aggregate_blocks(blocks, subs, pattern, lam)
+    return aggregate_blocks(blocks, solve_blocks(gram, blocks, lam), pattern, lam)
 
 
 def save_sparse_model(

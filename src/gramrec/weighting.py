@@ -56,10 +56,6 @@ def _check_alpha(alpha: float) -> None:
         raise DataError(f"alpha must be in [0, 1], got {alpha}")
 
 
-def uniform_weights(n_items: int) -> ItemWeightVector:
-    return ItemWeightVector(w=np.ones(n_items, dtype=np.float64), kind=KIND_UNIFORM, alpha=0.0)
-
-
 def popularity_weights(
     pop: PopularityVector, alpha: float, epsilon: float = DEFAULT_EPSILON
 ) -> ItemWeightVector:

@@ -38,6 +38,7 @@ from gramrec import (
     InteractionSet,
     UserItemMatrix,
     GramStats,
+    ItemWeightVector,
     build_gram,
     score_histories,
     time_popularity_weights,
@@ -45,7 +46,7 @@ from gramrec import (
 from gramrec.data import fold_in_indices
 from gramrec.evaluation import _aggregate, _model_config, _select_users
 from gramrec.gram import PANEL
-from gramrec.weighting import DEFAULT_EPSILON
+from gramrec.weighting import DEFAULT_EPSILON, KIND_UNIFORM
 
 
 def ridge_oracle(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -69,6 +70,12 @@ def constrained_ridge_oracle(x: np.ndarray, y: np.ndarray, lam: float) -> np.nda
         a = xs.T @ xs + lam * np.eye(n - 1)
         b[rest, j] = np.linalg.solve(a, xs.T @ y[:, j])
     return b
+
+
+def uniform_weights(n_items: int) -> ItemWeightVector:
+    """All-ones item weights: a rescaling by them leaves the scores as
+    they are."""
+    return ItemWeightVector(w=np.ones(n_items, dtype=np.float64), kind=KIND_UNIFORM, alpha=0.0)
 
 
 def kept(stats: GramStats) -> GramStats:

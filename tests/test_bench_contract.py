@@ -168,6 +168,30 @@ def test_traced_train_grid_spans(traced):
     assert len(grid) == 1 and grid[0]["grid_points"] == 2
 
 
+def test_traced_sparse_solves_nest_under_train_sparse(traced):
+    """run.py reads the ``sparse.solve_blocks`` and ``sparse.aggregate_blocks``
+    spans, and ``solver.invert_gflop_per_s`` and ``sparse.block_flop_computed``
+    count one ``solver.invert_regularized`` span per block of
+    ``sparse.block_partition``.  The blocks may be solved as the aggregation
+    reads them, but each solve must still be one such span, inside
+    ``sparse.train_sparse``."""
+    spans = traced["train-sparse"]
+
+    def under_train_sparse(span) -> bool:
+        while span["parent"] is not None:
+            span = spans[span["parent"]]
+            if span["name"] == "sparse.train_sparse":
+                return True
+        return False
+
+    names = [s["name"] for s in spans]
+    assert "sparse.solve_blocks" in names and "sparse.aggregate_blocks" in names
+    blocks = [s for s in spans if s["name"] == "sparse.block_partition"]
+    inverts = [s for s in spans if s["name"] == "solver.invert_regularized"]
+    assert len(blocks) == 1 and len(inverts) == blocks[0]["n_blocks"]
+    assert all(map(under_train_sparse, inverts))
+
+
 def test_every_traced_count_is_recorded(traced):
     """Each ``ATTRS`` entry reads the result of the function it names; a
     change to what that function returns would end ``--trace 1`` runs with

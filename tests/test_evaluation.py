@@ -31,7 +31,6 @@ from gramrec import (
     threshold_pattern,
     time_intervals,
     to_user_item_matrix,
-    uniform_weights,
 )
 import gramrec.evaluation as evaluation
 from gramrec.data import fold_in_indices
@@ -43,6 +42,7 @@ from conftest import (
     make_iset,
     ndcg_at_k,
     recall_at_k,
+    uniform_weights,
 )
 
 

@@ -23,13 +23,12 @@ from gramrec import (
     save_weights_csv,
     solve_zero_diag,
     train_sparse,
-    uniform_weights,
 )
 from gramrec.cli import _write_text, main
 from gramrec.data import _load_events, load_interactions, save_interactions
 from gramrec.files import read_key_csv, write_container
 
-from conftest import assert_same_interactions, make_iset, matrix_from_dense
+from conftest import assert_same_interactions, make_iset, matrix_from_dense, uniform_weights
 
 _DISK_BYTES = 8
 

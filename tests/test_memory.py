@@ -14,14 +14,18 @@ import pytest
 
 from gramrec import (
     DenseModel,
+    GramStats,
     SplitSpec,
+    block_partition,
     build_disjoint_gram,
     build_gram,
+    correlation_from_gram,
     evaluate_model,
     grid_search_lambda,
     load_interactions,
     solve_rr,
     solve_zero_diag,
+    threshold_pattern,
     train_sparse,
     to_user_item_matrix,
 )
@@ -121,6 +125,27 @@ def test_every_option_trains_in_one_matrix(wide, build, solver):
 def test_train_sparse_holds_no_matrix_beyond_g(wide):
     _, gram = wide
     assert peak_n2(lambda: train_sparse(gram, theta=0.1, n_max=50, lam=50.0), gram.n_items) < 1.5
+
+
+def test_train_sparse_holds_one_block_at_a_time():
+    """A Gram matrix written down directly, with G = 2·C over 2 users and
+    zero column sums, so that the correlations are C: 56 hub items each
+    correlate 0.5 with a shared core of 256 items and with 31 items of their
+    own.  Each hub's column is one block of 288 items, so the blocks'
+    solutions add up to 1.1 n² while the largest is 0.02 n².  Each is added
+    into the pattern sums before the next is solved."""
+    n, core, own = 2048, 256, 32
+    c = np.eye(n)
+    for hub in range(core, n, own):
+        members = np.r_[:core, hub : hub + own]
+        c[members, hub] = c[hub, members] = 0.5
+        c[hub, hub] = 1.0
+    gram = GramStats(g=2.0 * c, n_users=2, colsum=np.zeros(n))
+    del c
+    pattern = threshold_pattern(correlation_from_gram(gram), theta=0.25, n_max=300)
+    sizes = np.array([len(b) for b in block_partition(pattern, correlation_from_gram(gram))])
+    assert len(sizes) == 56 and sizes.max() == 288 and np.sum(sizes**2.0) > 1.1 * n * n
+    assert peak_n2(lambda: train_sparse(gram, theta=0.25, n_max=300, lam=50.0), n) < 0.6
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramrec import (
+    CorrelationMatrix,
     DataError,
     DenseModel,
+    GramStats,
     SparsityPattern,
     aggregate_blocks,
     block_partition,
@@ -189,6 +191,33 @@ def test_threshold_pattern_invariants(n, theta, n_max, seed):
         assert np.all(np.diff(rows) > 0)  # sorted, no duplicates
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([1, 255, 256, 257, 600]),
+    n_max=st.integers(1, 40),
+    theta=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_threshold_pattern_matches_reference_with_ties_at_the_cap(n, n_max, theta, seed):
+    """Multiples of 1/4 tie at many columns' cap value; the ties kept are
+    the lowest rows.  A plain array need not be symmetric and is not
+    written to."""
+    r = np.random.default_rng(seed)
+    plain = r.integers(-4, 5, (n, n)) / 4.0
+    sym = np.triu(plain) + np.triu(plain, 1).T
+    np.fill_diagonal(sym, 1.0)
+    # no mean and unit spread: the correlations are G / n_users, exactly sym
+    cor = CorrelationMatrix(gram=GramStats(g=2.0 * sym, n_users=2, colsum=np.zeros(n)),
+                            mean=np.zeros(n), std=np.ones(n), constant=np.zeros(n, dtype=bool))
+    before = plain.copy()
+    for m, source in ((cor, sym), (plain, before)):
+        got = threshold_pattern(m, theta=theta, n_max=n_max).a
+        ref = threshold_pattern_reference(source, theta, n_max)
+        np.testing.assert_array_equal(got.indptr, ref.indptr)
+        np.testing.assert_array_equal(got.indices, ref.indices)
+    np.testing.assert_array_equal(plain, before)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n_items=st.sampled_from([1, 4, 255, 256, 257, 600]),
@@ -226,7 +255,7 @@ def test_sparse_steps_match_whole_matrix_references(
     ref_blocks = block_partition_reference(ref_a, ref)
     assert [b.tolist() for b in blocks] == [b.tolist() for b in ref_blocks]
 
-    subs = solve_blocks(gram, blocks, lam=1.0)
+    subs = list(solve_blocks(gram, blocks, lam=1.0))
     got = aggregate_blocks(blocks, subs, pattern, lam=1.0).values.toarray()
     expected = aggregate_blocks_reference(blocks, subs, ref_a)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.abs(expected).max()
@@ -330,18 +359,19 @@ def test_blocks_cover_every_item(rng):
 def test_solve_blocks_single_block_is_dense(rng):
     x = binary_matrix(rng, 20, 6)
     stats = build_gram(x)
-    subs = solve_blocks(stats, [np.arange(6)], lam=1.5)
+    subs = list(solve_blocks(stats, [np.arange(6)], lam=1.5))
     dense = solve_zero_diag(stats, lam=1.5)
     np.testing.assert_allclose(subs[0], dense.b, atol=1e-12)
 
 
 def test_solve_blocks_singleton(rng):
     x = binary_matrix(rng, 15, 4)
-    subs = solve_blocks(build_gram(x), [np.array([2])], lam=1.0)
+    subs = list(solve_blocks(build_gram(x), [np.array([2])], lam=1.0))
     np.testing.assert_array_equal(subs[0], [[0.0]])
 
 
 def test_solve_blocks_refuses_distinct_target(rng):
+    """The call itself raises, before any solution is asked for."""
     x = binary_matrix(rng, 15, 4)
     for stats in (build_gram(x, center=True), build_disjoint_gram(x)):
         with pytest.raises(DataError, match="plain statistics"):
@@ -376,6 +406,30 @@ def test_aggregate_validation():
         aggregate_blocks([np.array([0])], [], pat, lam=1.0)
     with pytest.raises(DataError, match="solution"):
         aggregate_blocks([np.array([0])], [np.zeros((2, 2))], pat, lam=1.0)
+
+
+def test_aggregate_refuses_a_count_mismatch_from_any_iterable():
+    pat = pattern_from_dense(np.eye(2))
+    blocks = [np.array([0]), np.array([1])]
+    one = np.zeros((1, 1))
+    for subs in ([one], iter([one]), [one] * 3, (s for s in [one] * 3)):
+        with pytest.raises(DataError, match="2 blocks but"):
+            aggregate_blocks(blocks, subs, pat, lam=1.0)
+
+
+def test_aggregate_of_lazy_solutions_equals_aggregate_of_a_list(rng):
+    x = binary_matrix(rng, 60, 30)
+    gram = build_gram(x)
+    cor = correlation_from_gram(gram)
+    pattern = threshold_pattern(cor, theta=0.1, n_max=8)
+    blocks = block_partition(pattern, cor)
+    assert len(blocks) > 2
+    listed = aggregate_blocks(blocks, list(solve_blocks(gram, blocks, 2.0)), pattern, 2.0).values
+    lazy = aggregate_blocks(blocks, solve_blocks(gram, blocks, 2.0), pattern, 2.0).values
+    for got in (lazy, train_sparse(gram, theta=0.1, n_max=8, lam=2.0).values):
+        np.testing.assert_array_equal(got.indptr, listed.indptr)
+        np.testing.assert_array_equal(got.indices, listed.indices)
+        np.testing.assert_array_equal(got.data, listed.data)
 
 
 def test_train_sparse_block_diagonal_is_exact(rng):

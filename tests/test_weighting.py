@@ -12,12 +12,11 @@ from gramrec import (
     solve_rr,
     solve_zero_diag,
     time_popularity_weights,
-    uniform_weights,
 )
 from gramrec.gram import build_user_weighted_gram
 from gramrec.weighting import KIND_INVERSE_POP, KIND_TIME_ADJUSTED, KIND_UNIFORM
 
-from conftest import binary_matrix, constrained_ridge_oracle, general_solve, gram_of
+from conftest import binary_matrix, constrained_ridge_oracle, general_solve, gram_of, uniform_weights
 
 
 def test_popularity_weights_example():
