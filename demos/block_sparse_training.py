@@ -40,7 +40,7 @@ for blk in range(3):
         rng.random((g, ipb)) < 0.8
     )
 
-x = UserItemMatrix(matrix=sp.csr_matrix(dense), binarized=True)
+x = UserItemMatrix(matrix=sp.csr_matrix(dense))
 stats = build_gram(x)
 cor_stats = correlation_from_gram(stats)
 cor = cor_stats[:, :]  # the whole matrix; fine at this size

@@ -26,7 +26,7 @@ rng = np.random.default_rng(0)
 n_users, n_items, lam = 60, 8, 2.0
 
 dense = (rng.random((n_users, n_items)) < 0.35).astype(np.float64)
-x = UserItemMatrix(matrix=sp.csr_matrix(dense), binarized=True)
+x = UserItemMatrix(matrix=sp.csr_matrix(dense))
 g = build_gram(x).g  # the target C is G here
 
 print("Gram diagonal (per-item interaction counts):")

@@ -51,7 +51,7 @@ iset = filter_activity(iset, min_user_events=5)
 print(f"[{time.perf_counter() - t0:7.1f}s] {iset.n_events} events, "
       f"{iset.n_users} users, {iset.n_items} movies")
 
-matrix = to_user_item_matrix(iset, binarize=True)
+matrix = to_user_item_matrix(iset)
 split = split_strong_generalization(iset, n_val=10_000, n_test=10_000, seed=0)
 print(f"[{time.perf_counter() - t0:7.1f}s] split: {len(split.train_users)} train users")
 

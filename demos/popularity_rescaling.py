@@ -53,7 +53,7 @@ rng = np.random.default_rng(3)
 iset = make_events(rng)
 matrix = to_user_item_matrix(iset)
 pop = popularity(matrix)
-print("interaction counts:", pop.pop.astype(int))
+print("interaction counts:", pop.astype(int))
 
 model = solve_zero_diag(build_gram(matrix), lam=5.0)
 weights = popularity_weights(pop, alpha=1.0)
@@ -79,5 +79,5 @@ print(f"  growth factor {margin_adj / margin_raw:.3f}, weight ratio {weights.w[3
 # the same weights per time interval: early share versus late share
 idx = time_intervals(iset, 4, np.arange(iset.n_users))
 for k in (0, idx.n_intervals - 1):
-    w = time_popularity_weights(idx.interval_popularity(k), idx.total_popularity(), alpha=1.0)
+    w = time_popularity_weights(idx.pops[k], idx.pops.sum(axis=0), alpha=1.0)
     print(f"\ninterval {k} weights (blockbusters first):", np.round(w.w[:4], 3))

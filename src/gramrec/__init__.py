@@ -8,7 +8,6 @@ strong-generalization ranking evaluation."""
 from .data import (
     InteractionSchema,
     InteractionSet,
-    PopularityVector,
     SplitSpec,
     TimeIntervalIndex,
     UserItemMatrix,

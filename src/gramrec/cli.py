@@ -25,7 +25,6 @@ from .data import (
     DEDUP_POLICIES,
     InteractionSchema,
     InteractionSet,
-    PopularityVector,
     filter_activity,
     load_interactions,
     load_split_files,
@@ -141,8 +140,8 @@ def _schema_from_args(args) -> InteractionSchema | None:
 
 
 def _load_dataset(args):
-    iset = load_interactions(args.data)
-    return iset, to_user_item_matrix(iset, binarize=args.binarize)
+    iset = load_interactions(args.data, binarize=args.binarize)
+    return iset, to_user_item_matrix(iset)
 
 
 def _load_split(args, iset):
@@ -297,9 +296,7 @@ def cmd_rescale(args) -> int:
     if args.mode == "time":
         index = time_intervals(iset, args.intervals, user_subset=split.train_users)
         k = int(index.locate(np.asarray([args.at_time]))[0])
-        weights = time_popularity_weights(
-            index.interval_popularity(k), index.total_popularity(), alpha, args.epsilon
-        )
+        weights = time_popularity_weights(index.pops[k], index.pops.sum(axis=0), alpha, args.epsilon)
         _log(f"timestamp {args.at_time} falls into interval {k} of {index.n_intervals}")
     else:
         weights = popularity_weights(popularity(matrix, split.train_users), alpha, args.epsilon)
@@ -383,9 +380,8 @@ def cmd_recommend(args) -> int:
                 "file is available for the fallback ranking"
             )
         _log("warning: empty history; falling back to popularity order")
-        pop = PopularityVector(read_key_csv(args.popularity, item_index, "item", "count", 0.0)[0])
-        ranked = popularity_rank(pop)
-        scores = pop.pop
+        scores = read_key_csv(args.popularity, item_index, "item", "count", 0.0)[0]
+        ranked = popularity_rank(scores)
     for rank in range(min(top_k, n - len(ids))):
         item = int(ranked[rank])
         sys.stdout.write(f"{rank + 1}\t{item_keys[item]}\t{float(scores[item])!r}\n")
@@ -404,7 +400,7 @@ def cmd_popularity(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["item", "count"])
         for i, key in enumerate(iset.item_keys):
-            writer.writerow([key, repr(float(pop.pop[i]))])
+            writer.writerow([key, repr(float(pop[i]))])
     _log(f"popularity for {iset.n_items} items -> {args.output}")
     return 0
 
@@ -412,7 +408,7 @@ def cmd_popularity(args) -> int:
 def _add_data_options(p) -> None:
     p.add_argument("--data", required=True, help="canonical interactions CSV (from ingest)")
     p.add_argument("--binarize", action="store_true",
-                   help="binarize values when building the user-item matrix")
+                   help="count every event as 1.0 (matrix, popularity, time intervals)")
 
 
 def _add_split_options(p, required: bool = True) -> None:

@@ -7,8 +7,9 @@ serialization and for talking to the outside world.
 
 The canonical CSV that ``ingest`` writes gets an ``events`` container (see
 :mod:`gramrec.files`) beside it, ``<name>.events``, holding the parsed
-events and the sha256 of the CSV's bytes; a default load of the CSV reads
-the container instead of parsing while that digest matches.
+events and the sha256 of the CSV's bytes; a load of the CSV with default
+options, binarizing aside, reads the container instead of parsing while
+that digest matches.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ class UserItemMatrix:
     """Sparse user-by-item matrix; rows hold (item id, value) pairs."""
 
     matrix: sp.csr_matrix
-    binarized: bool
 
     @property
     def n_users(self) -> int:
@@ -102,7 +102,7 @@ class UserItemMatrix:
 
     def restrict_users(self, user_ids: np.ndarray) -> "UserItemMatrix":
         """New matrix containing only the given users' rows."""
-        return UserItemMatrix(matrix=self.rows(user_ids), binarized=self.binarized)
+        return UserItemMatrix(matrix=self.rows(user_ids))
 
 
 @dataclass
@@ -114,17 +114,6 @@ class SplitSpec:
     test_users: np.ndarray
     fold_in_fraction: float = 0.8
     seed: int = 0
-
-
-@dataclass
-class PopularityVector:
-    """Per-item interaction mass: pop[i] = sum of values over users."""
-
-    pop: np.ndarray
-
-    @property
-    def n_items(self) -> int:
-        return len(self.pop)
 
 
 @dataclass
@@ -143,12 +132,6 @@ class TimeIntervalIndex:
     @property
     def n_intervals(self) -> int:
         return self.pops.shape[0]
-
-    def interval_popularity(self, k: int) -> PopularityVector:
-        return PopularityVector(pop=self.pops[k])
-
-    def total_popularity(self) -> PopularityVector:
-        return PopularityVector(pop=self.pops.sum(axis=0))
 
     def locate(self, timestamps) -> np.ndarray:
         """Interval index for each timestamp (ties go to the earlier interval)."""
@@ -178,7 +161,8 @@ def load_interactions(
         Column mapping; defaults to columns named ``user``, ``item`` and,
         when present in the header, ``value`` and ``timestamp``.
     binarize:
-        Replace all retained values by 1.0.
+        Replace all retained values by 1.0, so that the matrix, popularity
+        and time intervals built from the result all count interactions.
     dedup:
         Policy for repeated (user, item) pairs: ``keep_max`` (largest value
         wins), ``keep_last`` (file order wins), or ``error``.
@@ -189,21 +173,29 @@ def load_interactions(
     A missing value column means every event has value 1.0.  Errors name the
     record (``line N``, the header being line 1) of the first bad event.
 
-    With every option at its default, the event container ``ingest`` wrote
-    beside ``path`` is read instead of the text, when it is intact and
-    holds the sha256 of ``path``'s current bytes; it gives the same result.
+    With every option but ``binarize`` at its default, the event container
+    ``ingest`` wrote beside ``path`` is read instead of the text, when it is
+    intact and holds the sha256 of ``path``'s current bytes; it gives the
+    same result.
     """
     if fmt not in ("csv", "tsv"):
         raise DataError(f"unknown format {fmt!r}; expected 'csv' or 'tsv'")
     if dedup not in DEDUP_POLICIES:
         raise DataError(f"unknown dedup policy {dedup!r}; expected one of {DEDUP_POLICIES}")
-    delimiter = "," if fmt == "csv" else "\t"
-
     path = Path(path)
-    if (fmt, schema, binarize, dedup, min_value) == ("csv", None, False, "keep_max", None):
+    iset = None
+    if (fmt, schema, dedup, min_value) == ("csv", None, "keep_max", None):
         iset = _load_events(path)
-        if iset is not None:
-            return iset
+    if iset is None:
+        iset = _parse_interactions(path, "," if fmt == "csv" else "\t", schema, dedup, min_value)
+    if binarize:
+        iset.values.fill(1.0)
+    return iset
+
+
+def _parse_interactions(path: Path, delimiter: str, schema: InteractionSchema | None, dedup: str,
+                        min_value: float | None) -> InteractionSet:
+    """The events of the text at ``path``, before :func:`load_interactions` binarizes."""
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
 
@@ -310,8 +302,6 @@ def load_interactions(
     user_arr, item_arr, value_arr = user_arr[keep], item_arr[keep], value_arr[keep]
     if time_arr is not None:
         time_arr = time_arr[keep]
-    if binarize:
-        value_arr = np.ones_like(value_arr)
 
     iset = InteractionSet(
         user_ids=user_arr,
@@ -545,19 +535,17 @@ def _first_appearance(ids: np.ndarray, keys: list[str]) -> tuple[np.ndarray, lis
     return new[inverse], list(map(keys.__getitem__, old[order].tolist()))
 
 
-def to_user_item_matrix(iset: InteractionSet, binarize: bool = False) -> UserItemMatrix:
+def to_user_item_matrix(iset: InteractionSet) -> UserItemMatrix:
     """Build the full sparse user-item matrix from an interaction set."""
-    values = np.ones_like(iset.values) if binarize else iset.values
     mat = sp.csr_matrix(
-        (values, (iset.user_ids, iset.item_ids)),
+        (iset.values, (iset.user_ids, iset.item_ids)),
         shape=(iset.n_users, iset.n_items),
         dtype=np.float64,
     )
     mat.sum_duplicates()
     mat.eliminate_zeros()  # stored values must be non-zero
     mat.sort_indices()
-    binarized = binarize or bool(np.all(mat.data == 1.0))
-    return UserItemMatrix(matrix=mat, binarized=binarized)
+    return UserItemMatrix(matrix=mat)
 
 
 def split_strong_generalization(
@@ -565,7 +553,6 @@ def split_strong_generalization(
     n_val: int,
     n_test: int,
     seed: int,
-    fold_in_fraction: float = 0.8,
 ) -> SplitSpec:
     """Partition users into disjoint train/validation/test sets.
 
@@ -589,7 +576,6 @@ def split_strong_generalization(
         train_users=train,
         validation_users=val,
         test_users=test,
-        fold_in_fraction=fold_in_fraction,
         seed=seed,
     )
 
@@ -603,16 +589,17 @@ def fold_in_indices(n: int, fraction: float, rng: np.random.Generator) -> tuple[
     return np.sort(perm[:n_in]), np.sort(perm[n_in:])
 
 
-def popularity(matrix: UserItemMatrix, user_subset: np.ndarray | None = None) -> PopularityVector:
-    """Column sums of the matrix, optionally restricted to a user subset."""
+def popularity(matrix: UserItemMatrix, user_subset: np.ndarray | None = None) -> np.ndarray:
+    """Per-item interaction mass, the float64 column sums of the matrix,
+    optionally restricted to a user subset."""
     if user_subset is None:
         sums = matrix.matrix.sum(axis=0)
     else:
         user_subset = np.asarray(user_subset, dtype=np.intp)
         if len(user_subset) == 0:
-            return PopularityVector(pop=np.zeros(matrix.n_items))
+            return np.zeros(matrix.n_items)
         sums = matrix.matrix[user_subset].sum(axis=0)
-    return PopularityVector(pop=np.asarray(sums).ravel().astype(np.float64))
+    return np.asarray(sums).ravel().astype(np.float64)
 
 
 def time_intervals(

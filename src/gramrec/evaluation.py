@@ -29,7 +29,6 @@ import scipy.sparse as sp
 
 from .data import (
     InteractionSet,
-    PopularityVector,
     SplitSpec,
     TimeIntervalIndex,
     UserItemMatrix,
@@ -48,11 +47,11 @@ _CHUNK = 1 << 16  # floats per score batch (_CHUNK // n_items users) and per com
 class PopularityScorer:
     """Baseline that scores every user with the item popularity counts."""
 
-    pop: PopularityVector
+    pop: np.ndarray
 
     @property
     def n_items(self) -> int:
-        return self.pop.n_items
+        return len(self.pop)
 
 
 @dataclass
@@ -90,9 +89,9 @@ def _ideal_dcg(m: int) -> float:
     return float(np.sum(1.0 / np.log2(np.arange(m) + 2.0)))
 
 
-def popularity_rank(pop: PopularityVector) -> np.ndarray:
+def popularity_rank(pop: np.ndarray) -> np.ndarray:
     """All items by popularity descending, ties by ascending id."""
-    return np.argsort(-pop.pop, kind="stable")
+    return np.argsort(-pop, kind="stable")
 
 
 def score_histories(model, xin: sp.csr_matrix) -> np.ndarray:
@@ -100,7 +99,7 @@ def score_histories(model, xin: sp.csr_matrix) -> np.ndarray:
     if isinstance(model, SparseModel):
         return (xin @ model.values).toarray().astype(np.float64, copy=False)
     if isinstance(model, PopularityScorer):
-        return np.tile(model.pop.pop, (xin.shape[0], 1))
+        return np.tile(model.pop, (xin.shape[0], 1))
     scores = xin @ model.b
     if model.mu is not None:
         scores = scores + model.mu
@@ -334,13 +333,8 @@ def evaluate_time_aware(
     if np.any(pos == len(keys)) or not np.array_equal(keys[pos], entry_keys):
         raise DataError("the user-item matrix holds entries that are not events of the log")
     folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, users)
-    total = intervals.total_popularity()
-    wmat = np.stack(
-        [
-            time_popularity_weights(intervals.interval_popularity(k), total, alpha, epsilon).w
-            for k in range(intervals.n_intervals)
-        ]
-    )
+    total = intervals.pops.sum(axis=0)
+    wmat = np.stack([time_popularity_weights(pop_t, total, alpha, epsilon).w for pop_t in intervals.pops])
     scale = (wmat, intervals.locate(iset.timestamps[order[pos]]))
     ranks = _rank_held_out(replace(model, mu=None), folds, scale, model.mu)
     config = {

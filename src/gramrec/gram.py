@@ -148,7 +148,7 @@ def build_disjoint_gram(
     Either way C is κ·(G − diagMat(diag(G))), recorded as ``removed_diag``
     and ``kappa``.
     """
-    if not z.binarized or (z.matrix.nnz > 0 and not np.all(z.matrix.data == 1.0)):
+    if not np.all(z.matrix.data == 1.0):
         raise DataError("disjoint-split statistics require a binary matrix")
     g = _gram(z.matrix, z.matrix)
     kappa = 1.0

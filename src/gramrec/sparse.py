@@ -90,8 +90,10 @@ class CorrelationMatrix:
             # rows and returned transposed, entry for entry the same products
             idx = np.arange(len(m))[cols]
             cor = g[cols] / n
-            cor -= np.outer(m[idx], m)
-            cor /= np.outer(s[idx], s)
+            for lo in range(0, len(idx), 32):  # whole-panel outers would double its memory
+                part = slice(lo, lo + 32)
+                cor[part] -= np.outer(m[idx[part]], m)
+                cor[part] /= np.outer(s[idx[part]], s)
             cor[:, self.constant] = 0.0
             cor[self.constant[idx]] = 0.0
             cor[np.arange(len(idx)), idx] = 1.0

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PopularityVector
 from .errors import DataError
 from .files import atomic_write, read_key_csv
 from .solver import VARIANT_ZERO_DIAG, DenseModel
@@ -51,13 +50,15 @@ def _checked(w: np.ndarray, kind: str, alpha: float) -> ItemWeightVector:
     return ItemWeightVector(w=w, kind=kind, alpha=alpha)
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_options(alpha: float, epsilon: float) -> None:
     if not 0.0 <= alpha <= 1.0:
         raise DataError(f"alpha must be in [0, 1], got {alpha}")
+    if not epsilon >= 0.0:
+        raise DataError(f"epsilon must be non-negative, got {epsilon}")
 
 
 def popularity_weights(
-    pop: PopularityVector, alpha: float, epsilon: float = DEFAULT_EPSILON
+    pop: np.ndarray, alpha: float, epsilon: float = DEFAULT_EPSILON
 ) -> ItemWeightVector:
     """w_i = 1/(pop_i + epsilon)^alpha, unnormalized.
 
@@ -65,30 +66,25 @@ def popularity_weights(
     is a good operating point on the public rating datasets; epsilon keeps
     weights finite for items nobody interacted with.
     """
-    _check_alpha(alpha)
-    with np.errstate(divide="ignore"):  # _checked rejects the resulting inf
-        w = (pop.pop + epsilon) ** (-alpha)
+    _check_options(alpha, epsilon)
+    with np.errstate(divide="ignore", invalid="ignore"):  # _checked rejects nan/inf
+        w = (pop + epsilon) ** (-alpha)
     return _checked(w, KIND_INVERSE_POP, alpha)
 
 
 def time_popularity_weights(
-    pop_t: PopularityVector,
-    pop: PopularityVector,
-    alpha: float,
-    epsilon: float = DEFAULT_EPSILON,
+    pop_t: np.ndarray, pop: np.ndarray, alpha: float, epsilon: float = DEFAULT_EPSILON
 ) -> ItemWeightVector:
     """w_i = ((pop_i at time t + epsilon)/(pop_i + epsilon))^alpha.
 
     Boosts items popular within the interval relative to their overall
     popularity; pop_t = pop gives the all-ones vector.
     """
-    _check_alpha(alpha)
-    if pop_t.n_items != pop.n_items:
-        raise DataError(
-            f"popularity vectors differ in length: {pop_t.n_items} vs {pop.n_items}"
-        )
+    _check_options(alpha, epsilon)
+    if len(pop_t) != len(pop):
+        raise DataError(f"popularity vectors differ in length: {len(pop_t)} vs {len(pop)}")
     with np.errstate(divide="ignore", invalid="ignore"):  # _checked rejects nan/inf
-        w = ((pop_t.pop + epsilon) / (pop.pop + epsilon)) ** alpha
+        w = ((pop_t + epsilon) / (pop + epsilon)) ** alpha
     return _checked(w, KIND_TIME_ADJUSTED, alpha)
 
 

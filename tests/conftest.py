@@ -461,9 +461,9 @@ def evaluate_time_aware_reference(model, iset, split, intervals, alpha,
     row."""
     user_ids = _select_users(split, users)
     eval_seed = split.seed
-    total = intervals.total_popularity()
+    total = intervals.pops.sum(axis=0)
     wmat = np.stack([
-        time_popularity_weights(intervals.interval_popularity(k), total, alpha, epsilon).w
+        time_popularity_weights(intervals.pops[k], total, alpha, epsilon).w
         for k in range(intervals.n_intervals)
     ])
     order = np.lexsort((iset.item_ids, iset.user_ids))
@@ -523,7 +523,7 @@ def binary_matrix(
         dense = (rng.random((n_users, n_items)) < density).astype(np.float64)
         sums = dense.sum(axis=0)
         if np.all(sums > 0) and np.all(sums < n_users):
-            return UserItemMatrix(matrix=sp.csr_matrix(dense), binarized=True)
+            return UserItemMatrix(matrix=sp.csr_matrix(dense))
     raise ValueError(
         f"no {n_users} x {n_items} draw at density {density} in 1000 had every column "
         "neither empty nor full"
@@ -531,9 +531,7 @@ def binary_matrix(
 
 
 def matrix_from_dense(dense: np.ndarray) -> UserItemMatrix:
-    dense = np.asarray(dense, dtype=np.float64)
-    binarized = bool(np.all((dense == 0.0) | (dense == 1.0)))
-    return UserItemMatrix(matrix=sp.csr_matrix(dense), binarized=binarized)
+    return UserItemMatrix(matrix=sp.csr_matrix(np.asarray(dense, dtype=np.float64)))
 
 
 def gram_of(dense: np.ndarray, **kwargs):

@@ -238,7 +238,7 @@ def test_acceptance_8_ml20m_reproduction():
     schema = InteractionSchema(user="userId", item="movieId", value="rating", time="timestamp")
     iset = load_interactions(path, schema=schema, min_value=4.0, binarize=True)
     iset = filter_activity(iset, min_user_events=5)
-    matrix = to_user_item_matrix(iset, binarize=True)
+    matrix = to_user_item_matrix(iset)
     split = split_strong_generalization(iset, n_val=10_000, n_test=10_000, seed=0)
 
     t0 = time.perf_counter()

@@ -2,6 +2,7 @@ import filecmp
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from gramrec import (
     load_model,
     load_sparse_model,
     load_split_files,
+    load_weights_csv,
+    time_intervals,
+    time_popularity_weights,
     to_user_item_matrix,
 )
 from gramrec.cli import main
 
-from conftest import general_solve, invert_regularized_copying, run_cli
+from conftest import evaluate_time_aware_reference, general_solve, invert_regularized_copying, run_cli
 
 
 @pytest.fixture(scope="session")
@@ -175,6 +179,64 @@ def test_evaluate_binarized_single_interval_equals_plain(workdir):
     timed = run_cli(base + ["--time-intervals", "1"])
     assert plain.returncode == 0 and timed.returncode == 0, timed.stderr
     assert timed.stdout == plain.stdout
+
+
+def _binarized_log(workdir):
+    """The rated log and split as a ``--binarize`` command loads them."""
+    iset = load_interactions(workdir["data"])
+    ones = replace(iset, values=np.ones(iset.n_events))
+    return ones, load_split_files(workdir["splits"], ones.user_index)
+
+
+def test_binarized_time_weights_count_interactions(workdir, tmp_path):
+    out = tmp_path / "w.csv"
+    res = run_cli([
+        "rescale", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+        "--model", str(workdir["model"]), "--binarize", "--mode", "time", "--intervals", "2",
+        "--at-time", "500", "--weights-out", str(out),
+    ])
+    assert res.returncode == 0, res.stderr
+    ones, split = _binarized_log(workdir)
+    index = time_intervals(ones, 2, split.train_users)
+    train_events = np.isin(ones.user_ids, split.train_users)
+    np.testing.assert_array_equal(index.pops.sum(axis=0),
+                                  np.bincount(ones.item_ids[train_events], minlength=ones.n_items))
+    k = int(index.locate([500])[0])
+    want = time_popularity_weights(index.pops[k], index.pops.sum(axis=0), 0.5)
+    np.testing.assert_array_equal(load_weights_csv(out, ones.item_index).w, want.w)
+
+
+@pytest.mark.parametrize("users", ["test", "validation"])
+def test_binarized_time_aware_report_matches_reference(workdir, tmp_path, users):
+    # on this log, interval popularity summed from the ratings moves a
+    # validation user's ranks at alpha 1
+    out = tmp_path / "report.json"
+    res = run_cli([
+        "evaluate", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+        "--model", str(workdir["model"]), "--binarize", "--time-intervals", "2",
+        "--alpha", "1.0", "--users", users, "--report-json", str(out),
+    ])
+    assert res.returncode == 0, res.stderr
+    ones, split = _binarized_log(workdir)
+    model, _ = load_model(workdir["model"])
+    index = time_intervals(ones, 2, split.train_users)
+    want = evaluate_time_aware_reference(model, ones, split, index, alpha=1.0, users=users)
+    assert out.read_text(encoding="utf-8") == want.to_json()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rescale", "--mode", "time", "--intervals", "2", "--at-time", "500", "--weights-out", "w.csv"],
+    ["rescale", "--mode", "remove-pop", "--weights-out", "w.csv"],
+    ["evaluate", "--time-intervals", "2"],
+], ids=["time", "remove-pop", "evaluate"])
+def test_negative_epsilon_exits_2(workdir, tmp_path, argv):
+    argv = [str(tmp_path / a) if a == "w.csv" else a for a in argv]
+    res = run_cli([*argv, "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+                   "--model", str(workdir["model"]), "--epsilon", "-1000"])
+    assert res.returncode == 2
+    assert "epsilon must be non-negative" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert not (tmp_path / "w.csv").exists()
 
 
 @pytest.mark.parametrize("cutoffs", ["2.5", "0.9", "20,1e400"])
@@ -355,9 +417,9 @@ def test_train_options_match_general_oracle(workdir, tmp_path, option, variant):
     assert res.returncode == 0, res.stderr
     model, _ = load_model(out)
 
-    iset = load_interactions(workdir["data"])
+    iset = load_interactions(workdir["data"], binarize="--binarize" in extra)
     split = load_split_files(workdir["splits"], iset.user_index)
-    matrix = to_user_item_matrix(iset, binarize="--binarize" in extra)
+    matrix = to_user_item_matrix(iset)
     x = matrix.restrict_users(split.train_users).matrix.toarray()
     g = x.T @ x
     c = g.copy()

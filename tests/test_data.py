@@ -257,15 +257,6 @@ def test_to_matrix_shape_and_values():
     assert dense[0, 1] == 2.0
     assert dense[1, 0] == 3.0
     assert dense[2].sum() == 0.0
-    assert not uim.binarized
-
-
-def test_to_matrix_binarize_flag():
-    iset = make_iset([(0, 0, 2.0), (1, 1, 1.0)])
-    assert to_user_item_matrix(iset, binarize=True).binarized
-    assert not to_user_item_matrix(iset).binarized
-    ones = make_iset([(0, 0, 1.0), (1, 1, 1.0)])
-    assert to_user_item_matrix(ones).binarized
 
 
 def test_split_disjoint_and_covering():
@@ -340,9 +331,9 @@ def test_fold_in_indices_rejects_empty():
 def test_popularity_sums_values():
     iset = make_iset([(0, 0, 2.0), (1, 0, 3.0), (1, 1, 1.0)])
     uim = to_user_item_matrix(iset)
-    np.testing.assert_array_equal(popularity(uim).pop, [5.0, 1.0])
-    np.testing.assert_array_equal(popularity(uim, np.array([1])).pop, [3.0, 1.0])
-    np.testing.assert_array_equal(popularity(uim, np.array([], dtype=np.int64)).pop, [0.0, 0.0])
+    np.testing.assert_array_equal(popularity(uim), [5.0, 1.0])
+    np.testing.assert_array_equal(popularity(uim, np.array([1])), [3.0, 1.0])
+    np.testing.assert_array_equal(popularity(uim, np.array([], dtype=np.int64)), [0.0, 0.0])
 
 
 def test_popularity_additive_over_user_partition(rng):
@@ -351,8 +342,8 @@ def test_popularity_additive_over_user_partition(rng):
     uim = binary_matrix(rng, 30, 8)
     users = rng.permutation(30)
     a, b = users[:12], users[12:]
-    total = popularity(uim).pop
-    np.testing.assert_allclose(popularity(uim, a).pop + popularity(uim, b).pop, total)
+    total = popularity(uim)
+    np.testing.assert_allclose(popularity(uim, a) + popularity(uim, b), total)
 
 
 def test_time_intervals_counts_and_pops():
@@ -361,7 +352,7 @@ def test_time_intervals_counts_and_pops():
     idx = time_intervals(iset, 3, user_subset=np.array([0]))
     np.testing.assert_array_equal(np.sort(idx.counts), [3, 3, 4])
     assert idx.counts.sum() == 10
-    np.testing.assert_allclose(idx.total_popularity().pop, popularity(to_user_item_matrix(iset)).pop)
+    np.testing.assert_allclose(idx.pops.sum(axis=0), popularity(to_user_item_matrix(iset)))
     assert idx.boundaries[0] == 0
     assert idx.boundaries[-1] == 9
 
@@ -401,7 +392,7 @@ def test_time_intervals_subset_restricts_events():
     )
     idx = time_intervals(iset, 2, user_subset=np.array([0]))
     assert idx.counts.sum() == 2
-    np.testing.assert_allclose(idx.total_popularity().pop, [1.0, 1.0])
+    np.testing.assert_allclose(idx.pops.sum(axis=0), [1.0, 1.0])
 
 
 def test_time_intervals_errors():
@@ -734,13 +725,22 @@ def test_bad_container_is_never_used(ingested, monkeypatch, damage):
     assert_same_interactions(got, parsed(ingested))
 
 
+def test_binarized_load_reads_the_container(ingested, monkeypatch):
+    parses = Parses(monkeypatch)
+    got = load_interactions(ingested / "data.csv", binarize=True)
+    assert parses.count == 0
+    assert got.values.tolist() == [1.0, 1.0, 1.0]
+    want = parsed(ingested, binarize=True)
+    assert parses.count == 1
+    assert_same_interactions(got, want)
+
+
 @pytest.mark.parametrize("kwargs", [
-    {"binarize": True},
     {"min_value": 3.0},
     {"dedup": "keep_last"},
     {"schema": InteractionSchema(user="user", item="item")},
     {"fmt": "tsv"},
-], ids=["binarize", "min_value", "keep_last", "schema", "tsv"])
+], ids=["min_value", "keep_last", "schema", "tsv"])
 def test_container_is_not_used_with_other_options(ingested, monkeypatch, kwargs):
     parses = Parses(monkeypatch)
     got = load_outcome(load_interactions, ingested / "data.csv", **kwargs)

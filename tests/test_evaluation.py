@@ -13,7 +13,6 @@ from gramrec import (
     DenseModel,
     EvalReport,
     PopularityScorer,
-    PopularityVector,
     SplitSpec,
     UserItemMatrix,
     apply_item_rescaling,
@@ -71,7 +70,7 @@ def test_metrics_reject_empty_held_out():
 
 
 def test_popularity_rank_stable_ties():
-    pop = PopularityVector(np.array([3.0, 5.0, 5.0, 1.0]))
+    pop = np.array([3.0, 5.0, 5.0, 1.0])
     np.testing.assert_array_equal(popularity_rank(pop), [1, 2, 0, 3])
 
 
@@ -85,7 +84,7 @@ def test_score_histories_kinds(rng):
     centered = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0, mu=mu)
     np.testing.assert_allclose(score_histories(centered, xin), xin.toarray() @ b + mu)
 
-    pop = PopularityScorer(PopularityVector(np.array([5.0, 1.0, 3.0])))
+    pop = PopularityScorer(np.array([5.0, 1.0, 3.0]))
     scores = score_histories(pop, xin)
     np.testing.assert_array_equal(scores, [[5.0, 1.0, 3.0], [5.0, 1.0, 3.0]])
 
@@ -199,7 +198,7 @@ def test_popularity_baseline_matches_manual_protocol():
         pin, pout = fold_in_indices(len(ids), split.fold_in_fraction, rng)
         if pout.size == 0:
             continue
-        scores = pop.pop.astype(np.float64).copy()
+        scores = pop.astype(np.float64).copy()
         scores[ids[pin]] = -np.inf
         ranked = np.argsort(-scores, kind="stable")
         per_metric["recall@3"].append(recall_at_k(ranked, ids[pout], 3))
@@ -449,7 +448,7 @@ def test_time_aware_input_validation():
     extra = matrix.matrix.tolil()
     extra[0, np.flatnonzero(matrix.matrix[0].toarray().ravel() == 0)[0]] = 1.0
     with pytest.raises(DataError, match="not events"):
-        evaluate_time_aware(model, iset, split, UserItemMatrix(extra.tocsr(), True), idx, alpha=0.5)
+        evaluate_time_aware(model, iset, split, UserItemMatrix(extra.tocsr()), idx, alpha=0.5)
 
 
 def test_time_aware_folds_the_matrix_rows():
@@ -648,7 +647,7 @@ def test_evaluate_model_matches_per_user_sort(case, kind):
     elif kind == "sparse":
         model = mask_model(model, threshold_pattern(r.random((n, n)), theta=0.7))
     elif kind.startswith("popularity"):
-        pop = popularity(matrix) if kind == "popularity" else PopularityVector(np.ones(n))
+        pop = popularity(matrix) if kind == "popularity" else np.ones(n)
         model = PopularityScorer(pop)
     kwargs = dict(recall_ks=recall_ks, ndcg_k=ndcg_k)
     with with_chunk(chunk):
@@ -667,15 +666,15 @@ def test_evaluate_time_aware_matches_per_event_sort(case, n_intervals, alpha, ki
     n = iset.n_items
     model = DenseModel(b=integer_b(r, n, nan=kind == "nan"), variant=VARIANT_ZERO_DIAG,
                        lam=1.0, mu=r.integers(-2, 3, n).astype(np.float64) if kind == "mu" else None)
+    if binarize:  # the log as load_interactions(binarize=True) gives it
+        iset = replace(iset, values=np.ones_like(iset.values))
     idx = time_intervals(iset, n_intervals, split.test_users)
-    matrix = to_user_item_matrix(iset, binarize=binarize)
-    # the reference folds the log's own values, so it gets the binarized log
-    ref_iset = replace(iset, values=np.ones_like(iset.values)) if binarize else iset
+    matrix = to_user_item_matrix(iset)
     kwargs = dict(alpha=alpha, recall_ks=recall_ks, ndcg_k=ndcg_k)
     with with_chunk(chunk):
         got, expected = reports_or_errors(
             lambda: evaluate_time_aware(model, iset, split, matrix, idx, **kwargs),
-            lambda: evaluate_time_aware_reference(model, ref_iset, split, idx, **kwargs),
+            lambda: evaluate_time_aware_reference(model, iset, split, idx, **kwargs),
         )
     assert got == expected
 
@@ -692,7 +691,7 @@ def test_ranks_are_stable_descending_sort_positions(n, n_events, seed, special):
     folds = evaluation._Folds([evaluation._Batch(xin, rows, items, np.arange(n_events))],
                               n, 0, {})
     table = r.choice(pool, (3, n))
-    model = PopularityScorer(PopularityVector(np.ones(n)))
+    model = PopularityScorer(np.ones(n))
     with with_chunk(int(r.integers(1, 2 * n + 2))):
         ranks = evaluation._rank_held_out(model, folds, (table, rows), None)
     for rank, row, item in zip(ranks, rows, items):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,9 +11,10 @@ from gramrec import (
     build_disjoint_gram,
     build_gram,
     build_user_weighted_gram,
+    to_user_item_matrix,
 )
 
-from conftest import binary_matrix, matrix_from_dense, target_of
+from conftest import binary_matrix, make_iset, matrix_from_dense, target_of
 
 
 def test_gram_small_example():
@@ -137,6 +140,15 @@ def test_disjoint_rejects_non_binary():
     z = matrix_from_dense([[2.0, 0.0], [0.0, 1.0]])
     with pytest.raises(DataError, match="binary"):
         build_disjoint_gram(z)
+
+
+def test_disjoint_reads_binary_off_the_matrix():
+    rated = make_iset([(0, 0, 2.0), (0, 1, 1.0), (1, 1, 1.0)])
+    with pytest.raises(DataError, match="binary"):
+        build_disjoint_gram(to_user_item_matrix(rated))
+    ones = replace(rated, values=np.ones(3))  # as a binarized load gives it
+    stats = build_disjoint_gram(to_user_item_matrix(ones))
+    np.testing.assert_array_equal(stats.g, [[1, 1], [1, 2]])
 
 
 def test_disjoint_rejects_bad_fraction(rng):

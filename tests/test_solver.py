@@ -21,7 +21,6 @@ from gramrec import (
 )
 from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG, PrecisionMatrix, _positive_diag
 from gramrec.weighting import popularity_weights
-from gramrec import PopularityVector
 
 from conftest import (
     binary_matrix,
@@ -380,7 +379,7 @@ def test_model_round_trip_with_mu_and_weights(tmp_path, rng):
     x = binary_matrix(rng, 20, 5)
     stats = build_gram(x, center=True)
     model = solve_zero_diag(stats, lam=1.0)
-    weights = popularity_weights(PopularityVector(np.arange(1.0, 6.0)), alpha=0.5)
+    weights = popularity_weights(np.arange(1.0, 6.0), alpha=0.5)
     model = DenseModel(
         b=model.b, variant=model.variant, lam=model.lam, mu=model.mu,
         applied_item_weights=weights,

@@ -1,9 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gramrec import (
     DataError,
-    PopularityVector,
     apply_item_rescaling,
     build_gram,
     load_weights_csv,
@@ -20,19 +21,19 @@ from conftest import binary_matrix, constrained_ridge_oracle, general_solve, gra
 
 
 def test_popularity_weights_example():
-    w = popularity_weights(PopularityVector(np.array([4.0, 1.0])), alpha=0.5, epsilon=0.0)
+    w = popularity_weights(np.array([4.0, 1.0]), alpha=0.5, epsilon=0.0)
     np.testing.assert_allclose(w.w, [0.5, 1.0])
     assert w.kind == KIND_INVERSE_POP
     assert w.alpha == 0.5
 
 
 def test_popularity_weights_alpha_zero_is_uniform():
-    w = popularity_weights(PopularityVector(np.array([9.0, 1.0, 100.0])), alpha=0.0)
+    w = popularity_weights(np.array([9.0, 1.0, 100.0]), alpha=0.0)
     np.testing.assert_array_equal(w.w, [1.0, 1.0, 1.0])
 
 
 def test_popularity_weights_zero_pop_needs_epsilon():
-    pop = PopularityVector(np.array([0.0, 2.0]))
+    pop = np.array([0.0, 2.0])
     with pytest.raises(DataError, match="positive and finite"):
         popularity_weights(pop, alpha=0.5, epsilon=0.0)
     w = popularity_weights(pop, alpha=0.5)  # default epsilon keeps it finite
@@ -40,34 +41,49 @@ def test_popularity_weights_zero_pop_needs_epsilon():
 
 
 def test_alpha_range_checked():
-    pop = PopularityVector(np.ones(2))
+    pop = np.ones(2)
     with pytest.raises(DataError, match="alpha"):
         popularity_weights(pop, alpha=1.5)
     with pytest.raises(DataError, match="alpha"):
         time_popularity_weights(pop, pop, alpha=-0.1)
 
 
+def test_negative_epsilon_refused():
+    pop = np.array([2.0, 2000.0])
+    with pytest.raises(DataError, match="epsilon must be non-negative"):
+        popularity_weights(pop, alpha=0.5, epsilon=-1000.0)
+    with pytest.raises(DataError, match="epsilon must be non-negative"):
+        time_popularity_weights(pop, pop, alpha=0.5, epsilon=-1e-12)
+
+
+def test_nan_weights_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="positive and finite"):
+            popularity_weights(np.array([-4.0, 1.0]), alpha=0.5, epsilon=0.0)
+
+
 def test_time_weights_example():
-    pop_t = PopularityVector(np.array([1.0, 8.0]))
-    pop = PopularityVector(np.array([4.0, 8.0]))
+    pop_t = np.array([1.0, 8.0])
+    pop = np.array([4.0, 8.0])
     w = time_popularity_weights(pop_t, pop, alpha=0.5, epsilon=0.0)
     np.testing.assert_allclose(w.w, [0.5, 1.0])
     assert w.kind == KIND_TIME_ADJUSTED
 
 
 def test_time_weights_identity_when_interval_matches_total():
-    pop = PopularityVector(np.array([3.0, 7.0, 2.0]))
+    pop = np.array([3.0, 7.0, 2.0])
     w = time_popularity_weights(pop, pop, alpha=0.7)
     np.testing.assert_allclose(w.w, [1.0, 1.0, 1.0])
 
 
 def test_time_weights_length_checked():
     with pytest.raises(DataError, match="length"):
-        time_popularity_weights(PopularityVector(np.ones(2)), PopularityVector(np.ones(3)), 0.5)
+        time_popularity_weights(np.ones(2), np.ones(3), 0.5)
 
 
 def test_time_weights_zero_pop_needs_epsilon():
-    zero = PopularityVector(np.array([0.0, 1.0]))
+    zero = np.array([0.0, 1.0])
     with pytest.raises(DataError, match="positive and finite"):
         time_popularity_weights(zero, zero, alpha=0.5, epsilon=0.0)
 
@@ -82,7 +98,7 @@ def test_uniform_weights():
 def test_rescaling_scales_columns(rng):
     x = binary_matrix(rng, 30, 6)
     model = solve_zero_diag(build_gram(x), lam=1.0)
-    w = popularity_weights(PopularityVector(np.arange(1.0, 7.0)), alpha=0.5)
+    w = popularity_weights(np.arange(1.0, 7.0), alpha=0.5)
     rescaled = apply_item_rescaling(model, w)
     np.testing.assert_allclose(rescaled.b, model.b * w.w[np.newaxis, :])
     np.testing.assert_allclose(rescaled.gamma, model.gamma * w.w)
@@ -95,7 +111,7 @@ def test_rescaling_scales_columns(rng):
 def test_rescaling_equals_retraining_on_scaled_targets(rng):
     xd = (rng.random((40, 7)) < 0.4).astype(np.float64)
     lam = 0.8
-    w = popularity_weights(PopularityVector(xd.sum(axis=0)), alpha=0.5)
+    w = popularity_weights(xd.sum(axis=0), alpha=0.5)
     rescaled = apply_item_rescaling(solve_zero_diag(gram_of(xd), lam), w)
     # retrained on the column-scaled target by the general P*C oracle
     b, gamma = general_solve(xd.T @ xd, xd.T @ (xd * w.w[np.newaxis, :]), lam)
@@ -106,7 +122,7 @@ def test_rescaling_equals_retraining_on_scaled_targets(rng):
 def test_rescaling_matches_constrained_oracle(rng):
     xd = (rng.random((35, 6)) < 0.45).astype(np.float64)
     lam = 1.2
-    w = popularity_weights(PopularityVector(xd.sum(axis=0)), alpha=0.5)
+    w = popularity_weights(xd.sum(axis=0), alpha=0.5)
     rescaled = apply_item_rescaling(solve_zero_diag(gram_of(xd), lam), w)
     oracle = constrained_ridge_oracle(xd, xd * w.w[np.newaxis, :], lam)
     np.testing.assert_allclose(rescaled.b, oracle, atol=1e-9)
@@ -151,7 +167,7 @@ def test_constant_user_weights_shift_lambda(rng):
 
 
 def test_weights_csv_round_trip(tmp_path):
-    w = popularity_weights(PopularityVector(np.array([10.0, 3.0, 1.0])), alpha=0.5)
+    w = popularity_weights(np.array([10.0, 3.0, 1.0]), alpha=0.5)
     keys = ["a", "b", "c"]
     path = tmp_path / "weights.csv"
     save_weights_csv(path, w, keys)
