@@ -69,7 +69,7 @@ print("linear model, lam=500:")
 print(report.to_text())
 
 base = evaluate_model(
-    PopularityScorer(popularity(matrix, split.train_users)),
+    PopularityScorer(popularity(iset, split.train_users)),
     matrix, split, recall_ks=(20, 50), ndcg_k=100,
 )
 print("popularity baseline:")

@@ -52,7 +52,7 @@ def make_events(rng, n_users=200, n_pairs=5):
 rng = np.random.default_rng(3)
 iset = make_events(rng)
 matrix = to_user_item_matrix(iset)
-pop = popularity(matrix)
+pop = popularity(iset)
 print("interaction counts:", pop.astype(int))
 
 model = solve_zero_diag(build_gram(matrix), lam=5.0)

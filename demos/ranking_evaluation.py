@@ -67,7 +67,7 @@ stats = build_gram(train_matrix)
 model = solve_zero_diag(stats, lam=1.0)
 report = evaluate_model(model, matrix, split, users="validation")
 baseline = evaluate_model(
-    PopularityScorer(popularity(matrix, split.train_users)), matrix, split, users="validation"
+    PopularityScorer(popularity(iset, split.train_users)), matrix, split, users="validation"
 )
 print("trained model, validation users:")
 print(report.to_text())

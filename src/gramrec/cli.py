@@ -108,13 +108,31 @@ def _finite_floats(text: str) -> list[float]:
     return [_finite_float(v) for v in text.split(",") if v.strip()]
 
 
-def _int_list(value, flag) -> list[int]:
+def _unit_float(text: str) -> float:
+    """argparse type of --alpha: a number in [0, 1]."""
+    value = _finite_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type of --epsilon: a finite number of at least 0."""
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
+    return value
+
+
+def _int_list(text: str) -> list[int]:
+    """argparse type of a comma-separated list of integers."""
     try:
-        values = [float(v) for v in value.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {value!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
     if not all(v.is_integer() for v in values):
-        raise UsageError(f"{flag} expects comma-separated integers, got {value!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return [int(v) for v in values]
 
 
@@ -122,12 +140,6 @@ def _check_lambda(lam: float) -> float:
     if lam <= 0:
         raise UsageError(f"--lambda must be positive, got {lam}")
     return lam
-
-
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 <= alpha <= 1.0:
-        raise UsageError(f"--alpha must be in [0, 1], got {alpha}")
-    return alpha
 
 
 def _schema_from_args(args) -> InteractionSchema | None:
@@ -139,9 +151,8 @@ def _schema_from_args(args) -> InteractionSchema | None:
     return InteractionSchema(*columns)
 
 
-def _load_dataset(args):
-    iset = load_interactions(args.data, binarize=args.binarize)
-    return iset, to_user_item_matrix(iset)
+def _load_events(args) -> InteractionSet:
+    return load_interactions(args.data, binarize=args.binarize)
 
 
 def _load_split(args, iset):
@@ -225,7 +236,8 @@ def cmd_train(args) -> int:
         raise UsageError("--split-fraction applies only with --exact-expectation")
     if args.split_fraction is not None and not 0.0 < args.split_fraction < 1.0:
         raise UsageError(f"--split-fraction must be in (0, 1), got {args.split_fraction}")
-    iset, matrix = _load_dataset(args)
+    iset = _load_events(args)
+    matrix = to_user_item_matrix(iset)
     split = _load_split(args, iset)
     user_weights = None
     if args.user_weights is not None:
@@ -257,7 +269,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_train_sparse(args) -> int:
-    iset, matrix = _load_dataset(args)
+    iset = _load_events(args)
+    matrix = to_user_item_matrix(iset)
     split = _load_split(args, iset)
     lam = _check_lambda(getattr(args, "lambda"))
     theta = args.threshold
@@ -288,21 +301,22 @@ def cmd_rescale(args) -> int:
         raise UsageError("--mode time needs --intervals and --at-time")
     if args.weights_out is None and args.output is None:
         raise UsageError("nothing to do: give --weights-out and/or --output")
-    alpha = _check_alpha(args.alpha)
     model, item_keys = load_model(args.model, verify=True)
-    iset, matrix = _load_dataset(args)
+    iset = _load_events(args)
     split = _load_split(args, iset)
     _check_model_keys(item_keys, iset, model.n_items)
     if args.mode == "time":
         index = time_intervals(iset, args.intervals, user_subset=split.train_users)
         k = int(index.locate(np.asarray([args.at_time]))[0])
-        weights = time_popularity_weights(index.pops[k], index.pops.sum(axis=0), alpha, args.epsilon)
+        weights = time_popularity_weights(index.pops[k], index.pops.sum(axis=0), args.alpha,
+                                          args.epsilon)
         _log(f"timestamp {args.at_time} falls into interval {k} of {index.n_intervals}")
     else:
-        weights = popularity_weights(popularity(matrix, split.train_users), alpha, args.epsilon)
+        weights = popularity_weights(popularity(iset, split.train_users), args.alpha,
+                                     args.epsilon)
     if args.weights_out is not None:
         save_weights_csv(args.weights_out, weights, iset.item_keys)
-        _log(f"weights ({weights.kind}, alpha={alpha:g}) -> {args.weights_out}")
+        _log(f"weights ({weights.kind}, alpha={args.alpha:g}) -> {args.weights_out}")
     if args.output is not None:
         rescaled = apply_item_rescaling(model, weights)
         save_model(args.output, rescaled, item_keys=iset.item_keys)
@@ -311,33 +325,22 @@ def cmd_rescale(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    iset, matrix = _load_dataset(args)
+    iset = _load_events(args)
+    # the time-aware protocol folds the events themselves
+    matrix = to_user_item_matrix(iset) if args.time_intervals is None else None
     split = _load_split(args, iset)
     if args.baseline is not None:
-        model = PopularityScorer(popularity(matrix, split.train_users))
+        model = PopularityScorer(popularity(iset, split.train_users))
     else:
         model, item_keys = _load_any_model(args.model)
         _check_model_keys(item_keys, iset, model.n_items)
-    recall_ks = tuple(_int_list(args.recall_ks, "--recall-ks"))
-    if args.time_intervals is not None:
-        alpha = _check_alpha(args.alpha)
+    cutoffs = dict(recall_ks=tuple(args.recall_ks), ndcg_k=args.ndcg_k, users=args.users)
+    if matrix is None:
         index = time_intervals(iset, args.time_intervals, user_subset=split.train_users)
-        report = evaluate_time_aware(
-            model,
-            iset,
-            split,
-            matrix,
-            index,
-            alpha=alpha,
-            epsilon=args.epsilon,
-            recall_ks=recall_ks,
-            ndcg_k=args.ndcg_k,
-            users=args.users,
-        )
+        report = evaluate_time_aware(model, iset, split, index, alpha=args.alpha,
+                                     epsilon=args.epsilon, **cutoffs)
     else:
-        report = evaluate_model(
-            model, matrix, split, recall_ks=recall_ks, ndcg_k=args.ndcg_k, users=args.users
-        )
+        report = evaluate_model(model, matrix, split, **cutoffs)
     sys.stdout.write(report.to_text())
     if args.report_json is not None:
         _write_text(args.report_json, report.to_json())
@@ -389,13 +392,13 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_popularity(args) -> int:
-    iset, matrix = _load_dataset(args)
+    iset = _load_events(args)
     if args.split_dir is not None:
         split = _load_split(args, iset)
-        pop = popularity(matrix, split.train_users)
+        pop = popularity(iset, split.train_users)
         _log(f"popularity over {len(split.train_users)} training users")
     else:
-        pop = popularity(matrix)
+        pop = popularity(iset)
     with atomic_write(args.output) as fh:
         writer = csv.writer(fh)
         writer.writerow(["item", "count"])
@@ -491,10 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="trained dense model file")
     p.add_argument("--mode", choices=("remove-pop", "time"), default="remove-pop",
                    help="remove-pop (default) or time")
-    p.add_argument("--alpha", type=_finite_float, default=0.5,
-                   help="re-scaling exponent (default 0.5)")
-    p.add_argument("--epsilon", type=_finite_float, default=DEFAULT_EPSILON,
-                   help="additive popularity smoothing")
+    p.add_argument("--alpha", type=_unit_float, default=0.5,
+                   help="re-scaling exponent in [0, 1] (default 0.5)")
+    p.add_argument("--epsilon", type=_non_negative_float, default=DEFAULT_EPSILON,
+                   help="additive popularity smoothing, at least 0")
     p.add_argument("--intervals", type=int, help="number of equal-count time intervals")
     p.add_argument("--at-time", dest="at_time", type=_finite_float,
                    help="timestamp whose interval supplies the weights (mode time)")
@@ -510,15 +513,16 @@ def build_parser() -> argparse.ArgumentParser:
     scorer.add_argument("--baseline", choices=("popularity",),
                         help="score by training popularity")
     p.add_argument("--users", choices=("test", "validation"), default="test")
-    p.add_argument("--recall-ks", dest="recall_ks", default="20,50",
+    p.add_argument("--recall-ks", dest="recall_ks", type=_int_list, default="20,50",
                    help="comma-separated cutoffs (default 20,50)")
     p.add_argument("--ndcg-k", dest="ndcg_k", type=int, default=100,
                    help="gain cutoff (default 100)")
     p.add_argument("--time-intervals", dest="time_intervals", type=int,
                    help="evaluate per event with interval popularity re-scaling")
-    p.add_argument("--alpha", type=_finite_float, default=0.5,
-                   help="re-scaling exponent for --time-intervals")
-    p.add_argument("--epsilon", type=_finite_float, default=DEFAULT_EPSILON)
+    p.add_argument("--alpha", type=_unit_float, default=0.5,
+                   help="re-scaling exponent in [0, 1] for --time-intervals")
+    p.add_argument("--epsilon", type=_non_negative_float, default=DEFAULT_EPSILON,
+                   help="additive popularity smoothing for --time-intervals, at least 0")
     p.add_argument("--report-json", dest="report_json", help="write the report as JSON here")
     p.set_defaults(func=cmd_evaluate)
 
@@ -530,7 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--popularity", help="popularity CSV for the empty-history fallback")
     p.set_defaults(func=cmd_recommend)
 
-    p = sub.add_parser("popularity", help="write per-item interaction counts")
+    p = sub.add_parser("popularity", help="write per-item sums of event values as the count "
+                       "column (interaction counts with --binarize)")
     _add_data_options(p)
     _add_split_options(p, required=False)
     p.add_argument("--output", required=True, help="CSV to write")

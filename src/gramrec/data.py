@@ -589,17 +589,23 @@ def fold_in_indices(n: int, fraction: float, rng: np.random.Generator) -> tuple[
     return np.sort(perm[:n_in]), np.sort(perm[n_in:])
 
 
-def popularity(matrix: UserItemMatrix, user_subset: np.ndarray | None = None) -> np.ndarray:
-    """Per-item interaction mass, the float64 column sums of the matrix,
-    optionally restricted to a user subset."""
-    if user_subset is None:
-        sums = matrix.matrix.sum(axis=0)
-    else:
-        user_subset = np.asarray(user_subset, dtype=np.intp)
-        if len(user_subset) == 0:
-            return np.zeros(matrix.n_items)
-        sums = matrix.matrix[user_subset].sum(axis=0)
-    return np.asarray(sums).ravel().astype(np.float64)
+def popularity(iset: InteractionSet, user_subset: np.ndarray | None = None) -> np.ndarray:
+    """Per-item sums of the event values (interaction counts once binarized)
+    as float64, optionally over the events of a user subset only.  Each
+    item's sum runs in event order."""
+    items, values = iset.item_ids, iset.values
+    if user_subset is not None:
+        events = _of_users(iset, user_subset)
+        items, values = items[events], values[events]
+    pop = np.bincount(items, weights=values, minlength=iset.n_items)
+    return pop.astype(np.float64, copy=False)  # bincount gives int64 zeros for no events
+
+
+def _of_users(iset: InteractionSet, user_subset: np.ndarray) -> np.ndarray:
+    """Whether each event's user is in ``user_subset``."""
+    member = np.zeros(iset.n_users, dtype=bool)
+    member[np.asarray(user_subset, dtype=np.intp)] = True
+    return member[iset.user_ids]
 
 
 def time_intervals(
@@ -619,8 +625,7 @@ def time_intervals(
         raise DataError("n_intervals must be >= 1")
     if iset.timestamps is None:
         raise DataError("events carry no timestamps; a time column is required")
-    mask = np.isin(iset.user_ids, np.asarray(user_subset, dtype=np.int64))
-    ev = np.flatnonzero(mask)
+    ev = np.flatnonzero(_of_users(iset, user_subset))
     if len(ev) == 0:
         raise DataError("user subset has no events")
     ts = iset.timestamps[ev]
@@ -629,19 +634,12 @@ def time_intervals(
 
     m = len(ev)
     cuts = np.round(np.arange(n_intervals + 1) * (m / n_intervals)).astype(np.int64)
-    pops = np.zeros((n_intervals, iset.n_items), dtype=np.float64)
-    counts = np.empty(n_intervals, dtype=np.int64)
-    for k in range(n_intervals):
-        lo, hi = cuts[k], cuts[k + 1]
-        counts[k] = hi - lo
-        np.add.at(pops[k], iset.item_ids[ev[lo:hi]], iset.values[ev[lo:hi]])
-
-    boundaries = np.empty(n_intervals + 1, dtype=np.int64)
-    boundaries[0] = ts[0]
-    boundaries[-1] = ts[-1]
-    for k in range(1, n_intervals):
-        boundaries[k] = ts[min(cuts[k], m - 1)]
-    return TimeIntervalIndex(boundaries=boundaries, pops=pops, counts=counts)
+    counts = np.diff(cuts)
+    slots = np.repeat(np.arange(n_intervals), counts) * iset.n_items + iset.item_ids[ev]
+    pops = np.bincount(slots, weights=iset.values[ev], minlength=n_intervals * iset.n_items)
+    boundaries = ts[np.minimum(cuts, m - 1)].astype(np.int64)
+    return TimeIntervalIndex(boundaries=boundaries, pops=pops.reshape(n_intervals, iset.n_items),
+                             counts=counts)
 
 
 def save_split_files(split_dir: str | Path, split: SplitSpec, user_keys: list[str]) -> None:

@@ -288,7 +288,6 @@ def evaluate_time_aware(
     model: DenseModel,
     iset: InteractionSet,
     split: SplitSpec,
-    matrix: UserItemMatrix,
     intervals: TimeIntervalIndex,
     alpha: float,
     epsilon: float = DEFAULT_EPSILON,
@@ -298,15 +297,15 @@ def evaluate_time_aware(
 ) -> EvalReport:
     """Per-event protocol with interval-dependent popularity re-scaling.
 
-    ``matrix`` is the user-item matrix built from ``iset``; its rows are
-    folded exactly as :func:`evaluate_model` folds them, and ``iset``
-    supplies each stored entry's timestamp.  Each held-out event gets its
-    own score row: the user's base scores (without mu, input items at -inf)
-    times the weight vector of the interval its timestamp falls in, plus mu.
-    The event item's rank in that row follows the module's rule, so NaN
-    scores rank last.  Per-user metrics are then rebuilt from the ranks.
-    With a single interval all weights are 1 and the report equals the
-    time-agnostic one.
+    Each user's events with non-zero values, ordered by item, form the row
+    :func:`~gramrec.data.to_user_item_matrix` stores, and that row is folded
+    exactly as :func:`evaluate_model` folds it; the held-out events keep
+    their timestamps.  Each held-out event gets its own score row: the
+    user's base scores (without mu, input items at -inf) times the weight
+    vector of the interval its timestamp falls in, plus mu.  The event
+    item's rank in that row follows the module's rule, so NaN scores rank
+    last.  Per-user metrics are then rebuilt from the ranks.  With a single
+    interval all weights are 1 and the report equals the time-agnostic one.
 
     Ranks from different events are computed under different weightings, so
     they can collide; metrics are capped at 1 when that happens.  Note the
@@ -321,21 +320,14 @@ def evaluate_time_aware(
         raise DataError("time-aware evaluation needs timestamped events")
     if model.n_items != iset.n_items:
         raise DataError(f"model has {model.n_items} items, events cover {iset.n_items}")
-    csr = matrix.matrix
-    if csr.shape != (iset.n_users, iset.n_items):
-        raise DataError(f"matrix is {csr.shape}, events cover {(iset.n_users, iset.n_items)}")
-    # the event behind each stored entry, found by its (user, item) key
     order = np.lexsort((iset.item_ids, iset.user_ids))
-    keys = iset.user_ids[order].astype(np.int64) * iset.n_items + iset.item_ids[order]
-    entry_keys = np.repeat(np.arange(iset.n_users, dtype=np.int64), np.diff(csr.indptr))
-    entry_keys = entry_keys * iset.n_items + csr.indices
-    pos = np.searchsorted(keys, entry_keys)
-    if np.any(pos == len(keys)) or not np.array_equal(keys[pos], entry_keys):
-        raise DataError("the user-item matrix holds entries that are not events of the log")
-    folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, users)
+    order = order[iset.values[order] != 0]  # the entries to_user_item_matrix stores
+    indptr = np.append(0, np.cumsum(np.bincount(iset.user_ids[order], minlength=iset.n_users)))
+    folds = _draw_folds(indptr, iset.item_ids[order], iset.values[order], iset.n_items, split,
+                        users)
     total = intervals.pops.sum(axis=0)
     wmat = np.stack([time_popularity_weights(pop_t, total, alpha, epsilon).w for pop_t in intervals.pops])
-    scale = (wmat, intervals.locate(iset.timestamps[order[pos]]))
+    scale = (wmat, intervals.locate(iset.timestamps[order]))
     ranks = _rank_held_out(replace(model, mu=None), folds, scale, model.mu)
     config = {
         **_model_config(model),

@@ -44,8 +44,9 @@ class ItemWeightVector:
 def _checked(w: np.ndarray, kind: str, alpha: float) -> ItemWeightVector:
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise DataError(
-            "item weights must be positive and finite; "
-            "a zero-popularity item with epsilon=0 is the usual cause"
+            "item weights must be positive and finite; the usual causes are an item of "
+            "popularity 0 with epsilon=0, and an item of negative popularity, which "
+            "negative event values give when they are not binarized"
         )
     return ItemWeightVector(w=w, kind=kind, alpha=alpha)
 

@@ -16,7 +16,10 @@ code: one dense correlation matrix, a column loop over it, and one COO sum
 over every block's k² entries.  The library computes the same results in
 panels and at pattern positions only; property tests hold it to these.
 The data-layer references parse, deduplicate, reindex and write one event
-at a time; the library does each column-wise in chunks.  The evaluation
+at a time; the library does each column-wise in chunks.  Item popularity
+is referenced by the column sums of the user-item matrix, and interval
+popularity by one ``np.add.at`` per interval; the library counts both from
+the events with one ``np.bincount``.  The evaluation
 references fold, score and sort one user (time-aware: one held-out event)
 at a time; the library ranks batches of events by counting comparisons.
 """
@@ -36,12 +39,14 @@ from gramrec import (
     DataError,
     InteractionSchema,
     InteractionSet,
+    TimeIntervalIndex,
     UserItemMatrix,
     GramStats,
     ItemWeightVector,
     build_gram,
     score_histories,
     time_popularity_weights,
+    to_user_item_matrix,
 )
 from gramrec.data import fold_in_indices
 from gramrec.evaluation import _aggregate, _model_config, _select_users
@@ -395,6 +400,47 @@ def write_canonical_reference(iset: InteractionSet, path) -> None:
             if has_time:
                 row.append(repr(float(iset.timestamps[e])))
             writer.writerow(row)
+
+
+def popularity_reference(iset: InteractionSet, user_subset=None) -> np.ndarray:
+    """Column sums of the user-item matrix, over the rows of ``user_subset``
+    when one is given."""
+    matrix = to_user_item_matrix(iset).matrix
+    if user_subset is not None:
+        user_subset = np.asarray(user_subset, dtype=np.intp)
+        if len(user_subset) == 0:
+            return np.zeros(iset.n_items)
+        matrix = matrix[user_subset]
+    return np.asarray(matrix.sum(axis=0)).ravel().astype(np.float64)
+
+
+def time_intervals_reference(iset: InteractionSet, n_intervals: int,
+                             user_subset) -> TimeIntervalIndex:
+    """Equal-count intervals of the subset's events in stable timestamp
+    order, each interval's popularity summed by its own ``np.add.at``."""
+    if n_intervals < 1:
+        raise DataError("n_intervals must be >= 1")
+    if iset.timestamps is None:
+        raise DataError("events carry no timestamps; a time column is required")
+    ev = np.flatnonzero(np.isin(iset.user_ids, np.asarray(user_subset, dtype=np.int64)))
+    if len(ev) == 0:
+        raise DataError("user subset has no events")
+    ev = ev[np.argsort(iset.timestamps[ev], kind="stable")]
+    ts = iset.timestamps[ev]
+    m = len(ev)
+    cuts = np.round(np.arange(n_intervals + 1) * (m / n_intervals)).astype(np.int64)
+    pops = np.zeros((n_intervals, iset.n_items), dtype=np.float64)
+    counts = np.empty(n_intervals, dtype=np.int64)
+    for k in range(n_intervals):
+        lo, hi = cuts[k], cuts[k + 1]
+        counts[k] = hi - lo
+        np.add.at(pops[k], iset.item_ids[ev[lo:hi]], iset.values[ev[lo:hi]])
+    boundaries = np.empty(n_intervals + 1, dtype=np.int64)
+    boundaries[0] = ts[0]
+    boundaries[-1] = ts[-1]
+    for k in range(1, n_intervals):
+        boundaries[k] = ts[min(cuts[k], m - 1)]
+    return TimeIntervalIndex(boundaries=boundaries, pops=pops, counts=counts)
 
 
 def recall_at_k(ranked: np.ndarray, held_out: np.ndarray, k: int) -> float:

@@ -249,7 +249,7 @@ def test_acceptance_8_ml20m_reproduction():
 
     report = evaluate_model(model, matrix, split, recall_ks=(20, 50), ndcg_k=100)
     pop_report = evaluate_model(
-        PopularityScorer(popularity(matrix, split.train_users)), matrix, split,
+        PopularityScorer(popularity(iset, split.train_users)), matrix, split,
         recall_ks=(20, 50), ndcg_k=100,
     )
     r20 = report.metrics["recall@20"][0]

@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import os
@@ -229,12 +230,12 @@ def test_binarized_time_aware_report_matches_reference(workdir, tmp_path, users)
     ["rescale", "--mode", "remove-pop", "--weights-out", "w.csv"],
     ["evaluate", "--time-intervals", "2"],
 ], ids=["time", "remove-pop", "evaluate"])
-def test_negative_epsilon_exits_2(workdir, tmp_path, argv):
+def test_negative_epsilon_exits_1(workdir, tmp_path, argv):
     argv = [str(tmp_path / a) if a == "w.csv" else a for a in argv]
     res = run_cli([*argv, "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
                    "--model", str(workdir["model"]), "--epsilon", "-1000"])
-    assert res.returncode == 2
-    assert "epsilon must be non-negative" in res.stderr
+    assert res.returncode == 1
+    assert "argument --epsilon: expected a non-negative number" in res.stderr
     assert "RuntimeWarning" not in res.stderr
     assert not (tmp_path / "w.csv").exists()
 
@@ -246,7 +247,7 @@ def test_evaluate_rejects_fractional_cutoffs(workdir, cutoffs):
         "--model", str(workdir["model"]), "--recall-ks", cutoffs,
     ])
     assert res.returncode == 1
-    assert "--recall-ks expects comma-separated integers" in res.stderr
+    assert "argument --recall-ks: expected comma-separated integers" in res.stderr
 
 
 def test_evaluate_model_data_mismatch(workdir):
@@ -815,6 +816,26 @@ def test_recommend_with_weights(workdir, tmp_path):
     assert "dense" in res.stderr
 
 
+@pytest.mark.parametrize("binarize", [False, True])
+def test_popularity_sums_values_or_counts(workdir, tmp_path, binarize):
+    """On the rated log the count column holds each item's summed ratings,
+    and under --binarize its number of events."""
+    out = tmp_path / "pop.csv"
+    res = run_cli(["popularity", "--data", str(workdir["data"]), "--output", str(out)]
+                  + ["--binarize"] * binarize)
+    assert res.returncode == 0, res.stderr
+    sums, counts = {}, {}
+    with open(workdir["data"], encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            sums[row["item"]] = sums.get(row["item"], 0.0) + float(row["value"])
+            counts[row["item"]] = counts.get(row["item"], 0.0) + 1.0
+    assert sums != counts
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["item", "count"]
+    assert {item: float(count) for item, count in rows[1:]} == (counts if binarize else sums)
+
+
 def test_popularity_all_users_versus_train(workdir, tmp_path):
     all_pop = tmp_path / "all.csv"
     res = run_cli(["popularity", "--data", str(workdir["data"]), "--output", str(all_pop)])
@@ -850,6 +871,30 @@ def test_non_finite_options_exit_1(capsys, argv, flag):
         main(argv)
     assert exc.value.code == 1
     assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["rescale", *_D, "--model", "m", "--weights-out", "w", "--alpha", "1.5"],
+     "argument --alpha: expected a number in [0, 1]"),
+    (["rescale", *_D, "--model", "m", "--weights-out", "w", "--alpha=-0.1"],
+     "argument --alpha: expected a number in [0, 1]"),
+    (["rescale", *_D, "--model", "m", "--weights-out", "w", "--epsilon=-1"],
+     "argument --epsilon: expected a non-negative number"),
+    (["evaluate", *_D, "--model", "m", "--time-intervals", "2", "--alpha", "1.5"],
+     "argument --alpha: expected a number in [0, 1]"),
+    (["evaluate", *_D, "--model", "m", "--time-intervals", "2", "--epsilon=-1"],
+     "argument --epsilon: expected a non-negative number"),
+    (["evaluate", *_D, "--model", "m", "--recall-ks", "2.5"],
+     "argument --recall-ks: expected comma-separated integers"),
+    (["evaluate", *_D, "--model", "m", "--recall-ks", "20,x"],
+     "argument --recall-ks: expected comma-separated numbers"),
+], ids=["rescale-alpha-above", "rescale-alpha-below", "rescale-epsilon", "evaluate-alpha",
+        "evaluate-epsilon", "evaluate-recall-ks-fraction", "evaluate-recall-ks-word"])
+def test_out_of_range_options_exit_1_before_reading(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_non_finite_config_entry_exits_1(tmp_path, capsys):

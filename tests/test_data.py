@@ -32,7 +32,9 @@ from conftest import (
     dedup_indices_reference,
     load_interactions_reference,
     make_iset,
+    popularity_reference,
     reindex_reference,
+    time_intervals_reference,
     write_canonical_reference,
 )
 
@@ -330,20 +332,61 @@ def test_fold_in_indices_rejects_empty():
 
 def test_popularity_sums_values():
     iset = make_iset([(0, 0, 2.0), (1, 0, 3.0), (1, 1, 1.0)])
-    uim = to_user_item_matrix(iset)
-    np.testing.assert_array_equal(popularity(uim), [5.0, 1.0])
-    np.testing.assert_array_equal(popularity(uim, np.array([1])), [3.0, 1.0])
-    np.testing.assert_array_equal(popularity(uim, np.array([], dtype=np.int64)), [0.0, 0.0])
+    np.testing.assert_array_equal(popularity(iset), [5.0, 1.0])
+    np.testing.assert_array_equal(popularity(iset, np.array([1])), [3.0, 1.0])
+    np.testing.assert_array_equal(popularity(iset, np.array([], dtype=np.int64)), [0.0, 0.0])
 
 
 def test_popularity_additive_over_user_partition(rng):
-    from conftest import binary_matrix
-
-    uim = binary_matrix(rng, 30, 8)
+    users, items = np.nonzero(rng.random((30, 8)) < 0.4)
+    iset = make_iset([(int(u), int(i), 1.0) for u, i in zip(users, items)], n_users=30, n_items=8)
     users = rng.permutation(30)
     a, b = users[:12], users[12:]
-    total = popularity(uim)
-    np.testing.assert_allclose(popularity(uim, a) + popularity(uim, b), total)
+    total = popularity(iset)
+    np.testing.assert_allclose(popularity(iset, a) + popularity(iset, b), total)
+
+
+@st.composite
+def counted_logs(draw):
+    """A log of distinct (user, item) pairs with small integer values, zeros
+    included, timestamps with ties, and a user subset that can be empty or
+    leave some items untouched."""
+    n_users, n_items = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1)),
+                          unique=True, max_size=40))
+    values = draw(st.lists(st.integers(-2, 5), min_size=len(pairs), max_size=len(pairs)))
+    stamps = draw(st.lists(st.integers(0, 6), min_size=len(pairs), max_size=len(pairs)))
+    iset = make_iset([(u, i, float(v)) for (u, i), v in zip(pairs, values)],
+                     n_users=n_users, n_items=n_items, timestamps=stamps)
+    subset = np.asarray(draw(st.lists(st.integers(0, n_users - 1), unique=True)), dtype=np.int64)
+    return iset, subset
+
+
+@settings(max_examples=200, deadline=None)
+@given(counted_logs())
+def test_popularity_matches_matrix_column_sums(log):
+    iset, subset = log
+    for users in (None, subset):
+        got = popularity(iset, users)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, popularity_reference(iset, users))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counted_logs(), st.integers(1, 6))
+def test_time_intervals_match_add_at_loop(log, n_intervals):
+    iset, subset = log
+    try:
+        want = time_intervals_reference(iset, n_intervals, subset)
+    except DataError as exc:
+        with pytest.raises(DataError, match=str(exc)):
+            time_intervals(iset, n_intervals, subset)
+        return
+    got = time_intervals(iset, n_intervals, subset)
+    for name in ("boundaries", "pops", "counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def test_time_intervals_counts_and_pops():
@@ -352,7 +395,7 @@ def test_time_intervals_counts_and_pops():
     idx = time_intervals(iset, 3, user_subset=np.array([0]))
     np.testing.assert_array_equal(np.sort(idx.counts), [3, 3, 4])
     assert idx.counts.sum() == 10
-    np.testing.assert_allclose(idx.pops.sum(axis=0), popularity(to_user_item_matrix(iset)))
+    np.testing.assert_allclose(idx.pops.sum(axis=0), popularity(iset))
     assert idx.boundaries[0] == 0
     assert idx.boundaries[-1] == 9
 

@@ -14,7 +14,6 @@ from gramrec import (
     EvalReport,
     PopularityScorer,
     SplitSpec,
-    UserItemMatrix,
     apply_item_rescaling,
     build_gram,
     evaluate_model,
@@ -186,8 +185,8 @@ def test_constant_scores_rank_by_ascending_id():
 
 
 def test_popularity_baseline_matches_manual_protocol():
-    model, matrix, split, _ = eval_setup()
-    pop = popularity(matrix, split.train_users)
+    model, matrix, split, iset = eval_setup()
+    pop = popularity(iset, split.train_users)
     report = evaluate_model(PopularityScorer(pop), matrix, split, recall_ks=(3, 5), ndcg_k=6)
 
     per_metric = {"recall@3": [], "recall@5": [], "ndcg@6": []}
@@ -358,7 +357,7 @@ def test_time_aware_single_interval_equals_plain():
     plain = evaluate_model(model, matrix, split, recall_ks=(3, 5), ndcg_k=6)
     idx = time_intervals(iset, 1, split.train_users)
     timed = evaluate_time_aware(
-        model, iset, split, matrix, idx, alpha=0.5, recall_ks=(3, 5), ndcg_k=6
+        model, iset, split, idx, alpha=0.5, recall_ks=(3, 5), ndcg_k=6
     )
     assert plain.metrics == timed.metrics  # bit-for-bit, not approximately
     assert plain.n_users == timed.n_users
@@ -370,7 +369,7 @@ def test_time_aware_alpha_zero_equals_plain():
     plain = evaluate_model(model, matrix, split, recall_ks=(3, 5), ndcg_k=6)
     idx = time_intervals(iset, 5, split.train_users)
     timed = evaluate_time_aware(
-        model, iset, split, matrix, idx, alpha=0.0, recall_ks=(3, 5), ndcg_k=6
+        model, iset, split, idx, alpha=0.0, recall_ks=(3, 5), ndcg_k=6
     )
     assert plain.metrics == timed.metrics
 
@@ -378,8 +377,8 @@ def test_time_aware_alpha_zero_equals_plain():
 def test_time_aware_weighting_changes_ranks():
     model, matrix, split, iset = timed_setup()
     idx = time_intervals(iset, 5, split.train_users)
-    a = evaluate_time_aware(model, iset, split, matrix, idx, alpha=0.0, recall_ks=(3,), ndcg_k=6)
-    b = evaluate_time_aware(model, iset, split, matrix, idx, alpha=1.0, recall_ks=(3,), ndcg_k=6)
+    a = evaluate_time_aware(model, iset, split, idx, alpha=0.0, recall_ks=(3,), ndcg_k=6)
+    b = evaluate_time_aware(model, iset, split, idx, alpha=1.0, recall_ks=(3,), ndcg_k=6)
     assert a.metrics != b.metrics
     assert b.config["n_intervals"] == 5
     assert "note" in b.config
@@ -420,7 +419,7 @@ def test_time_aware_rank_collisions_clamped():
     b[np.ix_([1, 2], [out0, out1])] = 0.5
     model = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
     report = evaluate_time_aware(
-        model, iset, split, to_user_item_matrix(iset), idx, alpha=1.0, recall_ks=(1,), ndcg_k=2
+        model, iset, split, idx, alpha=1.0, recall_ks=(1,), ndcg_k=2
     )
     assert report.metrics["recall@1"][0] == 1.0
     assert report.metrics["ndcg@2"][0] == 1.0
@@ -433,22 +432,15 @@ def test_time_aware_input_validation():
 
     rr = solve_rr(build_gram(matrix), lam=1.0)
     with pytest.raises(DataError, match="zero-diagonal"):
-        evaluate_time_aware(rr, iset, split, matrix, idx, alpha=0.5)
+        evaluate_time_aware(rr, iset, split, idx, alpha=0.5)
 
     weighted = apply_item_rescaling(model, uniform_weights(model.n_items))
     with pytest.raises(DataError, match="unweighted"):
-        evaluate_time_aware(weighted, iset, split, matrix, idx, alpha=0.5)
+        evaluate_time_aware(weighted, iset, split, idx, alpha=0.5)
 
     bare = make_iset([(0, 0, 1.0), (0, 1, 1.0)])
     with pytest.raises(DataError, match="timestamp"):
-        evaluate_time_aware(model, bare, split, matrix, idx, alpha=0.5)
-
-    with pytest.raises(DataError, match="matrix is"):
-        evaluate_time_aware(model, iset, split, matrix.restrict_users([0, 1]), idx, alpha=0.5)
-    extra = matrix.matrix.tolil()
-    extra[0, np.flatnonzero(matrix.matrix[0].toarray().ravel() == 0)[0]] = 1.0
-    with pytest.raises(DataError, match="not events"):
-        evaluate_time_aware(model, iset, split, UserItemMatrix(extra.tocsr()), idx, alpha=0.5)
+        evaluate_time_aware(model, bare, split, idx, alpha=0.5)
 
 
 def test_time_aware_folds_the_matrix_rows():
@@ -463,8 +455,8 @@ def test_time_aware_folds_the_matrix_rows():
     assert matrix.matrix.nnz < iset.n_events
     kwargs = dict(alpha=0.5, recall_ks=(3, 5), ndcg_k=6)
     plain = evaluate_model(model, matrix, split, recall_ks=(3, 5), ndcg_k=6)
-    timed = evaluate_time_aware(model, iset, split, matrix,
-                                time_intervals(iset, 1, split.train_users), **kwargs)
+    timed = evaluate_time_aware(model, iset, split, time_intervals(iset, 1, split.train_users),
+                                **kwargs)
     assert plain.metrics == timed.metrics
     assert (plain.n_users, plain.n_skipped) == (timed.n_users, timed.n_skipped)
 
@@ -472,7 +464,7 @@ def test_time_aware_folds_the_matrix_rows():
     kept = values != 0.0
     stored = replace(iset, user_ids=iset.user_ids[kept], item_ids=iset.item_ids[kept],
                      values=values[kept], timestamps=iset.timestamps[kept])
-    assert (evaluate_time_aware(model, iset, split, matrix, idx, **kwargs).to_json()
+    assert (evaluate_time_aware(model, iset, split, idx, **kwargs).to_json()
             == evaluate_time_aware_reference(model, stored, split, idx, **kwargs).to_json())
 
 
@@ -643,11 +635,11 @@ def test_evaluate_model_matches_per_user_sort(case, kind):
                        mu=r.standard_normal(n) if kind == "mu" else None)
     if kind == "weights":
         model = apply_item_rescaling(
-            model, popularity_weights(popularity(matrix), alpha=0.5))
+            model, popularity_weights(popularity(iset), alpha=0.5))
     elif kind == "sparse":
         model = mask_model(model, threshold_pattern(r.random((n, n)), theta=0.7))
     elif kind.startswith("popularity"):
-        pop = popularity(matrix) if kind == "popularity" else np.ones(n)
+        pop = popularity(iset) if kind == "popularity" else np.ones(n)
         model = PopularityScorer(pop)
     kwargs = dict(recall_ks=recall_ks, ndcg_k=ndcg_k)
     with with_chunk(chunk):
@@ -669,11 +661,10 @@ def test_evaluate_time_aware_matches_per_event_sort(case, n_intervals, alpha, ki
     if binarize:  # the log as load_interactions(binarize=True) gives it
         iset = replace(iset, values=np.ones_like(iset.values))
     idx = time_intervals(iset, n_intervals, split.test_users)
-    matrix = to_user_item_matrix(iset)
     kwargs = dict(alpha=alpha, recall_ks=recall_ks, ndcg_k=ndcg_k)
     with with_chunk(chunk):
         got, expected = reports_or_errors(
-            lambda: evaluate_time_aware(model, iset, split, matrix, idx, **kwargs),
+            lambda: evaluate_time_aware(model, iset, split, idx, **kwargs),
             lambda: evaluate_time_aware_reference(model, iset, split, idx, **kwargs),
         )
     assert got == expected
@@ -728,7 +719,7 @@ def test_metric_cutoffs_must_be_positive():
         evaluate_model(model, matrix, split, recall_ks=(0, 20))
     idx = time_intervals(iset, 2, split.train_users)
     with pytest.raises(DataError, match="cutoffs"):
-        evaluate_time_aware(model, iset, split, matrix, idx, alpha=0.5, ndcg_k=0)
+        evaluate_time_aware(model, iset, split, idx, alpha=0.5, ndcg_k=0)
 
 
 def test_grid_search_draws_folds_once():

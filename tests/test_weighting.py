@@ -40,6 +40,13 @@ def test_popularity_weights_zero_pop_needs_epsilon():
     assert np.all(np.isfinite(w.w))
 
 
+@pytest.mark.parametrize("pop,cause", [([0.0, 1.0], "popularity 0 with epsilon=0"),
+                                       ([-4.0, 1.0], "negative popularity")])
+def test_bad_weight_names_its_cause(pop, cause):
+    with pytest.raises(DataError, match=cause):
+        popularity_weights(np.array(pop), alpha=0.5, epsilon=0.0)
+
+
 def test_alpha_range_checked():
     pop = np.ones(2)
     with pytest.raises(DataError, match="alpha"):
