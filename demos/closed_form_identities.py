@@ -21,19 +21,22 @@ import numpy as np
 import scipy.sparse as sp
 
 from gramrec import UserItemMatrix, build_gram, solve_rr, solve_zero_diag
+from gramrec.packed import unpack
 
 rng = np.random.default_rng(0)
 n_users, n_items, lam = 60, 8, 2.0
 
 dense = (rng.random((n_users, n_items)) < 0.35).astype(np.float64)
 x = UserItemMatrix(matrix=sp.csr_matrix(dense))
-g = build_gram(x).g  # the target C is G here
+# G is held as its lower triangle in packed storage; the target C is G here
+g = unpack(build_gram(x).g)
 
 print("Gram diagonal (per-item interaction counts):")
 print(np.diag(g).astype(int))
 
-# each solve consumes the statistics it is given (P is made in G's buffer),
-# so every solve below gets a fresh build
+# each solve consumes the statistics it is given (P is made in G's packed
+# buffer), so every solve below gets a fresh build; a solved model forms B
+# from P whenever .b is read
 rr = solve_rr(build_gram(x), lam=lam)
 zd = solve_zero_diag(build_gram(x), lam=lam)
 print("\nridge diagonal       :", np.round(np.diag(rr.b), 3))

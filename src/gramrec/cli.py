@@ -103,9 +103,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _finite_floats(text: str) -> list[float]:
-    """argparse type of a comma-separated list of finite floats."""
-    return [_finite_float(v) for v in text.split(",") if v.strip()]
+def _positive_float(text: str) -> float:
+    """argparse type of --lambda: a finite number above 0."""
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _positive_floats(text: str) -> list[float]:
+    """argparse type of --lambda-grid: a non-empty comma-separated list of
+    finite numbers above 0."""
+    values = [_positive_float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _unit_float(text: str) -> float:
@@ -117,15 +129,28 @@ def _unit_float(text: str) -> float:
 
 
 def _non_negative_float(text: str) -> float:
-    """argparse type of --epsilon: a finite number of at least 0."""
+    """argparse type of --epsilon and --threshold: a finite number of at least 0."""
     value = _finite_float(text)
     if value < 0.0:
         raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    """argparse type of a comma-separated list of integers."""
+def _int_at_least(low: int):
+    """argparse type of an integer option of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _cutoff_list(text: str) -> list[int]:
+    """argparse type of --recall-ks: comma-separated integers of at least 1."""
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -133,13 +158,9 @@ def _int_list(text: str) -> list[int]:
             f"expected comma-separated numbers, got {text!r}") from None
     if not all(v.is_integer() for v in values):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not all(v >= 1 for v in values):
+        raise argparse.ArgumentTypeError(f"expected cutoffs of at least 1, got {text!r}")
     return [int(v) for v in values]
-
-
-def _check_lambda(lam: float) -> float:
-    if lam <= 0:
-        raise UsageError(f"--lambda must be positive, got {lam}")
-    return lam
 
 
 def _schema_from_args(args) -> InteractionSchema | None:
@@ -217,6 +238,11 @@ def _training_user_weights(path: str, iset: InteractionSet, split) -> np.ndarray
     return w
 
 
+def _log_gram(gram, seconds: float) -> None:
+    _log(f"phase gram: {seconds:.2f}s ({gram.n_items} items, {gram.n_users} users, "
+         f"packed G {gram.g.nbytes} bytes)")
+
+
 def _build_train_gram(args, matrix, split, user_weights):
     train_matrix = matrix.restrict_users(split.train_users)
     if args.disjoint:
@@ -248,18 +274,18 @@ def cmd_train(args) -> int:
     solver_fn = _VARIANT_FLAGS[args.variant]
     t0 = time.perf_counter()
     if args.lambda_grid is not None:
-        lams = [_check_lambda(v) for v in args.lambda_grid]
-        lam, reports, model = grid_search_lambda(build, matrix, split, lams, solver=solver_fn)
+        lam, reports, model = grid_search_lambda(build, matrix, split, args.lambda_grid,
+                                                 solver=solver_fn)
         _log(f"phase grid search: {time.perf_counter() - t0:.2f}s")
         for val in sorted(reports):
             mean, stderr = reports[val].metrics["ndcg@100"]
             _log(f"grid lambda={val:g}: ndcg@100 = {mean:.5f} (stderr {stderr:.5f})")
         _log(f"grid search chose lambda={lam:g}")
     else:
-        lam = _check_lambda(getattr(args, "lambda"))
+        lam = getattr(args, "lambda")
         gram = build()
         t_gram = time.perf_counter()
-        _log(f"phase gram: {t_gram - t0:.2f}s ({gram.n_items} items, {gram.n_users} users)")
+        _log_gram(gram, t_gram - t0)
         model = solver_fn(gram, lam)
         _log(f"phase solve: {time.perf_counter() - t_gram:.2f}s")
 
@@ -272,21 +298,15 @@ def cmd_train_sparse(args) -> int:
     iset = _load_events(args)
     matrix = to_user_item_matrix(iset)
     split = _load_split(args, iset)
-    lam = _check_lambda(getattr(args, "lambda"))
-    theta = args.threshold
-    if theta < 0:
-        raise UsageError(f"--threshold must be non-negative, got {theta}")
+    lam, theta, n_max = getattr(args, "lambda"), args.threshold, args.n_max
     if theta == 0:
         _log("warning: threshold 0 keeps every pair; expect one giant block capped by --n-max")
-    n_max = args.n_max
-    if n_max < 1:
-        raise UsageError(f"--n-max must be at least 1, got {n_max}")
 
     t0 = time.perf_counter()
     train_matrix = matrix.restrict_users(split.train_users)
     gram = build_gram(train_matrix)
     t_gram = time.perf_counter()
-    _log(f"phase gram: {t_gram - t0:.2f}s ({gram.n_items} items, {gram.n_users} users)")
+    _log_gram(gram, t_gram - t0)
     model = train_sparse(gram, theta=theta, n_max=n_max, lam=lam)
     t_solve = time.perf_counter()
     _log(f"phase sparse solve: {t_solve - t_gram:.2f}s")
@@ -354,8 +374,6 @@ def cmd_recommend(args) -> int:
         raise DataError(f"{args.model}: model file carries no item keys; cannot map history")
     item_index = {key: i for i, key in enumerate(item_keys)}
     top_k = args.top_k
-    if top_k < 0:
-        raise UsageError(f"--top-k must be non-negative, got {top_k}")
     if args.weights is not None:
         if not isinstance(model, DenseModel):
             raise DataError("--weights applies to dense model files")
@@ -459,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_split_options(p)
     p.add_argument("--output", required=True, help="model file to write")
     lam = p.add_mutually_exclusive_group(required=True)
-    lam.add_argument("--lambda", type=_finite_float, help="regularization strength")
-    lam.add_argument("--lambda-grid", dest="lambda_grid", type=_finite_floats,
+    lam.add_argument("--lambda", type=_positive_float, help="regularization strength")
+    lam.add_argument("--lambda-grid", dest="lambda_grid", type=_positive_floats,
                      help="comma-separated candidates; best on validation users wins")
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default="zero-diag",
                    help="rr or zero-diag (default)")
@@ -481,10 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_options(p)
     _add_split_options(p)
     p.add_argument("--output", required=True)
-    p.add_argument("--lambda", type=_finite_float, required=True)
-    p.add_argument("--threshold", type=_finite_float, required=True,
+    p.add_argument("--lambda", type=_positive_float, required=True)
+    p.add_argument("--threshold", type=_non_negative_float, required=True,
                    help="minimum |correlation| kept in the pattern")
-    p.add_argument("--n-max", dest="n_max", type=int, default=1000,
+    p.add_argument("--n-max", dest="n_max", type=_int_at_least(1), default=1000,
                    help="per-column cap (default 1000)")
     p.set_defaults(func=cmd_train_sparse)
 
@@ -498,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-scaling exponent in [0, 1] (default 0.5)")
     p.add_argument("--epsilon", type=_non_negative_float, default=DEFAULT_EPSILON,
                    help="additive popularity smoothing, at least 0")
-    p.add_argument("--intervals", type=int, help="number of equal-count time intervals")
+    p.add_argument("--intervals", type=_int_at_least(1),
+                   help="number of equal-count time intervals")
     p.add_argument("--at-time", dest="at_time", type=_finite_float,
                    help="timestamp whose interval supplies the weights (mode time)")
     p.add_argument("--weights-out", dest="weights_out", help="weight CSV to write")
@@ -513,11 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
     scorer.add_argument("--baseline", choices=("popularity",),
                         help="score by training popularity")
     p.add_argument("--users", choices=("test", "validation"), default="test")
-    p.add_argument("--recall-ks", dest="recall_ks", type=_int_list, default="20,50",
+    p.add_argument("--recall-ks", dest="recall_ks", type=_cutoff_list, default="20,50",
                    help="comma-separated cutoffs (default 20,50)")
-    p.add_argument("--ndcg-k", dest="ndcg_k", type=int, default=100,
+    p.add_argument("--ndcg-k", dest="ndcg_k", type=_int_at_least(1), default=100,
                    help="gain cutoff (default 100)")
-    p.add_argument("--time-intervals", dest="time_intervals", type=int,
+    p.add_argument("--time-intervals", dest="time_intervals", type=_int_at_least(1),
                    help="evaluate per event with interval popularity re-scaling")
     p.add_argument("--alpha", type=_unit_float, default=0.5,
                    help="re-scaling exponent in [0, 1] for --time-intervals")
@@ -529,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recommend", help="top-k items for an ad-hoc history")
     p.add_argument("--model", required=True, help="model file (dense or sparse)")
     p.add_argument("--history", default="", help="comma-separated item keys")
-    p.add_argument("--top-k", dest="top_k", type=int, default=10)
+    p.add_argument("--top-k", dest="top_k", type=_int_at_least(0), default=10)
     p.add_argument("--weights", help="item weight CSV applied by column scaling")
     p.add_argument("--popularity", help="popularity CSV for the empty-history fallback")
     p.set_defaults(func=cmd_recommend)
@@ -600,6 +619,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return 2
     except (GramrecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,8 +27,10 @@ import math
 import os
 import struct
 from contextlib import contextmanager
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,42 +88,56 @@ class Container:
         return value
 
 
+class Pieces(NamedTuple):
+    """A float array written piece by piece: its shape, and its C-ordered
+    contents as consecutive pieces, which are made only as they are written."""
+
+    shape: tuple[int, ...]
+    pieces: Iterable[np.ndarray]
+
+
 def write_container(
     path: str | Path,
     kind: str,
     n_items: int,
     meta: dict,
-    arrays: dict[str, np.ndarray],
+    arrays: dict[str, np.ndarray | Pieces],
     keys: dict[str, list[str] | None],
 ) -> None:
     """Write one container atomically.  Integer arrays are stored as ``<i8``,
     the others as ``<f8``, each from its own buffer when it already has that
-    dtype and layout; key tables given as None are left out."""
+    dtype and layout; key tables given as None are left out.  Every array
+    is hashed as it is written, and the digest filled in after the last."""
     keys = {name: table for name, table in keys.items() if table is not None}
     if "items" in keys and len(keys["items"]) != n_items:
         raise DataError(f"expected {n_items} item keys, got {len(keys['items'])}")
-    arrays = {
-        name: np.ascontiguousarray(arr, "<i8" if np.issubdtype(arr.dtype, np.integer) else "<f8")
-        for name, arr in arrays.items()
-    }
+    arrays = {name: (arr, "<f8") if isinstance(arr, Pieces) else
+              (Pieces(arr.shape, [arr]), "<i8" if np.issubdtype(arr.dtype, np.integer) else "<f8")
+              for name, arr in arrays.items()}
     header = json.dumps(
         {"kind": kind, "meta": meta, "keys": keys,
-         "arrays": [{"name": name, "dtype": arr.dtype.str, "shape": arr.shape}
-                    for name, arr in arrays.items()]},
+         "arrays": [{"name": name, "dtype": dtype, "shape": arr.shape}
+                    for name, (arr, dtype) in arrays.items()]},
         sort_keys=True, ensure_ascii=False, allow_nan=False, separators=(",", ":"),
     ).encode("utf-8")
     head = _HEAD.pack(_MAGIC, _VERSION, n_items, len(header))
-    buffers = [memoryview(arr) for arr in arrays.values()]
     digest = hashlib.sha256(head)
     digest.update(header)
-    for buf in buffers:
-        digest.update(buf)
     with atomic_write(path, binary=True) as fh:
         fh.write(head)
-        fh.write(digest.digest())
+        fh.write(bytes(_DIGEST_SIZE))
         fh.write(header)
-        for buf in buffers:
-            fh.write(buf)
+        for name, (arr, dtype) in arrays.items():
+            written = 0
+            for piece in arr.pieces:
+                buf = memoryview(np.ascontiguousarray(piece, dtype))
+                digest.update(buf)
+                fh.write(buf)
+                written += buf.nbytes
+            if written != 8 * math.prod(arr.shape):
+                raise ValueError(f"array {name!r}: {written} bytes for shape {arr.shape}")
+        fh.seek(_HEAD.size)
+        fh.write(digest.digest())
 
 
 def container_kind(path: str | Path) -> str:

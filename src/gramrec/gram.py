@@ -3,9 +3,11 @@ description of the target C = XᵀY.
 
 Every model in this package is a function of G and a few per-item vectors,
 computed in a single pass over the sparse interaction rows, in ascending
-user-id order.  Includes the disjoint-split construction that removes the
-diagonal of C, optional target-column centering and per-user error
-weighting; none of them forms C.
+user-id order.  G is held as its lower triangle in rectangular full packed
+storage (:mod:`gramrec.packed`), n(n+1)/2 floats written one row panel at a
+time.  Includes the disjoint-split construction that removes the diagonal
+of C, optional target-column centering and per-user error weighting; none
+of them forms C.
 """
 
 from __future__ import annotations
@@ -15,18 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import packed
 from .data import UserItemMatrix
 from .errors import DataError
-
-# Rows or columns per panel wherever an n×n result is built or rewritten
-# piecewise: temporaries stay at PANEL·n floats.
-PANEL = 256
+from .packed import PANEL
 
 
 @dataclass
 class GramStats:
-    """The Gram matrix G = XᵀX plus the O(n) vectors that describe the
-    target C = XᵀY a solve fits, without C itself.
+    """The Gram matrix G = XᵀX, packed (see :mod:`gramrec.packed`), plus the
+    O(n) vectors that describe the target C = XᵀY a solve fits, without C
+    itself.
 
     Every target a builder makes is C = κ·(G − diagMat(d)) − s·μᵀ, where
     s = ``colsum`` holds the column sums Xᵀ1, ``mu`` the target column means
@@ -69,39 +70,38 @@ def _colsum(x: sp.csr_matrix) -> np.ndarray:
     return np.asarray(x.sum(axis=0)).ravel().astype(np.float64)
 
 
-def _symmetrize(g: np.ndarray) -> None:
-    """g ← 0.5*(g + gᵀ) in place, one row panel at a time: each panel's
-    rows from the diagonal rightwards are averaged with the matching columns
-    and written to both halves.  Addition commutes, so every entry is
-    bitwise what the whole-matrix expression gives."""
-    n = g.shape[0]
-    for lo in range(0, n, PANEL):
-        hi = min(lo + PANEL, n)
-        half = g[lo:hi, lo:] + g[lo:, lo:hi].T
-        half *= 0.5
-        g[lo:hi, lo:] = half
-        g[lo:, lo:hi] = half.T
-        del half  # before the next panel is allocated
+def _product_rows(xt: sp.csr_matrix, y: sp.csr_matrix, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of Xᵀ·Y as a dense array.  Each row sums over Xᵀ's row in
+    the same order whatever other rows are taken, so the rows are bitwise
+    those of the whole product."""
+    start, end = xt.indptr[lo], xt.indptr[hi]
+    rows = sp.csr_matrix(  # a view of xt's rows, where xt[lo:hi] would copy them
+        (xt.data[start:end], xt.indices[start:end], xt.indptr[lo : hi + 1] - start),
+        shape=(hi - lo, xt.shape[1]),
+    )
+    return (rows @ y).astype(np.float64, copy=False).toarray()
 
 
 def _gram(x: sp.csr_matrix, xw: sp.csr_matrix) -> np.ndarray:
-    """Densified, symmetrized XᵀXw, accumulated in float64 over ascending
-    user ids.  The product is written one row panel of Xᵀ at a time, so
-    that no sparse product of all rows is held; each row of it sums over
-    Xᵀ's row in the same order whatever other rows are taken, so the panels
-    are bitwise the whole product."""
+    """The symmetrized product ½(XᵀXw + XwᵀX), accumulated in float64 over
+    ascending user ids, packed (see :mod:`gramrec.packed`).  It is made one
+    row panel at a time, of at most PANEL rows and a quarter of the rows,
+    and only the panel's lower triangle is stored; no n×n array is
+    allocated.  XᵀX is exactly symmetric, so without weights the panel is
+    the product's own rows."""
     xt = x.T.tocsr()
+    xwt = None if xw is x else xw.T.tocsr()
     n = xt.shape[0]
-    g = np.empty((n, n), dtype=np.float64)
-    for lo in range(0, n, PANEL):
-        hi = min(lo + PANEL, n)
-        start, end = xt.indptr[lo], xt.indptr[hi]
-        rows = sp.csr_matrix(  # a view of xt's rows, where xt[lo:hi] would copy them
-            (xt.data[start:end], xt.indices[start:end], xt.indptr[lo : hi + 1] - start),
-            shape=(hi - lo, xt.shape[1]),
-        )
-        (rows @ xw).astype(np.float64, copy=False).toarray(out=g[lo:hi])
-    _symmetrize(g)
+    g = np.empty(packed.size(n))
+    step = max(1, min(PANEL, -(-n // 4)))  # a panel is at most a quarter of n² floats
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        panel = _product_rows(xt, xw, lo, hi)
+        if xwt is not None:
+            panel += _product_rows(xwt, x, lo, hi)  # rows of the transpose: same products
+            panel *= 0.5
+        packed.write_rows(g, lo, panel)
+        del panel  # before the next panel is allocated
     return g
 
 
@@ -157,9 +157,10 @@ def build_disjoint_gram(
         if not 0.0 < p < 1.0:
             raise DataError(f"split fraction must be in (0, 1), got {p}")
         kappa = p / (1.0 - p)
-        diag = np.diag(g).copy()
+        at = packed.diagonal_index(g)
+        diag = g[at]
         g *= (1.0 - p) ** 2
-        np.fill_diagonal(g, (1.0 - p) ** 2 * diag + p * (1.0 - p) * diag)
+        g[at] = (1.0 - p) ** 2 * diag + p * (1.0 - p) * diag
     return GramStats(g=g, n_users=z.n_users, colsum=_colsum(z.matrix), kappa=kappa,
                      removed_diag=True)
 

@@ -14,10 +14,13 @@ formed: with v = P*s,
     zero-diagonal:  B_ij = -P_ij*(kappa - v_j*mu_j)/P_jj - v_i*mu_j  (i != j),
 
 the EASE read-off B_ij = -P_ij / P_jj for plain statistics (Steck,
-"Embarrassingly Shallow Autoencoders for Sparse Data", WWW 2019).  Both are
-written into P's buffer, which is G's.  The solvers return
-:class:`DenseModel`, which also carries the provenance needed for scoring
-(centering means, applied item weights) and the multipliers as diagnostics.
+"Embarrassingly Shallow Autoencoders for Sparse Data", WWW 2019).  P is
+made in G's packed buffer (see :mod:`gramrec.packed`), and B is never
+held whole: a trained model keeps P and O(n) vectors, and forms B a panel
+of rows or columns at a time when it is scored or saved.  The solvers
+return :class:`DenseModel`, which also carries the provenance needed for
+scoring (centering means, applied item weights) and the multipliers as
+diagnostics.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import lapack
 
+from . import packed
 from .errors import DataError, NumericalError
-from .files import read_container, write_container
+from .files import Pieces, read_container, write_container
 from .gram import PANEL, GramStats
 
 if TYPE_CHECKING:
@@ -42,25 +46,67 @@ VARIANT_ZERO_DIAG = "zero_diag"
 
 @dataclass
 class PrecisionMatrix:
-    """P = (G + lambda*I)^-1, symmetric."""
+    """P = (G + lambda*I)^-1, packed."""
 
     p: np.ndarray
 
     @property
     def n_items(self) -> int:
-        return self.p.shape[0]
+        return packed.order(self.p)
+
+
+@dataclass
+class ReadOff:
+    """B formed from packed P one panel at a time:
+
+        B_ij = P_ij / c_j - v_i*mu_j,
+
+    with the diagonal written as zero, or, when ``kappa`` is given, as
+    P_jj / c_j + kappa - v_j*mu_j.  Rows and columns hold the same entries."""
+
+    p: np.ndarray
+    c: np.ndarray
+    v: np.ndarray | None = None
+    mu: np.ndarray | None = None
+    kappa: float | None = None
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """B[lo:hi], C-ordered."""
+        b = packed.rows(self.p, lo, hi)
+        b /= self.c
+        diag = (np.arange(b.shape[0]), np.arange(lo, lo + b.shape[0]))
+        return self._finish(b, diag, self.v[lo:hi, None] * self.mu if self.v is not None else None)
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """B[:, lo:hi], C-ordered."""
+        b = packed.columns(self.p, lo, hi)
+        b /= self.c[lo:hi]
+        diag = (np.arange(lo, lo + b.shape[1]), np.arange(b.shape[1]))
+        return self._finish(b, diag, self.v[:, None] * self.mu[lo:hi] if self.v is not None else None)
+
+    def _finish(self, b: np.ndarray, diag, centering: np.ndarray | None) -> np.ndarray:
+        """The diagonal and the centering term v*mu^T of a panel of P/c."""
+        if self.kappa is not None:
+            b[diag] += self.kappa
+        if centering is not None:
+            b -= centering
+        if self.kappa is None:
+            b[diag] = 0.0
+        return b
 
 
 @dataclass
 class DenseModel:
-    """A learned item-item weight matrix plus the flags that produced it.
+    """A learned item-item weight matrix B plus the flags that produced it.
 
-    ``gamma`` holds the per-item Lagrange multipliers of the zero-diagonal
-    constraint when the variant has one; it is diagnostic only and is not
-    persisted.
+    ``matrix`` is B as an n×n array (a model read from a file or rescaled),
+    or a :class:`ReadOff` of packed P (a model just trained), which forms B
+    panel by panel.  ``gamma`` holds the per-item Lagrange multipliers of
+    the zero-diagonal constraint when the variant has one; it is diagnostic
+    only and is not persisted.
     """
 
-    b: np.ndarray
+    matrix: np.ndarray | ReadOff
     variant: str
     lam: float
     mu: np.ndarray | None = None
@@ -68,105 +114,102 @@ class DenseModel:
     gamma: np.ndarray | None = None
 
     @property
+    def b(self) -> np.ndarray:
+        """B as an n×n array; a trained model forms it anew on each access."""
+        m = self.matrix
+        return m if isinstance(m, np.ndarray) else m.rows(0, self.n_items)
+
+    @property
     def n_items(self) -> int:
-        return self.b.shape[0]
+        m = self.matrix
+        return m.shape[0] if isinstance(m, np.ndarray) else len(m.c)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """B[lo:hi]."""
+        m = self.matrix
+        return m[lo:hi] if isinstance(m, np.ndarray) else m.rows(lo, hi)
 
 
 def invert_regularized(gram: GramStats, lam: float) -> PrecisionMatrix:
-    """(G + lambda*I)^-1 by Cholesky factorization, made in G's own buffer.
+    """(G + lambda*I)^-1 by Cholesky factorization, made in G's packed buffer.
 
     lambda > 0 makes the matrix positive definite whenever G is positive
-    semi-definite, so the factorization doubles as the error check.  Gᵀ,
-    which is G's buffer in Fortran order and equal to G since every builder
-    makes G exactly symmetric, is factored and inverted in place; the result
-    is that buffer with the triangle mirrored panel by panel.  The
-    statistics are consumed: ``gram.g`` is set to None, so solving them
-    again raises instead of inverting P.
+    semi-definite, so the factorization doubles as the error check.  G's
+    lower triangle in rectangular full packed storage is factored and
+    inverted in place by LAPACK's ``dpftrf`` and ``dpftri``.  The statistics
+    are consumed: ``gram.g`` is set to None, so solving them again raises
+    instead of inverting P.
     """
-    n = gram.require_g().shape[0]
+    g = np.ascontiguousarray(gram.require_g(), dtype=np.float64)
+    n = packed.order(g)
     if not 0 < lam < np.inf:
         raise DataError(f"regularization strength must be positive and finite, got {lam}")
-    for lo in range(0, n, PANEL):
-        if not np.isfinite(gram.g[lo : lo + PANEL]).all():
+    for lo in range(0, g.size, PANEL * max(n, 1)):
+        if not np.isfinite(g[lo : lo + PANEL * n]).all():
             raise NumericalError("Gram matrix contains non-finite entries")
-    a = np.asarray(gram.g, dtype=np.float64, order="C").T
     gram.g = None
-    idx = np.diag_indices_from(a)
-    a[idx] += lam
-    chol, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
+    g[packed.diagonal_index(g)] += lam
+    chol, info = lapack.dpftrf(n, g, transr="N", uplo="L", overwrite_a=1)
     if info != 0:
         raise NumericalError(
             f"Cholesky factorization of G + {lam}*I failed (info={info}); "
             "the matrix is not positive definite"
         )
-    inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
+    p, info = lapack.dpftri(n, chol, transr="N", uplo="L", overwrite_a=1)
     if info != 0:
         raise NumericalError(f"triangular inversion failed (info={info})")
-    # The inverse fills the lower triangle of the Fortran-ordered buffer, so
-    # the upper triangle of its transpose; the other triangle is zero (clean=1).
-    # Every entry gets +0.0, which turns -0.0 into 0.0: exact zeros of P
-    # (between unconnected items) are written to model files as +0.0.
-    p = inv.T
-    for lo in range(0, n, PANEL):
-        hi = min(lo + PANEL, n)
-        block = p[lo:hi, lo:hi]
-        block += np.triu(block, 1).T
-        p[lo:hi, hi:] += 0.0
-        p[hi:, lo:hi] = p[lo:hi, hi:].T
+    # +0.0 turns -0.0 into 0.0: exact zeros of P (between unconnected
+    # items) are written to model files as +0.0.
+    p += 0.0
     return PrecisionMatrix(p=p)
 
 
 def _positive_diag(p: np.ndarray) -> np.ndarray:
-    dp = np.diag(p).copy()
+    dp = packed.diagonal(p)
     if not np.all(dp > 0):
         raise NumericalError("precision matrix has a non-positive diagonal entry")
     return dp
 
 
 def _target_vectors(gram: GramStats, lam: float):
-    """P in G's buffer (see :func:`invert_regularized`), the diagonal d the
-    target removes (0 when it keeps it) and v = P*s for centered targets."""
-    d = np.diag(gram.require_g()).copy() if gram.removed_diag else 0.0
+    """P, packed in G's buffer (see :func:`invert_regularized`), the diagonal
+    d the target removes (0 when it keeps it) and v = P*s for centered
+    targets, made in row panels of P."""
+    d = packed.diagonal(gram.require_g()) if gram.removed_diag else 0.0
     p = invert_regularized(gram, lam).p
-    return p, d, None if gram.mu is None else p @ gram.colsum
-
-
-def _subtract_outer(b: np.ndarray, v: np.ndarray | None, mu: np.ndarray | None) -> None:
-    """b -= v*mu^T in row panels, when the target is centered."""
-    if v is not None:
-        for lo in range(0, len(v), PANEL):
-            b[lo : lo + PANEL] -= np.outer(v[lo : lo + PANEL], mu)
+    if gram.mu is None:
+        return p, d, None
+    n = gram.n_items
+    return p, d, np.concatenate([np.zeros(0)] + [packed.rows(p, lo, lo + PANEL) @ gram.colsum
+                                                 for lo in range(0, n, PANEL)])
 
 
 def solve_rr(gram: GramStats, lam: float) -> DenseModel:
-    """Unconstrained ridge solution B = P*C, written into P's buffer and
+    """Unconstrained ridge solution B = P*C, read off P in G's buffer and
     consuming the statistics (see :func:`invert_regularized`)."""
     p, d, v = _target_vectors(gram, lam)
     kappa = gram.kappa
-    b = np.multiply(p, -kappa * (lam + d), out=p)
-    b[np.diag_indices_from(b)] += kappa
-    _subtract_outer(b, v, gram.mu)
-    return DenseModel(b=b, variant=VARIANT_RR, lam=lam, mu=gram.mu)
+    c = np.broadcast_to(-1.0 / (kappa * (lam + d)), gram.n_items)
+    return DenseModel(matrix=ReadOff(p, c, v, gram.mu, kappa), variant=VARIANT_RR, lam=lam,
+                      mu=gram.mu)
 
 
 def solve_zero_diag(gram: GramStats, lam: float) -> DenseModel:
-    """Ridge solution constrained to a zero diagonal, written into P's
+    """Ridge solution constrained to a zero diagonal, read off P in G's
     buffer and consuming the statistics (see :func:`invert_regularized`).
 
-    Column j of P is divided by -P_jj/t_j with t_j = kappa - v_j*mu_j, which
-    is exactly -P_jj for plain statistics.  The multipliers
+    Column j of P is divided by c_j = -P_jj/t_j with t_j = kappa - v_j*mu_j,
+    which is exactly -P_jj for plain statistics.  The multipliers
     gamma_j = t_j/P_jj - kappa*(lambda + d_j) are stored as diagnostics; the
-    diagonal is written to exactly zero so that downstream code can rely on
-    it.  Training holds one n×n matrix in all.
+    diagonal is written as exactly zero so that downstream code can rely on
+    it.  Training holds packed P and O(n) vectors.
     """
     p, d, v = _target_vectors(gram, lam)
     dp = _positive_diag(p)
     t = gram.kappa if v is None else gram.kappa - v * gram.mu
-    b = np.divide(p, -dp / t, out=p)
-    _subtract_outer(b, v, gram.mu)
-    np.fill_diagonal(b, 0.0)
     gamma = t / dp - gram.kappa * (lam + d)
-    return DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=lam, mu=gram.mu, gamma=gamma)
+    return DenseModel(matrix=ReadOff(p, -dp / t, v, gram.mu), variant=VARIANT_ZERO_DIAG, lam=lam,
+                      mu=gram.mu, gamma=gamma)
 
 
 # perfbench/trace_child.py looks this name up; nothing in the package calls it.
@@ -175,9 +218,11 @@ solve_ease = solve_zero_diag
 
 def save_model(path: str | Path, model: DenseModel, item_keys: list[str] | None = None) -> None:
     """Write a DenseModel as a ``dense_model`` container (see :mod:`gramrec.files`):
-    B, then the target means and the applied item weights when it has them."""
+    B, then the target means and the applied item weights when it has them.
+    B is written 256 rows at a time, so a trained model never forms it whole."""
     meta = {"lam": float(model.lam), "variant": model.variant}
-    arrays = {"b": model.b}
+    n = model.n_items
+    arrays = {"b": Pieces((n, n), (model.rows(lo, lo + PANEL) for lo in range(0, n, PANEL)))}
     if model.mu is not None:
         arrays["mu"] = model.mu
     w = model.applied_item_weights
@@ -204,7 +249,7 @@ def load_model(path: str | Path, verify: bool = False) -> tuple[DenseModel, list
             alpha=c.scalar("weight_alpha", float),
         )
     model = DenseModel(
-        b=c.array("b", (n, n)),
+        matrix=c.array("b", (n, n)),
         variant=c.scalar("variant", str, (VARIANT_RR, VARIANT_ZERO_DIAG)),
         lam=c.scalar("lam", float),
         mu=c.array("mu", (n,)) if "mu" in c.arrays else None,

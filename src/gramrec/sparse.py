@@ -12,11 +12,12 @@ otherwise it is an approximation that trades accuracy for never inverting
 an n_items x n_items matrix (Steck, "Markov Random Fields for
 Collaborative Filtering", NeurIPS 2019).
 
-G itself is still a dense n_items x n_items array.  Beyond it, training
-holds O(n_items · panel width + nnz(A)) memory plus the largest block's
-solution (k² values for k items): correlations are produced from G in
-panels of bounded width, block ranking reads only pattern entries, and each
-block is solved when the aggregation reads it, then added at pattern positions.
+G is held packed, n(n+1)/2 floats (see :mod:`gramrec.packed`).  Beyond
+it, training holds O(n_items · panel width + nnz(A)) memory plus the
+largest block's solution (k² values for k items): correlations are produced
+from G's rows in panels of bounded width, block ranking reads only pattern
+entries, and each block's Gram sub-matrix is copied out of G, packed, and
+solved when the aggregation reads it, then added at pattern positions.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from . import packed
 from .errors import DataError
 from .files import read_container, write_container
 from .gram import PANEL, GramStats
@@ -84,14 +86,16 @@ class CorrelationMatrix:
         g = self.gram.require_g()
         m, s, n = self.mean, self.std, self.gram.n_users
         if isinstance(rows, slice):
-            if rows != slice(None) or not isinstance(cols, slice):
+            if rows != slice(None) or not isinstance(cols, slice) or cols.step not in (None, 1):
                 raise TypeError("correlation panels are indexed as cor[:, lo:hi]")
-            # G is exactly symmetric: the panel is built from G's contiguous
-            # rows and returned transposed, entry for entry the same products
-            idx = np.arange(len(m))[cols]
-            cor = g[cols] / n
-            for lo in range(0, len(idx), 32):  # whole-panel outers would double its memory
-                part = slice(lo, lo + 32)
+            # G is symmetric: the panel is built from G's rows and returned
+            # transposed, entry for entry the same products
+            lo, hi, _ = cols.indices(len(m))
+            idx = np.arange(lo, hi)
+            cor = packed.rows(g, lo, hi)
+            cor /= n
+            for at in range(0, len(idx), 32):  # whole-panel outers would double its memory
+                part = slice(at, at + 32)
                 cor[part] -= np.outer(m[idx[part]], m)
                 cor[part] /= np.outer(s[idx[part]], s)
             cor[:, self.constant] = 0.0
@@ -99,7 +103,7 @@ class CorrelationMatrix:
             cor[np.arange(len(idx)), idx] = 1.0
             return cor.T
         rows, cols = np.asarray(rows), np.asarray(cols)
-        cor = g[rows, cols] / n
+        cor = packed.take(g, rows, cols) / n
         cor -= m[rows] * m[cols]
         cor /= s[rows] * s[cols]
         cor[self.constant[rows] | self.constant[cols]] = 0.0
@@ -137,7 +141,7 @@ def correlation_from_gram(gram: GramStats) -> CorrelationMatrix:
     if n < 2:
         raise DataError(f"correlations need at least 2 users, got {n}")
     m = gram.colsum / n
-    s = np.sqrt(np.maximum(np.diag(gram.require_g()) / n - m * m, 0.0))
+    s = np.sqrt(np.maximum(packed.diagonal(gram.require_g()) / n - m * m, 0.0))
     constant = s == 0.0
     return CorrelationMatrix(gram=gram, mean=m, std=np.where(constant, 1.0, s), constant=constant)
 
@@ -259,11 +263,12 @@ def block_partition(
 
 def solve_blocks(gram: GramStats, blocks: list[np.ndarray], lam: float) -> Iterator[np.ndarray]:
     """Each block's solution by the dense closed form on its Gram sub-matrix,
-    in block order.  The statistics are checked now; each sub-matrix is copied
-    out of G and solved in place only when its solution is asked for."""
+    in block order, as a k×k array.  The statistics are checked now; each
+    sub-matrix is copied out of G, packed, and solved in place only when its
+    solution is asked for."""
     if not gram.plain:
         raise DataError("block-wise training requires plain statistics (target C = G)")
-    return (solve_zero_diag(GramStats(g=gram.require_g()[np.ix_(b, b)], n_users=gram.n_users,
+    return (solve_zero_diag(GramStats(g=packed.submatrix(gram.require_g(), b), n_users=gram.n_users,
                                       colsum=gram.colsum[b]), lam).b for b in blocks)
 
 

@@ -106,7 +106,7 @@ def apply_item_rescaling(model: DenseModel, weights: ItemWeightVector) -> DenseM
     gamma = None if model.gamma is None else model.gamma * weights.w
     return replace(
         model,
-        b=model.b * weights.w[np.newaxis, :],
+        matrix=model.b * weights.w[np.newaxis, :],
         applied_item_weights=weights,
         gamma=gamma,
     )

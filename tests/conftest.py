@@ -10,6 +10,9 @@ routes is the point of the tests.
 ``general_solve`` is the closed form on an explicit target matrix C, the
 P·C product and rank correction that the solvers avoid by reading every
 model off P; ``target_of`` writes out the C that Gram statistics describe.
+``dense_gram`` is the Gram builder as it was before G was packed: the
+whole n×n product, symmetrised in place; every builder's packed G must be
+its lower triangle bit for bit.
 
 The ``*_reference`` functions are the sparse trainer's steps as whole-matrix
 code: one dense correlation matrix, a column loop over it, and one COO sum
@@ -51,6 +54,7 @@ from gramrec import (
 from gramrec.data import fold_in_indices
 from gramrec.evaluation import _aggregate, _model_config, _select_users
 from gramrec.gram import PANEL
+from gramrec.packed import diagonal_index, order, pack, unpack
 from gramrec.weighting import DEFAULT_EPSILON, KIND_UNIFORM
 
 
@@ -89,32 +93,41 @@ def kept(stats: GramStats) -> GramStats:
 
 
 def invert_regularized_copying(g: np.ndarray, lam: float) -> np.ndarray:
-    """(G + lambda*I)^-1 as the solvers made it while they left G intact: a
-    Fortran-ordered copy of G is factored and inverted, then mirrored in
-    panels.  The in-place inverse, which factors Gᵀ in G's own buffer, must
-    match it bit for bit."""
-    n = g.shape[0]
-    a = np.array(g, dtype=np.float64, order="F")
-    idx = np.diag_indices_from(a)
-    a[idx] += lam
-    chol, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
+    """(G + lambda*I)^-1, packed, from packed G left intact: a copy of G is
+    factored and inverted by ``dpftrf``/``dpftri``, and -0.0 read as 0.0.
+    The in-place inverse, made in G's own buffer, must match it bit for
+    bit."""
+    a = np.array(g, dtype=np.float64)
+    a[diagonal_index(a)] += lam
+    chol, info = lapack.dpftrf(order(a), a, transr="N", uplo="L")
     assert info == 0
-    inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
+    inv, info = lapack.dpftri(order(a), chol, transr="N", uplo="L")
     assert info == 0
-    p = inv.T
+    return inv + 0.0
+
+
+def dense_gram(x: sp.csr_matrix, xw: sp.csr_matrix) -> np.ndarray:
+    """Densified, symmetrized XᵀXw over ascending user ids as the builders
+    made it in full storage: the product one row panel of Xᵀ at a time,
+    then g ← 0.5·(g + gᵀ) in row panels."""
+    xt = x.T.tocsr()
+    n = xt.shape[0]
+    g = np.empty((n, n), dtype=np.float64)
+    for lo in range(0, n, PANEL):
+        (xt[lo : lo + PANEL] @ xw).astype(np.float64, copy=False).toarray(out=g[lo : lo + PANEL])
     for lo in range(0, n, PANEL):
         hi = min(lo + PANEL, n)
-        block = p[lo:hi, lo:hi]
-        block += np.triu(block, 1).T
-        p[lo:hi, hi:] += 0.0
-        p[hi:, lo:hi] = p[lo:hi, hi:].T
-    return p
+        half = g[lo:hi, lo:] + g[lo:, lo:hi].T
+        half *= 0.5
+        g[lo:hi, lo:] = half
+        g[lo:, lo:hi] = half.T
+    return g
 
 
 def target_of(stats: GramStats) -> np.ndarray:
     """The target C = κ·(G − diagMat(d)) − s·μᵀ that ``stats`` describe, as
     one dense matrix."""
-    g = stats.g
+    g = unpack(stats.g)
     c = stats.kappa * (g - np.diag(np.diag(g)) if stats.removed_diag else g)
     return c if stats.mu is None else c - np.outer(stats.colsum, stats.mu)
 
@@ -126,7 +139,7 @@ def general_solve(g: np.ndarray, c: np.ndarray, lam: float, zero_diag: bool = Tr
     for the constrained model.  P = (G + λI)⁻¹ is the solvers' own inverse,
     so only the way B is formed from it differs.  Returns B and γ (None for
     ridge)."""
-    p = invert_regularized_copying(g, lam)
+    p = unpack(invert_regularized_copying(pack(g), lam))
     b = p @ c
     if not zero_diag:
         return b, None
@@ -158,10 +171,11 @@ def correlation_reference(gram) -> np.ndarray:
     expression."""
     n = gram.n_users
     m = gram.colsum / n
-    s = np.sqrt(np.maximum(np.diag(gram.g) / n - m * m, 0.0))
+    g = unpack(gram.g)
+    s = np.sqrt(np.maximum(np.diag(g) / n - m * m, 0.0))
     zero = s == 0.0
     s_safe = np.where(zero, 1.0, s)
-    cor = (gram.g / n - np.outer(m, m)) / np.outer(s_safe, s_safe)
+    cor = (g / n - np.outer(m, m)) / np.outer(s_safe, s_safe)
     cor[zero, :] = 0.0
     cor[:, zero] = 0.0
     np.fill_diagonal(cor, 1.0)
@@ -504,7 +518,8 @@ def evaluate_time_aware_reference(model, iset, split, intervals, alpha,
     """Time-aware report one held-out event at a time: the user's history
     scored by a dense vector-matrix product, the event's interval weights
     applied, and the event item's rank read off a full stable argsort of that
-    row."""
+    row.  Zero-valued events are skipped, as the user-item matrix leaves
+    them out."""
     user_ids = _select_users(split, users)
     eval_seed = split.seed
     total = intervals.pops.sum(axis=0)
@@ -513,6 +528,7 @@ def evaluate_time_aware_reference(model, iset, split, intervals, alpha,
         for k in range(intervals.n_intervals)
     ])
     order = np.lexsort((iset.item_ids, iset.user_ids))
+    order = np.array([e for e in order if iset.values[e] != 0], dtype=np.int64)
     sorted_users = iset.user_ids[order]
     per_user = {name: [] for name in [f"recall@{k}" for k in recall_ks] + [f"ndcg@{ndcg_k}"]}
     n_skipped = 0

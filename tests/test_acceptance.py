@@ -35,6 +35,7 @@ from gramrec import (
 from gramrec.data import fold_in_indices
 from gramrec.evaluation import PopularityScorer
 from gramrec.gram import build_disjoint_gram
+from gramrec.packed import unpack
 from gramrec.solver import VARIANT_ZERO_DIAG
 
 from conftest import (
@@ -97,7 +98,8 @@ def test_acceptance_2_self_target_shortcut_identity():
         stats = gram_of(dense)
         assert stats.plain
         # the read-off (C is G) against the general P*C - P*diagMat(gamma) oracle
-        z, _ = general_solve(stats.g, stats.g, lam)
+        g = unpack(stats.g)
+        z, _ = general_solve(g, g, lam)
         e = solve_zero_diag(stats, lam=lam)
         scale = max(1.0, float(np.max(np.abs(z))))
         worst = max(worst, float(np.max(np.abs(z - e.b))) / scale)
@@ -115,7 +117,7 @@ def test_acceptance_3_stationarity_at_optimum():
     worst_gamma = 0.0
     for dense, lam in _oracle_instances():
         stats = gram_of(dense)
-        g, c = stats.g.copy(), target_of(stats)
+        g, c = unpack(stats.g), target_of(stats)
         model = solve_zero_diag(stats, lam=lam)
         grad = 2.0 * (g @ model.b - c + lam * model.b)
         scale = max(1.0, float(np.max(np.abs(np.diag(grad)))))
@@ -222,7 +224,7 @@ def test_acceptance_7_ranking_metric_units():
         pin, pout = fold_in_indices(len(ids), 0.8, np.random.default_rng((split.seed, u)))
         b[np.ix_(ids[pin], ids[pout])] = 1.0
     report = evaluate_model(
-        DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0), matrix, split
+        DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0), matrix, split
     )
     checks.append(all(mean == 1.0 for mean, _ in report.metrics.values()))
 

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import os
+import re
 import shutil
 from dataclasses import replace
 
@@ -18,7 +19,9 @@ from gramrec import (
     time_popularity_weights,
     to_user_item_matrix,
 )
+import gramrec.cli
 from gramrec.cli import main
+from gramrec.packed import pack
 
 from conftest import evaluate_time_aware_reference, general_solve, invert_regularized_copying, run_cli
 
@@ -109,7 +112,7 @@ def test_split_writes_user_files(workdir):
     assert len(train) == 10
 
 
-def test_train_reports_phases_and_model(workdir):
+def test_train_reports_phases_and_model(workdir, tmp_path):
     res = run_cli([
         "train", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
         "--lambda", "2.0", "--output", str(workdir["root"] / "model_again.ease"),
@@ -119,6 +122,16 @@ def test_train_reports_phases_and_model(workdir):
     assert "phase solve:" in res.stderr
     assert "lambda=2" in res.stderr
     assert filecmp.cmp(workdir["model"], workdir["root"] / "model_again.ease", shallow=False)
+    # the bytes of packed G: n(n+1)/2 floats for n items, in both trainers
+    n = load_model(workdir["model"])[0].n_items
+    sparse = run_cli([
+        "train-sparse", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+        "--lambda", "2.0", "--threshold", "0.1", "--output", str(tmp_path / "m.easp"),
+    ])
+    assert sparse.returncode == 0, sparse.stderr
+    for err in (res.stderr, sparse.stderr):
+        found = re.search(r"phase gram: .*\((\d+) items, \d+ users, packed G (\d+) bytes\)", err)
+        assert found and int(found[1]) == n and int(found[2]) == 8 * n * (n + 1) // 2
 
 
 def test_evaluate_text_and_json(workdir):
@@ -438,7 +451,7 @@ def test_train_options_match_general_oracle(workdir, tmp_path, option, variant):
     else:  # kappa*(1 - P_jj*(lambda + d_j)) on rr's diagonal cancels as lambda grows
         d = np.diag(g).max() if option in ("disjoint", "exact") else 0.0
         bound = 1e-12 * (np.abs(expected).max()
-                         + kappa * (lam + d) * np.abs(invert_regularized_copying(g, lam)).max())
+                         + kappa * (lam + d) * np.abs(invert_regularized_copying(pack(g), lam)).max())
     assert np.abs(model.b - expected).max() <= bound
     assert (model.mu is not None) == (option == "center")
     if option == "center":
@@ -895,6 +908,56 @@ def test_out_of_range_options_exit_1_before_reading(capsys, argv, message):
         main(argv)
     assert exc.value.code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", *_D, "--output", "m", "--lambda", "0"], "argument --lambda: expected a positive"),
+    (["train", *_D, "--output", "m", "--lambda=-1"], "argument --lambda: expected a positive"),
+    (["train", *_D, "--output", "m", "--lambda-grid", "1,0"],
+     "argument --lambda-grid: expected a positive"),
+    (["train", *_D, "--output", "m", "--lambda-grid", ","],
+     "argument --lambda-grid: expected at least one number"),
+    (["train-sparse", *_D, "--output", "m", "--lambda=-1", "--threshold", "0.1"],
+     "argument --lambda: expected a positive"),
+    (["train-sparse", *_D, "--output", "m", "--lambda", "1", "--threshold=-0.1"],
+     "argument --threshold: expected a non-negative number"),
+    (["train-sparse", *_D, "--output", "m", "--lambda", "1", "--threshold", "0.1", "--n-max", "0"],
+     "argument --n-max: expected an integer of at least 1"),
+    (["evaluate", *_D, "--model", "m", "--ndcg-k", "0"],
+     "argument --ndcg-k: expected an integer of at least 1"),
+    (["evaluate", *_D, "--model", "m", "--recall-ks", "20,0"],
+     "argument --recall-ks: expected cutoffs of at least 1"),
+    (["evaluate", *_D, "--model", "m", "--time-intervals", "0"],
+     "argument --time-intervals: expected an integer of at least 1"),
+    (["rescale", *_D, "--model", "m", "--weights-out", "w", "--mode", "time", "--intervals", "0",
+      "--at-time", "5"], "argument --intervals: expected an integer of at least 1"),
+    (["recommend", "--model", "m", "--top-k=-1"], "argument --top-k: expected an integer of at least 0"),
+], ids=["train-lambda-zero", "train-lambda-negative", "train-grid-zero", "train-grid-empty",
+        "sparse-lambda", "sparse-threshold", "sparse-n-max", "evaluate-ndcg-k",
+        "evaluate-recall-ks", "evaluate-time-intervals", "rescale-intervals", "recommend-top-k"])
+def test_range_checked_options_exit_1_before_reading(capsys, argv, message):
+    # d.csv, s and m do not exist: the parser refuses the value before any
+    # file is opened
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "train-sparse"])
+def test_memory_error_exits_2_with_a_message(workdir, tmp_path, capsys, monkeypatch, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(gramrec.cli, "build_gram", exhausted)
+    out = tmp_path / "m"
+    argv = [command, "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+            "--lambda", "2", "--output", str(out)]
+    assert main(argv + (["--threshold", "0.1"] if command == "train-sparse" else [])) == 2
+    err = capsys.readouterr().err
+    assert f"error: {command} ran out of memory" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_non_finite_config_entry_exits_1(tmp_path, capsys):

@@ -298,7 +298,7 @@ def test_fold_in_fraction_validated():
     """Folding refuses the fractions that leave one part always empty."""
     iset = make_iset([(u, i, 1.0) for u in range(3) for i in range(3)])
     matrix = to_user_item_matrix(iset)
-    model = DenseModel(b=np.zeros((3, 3)), variant=VARIANT_ZERO_DIAG, lam=1.0)
+    model = DenseModel(matrix=np.zeros((3, 3)), variant=VARIANT_ZERO_DIAG, lam=1.0)
     for fraction in (1.0, 0.0):
         split = SplitSpec(train_users=np.array([0]), validation_users=np.array([1]),
                           test_users=np.array([2]), fold_in_fraction=fraction)

@@ -32,12 +32,13 @@ from gramrec import (
 )
 import gramrec.evaluation as evaluation
 from gramrec.data import fold_in_indices
-from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG
+from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG, ReadOff
 
 from conftest import (
     evaluate_model_reference,
     evaluate_time_aware_reference,
     make_iset,
+    matrix_from_dense,
     ndcg_at_k,
     recall_at_k,
     uniform_weights,
@@ -76,11 +77,11 @@ def test_popularity_rank_stable_ties():
 def test_score_histories_kinds(rng):
     xin = sp.csr_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
     b = rng.random((3, 3))
-    dense = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
+    dense = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
     np.testing.assert_allclose(score_histories(dense, xin), xin.toarray() @ b)
 
     mu = np.array([0.1, 0.2, 0.3])
-    centered = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0, mu=mu)
+    centered = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0, mu=mu)
     np.testing.assert_allclose(score_histories(centered, xin), xin.toarray() @ b + mu)
 
     pop = PopularityScorer(np.array([5.0, 1.0, 3.0]))
@@ -90,7 +91,7 @@ def test_score_histories_kinds(rng):
 
 def test_score_histories_single_item_reads_row():
     b = np.array([[0.0, 0.3, 0.1], [0.2, 0.0, 0.4], [0.6, 0.5, 0.0]])
-    model = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
+    model = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
     xin = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0]]))
     scores = score_histories(model, xin)
     np.testing.assert_array_equal(scores[0], b[1])
@@ -100,9 +101,9 @@ def test_score_histories_single_item_reads_row():
 
 def test_score_histories_empty_history_and_mu():
     xin = sp.csr_matrix((1, 2))
-    model = DenseModel(b=np.zeros((2, 2)), variant=VARIANT_RR, lam=1.0, mu=np.array([0.25, 0.75]))
+    model = DenseModel(matrix=np.zeros((2, 2)), variant=VARIANT_RR, lam=1.0, mu=np.array([0.25, 0.75]))
     np.testing.assert_array_equal(score_histories(model, xin), [[0.25, 0.75]])
-    plain = DenseModel(b=np.zeros((2, 2)), variant=VARIANT_RR, lam=1.0)
+    plain = DenseModel(matrix=np.zeros((2, 2)), variant=VARIANT_RR, lam=1.0)
     np.testing.assert_array_equal(score_histories(plain, xin), [[0.0, 0.0]])
 
 
@@ -151,7 +152,7 @@ def test_perfect_model_scores_one():
         rng = np.random.default_rng((split.seed, u))
         pin, pout = fold_in_indices(len(ids), split.fold_in_fraction, rng)
         b[np.ix_(ids[pin], ids[pout])] = 1.0
-    model = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
+    model = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
     report = evaluate_model(model, matrix, split)
     for mean, stderr in report.metrics.values():
         assert mean == 1.0
@@ -177,7 +178,7 @@ def test_constant_scores_rank_by_ascending_id():
     b = np.zeros((n_items, n_items))
     b[8, 0] = b[8, 1] = 1.0
     b[9, 0] = b[9, 1] = 1.0
-    model = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
+    model = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
     report = evaluate_model(model, matrix, split, recall_ks=(5, 9), ndcg_k=10)
     assert report.metrics["recall@5"][0] == 0.0
     assert report.metrics["recall@9"][0] == 1.0
@@ -223,7 +224,7 @@ def test_evaluation_deterministic_and_seed_sensitive():
 
 def test_evaluation_scale_invariant_ranking():
     model, matrix, split, _ = eval_setup()
-    scaled = DenseModel(b=3.0 * model.b, variant=model.variant, lam=model.lam)
+    scaled = DenseModel(matrix=3.0 * model.b, variant=model.variant, lam=model.lam)
     a = evaluate_model(model, matrix, split)
     b = evaluate_model(scaled, matrix, split)
     assert a.metrics == b.metrics
@@ -269,7 +270,7 @@ def test_skipped_users_counted():
         fold_in_fraction=0.8,
         seed=0,
     )
-    model = DenseModel(b=np.zeros((8, 8)), variant=VARIANT_ZERO_DIAG, lam=1.0)
+    model = DenseModel(matrix=np.zeros((8, 8)), variant=VARIANT_ZERO_DIAG, lam=1.0)
     report = evaluate_model(model, matrix, split)
     assert report.n_users == 1
     assert report.n_skipped == 1
@@ -286,7 +287,7 @@ def test_all_users_skipped_is_an_error():
         fold_in_fraction=0.8,
         seed=0,
     )
-    model = DenseModel(b=np.zeros((8, 8)), variant=VARIANT_ZERO_DIAG, lam=1.0)
+    model = DenseModel(matrix=np.zeros((8, 8)), variant=VARIANT_ZERO_DIAG, lam=1.0)
     with pytest.raises(DataError, match="evaluable"):
         evaluate_model(model, matrix, split)
 
@@ -299,7 +300,7 @@ def test_evaluation_validation_users_and_errors():
 
     with pytest.raises(DataError, match="users"):
         evaluate_model(model, matrix, split, users="everyone")
-    small = DenseModel(b=np.zeros((3, 3)), variant=VARIANT_ZERO_DIAG, lam=1.0)
+    small = DenseModel(matrix=np.zeros((3, 3)), variant=VARIANT_ZERO_DIAG, lam=1.0)
     with pytest.raises(DataError, match="items"):
         evaluate_model(small, matrix, split)
     bad_split = SplitSpec(
@@ -324,7 +325,7 @@ def test_single_user_stderr_is_zero():
         fold_in_fraction=0.8,
         seed=0,
     )
-    model = DenseModel(b=np.zeros((8, 8)), variant=VARIANT_ZERO_DIAG, lam=1.0)
+    model = DenseModel(matrix=np.zeros((8, 8)), variant=VARIANT_ZERO_DIAG, lam=1.0)
     report = evaluate_model(model, matrix, split)
     assert all(stderr == 0.0 for _, stderr in report.metrics.values())
 
@@ -417,7 +418,7 @@ def test_time_aware_rank_collisions_clamped():
 
     b = np.zeros((4, 4))
     b[np.ix_([1, 2], [out0, out1])] = 0.5
-    model = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
+    model = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
     report = evaluate_time_aware(
         model, iset, split, idx, alpha=1.0, recall_ks=(1,), ndcg_k=2
     )
@@ -572,7 +573,8 @@ def test_report_serialization():
 @st.composite
 def eval_cases(draw):
     """A small event log with timestamps, a fold-in split and cutoffs.  Row
-    sizes include 0, 1 and 2 events; cutoffs can exceed the item count."""
+    sizes include 0, 1 and 2 events; rated logs include zero-valued events,
+    which no protocol folds; cutoffs can exceed the item count."""
     n_items = draw(st.integers(1, 9))
     sizes = draw(st.lists(st.integers(0, n_items), min_size=1, max_size=12))
     r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -580,7 +582,7 @@ def eval_cases(draw):
     events, stamps = [], []
     for u, size in enumerate(sizes):
         for it in r.choice(n_items, size, replace=False):
-            events.append((u, int(it), float(r.integers(1, 6)) if ratings else 1.0))
+            events.append((u, int(it), float(r.integers(0, 6)) if ratings else 1.0))
             stamps.append(int(r.integers(0, 5)))
     if not events:
         events, stamps = [(0, 0, 1.0)], [0]
@@ -631,7 +633,7 @@ def test_evaluate_model_matches_per_user_sort(case, kind):
     n = iset.n_items
     b = r.standard_normal((n, n)) if kind in ("float", "weights", "sparse") else (
         integer_b(r, n, nan=kind == "nan"))
-    model = DenseModel(b=b, variant=VARIANT_ZERO_DIAG, lam=1.0,
+    model = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0,
                        mu=r.standard_normal(n) if kind == "mu" else None)
     if kind == "weights":
         model = apply_item_rescaling(
@@ -656,7 +658,7 @@ def test_evaluate_model_matches_per_user_sort(case, kind):
 def test_evaluate_time_aware_matches_per_event_sort(case, n_intervals, alpha, kind, binarize):
     iset, split, recall_ks, ndcg_k, chunk, r = case
     n = iset.n_items
-    model = DenseModel(b=integer_b(r, n, nan=kind == "nan"), variant=VARIANT_ZERO_DIAG,
+    model = DenseModel(matrix=integer_b(r, n, nan=kind == "nan"), variant=VARIANT_ZERO_DIAG,
                        lam=1.0, mu=r.integers(-2, 3, n).astype(np.float64) if kind == "mu" else None)
     if binarize:  # the log as load_interactions(binarize=True) gives it
         iset = replace(iset, values=np.ones_like(iset.values))
@@ -730,3 +732,46 @@ def test_grid_search_draws_folds_once():
     for lam, report in reports.items():
         expected = evaluate_model(solve_zero_diag(build(), lam), matrix, split, users="validation")
         assert report.to_json() == expected.to_json()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_items=st.sampled_from([1, 3, 255, 256, 257, 600]),
+    n_users=st.integers(2, 30),
+    kind=st.sampled_from(["plain", "centered", "rr"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trained_model_scores_bitwise_as_its_unpacked_b(n_items, n_users, kind, seed):
+    # a trained model forms B's column panels from packed P; the scores are
+    # bitwise those of the whole B, and so are its rows and columns
+    r = np.random.default_rng(seed)
+    xd = r.random((n_users, n_items)) * (r.random((n_users, n_items)) < 0.3)
+    stats = build_gram(matrix_from_dense(xd), center=kind == "centered")
+    model = (solve_rr if kind == "rr" else solve_zero_diag)(stats, 5.0)
+    assert isinstance(model.matrix, ReadOff)
+    b = model.b
+    for lo in range(0, n_items, 256):
+        assert model.matrix.columns(lo, lo + 256).tobytes() == np.ascontiguousarray(
+            b[:, lo : lo + 256]).tobytes()
+    xin = sp.csr_matrix(r.random((7, n_items)) * (r.random((7, n_items)) < 0.2))
+    expected = xin @ b
+    if model.mu is not None:
+        expected = expected + model.mu
+    assert score_histories(model, xin).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [None, 3 * 40, 40])
+def test_trained_model_reports_as_its_unpacked_b(chunk):
+    # batches of 1 or 3 users (or all 60) are scored 10 users per pass over P
+    r = np.random.default_rng(5)
+    matrix = matrix_from_dense(r.random((160, 40)) < 0.2)
+    split = SplitSpec(train_users=np.arange(100), validation_users=np.arange(100, 160),
+                      test_users=np.arange(100, 160), fold_in_fraction=0.8, seed=3)
+    build = lambda: build_gram(matrix.restrict_users(split.train_users))  # noqa: E731
+    with with_chunk(chunk):
+        _, reports, model = grid_search_lambda(build, matrix, split, [10.0])
+        unpacked = replace(model, matrix=model.b)
+        expected = evaluate_model(unpacked, matrix, split, users="validation")
+        assert reports[10.0].to_json() == expected.to_json()
+        got = evaluate_model(model, matrix, split)
+        assert got.to_json() == evaluate_model(unpacked, matrix, split).to_json()

@@ -4,7 +4,10 @@ units of a score batch.
 
 tracemalloc counts the allocations numpy makes (scipy's sparse products and
 LAPACK's in-place calls allocate through numpy or not at all), so a peak
-taken while G already exists is the memory a step needs beyond G.
+taken while G already exists is the memory a step needs beyond G.  G and P
+are packed, 0.5 n²; the training budgets are that plus a few row panels
+(PANEL·n floats, 0.25 n² at the fixture's 1,024 items).  Every budget is
+below what the same step took when G and P were held in full storage.
 """
 
 import tracemalloc
@@ -29,6 +32,8 @@ from gramrec import (
     train_sparse,
     to_user_item_matrix,
 )
+from gramrec.gram import PANEL
+from gramrec.packed import pack
 from gramrec.solver import VARIANT_ZERO_DIAG
 
 from conftest import binary_matrix, kept, make_iset, write_canonical_reference
@@ -54,15 +59,22 @@ def peak_n2(fn, n: int) -> float:
     return peak_bytes(fn)[0] / (n * n * 8)
 
 
+def packed_plus_panels(panels: float, n: int) -> float:
+    """Packed G, or P, and ``panels`` row panels, in units of n²."""
+    return 0.5 + panels * PANEL / n
+
+
 def test_build_gram_holds_g_plus_panels(wide):
+    """Packed G, a product panel in sparse and in dense form."""
     x, gram = wide
-    assert peak_n2(lambda: build_gram(x), gram.n_items) < 1.5
+    assert peak_n2(lambda: build_gram(x), gram.n_items) < packed_plus_panels(2.5, gram.n_items)
 
 
 def test_zero_diag_solve_holds_one_matrix_beyond_g(wide):
-    """A caller that keeps G hands the solver a copy of it."""
+    """A caller that keeps G hands the solver a copy of it: 0.5 n², and the
+    solve makes P in the copy and holds only vectors beyond it."""
     _, gram = wide
-    assert peak_n2(lambda: solve_zero_diag(kept(gram), 50.0), gram.n_items) < 1.5
+    assert peak_n2(lambda: solve_zero_diag(kept(gram), 50.0), gram.n_items) < 0.6
 
 
 def test_zero_diag_solve_in_place_holds_panels_beyond_g(wide):
@@ -70,8 +82,8 @@ def test_zero_diag_solve_in_place_holds_panels_beyond_g(wide):
     gram = build_gram(x)
     g = gram.g
     peak, model = peak_bytes(lambda: solve_zero_diag(gram, 50.0))
-    assert np.shares_memory(model.b, g)
-    assert peak < 0.25 * gram.n_items ** 2 * 8
+    assert np.shares_memory(model.matrix.p, g)
+    assert peak < 0.05 * gram.n_items ** 2 * 8
 
 
 def test_grid_holds_one_matrix_at_a_time(wide):
@@ -90,15 +102,15 @@ def test_grid_holds_one_matrix_at_a_time(wide):
         lambda: grid_search_lambda(lambda: build_gram(tm), x, split, [1e4, 1e6, 1e8])
     )
     assert len(reports) == 3 and lam == 1e6  # 1e8 ranks as 1e6 does; ties go to the smaller
-    assert peak < 1.5 * gram.n_items ** 2 * 8
+    assert peak < packed_plus_panels(2.5, gram.n_items) * gram.n_items ** 2 * 8
 
 
 def test_centered_build_and_solve_hold_one_matrix(wide):
-    """G, with P made and B read off in its buffer; the centering is the
-    vectors s and μ, not a matrix C = XᵀX − s·μᵀ."""
+    """G, with P made in its buffer and B read off it; the centering is the
+    vectors s, μ and v = P·s, not a matrix C = XᵀX − s·μᵀ."""
     x, gram = wide
     peak = peak_n2(lambda: solve_zero_diag(build_gram(x, center=True), 50.0), gram.n_items)
-    assert peak < 1.5
+    assert peak < packed_plus_panels(2.5, gram.n_items)
 
 
 BUILDS = {
@@ -116,15 +128,18 @@ BUILDS = {
 ])
 def test_every_option_trains_in_one_matrix(wide, build, solver):
     """``train`` with --disjoint or --disjoint --exact-expectation in either
-    variant, or plain or --center with --variant rr: G is built, and B is
-    written into its buffer."""
+    variant, or plain or --center with --variant rr: G is built, and P is
+    made in its buffer."""
     x, gram = wide
-    assert peak_n2(lambda: solver(BUILDS[build](x), 50.0), gram.n_items) < 1.5
+    assert peak_n2(lambda: solver(BUILDS[build](x), 50.0), gram.n_items) < packed_plus_panels(
+        2.5, gram.n_items)
 
 
 def test_train_sparse_holds_no_matrix_beyond_g(wide):
+    """Packed G, a correlation panel and its mask, the pattern and a block."""
     _, gram = wide
-    assert peak_n2(lambda: train_sparse(gram, theta=0.1, n_max=50, lam=50.0), gram.n_items) < 1.5
+    peak = peak_n2(lambda: train_sparse(gram, theta=0.1, n_max=50, lam=50.0), gram.n_items)
+    assert 0.5 + peak < packed_plus_panels(1.6, gram.n_items)
 
 
 def test_train_sparse_holds_one_block_at_a_time():
@@ -140,7 +155,7 @@ def test_train_sparse_holds_one_block_at_a_time():
         members = np.r_[:core, hub : hub + own]
         c[members, hub] = c[hub, members] = 0.5
         c[hub, hub] = 1.0
-    gram = GramStats(g=2.0 * c, n_users=2, colsum=np.zeros(n))
+    gram = GramStats(g=pack(2.0 * c), n_users=2, colsum=np.zeros(n))
     del c
     pattern = threshold_pattern(correlation_from_gram(gram), theta=0.25, n_max=300)
     sizes = np.array([len(b) for b in block_partition(pattern, correlation_from_gram(gram))])
@@ -191,7 +206,7 @@ def eval_case(request):
         fold_in_fraction=0.8,
         seed=0,
     )
-    return DenseModel(b=r.random((n, n)), variant=VARIANT_ZERO_DIAG, lam=1.0), matrix, split
+    return DenseModel(matrix=r.random((n, n)), variant=VARIANT_ZERO_DIAG, lam=1.0), matrix, split
 
 
 def test_evaluate_peak_within_one_score_batch_and_a_quarter(eval_case):

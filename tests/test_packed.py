@@ -1,0 +1,67 @@
+import numpy as np
+import pytest
+from scipy.linalg import lapack
+
+from gramrec import packed
+
+SIZES = [1, 2, 3, 4, 5, 255, 256, 257, 600, 601]
+
+
+def symmetric(n: int, seed: int = 0) -> np.ndarray:
+    """Distinct entries, so that a misplaced one shows."""
+    m = np.random.default_rng(seed).normal(size=(n, n))
+    return np.tril(m) + np.tril(m, -1).T
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_layout_is_lapacks(n):
+    # both parities and the panel edges; LAPACK's converters are the oracle
+    m = symmetric(n)
+    a = packed.pack(m)
+    arf, info = lapack.dtrttf(np.asfortranarray(m), transr="N", uplo="L")
+    assert info == 0
+    assert a.tobytes() == arf.tobytes()
+    back, info = lapack.dtfttr(n, a, transr="N", uplo="L")
+    assert info == 0
+    assert np.tril(back).tobytes() == np.tril(m).tobytes()
+    assert packed.unpack(a).tobytes() == m.tobytes()
+    assert packed.order(a) == n and a.size == packed.size(n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_panels_entries_and_blocks_read_out_bitwise(n):
+    m = symmetric(n, seed=n)
+    a = packed.pack(m)
+    for width in (1, 7, 256):
+        for lo in range(0, n, width):
+            assert packed.rows(a, lo, lo + width).tobytes() == m[lo : lo + width].tobytes()
+            cols = packed.columns(a, lo, lo + width)
+            assert cols.flags.c_contiguous
+            assert cols.tobytes() == np.ascontiguousarray(m[:, lo : lo + width]).tobytes()
+    r = np.random.default_rng(n)
+    i, j = r.integers(0, n, 500), r.integers(0, n, 500)
+    assert packed.take(a, i, j).tobytes() == m[i, j].tobytes()
+    assert packed.diagonal(a).tobytes() == np.diag(m).tobytes()
+    for k in {1, min(n, 2), min(n, 9), min(n, 300)}:
+        idx = np.sort(r.choice(n, k, replace=False))
+        sub = packed.submatrix(a, idx)
+        assert sub.tobytes() == packed.pack(m[np.ix_(idx, idx)]).tobytes()
+
+
+def test_writing_rows_touches_only_their_lower_triangle():
+    # panels that straddle the two halves, given with junk above the diagonal
+    n = 601
+    m = symmetric(n)
+    a = np.full(packed.size(n), np.nan)
+    for lo, hi in ((0, 200), (200, 301), (301, 450), (450, 601)):
+        panel = m[lo:hi].copy()
+        panel[np.triu_indices(hi - lo, lo + 1, n)] = -7.0
+        packed.write_rows(a, lo, panel)
+    assert packed.unpack(a).tobytes() == m.tobytes()
+
+
+def test_a_wrong_length_is_no_packed_matrix():
+    with pytest.raises(ValueError, match="no packed symmetric matrix"):
+        packed.order(np.zeros(4))
+    with pytest.raises(ValueError, match="no packed symmetric matrix"):
+        packed.order(np.zeros((2, 3)))

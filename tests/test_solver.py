@@ -19,6 +19,7 @@ from gramrec import (
     solve_rr,
     solve_zero_diag,
 )
+from gramrec.packed import pack, unpack
 from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG, PrecisionMatrix, _positive_diag
 from gramrec.weighting import popularity_weights
 
@@ -37,26 +38,26 @@ from conftest import (
 
 def stats_of(g):
     g = np.asarray(g, dtype=np.float64)
-    return GramStats(g=g, n_users=10, colsum=np.diag(g).copy())  # as for binary X
+    return GramStats(g=pack(g), n_users=10, colsum=np.diag(g).copy())  # as for binary X
 
 
 def test_invert_two_by_two():
     prec = invert_regularized(stats_of([[2, 1], [1, 2]]), lam=1.0)
-    np.testing.assert_allclose(prec.p, np.array([[3, -1], [-1, 3]]) / 8.0, atol=1e-14)
+    np.testing.assert_allclose(unpack(prec.p), np.array([[3, -1], [-1, 3]]) / 8.0, atol=1e-14)
 
 
 def test_invert_zero_gram():
     prec = invert_regularized(stats_of(np.zeros((3, 3))), lam=2.0)
-    np.testing.assert_allclose(prec.p, 0.5 * np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(unpack(prec.p), 0.5 * np.eye(3), atol=1e-15)
 
 
 def test_invert_residual_and_symmetry(rng):
     x = rng.random((60, 40))
     g = x.T @ x
-    prec = invert_regularized(stats_of(g.copy()), lam=0.5)
-    residual = prec.p @ (g + 0.5 * np.eye(40)) - np.eye(40)
+    p = unpack(invert_regularized(stats_of(g.copy()), lam=0.5).p)
+    residual = p @ (g + 0.5 * np.eye(40)) - np.eye(40)
     assert np.abs(residual).max() < 1e-10
-    np.testing.assert_array_equal(prec.p, prec.p.T)
+    np.testing.assert_array_equal(p, p.T)
 
 
 @settings(max_examples=20, deadline=None)
@@ -68,7 +69,11 @@ def test_invert_residual_and_symmetry(rng):
 )
 @example(n=258, blocks=2, lam=2.0, seed=0)  # -0.0 in P across a panel boundary
 def test_invert_is_bitwise_the_tril_mirror(n, blocks, lam, seed):
-    # block-diagonal G gives exact zeros in P, where -0.0 must read as 0.0
+    # P unpacked is bitwise the mirrored lower triangle that LAPACK's own
+    # converters make of its packed inverse of dtrttf(G + lambda*I), with
+    # -0.0 read as 0.0; block-diagonal G gives exact zeros in P.  It agrees
+    # with the full-storage dpotrf/dpotri inverse to round-off, which grows
+    # with the condition number.
     r = np.random.default_rng(seed)
     x = r.normal(size=(8, n)) * (r.random((8, n)) < 0.5)
     group = r.integers(0, blocks, n)
@@ -76,11 +81,18 @@ def test_invert_is_bitwise_the_tril_mirror(n, blocks, lam, seed):
     prec = invert_regularized(stats_of(g.copy()), lam)
     a = np.array(g, order="F")
     a[np.diag_indices_from(a)] += lam
+    arf, _ = lapack.dtrttf(a, transr="N", uplo="L")
+    chol, _ = lapack.dpftrf(n, arf, transr="N", uplo="L")
+    inv, _ = lapack.dpftri(n, chol, transr="N", uplo="L")
+    lower, _ = lapack.dtfttr(n, inv, transr="N", uplo="L")
+    expected = np.tril(lower) + np.tril(lower, -1).T + 0.0
+    assert prec.p.shape == (n * (n + 1) // 2,)
+    assert unpack(prec.p).tobytes() == expected.tobytes()
+    cond = np.linalg.cond(a)
     chol, _ = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
-    inv, _ = lapack.dpotri(chol, lower=1, overwrite_c=1)
-    expected = np.tril(inv) + np.tril(inv, -1).T
-    assert prec.p.flags.c_contiguous
-    assert prec.p.tobytes() == expected.tobytes()
+    full, _ = lapack.dpotri(chol, lower=1, overwrite_c=1)
+    full = np.tril(full) + np.tril(full, -1).T
+    assert np.abs(expected - full).max() <= 1e-14 * cond * np.abs(full).max()
 
 
 def test_invert_rejects_non_positive_lambda():
@@ -103,7 +115,7 @@ def test_invert_indefinite_gram():
 
 def test_positive_diag_refuses_nan():
     with pytest.raises(NumericalError, match="non-positive"):
-        _positive_diag(np.diag([1.0, np.nan]))
+        _positive_diag(pack(np.diag([1.0, np.nan])))
 
 
 @pytest.mark.parametrize("first", [invert_regularized, solve_rr, solve_zero_diag])
@@ -217,7 +229,7 @@ def test_zero_diag_general_path_matches_oracle(rng, kind):
 def test_zero_diag_stationarity(rng):
     x = binary_matrix(rng, 30, 8)
     stats = build_gram(x)
-    g, c = stats.g.copy(), target_of(stats)
+    g, c = unpack(stats.g), target_of(stats)
     lam = 0.9
     model = solve_zero_diag(stats, lam=lam)
     grad = 2.0 * (g @ model.b - c + lam * model.b)
@@ -241,8 +253,8 @@ def test_disjoint_ridge_identity(rng):
     z = binary_matrix(rng, 25, 6)
     stats = build_disjoint_gram(z)
     lam = 2.0
-    d = np.diag(np.diag(stats.g))
-    p = invert_regularized(kept(stats), lam).p
+    d = np.diag(np.diag(unpack(stats.g)))
+    p = unpack(invert_regularized(kept(stats), lam).p)
     model = solve_rr(stats, lam=lam)
     np.testing.assert_allclose(model.b, np.eye(6) - p @ (d + lam * np.eye(6)), atol=1e-12)
 
@@ -295,10 +307,10 @@ def test_every_target_reads_off_like_the_general_oracle(n_users, n_items, densit
         "disjoint": lambda: build_disjoint_gram(x),
         "exact": lambda: build_disjoint_gram(x, explicit_lambda=False, split_fraction=0.2),
     }[kind]()
-    g, c = stats.g.copy(), target_of(stats)
+    g, c = unpack(stats.g), target_of(stats)
     d = np.diag(g).max(initial=0.0) if stats.removed_diag else 0.0
     kappa_lam = stats.kappa * (lam + d)
-    p_max = np.abs(invert_regularized_copying(g, lam)).max()
+    p_max = np.abs(invert_regularized_copying(stats.g, lam)).max()
     zero_diag = solve_zero_diag(kept(stats), lam)
     expected, gamma = general_solve(g, c, lam)
     # relative to kappa as well: centering can cancel a column to about zero
@@ -317,7 +329,7 @@ def test_self_target_is_read_off_precision(rng):
     x = binary_matrix(rng, 45, 11)
     stats = build_gram(x)
     assert stats.plain
-    p = invert_regularized(kept(stats), 0.8).p
+    p = unpack(invert_regularized(kept(stats), 0.8).p)
     expected = -(p / np.diag(p)[np.newaxis, :])
     np.fill_diagonal(expected, 0.0)
     model = solve_zero_diag(stats, lam=0.8)
@@ -328,7 +340,7 @@ def test_self_target_is_read_off_precision(rng):
 @pytest.mark.parametrize("solver", [solve_zero_diag, solve_rr])
 @pytest.mark.parametrize("kind", ["plain", "centered", "disjoint", "exact", "user_weighted"])
 def test_in_place_solve_is_bitwise_the_copying_one(rng, monkeypatch, solver, kind):
-    # 300 items: the finiteness check and the mirror cross a panel boundary.
+    # 300 items: the finiteness check and B's panels cross a panel boundary.
     # The reference solve runs the same solver on the copying inverse, which
     # leaves G intact but marks the statistics consumed as the solvers expect.
     x = binary_matrix(rng, 40, 300, density=0.1)
@@ -354,9 +366,10 @@ def test_in_place_solve_is_bitwise_the_copying_one(rng, monkeypatch, solver, kin
     assert in_place.b.tobytes() == copying_model.b.tobytes()
     if solver is solve_zero_diag:
         assert in_place.gamma.tobytes() == copying_model.gamma.tobytes()
-    # the statistics are consumed, and B is G's buffer for every target
+    # the statistics are consumed, and the model reads B off P in G's
+    # buffer for every target
     assert gram.g is None
-    assert np.shares_memory(in_place.b, g)
+    assert np.shares_memory(in_place.matrix.p, g)
 
 
 def test_model_round_trip(tmp_path, rng):
@@ -381,7 +394,7 @@ def test_model_round_trip_with_mu_and_weights(tmp_path, rng):
     model = solve_zero_diag(stats, lam=1.0)
     weights = popularity_weights(np.arange(1.0, 6.0), alpha=0.5)
     model = DenseModel(
-        b=model.b, variant=model.variant, lam=model.lam, mu=model.mu,
+        matrix=model.b, variant=model.variant, lam=model.lam, mu=model.mu,
         applied_item_weights=weights,
     )
     path = tmp_path / "model.ease"
@@ -394,8 +407,24 @@ def test_model_round_trip_with_mu_and_weights(tmp_path, rng):
     assert loaded.applied_item_weights.alpha == weights.alpha
 
 
+@pytest.mark.parametrize("center", [False, True])
+def test_streamed_model_file_is_that_of_the_unpacked_b(tmp_path, rng, center):
+    # 300 items: B is written in two row panels formed from packed P, and
+    # hashed as it is written
+    x = binary_matrix(rng, 40, 300, density=0.1)
+    model = solve_zero_diag(build_gram(x, center=center), lam=2.0)
+    keys = [f"item-{k}" for k in range(300)]
+    save_model(tmp_path / "streamed.ease", model, item_keys=keys)
+    unpacked = DenseModel(matrix=model.b, variant=model.variant, lam=model.lam, mu=model.mu)
+    save_model(tmp_path / "whole.ease", unpacked, item_keys=keys)
+    streamed = (tmp_path / "streamed.ease").read_bytes()
+    assert streamed == (tmp_path / "whole.ease").read_bytes()
+    loaded, _ = load_model(tmp_path / "streamed.ease", verify=True)
+    assert loaded.b.tobytes() == model.b.tobytes()
+
+
 def test_model_key_count_checked(tmp_path):
-    model = DenseModel(b=np.zeros((2, 2)), variant=VARIANT_RR, lam=1.0)
+    model = DenseModel(matrix=np.zeros((2, 2)), variant=VARIANT_RR, lam=1.0)
     with pytest.raises(DataError, match="item keys"):
         save_model(tmp_path / "m", model, item_keys=["only-one"])
 

@@ -23,6 +23,7 @@ from gramrec import (
     threshold_pattern,
     train_sparse,
 )
+from gramrec.packed import pack
 from gramrec.solver import VARIANT_RR
 
 from conftest import (
@@ -207,7 +208,7 @@ def test_threshold_pattern_matches_reference_with_ties_at_the_cap(n, n_max, thet
     sym = np.triu(plain) + np.triu(plain, 1).T
     np.fill_diagonal(sym, 1.0)
     # no mean and unit spread: the correlations are G / n_users, exactly sym
-    cor = CorrelationMatrix(gram=GramStats(g=2.0 * sym, n_users=2, colsum=np.zeros(n)),
+    cor = CorrelationMatrix(gram=GramStats(g=pack(2.0 * sym), n_users=2, colsum=np.zeros(n)),
                             mean=np.zeros(n), std=np.ones(n), constant=np.zeros(n, dtype=bool))
     before = plain.copy()
     for m, source in ((cor, sym), (plain, before)):
@@ -284,7 +285,7 @@ def test_aggregate_matches_reference_on_overlapping_blocks(n, n_blocks, fill, se
 
 def test_mask_restricts_to_pattern():
     b = np.array([[9.0, 0.5, 0.2], [0.7, 9.0, 0.1], [0.3, 0.4, 9.0]])
-    model = DenseModel(b=b, variant=VARIANT_RR, lam=2.0)
+    model = DenseModel(matrix=b, variant=VARIANT_RR, lam=2.0)
     pat = pattern_from_dense([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
     masked = mask_model(model, pat)
     dense = masked.values.toarray()
