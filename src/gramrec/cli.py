@@ -128,6 +128,14 @@ def _unit_float(text: str) -> float:
     return value
 
 
+def _open_unit_float(text: str) -> float:
+    """argparse type of --fold-in and --split-fraction: a number in (0, 1)."""
+    value = _finite_float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
+    return value
+
+
 def _non_negative_float(text: str) -> float:
     """argparse type of --epsilon and --threshold: a finite number of at least 0."""
     value = _finite_float(text)
@@ -244,15 +252,20 @@ def _log_gram(gram, seconds: float) -> None:
 
 
 def _build_train_gram(args, matrix, split, user_weights):
+    """Fresh statistics of the training users, logged as a ``phase gram:`` line."""
+    t0 = time.perf_counter()
     train_matrix = matrix.restrict_users(split.train_users)
     if args.disjoint:
-        return build_disjoint_gram(
+        gram = build_disjoint_gram(
             train_matrix, explicit_lambda=not args.exact_expectation,
             split_fraction=0.05 if args.split_fraction is None else args.split_fraction,
         )
-    if user_weights is not None:
-        return build_user_weighted_gram(train_matrix, user_weights)
-    return build_gram(train_matrix, center=args.center)
+    elif user_weights is not None:
+        gram = build_user_weighted_gram(train_matrix, user_weights)
+    else:
+        gram = build_gram(train_matrix, center=args.center)
+    _log_gram(gram, time.perf_counter() - t0)
+    return gram
 
 
 def cmd_train(args) -> int:
@@ -260,8 +273,6 @@ def cmd_train(args) -> int:
         raise UsageError("--exact-expectation applies only with --disjoint")
     if args.split_fraction is not None and not args.exact_expectation:
         raise UsageError("--split-fraction applies only with --exact-expectation")
-    if args.split_fraction is not None and not 0.0 < args.split_fraction < 1.0:
-        raise UsageError(f"--split-fraction must be in (0, 1), got {args.split_fraction}")
     iset = _load_events(args)
     matrix = to_user_item_matrix(iset)
     split = _load_split(args, iset)
@@ -272,8 +283,8 @@ def cmd_train(args) -> int:
     build = functools.partial(_build_train_gram, args, matrix, split, user_weights)
 
     solver_fn = _VARIANT_FLAGS[args.variant]
-    t0 = time.perf_counter()
     if args.lambda_grid is not None:
+        t0 = time.perf_counter()
         lam, reports, model = grid_search_lambda(build, matrix, split, args.lambda_grid,
                                                  solver=solver_fn)
         _log(f"phase grid search: {time.perf_counter() - t0:.2f}s")
@@ -284,10 +295,9 @@ def cmd_train(args) -> int:
     else:
         lam = getattr(args, "lambda")
         gram = build()
-        t_gram = time.perf_counter()
-        _log_gram(gram, t_gram - t0)
+        t0 = time.perf_counter()
         model = solver_fn(gram, lam)
-        _log(f"phase solve: {time.perf_counter() - t_gram:.2f}s")
+        _log(f"phase solve: {time.perf_counter() - t0:.2f}s")
 
     save_model(args.output, model, item_keys=iset.item_keys)
     _log(f"trained variant={model.variant} lambda={lam:g} -> {args.output}")
@@ -435,9 +445,10 @@ def _add_data_options(p) -> None:
 def _add_split_options(p, required: bool = True) -> None:
     p.add_argument("--split-dir", dest="split_dir", required=required,
                    help="directory written by the split command")
-    p.add_argument("--fold-in", dest="fold_in", type=_finite_float, default=0.8,
-                   help="fraction of each evaluation row fed to the model (default 0.8)")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
+    p.add_argument("--fold-in", dest="fold_in", type=_open_unit_float, default=0.8,
+                   help="fraction in (0, 1) of each evaluation row fed to the model (default 0.8)")
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
+                   help="seed for all randomness (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,16 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--binarize", action="store_true", help="write all kept values as 1.0")
     p.add_argument("--dedup", choices=DEDUP_POLICIES, default="keep_max",
                    help="duplicate (user,item) policy (default keep_max)")
-    p.add_argument("--min-user-events", dest="min_user_events", type=int, default=0)
-    p.add_argument("--min-item-events", dest="min_item_events", type=int, default=0)
+    p.add_argument("--min-user-events", dest="min_user_events", type=_int_at_least(0), default=0)
+    p.add_argument("--min-item-events", dest="min_item_events", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("split", help="partition users into train/validation/test")
     p.add_argument("--data", required=True, help="canonical interactions CSV (from ingest)")
     p.add_argument("--output-dir", dest="output_dir", required=True)
-    p.add_argument("--n-val", dest="n_val", type=int, required=True)
-    p.add_argument("--n-test", dest="n_test", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-val", dest="n_val", type=_int_at_least(0), required=True)
+    p.add_argument("--n-test", dest="n_test", type=_int_at_least(0), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train a dense model on the training users")
@@ -489,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="expected statistics of random disjoint input/target splits")
     p.add_argument("--exact-expectation", dest="exact_expectation", action="store_true",
                    help="keep the exact split expectations (with --disjoint)")
-    p.add_argument("--split-fraction", dest="split_fraction", type=_finite_float,
-                   help="target fraction for --exact-expectation (default 0.05)")
+    p.add_argument("--split-fraction", dest="split_fraction", type=_open_unit_float,
+                   help="target fraction in (0, 1) for --exact-expectation (default 0.05)")
     gram.add_argument("--user-weights", dest="user_weights",
                       help="user,weight CSV of error weights for the training users")
     p.set_defaults(func=cmd_train)

@@ -122,8 +122,8 @@ def _model_config(model) -> dict:
         return {
             "model": "sparse",
             "lambda": float(model.lam),
-            "threshold": float(model.pattern.threshold),
-            "n_max": int(model.pattern.n_max),
+            "threshold": float(model.threshold),
+            "n_max": int(model.n_max),
         }
     w = model.applied_item_weights
     return {

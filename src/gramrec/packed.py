@@ -53,23 +53,12 @@ def _blocks(a: np.ndarray):
     return n, n1, v[:, s : s + n1], v[:, s + n1 :], v[1 - s :, :n2]
 
 
-def _index(n: int, i, j) -> np.ndarray:
-    """Positions in the packed array of the entries (i, j) of an n×n matrix."""
-    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    n1, s = (n + 1) // 2, 1 - n % 2
-    return np.where(lo < n1, lo * (n + s) + s + hi, (1 - s + hi - n1) * (n + s) + lo - n1)
-
-
-def take(a: np.ndarray, i, j) -> np.ndarray:
-    """The entries A[i, j] at paired index arrays."""
-    return a[_index(order(a), i, j)]
-
-
 def diagonal_index(a: np.ndarray) -> np.ndarray:
     """Positions of diag(A) in the packed array."""
     n = order(a)
-    return _index(n, np.arange(n), np.arange(n))
+    n1, s = (n + 1) // 2, 1 - n % 2
+    i = np.arange(n)
+    return np.where(i < n1, i * (n + s + 1) + s, (1 - s + i - n1) * (n + s) + i - n1)
 
 
 def diagonal(a: np.ndarray) -> np.ndarray:
@@ -146,21 +135,17 @@ def unpack(a: np.ndarray) -> np.ndarray:
 
 
 def submatrix(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """A[idx][:, idx], packed.  Its lower triangle is gathered block by block
-    for the indices in ascending order, then put in the order of ``idx``
-    if that differs."""
+    """A[idx][:, idx], packed, for ascending ``idx``: its lower triangle is
+    gathered block by block."""
     n, n1, w, r, t = _blocks(a)
     idx = np.asarray(idx, dtype=np.int64)
-    srt = np.argsort(idx, kind="stable")
-    low, high = np.split(idx[srt], [np.searchsorted(idx[srt], n1)])
-    high -= n1
+    if np.any(np.diff(idx) < 0):
+        raise ValueError("submatrix indices must be in ascending order")
+    low, high = np.split(idx, [np.searchsorted(idx, n1)])
+    high = high - n1  # not in place: both are views of the caller's indices
     m = len(low)
     sub = np.empty((len(idx), len(idx)))
     sub[:m, :m] = w[np.ix_(low, low)].T  # W holds A11's upper triangle
     sub[m:, :m] = r[np.ix_(low, high)].T
     sub[m:, m:] = t[np.ix_(high, high)]  # T holds A22's lower triangle
-    out = pack(sub)  # reads the lower triangle only
-    if np.any(srt != np.arange(len(idx))):
-        back = np.argsort(srt)
-        out = pack(unpack(out)[np.ix_(back, back)])
-    return out
+    return pack(sub)  # reads the lower triangle only

@@ -1,23 +1,25 @@
 """Sparse item-item models: pattern selection plus block-wise training.
 
 The trainer runs in three steps.  First a sparsity pattern A is chosen by
-thresholding item-item correlation magnitudes (with a per-column cap).
-Second the columns of A are grouped into blocks: columns are visited in
-order of decreasing support, each unvisited column contributes the item set
-of its non-zero rows as one block, and all members are marked visited.
-Third each block is solved exactly by the dense zero-diagonal closed form
-on its Gram sub-matrix, and overlapping estimates are averaged.  When A is
-block-diagonal the result equals the masked dense solution exactly;
-otherwise it is an approximation that trades accuracy for never inverting
-an n_items x n_items matrix (Steck, "Markov Random Fields for
-Collaborative Filtering", NeurIPS 2019).
+thresholding item-item correlation magnitudes (with a per-column cap); the
+same pass records each column's strength, its largest kept off-diagonal
+magnitude.  Second the columns of A are grouped into blocks: columns are
+visited in order of decreasing support, then strength, each unvisited
+column contributes the item set of its non-zero rows as one block, and all
+members are marked visited.  Third each block is solved exactly by the
+dense zero-diagonal closed form on its Gram sub-matrix, and overlapping
+estimates are averaged.  When A is block-diagonal the result equals the
+masked dense solution exactly; otherwise it is an approximation that
+trades accuracy for never inverting an n_items x n_items matrix (Steck,
+"Markov Random Fields for Collaborative Filtering", NeurIPS 2019).
 
 G is held packed, n(n+1)/2 floats (see :mod:`gramrec.packed`).  Beyond
 it, training holds O(n_items · panel width + nnz(A)) memory plus the
 largest block's solution (k² values for k items): correlations are produced
-from G's rows in panels of bounded width, block ranking reads only pattern
-entries, and each block's Gram sub-matrix is copied out of G, packed, and
+from G's rows in panels of bounded width and read once, by the pattern
+pass, and each block's Gram sub-matrix is copied out of G, packed, and
 solved when the aggregation reads it, then added at pattern positions.
+The model's weights share the pattern's index arrays.
 """
 
 from __future__ import annotations
@@ -41,22 +43,19 @@ class SparsityPattern:
     """Binary indicator matrix in compressed-column form.
 
     Each column holds at most n_max entries and always contains its
-    diagonal, which the block construction relies on.
+    diagonal, which the block construction relies on.  ``strength`` holds,
+    per column, the largest off-diagonal magnitude kept in it, or −1 when
+    it keeps none; the blocks are ranked by it.
     """
 
     a: sp.csc_matrix
     threshold: float
     n_max: int
+    strength: np.ndarray
 
     @property
     def n_items(self) -> int:
         return self.a.shape[0]
-
-    @property
-    def sparsity(self) -> float:
-        """Fraction of non-zero entries, the "sparsity level" of reports."""
-        n = self.n_items
-        return self.a.nnz / float(n * n) if n else 0.0
 
 
 @dataclass
@@ -65,11 +64,9 @@ class CorrelationMatrix:
 
     Holds the Gram statistics and the per-item moments, and reads G when
     indexed, so indexing after a dense solve has consumed the statistics
-    raises.  Indexing reads it like the dense symmetric matrix with unit
-    diagonal, in the two forms the trainer uses: ``cor[:, lo:hi]`` gives a
-    column panel and ``cor[rows, cols]`` the entries at paired index arrays.
-    Each entry is (G_ij/n − m_i·m_j)/(s_i·s_j), zero where item i or j has
-    no variance.
+    raises.  It is read like the dense symmetric matrix with unit diagonal,
+    one column panel ``cor[:, lo:hi]`` at a time.  Each entry is
+    (G_ij/n − m_i·m_j)/(s_i·s_j), zero where item i or j has no variance.
     """
 
     gram: GramStats
@@ -83,49 +80,47 @@ class CorrelationMatrix:
 
     def __getitem__(self, key) -> np.ndarray:
         rows, cols = key
+        if not (isinstance(rows, slice) and rows == slice(None)
+                and isinstance(cols, slice) and cols.step in (None, 1)):
+            raise TypeError("correlation panels are indexed as cor[:, lo:hi]")
         g = self.gram.require_g()
         m, s, n = self.mean, self.std, self.gram.n_users
-        if isinstance(rows, slice):
-            if rows != slice(None) or not isinstance(cols, slice) or cols.step not in (None, 1):
-                raise TypeError("correlation panels are indexed as cor[:, lo:hi]")
-            # G is symmetric: the panel is built from G's rows and returned
-            # transposed, entry for entry the same products
-            lo, hi, _ = cols.indices(len(m))
-            idx = np.arange(lo, hi)
-            cor = packed.rows(g, lo, hi)
-            cor /= n
-            for at in range(0, len(idx), 32):  # whole-panel outers would double its memory
-                part = slice(at, at + 32)
-                cor[part] -= np.outer(m[idx[part]], m)
-                cor[part] /= np.outer(s[idx[part]], s)
-            cor[:, self.constant] = 0.0
-            cor[self.constant[idx]] = 0.0
-            cor[np.arange(len(idx)), idx] = 1.0
-            return cor.T
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        cor = packed.take(g, rows, cols) / n
-        cor -= m[rows] * m[cols]
-        cor /= s[rows] * s[cols]
-        cor[self.constant[rows] | self.constant[cols]] = 0.0
-        cor[rows == cols] = 1.0
-        return cor
+        # G is symmetric: the panel is built from G's rows and returned
+        # transposed, entry for entry the same products
+        lo, hi, _ = cols.indices(len(m))
+        idx = np.arange(lo, hi)
+        cor = packed.rows(g, lo, hi)
+        cor /= n
+        for at in range(0, len(idx), 32):  # whole-panel outers would double its memory
+            part = slice(at, at + 32)
+            cor[part] -= np.outer(m[idx[part]], m)
+            cor[part] /= np.outer(s[idx[part]], s)
+        cor[:, self.constant] = 0.0
+        cor[self.constant[idx]] = 0.0
+        cor[np.arange(len(idx)), idx] = 1.0
+        return cor.T
 
 
 @dataclass
 class SparseModel:
-    """Non-zero weights aligned to a sparsity pattern; diagonal values 0."""
+    """Weights in compressed-column form, stored at every position of the
+    pattern they were trained on (diagonal values 0), with that pattern's
+    threshold and cap."""
 
-    pattern: SparsityPattern
     values: sp.csc_matrix
+    threshold: float
+    n_max: int
     lam: float
 
     @property
     def n_items(self) -> int:
-        return self.pattern.n_items
+        return self.values.shape[0]
 
     @property
     def sparsity(self) -> float:
-        return self.pattern.sparsity
+        """Fraction of stored entries, the "sparsity level" of reports."""
+        n = self.n_items
+        return self.values.nnz / float(n * n) if n else 0.0
 
 
 def correlation_from_gram(gram: GramStats) -> CorrelationMatrix:
@@ -153,10 +148,12 @@ def threshold_pattern(
 
     A column exceeding the cap keeps its diagonal plus the n_max − 1
     strongest other entries (ties broken by ascending row); the diagonal is
-    always present regardless of its own magnitude.  ``m`` is read in column
-    panels ``m[:, lo:hi]``, so a :class:`CorrelationMatrix` is never
+    always present regardless of its own magnitude.  ``m`` is read once, in
+    column panels ``m[:, lo:hi]``, so a :class:`CorrelationMatrix` is never
     materialized whole; a plain array is sliced the same way and never
-    written to.  Each panel is capped at once (see :func:`_cap_panel`).
+    written to.  Each panel is capped at once (see :func:`_cap_panel`), and
+    each column's strength is the largest |m| gathered at its kept
+    off-diagonal positions.
     """
     if not theta >= 0:
         raise DataError(f"threshold must be a non-negative number, got {theta}")
@@ -166,23 +163,37 @@ def threshold_pattern(
     if m.shape != (n, n):
         raise DataError(f"pattern source matrix must be square, got {m.shape}")
     counts, indices = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int32)]
+    strength = np.empty(n)
     for lo in range(0, n, PANEL):
-        keep = _cap_panel(m[:, lo : lo + PANEL], lo, theta, n_max, isinstance(m, CorrelationMatrix))
-        counts.append(np.count_nonzero(keep, axis=1))
-        indices.append((np.flatnonzero(keep) % n).astype(np.int32))  # as the CSC arrays store them
+        cnt, rows, strength[lo : lo + PANEL] = _panel_pattern(m, lo, theta, n_max)
+        counts.append(cnt)
+        indices.append(rows)
     indices, indptr = np.concatenate(indices), np.cumsum(np.concatenate(counts))
     a = sp.csc_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
-    return SparsityPattern(a=a, threshold=theta, n_max=n_max)
+    return SparsityPattern(a=a, threshold=theta, n_max=n_max, strength=strength)
 
 
-def _cap_panel(panel: np.ndarray, lo: int, theta: float, n_max: int, fresh: bool) -> np.ndarray:
-    """Pattern mask of a panel's columns lo, lo + 1, …, one row each: a column
-    over the cap keeps the entries above its (n_max − 1)-th largest value and
-    then the ties at it in row order.  |panel| is made in place if ``fresh``."""
-    crit = (np.abs(panel, out=panel) if fresh else np.abs(panel)).T
+def _panel_pattern(m, lo: int, theta: float, n_max: int):
+    """Entry counts, row indices and strengths of the pattern columns lo,
+    lo + 1, … read from one panel of ``m``, which is dropped on return."""
+    panel = m[:, lo : lo + PANEL].T  # one row per column
+    # |panel|, in place when it is a fresh correlation panel
+    crit = np.abs(panel, out=panel if isinstance(m, CorrelationMatrix) else None, order="C")
+    keep = _cap_panel(crit, lo, theta, n_max)
+    flat, cnt = np.flatnonzero(keep), np.count_nonzero(keep, axis=1)
+    strength = np.maximum.reduceat(crit.ravel()[flat], np.cumsum(cnt) - cnt)
+    return cnt, (flat % m.shape[0]).astype(np.int32), strength  # rows as the CSC arrays hold them
+
+
+def _cap_panel(crit: np.ndarray, lo: int, theta: float, n_max: int) -> np.ndarray:
+    """Pattern mask of the columns lo, lo + 1, … from their magnitudes
+    ``crit``, one row each: a column over the cap keeps the entries above
+    its (n_max − 1)-th largest value and then the ties at it in row order.
+    The diagonal of ``crit`` is set to −1, below every threshold and every
+    kept value, so it ranks as no entry; the mask then keeps it."""
     diag = (np.arange(crit.shape[0]), np.arange(lo, lo + crit.shape[0]))
+    crit[diag] = -1.0
     keep = crit >= theta
-    keep[diag] = False
     over = np.flatnonzero((n_kept := np.count_nonzero(keep, axis=1)) > n_max - 1)
     if over.size:
         # their kept values in row order, padded with -1 (below every kept value)
@@ -216,40 +227,27 @@ def mask_model(model: DenseModel, pattern: SparsityPattern) -> SparseModel:
     cols = np.repeat(np.arange(n), np.diff(a.indptr))
     vals = model.b[a.indices, cols].astype(np.float64)
     vals[a.indices == cols] = 0.0
-    values = sp.csc_matrix((vals, a.indices.copy(), a.indptr.copy()), shape=(n, n))
-    return SparseModel(pattern=pattern, values=values, lam=model.lam)
+    values = sp.csc_matrix((vals, a.indices, a.indptr), shape=(n, n))
+    return SparseModel(values=values, threshold=pattern.threshold, n_max=pattern.n_max,
+                       lam=model.lam)
 
 
-def block_partition(
-    pattern: SparsityPattern, cor: np.ndarray | CorrelationMatrix
-) -> list[np.ndarray]:
+def block_partition(pattern: SparsityPattern) -> list[np.ndarray]:
     """Item blocks from the pattern columns.
 
-    Columns are ordered by support size descending, then by the largest
-    off-diagonal correlation magnitude among their entries descending, then
-    by index.  Walking that order, each not-yet-covered column i emits the
-    block {j : A_ji = 1} and marks its members covered; emitted blocks may
-    still overlap.  The ordering keys are fixed up front, which is
-    equivalent to re-sorting the remaining columns after each removal since
-    removals never change a column's keys.  Only the correlations at the
-    pattern's off-diagonal positions are read, as ``cor[rows, cols]``, a
-    panel of columns at a time.
+    Columns are ordered by support size descending, then by strength (the
+    largest off-diagonal correlation magnitude among their entries)
+    descending, then by index.  Walking that order, each not-yet-covered
+    column i emits the block {j : A_ji = 1} and marks its members covered;
+    emitted blocks may still overlap.  The ordering keys are fixed up front,
+    which is equivalent to re-sorting the remaining columns after each
+    removal since removals never change a column's keys.
     """
     a = pattern.a
     n = pattern.n_items
     if n and np.any(a.diagonal() == 0):
         raise DataError("pattern must contain every diagonal entry")
-    nnz_col = np.diff(a.indptr)
-    sec = np.full(n, -1.0)
-    for lo in range(0, n, PANEL):
-        hi = min(lo + PANEL, n)
-        rows = a.indices[a.indptr[lo] : a.indptr[hi]]
-        cols = np.repeat(np.arange(lo, hi), nnz_col[lo:hi])
-        offd = rows != cols
-        mag = np.full(rows.size, -1.0)  # the diagonal ranks as no entry but keeps
-        mag[offd] = np.abs(cor[rows[offd], cols[offd]])  # every segment non-empty
-        sec[lo:hi] = np.maximum.reduceat(mag, a.indptr[lo:hi] - a.indptr[lo])
-    order = np.lexsort((np.arange(n), -sec, -nnz_col))
+    order = np.lexsort((np.arange(n), -pattern.strength, -np.diff(a.indptr)))
     covered = np.zeros(n, dtype=bool)
     blocks: list[np.ndarray] = []
     for i in order:
@@ -313,15 +311,15 @@ def aggregate_blocks(
     if next(subs, None) is not None:
         raise DataError(f"{len(blocks)} blocks but more solutions")
     means = np.divide(sums, counts, out=sums, where=counts > 0)
-    values = sp.csc_matrix((means, a.indices.copy(), a.indptr.copy()), shape=a.shape)
-    return SparseModel(pattern=pattern, values=values, lam=lam)
+    values = sp.csc_matrix((means, a.indices, a.indptr), shape=a.shape)
+    return SparseModel(values=values, threshold=pattern.threshold, n_max=pattern.n_max, lam=lam)
 
 
 def train_sparse(gram: GramStats, theta: float, n_max: int, lam: float) -> SparseModel:
     """Three-step sparse trainer: pattern, blocks, aggregated block solves."""
     cor = correlation_from_gram(gram)
     pattern = threshold_pattern(cor, theta, n_max=n_max)
-    blocks = block_partition(pattern, cor)
+    blocks = block_partition(pattern)
     return aggregate_blocks(blocks, solve_blocks(gram, blocks, lam), pattern, lam)
 
 
@@ -332,20 +330,20 @@ def save_sparse_model(
     :mod:`gramrec.files`): the compressed column arrays (pointers, row
     indices, values) and the pattern's threshold and cap."""
     values = model.values
-    meta = {"lam": float(model.lam), "n_max": int(model.pattern.n_max),
-            "threshold": float(model.pattern.threshold)}
+    meta = {"lam": float(model.lam), "n_max": int(model.n_max), "threshold": float(model.threshold)}
     arrays = {"indptr": values.indptr, "indices": values.indices, "data": values.data}
     write_container(path, "sparse_model", model.n_items, meta, arrays, {"items": item_keys})
 
 
 def load_sparse_model(path: str | Path, verify: bool = False) -> tuple[SparseModel, list[str] | None]:
-    """Read a sparse model file back, as :func:`gramrec.solver.load_model` does."""
+    """Read a sparse model file back, as :func:`gramrec.solver.load_model`
+    does: one compressed-column matrix on the container's arrays."""
     c = read_container(path, "sparse_model", verify)
     n = c.n_items
     indptr = c.array("indptr", (n + 1,))
     nnz = int(indptr[-1])
-    indices, data = c.array("indices", (nnz,)), c.array("data", (nnz,))
-    a = sp.csc_matrix((np.ones(nnz, dtype=np.int8), indices.copy(), indptr.copy()), shape=(n, n))
-    values = sp.csc_matrix((data, indices, indptr), shape=(n, n))
-    pattern = SparsityPattern(a=a, threshold=c.scalar("threshold", float), n_max=c.scalar("n_max", int))
-    return SparseModel(pattern=pattern, values=values, lam=c.scalar("lam", float)), c.keys.get("items")
+    values = sp.csc_matrix((c.array("data", (nnz,)), c.array("indices", (nnz,)), indptr),
+                           shape=(n, n))
+    model = SparseModel(values=values, threshold=c.scalar("threshold", float),
+                        n_max=c.scalar("n_max", int), lam=c.scalar("lam", float))
+    return model, c.keys.get("items")

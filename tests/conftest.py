@@ -200,17 +200,25 @@ def threshold_pattern_reference(m: np.ndarray, theta: float, n_max: int) -> sp.c
     return sp.csc_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
 
 
-def block_partition_reference(a: sp.csc_matrix, cor: np.ndarray) -> list[np.ndarray]:
-    """Blocks from columns ranked by support, then by the largest
-    off-diagonal |correlation| in the column, then by index."""
+def pattern_strength_reference(a: sp.csc_matrix, cor: np.ndarray) -> np.ndarray:
+    """Each column's largest off-diagonal |correlation| among its pattern
+    rows, or -1 when it has none."""
     n = a.shape[0]
-    nnz_col = np.diff(a.indptr)
     sec = np.full(n, -1.0)
     for j in range(n):
         rows = a.indices[a.indptr[j] : a.indptr[j + 1]]
         offd = rows[rows != j]
         if offd.size:
             sec[j] = np.max(np.abs(cor[offd, j]))
+    return sec
+
+
+def block_partition_reference(a: sp.csc_matrix, cor: np.ndarray) -> list[np.ndarray]:
+    """Blocks from columns ranked by support, then by the largest
+    off-diagonal |correlation| in the column, then by index."""
+    n = a.shape[0]
+    nnz_col = np.diff(a.indptr)
+    sec = pattern_strength_reference(a, cor)
     covered = np.zeros(n, dtype=bool)
     blocks = []
     for i in np.lexsort((np.arange(n), -sec, -nnz_col)):

@@ -134,6 +134,20 @@ def test_train_reports_phases_and_model(workdir, tmp_path):
         assert found and int(found[1]) == n and int(found[2]) == 8 * n * (n + 1) // 2
 
 
+def test_train_grid_reports_every_gram_build(workdir, tmp_path):
+    # one build per lambda, and one more when the winner is not the last
+    res = run_cli([
+        "train", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+        "--lambda-grid", "1,10", "--output", str(tmp_path / "m.ease"),
+    ])
+    assert res.returncode == 0, res.stderr
+    n = load_model(workdir["model"])[0].n_items
+    builds = re.findall(r"phase gram: .*\(\d+ items, \d+ users, packed G (\d+) bytes\)", res.stderr)
+    chosen = float(re.search(r"grid search chose lambda=(\S+)", res.stderr)[1])
+    assert len(builds) == 2 + (chosen != 10.0)
+    assert all(int(b) == 8 * n * (n + 1) // 2 for b in builds)
+
+
 def test_evaluate_text_and_json(workdir):
     report = workdir["root"] / "report.json"
     args = [
@@ -398,10 +412,7 @@ def test_train_ease_variant_removed_center_trains(workdir, tmp_path):
      "--split-fraction applies only with --exact-expectation"),
     ([], {"disjoint": True, "split_fraction": 0.2},
      "--split-fraction applies only with --exact-expectation"),
-    (["--disjoint", "--exact-expectation", "--split-fraction", "1"], {},
-     "--split-fraction must be in (0, 1), got 1.0"),
-], ids=["exact-alone", "exact-config", "fraction-alone", "fraction-disjoint", "fraction-config",
-        "fraction-range"])
+], ids=["exact-alone", "exact-config", "fraction-alone", "fraction-disjoint", "fraction-config"])
 def test_train_refuses_options_it_would_ignore(tmp_path, capsys, options, config, message):
     # checked before the data are read, by flag or by config entry alike
     missing = str(tmp_path / "missing")
@@ -932,9 +943,29 @@ def test_out_of_range_options_exit_1_before_reading(capsys, argv, message):
     (["rescale", *_D, "--model", "m", "--weights-out", "w", "--mode", "time", "--intervals", "0",
       "--at-time", "5"], "argument --intervals: expected an integer of at least 1"),
     (["recommend", "--model", "m", "--top-k=-1"], "argument --top-k: expected an integer of at least 0"),
+    (["split", "--data", "d.csv", "--output-dir", "o", "--n-val", "1", "--n-test", "1",
+      "--seed=-1"], "argument --seed: expected an integer of at least 0"),
+    (["evaluate", *_D, "--model", "m", "--seed=-2"], "argument --seed: expected an integer of at least 0"),
+    (["split", "--data", "d.csv", "--output-dir", "o", "--n-val=-1", "--n-test", "1"],
+     "argument --n-val: expected an integer of at least 0"),
+    (["split", "--data", "d.csv", "--output-dir", "o", "--n-val", "1", "--n-test=-1"],
+     "argument --n-test: expected an integer of at least 0"),
+    (["ingest", "--input", "r.csv", "--output", "o.csv", "--min-user-events=-1"],
+     "argument --min-user-events: expected an integer of at least 0"),
+    (["ingest", "--input", "r.csv", "--output", "o.csv", "--min-item-events=-3"],
+     "argument --min-item-events: expected an integer of at least 0"),
+    (["train", *_D, "--output", "m", "--lambda", "1", "--fold-in", "1.5"],
+     "argument --fold-in: expected a number in (0, 1)"),
+    (["evaluate", *_D, "--model", "m", "--fold-in", "0"],
+     "argument --fold-in: expected a number in (0, 1)"),
+    (["train", *_D, "--output", "m", "--lambda", "1", "--disjoint", "--exact-expectation",
+      "--split-fraction", "1"], "argument --split-fraction: expected a number in (0, 1)"),
 ], ids=["train-lambda-zero", "train-lambda-negative", "train-grid-zero", "train-grid-empty",
         "sparse-lambda", "sparse-threshold", "sparse-n-max", "evaluate-ndcg-k",
-        "evaluate-recall-ks", "evaluate-time-intervals", "rescale-intervals", "recommend-top-k"])
+        "evaluate-recall-ks", "evaluate-time-intervals", "rescale-intervals", "recommend-top-k",
+        "split-seed", "evaluate-seed", "split-n-val", "split-n-test", "ingest-min-user-events",
+        "ingest-min-item-events", "train-fold-in-above", "evaluate-fold-in-zero",
+        "train-split-fraction"])
 def test_range_checked_options_exit_1_before_reading(capsys, argv, message):
     # d.csv, s and m do not exist: the parser refuses the value before any
     # file is opened

@@ -26,6 +26,8 @@ from gramrec import (
     evaluate_model,
     grid_search_lambda,
     load_interactions,
+    load_sparse_model,
+    save_sparse_model,
     solve_rr,
     solve_zero_diag,
     threshold_pattern,
@@ -158,9 +160,24 @@ def test_train_sparse_holds_one_block_at_a_time():
     gram = GramStats(g=pack(2.0 * c), n_users=2, colsum=np.zeros(n))
     del c
     pattern = threshold_pattern(correlation_from_gram(gram), theta=0.25, n_max=300)
-    sizes = np.array([len(b) for b in block_partition(pattern, correlation_from_gram(gram))])
+    sizes = np.array([len(b) for b in block_partition(pattern)])
     assert len(sizes) == 56 and sizes.max() == 288 and np.sum(sizes**2.0) > 1.1 * n * n
     assert peak_n2(lambda: train_sparse(gram, theta=0.25, n_max=300, lam=50.0), n) < 0.6
+
+
+def test_load_sparse_model_holds_its_arrays_once(wide, tmp_path):
+    """The file's arrays as read (8 bytes an entry), and the 32-bit index
+    arrays the compressed-column matrix keeps of them: no second copy of
+    the structure beside the weights."""
+    _, gram = wide
+    path = tmp_path / "m.easp"
+    save_sparse_model(path, train_sparse(gram, theta=0.05, n_max=50, lam=50.0))
+    peak, (model, _) = peak_bytes(lambda: load_sparse_model(path))
+    v = model.values
+    nnz, n = v.nnz, model.n_items
+    assert nnz > 20 * n and v.indices.dtype == v.indptr.dtype == np.int32
+    read = 8 * (nnz + nnz + n + 1)  # data, indices and indptr as the file holds them
+    assert peak <= read + v.indices.nbytes + v.indptr.nbytes + 64 * 1024
 
 
 @pytest.fixture(scope="module")

@@ -39,8 +39,6 @@ def test_panels_entries_and_blocks_read_out_bitwise(n):
             assert cols.flags.c_contiguous
             assert cols.tobytes() == np.ascontiguousarray(m[:, lo : lo + width]).tobytes()
     r = np.random.default_rng(n)
-    i, j = r.integers(0, n, 500), r.integers(0, n, 500)
-    assert packed.take(a, i, j).tobytes() == m[i, j].tobytes()
     assert packed.diagonal(a).tobytes() == np.diag(m).tobytes()
     for k in {1, min(n, 2), min(n, 9), min(n, 300)}:
         idx = np.sort(r.choice(n, k, replace=False))
@@ -65,3 +63,14 @@ def test_a_wrong_length_is_no_packed_matrix():
         packed.order(np.zeros(4))
     with pytest.raises(ValueError, match="no packed symmetric matrix"):
         packed.order(np.zeros((2, 3)))
+
+
+def test_submatrix_takes_ascending_indices_only():
+    # block members are compressed-column row indices, ascending by construction
+    m = symmetric(9)
+    a = packed.pack(m)
+    idx = np.array([1, 4, 4, 7])  # a repeat is still in order
+    assert packed.submatrix(a, idx).tobytes() == packed.pack(m[np.ix_(idx, idx)]).tobytes()
+    for bad in ([2, 1], [0, 5, 3, 8]):
+        with pytest.raises(ValueError, match="ascending"):
+            packed.submatrix(a, np.array(bad))

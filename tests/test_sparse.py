@@ -33,14 +33,18 @@ from conftest import (
     correlation_reference,
     gram_of,
     matrix_from_dense,
+    pattern_strength_reference,
     threshold_pattern_reference,
     two_pass_correlation,
 )
 
 
-def pattern_from_dense(mask: np.ndarray, theta=0.0, n_max=1000) -> SparsityPattern:
+def pattern_from_dense(mask: np.ndarray, cor=None, theta=0.0, n_max=1000) -> SparsityPattern:
+    """A hand-made pattern whose strengths come from ``cor`` (the mask
+    itself by default)."""
     a = sp.csc_matrix(np.asarray(mask, dtype=np.int8))
-    return SparsityPattern(a=a, threshold=theta, n_max=n_max)
+    strength = pattern_strength_reference(a, np.asarray(mask if cor is None else cor, dtype=float))
+    return SparsityPattern(a=a, threshold=theta, n_max=n_max, strength=strength)
 
 
 def three_block_gram(rng, users_per_block=8, items_per_block=5):
@@ -120,8 +124,15 @@ def test_correlations_indexed_after_a_solve_are_refused(rng):
     np.testing.assert_array_equal(cor[:, :], correlation_reference(stats))
     solve_zero_diag(stats, 1.0)
     assert cor.shape == (8, 8)
-    for key in ((slice(None), slice(0, 8)), (np.arange(8), np.arange(8)[::-1])):
-        with pytest.raises(DataError, match="consumed by an earlier solve"):
+    with pytest.raises(DataError, match="consumed by an earlier solve"):
+        cor[:, 0:8]
+
+
+def test_correlations_are_read_only_as_column_panels(rng):
+    cor = correlation_from_gram(build_gram(binary_matrix(rng, 30, 8)))
+    for key in ((np.arange(8), np.arange(8)[::-1]), (slice(0, 4), slice(0, 8)),
+                (slice(None), slice(0, 8, 2)), (slice(None), 3)):
+        with pytest.raises(TypeError, match=r"cor\[:, lo:hi\]"):
             cor[key]
 
 
@@ -133,7 +144,8 @@ def test_threshold_small_example():
         dense, [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
     )
     assert pat.threshold == 0.3
-    assert pat.sparsity == pytest.approx(7 / 9)
+    assert pat.a.nnz == 7
+    np.testing.assert_array_equal(pat.strength, [0.8, 0.8, 0.4])
 
 
 def test_threshold_cap_keeps_strongest():
@@ -156,6 +168,7 @@ def test_threshold_diagonal_always_present():
     m = np.zeros((3, 3))
     pat = threshold_pattern(m, theta=0.5)
     np.testing.assert_array_equal(pat.a.toarray(), np.eye(3))
+    np.testing.assert_array_equal(pat.strength, [-1.0, -1.0, -1.0])  # no off-diagonal entry
 
 
 def test_threshold_validation():
@@ -212,10 +225,13 @@ def test_threshold_pattern_matches_reference_with_ties_at_the_cap(n, n_max, thet
                             mean=np.zeros(n), std=np.ones(n), constant=np.zeros(n, dtype=bool))
     before = plain.copy()
     for m, source in ((cor, sym), (plain, before)):
-        got = threshold_pattern(m, theta=theta, n_max=n_max).a
+        pattern = threshold_pattern(m, theta=theta, n_max=n_max)
         ref = threshold_pattern_reference(source, theta, n_max)
-        np.testing.assert_array_equal(got.indptr, ref.indptr)
-        np.testing.assert_array_equal(got.indices, ref.indices)
+        np.testing.assert_array_equal(pattern.a.indptr, ref.indptr)
+        np.testing.assert_array_equal(pattern.a.indices, ref.indices)
+        np.testing.assert_array_equal(pattern.strength, pattern_strength_reference(ref, source))
+        blocks = block_partition(pattern)
+        assert [b.tolist() for b in blocks] == [b.tolist() for b in block_partition_reference(ref, source)]
     np.testing.assert_array_equal(plain, before)
 
 
@@ -249,10 +265,9 @@ def test_sparse_steps_match_whole_matrix_references(
     ref_a = threshold_pattern_reference(ref, theta, n_max)
     np.testing.assert_array_equal(pattern.a.indptr, ref_a.indptr)
     np.testing.assert_array_equal(pattern.a.indices, ref_a.indices)
-    cols = np.repeat(np.arange(n_items), np.diff(ref_a.indptr))
-    np.testing.assert_array_equal(cor[ref_a.indices, cols], ref[ref_a.indices, cols])
+    np.testing.assert_array_equal(pattern.strength, pattern_strength_reference(ref_a, ref))
 
-    blocks = block_partition(pattern, cor)
+    blocks = block_partition(pattern)
     ref_blocks = block_partition_reference(ref_a, ref)
     assert [b.tolist() for b in blocks] == [b.tolist() for b in ref_blocks]
 
@@ -280,7 +295,8 @@ def test_aggregate_matches_reference_on_overlapping_blocks(n, n_blocks, fill, se
     expected = aggregate_blocks_reference(blocks, subs, pattern.a)
     scale = np.abs(expected).max() if n_blocks else 0.0
     assert np.max(np.abs(got.toarray() - expected)) <= 1e-12 * scale
-    np.testing.assert_array_equal(got.indices, pattern.a.indices)
+    assert np.shares_memory(got.indices, pattern.a.indices)  # the pattern's arrays, not copies
+    assert np.shares_memory(got.indptr, pattern.a.indptr)
 
 
 def test_mask_restricts_to_pattern():
@@ -291,7 +307,8 @@ def test_mask_restricts_to_pattern():
     dense = masked.values.toarray()
     np.testing.assert_array_equal(dense, [[0.0, 0.5, 0.0], [0.7, 0.0, 0.0], [0.0, 0.0, 0.0]])
     assert masked.lam == 2.0
-    assert masked.sparsity == pat.sparsity
+    assert masked.sparsity == 5 / 9
+    assert np.shares_memory(masked.values.indices, pat.a.indices)
 
 
 def test_mask_full_pattern_equals_dense_off_diagonal(rng):
@@ -313,14 +330,14 @@ def test_blocks_for_block_diagonal_pattern():
     mask = np.zeros((5, 5), dtype=np.int8)
     mask[:2, :2] = 1
     mask[2:, 2:] = 1
-    pat = pattern_from_dense(mask)
-    blocks = block_partition(pat, np.asarray(mask, dtype=np.float64))
+    blocks = block_partition(pattern_from_dense(mask))
     assert [b.tolist() for b in blocks] == [[2, 3, 4], [0, 1]]
 
 
 def test_blocks_identity_pattern_gives_singletons():
     pat = pattern_from_dense(np.eye(4))
-    blocks = block_partition(pat, np.eye(4))
+    np.testing.assert_array_equal(pat.strength, [-1.0] * 4)
+    blocks = block_partition(pat)
     assert [b.tolist() for b in blocks] == [[0], [1], [2], [3]]
 
 
@@ -336,15 +353,19 @@ def test_blocks_chain_overlap():
             [0.0, 0.0, 0.8, 1.0],
         ]
     )
-    blocks = block_partition(pattern_from_dense(mask), cor)
-    assert [b.tolist() for b in blocks] == [[0, 1, 2], [2, 3]]
+    # support ties 1 and 2; 1's 0.9 beats 2's 0.8
+    for pat in (pattern_from_dense(mask, cor), threshold_pattern(cor, theta=0.5)):
+        np.testing.assert_array_equal(pat.a.toarray(), mask)
+        np.testing.assert_array_equal(pat.strength, [0.9, 0.9, 0.8, 0.8])
+        blocks = block_partition(pat)
+        assert [b.tolist() for b in blocks] == [[0, 1, 2], [2, 3]]
 
 
 def test_blocks_require_diagonal():
     a = sp.csc_matrix(np.array([[0, 1], [1, 0]], dtype=np.int8))
-    pat = SparsityPattern(a=a, threshold=0.0, n_max=10)
+    pat = SparsityPattern(a=a, threshold=0.0, n_max=10, strength=np.ones(2))
     with pytest.raises(DataError, match="diagonal"):
-        block_partition(pat, np.eye(2))
+        block_partition(pat)
 
 
 def test_blocks_cover_every_item(rng):
@@ -352,7 +373,7 @@ def test_blocks_cover_every_item(rng):
     stats = build_gram(x)
     cor = correlation_from_gram(stats)
     pat = threshold_pattern(cor, theta=0.2, n_max=4)
-    blocks = block_partition(pat, cor)
+    blocks = block_partition(pat)
     covered = np.unique(np.concatenate(blocks))
     np.testing.assert_array_equal(covered, np.arange(10))
 
@@ -423,7 +444,7 @@ def test_aggregate_of_lazy_solutions_equals_aggregate_of_a_list(rng):
     gram = build_gram(x)
     cor = correlation_from_gram(gram)
     pattern = threshold_pattern(cor, theta=0.1, n_max=8)
-    blocks = block_partition(pattern, cor)
+    blocks = block_partition(pattern)
     assert len(blocks) > 2
     listed = aggregate_blocks(blocks, list(solve_blocks(gram, blocks, 2.0)), pattern, 2.0).values
     lazy = aggregate_blocks(blocks, solve_blocks(gram, blocks, 2.0), pattern, 2.0).values
@@ -463,8 +484,9 @@ def test_train_sparse_overlapping_blocks_stay_sane(rng):
     dense = model.values.toarray()
     assert np.all(np.isfinite(dense))
     assert np.all(np.diag(dense) == 0.0)
-    assert model.values.nnz == model.pattern.a.nnz
-    assert 0.0 < model.sparsity <= 1.0
+    pattern = threshold_pattern(correlation_from_gram(stats), theta=0.15, n_max=5)
+    assert model.values.nnz == pattern.a.nnz
+    assert model.sparsity == pattern.a.nnz / 144
 
 
 def test_sparse_model_round_trip(tmp_path, rng):
@@ -476,8 +498,7 @@ def test_sparse_model_round_trip(tmp_path, rng):
     loaded, loaded_keys = load_sparse_model(path)
     assert loaded_keys == keys
     assert loaded.lam == 3.0
-    assert loaded.pattern.threshold == model.pattern.threshold
-    assert loaded.pattern.n_max == model.pattern.n_max
+    assert (loaded.threshold, loaded.n_max) == (0.1, 5)
     np.testing.assert_array_equal(loaded.values.indptr, model.values.indptr)
     np.testing.assert_array_equal(loaded.values.indices, model.values.indices)
     np.testing.assert_array_equal(loaded.values.data, model.values.data)
