@@ -158,12 +158,15 @@ def _int_at_least(low: int):
 
 
 def _cutoff_list(text: str) -> list[int]:
-    """argparse type of --recall-ks: comma-separated integers of at least 1."""
+    """argparse type of --recall-ks: a non-empty comma-separated list of
+    integers of at least 1."""
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one cutoff, got {text!r}")
     if not all(v.is_integer() for v in values):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if not all(v >= 1 for v in values):
@@ -329,6 +332,8 @@ def cmd_train_sparse(args) -> int:
 def cmd_rescale(args) -> int:
     if args.mode == "time" and (args.intervals is None or args.at_time is None):
         raise UsageError("--mode time needs --intervals and --at-time")
+    if args.mode == "remove-pop" and (args.intervals is not None or args.at_time is not None):
+        raise UsageError("--intervals and --at-time apply only with --mode time")
     if args.weights_out is None and args.output is None:
         raise UsageError("nothing to do: give --weights-out and/or --output")
     model, item_keys = load_model(args.model, verify=True)
@@ -528,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_non_negative_float, default=DEFAULT_EPSILON,
                    help="additive popularity smoothing, at least 0")
     p.add_argument("--intervals", type=_int_at_least(1),
-                   help="number of equal-count time intervals")
+                   help="number of equal-count time intervals (mode time)")
     p.add_argument("--at-time", dest="at_time", type=_finite_float,
                    help="timestamp whose interval supplies the weights (mode time)")
     p.add_argument("--weights-out", dest="weights_out", help="weight CSV to write")

@@ -7,22 +7,22 @@ Input items are forced to the bottom of the ranking so only unseen items
 compete.  All randomness flows through one seed, drawn per user, so
 reports are reproducible bit for bit.
 
-Both protocols run on one engine: each user's split is drawn once, users
-are scored in batches by :func:`score_histories`, and held-out item i gets
-rank 1 + #{j : s_j > s_i} + #{j < i : s_j == s_i} in its score row s.  That
-is its position in ``argsort(-s, kind="stable")``: ties go to the lower
-item id, and NaN scores rank last, among themselves by id.  The ranks then
-reduce to per-user metrics.  Score batches and comparison blocks hold at
-most ``_CHUNK`` floats, except that a just-trained dense model, which forms
-B from packed P, scores up to n_items / 4 users per pass over P.  Metric
-means come with the standard error of the mean across evaluated users.
+Both protocols run on one engine: each user's split is drawn once, into
+one matrix of input rows whose row ranges :func:`score_histories` scores,
+and held-out item i gets rank 1 + #{j : s_j > s_i} + #{j < i : s_j == s_i}
+in its score row s.  That is its position in ``argsort(-s, kind="stable")``:
+ties go to the lower item id, and NaN scores rank last, among themselves by
+id.  The ranks then reduce to per-user metrics.  Score ranges and
+comparison blocks hold at most ``_CHUNK`` floats, except that a
+just-trained dense model, which forms B from packed P, scores at least
+n_items / 4 users per pass over P.  Metric means come with the standard
+error of the mean across evaluated users.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,7 +41,7 @@ from .solver import VARIANT_ZERO_DIAG, DenseModel, ReadOff, solve_zero_diag
 from .sparse import SparseModel
 from .weighting import DEFAULT_EPSILON, time_popularity_weights
 
-_CHUNK = 1 << 16  # floats per score batch (_CHUNK // n_items users) and per comparison block
+_CHUNK = 1 << 16  # floats per score range (_CHUNK // n_items users) and per comparison block
 
 
 @dataclass
@@ -157,18 +157,14 @@ def _select_users(split: SplitSpec, users: str) -> np.ndarray:
     raise DataError(f"users must be 'test' or 'validation', got {users!r}")
 
 
-class _Batch(NamedTuple):
-    """Input rows of folded users; held-out (row, item, folded position)."""
+class _Folds(NamedTuple):
+    """Input rows of every folded user, in user order, and the held-out
+    events as (row, item, folded position), ordered by row."""
 
     xin: sp.csr_matrix
     rows: np.ndarray
     items: np.ndarray
     events: np.ndarray
-
-
-class _Folds(NamedTuple):
-    batches: list[_Batch]
-    n_items: int
     n_skipped: int
     config: dict
 
@@ -176,72 +172,56 @@ class _Folds(NamedTuple):
 def _draw_folds(indptr, items, values, n_items: int, split: SplitSpec, users: str) -> _Folds:
     """Fold each selected user's id-sorted row ``indptr[u]:indptr[u + 1]``
     with ``default_rng((split.seed, u))``, skipping (and counting) rows that
-    cannot be split, and batch the users ``_CHUNK // n_items`` at a time."""
+    cannot be split."""
     user_ids = _select_users(split, users)
     fraction, seed = split.fold_in_fraction, split.seed
     if not 0.0 < fraction < 1.0:
         raise DataError(f"fold-in fraction must be in (0, 1), got {fraction}")
-
-    def draws():  # input and held-out positions of each user whose row splits
-        for u in user_ids:
-            start, n = int(indptr[u]), int(indptr[u + 1] - indptr[u])
-            if n >= 2:
-                pos_in, pos_out = fold_in_indices(n, fraction, np.random.default_rng((seed, int(u))))
-                if pos_out.size:
-                    yield pos_in + start, pos_out + start
-
-    folds, batches = draws(), []
-    while batch := list(islice(folds, max(1, _CHUNK // max(n_items, 1)))):
-        ins, outs = zip(*batch)
-        pos_in, pos_out = np.concatenate(ins), np.concatenate(outs)
-        indptr_in = np.concatenate([[0], np.cumsum([len(p) for p in ins])])
-        xin = sp.csr_matrix((values[pos_in], items[pos_in], indptr_in), shape=(len(ins), n_items))
-        rows = np.repeat(np.arange(len(outs)), [len(p) for p in outs])
-        batches.append(_Batch(xin, rows, items[pos_out], pos_out))
-    n_skipped = len(user_ids) - sum(b.xin.shape[0] for b in batches)
+    ins, outs = [], []
+    for u in user_ids:
+        start, n = int(indptr[u]), int(indptr[u + 1] - indptr[u])
+        if n >= 2:
+            pos_in, pos_out = fold_in_indices(n, fraction, np.random.default_rng((seed, int(u))))
+            if pos_out.size:
+                ins.append(pos_in + start)
+                outs.append(pos_out + start)
+    empty = np.zeros(0, dtype=np.int64)
+    pos_in, pos_out = np.concatenate([empty, *ins]), np.concatenate([empty, *outs])
+    indptr_in = np.append(0, np.cumsum([len(p) for p in ins], dtype=np.int64))
+    xin = sp.csr_matrix((values[pos_in], items[pos_in], indptr_in), shape=(len(ins), n_items))
+    rows = np.repeat(np.arange(len(outs)), np.array([len(p) for p in outs], dtype=np.int64))
     config = {"users": users, "fold_in_fraction": float(fraction), "seed": int(seed)}
-    return _Folds(batches, n_items, n_skipped, config)
-
-
-def _scored(model, folds: _Folds):
-    """Each batch of the folds with its score rows.  A dense model that forms
-    B from packed P scores consecutive batches together, up to n_items / 4
-    users, so that B is formed once per n_items / 4 users."""
-    batches = folds.batches
-    if not (isinstance(model, DenseModel) and isinstance(model.matrix, ReadOff)):
-        yield from ((b, score_histories(model, b.xin)) for b in batches)
-        return
-    limit, first = folds.n_items // 4, 0
-    while first < len(batches):
-        last, users = first + 1, batches[first].xin.shape[0]
-        while last < len(batches) and users + batches[last].xin.shape[0] <= limit:
-            users += batches[last].xin.shape[0]
-            last += 1
-        group = batches[first:last]
-        scores = score_histories(model, sp.vstack([b.xin for b in group], format="csr"))
-        at = np.cumsum([0] + [b.xin.shape[0] for b in group])
-        yield from ((b, scores[at[k] : at[k + 1]]) for k, b in enumerate(group))
-        del scores  # before the next group is scored
-        first = last
+    return _Folds(xin, rows, items[pos_out], pos_out, len(user_ids) - len(ins), config)
 
 
 def _rank_held_out(model, folds: _Folds, scale=None, shift=None) -> np.ndarray:
     """Rank of every held-out item in its user's score row, in fold order.
 
-    Input items score -inf.  With ``scale = (table, idx)``, the row of the
-    held-out event at folded position p is multiplied by ``table[idx[p]]``
-    and ``shift`` is then added.  Comparisons run ``_CHUNK // n_items``
-    events at a time.
+    The rows of ``folds.xin`` are scored ``_CHUNK // n_items`` at a time,
+    or, by a dense model that forms B from packed P, at least
+    ``n_items // 4`` at a time, so that B is formed once per range of
+    rows.  Input items score -inf.  With ``scale = (table, idx)``, the row
+    of the held-out event at folded position p is multiplied by
+    ``table[idx[p]]`` and ``shift`` is then added.  Comparisons run
+    ``_CHUNK // n_items`` events at a time.
     """
+    xin, rows = folds.xin, folds.rows
+    step = max(1, _CHUNK // max(xin.shape[1], 1))
+    height = step
+    if isinstance(model, DenseModel) and isinstance(model.matrix, ReadOff):
+        height = max(step, xin.shape[1] // 4)
     ranks = [np.zeros(0, dtype=np.int64)]
-    for b, scores in _scored(model, folds):
-        scores[np.repeat(np.arange(b.xin.shape[0]), np.diff(b.xin.indptr)), b.xin.indices] = -np.inf
-        step = max(1, _CHUNK // max(scores.shape[1], 1))
-        for lo in range(0, len(b.items), step):
-            items = b.items[lo : lo + step]
-            s = scores[b.rows[lo : lo + step]]
+    for top in range(0, xin.shape[0], height):
+        part = xin[top : top + height]
+        scores = score_histories(model, part)
+        scores[np.repeat(np.arange(part.shape[0]), np.diff(part.indptr)), part.indices] = -np.inf
+        first, last = np.searchsorted(rows, (top, top + height))
+        for lo in range(first, last, step):
+            hi = min(lo + step, last)
+            items = folds.items[lo:hi]
+            s = scores[rows[lo:hi] - top]
             if scale is not None:
-                s *= scale[0][scale[1][b.events[lo : lo + step]]]
+                s *= scale[0][scale[1][folds.events[lo:hi]]]
             if shift is not None:
                 s += shift
             si = s[np.arange(len(items)), items][:, None]
@@ -255,7 +235,7 @@ def _rank_held_out(model, folds: _Folds, scale=None, shift=None) -> np.ndarray:
                 rank[nan] = (1 + np.count_nonzero(~s_nan, axis=1)
                              + np.count_nonzero(s_nan & before[nan], axis=1))
             ranks.append(rank)
-        del scores  # a view of a whole group's scores, which the next group replaces
+        del scores  # before the next range is scored
     return np.concatenate(ranks)
 
 
@@ -264,18 +244,16 @@ def _reduce(ranks, folds: _Folds, recall_ks, ndcg_k: int, config: dict, cap: boo
     ``cap``), aggregated into the report."""
     if min((*recall_ks, ndcg_k)) < 1:
         raise DataError(f"metric cutoffs must be at least 1, got {tuple(recall_ks)} and {ndcg_k}")
-    offsets = np.cumsum([0] + [b.xin.shape[0] for b in folds.batches])
-    users = np.concatenate([np.zeros(0, dtype=np.int64)]
-                           + [b.rows + o for b, o in zip(folds.batches, offsets)])
-    held = np.bincount(users, minlength=offsets[-1])
+    users, n_users = folds.rows, folds.xin.shape[0]
+    held = np.bincount(users, minlength=n_users)
     per_user = {}
     for k in recall_ks:
-        per_user[f"recall@{k}"] = np.bincount(users[ranks <= k], minlength=offsets[-1]) / np.minimum(k, held)
+        per_user[f"recall@{k}"] = np.bincount(users[ranks <= k], minlength=n_users) / np.minimum(k, held)
     top = ranks <= ndcg_k
     order = np.lexsort((ranks[top], users[top]))
     hit_users, hit_ranks = users[top][order], ranks[top][order]
     first = np.flatnonzero(np.diff(hit_users, prepend=-1))
-    dcg = np.zeros(offsets[-1])
+    dcg = np.zeros(n_users)
     if first.size:  # a leading 0.0 per user makes each sum round as np.sum does
         gains = np.insert(1.0 / np.log2(hit_ranks + 1.0), first, 0.0)
         dcg[hit_users[first]] = np.add.reduceat(gains, first + np.arange(first.size))
@@ -287,10 +265,10 @@ def _reduce(ranks, folds: _Folds, recall_ks, ndcg_k: int, config: dict, cap: boo
 
 
 def _evaluate(model, folds: _Folds, recall_ks, ndcg_k: int) -> EvalReport:
-    if model.n_items != folds.n_items:
-        raise DataError(f"model has {model.n_items} items, matrix has {folds.n_items}")
+    if model.n_items != folds.xin.shape[1]:
+        raise DataError(f"model has {model.n_items} items, matrix has {folds.xin.shape[1]}")
     config = {**_model_config(model), "protocol": "strong_generalization", **folds.config}
-    if isinstance(model, SparseModel):  # a CSC model would be converted again for every batch
+    if isinstance(model, SparseModel):  # a CSC model would be converted again for every range
         model = replace(model, values=model.values.tocsr())
     return _reduce(_rank_held_out(model, folds), folds, recall_ks, ndcg_k, config, cap=False)
 

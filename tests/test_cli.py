@@ -616,6 +616,7 @@ def _evaluate_args(workdir):
     ("evaluate", "fold_in", "q"),
     ("train", "lambda", "abc"),
     ("split", "n_val", "abc"),
+    ("evaluate", "recall_ks", []),
 ])
 def test_config_values_checked_as_flags(workdir, tmp_path, command, key, value):
     cfg = tmp_path / "cfg.json"
@@ -938,6 +939,10 @@ def test_out_of_range_options_exit_1_before_reading(capsys, argv, message):
      "argument --ndcg-k: expected an integer of at least 1"),
     (["evaluate", *_D, "--model", "m", "--recall-ks", "20,0"],
      "argument --recall-ks: expected cutoffs of at least 1"),
+    (["evaluate", *_D, "--model", "m", "--recall-ks", ","],
+     "argument --recall-ks: expected at least one cutoff"),
+    (["evaluate", *_D, "--model", "m", "--recall-ks="],
+     "argument --recall-ks: expected at least one cutoff"),
     (["evaluate", *_D, "--model", "m", "--time-intervals", "0"],
      "argument --time-intervals: expected an integer of at least 1"),
     (["rescale", *_D, "--model", "m", "--weights-out", "w", "--mode", "time", "--intervals", "0",
@@ -962,7 +967,8 @@ def test_out_of_range_options_exit_1_before_reading(capsys, argv, message):
       "--split-fraction", "1"], "argument --split-fraction: expected a number in (0, 1)"),
 ], ids=["train-lambda-zero", "train-lambda-negative", "train-grid-zero", "train-grid-empty",
         "sparse-lambda", "sparse-threshold", "sparse-n-max", "evaluate-ndcg-k",
-        "evaluate-recall-ks", "evaluate-time-intervals", "rescale-intervals", "recommend-top-k",
+        "evaluate-recall-ks", "evaluate-recall-ks-comma", "evaluate-recall-ks-blank",
+        "evaluate-time-intervals", "rescale-intervals", "recommend-top-k",
         "split-seed", "evaluate-seed", "split-n-val", "split-n-test", "ingest-min-user-events",
         "ingest-min-item-events", "train-fold-in-above", "evaluate-fold-in-zero",
         "train-split-fraction"])
@@ -1009,6 +1015,26 @@ def test_rescale_usage_checked_before_loading(tmp_path, capsys, extra, message):
     argv = ["rescale", "--data", missing, "--split-dir", missing, "--model", missing, *extra]
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options,config", [
+    (["--intervals", "3"], {}),
+    (["--at-time", "5"], {}),
+    ([], {"intervals": 3}),
+    (["--mode", "remove-pop"], {"at_time": 5}),
+], ids=["intervals", "at-time", "intervals-config", "at-time-config"])
+def test_rescale_remove_pop_refuses_time_options(tmp_path, capsys, options, config):
+    # checked before the data are read, by flag or by config entry alike
+    missing = str(tmp_path / "missing")
+    argv = ["rescale", "--data", missing, "--split-dir", missing, "--model", missing,
+            "--weights-out", str(tmp_path / "w.csv"), *options]
+    if config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert "--intervals and --at-time apply only with --mode time" in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
 
 
 def _commands_after_ingest(out):

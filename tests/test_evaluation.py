@@ -681,8 +681,7 @@ def test_ranks_are_stable_descending_sort_positions(n, n_events, seed, special):
     rows = np.sort(r.integers(0, 3, n_events))
     items = r.integers(0, n, n_events)
     xin = sp.csr_matrix((3, n))
-    folds = evaluation._Folds([evaluation._Batch(xin, rows, items, np.arange(n_events))],
-                              n, 0, {})
+    folds = evaluation._Folds(xin, rows, items, np.arange(n_events), 0, {})
     table = r.choice(pool, (3, n))
     model = PopularityScorer(np.ones(n))
     with with_chunk(int(r.integers(1, 2 * n + 2))):
@@ -700,7 +699,7 @@ def test_engine_metrics_match_public_metric_functions():
     folds = evaluation._draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split,
                                    "test")
     ranks = evaluation._rank_held_out(model, folds)
-    batch = folds.batches[0]
+    batch = folds
     scores = score_histories(model, batch.xin)
     for row in range(batch.xin.shape[0]):
         scores[row, batch.xin.indices[batch.xin.indptr[row]:batch.xin.indptr[row + 1]]] = -np.inf
@@ -762,7 +761,7 @@ def test_trained_model_scores_bitwise_as_its_unpacked_b(n_items, n_users, kind, 
 
 @pytest.mark.parametrize("chunk", [None, 3 * 40, 40])
 def test_trained_model_reports_as_its_unpacked_b(chunk):
-    # batches of 1 or 3 users (or all 60) are scored 10 users per pass over P
+    # the 60 users are scored 10 per pass over P with _CHUNK at n or 3n, else all at once
     r = np.random.default_rng(5)
     matrix = matrix_from_dense(r.random((160, 40)) < 0.2)
     split = SplitSpec(train_users=np.arange(100), validation_users=np.arange(100, 160),
@@ -775,3 +774,47 @@ def test_trained_model_reports_as_its_unpacked_b(chunk):
         assert reports[10.0].to_json() == expected.to_json()
         got = evaluate_model(model, matrix, split)
         assert got.to_json() == evaluate_model(unpacked, matrix, split).to_json()
+
+
+def trained_case(n_items):
+    """A model trained on 100 users and 400 test users with at least five
+    of ``n_items`` items each, so every test user is folded."""
+    r = np.random.default_rng(7)
+    x = r.random((500, n_items)) < 12 / n_items
+    x[:, :5] = True
+    matrix = matrix_from_dense(x)
+    split = SplitSpec(train_users=np.arange(100), validation_users=np.arange(100, 500),
+                      test_users=np.arange(100, 500), fold_in_fraction=0.8, seed=3)
+    model = solve_zero_diag(build_gram(matrix.restrict_users(split.train_users)), 10.0)
+    return model, matrix, split
+
+
+@pytest.mark.parametrize("n_items,chunk,height", [
+    (40, 40, 10), (40, 3 * 40, 10), (40, None, 400), (600, None, 150),
+], ids=["n40-chunk-n", "n40-chunk-3n", "n40", "n600"])
+def test_trained_model_forms_each_panel_once_per_range(n_items, chunk, height):
+    # a range is max(_CHUNK // n, n // 4) users, and each range forms every
+    # 256-column panel of B from packed P once
+    model, matrix, split = trained_case(n_items)
+    assert isinstance(model.matrix, ReadOff)
+    with with_chunk(chunk), mock.patch.object(ReadOff, "columns", autospec=True,
+                                              side_effect=ReadOff.columns) as columns:
+        report = evaluate_model(model, matrix, split)
+    assert report.n_users == 400
+    assert columns.call_count == -(-400 // height) * -(-n_items // 256)
+
+
+@pytest.mark.parametrize("chunk", [None, 40, 3 * 40])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "popularity"])
+def test_loaded_model_scores_chunk_over_n_users_at_a_time(kind, chunk):
+    model, matrix, split = trained_case(40)
+    model = {"dense": replace(model, matrix=model.b),
+             "sparse": mask_model(replace(model, matrix=model.b),
+                                  threshold_pattern(np.ones((40, 40)), theta=0.5)),
+             "popularity": PopularityScorer(np.ones(40))}[kind]
+    with with_chunk(chunk), mock.patch.object(evaluation, "score_histories",
+                                              wraps=evaluation.score_histories) as score:
+        report = evaluate_model(model, matrix, split)
+    heights = [call.args[1].shape[0] for call in score.call_args_list]
+    assert sum(heights) == report.n_users == 400
+    assert max(heights) <= (chunk or evaluation._CHUNK) // 40
