@@ -8,15 +8,16 @@ compete.  All randomness flows through one seed, drawn per user, so
 reports are reproducible bit for bit.
 
 Both protocols run on one engine: each user's split is drawn once, into
-one matrix of input rows whose row ranges :func:`score_histories` scores,
-and held-out item i gets rank 1 + #{j : s_j > s_i} + #{j < i : s_j == s_i}
-in its score row s.  That is its position in ``argsort(-s, kind="stable")``:
-ties go to the lower item id, and NaN scores rank last, among themselves by
-id.  The ranks then reduce to per-user metrics.  Score ranges and
-comparison blocks hold at most ``_CHUNK`` floats, except that a
-just-trained dense model, which forms B from packed P, scores at least
-n_items / 4 users per pass over P.  Metric means come with the standard
-error of the mean across evaluated users.
+one matrix of input rows, and held-out item i gets rank
+1 + #{j : s_j > s_i} + #{j < i : s_j == s_i} in its score row s.  That is
+its position in ``argsort(-s, kind="stable")``: ties go to the lower item
+id, and NaN scores rank last, among themselves by id.  The rows are scored
+one column panel of the model at a time, in two passes over the panels, so
+a dense model that holds packed P forms each panel of B twice per
+evaluation and never holds B whole.  The ranks then reduce to per-user
+metrics.  Score blocks and comparison blocks hold at most ``_CHUNK``
+floats.  Metric means come with the standard error of the mean across
+evaluated users.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .solver import VARIANT_ZERO_DIAG, DenseModel, ReadOff, solve_zero_diag
 from .sparse import SparseModel
 from .weighting import DEFAULT_EPSILON, time_popularity_weights
 
-_CHUNK = 1 << 16  # floats per score range (_CHUNK // n_items users) and per comparison block
+_CHUNK = 1 << 16  # floats per score block (_CHUNK // PANEL users) and per comparison block
 
 
 @dataclass
@@ -95,23 +96,39 @@ def popularity_rank(pop: np.ndarray) -> np.ndarray:
     return np.argsort(-pop, kind="stable")
 
 
-def score_histories(model, xin: sp.csr_matrix) -> np.ndarray:
-    """Dense score rows for a batch of input histories, any model kind.  A
-    trained dense model scores them with 256 columns of B at a time, formed
-    from packed P; each score is bitwise what the whole B gives."""
-    if isinstance(model, SparseModel):
-        return (xin @ model.values).toarray().astype(np.float64, copy=False)
+def _columns(model, lo: int, hi: int):
+    """Item columns lo:hi of any model kind: B[:, lo:hi] of a dense model,
+    those of a sparse model's weights as CSR, or the popularity counts."""
     if isinstance(model, PopularityScorer):
-        return np.tile(model.pop, (xin.shape[0], 1))
-    if isinstance(model.matrix, ReadOff):
-        n = model.n_items
-        scores = np.empty((xin.shape[0], n))
-        for lo in range(0, n, PANEL):
-            scores[:, lo : lo + PANEL] = xin @ model.matrix.columns(lo, lo + PANEL)
+        return model.pop[lo:hi]
+    if isinstance(model, SparseModel):
+        return model.values[:, lo:hi].tocsr()
+    m = model.matrix
+    return m.columns(lo, hi) if isinstance(m, ReadOff) else np.ascontiguousarray(m[:, lo:hi])
+
+
+def _scores(model, xin: sp.csr_matrix, cols, lo: int) -> np.ndarray:
+    """Scores of the rows of ``xin`` for the items lo, lo + 1, … of
+    ``cols = _columns(model, lo, …)``, the target means included."""
+    if sp.issparse(cols):
+        s = (xin @ cols).toarray().astype(np.float64, copy=False)
+    elif cols.ndim == 1:
+        s = np.tile(cols, (xin.shape[0], 1))
     else:
-        scores = xin @ model.matrix
-    if model.mu is not None:
-        scores = scores + model.mu
+        s = xin @ cols
+    if isinstance(model, DenseModel) and model.mu is not None:
+        s += model.mu[lo : lo + s.shape[1]]
+    return s
+
+
+def score_histories(model, xin: sp.csr_matrix) -> np.ndarray:
+    """Dense score rows for a batch of input histories, any model kind,
+    scored 256 item columns at a time; each score is bitwise what the whole
+    model gives, and a dense model that holds packed P never forms B whole."""
+    n = model.n_items
+    scores = np.empty((xin.shape[0], n))
+    for lo in range(0, n, PANEL):
+        scores[:, lo : lo + PANEL] = _scores(model, xin, _columns(model, lo, lo + PANEL), lo)
     return scores
 
 
@@ -197,46 +214,68 @@ def _draw_folds(indptr, items, values, n_items: int, split: SplitSpec, users: st
 def _rank_held_out(model, folds: _Folds, scale=None, shift=None) -> np.ndarray:
     """Rank of every held-out item in its user's score row, in fold order.
 
-    The rows of ``folds.xin`` are scored ``_CHUNK // n_items`` at a time,
-    or, by a dense model that forms B from packed P, at least
-    ``n_items // 4`` at a time, so that B is formed once per range of
-    rows.  Input items score -inf.  With ``scale = (table, idx)``, the row
-    of the held-out event at folded position p is multiplied by
-    ``table[idx[p]]`` and ``shift`` is then added.  Comparisons run
-    ``_CHUNK // n_items`` events at a time.
+    Each column panel of ``PANEL`` items is formed once per pass (see
+    :func:`_columns`).  The first pass scores, against each panel, the
+    users with a held-out item in it, and records each such event's own
+    score; the second scores every user against each panel and adds to each
+    event's rank the panel's items that rank before it.  Users are scored
+    ``_CHUNK // PANEL`` at a time, comparisons run as many events at a time,
+    and a panel is released before the next one is formed.  Input items
+    score -inf.  With ``scale = (table, idx)``, the row of the held-out
+    event at folded position p is multiplied by ``table[idx[p]]`` and
+    ``shift`` is then added.
     """
-    xin, rows = folds.xin, folds.rows
-    step = max(1, _CHUNK // max(xin.shape[1], 1))
-    height = step
-    if isinstance(model, DenseModel) and isinstance(model.matrix, ReadOff):
-        height = max(step, xin.shape[1] // 4)
-    ranks = [np.zeros(0, dtype=np.int64)]
-    for top in range(0, xin.shape[0], height):
-        part = xin[top : top + height]
-        scores = score_histories(model, part)
-        scores[np.repeat(np.arange(part.shape[0]), np.diff(part.indptr)), part.indices] = -np.inf
-        first, last = np.searchsorted(rows, (top, top + height))
-        for lo in range(first, last, step):
-            hi = min(lo + step, last)
-            items = folds.items[lo:hi]
-            s = scores[rows[lo:hi] - top]
-            if scale is not None:
-                s *= scale[0][scale[1][folds.events[lo:hi]]]
-            if shift is not None:
-                s += shift
-            si = s[np.arange(len(items)), items][:, None]
-            before = np.arange(s.shape[1]) < items[:, None]
-            tied_before = s == si
-            tied_before &= before
-            rank = 1 + np.count_nonzero(s > si, axis=1) + np.count_nonzero(tied_before, axis=1)
-            nan = np.isnan(si[:, 0])
-            if nan.any():
-                s_nan = np.isnan(s[nan])
-                rank[nan] = (1 + np.count_nonzero(~s_nan, axis=1)
-                             + np.count_nonzero(s_nan & before[nan], axis=1))
-            ranks.append(rank)
-        del scores  # before the next range is scored
-    return np.concatenate(ranks)
+    xin, rows, items, events = folds.xin, folds.rows, folds.items, folds.events
+    n_users, n = xin.shape
+    step = max(1, _CHUNK // PANEL)
+    panels = range(0, n if len(items) else 0, PANEL)  # no panel is formed for no events
+
+    def scored(x, cols, lo):
+        s = _scores(model, x, cols, lo)
+        hit = (x.indices >= lo) & (x.indices < lo + s.shape[1])
+        s[np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))[hit], x.indices[hit] - lo] = -np.inf
+        return s
+
+    def adjust(s, e, cols):  # the interval scale and the shift of events e
+        if scale is not None:
+            s *= scale[0][scale[1][events[e]], cols]
+        if shift is not None:
+            s += shift[cols]
+
+    own = np.empty(len(items))
+    for lo in panels:
+        cols = _columns(model, lo, lo + PANEL)
+        inside = np.flatnonzero((items >= lo) & (items < lo + PANEL))
+        users = np.unique(rows[inside])
+        for k in range(0, len(users), step):
+            chunk = users[k : k + step]
+            e = inside[slice(*np.searchsorted(rows[inside], (chunk[0], chunk[-1] + 1)))]
+            s = scored(xin[chunk], cols, lo)[np.searchsorted(chunk, rows[e]), items[e] - lo]
+            adjust(s, e, items[e])
+            own[e] = s
+        del cols  # before the next panel is formed
+    ranks = np.ones(len(items), dtype=np.int64)
+    for lo in panels:
+        cols = _columns(model, lo, lo + PANEL)
+        for top in range(0, n_users, step):
+            scores = scored(xin[top : top + step], cols, lo)
+            first, last = np.searchsorted(rows, (top, top + step))
+            for e0 in range(first, last, step):
+                e = slice(e0, min(e0 + step, last))
+                s = scores[rows[e] - top]
+                adjust(s, e, slice(lo, lo + s.shape[1]))
+                si = own[e][:, None]
+                before = np.arange(lo, lo + s.shape[1]) < items[e][:, None]
+                tied_before = s == si
+                tied_before &= before
+                ranks[e] += np.count_nonzero(s > si, axis=1) + np.count_nonzero(tied_before, axis=1)
+                nan = np.isnan(si[:, 0])
+                if nan.any():
+                    s_nan = np.isnan(s[nan])
+                    ranks[e][nan] += (np.count_nonzero(~s_nan, axis=1)
+                                      + np.count_nonzero(s_nan & before[nan], axis=1))
+        del cols
+    return ranks
 
 
 def _reduce(ranks, folds: _Folds, recall_ks, ndcg_k: int, config: dict, cap: bool) -> EvalReport:
@@ -268,8 +307,6 @@ def _evaluate(model, folds: _Folds, recall_ks, ndcg_k: int) -> EvalReport:
     if model.n_items != folds.xin.shape[1]:
         raise DataError(f"model has {model.n_items} items, matrix has {folds.xin.shape[1]}")
     config = {**_model_config(model), "protocol": "strong_generalization", **folds.config}
-    if isinstance(model, SparseModel):  # a CSC model would be converted again for every range
-        model = replace(model, values=model.values.tocsr())
     return _reduce(_rank_held_out(model, folds), folds, recall_ks, ndcg_k, config, cap=False)
 
 
@@ -375,6 +412,10 @@ def grid_search_lambda(
         raise DataError("empty lambda grid")
     if not all(0 < l < np.inf for l in lams):
         raise DataError("all grid lambdas must be positive and finite")
+    recall_ks, ndcg_k = (20, 50), 100
+    names = sorted([*(f"recall@{k}" for k in recall_ks), f"ndcg@{ndcg_k}"])
+    if metric not in names:  # before the first G is built
+        raise DataError(f"unknown search metric {metric!r}; have {names}")
     csr = matrix.matrix
     folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, "validation")
     reports: dict[float, EvalReport] = {}
@@ -383,9 +424,7 @@ def grid_search_lambda(
     for lam in lams:
         model = None  # before the next G is built
         model = solver(build(), lam)
-        report = _evaluate(model, folds, (20, 50), 100)
-        if metric not in report.metrics:
-            raise DataError(f"unknown search metric {metric!r}; have {sorted(report.metrics)}")
+        report = _evaluate(model, folds, recall_ks, ndcg_k)
         reports[lam] = report
         score = report.metrics[metric][0]
         if score > best_score:

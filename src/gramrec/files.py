@@ -14,8 +14,8 @@ A container is, in order:
 
 The item count sits at bytes 8-16, where the dense model format kept it,
 so a model's size can be read without parsing the header, as
-``perfbench/run.py`` does; and a dense model without means or weights ends
-with B's last row, which ``perfbench/test_perfbench.py`` edits in place.
+``perfbench/run.py`` does; and a trained dense model ends with packed P,
+an entry of which ``perfbench/test_perfbench.py`` edits in place.
 """
 
 from __future__ import annotations

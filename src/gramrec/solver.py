@@ -16,11 +16,11 @@ formed: with v = P*s,
 the EASE read-off B_ij = -P_ij / P_jj for plain statistics (Steck,
 "Embarrassingly Shallow Autoencoders for Sparse Data", WWW 2019).  P is
 made in G's packed buffer (see :mod:`gramrec.packed`), and B is never
-held whole: a trained model keeps P and O(n) vectors, and forms B a panel
-of rows or columns at a time when it is scored or saved.  The solvers
-return :class:`DenseModel`, which also carries the provenance needed for
-scoring (centering means, applied item weights) and the multipliers as
-diagnostics.
+held whole: a trained model keeps P and O(n) vectors, its file holds them
+too, and it forms B a panel of rows or columns at a time when it is
+scored.  The solvers return :class:`DenseModel`, which also carries the
+provenance needed for scoring (centering means, applied item weights) and
+the multipliers as diagnostics.
 """
 
 from __future__ import annotations
@@ -59,39 +59,43 @@ class PrecisionMatrix:
 class ReadOff:
     """B formed from packed P one panel at a time:
 
-        B_ij = P_ij / c_j - v_i*mu_j,
+        B_ij = (P_ij / c_j - v_i*mu_j) * w_j,
 
     with the diagonal written as zero, or, when ``kappa`` is given, as
-    P_jj / c_j + kappa - v_j*mu_j.  Rows and columns hold the same entries."""
+    (P_jj / c_j + kappa - v_j*mu_j) * w_j; w is 1 when not given.  Rows and
+    columns hold the same entries."""
 
     p: np.ndarray
     c: np.ndarray
     v: np.ndarray | None = None
     mu: np.ndarray | None = None
     kappa: float | None = None
+    w: np.ndarray | None = None
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """B[lo:hi], C-ordered."""
         b = packed.rows(self.p, lo, hi)
-        b /= self.c
         diag = (np.arange(b.shape[0]), np.arange(lo, lo + b.shape[0]))
-        return self._finish(b, diag, self.v[lo:hi, None] * self.mu if self.v is not None else None)
+        return self._finish(b, slice(lo, hi), slice(None), diag)
 
     def columns(self, lo: int, hi: int) -> np.ndarray:
         """B[:, lo:hi], C-ordered."""
         b = packed.columns(self.p, lo, hi)
-        b /= self.c[lo:hi]
         diag = (np.arange(lo, lo + b.shape[1]), np.arange(b.shape[1]))
-        return self._finish(b, diag, self.v[:, None] * self.mu[lo:hi] if self.v is not None else None)
+        return self._finish(b, slice(None), slice(lo, hi), diag)
 
-    def _finish(self, b: np.ndarray, diag, centering: np.ndarray | None) -> np.ndarray:
-        """The diagonal and the centering term v*mu^T of a panel of P/c."""
+    def _finish(self, b: np.ndarray, r: slice, c: slice, diag) -> np.ndarray:
+        """B[r, c] from the panel b = P[r, c], in place: the division by c,
+        the diagonal, the centering term v*mu^T and the column scale w."""
+        b /= self.c[c]
         if self.kappa is not None:
             b[diag] += self.kappa
-        if centering is not None:
-            b -= centering
+        if self.v is not None:
+            b -= self.v[r, None] * self.mu[c]
         if self.kappa is None:
             b[diag] = 0.0
+        if self.w is not None:
+            b *= self.w[c]
         return b
 
 
@@ -99,9 +103,10 @@ class ReadOff:
 class DenseModel:
     """A learned item-item weight matrix B plus the flags that produced it.
 
-    ``matrix`` is B as an n×n array (a model read from a file or rescaled),
-    or a :class:`ReadOff` of packed P (a model just trained), which forms B
-    panel by panel.  ``gamma`` holds the per-item Lagrange multipliers of
+    ``matrix`` is B as an n×n array (a model built from one, or read from a
+    file that holds B), or a :class:`ReadOff` of packed P (a model trained,
+    or read from a file that holds P), which forms B panel by panel.
+    ``gamma`` holds the per-item Lagrange multipliers of
     the zero-diagonal constraint when the variant has one; it is diagnostic
     only and is not persisted.
     """
@@ -123,11 +128,6 @@ class DenseModel:
     def n_items(self) -> int:
         m = self.matrix
         return m.shape[0] if isinstance(m, np.ndarray) else len(m.c)
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """B[lo:hi]."""
-        m = self.matrix
-        return m[lo:hi] if isinstance(m, np.ndarray) else m.rows(lo, hi)
 
 
 def invert_regularized(gram: GramStats, lam: float) -> PrecisionMatrix:
@@ -217,26 +217,35 @@ solve_ease = solve_zero_diag
 
 
 def save_model(path: str | Path, model: DenseModel, item_keys: list[str] | None = None) -> None:
-    """Write a DenseModel as a ``dense_model`` container (see :mod:`gramrec.files`):
-    B, then the target means and the applied item weights when it has them.
-    B is written 256 rows at a time, so a trained model never forms it whole."""
+    """Write a DenseModel as a ``dense_model`` container (see :mod:`gramrec.files`).
+
+    A model that holds P is written as it is held: the read-off vectors c
+    and, when centered, v, then the target means and the applied item
+    weights, and packed P last, with ``kappa`` in the metadata for the
+    ridge variant.  A model built from an array is written as B, then the
+    means and weights."""
     meta = {"lam": float(model.lam), "variant": model.variant}
-    n = model.n_items
-    arrays = {"b": Pieces((n, n), (model.rows(lo, lo + PANEL) for lo in range(0, n, PANEL)))}
-    if model.mu is not None:
-        arrays["mu"] = model.mu
-    w = model.applied_item_weights
+    m, n, w = model.matrix, model.n_items, model.applied_item_weights
     if w is not None:
         meta |= {"weight_alpha": float(w.alpha), "weight_kind": w.kind}
-        arrays["weights"] = w.w
-    write_container(path, "dense_model", model.n_items, meta, arrays, {"items": item_keys})
+    vectors = {"mu": model.mu, "weights": None if w is None else w.w}
+    if isinstance(m, ReadOff):
+        if m.kappa is not None:
+            meta["kappa"] = float(m.kappa)
+        arrays = {"c": m.c, "v": m.v, **vectors, "p": m.p}
+    else:
+        arrays = {"b": Pieces((n, n), [m]), **vectors}
+    write_container(path, "dense_model", n, meta,
+                    {name: a for name, a in arrays.items() if a is not None}, {"items": item_keys})
 
 
 def load_model(path: str | Path, verify: bool = False) -> tuple[DenseModel, list[str] | None]:
     """Read a model file back; returns the model and its item keys (None
-    when the file was written without a key table).  With ``verify``, as
-    every command reads it, a file whose bytes fail its sha256 is refused;
-    without, B is used as stored, so in-process checks of B see it."""
+    when the file was written without a key table).  A file that holds P
+    loads as a :class:`ReadOff` of it, scaled by the applied weights; one
+    that holds B loads as that array.  With ``verify``, as every command
+    reads it, a file whose bytes fail its sha256 is refused; without, the
+    arrays are used as stored, so in-process checks of B see them."""
     from .weighting import WEIGHT_KINDS, ItemWeightVector
 
     c = read_container(path, "dense_model", verify)
@@ -248,11 +257,17 @@ def load_model(path: str | Path, verify: bool = False) -> tuple[DenseModel, list
             kind=c.scalar("weight_kind", str, WEIGHT_KINDS),
             alpha=c.scalar("weight_alpha", float),
         )
+    mu, v = (c.array(name, (n,)) if name in c.arrays else None for name in ("mu", "v"))
+    matrix = c.array("b", (n, n)) if "p" not in c.arrays else ReadOff(
+        c.array("p", (packed.size(n),)), c.array("c", (n,)), v,
+        None if v is None else c.array("mu", (n,)),
+        c.scalar("kappa", float) if "kappa" in c.meta else None,
+        None if weights is None else weights.w)
     model = DenseModel(
-        matrix=c.array("b", (n, n)),
+        matrix=matrix,
         variant=c.scalar("variant", str, (VARIANT_RR, VARIANT_ZERO_DIAG)),
         lam=c.scalar("lam", float),
-        mu=c.array("mu", (n,)) if "mu" in c.arrays else None,
+        mu=mu,
         applied_item_weights=weights,
     )
     return model, c.keys.get("items")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .files import atomic_write, read_key_csv
-from .solver import VARIANT_ZERO_DIAG, DenseModel
+from .solver import VARIANT_ZERO_DIAG, DenseModel, ReadOff
 
 KIND_UNIFORM = "uniform"
 KIND_INVERSE_POP = "inverse_pop"
@@ -94,8 +94,10 @@ def apply_item_rescaling(model: DenseModel, weights: ItemWeightVector) -> DenseM
 
     Equivalent to retraining on targets Y*diagMat(w); the zero diagonal is
     preserved, and stored multipliers scale along (the rescaled model is the
-    exact optimum of the column-scaled objective).  The original model is
-    never mutated, so weights can change per request without retraining.
+    exact optimum of the column-scaled objective).  A model that holds P
+    takes w as its column scale, which costs O(n); one that holds B gets a
+    scaled copy of it.  The original model is never mutated, so weights can
+    change per request without retraining.
     """
     if model.variant != VARIANT_ZERO_DIAG:
         raise DataError(f"re-scaling applies to zero-diagonal models, not variant {model.variant!r}")
@@ -104,12 +106,9 @@ def apply_item_rescaling(model: DenseModel, weights: ItemWeightVector) -> DenseM
     if model.applied_item_weights is not None:
         raise DataError("model already carries item weights; re-scale the unweighted model")
     gamma = None if model.gamma is None else model.gamma * weights.w
-    return replace(
-        model,
-        matrix=model.b * weights.w[np.newaxis, :],
-        applied_item_weights=weights,
-        gamma=gamma,
-    )
+    m = model.matrix
+    matrix = replace(m, w=weights.w) if isinstance(m, ReadOff) else m * weights.w[np.newaxis, :]
+    return replace(model, matrix=matrix, applied_item_weights=weights, gamma=gamma)
 
 
 def save_weights_csv(path: str | Path, weights: ItemWeightVector, item_keys: list[str]) -> None:

@@ -252,3 +252,28 @@ def test_traced_train_on_ingested_data_records_one_load(tmp_path):
     spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
     loads = [s for s in spans if s["name"] == "data.load_interactions"]
     assert len(loads) == 1 and loads[0]["events"] == n_rows == 200
+
+
+def test_model_file_bytes_the_benchmark_reads_and_edits(tmp_path):
+    """``run.py`` reads n from bytes 8-16 of ``model.ease``, and
+    ``test_perfbench.py`` adds 0.5 to its second-to-last float64 and expects
+    the stationarity gate, which loads the file unverified and reads
+    ``model.b``, to see B change off the diagonal."""
+    from conftest import binary_matrix
+    from gramrec import DataError, build_gram, load_model, save_model, solve_zero_diag
+
+    n = 7
+    model = solve_zero_diag(build_gram(binary_matrix(np.random.default_rng(2), 30, n)), 5.0)
+    path = tmp_path / "model.ease"
+    save_model(path, model)
+    raw = bytearray(path.read_bytes())
+    assert int(np.frombuffer(raw[8:16], "<u8")[0]) == n
+    weight = np.frombuffer(raw[-16:-8], "<f8")[0]
+    raw[-16:-8] = np.float64(weight + 0.5).astype("<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    b = load_model(path)[0].b
+    changed = np.argwhere(b != model.b)
+    assert len(changed) and np.all(changed[:, 0] != changed[:, 1])
+    assert np.all(np.diag(b) == 0.0)
+    with pytest.raises(DataError, match="sha256"):
+        load_model(path, verify=True)

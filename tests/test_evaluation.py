@@ -1,4 +1,5 @@
 import json
+from contextlib import ExitStack
 from dataclasses import replace
 from unittest import mock
 
@@ -32,7 +33,9 @@ from gramrec import (
 )
 import gramrec.evaluation as evaluation
 from gramrec.data import fold_in_indices
+from gramrec.packed import pack
 from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG, ReadOff
+from gramrec.weighting import KIND_UNIFORM, ItemWeightVector
 
 from conftest import (
     evaluate_model_reference,
@@ -241,8 +244,9 @@ def test_sparse_full_pattern_matches_dense_report():
 
 
 def test_sparse_model_converted_to_csr_once():
-    # csr @ csc converts the csc operand; evaluation converts the model once
-    # up front instead of once per score batch, with the same report
+    # csr @ csc converts the csc operand; evaluation converts each column
+    # panel of the model once per pass instead of once per score block,
+    # with the same report
     model, matrix, split, _ = eval_setup(n_users=60)
     masked = mask_model(model, threshold_pattern(np.ones((model.n_items, model.n_items)), 0.5))
     expected = evaluate_model(masked, matrix, split).to_json()
@@ -253,9 +257,9 @@ def test_sparse_model_converted_to_csr_once():
         calls.append(self.shape)
         return tocsr(self, *args, **kwargs)
 
-    with with_chunk(2 * model.n_items), mock.patch.object(sp.csc_matrix, "tocsr", counted):
+    with with_chunk(5, panel=5), mock.patch.object(sp.csc_matrix, "tocsr", counted):
         report = evaluate_model(masked, matrix, split)
-    assert calls == [masked.values.shape]
+    assert calls == [(12, 5), (12, 5), (12, 2)] * 2
     assert report.to_json() == expected
 
 
@@ -552,6 +556,15 @@ def test_grid_search_validation():
         grid_search_lambda(build, matrix, split, [1.0], metric="auc")
 
 
+def test_grid_search_checks_the_metric_before_building():
+    _, matrix, split = grid_setup()
+    build = mock.Mock(side_effect=AssertionError("G was built"))
+    with pytest.raises(DataError, match=r"unknown search metric 'ndcg@10'; have \['ndcg@100', "
+                                        r"'recall@20', 'recall@50'\]"):
+        grid_search_lambda(build, matrix, split, [1.0, 300.0], metric="ndcg@10")
+    build.assert_not_called()
+
+
 def test_report_serialization():
     report = EvalReport(
         metrics={"recall@20": (0.25, 0.01), "ndcg@100": (0.5, 0.02)},
@@ -598,7 +611,8 @@ def eval_cases(draw):
                                     unique=True)))
     ndcg_k = draw(st.integers(1, n_items + 3))
     chunk = draw(st.sampled_from([None, 1, n_items + 1, 2 * n_items + 3]))
-    return iset, split, recall_ks, ndcg_k, chunk, r
+    panel = draw(st.sampled_from([None, 1, 2, 3]))
+    return iset, split, recall_ks, ndcg_k, (chunk, panel), r
 
 
 def integer_b(r, n, nan: bool):
@@ -620,13 +634,46 @@ def reports_or_errors(*calls):
     return out
 
 
-def with_chunk(chunk):
-    return mock.patch.object(evaluation, "_CHUNK", chunk if chunk else evaluation._CHUNK)
+def integer_read_off(r, n, kind):
+    """A model that forms B from packed P, as a trained one does, with
+    small integer entries of P, c, v, mu, kappa and w chosen so that B's
+    entries are exact (exact sums in any order, many ties); ``nan`` puts
+    NaNs in P off the diagonal.  Kinds: plain, nan, rr, centered and
+    rescaled."""
+    a = r.integers(-2, 3, (n, n)).astype(np.float64)
+    a += a.T
+    if kind == "nan":
+        a[np.tril(r.random((n, n)) < 0.15, -1)] = np.nan
+    c = r.choice([-1.0, 1.0, 0.5], n)
+    centered = kind == "centered"
+    v, mu = (r.integers(-1, 2, n).astype(np.float64) for _ in range(2)) if centered else (None, None)
+    kappa = 2.0 if kind == "rr" else None
+    model = DenseModel(matrix=ReadOff(pack(a), c, v, mu, kappa),
+                       variant=VARIANT_RR if kind == "rr" else VARIANT_ZERO_DIAG, lam=1.0, mu=mu)
+    if kind == "rescaled":
+        model = apply_item_rescaling(model, ItemWeightVector(r.choice([0.5, 1.0, 2.0], n),
+                                                             KIND_UNIFORM, 0.0))
+    return model
+
+
+def with_chunk(chunk, panel=None):
+    """_CHUNK and PANEL patched (None leaves one as it is); a pair is
+    (chunk, panel)."""
+    if isinstance(chunk, tuple):
+        chunk, panel = chunk
+    stack = ExitStack()
+    stack.enter_context(mock.patch.object(evaluation, "_CHUNK", chunk or evaluation._CHUNK))
+    stack.enter_context(mock.patch.object(evaluation, "PANEL", panel or evaluation.PANEL))
+    return stack
+
+
+READ_OFF_KINDS = ["read-off-plain", "read-off-nan", "read-off-rr", "read-off-centered",
+                  "read-off-rescaled"]
 
 
 @settings(max_examples=300, deadline=None)
 @given(eval_cases(), st.sampled_from(["float", "integer", "nan", "mu", "weights", "sparse",
-                                      "popularity", "popularity-flat"]))
+                                      "popularity", "popularity-flat", *READ_OFF_KINDS]))
 def test_evaluate_model_matches_per_user_sort(case, kind):
     iset, split, recall_ks, ndcg_k, chunk, r = case
     matrix = to_user_item_matrix(iset)
@@ -635,7 +682,9 @@ def test_evaluate_model_matches_per_user_sort(case, kind):
         integer_b(r, n, nan=kind == "nan"))
     model = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0,
                        mu=r.standard_normal(n) if kind == "mu" else None)
-    if kind == "weights":
+    if kind.startswith("read-off"):
+        model = integer_read_off(r, n, kind.removeprefix("read-off-"))
+    elif kind == "weights":
         model = apply_item_rescaling(
             model, popularity_weights(popularity(iset), alpha=0.5))
     elif kind == "sparse":
@@ -654,12 +703,15 @@ def test_evaluate_model_matches_per_user_sort(case, kind):
 
 @settings(max_examples=300, deadline=None)
 @given(eval_cases(), st.integers(1, 4), st.sampled_from([0.0, 0.5, 1.0]),
-       st.sampled_from(["integer", "nan", "mu"]), st.booleans())
+       st.sampled_from(["integer", "nan", "mu", "read-off-plain", "read-off-nan",
+                        "read-off-centered"]), st.booleans())
 def test_evaluate_time_aware_matches_per_event_sort(case, n_intervals, alpha, kind, binarize):
     iset, split, recall_ks, ndcg_k, chunk, r = case
     n = iset.n_items
     model = DenseModel(matrix=integer_b(r, n, nan=kind == "nan"), variant=VARIANT_ZERO_DIAG,
                        lam=1.0, mu=r.integers(-2, 3, n).astype(np.float64) if kind == "mu" else None)
+    if kind.startswith("read-off"):
+        model = integer_read_off(r, n, kind.removeprefix("read-off-"))
     if binarize:  # the log as load_interactions(binarize=True) gives it
         iset = replace(iset, values=np.ones_like(iset.values))
     idx = time_intervals(iset, n_intervals, split.test_users)
@@ -684,7 +736,7 @@ def test_ranks_are_stable_descending_sort_positions(n, n_events, seed, special):
     folds = evaluation._Folds(xin, rows, items, np.arange(n_events), 0, {})
     table = r.choice(pool, (3, n))
     model = PopularityScorer(np.ones(n))
-    with with_chunk(int(r.integers(1, 2 * n + 2))):
+    with with_chunk(int(r.integers(1, 2 * n + 2)), panel=int(r.integers(1, n + 1))):
         ranks = evaluation._rank_held_out(model, folds, (table, rows), None)
     for rank, row, item in zip(ranks, rows, items):
         order = np.argsort(-table[row], kind="stable")
@@ -789,32 +841,35 @@ def trained_case(n_items):
     return model, matrix, split
 
 
-@pytest.mark.parametrize("n_items,chunk,height", [
-    (40, 40, 10), (40, 3 * 40, 10), (40, None, 400), (600, None, 150),
-], ids=["n40-chunk-n", "n40-chunk-3n", "n40", "n600"])
-def test_trained_model_forms_each_panel_once_per_range(n_items, chunk, height):
-    # a range is max(_CHUNK // n, n // 4) users, and each range forms every
-    # 256-column panel of B from packed P once
+@pytest.mark.parametrize("n_items,chunk", [(40, 40), (40, 3 * 40), (40, None), (600, None)],
+                         ids=["n40-chunk-n", "n40-chunk-3n", "n40", "n600"])
+def test_trained_model_forms_each_panel_once_per_range(n_items, chunk):
+    # an evaluation forms each 256-column panel of B from packed P twice,
+    # once per pass, however many users it scores
     model, matrix, split = trained_case(n_items)
     assert isinstance(model.matrix, ReadOff)
-    with with_chunk(chunk), mock.patch.object(ReadOff, "columns", autospec=True,
-                                              side_effect=ReadOff.columns) as columns:
-        report = evaluate_model(model, matrix, split)
-    assert report.n_users == 400
-    assert columns.call_count == -(-400 // height) * -(-n_items // 256)
+    for n_users in (1, 37, 400):
+        some = replace(split, test_users=split.test_users[:n_users])
+        with with_chunk(chunk), mock.patch.object(ReadOff, "columns", autospec=True,
+                                                  side_effect=ReadOff.columns) as columns:
+            report = evaluate_model(model, matrix, some)
+        assert report.n_users == n_users
+        assert columns.call_count == 2 * -(-n_items // 256)
 
 
 @pytest.mark.parametrize("chunk", [None, 40, 3 * 40])
 @pytest.mark.parametrize("kind", ["dense", "sparse", "popularity"])
 def test_loaded_model_scores_chunk_over_n_users_at_a_time(kind, chunk):
+    # score blocks are _CHUNK // PANEL users (at least one) by a panel of at
+    # most PANEL items; each pass scores all 400 users against the one panel
     model, matrix, split = trained_case(40)
     model = {"dense": replace(model, matrix=model.b),
              "sparse": mask_model(replace(model, matrix=model.b),
                                   threshold_pattern(np.ones((40, 40)), theta=0.5)),
              "popularity": PopularityScorer(np.ones(40))}[kind]
-    with with_chunk(chunk), mock.patch.object(evaluation, "score_histories",
-                                              wraps=evaluation.score_histories) as score:
+    with with_chunk(chunk), mock.patch.object(evaluation, "_scores",
+                                              wraps=evaluation._scores) as score:
         report = evaluate_model(model, matrix, split)
     heights = [call.args[1].shape[0] for call in score.call_args_list]
-    assert sum(heights) == report.n_users == 400
-    assert max(heights) <= (chunk or evaluation._CHUNK) // 40
+    assert sum(heights) == 2 * report.n_users == 800
+    assert max(heights) == max(1, (chunk or evaluation._CHUNK) // evaluation.PANEL)

@@ -2,6 +2,7 @@ import ast
 import errno
 import re
 import tempfile
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -185,16 +186,22 @@ def test_any_flipped_byte_is_refused(tmp_path_factory, name, at, mask):
 
 
 def test_unverified_load_uses_the_weights_as_stored(tmp_path):
-    """Without ``verify``, a weight edited in place loads as edited, so an
-    in-process check of B, such as the benchmark's stationarity gate, sees
-    it; a dense model without means or weights ends with B's last row."""
+    """Without ``verify``, an entry of P edited in place loads as edited,
+    so B formed from it, as an in-process check of B such as the
+    benchmark's stationarity gate reads it, changes at that entry's two
+    off-diagonal positions; a trained dense model file ends with packed P."""
     path = tmp_path / "m.ease"
     model = solve_zero_diag(_stats(), 1.0)
     save_model(path, model, ["a", "b", "c"])
     raw = bytearray(path.read_bytes())
-    raw[-16:-8] = np.float64(model.b[2, 1] + 0.5).tobytes()
+    p = model.matrix.p.copy()
+    assert raw[-8 * len(p):] == p.tobytes()
+    p[-1] += 0.5  # P[1, 2] of the three items' packed P
+    raw[-8:] = p[-1:].tobytes()
     path.write_bytes(bytes(raw))
-    assert load_model(path)[0].b[2, 1] == model.b[2, 1] + 0.5
+    b = load_model(path)[0].b
+    assert b.tobytes() == replace(model.matrix, p=p).rows(0, 3).tobytes()
+    assert sorted(zip(*np.nonzero(b != model.b))) == [(1, 2), (2, 1)]
     with pytest.raises(DataError, match="do not match their sha256"):
         load_model(path, verify=True)
 

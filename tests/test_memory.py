@@ -1,6 +1,6 @@
 """Peak memory of the training steps, in units of one n×n float64 matrix,
 of the loader, in units of the arrays it returns, and of evaluation, in
-units of a score batch.
+units of a score batch or of the model it loads.
 
 tracemalloc counts the allocations numpy makes (scipy's sparse products and
 LAPACK's in-place calls allocate through numpy or not at all), so a peak
@@ -17,6 +17,7 @@ import pytest
 
 from gramrec import (
     DenseModel,
+    apply_item_rescaling,
     GramStats,
     SplitSpec,
     block_partition,
@@ -26,7 +27,10 @@ from gramrec import (
     evaluate_model,
     grid_search_lambda,
     load_interactions,
+    load_model,
     load_sparse_model,
+    popularity_weights,
+    save_model,
     save_sparse_model,
     solve_rr,
     solve_zero_diag,
@@ -34,6 +38,7 @@ from gramrec import (
     train_sparse,
     to_user_item_matrix,
 )
+from gramrec.evaluation import _draw_folds
 from gramrec.gram import PANEL
 from gramrec.packed import pack
 from gramrec.solver import VARIANT_ZERO_DIAG
@@ -234,3 +239,46 @@ def test_evaluate_peak_within_one_score_batch_and_a_quarter(eval_case):
     peak, report = peak_bytes(lambda: evaluate_model(model, matrix, split))
     assert report.n_users == matrix.matrix.shape[0]
     assert peak <= 1.25 * 1024 * model.n_items * 8
+
+
+@pytest.fixture(scope="module")
+def saved_trained(tmp_path_factory):
+    """A zero-diagonal model of 1,024 items trained on 400 users and saved,
+    with 700 test users of about 26 items each."""
+    matrix = binary_matrix(np.random.default_rng(13), 1100, 1024, density=0.025)
+    split = SplitSpec(
+        train_users=np.arange(400),
+        validation_users=np.array([], dtype=np.int64),
+        test_users=np.arange(400, 1100),
+        fold_in_fraction=0.8,
+        seed=0,
+    )
+    model = solve_zero_diag(build_gram(matrix.restrict_users(split.train_users)), 50.0)
+    path = tmp_path_factory.mktemp("trained") / "m.ease"
+    save_model(path, model)
+    return path, model, matrix, split
+
+
+def test_evaluate_loaded_trained_model_holds_p_and_two_panels(saved_trained):
+    """Loading and evaluating a trained model's file holds packed P, as the
+    file stores it, and at most two column panels of B (PANEL·n floats
+    each) beyond the folds: B is never formed whole."""
+    path, model, matrix, split = saved_trained
+    n = model.n_items
+    csr = matrix.matrix
+    folds = _draw_folds(csr.indptr, csr.indices, csr.data, n, split, "test")
+    folds_bytes = sum(a.nbytes for a in (folds.xin.data, folds.xin.indices, folds.xin.indptr,
+                                          folds.rows, folds.items, folds.events))
+    peak, report = peak_bytes(lambda: evaluate_model(load_model(path)[0], matrix, split))
+    assert report.n_users == 700
+    assert peak <= model.matrix.p.nbytes + 2 * PANEL * n * 8 + folds_bytes
+
+
+def test_rescaling_a_trained_model_allocates_no_matrix(saved_trained):
+    """A model that holds P takes the weights as its column scale."""
+    path, model, _, _ = saved_trained
+    loaded, _ = load_model(path)
+    weights = popularity_weights(np.arange(1.0, model.n_items + 1.0), 0.5)
+    peak, rescaled = peak_bytes(lambda: apply_item_rescaling(loaded, weights))
+    assert rescaled.matrix.p is loaded.matrix.p
+    assert peak < 4 * model.n_items * 8

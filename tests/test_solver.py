@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,9 +21,10 @@ from gramrec import (
     solve_rr,
     solve_zero_diag,
 )
+from gramrec.files import read_container, write_container
 from gramrec.packed import pack, unpack
-from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG, PrecisionMatrix, _positive_diag
-from gramrec.weighting import popularity_weights
+from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG, PrecisionMatrix, ReadOff, _positive_diag
+from gramrec.weighting import apply_item_rescaling, popularity_weights
 
 from conftest import (
     binary_matrix,
@@ -409,18 +412,94 @@ def test_model_round_trip_with_mu_and_weights(tmp_path, rng):
 
 @pytest.mark.parametrize("center", [False, True])
 def test_streamed_model_file_is_that_of_the_unpacked_b(tmp_path, rng, center):
-    # 300 items: B is written in two row panels formed from packed P, and
-    # hashed as it is written
+    # 300 items: the trained model's file holds its read-off vectors and
+    # packed P, last, as the model holds them; the unpacked model's holds
+    # B.  Both load, verified, to B bitwise as trained.
     x = binary_matrix(rng, 40, 300, density=0.1)
     model = solve_zero_diag(build_gram(x, center=center), lam=2.0)
     keys = [f"item-{k}" for k in range(300)]
     save_model(tmp_path / "streamed.ease", model, item_keys=keys)
     unpacked = DenseModel(matrix=model.b, variant=model.variant, lam=model.lam, mu=model.mu)
     save_model(tmp_path / "whole.ease", unpacked, item_keys=keys)
-    streamed = (tmp_path / "streamed.ease").read_bytes()
-    assert streamed == (tmp_path / "whole.ease").read_bytes()
-    loaded, _ = load_model(tmp_path / "streamed.ease", verify=True)
+    held = read_container(tmp_path / "streamed.ease", "dense_model", verify=True).arrays
+    m = model.matrix
+    assert list(held) == (["c", "v", "mu", "p"] if center else ["c", "p"])
+    for name in held:
+        assert held[name].tobytes() == getattr(m, name).tobytes()
+    assert list(read_container(tmp_path / "whole.ease", "dense_model", True).arrays) == (
+        ["b", "mu"] if center else ["b"])
+    for name, kind in (("streamed", ReadOff), ("whole", np.ndarray)):
+        loaded, loaded_keys = load_model(tmp_path / f"{name}.ease", verify=True)
+        assert isinstance(loaded.matrix, kind) and loaded_keys == keys
+        assert loaded.b.tobytes() == model.b.tobytes()
+        assert (loaded.mu is None) == (not center)
+        if center:
+            assert loaded.mu.tobytes() == model.mu.tobytes()
+    assert (tmp_path / "streamed.ease").stat().st_size < 0.52 * (tmp_path / "whole.ease").stat().st_size
+
+
+TRAINED = {
+    "zero_diag": lambda x: solve_zero_diag(build_gram(x), 3.0),
+    "rr": lambda x: solve_rr(build_gram(x), 3.0),
+    "centered": lambda x: solve_zero_diag(build_gram(x, center=True), 3.0),
+    "centered_rr": lambda x: solve_rr(build_gram(x, center=True), 3.0),
+    "disjoint": lambda x: solve_zero_diag(build_disjoint_gram(x), 3.0),
+    "disjoint_rr": lambda x: solve_rr(build_disjoint_gram(x), 3.0),
+    "rescaled": lambda x: apply_item_rescaling(solve_zero_diag(build_gram(x), 3.0),
+                                               popularity_weights(x.matrix.sum(axis=0).A1, 0.5)),
+    "centered_rescaled": lambda x: apply_item_rescaling(
+        solve_zero_diag(build_gram(x, center=True), 3.0),
+        popularity_weights(x.matrix.sum(axis=0).A1, 0.5)),
+}
+
+
+@pytest.mark.parametrize("kind", list(TRAINED))
+def test_loaded_trained_model_forms_b_as_trained(tmp_path, rng, kind):
+    """A trained model saved and loaded forms every row and column panel of B
+    bitwise as the trained model did, with its means and weights intact."""
+    x = binary_matrix(rng, 60, 300, density=0.1)
+    model = TRAINED[kind](x)
+    save_model(tmp_path / "m.ease", model)
+    loaded, _ = load_model(tmp_path / "m.ease", verify=True)
+    assert isinstance(loaded.matrix, ReadOff)
+    assert (loaded.variant, loaded.lam) == (model.variant, model.lam)
     assert loaded.b.tobytes() == model.b.tobytes()
+    for lo in (0, 256):
+        assert loaded.matrix.columns(lo, lo + 256).tobytes() == model.matrix.columns(
+            lo, lo + 256).tobytes()
+        assert loaded.matrix.rows(lo, lo + 256).tobytes() == model.matrix.rows(lo, lo + 256).tobytes()
+    assert (loaded.mu is None) == (model.mu is None)
+    weights = model.applied_item_weights
+    if weights is not None:
+        assert loaded.applied_item_weights.w.tobytes() == weights.w.tobytes()
+        assert (loaded.applied_item_weights.kind, loaded.applied_item_weights.alpha) == (
+            weights.kind, weights.alpha)
+
+
+def test_rescaled_trained_model_is_the_scaled_b(rng):
+    """Rescaling a model that holds P scales each panel as it is formed:
+    bitwise the columns of B multiplied by w, as rescaling B gives."""
+    x = binary_matrix(rng, 60, 300, density=0.1)
+    model = solve_zero_diag(build_gram(x), 3.0)
+    weights = popularity_weights(x.matrix.sum(axis=0).A1, 0.5)
+    rescaled = apply_item_rescaling(model, weights)
+    assert rescaled.matrix.p is model.matrix.p and model.matrix.w is None
+    expected = apply_item_rescaling(replace(model, matrix=model.b), weights).b
+    assert rescaled.b.tobytes() == expected.tobytes()
+
+
+def test_b_model_file_still_loads(tmp_path, rng):
+    """A file that holds B, as model files written before P was stored do,
+    and as models built from an array are written, loads as that array."""
+    b = rng.standard_normal((5, 5))
+    mu = rng.standard_normal(5)
+    path = tmp_path / "b.ease"
+    write_container(path, "dense_model", 5, {"lam": 2.0, "variant": "rr"}, {"b": b, "mu": mu},
+                    {"items": list("abcde")})
+    loaded, keys = load_model(path, verify=True)
+    assert isinstance(loaded.matrix, np.ndarray) and loaded.b.tobytes() == b.tobytes()
+    assert loaded.mu.tobytes() == mu.tobytes() and keys == list("abcde")
+    assert (loaded.variant, loaded.lam) == ("rr", 2.0)
 
 
 def test_model_key_count_checked(tmp_path):
