@@ -12,18 +12,18 @@ one matrix of input rows, and held-out item i gets rank
 1 + #{j : s_j > s_i} + #{j < i : s_j == s_i} in its score row s.  That is
 its position in ``argsort(-s, kind="stable")``: ties go to the lower item
 id, and NaN scores rank last, among themselves by id.  The rows are scored
-one column panel of the model at a time, in two passes over the panels, so
-a dense model that holds packed P forms each panel of B twice per
-evaluation and never holds B whole.  The ranks then reduce to per-user
-metrics.  Score blocks and comparison blocks hold at most ``_CHUNK``
-floats.  Metric means come with the standard error of the mean across
-evaluated users.
+one column panel of the model at a time (each model kind forms its panels
+with ``columns(lo, hi)``), in two passes over the panels, so a dense model
+forms each panel of B from packed P twice per evaluation and never holds B
+whole.  The ranks then reduce to per-user metrics.  Score blocks and
+comparison blocks hold at most ``_CHUNK`` floats.  Metric means come with
+the standard error of the mean across evaluated users.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,7 +38,7 @@ from .data import (
 )
 from .errors import DataError
 from .gram import PANEL, GramStats
-from .solver import VARIANT_ZERO_DIAG, DenseModel, ReadOff, solve_zero_diag
+from .solver import VARIANT_ZERO_DIAG, DenseModel, solve_zero_diag
 from .sparse import SparseModel
 from .weighting import DEFAULT_EPSILON, time_popularity_weights
 
@@ -54,6 +54,10 @@ class PopularityScorer:
     @property
     def n_items(self) -> int:
         return len(self.pop)
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """The counts of items lo:hi, which are every user's scores."""
+        return self.pop[lo:hi]
 
 
 @dataclass
@@ -96,39 +100,27 @@ def popularity_rank(pop: np.ndarray) -> np.ndarray:
     return np.argsort(-pop, kind="stable")
 
 
-def _columns(model, lo: int, hi: int):
-    """Item columns lo:hi of any model kind: B[:, lo:hi] of a dense model,
-    those of a sparse model's weights as CSR, or the popularity counts."""
-    if isinstance(model, PopularityScorer):
-        return model.pop[lo:hi]
-    if isinstance(model, SparseModel):
-        return model.values[:, lo:hi].tocsr()
-    m = model.matrix
-    return m.columns(lo, hi) if isinstance(m, ReadOff) else np.ascontiguousarray(m[:, lo:hi])
-
-
-def _scores(model, xin: sp.csr_matrix, cols, lo: int) -> np.ndarray:
-    """Scores of the rows of ``xin`` for the items lo, lo + 1, … of
-    ``cols = _columns(model, lo, …)``, the target means included."""
+def _scores(xin: sp.csr_matrix, cols) -> np.ndarray:
+    """Scores of the rows of ``xin`` against ``cols = model.columns(lo, hi)``,
+    without the target means of a dense model."""
     if sp.issparse(cols):
-        s = (xin @ cols).toarray().astype(np.float64, copy=False)
-    elif cols.ndim == 1:
-        s = np.tile(cols, (xin.shape[0], 1))
-    else:
-        s = xin @ cols
-    if isinstance(model, DenseModel) and model.mu is not None:
-        s += model.mu[lo : lo + s.shape[1]]
-    return s
+        return (xin @ cols).toarray().astype(np.float64, copy=False)
+    if cols.ndim == 1:
+        return np.tile(cols, (xin.shape[0], 1))
+    return xin @ cols
 
 
 def score_histories(model, xin: sp.csr_matrix) -> np.ndarray:
     """Dense score rows for a batch of input histories, any model kind,
-    scored 256 item columns at a time; each score is bitwise what the whole
-    model gives, and a dense model that holds packed P never forms B whole."""
+    scored 256 item columns at a time, the target means included; each
+    score is bitwise what the whole model gives, and a dense model never
+    forms B whole."""
     n = model.n_items
     scores = np.empty((xin.shape[0], n))
     for lo in range(0, n, PANEL):
-        scores[:, lo : lo + PANEL] = _scores(model, xin, _columns(model, lo, lo + PANEL), lo)
+        scores[:, lo : lo + PANEL] = _scores(xin, model.columns(lo, lo + PANEL))
+    if isinstance(model, DenseModel) and model.mu is not None:
+        scores += model.mu
     return scores
 
 
@@ -211,40 +203,41 @@ def _draw_folds(indptr, items, values, n_items: int, split: SplitSpec, users: st
     return _Folds(xin, rows, items[pos_out], pos_out, len(user_ids) - len(ins), config)
 
 
-def _rank_held_out(model, folds: _Folds, scale=None, shift=None) -> np.ndarray:
+def _rank_held_out(model, folds: _Folds, scale=None) -> np.ndarray:
     """Rank of every held-out item in its user's score row, in fold order.
 
-    Each column panel of ``PANEL`` items is formed once per pass (see
-    :func:`_columns`).  The first pass scores, against each panel, the
+    Each column panel of ``PANEL`` items is formed once per pass, by the
+    model's ``columns``.  The first pass scores, against each panel, the
     users with a held-out item in it, and records each such event's own
     score; the second scores every user against each panel and adds to each
     event's rank the panel's items that rank before it.  Users are scored
     ``_CHUNK // PANEL`` at a time, comparisons run as many events at a time,
     and a panel is released before the next one is formed.  Input items
     score -inf.  With ``scale = (table, idx)``, the row of the held-out
-    event at folded position p is multiplied by ``table[idx[p]]`` and
-    ``shift`` is then added.
+    event at folded position p is then multiplied by ``table[idx[p]]``.
+    The target means of a dense model are added last.
     """
     xin, rows, items, events = folds.xin, folds.rows, folds.items, folds.events
     n_users, n = xin.shape
     step = max(1, _CHUNK // PANEL)
     panels = range(0, n if len(items) else 0, PANEL)  # no panel is formed for no events
+    mu = model.mu if isinstance(model, DenseModel) else None
 
     def scored(x, cols, lo):
-        s = _scores(model, x, cols, lo)
+        s = _scores(x, cols)
         hit = (x.indices >= lo) & (x.indices < lo + s.shape[1])
         s[np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))[hit], x.indices[hit] - lo] = -np.inf
         return s
 
-    def adjust(s, e, cols):  # the interval scale and the shift of events e
+    def adjust(s, e, cols):  # the interval scale and the target means of events e
         if scale is not None:
             s *= scale[0][scale[1][events[e]], cols]
-        if shift is not None:
-            s += shift[cols]
+        if mu is not None:
+            s += mu[cols]
 
     own = np.empty(len(items))
     for lo in panels:
-        cols = _columns(model, lo, lo + PANEL)
+        cols = model.columns(lo, lo + PANEL)
         inside = np.flatnonzero((items >= lo) & (items < lo + PANEL))
         users = np.unique(rows[inside])
         for k in range(0, len(users), step):
@@ -256,7 +249,7 @@ def _rank_held_out(model, folds: _Folds, scale=None, shift=None) -> np.ndarray:
         del cols  # before the next panel is formed
     ranks = np.ones(len(items), dtype=np.int64)
     for lo in panels:
-        cols = _columns(model, lo, lo + PANEL)
+        cols = model.columns(lo, lo + PANEL)
         for top in range(0, n_users, step):
             scores = scored(xin[top : top + step], cols, lo)
             first, last = np.searchsorted(rows, (top, top + step))
@@ -374,7 +367,7 @@ def evaluate_time_aware(
     total = intervals.pops.sum(axis=0)
     wmat = np.stack([time_popularity_weights(pop_t, total, alpha, epsilon).w for pop_t in intervals.pops])
     scale = (wmat, intervals.locate(iset.timestamps[order]))
-    ranks = _rank_held_out(replace(model, mu=None), folds, scale, model.mu)
+    ranks = _rank_held_out(model, folds, scale)
     config = {
         **_model_config(model),
         "protocol": "time_aware",

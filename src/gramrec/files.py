@@ -27,10 +27,8 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,20 +86,12 @@ class Container:
         return value
 
 
-class Pieces(NamedTuple):
-    """A float array written piece by piece: its shape, and its C-ordered
-    contents as consecutive pieces, which are made only as they are written."""
-
-    shape: tuple[int, ...]
-    pieces: Iterable[np.ndarray]
-
-
 def write_container(
     path: str | Path,
     kind: str,
     n_items: int,
     meta: dict,
-    arrays: dict[str, np.ndarray | Pieces],
+    arrays: dict[str, np.ndarray],
     keys: dict[str, list[str] | None],
 ) -> None:
     """Write one container atomically.  Integer arrays are stored as ``<i8``,
@@ -111,8 +101,7 @@ def write_container(
     keys = {name: table for name, table in keys.items() if table is not None}
     if "items" in keys and len(keys["items"]) != n_items:
         raise DataError(f"expected {n_items} item keys, got {len(keys['items'])}")
-    arrays = {name: (arr, "<f8") if isinstance(arr, Pieces) else
-              (Pieces(arr.shape, [arr]), "<i8" if np.issubdtype(arr.dtype, np.integer) else "<f8")
+    arrays = {name: (arr, "<i8" if np.issubdtype(arr.dtype, np.integer) else "<f8")
               for name, arr in arrays.items()}
     header = json.dumps(
         {"kind": kind, "meta": meta, "keys": keys,
@@ -127,15 +116,10 @@ def write_container(
         fh.write(head)
         fh.write(bytes(_DIGEST_SIZE))
         fh.write(header)
-        for name, (arr, dtype) in arrays.items():
-            written = 0
-            for piece in arr.pieces:
-                buf = memoryview(np.ascontiguousarray(piece, dtype))
-                digest.update(buf)
-                fh.write(buf)
-                written += buf.nbytes
-            if written != 8 * math.prod(arr.shape):
-                raise ValueError(f"array {name!r}: {written} bytes for shape {arr.shape}")
+        for arr, dtype in arrays.values():
+            buf = memoryview(np.ascontiguousarray(arr, dtype))
+            digest.update(buf)
+            fh.write(buf)
         fh.seek(_HEAD.size)
         fh.write(digest.digest())
 

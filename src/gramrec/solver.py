@@ -16,11 +16,10 @@ formed: with v = P*s,
 the EASE read-off B_ij = -P_ij / P_jj for plain statistics (Steck,
 "Embarrassingly Shallow Autoencoders for Sparse Data", WWW 2019).  P is
 made in G's packed buffer (see :mod:`gramrec.packed`), and B is never
-held whole: a trained model keeps P and O(n) vectors, its file holds them
-too, and it forms B a panel of rows or columns at a time when it is
-scored.  The solvers return :class:`DenseModel`, which also carries the
-provenance needed for scoring (centering means, applied item weights) and
-the multipliers as diagnostics.
+held whole: the solvers return a :class:`DenseModel`, which is packed P
+and O(n) vectors (the read-off, the centering means, the applied item
+weights and the multipliers as diagnostics), and which forms B a panel of
+columns at a time when it is scored.  Its file holds the same arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from scipy.linalg import lapack
 
 from . import packed
 from .errors import DataError, NumericalError
-from .files import Pieces, read_container, write_container
+from .files import read_container, write_container
 from .gram import PANEL, GramStats
 
 if TYPE_CHECKING:
@@ -56,78 +55,58 @@ class PrecisionMatrix:
 
 
 @dataclass
-class ReadOff:
-    """B formed from packed P one panel at a time:
+class DenseModel:
+    """A learned item-item weight matrix B, held as packed P and the O(n)
+    vectors it is read off with:
 
         B_ij = (P_ij / c_j - v_i*mu_j) * w_j,
 
-    with the diagonal written as zero, or, when ``kappa`` is given, as
-    (P_jj / c_j + kappa - v_j*mu_j) * w_j; w is 1 when not given.  Rows and
-    columns hold the same entries."""
+    with the diagonal written as zero, or, for the ridge variant (``kappa``
+    set), as (P_jj / c_j + kappa - v_j*mu_j) * w_j.  w is the applied item
+    weights (1 when there are none), and the term v*mu^T is there only
+    when ``v`` is.  ``mu`` holds the target means of a centered model,
+    which scoring adds to every score.  ``gamma`` holds the per-item
+    Lagrange multipliers of the zero-diagonal constraint when the variant
+    has one; it is diagnostic only and is not persisted.
+    """
 
     p: np.ndarray
     c: np.ndarray
+    lam: float
     v: np.ndarray | None = None
     mu: np.ndarray | None = None
     kappa: float | None = None
-    w: np.ndarray | None = None
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """B[lo:hi], C-ordered."""
-        b = packed.rows(self.p, lo, hi)
-        diag = (np.arange(b.shape[0]), np.arange(lo, lo + b.shape[0]))
-        return self._finish(b, slice(lo, hi), slice(None), diag)
-
-    def columns(self, lo: int, hi: int) -> np.ndarray:
-        """B[:, lo:hi], C-ordered."""
-        b = packed.columns(self.p, lo, hi)
-        diag = (np.arange(lo, lo + b.shape[1]), np.arange(b.shape[1]))
-        return self._finish(b, slice(None), slice(lo, hi), diag)
-
-    def _finish(self, b: np.ndarray, r: slice, c: slice, diag) -> np.ndarray:
-        """B[r, c] from the panel b = P[r, c], in place: the division by c,
-        the diagonal, the centering term v*mu^T and the column scale w."""
-        b /= self.c[c]
-        if self.kappa is not None:
-            b[diag] += self.kappa
-        if self.v is not None:
-            b -= self.v[r, None] * self.mu[c]
-        if self.kappa is None:
-            b[diag] = 0.0
-        if self.w is not None:
-            b *= self.w[c]
-        return b
-
-
-@dataclass
-class DenseModel:
-    """A learned item-item weight matrix B plus the flags that produced it.
-
-    ``matrix`` is B as an n×n array (a model built from one, or read from a
-    file that holds B), or a :class:`ReadOff` of packed P (a model trained,
-    or read from a file that holds P), which forms B panel by panel.
-    ``gamma`` holds the per-item Lagrange multipliers of
-    the zero-diagonal constraint when the variant has one; it is diagnostic
-    only and is not persisted.
-    """
-
-    matrix: np.ndarray | ReadOff
-    variant: str
-    lam: float
-    mu: np.ndarray | None = None
     applied_item_weights: "ItemWeightVector | None" = None
     gamma: np.ndarray | None = None
 
     @property
-    def b(self) -> np.ndarray:
-        """B as an n×n array; a trained model forms it anew on each access."""
-        m = self.matrix
-        return m if isinstance(m, np.ndarray) else m.rows(0, self.n_items)
+    def variant(self) -> str:
+        return VARIANT_ZERO_DIAG if self.kappa is None else VARIANT_RR
 
     @property
     def n_items(self) -> int:
-        m = self.matrix
-        return m.shape[0] if isinstance(m, np.ndarray) else len(m.c)
+        return len(self.c)
+
+    @property
+    def b(self) -> np.ndarray:
+        """B as an n×n array, formed anew on each access."""
+        return self.columns(0, self.n_items)
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """B[:, lo:hi], C-ordered, formed in place from the panel P[:, lo:hi]."""
+        b = packed.columns(self.p, lo, hi)
+        c = slice(lo, lo + b.shape[1])
+        diag = (np.arange(c.start, c.stop), np.arange(b.shape[1]))
+        b /= self.c[c]
+        if self.kappa is not None:
+            b[diag] += self.kappa
+        if self.v is not None:
+            b -= self.v[:, None] * self.mu[c]
+        if self.kappa is None:
+            b[diag] = 0.0
+        if self.applied_item_weights is not None:
+            b *= self.applied_item_weights.w[c]
+        return b
 
 
 def invert_regularized(gram: GramStats, lam: float) -> PrecisionMatrix:
@@ -190,8 +169,7 @@ def solve_rr(gram: GramStats, lam: float) -> DenseModel:
     p, d, v = _target_vectors(gram, lam)
     kappa = gram.kappa
     c = np.broadcast_to(-1.0 / (kappa * (lam + d)), gram.n_items)
-    return DenseModel(matrix=ReadOff(p, c, v, gram.mu, kappa), variant=VARIANT_RR, lam=lam,
-                      mu=gram.mu)
+    return DenseModel(p=p, c=c, lam=lam, v=v, mu=gram.mu, kappa=kappa)
 
 
 def solve_zero_diag(gram: GramStats, lam: float) -> DenseModel:
@@ -208,8 +186,7 @@ def solve_zero_diag(gram: GramStats, lam: float) -> DenseModel:
     dp = _positive_diag(p)
     t = gram.kappa if v is None else gram.kappa - v * gram.mu
     gamma = t / dp - gram.kappa * (lam + d)
-    return DenseModel(matrix=ReadOff(p, -dp / t, v, gram.mu), variant=VARIANT_ZERO_DIAG, lam=lam,
-                      mu=gram.mu, gamma=gamma)
+    return DenseModel(p=p, c=-dp / t, lam=lam, v=v, mu=gram.mu, gamma=gamma)
 
 
 # perfbench/trace_child.py looks this name up; nothing in the package calls it.
@@ -217,39 +194,42 @@ solve_ease = solve_zero_diag
 
 
 def save_model(path: str | Path, model: DenseModel, item_keys: list[str] | None = None) -> None:
-    """Write a DenseModel as a ``dense_model`` container (see :mod:`gramrec.files`).
-
-    A model that holds P is written as it is held: the read-off vectors c
-    and, when centered, v, then the target means and the applied item
-    weights, and packed P last, with ``kappa`` in the metadata for the
-    ridge variant.  A model built from an array is written as B, then the
-    means and weights."""
+    """Write a DenseModel as a ``dense_model`` container (see :mod:`gramrec.files`)
+    as it is held: the read-off vectors c and, when centered, v, then the
+    target means and the applied item weights, and packed P last, with
+    ``kappa`` in the metadata for the ridge variant."""
     meta = {"lam": float(model.lam), "variant": model.variant}
-    m, n, w = model.matrix, model.n_items, model.applied_item_weights
+    if model.kappa is not None:
+        meta["kappa"] = float(model.kappa)
+    w = model.applied_item_weights
     if w is not None:
         meta |= {"weight_alpha": float(w.alpha), "weight_kind": w.kind}
-    vectors = {"mu": model.mu, "weights": None if w is None else w.w}
-    if isinstance(m, ReadOff):
-        if m.kappa is not None:
-            meta["kappa"] = float(m.kappa)
-        arrays = {"c": m.c, "v": m.v, **vectors, "p": m.p}
-    else:
-        arrays = {"b": Pieces((n, n), [m]), **vectors}
-    write_container(path, "dense_model", n, meta,
+    arrays = {"c": model.c, "v": model.v, "mu": model.mu, "weights": None if w is None else w.w,
+              "p": model.p}
+    write_container(path, "dense_model", model.n_items, meta,
                     {name: a for name, a in arrays.items() if a is not None}, {"items": item_keys})
 
 
 def load_model(path: str | Path, verify: bool = False) -> tuple[DenseModel, list[str] | None]:
     """Read a model file back; returns the model and its item keys (None
-    when the file was written without a key table).  A file that holds P
-    loads as a :class:`ReadOff` of it, scaled by the applied weights; one
-    that holds B loads as that array.  With ``verify``, as every command
-    reads it, a file whose bytes fail its sha256 is refused; without, the
-    arrays are used as stored, so in-process checks of B see them."""
+    when the file was written without a key table).  With ``verify``, as
+    every command reads it, a file whose bytes fail its sha256 is refused;
+    without, the arrays are used as stored, so in-process checks of B see
+    them.  A file that holds B itself, the layout before models held P, is
+    refused, and so is one whose variant disagrees with its ``kappa``."""
     from .weighting import WEIGHT_KINDS, ItemWeightVector
 
     c = read_container(path, "dense_model", verify)
     n = c.n_items
+    if "b" in c.arrays:
+        raise DataError(f"{path}: a dense model file in the layout that holds B (array 'b') "
+                        "and not packed P; train the model again")
+    variant = c.scalar("variant", str, (VARIANT_RR, VARIANT_ZERO_DIAG))
+    kappa = c.scalar("kappa", float) if "kappa" in c.meta else None
+    if (kappa is not None) != (variant == VARIANT_RR):
+        raise DataError(f"{path}: metadata 'variant' is {variant!r} but 'kappa' is "
+                        f"{'absent' if kappa is None else repr(kappa)}; the {VARIANT_RR!r} "
+                        "variant alone has kappa")
     weights = None
     if "weights" in c.arrays:
         weights = ItemWeightVector(
@@ -257,17 +237,9 @@ def load_model(path: str | Path, verify: bool = False) -> tuple[DenseModel, list
             kind=c.scalar("weight_kind", str, WEIGHT_KINDS),
             alpha=c.scalar("weight_alpha", float),
         )
-    mu, v = (c.array(name, (n,)) if name in c.arrays else None for name in ("mu", "v"))
-    matrix = c.array("b", (n, n)) if "p" not in c.arrays else ReadOff(
-        c.array("p", (packed.size(n),)), c.array("c", (n,)), v,
-        None if v is None else c.array("mu", (n,)),
-        c.scalar("kappa", float) if "kappa" in c.meta else None,
-        None if weights is None else weights.w)
-    model = DenseModel(
-        matrix=matrix,
-        variant=c.scalar("variant", str, (VARIANT_RR, VARIANT_ZERO_DIAG)),
-        lam=c.scalar("lam", float),
-        mu=mu,
-        applied_item_weights=weights,
-    )
+    v = c.array("v", (n,)) if "v" in c.arrays else None
+    mu = c.array("mu", (n,)) if "mu" in c.arrays or v is not None else None
+    model = DenseModel(p=c.array("p", (packed.size(n),)), c=c.array("c", (n,)),
+                       lam=c.scalar("lam", float), v=v, mu=mu, kappa=kappa,
+                       applied_item_weights=weights)
     return model, c.keys.get("items")

@@ -116,6 +116,10 @@ class SparseModel:
     def n_items(self) -> int:
         return self.values.shape[0]
 
+    def columns(self, lo: int, hi: int) -> sp.csr_matrix:
+        """The weight columns lo:hi, as CSR for scoring."""
+        return self.values[:, lo:hi].tocsr()
+
     @property
     def sparsity(self) -> float:
         """Fraction of stored entries, the "sparsity level" of reports."""
@@ -214,7 +218,8 @@ def _cap_panel(crit: np.ndarray, lo: int, theta: float, n_max: int) -> np.ndarra
 
 
 def mask_model(model: DenseModel, pattern: SparsityPattern) -> SparseModel:
-    """Dense weights restricted to the pattern positions.
+    """Dense weights restricted to the pattern positions, gathered from one
+    column panel of B at a time.
 
     Diagonal values are written as zero whatever the dense model holds, so
     the result satisfies the sparse-model contract even for an
@@ -224,9 +229,13 @@ def mask_model(model: DenseModel, pattern: SparsityPattern) -> SparseModel:
     if pattern.n_items != n:
         raise DataError(f"pattern is {pattern.n_items} items, model is {n}")
     a = pattern.a
-    cols = np.repeat(np.arange(n), np.diff(a.indptr))
-    vals = model.b[a.indices, cols].astype(np.float64)
-    vals[a.indices == cols] = 0.0
+    vals = np.empty(a.nnz)
+    for lo in range(0, n, PANEL):
+        at = slice(a.indptr[lo], a.indptr[min(lo + PANEL, n)])
+        rows = a.indices[at]
+        cols = np.repeat(np.arange(min(PANEL, n - lo)), np.diff(a.indptr[lo : lo + PANEL + 1]))
+        vals[at] = model.columns(lo, lo + PANEL)[rows, cols]
+        vals[at][rows == cols + lo] = 0.0
     values = sp.csc_matrix((vals, a.indices, a.indptr), shape=(n, n))
     return SparseModel(values=values, threshold=pattern.threshold, n_max=pattern.n_max,
                        lam=model.lam)

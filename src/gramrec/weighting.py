@@ -2,8 +2,9 @@
 
 Training against column-scaled targets Y*diagMat(w) yields exactly the
 original zero-diagonal model post-multiplied by diagMat(w), so popularity
-corrections never require retraining: build a weight vector, scale the
-columns of a copy.  Weights here either dampen popular items
+corrections never require retraining: build a weight vector and hand it
+to a copy of the model, which scales each column of B by it as the column
+is formed from packed P.  Weights here either dampen popular items
 (w_i proportional to 1/pop_i^alpha) or adapt scores to the popularity of a
 time interval (w_i proportional to (pop_i(t)/pop_i)^alpha).
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .files import atomic_write, read_key_csv
-from .solver import VARIANT_ZERO_DIAG, DenseModel, ReadOff
+from .solver import VARIANT_ZERO_DIAG, DenseModel
 
 KIND_UNIFORM = "uniform"
 KIND_INVERSE_POP = "inverse_pop"
@@ -94,10 +95,10 @@ def apply_item_rescaling(model: DenseModel, weights: ItemWeightVector) -> DenseM
 
     Equivalent to retraining on targets Y*diagMat(w); the zero diagonal is
     preserved, and stored multipliers scale along (the rescaled model is the
-    exact optimum of the column-scaled objective).  A model that holds P
-    takes w as its column scale, which costs O(n); one that holds B gets a
-    scaled copy of it.  The original model is never mutated, so weights can
-    change per request without retraining.
+    exact optimum of the column-scaled objective).  The model takes w as
+    the column scale of its read-off, which costs O(n) and shares packed P.
+    The original model is never mutated, so weights can change per request
+    without retraining.
     """
     if model.variant != VARIANT_ZERO_DIAG:
         raise DataError(f"re-scaling applies to zero-diagonal models, not variant {model.variant!r}")
@@ -106,9 +107,7 @@ def apply_item_rescaling(model: DenseModel, weights: ItemWeightVector) -> DenseM
     if model.applied_item_weights is not None:
         raise DataError("model already carries item weights; re-scale the unweighted model")
     gamma = None if model.gamma is None else model.gamma * weights.w
-    m = model.matrix
-    matrix = replace(m, w=weights.w) if isinstance(m, ReadOff) else m * weights.w[np.newaxis, :]
-    return replace(model, matrix=matrix, applied_item_weights=weights, gamma=gamma)
+    return replace(model, applied_item_weights=weights, gamma=gamma)
 
 
 def save_weights_csv(path: str | Path, weights: ItemWeightVector, item_keys: list[str]) -> None:

@@ -40,12 +40,14 @@ from scipy.linalg import lapack
 
 from gramrec import (
     DataError,
+    DenseModel,
     InteractionSchema,
     InteractionSet,
     TimeIntervalIndex,
     UserItemMatrix,
     GramStats,
     ItemWeightVector,
+    SparseModel,
     build_gram,
     score_histories,
     time_popularity_weights,
@@ -85,6 +87,21 @@ def uniform_weights(n_items: int) -> ItemWeightVector:
     """All-ones item weights: a rescaling by them leaves the scores as
     they are."""
     return ItemWeightVector(w=np.ones(n_items, dtype=np.float64), kind=KIND_UNIFORM, alpha=0.0)
+
+
+def zero_model(n_items: int) -> DenseModel:
+    """A zero-diagonal dense model whose P, and so B, is all zeros."""
+    return DenseModel(p=np.zeros(n_items * (n_items + 1) // 2), c=np.ones(n_items), lam=1.0)
+
+
+def every_entry_model(b: np.ndarray) -> SparseModel:
+    """A sparse model that stores every entry of the square array ``b``,
+    zeros and diagonal included: a model of arbitrary weights, which a
+    dense model, read off a symmetric P, cannot hold."""
+    n = b.shape[0]
+    values = sp.csc_matrix((np.ravel(b, order="F"), np.tile(np.arange(n), n),
+                            np.arange(0, n * n + 1, n)), shape=(n, n))
+    return SparseModel(values=values, threshold=0.0, n_max=n, lam=1.0)
 
 
 def kept(stats: GramStats) -> GramStats:

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from gramrec import (
-    DenseModel,
     InteractionSchema,
     SplitSpec,
     build_gram,
@@ -36,10 +35,10 @@ from gramrec.data import fold_in_indices
 from gramrec.evaluation import PopularityScorer
 from gramrec.gram import build_disjoint_gram
 from gramrec.packed import unpack
-from gramrec.solver import VARIANT_ZERO_DIAG
 
 from conftest import (
     constrained_ridge_oracle,
+    every_entry_model,
     general_solve,
     gram_of,
     make_iset,
@@ -223,9 +222,7 @@ def test_acceptance_7_ranking_metric_units():
         ids = csr.indices[csr.indptr[u] : csr.indptr[u + 1]]
         pin, pout = fold_in_indices(len(ids), 0.8, np.random.default_rng((split.seed, u)))
         b[np.ix_(ids[pin], ids[pout])] = 1.0
-    report = evaluate_model(
-        DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0), matrix, split
-    )
+    report = evaluate_model(every_entry_model(b), matrix, split)
     checks.append(all(mean == 1.0 for mean, _ in report.metrics.values()))
 
     _verdict(7, "ranking-metric-units", all(checks), f"{sum(checks)}/{len(checks)} exact")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gramrec import data, files
 from gramrec import (
     DataError,
-    DenseModel,
     InteractionSchema,
     SplitSpec,
     evaluate_model,
@@ -25,7 +24,6 @@ from gramrec import (
 )
 from gramrec.cli import main
 from gramrec.data import DEDUP_POLICIES, _dedup_indices, _reindex, fold_in_indices
-from gramrec.solver import VARIANT_ZERO_DIAG
 
 from conftest import (
     assert_same_interactions,
@@ -36,6 +34,7 @@ from conftest import (
     reindex_reference,
     time_intervals_reference,
     write_canonical_reference,
+    zero_model,
 )
 
 
@@ -298,7 +297,7 @@ def test_fold_in_fraction_validated():
     """Folding refuses the fractions that leave one part always empty."""
     iset = make_iset([(u, i, 1.0) for u in range(3) for i in range(3)])
     matrix = to_user_item_matrix(iset)
-    model = DenseModel(matrix=np.zeros((3, 3)), variant=VARIANT_ZERO_DIAG, lam=1.0)
+    model = zero_model(3)
     for fraction in (1.0, 0.0):
         split = SplitSpec(train_users=np.array([0]), validation_users=np.array([1]),
                           test_users=np.array([2]), fold_in_fraction=fraction)

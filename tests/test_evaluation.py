@@ -33,11 +33,11 @@ from gramrec import (
 )
 import gramrec.evaluation as evaluation
 from gramrec.data import fold_in_indices
-from gramrec.packed import pack
-from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG, ReadOff
+from gramrec.packed import pack, size
 from gramrec.weighting import KIND_UNIFORM, ItemWeightVector
 
 from conftest import (
+    every_entry_model,
     evaluate_model_reference,
     evaluate_time_aware_reference,
     make_iset,
@@ -45,6 +45,7 @@ from conftest import (
     ndcg_at_k,
     recall_at_k,
     uniform_weights,
+    zero_model,
 )
 
 
@@ -79,13 +80,17 @@ def test_popularity_rank_stable_ties():
 
 def test_score_histories_kinds(rng):
     xin = sp.csr_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-    b = rng.random((3, 3))
-    dense = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
+    dense = DenseModel(p=rng.random(6), c=rng.random(3), lam=1.0)
+    b = dense.b
     np.testing.assert_allclose(score_histories(dense, xin), xin.toarray() @ b)
 
     mu = np.array([0.1, 0.2, 0.3])
-    centered = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0, mu=mu)
+    centered = replace(dense, mu=mu)
     np.testing.assert_allclose(score_histories(centered, xin), xin.toarray() @ b + mu)
+
+    arbitrary = rng.random((3, 3))
+    np.testing.assert_allclose(score_histories(every_entry_model(arbitrary), xin),
+                               xin.toarray() @ arbitrary)
 
     pop = PopularityScorer(np.array([5.0, 1.0, 3.0]))
     scores = score_histories(pop, xin)
@@ -93,8 +98,9 @@ def test_score_histories_kinds(rng):
 
 
 def test_score_histories_single_item_reads_row():
-    b = np.array([[0.0, 0.3, 0.1], [0.2, 0.0, 0.4], [0.6, 0.5, 0.0]])
-    model = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
+    p = np.array([[1.0, 0.6, 0.2], [0.6, 1.0, 0.8], [0.2, 0.8, 1.0]])
+    model = DenseModel(p=pack(p), c=np.array([2.0, 3.0, 0.5]), lam=1.0)
+    b = model.b
     xin = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0]]))
     scores = score_histories(model, xin)
     np.testing.assert_array_equal(scores[0], b[1])
@@ -104,9 +110,9 @@ def test_score_histories_single_item_reads_row():
 
 def test_score_histories_empty_history_and_mu():
     xin = sp.csr_matrix((1, 2))
-    model = DenseModel(matrix=np.zeros((2, 2)), variant=VARIANT_RR, lam=1.0, mu=np.array([0.25, 0.75]))
+    model = replace(zero_model(2), mu=np.array([0.25, 0.75]))
     np.testing.assert_array_equal(score_histories(model, xin), [[0.25, 0.75]])
-    plain = DenseModel(matrix=np.zeros((2, 2)), variant=VARIANT_RR, lam=1.0)
+    plain = zero_model(2)
     np.testing.assert_array_equal(score_histories(plain, xin), [[0.0, 0.0]])
 
 
@@ -155,8 +161,7 @@ def test_perfect_model_scores_one():
         rng = np.random.default_rng((split.seed, u))
         pin, pout = fold_in_indices(len(ids), split.fold_in_fraction, rng)
         b[np.ix_(ids[pin], ids[pout])] = 1.0
-    model = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
-    report = evaluate_model(model, matrix, split)
+    report = evaluate_model(every_entry_model(b), matrix, split)
     for mean, stderr in report.metrics.values():
         assert mean == 1.0
         assert stderr == 0.0
@@ -181,8 +186,7 @@ def test_constant_scores_rank_by_ascending_id():
     b = np.zeros((n_items, n_items))
     b[8, 0] = b[8, 1] = 1.0
     b[9, 0] = b[9, 1] = 1.0
-    model = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
-    report = evaluate_model(model, matrix, split, recall_ks=(5, 9), ndcg_k=10)
+    report = evaluate_model(every_entry_model(b), matrix, split, recall_ks=(5, 9), ndcg_k=10)
     assert report.metrics["recall@5"][0] == 0.0
     assert report.metrics["recall@9"][0] == 1.0
     assert report.metrics["ndcg@10"][0] == pytest.approx(1.0 / np.log2(10.0))
@@ -227,7 +231,7 @@ def test_evaluation_deterministic_and_seed_sensitive():
 
 def test_evaluation_scale_invariant_ranking():
     model, matrix, split, _ = eval_setup()
-    scaled = DenseModel(matrix=3.0 * model.b, variant=model.variant, lam=model.lam)
+    scaled = replace(model, p=3.0 * model.p)
     a = evaluate_model(model, matrix, split)
     b = evaluate_model(scaled, matrix, split)
     assert a.metrics == b.metrics
@@ -274,7 +278,7 @@ def test_skipped_users_counted():
         fold_in_fraction=0.8,
         seed=0,
     )
-    model = DenseModel(matrix=np.zeros((8, 8)), variant=VARIANT_ZERO_DIAG, lam=1.0)
+    model = zero_model(8)
     report = evaluate_model(model, matrix, split)
     assert report.n_users == 1
     assert report.n_skipped == 1
@@ -291,7 +295,7 @@ def test_all_users_skipped_is_an_error():
         fold_in_fraction=0.8,
         seed=0,
     )
-    model = DenseModel(matrix=np.zeros((8, 8)), variant=VARIANT_ZERO_DIAG, lam=1.0)
+    model = zero_model(8)
     with pytest.raises(DataError, match="evaluable"):
         evaluate_model(model, matrix, split)
 
@@ -304,7 +308,7 @@ def test_evaluation_validation_users_and_errors():
 
     with pytest.raises(DataError, match="users"):
         evaluate_model(model, matrix, split, users="everyone")
-    small = DenseModel(matrix=np.zeros((3, 3)), variant=VARIANT_ZERO_DIAG, lam=1.0)
+    small = zero_model(3)
     with pytest.raises(DataError, match="items"):
         evaluate_model(small, matrix, split)
     bad_split = SplitSpec(
@@ -329,7 +333,7 @@ def test_single_user_stderr_is_zero():
         fold_in_fraction=0.8,
         seed=0,
     )
-    model = DenseModel(matrix=np.zeros((8, 8)), variant=VARIANT_ZERO_DIAG, lam=1.0)
+    model = zero_model(8)
     report = evaluate_model(model, matrix, split)
     assert all(stderr == 0.0 for _, stderr in report.metrics.values())
 
@@ -422,7 +426,7 @@ def test_time_aware_rank_collisions_clamped():
 
     b = np.zeros((4, 4))
     b[np.ix_([1, 2], [out0, out1])] = 0.5
-    model = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0)
+    model = DenseModel(p=pack(b + b.T), c=np.ones(4), lam=1.0)
     report = evaluate_time_aware(
         model, iset, split, idx, alpha=1.0, recall_ks=(1,), ndcg_k=2
     )
@@ -648,8 +652,7 @@ def integer_read_off(r, n, kind):
     centered = kind == "centered"
     v, mu = (r.integers(-1, 2, n).astype(np.float64) for _ in range(2)) if centered else (None, None)
     kappa = 2.0 if kind == "rr" else None
-    model = DenseModel(matrix=ReadOff(pack(a), c, v, mu, kappa),
-                       variant=VARIANT_RR if kind == "rr" else VARIANT_ZERO_DIAG, lam=1.0, mu=mu)
+    model = DenseModel(p=pack(a), c=c, lam=1.0, v=v, mu=mu, kappa=kappa)
     if kind == "rescaled":
         model = apply_item_rescaling(model, ItemWeightVector(r.choice([0.5, 1.0, 2.0], n),
                                                              KIND_UNIFORM, 0.0))
@@ -678,11 +681,11 @@ def test_evaluate_model_matches_per_user_sort(case, kind):
     iset, split, recall_ks, ndcg_k, chunk, r = case
     matrix = to_user_item_matrix(iset)
     n = iset.n_items
-    b = r.standard_normal((n, n)) if kind in ("float", "weights", "sparse") else (
-        integer_b(r, n, nan=kind == "nan"))
-    model = DenseModel(matrix=b, variant=VARIANT_ZERO_DIAG, lam=1.0,
+    model = DenseModel(p=r.standard_normal(size(n)), c=r.standard_normal(n), lam=1.0,
                        mu=r.standard_normal(n) if kind == "mu" else None)
-    if kind.startswith("read-off"):
+    if kind in ("integer", "nan"):  # arbitrary B, ties and NaNs included
+        model = every_entry_model(integer_b(r, n, nan=kind == "nan"))
+    elif kind.startswith("read-off"):
         model = integer_read_off(r, n, kind.removeprefix("read-off-"))
     elif kind == "weights":
         model = apply_item_rescaling(
@@ -703,14 +706,15 @@ def test_evaluate_model_matches_per_user_sort(case, kind):
 
 @settings(max_examples=300, deadline=None)
 @given(eval_cases(), st.integers(1, 4), st.sampled_from([0.0, 0.5, 1.0]),
-       st.sampled_from(["integer", "nan", "mu", "read-off-plain", "read-off-nan",
-                        "read-off-centered"]), st.booleans())
+       st.sampled_from(["mu", "read-off-plain", "read-off-nan", "read-off-centered"]),
+       st.booleans())
 def test_evaluate_time_aware_matches_per_event_sort(case, n_intervals, alpha, kind, binarize):
     iset, split, recall_ks, ndcg_k, chunk, r = case
     n = iset.n_items
-    model = DenseModel(matrix=integer_b(r, n, nan=kind == "nan"), variant=VARIANT_ZERO_DIAG,
-                       lam=1.0, mu=r.integers(-2, 3, n).astype(np.float64) if kind == "mu" else None)
-    if kind.startswith("read-off"):
+    if kind == "mu":  # target means without the centering term v*mu^T
+        model = replace(integer_read_off(r, n, "plain"),
+                        mu=r.integers(-2, 3, n).astype(np.float64))
+    else:
         model = integer_read_off(r, n, kind.removeprefix("read-off-"))
     if binarize:  # the log as load_interactions(binarize=True) gives it
         iset = replace(iset, values=np.ones_like(iset.values))
@@ -737,7 +741,7 @@ def test_ranks_are_stable_descending_sort_positions(n, n_events, seed, special):
     table = r.choice(pool, (3, n))
     model = PopularityScorer(np.ones(n))
     with with_chunk(int(r.integers(1, 2 * n + 2)), panel=int(r.integers(1, n + 1))):
-        ranks = evaluation._rank_held_out(model, folds, (table, rows), None)
+        ranks = evaluation._rank_held_out(model, folds, (table, rows))
     for rank, row, item in zip(ranks, rows, items):
         order = np.argsort(-table[row], kind="stable")
         assert rank == 1 + np.flatnonzero(order == item)[0]
@@ -799,10 +803,9 @@ def test_trained_model_scores_bitwise_as_its_unpacked_b(n_items, n_users, kind, 
     xd = r.random((n_users, n_items)) * (r.random((n_users, n_items)) < 0.3)
     stats = build_gram(matrix_from_dense(xd), center=kind == "centered")
     model = (solve_rr if kind == "rr" else solve_zero_diag)(stats, 5.0)
-    assert isinstance(model.matrix, ReadOff)
     b = model.b
     for lo in range(0, n_items, 256):
-        assert model.matrix.columns(lo, lo + 256).tobytes() == np.ascontiguousarray(
+        assert model.columns(lo, lo + 256).tobytes() == np.ascontiguousarray(
             b[:, lo : lo + 256]).tobytes()
     xin = sp.csr_matrix(r.random((7, n_items)) * (r.random((7, n_items)) < 0.2))
     expected = xin @ b
@@ -821,11 +824,10 @@ def test_trained_model_reports_as_its_unpacked_b(chunk):
     build = lambda: build_gram(matrix.restrict_users(split.train_users))  # noqa: E731
     with with_chunk(chunk):
         _, reports, model = grid_search_lambda(build, matrix, split, [10.0])
-        unpacked = replace(model, matrix=model.b)
-        expected = evaluate_model(unpacked, matrix, split, users="validation")
+        expected = evaluate_model_reference(model, matrix, split, users="validation")
         assert reports[10.0].to_json() == expected.to_json()
         got = evaluate_model(model, matrix, split)
-        assert got.to_json() == evaluate_model(unpacked, matrix, split).to_json()
+        assert got.to_json() == evaluate_model_reference(model, matrix, split).to_json()
 
 
 def trained_case(n_items):
@@ -847,11 +849,10 @@ def test_trained_model_forms_each_panel_once_per_range(n_items, chunk):
     # an evaluation forms each 256-column panel of B from packed P twice,
     # once per pass, however many users it scores
     model, matrix, split = trained_case(n_items)
-    assert isinstance(model.matrix, ReadOff)
     for n_users in (1, 37, 400):
         some = replace(split, test_users=split.test_users[:n_users])
-        with with_chunk(chunk), mock.patch.object(ReadOff, "columns", autospec=True,
-                                                  side_effect=ReadOff.columns) as columns:
+        with with_chunk(chunk), mock.patch.object(DenseModel, "columns", autospec=True,
+                                                  side_effect=DenseModel.columns) as columns:
             report = evaluate_model(model, matrix, some)
         assert report.n_users == n_users
         assert columns.call_count == 2 * -(-n_items // 256)
@@ -863,13 +864,12 @@ def test_loaded_model_scores_chunk_over_n_users_at_a_time(kind, chunk):
     # score blocks are _CHUNK // PANEL users (at least one) by a panel of at
     # most PANEL items; each pass scores all 400 users against the one panel
     model, matrix, split = trained_case(40)
-    model = {"dense": replace(model, matrix=model.b),
-             "sparse": mask_model(replace(model, matrix=model.b),
-                                  threshold_pattern(np.ones((40, 40)), theta=0.5)),
+    model = {"dense": model,
+             "sparse": mask_model(model, threshold_pattern(np.ones((40, 40)), theta=0.5)),
              "popularity": PopularityScorer(np.ones(40))}[kind]
     with with_chunk(chunk), mock.patch.object(evaluation, "_scores",
                                               wraps=evaluation._scores) as score:
         report = evaluate_model(model, matrix, split)
-    heights = [call.args[1].shape[0] for call in score.call_args_list]
+    heights = [call.args[0].shape[0] for call in score.call_args_list]
     assert sum(heights) == 2 * report.n_users == 800
     assert max(heights) == max(1, (chunk or evaluation._CHUNK) // evaluation.PANEL)

@@ -194,13 +194,13 @@ def test_unverified_load_uses_the_weights_as_stored(tmp_path):
     model = solve_zero_diag(_stats(), 1.0)
     save_model(path, model, ["a", "b", "c"])
     raw = bytearray(path.read_bytes())
-    p = model.matrix.p.copy()
+    p = model.p.copy()
     assert raw[-8 * len(p):] == p.tobytes()
     p[-1] += 0.5  # P[1, 2] of the three items' packed P
     raw[-8:] = p[-1:].tobytes()
     path.write_bytes(bytes(raw))
     b = load_model(path)[0].b
-    assert b.tobytes() == replace(model.matrix, p=p).rows(0, 3).tobytes()
+    assert b.tobytes() == replace(model, p=p).b.tobytes()
     assert sorted(zip(*np.nonzero(b != model.b))) == [(1, 2), (2, 1)]
     with pytest.raises(DataError, match="do not match their sha256"):
         load_model(path, verify=True)
@@ -211,39 +211,67 @@ def _old_dense_model(path):
     path.write_bytes(b"EASE" + (1).to_bytes(4, "little") + (3).to_bytes(8, "little") + bytes(64))
 
 
+def _dense_model_file(path, meta, arrays, items=None):
+    """A dense model container of three items with the metadata ``meta`` and
+    the arrays ``arrays``."""
+    write_container(path, "dense_model", 3, {"lam": 1.0, "variant": "zero_diag", **meta}, arrays,
+                    {"items": items})
+
+
 # Each writes a malformed model file; loading it is a DataError naming what is wrong.
 MALFORMED = {
     "old_format": (_old_dense_model, "a dense model file in the format before containers"),
+    "b_layout": (lambda p: _dense_model_file(p, {}, {"b": np.zeros((3, 3))}, ["a", "b", "c"]),
+                 "a dense model file in the layout that holds B (array 'b') and not packed P; "
+                 "train the model again"),
+    "rr_without_kappa": (lambda p: _dense_model_file(p, {"variant": "rr"},
+                                                     {"c": np.ones(3), "p": np.zeros(6)}),
+                         "metadata 'variant' is 'rr' but 'kappa' is absent"),
+    "zero_diag_with_kappa": (lambda p: _dense_model_file(p, {"kappa": 2.0},
+                                                         {"c": np.ones(3), "p": np.zeros(6)}),
+                             "metadata 'variant' is 'zero_diag' but 'kappa' is 2.0"),
     "wrong_kind": (lambda p: p.write_bytes(_container_bytes()["data.csv.events"]),
                    "holds a container of kind 'events'"),
-    "missing_array": (lambda p: write_container(p, "dense_model", 3, {"lam": 1.0, "variant": "rr"},
-                                                {"mu": np.zeros(3)}, {}),
-                      "the dense_model container has no array 'b'"),
-    "misshaped_array": (lambda p: write_container(p, "dense_model", 3, {"lam": 1.0, "variant": "rr"},
-                                                  {"b": np.zeros((3, 2))}, {"items": ["a", "b", "c"]}),
-                        "array 'b' has shape (3, 2), expected (3, 3)"),
+    "missing_array": (lambda p: _dense_model_file(p, {}, {"c": np.ones(3)}),
+                      "the dense_model container has no array 'p'"),
+    "v_without_mu": (lambda p: _dense_model_file(p, {}, {"c": np.ones(3), "v": np.ones(3),
+                                                         "p": np.zeros(6)}),
+                     "the dense_model container has no array 'mu'"),
+    "misshaped_array": (lambda p: _dense_model_file(p, {}, {"c": np.ones(3), "p": np.zeros(5)},
+                                                    ["a", "b", "c"]),
+                        "array 'p' has shape (5,), expected (6,)"),
     "truncated": (lambda p: p.write_bytes(b"GRMC" + bytes(10)), "truncated container"),
     "key_table_length": (lambda p: p.write_bytes(_container_bytes()["m.ease"].replace(
                              b'"items":["a","b","c"]', b'"items":["abcde","f"]')),
                          'malformed header (2 item keys for 3 items)'),
-    "key_table_not_strings": (lambda p: write_container(p, "dense_model", 3, {"lam": 1.0, "variant": "rr"},
-                                                        {"b": np.zeros((3, 3))}, {"items": [1, 2, 3]}),
+    "key_table_not_strings": (lambda p: _dense_model_file(p, {}, {"c": np.ones(3), "p": np.zeros(6)},
+                                                          [1, 2, 3]),
                               "malformed header (kind, metadata or key tables of the wrong type)"),
     "metadata_not_an_object": (lambda p: write_container(p, "dense_model", 3, [1.0, "rr"],
-                                                         {"b": np.zeros((3, 3))}, {}),
+                                                         {"c": np.ones(3), "p": np.zeros(6)}, {}),
                                "malformed header (kind, metadata or key tables of the wrong type)"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_model_exits_2(tmp_path, capsys, case):
+    """Loading the file raises, and every command that reads a model exits
+    with code 2 and the message."""
     write, message = MALFORMED[case]
     path = tmp_path / "model.ease"
     write(path)
     with pytest.raises(DataError, match=re.escape(message)):
         load_model(path)
-    assert main(["recommend", "--model", str(path), "--history", "a"]) == 2
-    assert message in capsys.readouterr().err
+    events = _events()
+    save_interactions(tmp_path / "data.csv", events)
+    save_split_files(tmp_path / "split", SplitSpec(np.array([0]), np.array([1]), np.array([2])),
+                     events.user_keys)
+    data = ["--data", str(tmp_path / "data.csv"), "--split-dir", str(tmp_path / "split")]
+    for argv in (["recommend", "--model", str(path), "--history", "a"],
+                 ["evaluate", *data, "--model", str(path)],
+                 ["rescale", *data, "--model", str(path), "--output", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_container_format_is_decided_in_files_only():

@@ -29,6 +29,7 @@ from gramrec import (
     load_interactions,
     load_model,
     load_sparse_model,
+    mask_model,
     popularity_weights,
     save_model,
     save_sparse_model,
@@ -41,7 +42,6 @@ from gramrec import (
 from gramrec.evaluation import _draw_folds
 from gramrec.gram import PANEL
 from gramrec.packed import pack
-from gramrec.solver import VARIANT_ZERO_DIAG
 
 from conftest import binary_matrix, kept, make_iset, write_canonical_reference
 
@@ -89,7 +89,7 @@ def test_zero_diag_solve_in_place_holds_panels_beyond_g(wide):
     gram = build_gram(x)
     g = gram.g
     peak, model = peak_bytes(lambda: solve_zero_diag(gram, 50.0))
-    assert np.shares_memory(model.matrix.p, g)
+    assert np.shares_memory(model.p, g)
     assert peak < 0.05 * gram.n_items ** 2 * 8
 
 
@@ -212,7 +212,7 @@ def test_load_holds_a_few_times_its_arrays(canonical_log):
 
 @pytest.fixture(scope="module", params=["wide", "tall"])
 def eval_case(request):
-    """All users evaluated against a random dense model: 1,100 users with
+    """All users evaluated against a dense model of random packed P: 1,100 users with
     about 26 of 1,024 items each, or 1,500 users with 12 of 250 items."""
     r = np.random.default_rng(13)
     if request.param == "wide":
@@ -228,17 +228,20 @@ def eval_case(request):
         fold_in_fraction=0.8,
         seed=0,
     )
-    return DenseModel(matrix=r.random((n, n)), variant=VARIANT_ZERO_DIAG, lam=1.0), matrix, split
+    return DenseModel(p=r.random(n * (n + 1) // 2), c=np.ones(n), lam=1.0), matrix, split
 
 
 def test_evaluate_peak_within_one_score_batch_and_a_quarter(eval_case):
     """Scoring users 1,024 at a time holds a 1,024 × n score batch.  The
     engine's bounded batches and comparison blocks, and its folds, must fit
-    in that and a quarter more, however many held-out events there are."""
+    in that and a quarter more, however many held-out events there are,
+    beside the model's column panel of at most PANEL·n floats, which a
+    dense model forms from packed P."""
     model, matrix, split = eval_case
+    n = model.n_items
     peak, report = peak_bytes(lambda: evaluate_model(model, matrix, split))
     assert report.n_users == matrix.matrix.shape[0]
-    assert peak <= 1.25 * 1024 * model.n_items * 8
+    assert peak <= 1.25 * 1024 * n * 8 + min(PANEL, n) * n * 8
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +274,7 @@ def test_evaluate_loaded_trained_model_holds_p_and_two_panels(saved_trained):
                                           folds.rows, folds.items, folds.events))
     peak, report = peak_bytes(lambda: evaluate_model(load_model(path)[0], matrix, split))
     assert report.n_users == 700
-    assert peak <= model.matrix.p.nbytes + 2 * PANEL * n * 8 + folds_bytes
+    assert peak <= model.p.nbytes + 2 * PANEL * n * 8 + folds_bytes
 
 
 def test_rescaling_a_trained_model_allocates_no_matrix(saved_trained):
@@ -280,5 +283,15 @@ def test_rescaling_a_trained_model_allocates_no_matrix(saved_trained):
     loaded, _ = load_model(path)
     weights = popularity_weights(np.arange(1.0, model.n_items + 1.0), 0.5)
     peak, rescaled = peak_bytes(lambda: apply_item_rescaling(loaded, weights))
-    assert rescaled.matrix.p is loaded.matrix.p
+    assert rescaled.p is loaded.p
     assert peak < 4 * model.n_items * 8
+
+
+def test_mask_model_holds_one_column_panel(saved_trained):
+    """Masking a trained model to its diagonal gathers the pattern's entries
+    from one column panel of B (PANEL·n floats) at a time: B is never
+    formed whole."""
+    _, model, _, _ = saved_trained
+    n = model.n_items
+    pattern = threshold_pattern(np.eye(n), theta=0.5)
+    assert peak_n2(lambda: mask_model(model, pattern), n) < PANEL / n + 0.05

@@ -9,7 +9,6 @@ from scipy.linalg import lapack
 import gramrec.solver
 from gramrec import (
     DataError,
-    DenseModel,
     GramStats,
     NumericalError,
     build_disjoint_gram,
@@ -21,9 +20,9 @@ from gramrec import (
     solve_rr,
     solve_zero_diag,
 )
-from gramrec.files import read_container, write_container
+from gramrec.files import read_container
 from gramrec.packed import pack, unpack
-from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG, PrecisionMatrix, ReadOff, _positive_diag
+from gramrec.solver import VARIANT_RR, VARIANT_ZERO_DIAG, PrecisionMatrix, _positive_diag
 from gramrec.weighting import apply_item_rescaling, popularity_weights
 
 from conftest import (
@@ -36,6 +35,7 @@ from conftest import (
     matrix_from_dense,
     ridge_oracle,
     target_of,
+    zero_model,
 )
 
 
@@ -372,7 +372,7 @@ def test_in_place_solve_is_bitwise_the_copying_one(rng, monkeypatch, solver, kin
     # the statistics are consumed, and the model reads B off P in G's
     # buffer for every target
     assert gram.g is None
-    assert np.shares_memory(in_place.matrix.p, g)
+    assert np.shares_memory(in_place.p, g)
 
 
 def test_model_round_trip(tmp_path, rng):
@@ -396,10 +396,7 @@ def test_model_round_trip_with_mu_and_weights(tmp_path, rng):
     stats = build_gram(x, center=True)
     model = solve_zero_diag(stats, lam=1.0)
     weights = popularity_weights(np.arange(1.0, 6.0), alpha=0.5)
-    model = DenseModel(
-        matrix=model.b, variant=model.variant, lam=model.lam, mu=model.mu,
-        applied_item_weights=weights,
-    )
+    model = replace(model, applied_item_weights=weights)
     path = tmp_path / "model.ease"
     save_model(path, model)
     loaded, keys = load_model(path)
@@ -413,29 +410,22 @@ def test_model_round_trip_with_mu_and_weights(tmp_path, rng):
 @pytest.mark.parametrize("center", [False, True])
 def test_streamed_model_file_is_that_of_the_unpacked_b(tmp_path, rng, center):
     # 300 items: the trained model's file holds its read-off vectors and
-    # packed P, last, as the model holds them; the unpacked model's holds
-    # B.  Both load, verified, to B bitwise as trained.
+    # packed P, last, as the model holds them, in about half the bytes of
+    # B's n² floats, and loads, verified, to B bitwise as trained
     x = binary_matrix(rng, 40, 300, density=0.1)
     model = solve_zero_diag(build_gram(x, center=center), lam=2.0)
     keys = [f"item-{k}" for k in range(300)]
     save_model(tmp_path / "streamed.ease", model, item_keys=keys)
-    unpacked = DenseModel(matrix=model.b, variant=model.variant, lam=model.lam, mu=model.mu)
-    save_model(tmp_path / "whole.ease", unpacked, item_keys=keys)
     held = read_container(tmp_path / "streamed.ease", "dense_model", verify=True).arrays
-    m = model.matrix
     assert list(held) == (["c", "v", "mu", "p"] if center else ["c", "p"])
     for name in held:
-        assert held[name].tobytes() == getattr(m, name).tobytes()
-    assert list(read_container(tmp_path / "whole.ease", "dense_model", True).arrays) == (
-        ["b", "mu"] if center else ["b"])
-    for name, kind in (("streamed", ReadOff), ("whole", np.ndarray)):
-        loaded, loaded_keys = load_model(tmp_path / f"{name}.ease", verify=True)
-        assert isinstance(loaded.matrix, kind) and loaded_keys == keys
-        assert loaded.b.tobytes() == model.b.tobytes()
-        assert (loaded.mu is None) == (not center)
-        if center:
-            assert loaded.mu.tobytes() == model.mu.tobytes()
-    assert (tmp_path / "streamed.ease").stat().st_size < 0.52 * (tmp_path / "whole.ease").stat().st_size
+        assert held[name].tobytes() == getattr(model, name).tobytes()
+    loaded, loaded_keys = load_model(tmp_path / "streamed.ease", verify=True)
+    assert loaded.b.tobytes() == model.b.tobytes() and loaded_keys == keys
+    assert (loaded.mu is None) == (not center)
+    if center:
+        assert loaded.mu.tobytes() == model.mu.tobytes()
+    assert (tmp_path / "streamed.ease").stat().st_size < 0.52 * 300 * 300 * 8
 
 
 TRAINED = {
@@ -461,13 +451,10 @@ def test_loaded_trained_model_forms_b_as_trained(tmp_path, rng, kind):
     model = TRAINED[kind](x)
     save_model(tmp_path / "m.ease", model)
     loaded, _ = load_model(tmp_path / "m.ease", verify=True)
-    assert isinstance(loaded.matrix, ReadOff)
-    assert (loaded.variant, loaded.lam) == (model.variant, model.lam)
+    assert (loaded.variant, loaded.lam, loaded.kappa) == (model.variant, model.lam, model.kappa)
     assert loaded.b.tobytes() == model.b.tobytes()
     for lo in (0, 256):
-        assert loaded.matrix.columns(lo, lo + 256).tobytes() == model.matrix.columns(
-            lo, lo + 256).tobytes()
-        assert loaded.matrix.rows(lo, lo + 256).tobytes() == model.matrix.rows(lo, lo + 256).tobytes()
+        assert loaded.columns(lo, lo + 256).tobytes() == model.columns(lo, lo + 256).tobytes()
     assert (loaded.mu is None) == (model.mu is None)
     weights = model.applied_item_weights
     if weights is not None:
@@ -483,29 +470,13 @@ def test_rescaled_trained_model_is_the_scaled_b(rng):
     model = solve_zero_diag(build_gram(x), 3.0)
     weights = popularity_weights(x.matrix.sum(axis=0).A1, 0.5)
     rescaled = apply_item_rescaling(model, weights)
-    assert rescaled.matrix.p is model.matrix.p and model.matrix.w is None
-    expected = apply_item_rescaling(replace(model, matrix=model.b), weights).b
-    assert rescaled.b.tobytes() == expected.tobytes()
-
-
-def test_b_model_file_still_loads(tmp_path, rng):
-    """A file that holds B, as model files written before P was stored do,
-    and as models built from an array are written, loads as that array."""
-    b = rng.standard_normal((5, 5))
-    mu = rng.standard_normal(5)
-    path = tmp_path / "b.ease"
-    write_container(path, "dense_model", 5, {"lam": 2.0, "variant": "rr"}, {"b": b, "mu": mu},
-                    {"items": list("abcde")})
-    loaded, keys = load_model(path, verify=True)
-    assert isinstance(loaded.matrix, np.ndarray) and loaded.b.tobytes() == b.tobytes()
-    assert loaded.mu.tobytes() == mu.tobytes() and keys == list("abcde")
-    assert (loaded.variant, loaded.lam) == ("rr", 2.0)
+    assert rescaled.p is model.p and model.applied_item_weights is None
+    assert rescaled.b.tobytes() == (model.b * weights.w[np.newaxis, :]).tobytes()
 
 
 def test_model_key_count_checked(tmp_path):
-    model = DenseModel(matrix=np.zeros((2, 2)), variant=VARIANT_RR, lam=1.0)
     with pytest.raises(DataError, match="item keys"):
-        save_model(tmp_path / "m", model, item_keys=["only-one"])
+        save_model(tmp_path / "m", zero_model(2), item_keys=["only-one"])
 
 
 def test_model_file_rejects_corruption(tmp_path, rng):

@@ -19,12 +19,12 @@ from gramrec import (
     mask_model,
     save_sparse_model,
     solve_blocks,
+    solve_rr,
     solve_zero_diag,
     threshold_pattern,
     train_sparse,
 )
 from gramrec.packed import pack
-from gramrec.solver import VARIANT_RR
 
 from conftest import (
     aggregate_blocks_reference,
@@ -300,23 +300,29 @@ def test_aggregate_matches_reference_on_overlapping_blocks(n, n_blocks, fill, se
 
 
 def test_mask_restricts_to_pattern():
-    b = np.array([[9.0, 0.5, 0.2], [0.7, 9.0, 0.1], [0.3, 0.4, 9.0]])
-    model = DenseModel(matrix=b, variant=VARIANT_RR, lam=2.0)
+    # a ridge model, whose diagonal B_jj = P_jj/c_j + kappa is not zero
+    p = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
+    model = DenseModel(p=pack(p), c=np.array([1.0, 2.0, 4.0]), lam=2.0, kappa=9.0)
+    np.testing.assert_array_equal(np.diag(model.b), [10.0, 9.5, 9.25])
     pat = pattern_from_dense([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
     masked = mask_model(model, pat)
     dense = masked.values.toarray()
-    np.testing.assert_array_equal(dense, [[0.0, 0.5, 0.0], [0.7, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(dense, [[0.0, 0.25, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
     assert masked.lam == 2.0
     assert masked.sparsity == 5 / 9
     assert np.shares_memory(masked.values.indices, pat.a.indices)
 
 
 def test_mask_full_pattern_equals_dense_off_diagonal(rng):
-    x = binary_matrix(rng, 25, 6)
-    model = solve_zero_diag(build_gram(x), lam=1.0)
-    pat = pattern_from_dense(np.ones((6, 6)))
-    masked = mask_model(model, pat)
-    np.testing.assert_array_equal(masked.values.toarray(), model.b)
+    # 300 items: the entries are gathered from two column panels of B, and
+    # the ridge diagonal is written as zero in each
+    for n, solver in ((6, solve_zero_diag), (300, solve_rr)):
+        x = binary_matrix(rng, 25, n)
+        model = solver(build_gram(x), lam=1.0)
+        masked = mask_model(model, pattern_from_dense(np.ones((n, n))))
+        expected = model.b
+        np.fill_diagonal(expected, 0.0)
+        np.testing.assert_array_equal(masked.values.toarray(), expected)
 
 
 def test_mask_shape_checked(rng):
