@@ -25,6 +25,7 @@ from .data import (
     DEDUP_POLICIES,
     InteractionSchema,
     InteractionSet,
+    events_of,
     filter_activity,
     load_interactions,
     load_split_files,
@@ -202,10 +203,10 @@ def _load_any_model(path: str):
     return loader(path, verify=True)
 
 
-def _check_model_keys(item_keys, iset: InteractionSet, n_items: int) -> None:
-    if n_items != iset.n_items:
-        raise DataError(f"model has {n_items} items, data has {iset.n_items}")
-    if item_keys is not None and item_keys != iset.item_keys:
+def _check_model_keys(item_keys, data_keys: list[str], n_items: int) -> None:
+    if n_items != len(data_keys):
+        raise DataError(f"model has {n_items} items, data has {len(data_keys)}")
+    if item_keys is not None and item_keys != data_keys:
         raise DataError("model item keys do not match the data; was it trained on this dataset?")
 
 
@@ -282,6 +283,8 @@ def cmd_train(args) -> int:
     user_weights = None
     if args.user_weights is not None:
         user_weights = _training_user_weights(args.user_weights, iset, split)
+    item_keys = iset.item_keys
+    del iset  # before G is built
     # Each call builds G afresh: the solvers below factor it in place.
     build = functools.partial(_build_train_gram, args, matrix, split, user_weights)
 
@@ -302,7 +305,7 @@ def cmd_train(args) -> int:
         model = solver_fn(gram, lam)
         _log(f"phase solve: {time.perf_counter() - t0:.2f}s")
 
-    save_model(args.output, model, item_keys=iset.item_keys)
+    save_model(args.output, model, item_keys=item_keys)
     _log(f"trained variant={model.variant} lambda={lam:g} -> {args.output}")
     return 0
 
@@ -311,6 +314,8 @@ def cmd_train_sparse(args) -> int:
     iset = _load_events(args)
     matrix = to_user_item_matrix(iset)
     split = _load_split(args, iset)
+    item_keys = iset.item_keys
+    del iset  # before G is built
     lam, theta, n_max = getattr(args, "lambda"), args.threshold, args.n_max
     if theta == 0:
         _log("warning: threshold 0 keeps every pair; expect one giant block capped by --n-max")
@@ -324,7 +329,7 @@ def cmd_train_sparse(args) -> int:
     t_solve = time.perf_counter()
     _log(f"phase sparse solve: {t_solve - t_gram:.2f}s")
     _log(f"sparsity level {model.sparsity:.6f} ({model.values.nnz} non-zeros)")
-    save_sparse_model(args.output, model, item_keys=iset.item_keys)
+    save_sparse_model(args.output, model, item_keys=item_keys)
     _log(f"trained sparse lambda={lam:g} threshold={theta:g} -> {args.output}")
     return 0
 
@@ -336,10 +341,8 @@ def cmd_rescale(args) -> int:
         raise UsageError("--intervals and --at-time apply only with --mode time")
     if args.weights_out is None and args.output is None:
         raise UsageError("nothing to do: give --weights-out and/or --output")
-    model, item_keys = load_model(args.model, verify=True)
     iset = _load_events(args)
     split = _load_split(args, iset)
-    _check_model_keys(item_keys, iset, model.n_items)
     if args.mode == "time":
         index = time_intervals(iset, args.intervals, user_subset=split.train_users)
         k = int(index.locate(np.asarray([args.at_time]))[0])
@@ -349,33 +352,43 @@ def cmd_rescale(args) -> int:
     else:
         weights = popularity_weights(popularity(iset, split.train_users), args.alpha,
                                      args.epsilon)
+    data_keys = iset.item_keys
+    del iset  # before P is loaded
+    model, item_keys = load_model(args.model, verify=True)
+    _check_model_keys(item_keys, data_keys, model.n_items)
     if args.weights_out is not None:
-        save_weights_csv(args.weights_out, weights, iset.item_keys)
+        save_weights_csv(args.weights_out, weights, data_keys)
         _log(f"weights ({weights.kind}, alpha={args.alpha:g}) -> {args.weights_out}")
     if args.output is not None:
         rescaled = apply_item_rescaling(model, weights)
-        save_model(args.output, rescaled, item_keys=iset.item_keys)
+        save_model(args.output, rescaled, item_keys=data_keys)
         _log(f"rescaled model -> {args.output}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     iset = _load_events(args)
-    # the time-aware protocol folds the events themselves
-    matrix = to_user_item_matrix(iset) if args.time_intervals is None else None
     split = _load_split(args, iset)
-    if args.baseline is not None:
-        model = PopularityScorer(popularity(iset, split.train_users))
+    pop = popularity(iset, split.train_users) if args.baseline is not None else None
+    index = None
+    if args.time_intervals is not None:
+        index = time_intervals(iset, args.time_intervals, user_subset=split.train_users)
+    data_keys = iset.item_keys
+    evaluated = events_of(iset, split.users(args.users))  # with their ids
+    del iset  # before P is loaded
+    if index is None:  # the time-aware protocol folds the events themselves
+        evaluated = to_user_item_matrix(evaluated)
+    if pop is not None:
+        model = PopularityScorer(pop)
     else:
         model, item_keys = _load_any_model(args.model)
-        _check_model_keys(item_keys, iset, model.n_items)
+        _check_model_keys(item_keys, data_keys, model.n_items)
     cutoffs = dict(recall_ks=tuple(args.recall_ks), ndcg_k=args.ndcg_k, users=args.users)
-    if matrix is None:
-        index = time_intervals(iset, args.time_intervals, user_subset=split.train_users)
-        report = evaluate_time_aware(model, iset, split, index, alpha=args.alpha,
-                                     epsilon=args.epsilon, **cutoffs)
+    if index is None:
+        report = evaluate_model(model, evaluated, split, **cutoffs)
     else:
-        report = evaluate_model(model, matrix, split, **cutoffs)
+        report = evaluate_time_aware(model, evaluated, split, index, alpha=args.alpha,
+                                     epsilon=args.epsilon, **cutoffs)
     sys.stdout.write(report.to_text())
     if args.report_json is not None:
         _write_text(args.report_json, report.to_json())

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
@@ -114,6 +114,14 @@ class SplitSpec:
     test_users: np.ndarray
     fold_in_fraction: float = 0.8
     seed: int = 0
+
+    def users(self, which: str) -> np.ndarray:
+        """The ``test`` or the ``validation`` users."""
+        if which == "test":
+            return self.test_users
+        if which == "validation":
+            return self.validation_users
+        raise DataError(f"users must be 'test' or 'validation', got {which!r}")
 
 
 @dataclass
@@ -255,7 +263,7 @@ def _parse_interactions(path: Path, delimiter: str, schema: InteractionSchema | 
         )
 
     try:
-        with path.open(encoding="utf-8", newline="") as fh:
+        with path.open(encoding="utf-8-sig", newline="") as fh:  # a leading BOM is dropped
             chunks = _chunks(fh, delimiter)
             n_fields, fields = next(chunks, (None, None))
             if n_fields is None:
@@ -608,6 +616,15 @@ def _of_users(iset: InteractionSet, user_subset: np.ndarray) -> np.ndarray:
     return member[iset.user_ids]
 
 
+def events_of(iset: InteractionSet, user_subset: np.ndarray) -> InteractionSet:
+    """The events of the users in ``user_subset``, in their order, with the
+    ids and key tables of ``iset``."""
+    keep = _of_users(iset, user_subset)
+    return replace(iset, user_ids=iset.user_ids[keep], item_ids=iset.item_ids[keep],
+                   values=iset.values[keep],
+                   timestamps=None if iset.timestamps is None else iset.timestamps[keep])
+
+
 def time_intervals(
     iset: InteractionSet,
     n_intervals: int,
@@ -671,7 +688,7 @@ def load_split_files(
         if not fpath.exists():
             raise DataError(f"missing split file {fpath}")
         try:
-            keys = fpath.read_text(encoding="utf-8").splitlines()
+            keys = fpath.read_text(encoding="utf-8-sig").splitlines()
         except UnicodeDecodeError as exc:
             raise DataError(f"{fpath}: not UTF-8 text ({exc.reason})") from None
         ids = []

@@ -11,13 +11,16 @@ Both protocols run on one engine: each user's split is drawn once, into
 one matrix of input rows, and held-out item i gets rank
 1 + #{j : s_j > s_i} + #{j < i : s_j == s_i} in its score row s.  That is
 its position in ``argsort(-s, kind="stable")``: ties go to the lower item
-id, and NaN scores rank last, among themselves by id.  The rows are scored
-one column panel of the model at a time (each model kind forms its panels
-with ``columns(lo, hi)``), in two passes over the panels, so a dense model
-forms each panel of B from packed P twice per evaluation and never holds B
-whole.  The ranks then reduce to per-user metrics.  Score blocks and
-comparison blocks hold at most ``_CHUNK`` floats.  Metric means come with
-the standard error of the mean across evaluated users.
+id, and NaN scores rank last, among themselves by id.  Each held-out
+item's own score s_i is gathered first, from B's entries at the pairs of
+its user's input items and itself (each model kind reads them with
+``entries(i, j)``).  Then the rows are scored one column panel of the
+model at a time (each kind forms its panels with ``columns(lo, hi)``), in
+one pass over the panels, so a dense model forms each panel of B from
+packed P once per evaluation and never holds B whole.  The ranks then
+reduce to per-user metrics.  Score blocks and comparison blocks hold at
+most ``_CHUNK`` floats.  Metric means come with the standard error of the
+mean across evaluated users.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .data import (
     SplitSpec,
     TimeIntervalIndex,
     UserItemMatrix,
+    _of_users,
     fold_in_indices,
 )
 from .errors import DataError
@@ -112,7 +116,7 @@ def _scores(xin: sp.csr_matrix, cols) -> np.ndarray:
 
 def score_histories(model, xin: sp.csr_matrix) -> np.ndarray:
     """Dense score rows for a batch of input histories, any model kind,
-    scored 256 item columns at a time, the target means included; each
+    scored ``PANEL`` item columns at a time, the target means included; each
     score is bitwise what the whole model gives, and a dense model never
     forms B whole."""
     n = model.n_items
@@ -158,14 +162,6 @@ def _aggregate(
     return EvalReport(metrics=metrics, n_users=n_users, n_skipped=n_skipped, config=config)
 
 
-def _select_users(split: SplitSpec, users: str) -> np.ndarray:
-    if users == "test":
-        return split.test_users
-    if users == "validation":
-        return split.validation_users
-    raise DataError(f"users must be 'test' or 'validation', got {users!r}")
-
-
 class _Folds(NamedTuple):
     """Input rows of every folded user, in user order, and the held-out
     events as (row, item, folded position), ordered by row."""
@@ -182,7 +178,7 @@ def _draw_folds(indptr, items, values, n_items: int, split: SplitSpec, users: st
     """Fold each selected user's id-sorted row ``indptr[u]:indptr[u + 1]``
     with ``default_rng((split.seed, u))``, skipping (and counting) rows that
     cannot be split."""
-    user_ids = _select_users(split, users)
+    user_ids = split.users(users)
     fraction, seed = split.fold_in_fraction, split.seed
     if not 0.0 < fraction < 1.0:
         raise DataError(f"fold-in fraction must be in (0, 1), got {fraction}")
@@ -203,60 +199,74 @@ def _draw_folds(indptr, items, values, n_items: int, split: SplitSpec, users: st
     return _Folds(xin, rows, items[pos_out], pos_out, len(user_ids) - len(ins), config)
 
 
+def _adjust(s, model, scale, events, cols) -> None:
+    """Multiply the scores ``s`` of the held-out events at folded positions
+    ``events``, at the items ``cols``, by the interval scale, then add the
+    target means of a dense model, in place."""
+    if scale is not None:
+        s *= scale[0][scale[1][events], cols]
+    if isinstance(model, DenseModel) and model.mu is not None:
+        s += model.mu[cols]
+
+
+def _own_scores(model, folds: _Folds, scale=None) -> np.ndarray:
+    """Each held-out item's score in its user's row, adjusted, and bitwise
+    what scoring the row against a panel gives there.  For a matrix model
+    it is the sum of x_uj·B[j, i] over row u of the input matrix in CSR
+    order, added up one position at a time across the events, as the
+    sparse products add it up, with B read at the index pairs.  Events are
+    visited longest row first, ``_CHUNK // 16`` at a time, so that the
+    temporaries of a step stay below ``_CHUNK`` floats."""
+    xin, rows, items = folds.xin, folds.rows, folds.items
+    if isinstance(model, PopularityScorer):
+        own = model.pop[items]
+    else:
+        start = xin.indptr[rows]
+        length = xin.indptr[rows + 1] - start
+        by_length = np.argsort(-length, kind="stable")
+        left = len(items) - np.cumsum(np.bincount(length))  # events with more than t inputs
+        block = max(1, _CHUNK // 16)
+        own = np.zeros(len(items))
+        for t, m in enumerate(left[:-1].tolist()):
+            for a0 in range(0, m, block):
+                e = by_length[a0 : min(a0 + block, m)]
+                at = start[e] + t
+                own[e] += xin.data[at] * model.entries(xin.indices[at], items[e])
+    _adjust(own, model, scale, folds.events, items)
+    return own
+
+
 def _rank_held_out(model, folds: _Folds, scale=None) -> np.ndarray:
     """Rank of every held-out item in its user's score row, in fold order.
 
-    Each column panel of ``PANEL`` items is formed once per pass, by the
-    model's ``columns``.  The first pass scores, against each panel, the
-    users with a held-out item in it, and records each such event's own
-    score; the second scores every user against each panel and adds to each
-    event's rank the panel's items that rank before it.  Users are scored
-    ``_CHUNK // PANEL`` at a time, comparisons run as many events at a time,
-    and a panel is released before the next one is formed.  Input items
-    score -inf.  With ``scale = (table, idx)``, the row of the held-out
-    event at folded position p is then multiplied by ``table[idx[p]]``.
-    The target means of a dense model are added last.
+    Each event's own score is gathered first (:func:`_own_scores`).  Then
+    each column panel of ``PANEL`` items is formed once, by the model's
+    ``columns``, every user is scored against it, ``_CHUNK // PANEL`` users
+    at a time, and each event's rank gains the panel's items that rank
+    before it, compared as many events at a time; a panel is released
+    before the next one is formed.  Input items score -inf.  With
+    ``scale = (table, idx)``, the row of the held-out event at folded
+    position p is then multiplied by ``table[idx[p]]``.  The target means
+    of a dense model are added last.
     """
     xin, rows, items, events = folds.xin, folds.rows, folds.items, folds.events
     n_users, n = xin.shape
     step = max(1, _CHUNK // PANEL)
-    panels = range(0, n if len(items) else 0, PANEL)  # no panel is formed for no events
-    mu = model.mu if isinstance(model, DenseModel) else None
-
-    def scored(x, cols, lo):
-        s = _scores(x, cols)
-        hit = (x.indices >= lo) & (x.indices < lo + s.shape[1])
-        s[np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))[hit], x.indices[hit] - lo] = -np.inf
-        return s
-
-    def adjust(s, e, cols):  # the interval scale and the target means of events e
-        if scale is not None:
-            s *= scale[0][scale[1][events[e]], cols]
-        if mu is not None:
-            s += mu[cols]
-
-    own = np.empty(len(items))
-    for lo in panels:
-        cols = model.columns(lo, lo + PANEL)
-        inside = np.flatnonzero((items >= lo) & (items < lo + PANEL))
-        users = np.unique(rows[inside])
-        for k in range(0, len(users), step):
-            chunk = users[k : k + step]
-            e = inside[slice(*np.searchsorted(rows[inside], (chunk[0], chunk[-1] + 1)))]
-            s = scored(xin[chunk], cols, lo)[np.searchsorted(chunk, rows[e]), items[e] - lo]
-            adjust(s, e, items[e])
-            own[e] = s
-        del cols  # before the next panel is formed
+    own = _own_scores(model, folds, scale)
     ranks = np.ones(len(items), dtype=np.int64)
-    for lo in panels:
+    for lo in range(0, n if len(items) else 0, PANEL):  # no panel is formed for no events
         cols = model.columns(lo, lo + PANEL)
         for top in range(0, n_users, step):
-            scores = scored(xin[top : top + step], cols, lo)
+            x = xin[top : top + step]
+            scores = _scores(x, cols)
+            hit = (x.indices >= lo) & (x.indices < lo + scores.shape[1])
+            scores[np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))[hit],
+                   x.indices[hit] - lo] = -np.inf
             first, last = np.searchsorted(rows, (top, top + step))
             for e0 in range(first, last, step):
                 e = slice(e0, min(e0 + step, last))
                 s = scores[rows[e] - top]
-                adjust(s, e, slice(lo, lo + s.shape[1]))
+                _adjust(s, model, scale, events[e], slice(lo, lo + s.shape[1]))
                 si = own[e][:, None]
                 before = np.arange(lo, lo + s.shape[1]) < items[e][:, None]
                 tied_before = s == si
@@ -267,7 +277,7 @@ def _rank_held_out(model, folds: _Folds, scale=None) -> np.ndarray:
                     s_nan = np.isnan(s[nan])
                     ranks[e][nan] += (np.count_nonzero(~s_nan, axis=1)
                                       + np.count_nonzero(s_nan & before[nan], axis=1))
-        del cols
+        del cols  # before the next panel is formed
     return ranks
 
 
@@ -359,8 +369,9 @@ def evaluate_time_aware(
         raise DataError("time-aware evaluation needs timestamped events")
     if model.n_items != iset.n_items:
         raise DataError(f"model has {model.n_items} items, events cover {iset.n_items}")
-    order = np.lexsort((iset.item_ids, iset.user_ids))
-    order = order[iset.values[order] != 0]  # the entries to_user_item_matrix stores
+    # the evaluated users' entries to_user_item_matrix stores, by user and item
+    order = np.flatnonzero(_of_users(iset, split.users(users)) & (iset.values != 0))
+    order = order[np.lexsort((iset.item_ids[order], iset.user_ids[order]))]
     indptr = np.append(0, np.cumsum(np.bincount(iset.user_ids[order], minlength=iset.n_users)))
     folds = _draw_folds(indptr, iset.item_ids[order], iset.values[order], iset.n_items, split,
                         users)

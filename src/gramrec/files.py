@@ -202,7 +202,7 @@ def read_key_csv(
     out = np.full(len(index), fill)
     seen = set()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             first = fh.readline()
             comment = first if first.startswith("#") else ""
             header = next(csv.reader([fh.readline() if comment else first]), None)

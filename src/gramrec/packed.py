@@ -28,7 +28,7 @@ import numpy as np
 
 # Rows or columns per panel wherever an n×n matrix is built or read
 # piecewise: temporaries stay at PANEL·n floats.
-PANEL = 256
+PANEL = 128
 
 
 def size(n: int) -> int:
@@ -53,12 +53,18 @@ def _blocks(a: np.ndarray):
     return n, n1, v[:, s : s + n1], v[:, s + n1 :], v[1 - s :, :n2]
 
 
+def pair_index(n: int, i, j) -> np.ndarray:
+    """Positions of A[i, j] in a packed n×n array, for index arrays with
+    i ≥ j elementwise (the lower triangle, which holds A[j, i] too)."""
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    n1, s = (n + 1) // 2, 1 - n % 2
+    return np.where(j < n1, j * (n + s) + s + i, (i - n1 + 1 - s) * (n + s) + j - n1)
+
+
 def diagonal_index(a: np.ndarray) -> np.ndarray:
     """Positions of diag(A) in the packed array."""
-    n = order(a)
-    n1, s = (n + 1) // 2, 1 - n % 2
-    i = np.arange(n)
-    return np.where(i < n1, i * (n + s + 1) + s, (1 - s + i - n1) * (n + s) + i - n1)
+    i = np.arange(order(a))
+    return pair_index(len(i), i, i)
 
 
 def diagonal(a: np.ndarray) -> np.ndarray:

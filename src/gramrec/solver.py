@@ -108,6 +108,22 @@ class DenseModel:
             b *= self.applied_item_weights.w[c]
         return b
 
+    def entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """B[i, j] at each index pair, read off P[i, j] with the operations
+        of :meth:`columns` in its order, so bitwise its entries."""
+        b = self.p[packed.pair_index(self.n_items, np.maximum(i, j), np.minimum(i, j))]
+        diag = i == j
+        b /= self.c[j]
+        if self.kappa is not None:
+            b[diag] += self.kappa
+        if self.v is not None:
+            b -= self.v[i] * self.mu[j]
+        if self.kappa is None:
+            b[diag] = 0.0
+        if self.applied_item_weights is not None:
+            b *= self.applied_item_weights.w[j]
+        return b
+
 
 def invert_regularized(gram: GramStats, lam: float) -> PrecisionMatrix:
     """(G + lambda*I)^-1 by Cholesky factorization, made in G's packed buffer.

@@ -120,6 +120,10 @@ class SparseModel:
         """The weight columns lo:hi, as CSR for scoring."""
         return self.values[:, lo:hi].tocsr()
 
+    def entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The weight at each index pair (i, j), 0 where none is stored."""
+        return np.asarray(self.values[i, j]).reshape(-1)
+
     @property
     def sparsity(self) -> float:
         """Fraction of stored entries, the "sparsity level" of reports."""
@@ -353,6 +357,9 @@ def load_sparse_model(path: str | Path, verify: bool = False) -> tuple[SparseMod
     nnz = int(indptr[-1])
     values = sp.csc_matrix((c.array("data", (nnz,)), c.array("indices", (nnz,)), indptr),
                            shape=(n, n))
+    # one stored value per position, as training writes them: a weight given
+    # twice is its sum for scoring and for reading single entries alike
+    values.sum_duplicates()
     model = SparseModel(values=values, threshold=c.scalar("threshold", float),
                         n_max=c.scalar("n_max", int), lam=c.scalar("lam", float))
     return model, c.keys.get("items")

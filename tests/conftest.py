@@ -54,7 +54,7 @@ from gramrec import (
     to_user_item_matrix,
 )
 from gramrec.data import fold_in_indices
-from gramrec.evaluation import _aggregate, _model_config, _select_users
+from gramrec.evaluation import _aggregate, _model_config
 from gramrec.gram import PANEL
 from gramrec.packed import diagonal_index, order, pack, unpack
 from gramrec.weighting import DEFAULT_EPSILON, KIND_UNIFORM
@@ -505,7 +505,7 @@ def evaluate_model_reference(model, matrix, split, recall_ks=(20, 50), ndcg_k=10
                              users="test"):
     """Strong-generalization report one user at a time: a full stable argsort
     of the user's scores, read off with ``recall_at_k`` and ``ndcg_at_k``."""
-    user_ids = _select_users(split, users)
+    user_ids = split.users(users)
     eval_seed = split.seed
     csr = matrix.matrix
     per_user = {name: [] for name in [f"recall@{k}" for k in recall_ks] + [f"ndcg@{ndcg_k}"]}
@@ -545,7 +545,7 @@ def evaluate_time_aware_reference(model, iset, split, intervals, alpha,
     applied, and the event item's rank read off a full stable argsort of that
     row.  Zero-valued events are skipped, as the user-item matrix leaves
     them out."""
-    user_ids = _select_users(split, users)
+    user_ids = split.users(users)
     eval_seed = split.seed
     total = intervals.pops.sum(axis=0)
     wmat = np.stack([

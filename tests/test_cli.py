@@ -528,6 +528,48 @@ def test_ingest_reads_utf8_under_c_locale(tmp_path):
     assert "not UTF-8" in res.stderr and "Traceback" not in res.stderr
 
 
+def test_byte_order_mark_is_dropped(workdir, tmp_path, capsys):
+    """A UTF-8 byte-order mark, as editors save CSVs as UTF-8 with BOM, is
+    no part of the first column's name or the first key: a log ingests to
+    the bytes of the plain one, and a weights file and a split file load."""
+    bom = b"\xef\xbb\xbf"
+
+    def ingest(raw: bytes, *options) -> bytes:
+        (tmp_path / "raw.csv").write_bytes(raw)
+        assert main(["ingest", "--input", str(tmp_path / "raw.csv"),
+                     "--output", str(tmp_path / "out.csv"), *options]) == 0
+        return (tmp_path / "out.csv").read_bytes()
+
+    options = ["--user-col", "user", "--item-col", "item", "--value-col", "rating",
+               "--time-col", "ts", "--min-value", "1", "--dedup", "keep_max"]
+    assert ingest(bom + workdir["raw"].read_bytes(), *options) == workdir["data"].read_bytes()
+    tiny = workdir["tiny"].read_bytes()  # the default columns user, item, value
+    assert ingest(bom + tiny) == ingest(tiny)
+
+    splits = tmp_path / "splits"
+    shutil.copytree(workdir["splits"], splits)
+    train_users = splits / "train_users.txt"
+    train_users.write_bytes(bom + train_users.read_bytes())
+    model = tmp_path / "m.ease"
+    assert main(["train", "--data", str(workdir["data"]), "--split-dir", str(splits),
+                 "--lambda", "2.0", "--output", str(model)]) == 0
+    assert model.read_bytes() == workdir["model"].read_bytes()
+
+    weights = tmp_path / "w.csv"
+    assert main(["rescale", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+                 "--model", str(workdir["model"]), "--weights-out", str(weights)]) == 0
+    written = weights.read_bytes()
+    capsys.readouterr()
+    for text in (written, written.split(b"\n", 1)[1]):  # with and without the kind line
+        outputs = []
+        for prefix in (b"", bom):
+            weights.write_bytes(prefix + text)
+            assert main(["recommend", "--model", str(workdir["model"]), "--history", "i0,i1",
+                         "--weights", str(weights)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("reader", ["split-file", "weights", "popularity"])
 def test_non_utf8_input_exit_code(workdir, tmp_path, reader):
     model, data = str(workdir["model"]), str(workdir["data"])

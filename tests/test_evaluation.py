@@ -249,8 +249,8 @@ def test_sparse_full_pattern_matches_dense_report():
 
 def test_sparse_model_converted_to_csr_once():
     # csr @ csc converts the csc operand; evaluation converts each column
-    # panel of the model once per pass instead of once per score block,
-    # with the same report
+    # panel of the model once, in its one pass over the panels, instead of
+    # once per score block, with the same report
     model, matrix, split, _ = eval_setup(n_users=60)
     masked = mask_model(model, threshold_pattern(np.ones((model.n_items, model.n_items)), 0.5))
     expected = evaluate_model(masked, matrix, split).to_json()
@@ -263,7 +263,7 @@ def test_sparse_model_converted_to_csr_once():
 
     with with_chunk(5, panel=5), mock.patch.object(sp.csc_matrix, "tocsr", counted):
         report = evaluate_model(masked, matrix, split)
-    assert calls == [(12, 5), (12, 5), (12, 2)] * 2
+    assert calls == [(12, 5), (12, 5), (12, 2)]
     assert report.to_json() == expected
 
 
@@ -728,6 +728,66 @@ def test_evaluate_time_aware_matches_per_event_sort(case, n_intervals, alpha, ki
     assert got == expected
 
 
+GATHER_KINDS = ["zero-diag", "ridge", "centered", "ridge-centered", "weighted", "sparse",
+                "every-entry", "popularity"]
+
+
+def gather_model(r, n, kind):
+    """A model of float entries, negatives included: dense models from a
+    random packed P and read-off vectors, sparse ones masked from such a
+    model or storing every entry of a random B, or popularity counts."""
+    if kind == "popularity":
+        return PopularityScorer(r.standard_normal(n))
+    if kind == "every-entry":
+        return every_entry_model(r.standard_normal((n, n)) * (r.random((n, n)) < 0.7))
+    centered = kind.endswith("centered")
+    model = DenseModel(p=r.standard_normal(size(n)), c=r.standard_normal(n), lam=1.0,
+                       v=r.standard_normal(n) if centered else None,
+                       mu=r.standard_normal(n) if centered else None,
+                       kappa=float(r.standard_normal()) if kind.startswith("ridge") else None)
+    if kind == "weighted":
+        model = apply_item_rescaling(model, ItemWeightVector(r.random(n) * 3, KIND_UNIFORM, 0.0))
+    elif kind == "sparse":
+        model = mask_model(model, threshold_pattern(r.random((n, n)), theta=0.6))
+    return model
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 7, 130, 257]), st.integers(1, 12), st.sampled_from(GATHER_KINDS),
+       st.booleans(), st.sampled_from([None, 16, 40]), st.integers(0, 2**32 - 1))
+def test_own_scores_are_bitwise_the_panel_products(n, n_users, kind, timed, chunk, seed):
+    # each held-out event's own score, gathered from B's entries, is bitwise
+    # its entry of the product with the panel that holds its item, before
+    # and after the interval scale and the target means; input values and
+    # B's entries include negatives, and an event's item may be an input
+    r = np.random.default_rng(seed)
+    model = gather_model(r, n, kind)
+    x = r.standard_normal((n_users, n)) * (r.random((n_users, n)) < r.random())
+    xin = sp.csr_matrix(x)
+    rows = np.sort(r.integers(0, n_users, int(r.integers(1, 40))))
+    items = r.integers(0, n, len(rows))
+    events = r.permutation(3 * len(rows))[: len(rows)]
+    scale = (r.standard_normal((3, n)), r.integers(0, 3, 3 * len(rows))) if timed else None
+    width = int(r.choice([1, 3, evaluation.PANEL]))
+    expected = np.empty(len(rows))
+    for p, (u, i) in enumerate(zip(rows, items)):
+        lo = i - i % width
+        cols = model.columns(lo, lo + width)
+        if isinstance(model, PopularityScorer):
+            expected[p] = cols[i - lo]
+        else:
+            panel = xin @ cols
+            expected[p] = (panel.toarray() if sp.issparse(panel) else panel)[u, i - lo]
+    if scale is not None:
+        expected *= scale[0][scale[1][events], items]
+    if isinstance(model, DenseModel) and model.mu is not None:
+        expected += model.mu[items]
+    folds = evaluation._Folds(xin, rows, items, events, 0, {})
+    with with_chunk(chunk):
+        own = evaluation._own_scores(model, folds, scale)
+    assert own.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
 def test_ranks_are_stable_descending_sort_positions(n, n_events, seed, special):
@@ -846,8 +906,8 @@ def trained_case(n_items):
 @pytest.mark.parametrize("n_items,chunk", [(40, 40), (40, 3 * 40), (40, None), (600, None)],
                          ids=["n40-chunk-n", "n40-chunk-3n", "n40", "n600"])
 def test_trained_model_forms_each_panel_once_per_range(n_items, chunk):
-    # an evaluation forms each 256-column panel of B from packed P twice,
-    # once per pass, however many users it scores
+    # an evaluation forms each PANEL-column panel of B from packed P once,
+    # however many users it scores: the own scores are gathered from P
     model, matrix, split = trained_case(n_items)
     for n_users in (1, 37, 400):
         some = replace(split, test_users=split.test_users[:n_users])
@@ -855,14 +915,14 @@ def test_trained_model_forms_each_panel_once_per_range(n_items, chunk):
                                                   side_effect=DenseModel.columns) as columns:
             report = evaluate_model(model, matrix, some)
         assert report.n_users == n_users
-        assert columns.call_count == 2 * -(-n_items // 256)
+        assert columns.call_count == -(-n_items // evaluation.PANEL)
 
 
 @pytest.mark.parametrize("chunk", [None, 40, 3 * 40])
 @pytest.mark.parametrize("kind", ["dense", "sparse", "popularity"])
 def test_loaded_model_scores_chunk_over_n_users_at_a_time(kind, chunk):
     # score blocks are _CHUNK // PANEL users (at least one) by a panel of at
-    # most PANEL items; each pass scores all 400 users against the one panel
+    # most PANEL items; the one pass scores all 400 users against the one panel
     model, matrix, split = trained_case(40)
     model = {"dense": model,
              "sparse": mask_model(model, threshold_pattern(np.ones((40, 40)), theta=0.5)),
@@ -871,5 +931,5 @@ def test_loaded_model_scores_chunk_over_n_users_at_a_time(kind, chunk):
                                               wraps=evaluation._scores) as score:
         report = evaluate_model(model, matrix, split)
     heights = [call.args[0].shape[0] for call in score.call_args_list]
-    assert sum(heights) == 2 * report.n_users == 800
-    assert max(heights) == max(1, (chunk or evaluation._CHUNK) // evaluation.PANEL)
+    assert sum(heights) == report.n_users == 400
+    assert max(heights) == min(400, max(1, (chunk or evaluation._CHUNK) // evaluation.PANEL))

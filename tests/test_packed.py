@@ -74,3 +74,16 @@ def test_submatrix_takes_ascending_indices_only():
     for bad in ([2, 1], [0, 5, 3, 8]):
         with pytest.raises(ValueError, match="ascending"):
             packed.submatrix(a, np.array(bad))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 257])
+def test_pair_index_reads_every_entry(n):
+    # every (i, j) with i ≥ j, read at its position, is the unpacked entry,
+    # and so is (j, i); the diagonal's positions are the i = j case
+    m = symmetric(n, seed=n)
+    a = packed.pack(m)
+    i, j = np.tril_indices(n)
+    pos = packed.pair_index(n, i, j)
+    assert a[pos].tobytes() == packed.unpack(a)[i, j].tobytes() == m[j, i].tobytes()
+    assert np.sort(pos).tolist() == list(range(a.size))  # each position once
+    assert packed.diagonal_index(a).tolist() == packed.pair_index(n, np.arange(n), np.arange(n)).tolist()

@@ -9,6 +9,7 @@ from gramrec import (
     DataError,
     DenseModel,
     GramStats,
+    SparseModel,
     SparsityPattern,
     aggregate_blocks,
     block_partition,
@@ -24,6 +25,7 @@ from gramrec import (
     threshold_pattern,
     train_sparse,
 )
+import gramrec.evaluation as evaluation
 from gramrec.packed import pack
 
 from conftest import (
@@ -512,6 +514,21 @@ def test_sparse_model_round_trip(tmp_path, rng):
     save_sparse_model(tmp_path / "bare.easp", model)
     _, no_keys = load_sparse_model(tmp_path / "bare.easp")
     assert no_keys is None
+
+
+def test_sparse_model_file_repeating_a_position_loads_it_summed(tmp_path):
+    # a file may store one position twice; it loads as one weight, the sum,
+    # so an own score read at the pair is bitwise the panel product's,
+    # 0.7·(0.1 + 0.2) and not 0.7·0.1 + 0.7·0.2
+    values = sp.csc_matrix((np.array([0.1, 0.2, 0.7]), np.array([1, 1, 0]), np.array([0, 2, 3])),
+                           shape=(2, 2))
+    save_sparse_model(tmp_path / "m.easp", SparseModel(values, threshold=0.0, n_max=2, lam=1.0))
+    model, _ = load_sparse_model(tmp_path / "m.easp")
+    assert model.values.nnz == 2 and model.values[1, 0] == 0.1 + 0.2
+    xin = sp.csr_matrix(np.array([[0.0, 0.7]]))
+    folds = evaluation._Folds(xin, np.array([0]), np.array([0]), np.array([0]), 0, {})
+    own = evaluation._own_scores(model, folds)
+    assert own.tolist() == (xin @ model.columns(0, 1)).toarray()[0].tolist() == [0.7 * (0.1 + 0.2)]
 
 
 def test_sparse_model_rejects_corruption(tmp_path, rng):
