@@ -76,9 +76,7 @@ print(baseline.to_text())
 
 lams = [1e-6, 1e-3, 0.1, 1.0, 10.0, 1e5]
 # the grid rebuilds the statistics for each lambda and solves them in place
-best, reports, _ = grid_search_lambda(
-    lambda: build_gram(train_matrix), matrix, split, lams, metric="ndcg@100"
-)
+best, reports, _ = grid_search_lambda(lambda: build_gram(train_matrix), matrix, split, lams)
 print("regularization sweep (ndcg@100 on validation users):")
 for lam in lams:
     mean, stderr = reports[lam].metrics["ndcg@100"]

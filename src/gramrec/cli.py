@@ -93,23 +93,34 @@ def _write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of every float option: NaN and infinities are refused."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _number(cast, ok, expected: str):
+    """argparse type of a numeric option: ``cast`` parses the text, a float
+    must be finite, and ``ok`` must hold of the value, which the message
+    then names as ``expected``."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+        if cast is float and not np.isfinite(value):
+            raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of --lambda: a finite number above 0."""
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
+_finite_float = _number(float, lambda v: True, "a finite number")
+_positive_float = _number(float, lambda v: v > 0.0, "a positive number")
+_unit_float = _number(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_open_unit_float = _number(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_non_negative_float = _number(float, lambda v: v >= 0.0, "a non-negative number")
+
+
+def _int_at_least(low: int):
+    """argparse type of an integer option of at least ``low``."""
+    return _number(int, lambda v: v >= low, f"an integer of at least {low}")
 
 
 def _positive_floats(text: str) -> list[float]:
@@ -119,43 +130,6 @@ def _positive_floats(text: str) -> list[float]:
     if not values:
         raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
     return values
-
-
-def _unit_float(text: str) -> float:
-    """argparse type of --alpha: a number in [0, 1]."""
-    value = _finite_float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
-    return value
-
-
-def _open_unit_float(text: str) -> float:
-    """argparse type of --fold-in and --split-fraction: a number in (0, 1)."""
-    value = _finite_float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    """argparse type of --epsilon and --threshold: a finite number of at least 0."""
-    value = _finite_float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
-    return value
-
-
-def _int_at_least(low: int):
-    """argparse type of an integer option of at least ``low``."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
-        return value
-    return parse
 
 
 def _cutoff_list(text: str) -> list[int]:
@@ -250,25 +224,13 @@ def _training_user_weights(path: str, iset: InteractionSet, split) -> np.ndarray
     return w
 
 
-def _log_gram(gram, seconds: float) -> None:
-    _log(f"phase gram: {seconds:.2f}s ({gram.n_items} items, {gram.n_users} users, "
-         f"packed G {gram.g.nbytes} bytes)")
-
-
-def _build_train_gram(args, matrix, split, user_weights):
-    """Fresh statistics of the training users, logged as a ``phase gram:`` line."""
+def _train_gram(matrix, split, build, **options):
+    """``build(train_matrix, **options)``: fresh statistics of the training
+    users, logged as a ``phase gram:`` line."""
     t0 = time.perf_counter()
-    train_matrix = matrix.restrict_users(split.train_users)
-    if args.disjoint:
-        gram = build_disjoint_gram(
-            train_matrix, explicit_lambda=not args.exact_expectation,
-            split_fraction=0.05 if args.split_fraction is None else args.split_fraction,
-        )
-    elif user_weights is not None:
-        gram = build_user_weighted_gram(train_matrix, user_weights)
-    else:
-        gram = build_gram(train_matrix, center=args.center)
-    _log_gram(gram, time.perf_counter() - t0)
+    gram = build(matrix.restrict_users(split.train_users), **options)
+    _log(f"phase gram: {time.perf_counter() - t0:.2f}s ({gram.n_items} items, "
+         f"{gram.n_users} users, packed G {gram.g.nbytes} bytes)")
     return gram
 
 
@@ -280,13 +242,19 @@ def cmd_train(args) -> int:
     iset = _load_events(args)
     matrix = to_user_item_matrix(iset)
     split = _load_split(args, iset)
-    user_weights = None
-    if args.user_weights is not None:
-        user_weights = _training_user_weights(args.user_weights, iset, split)
+    if args.disjoint:
+        fraction = 0.05 if args.split_fraction is None else args.split_fraction
+        builder, options = build_disjoint_gram, {"split_fraction": fraction,
+                                                 "explicit_lambda": not args.exact_expectation}
+    elif args.user_weights is not None:
+        w_u = _training_user_weights(args.user_weights, iset, split)
+        builder, options = build_user_weighted_gram, {"w_u": w_u}
+    else:
+        builder, options = build_gram, {"center": args.center}
     item_keys = iset.item_keys
     del iset  # before G is built
     # Each call builds G afresh: the solvers below factor it in place.
-    build = functools.partial(_build_train_gram, args, matrix, split, user_weights)
+    build = functools.partial(_train_gram, matrix, split, builder, **options)
 
     solver_fn = _VARIANT_FLAGS[args.variant]
     if args.lambda_grid is not None:
@@ -320,14 +288,10 @@ def cmd_train_sparse(args) -> int:
     if theta == 0:
         _log("warning: threshold 0 keeps every pair; expect one giant block capped by --n-max")
 
+    gram = _train_gram(matrix, split, build_gram)
     t0 = time.perf_counter()
-    train_matrix = matrix.restrict_users(split.train_users)
-    gram = build_gram(train_matrix)
-    t_gram = time.perf_counter()
-    _log_gram(gram, t_gram - t0)
     model = train_sparse(gram, theta=theta, n_max=n_max, lam=lam)
-    t_solve = time.perf_counter()
-    _log(f"phase sparse solve: {t_solve - t_gram:.2f}s")
+    _log(f"phase sparse solve: {time.perf_counter() - t0:.2f}s")
     _log(f"sparsity level {model.sparsity:.6f} ({model.values.nnz} non-zeros)")
     save_sparse_model(args.output, model, item_keys=item_keys)
     _log(f"trained sparse lambda={lam:g} threshold={theta:g} -> {args.output}")
@@ -624,7 +588,7 @@ def main(argv=None) -> int:
     cfg_path = pre.parse_known_args(argv)[0].config
     if cfg_path is not None:
         try:
-            with open(cfg_path, "r", encoding="utf-8") as fh:
+            with open(cfg_path, "r", encoding="utf-8-sig") as fh:
                 cfg = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             print(f"error: {cfg_path}: invalid JSON config: {exc}", file=sys.stderr)

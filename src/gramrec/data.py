@@ -345,19 +345,11 @@ def _load_events(path: Path) -> InteractionSet | None:
             item_keys=c.keys["items"],
         )
         with path.open("rb") as csv_fh:
-            if _sha256(csv_fh).hexdigest() != c.meta.get("csv_sha256"):
+            if hashlib.file_digest(csv_fh, "sha256").hexdigest() != c.meta.get("csv_sha256"):
                 return None
     except (OSError, KeyError, DataError):
         return None
     return iset
-
-
-def _sha256(fh):
-    """The sha256 of the rest of ``fh``, read a MiB at a time."""
-    digest = hashlib.sha256()
-    for block in iter(lambda: fh.read(1 << 20), b""):
-        digest.update(block)
-    return digest
 
 
 def save_interactions(path: str | Path, iset: InteractionSet) -> None:
@@ -645,18 +637,16 @@ def time_intervals(
     ev = np.flatnonzero(_of_users(iset, user_subset))
     if len(ev) == 0:
         raise DataError("user subset has no events")
-    ts = iset.timestamps[ev]
-    order = np.argsort(ts, kind="stable")
-    ev, ts = ev[order], ts[order]
+    ev = ev[np.argsort(iset.timestamps[ev], kind="stable")]
 
     m = len(ev)
     cuts = np.round(np.arange(n_intervals + 1) * (m / n_intervals)).astype(np.int64)
-    counts = np.diff(cuts)
-    slots = np.repeat(np.arange(n_intervals), counts) * iset.n_items + iset.item_ids[ev]
-    pops = np.bincount(slots, weights=iset.values[ev], minlength=n_intervals * iset.n_items)
-    boundaries = ts[np.minimum(cuts, m - 1)].astype(np.int64)
-    return TimeIntervalIndex(boundaries=boundaries, pops=pops.reshape(n_intervals, iset.n_items),
-                             counts=counts)
+    pops = np.zeros((n_intervals, iset.n_items))
+    for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        pops[k] = np.bincount(iset.item_ids[ev[lo:hi]], weights=iset.values[ev[lo:hi]],
+                              minlength=iset.n_items)
+    boundaries = iset.timestamps[ev[np.minimum(cuts, m - 1)]].astype(np.int64)
+    return TimeIntervalIndex(boundaries=boundaries, pops=pops, counts=np.diff(cuts))
 
 
 def save_split_files(split_dir: str | Path, split: SplitSpec, user_keys: list[str]) -> None:

@@ -396,7 +396,6 @@ def grid_search_lambda(
     matrix: UserItemMatrix,
     split: SplitSpec,
     lambdas,
-    metric: str = "ndcg@100",
     solver=solve_zero_diag,
 ) -> tuple[float, dict[float, EvalReport], DenseModel]:
     """Train with ``solver`` and evaluate on validation users per lambda.
@@ -408,8 +407,9 @@ def grid_search_lambda(
     model is dropped and the winner is built and solved once more.  So the
     matrices of two lambdas are never held at once; the Gram build must be
     repeatable for the winner to come out as it was evaluated.  Validation
-    folds are drawn once for the whole grid.  Ties go to the smallest
-    lambda.  Returns the winner, every report and the winner's model.
+    folds are drawn once for the whole grid.  The winner has the highest
+    ndcg@100, ties going to the smallest lambda.  Returns the winner, every
+    report and the winner's model.
     """
     lams = sorted({float(l) for l in lambdas})
     if not lams:
@@ -417,9 +417,6 @@ def grid_search_lambda(
     if not all(0 < l < np.inf for l in lams):
         raise DataError("all grid lambdas must be positive and finite")
     recall_ks, ndcg_k = (20, 50), 100
-    names = sorted([*(f"recall@{k}" for k in recall_ks), f"ndcg@{ndcg_k}"])
-    if metric not in names:  # before the first G is built
-        raise DataError(f"unknown search metric {metric!r}; have {names}")
     csr = matrix.matrix
     folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, "validation")
     reports: dict[float, EvalReport] = {}
@@ -430,7 +427,7 @@ def grid_search_lambda(
         model = solver(build(), lam)
         report = _evaluate(model, folds, recall_ks, ndcg_k)
         reports[lam] = report
-        score = report.metrics[metric][0]
+        score = report.metrics[f"ndcg@{ndcg_k}"][0]
         if score > best_score:
             best_score, best_lam = score, lam
     if best_lam != lams[-1]:

@@ -93,26 +93,22 @@ class DenseModel:
         return self.columns(0, self.n_items)
 
     def columns(self, lo: int, hi: int) -> np.ndarray:
-        """B[:, lo:hi], C-ordered, formed in place from the panel P[:, lo:hi]."""
+        """B[:, lo:hi], C-ordered, read off in place from the panel P[:, lo:hi]."""
         b = packed.columns(self.p, lo, hi)
-        c = slice(lo, lo + b.shape[1])
-        diag = (np.arange(c.start, c.stop), np.arange(b.shape[1]))
-        b /= self.c[c]
-        if self.kappa is not None:
-            b[diag] += self.kappa
-        if self.v is not None:
-            b -= self.v[:, None] * self.mu[c]
-        if self.kappa is None:
-            b[diag] = 0.0
-        if self.applied_item_weights is not None:
-            b *= self.applied_item_weights.w[c]
-        return b
+        hi = lo + b.shape[1]
+        diag = (np.arange(lo, hi), np.arange(hi - lo))
+        return self._read_off(b, np.s_[:, None], slice(lo, hi), diag)
 
     def entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """B[i, j] at each index pair, read off P[i, j] with the operations
-        of :meth:`columns` in its order, so bitwise its entries."""
+        """B[i, j] at each index pair, read off P[i, j] by the steps of
+        :meth:`columns`, so bitwise its entries."""
         b = self.p[packed.pair_index(self.n_items, np.maximum(i, j), np.minimum(i, j))]
-        diag = i == j
+        return self._read_off(b, i, j, i == j)
+
+    def _read_off(self, b: np.ndarray, i, j, diag) -> np.ndarray:
+        """B in place from the entries ``b`` of P: ``i`` indexes the row
+        vector v and ``j`` the column vectors c, mu and w at them, and
+        ``diag`` selects the entries of ``b`` on B's diagonal."""
         b /= self.c[j]
         if self.kappa is not None:
             b[diag] += self.kappa

@@ -531,7 +531,8 @@ def test_ingest_reads_utf8_under_c_locale(tmp_path):
 def test_byte_order_mark_is_dropped(workdir, tmp_path, capsys):
     """A UTF-8 byte-order mark, as editors save CSVs as UTF-8 with BOM, is
     no part of the first column's name or the first key: a log ingests to
-    the bytes of the plain one, and a weights file and a split file load."""
+    the bytes of the plain one, a weights file and a split file load, and a
+    config file sets the options of the plain one."""
     bom = b"\xef\xbb\xbf"
 
     def ingest(raw: bytes, *options) -> bytes:
@@ -568,6 +569,15 @@ def test_byte_order_mark_is_dropped(workdir, tmp_path, capsys):
                          "--weights", str(weights)]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def split(prefix: bytes) -> dict[str, bytes]:
+        cfg, out = tmp_path / "cfg.json", tmp_path / f"split{len(prefix)}"
+        cfg.write_bytes(prefix + b'{"n_val": 1}')
+        assert main(["split", "--data", str(workdir["data"]), "--n-test", "1",
+                     "--output-dir", str(out), "--config", str(cfg)]) == 0
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+    assert split(bom) == split(b"")
 
 
 @pytest.mark.parametrize("reader", ["split-file", "weights", "popularity"])
@@ -1021,6 +1031,15 @@ def test_range_checked_options_exit_1_before_reading(capsys, argv, message):
         main(argv)
     assert exc.value.code == 1
     assert message in capsys.readouterr().err
+
+
+def test_every_numeric_option_is_range_checked():
+    """No option of any command takes a bare float or int: every number
+    passes through a type that refuses non-finite and out-of-range values."""
+    commands = gramrec.cli.build_parser().commands
+    bare = [f"{name} {action.option_strings[0]}" for name, command in commands.items()
+            for action in command._actions if action.type in (float, int)]
+    assert bare == []
 
 
 @pytest.mark.parametrize("command", ["train", "train-sparse"])

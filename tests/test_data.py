@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import io
 
 import numpy as np
@@ -746,8 +745,6 @@ def parsed(directory, **kwargs):
 
 
 def test_intact_container_is_read_without_parsing(ingested, monkeypatch):
-    # hashlib.file_digest is new in Python 3.11; the package supports 3.10
-    monkeypatch.delattr(hashlib, "file_digest", raising=False)
     raw = (ingested / "data.csv.events").read_bytes()
     assert len(raw) == _COLUMNS_AT + 4 * 24
     assert raw[_EVENT_COUNT_AT : _EVENT_COUNT_AT + 2] == b"3]" and raw[_KEYS_AT : _KEYS_AT + 2] == b"u2"

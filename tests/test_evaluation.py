@@ -515,7 +515,7 @@ def test_grid_search_interior_lambda_wins():
     # dominated by the hub items
     build, matrix, split = grid_setup()
     lams = [1e-6, 1e-3, 0.1, 1.0, 10.0, 1e5]
-    best, reports, _ = grid_search_lambda(build, matrix, split, lams, metric="ndcg@100")
+    best, reports, _ = grid_search_lambda(build, matrix, split, lams)
     assert best == 1.0
     curve = [reports[l].metrics["ndcg@100"][0] for l in lams]
     assert curve[3] > curve[0]
@@ -525,7 +525,7 @@ def test_grid_search_interior_lambda_wins():
 
 
 def test_grid_search_tie_goes_to_smallest_lambda():
-    # recall@20 saturates at 1.0 on a 6-item catalog, so every lambda ties
+    # ndcg@100 saturates at 1.0 on this 6-item catalog, so every lambda ties
     r = np.random.default_rng(7)
     events = []
     for u in range(12):
@@ -542,10 +542,8 @@ def test_grid_search_tie_goes_to_smallest_lambda():
         seed=0,
     )
     tm = matrix6.restrict_users(split6.train_users)
-    best, reports, _ = grid_search_lambda(
-        lambda: build_gram(tm), matrix6, split6, [8.0, 2.0, 4.0], metric="recall@20"
-    )
-    assert all(r.metrics["recall@20"][0] == 1.0 for r in reports.values())
+    best, reports, _ = grid_search_lambda(lambda: build_gram(tm), matrix6, split6, [8.0, 2.0, 4.0])
+    assert all(r.metrics["ndcg@100"][0] == 1.0 for r in reports.values())
     assert best == 2.0
 
 
@@ -556,17 +554,6 @@ def test_grid_search_validation():
     for lams in ([1.0, -2.0], [1.0, np.nan], [np.inf]):
         with pytest.raises(DataError, match="positive and finite"):
             grid_search_lambda(build, matrix, split, lams)
-    with pytest.raises(DataError, match="metric"):
-        grid_search_lambda(build, matrix, split, [1.0], metric="auc")
-
-
-def test_grid_search_checks_the_metric_before_building():
-    _, matrix, split = grid_setup()
-    build = mock.Mock(side_effect=AssertionError("G was built"))
-    with pytest.raises(DataError, match=r"unknown search metric 'ndcg@10'; have \['ndcg@100', "
-                                        r"'recall@20', 'recall@50'\]"):
-        grid_search_lambda(build, matrix, split, [1.0, 300.0], metric="ndcg@10")
-    build.assert_not_called()
 
 
 def test_report_serialization():

@@ -41,6 +41,7 @@ from gramrec import (
     split_strong_generalization,
     solve_zero_diag,
     threshold_pattern,
+    time_intervals,
     train_sparse,
     to_user_item_matrix,
 )
@@ -356,3 +357,22 @@ def test_command_peaks_without_the_event_log(long_log, command, matrix, capsys):
     peak, code = peak_bytes(lambda: main(argv))
     assert code == 0, capsys.readouterr().err
     assert peak <= base + 0.05 * 32 * 300_000
+
+
+def test_time_intervals_hold_three_event_arrays():
+    """The subset's event indices are sorted by timestamp once, and each
+    interval's popularity is one count over its slice of them: beyond the
+    log, the indices, their timestamps and their order while sorting, three
+    int64 arrays over the subset's events.  With copies of the sorted
+    timestamps and of every event's slot it peaked at five."""
+    r = np.random.default_rng(5)
+    n_users, n_items, k = 20_000, 500, 15
+    iset = InteractionSet(
+        user_ids=np.repeat(np.arange(n_users), k), item_ids=r.integers(0, n_items, n_users * k),
+        values=np.ones(n_users * k), timestamps=r.integers(8e8, 1.6e9, n_users * k),
+        user_keys=[f"u{u}" for u in range(n_users)], item_keys=[f"i{i}" for i in range(n_items)],
+    )
+    subset = np.arange(0, n_users, 2)
+    peak, index = peak_bytes(lambda: time_intervals(iset, 8, subset))
+    assert index.counts.sum() == len(subset) * k
+    assert peak < 3.5 * 8 * len(subset) * k

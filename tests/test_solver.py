@@ -463,6 +463,25 @@ def test_loaded_trained_model_forms_b_as_trained(tmp_path, rng, kind):
             weights.kind, weights.alpha)
 
 
+@pytest.mark.parametrize("kind", list(TRAINED))
+def test_b_is_read_off_p_in_one_order(rng, kind):
+    """B is bitwise P_ij / c_j, plus kappa on a ridge model's diagonal,
+    minus v_i*mu_j, with a zero-diagonal model's diagonal zeroed, times w_j,
+    taken in that order: adding kappa after v*mu^T rounds otherwise."""
+    model = TRAINED[kind](binary_matrix(rng, 60, 300, density=0.1))
+    b = unpack(model.p) / model.c
+    diag = np.diag_indices(model.n_items)
+    if model.kappa is not None:
+        b[diag] += model.kappa
+    if model.v is not None:
+        b -= np.outer(model.v, model.mu)
+    if model.kappa is None:
+        b[diag] = 0.0
+    if model.applied_item_weights is not None:
+        b *= model.applied_item_weights.w
+    assert model.b.tobytes() == b.tobytes()
+
+
 def test_rescaled_trained_model_is_the_scaled_b(rng):
     """Rescaling a model that holds P scales each panel as it is formed:
     bitwise the columns of B multiplied by w, as rescaling B gives."""
