@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
@@ -204,8 +205,8 @@ def load_interactions(
 def _parse_interactions(path: Path, delimiter: str, schema: InteractionSchema | None, dedup: str,
                         min_value: float | None) -> InteractionSet:
     """The events of the text at ``path``, before :func:`load_interactions` binarizes."""
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
+    user_index: defaultdict[str, int] = defaultdict(count().__next__)
+    item_index: defaultdict[str, int] = defaultdict(count().__next__)
 
     def parse(n_fields: np.ndarray, fields: list[str], line_no: int):
         """Id, value and timestamp arrays of one chunk whose first record is
@@ -305,7 +306,8 @@ def _parse_interactions(path: Path, delimiter: str, schema: InteractionSchema | 
     )
     del parts  # the chunks' arrays, before dedup allocates
 
-    keep = _dedup_indices(user_arr, item_arr, value_arr, dedup)
+    user_keys, item_keys = list(user_index), list(item_index)
+    keep = _dedup_indices(user_arr, item_arr, value_arr, dedup, user_keys, item_keys)
     dropped = len(keep) < len(user_arr)
     user_arr, item_arr, value_arr = user_arr[keep], item_arr[keep], value_arr[keep]
     if time_arr is not None:
@@ -316,8 +318,8 @@ def _parse_interactions(path: Path, delimiter: str, schema: InteractionSchema | 
         item_ids=item_arr,
         values=value_arr,
         timestamps=time_arr,
-        user_keys=list(user_index),
-        item_keys=list(item_index),
+        user_keys=user_keys,
+        item_keys=item_keys,
     )
     # ids were given over every parsed event; the dropped duplicates can
     # have been the first appearances
@@ -393,7 +395,9 @@ def save_interactions(path: str | Path, iset: InteractionSet) -> None:
 
 
 def _csv_field(key: str) -> str:
-    """``key`` as csv.writer writes it within a row."""
+    """``key`` as csv.writer writes it within a row; letters and digits alone are never quoted."""
+    if key.isalnum():
+        return key
     buf = io.StringIO()
     csv.writer(buf).writerow((key,))
     return buf.getvalue()[:-2]
@@ -451,25 +455,28 @@ def _floats(texts: list[str]) -> tuple[np.ndarray, int]:
         raise
 
 
-def _ids(index: dict[str, int], keys: list[str]) -> np.ndarray:
-    """Dense id of each key; keys new to ``index`` take the next ids in order
-    of first appearance."""
-    index.update(zip([k for k in dict.fromkeys(keys) if k not in index], count(len(index))))
+def _ids(index: defaultdict[str, int], keys: list[str]) -> np.ndarray:
+    """Dense id of each key in one pass of lookups; ``index`` gives each key
+    new to it the next id, so new keys are numbered in order of first appearance."""
     return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
 
 
-def _dedup_indices(uids: np.ndarray, iids: np.ndarray, vals: np.ndarray, policy: str) -> np.ndarray:
-    """Indices of the surviving event per (user, item) pair, in file order."""
+def _dedup_indices(uids: np.ndarray, iids: np.ndarray, vals: np.ndarray, policy: str,
+                   user_keys: list[str], item_keys: list[str]) -> np.ndarray:
+    """Indices of the surviving event per (user, item) pair, in file order.  Events are
+    sorted on one key per pair, ``uid·n + iid`` with ``n`` above every item id; a group
+    starts where it changes.  ``error`` names the smallest duplicated pair by its keys."""
     if len(uids) == 0:
         return np.empty(0, dtype=np.intp)
+    pair = uids * (int(iids.max()) + 1) + iids
     # Stable sort, so file order holds within a pair (and within equal values
     # of a pair under keep_max, where -0.0 and 0.0 are equal as for argmax).
-    order = np.lexsort((-vals, iids, uids) if policy == "keep_max" else (iids, uids))
-    su, si = uids[order], iids[order]
+    order = np.lexsort((-vals, pair)) if policy == "keep_max" else np.argsort(pair, kind="stable")
+    pair = pair[order]
     boundary = np.empty(len(order), dtype=bool)
     boundary[0] = True
-    boundary[1:] = (su[1:] != su[:-1]) | (si[1:] != si[:-1])
-    del su, si  # the sorted copies would set the peak of a load
+    np.not_equal(pair[1:], pair[:-1], out=boundary[1:])
+    del pair  # the sorted keys would set the peak of a load
     starts = np.flatnonzero(boundary)
     if len(starts) == len(order):
         return np.sort(order)
@@ -478,7 +485,7 @@ def _dedup_indices(uids: np.ndarray, iids: np.ndarray, vals: np.ndarray, policy:
         dup = order[np.flatnonzero(~boundary)[0]]
         raise DataError(
             "duplicate (user, item) events under dedup policy 'error' "
-            f"(first duplicated pair: user id {uids[dup]}, item id {iids[dup]})"
+            f"(first duplicated pair: user {user_keys[uids[dup]]!r}, item {item_keys[iids[dup]]!r})"
         )
     if policy == "keep_last":
         return np.sort(order[np.append(starts[1:], len(order)) - 1])
@@ -521,18 +528,20 @@ def _reindex(iset: InteractionSet, event_idx: np.ndarray | slice) -> Interaction
 
 def _first_appearance(ids: np.ndarray, keys: list[str]) -> tuple[np.ndarray, list[str]]:
     """``ids`` renumbered from 0 in order of first appearance, and the keys
-    of the new ids; ``ids`` and ``keys`` themselves when already so."""
+    of the new ids; ``ids`` and ``keys`` themselves when already so.  Each id's first position
+    is scattered into a table over the keys; only those of the distinct ids are sorted."""
     if len(ids):
         # So numbered: each id is at most one above all before it, and the
         # largest is the last key's.
         peak = np.maximum.accumulate(ids)
         if ids[0] == 0 and peak[-1] == len(keys) - 1 and (ids[1:] <= peak[:-1] + 1).all():
             return ids, keys
-    old, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    new = np.empty(len(old), dtype=np.int64)
-    new[order] = np.arange(len(old))
-    return new[inverse], list(map(keys.__getitem__, old[order].tolist()))
+    first = np.full(len(keys), len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    old = ids[np.sort(first[first < len(ids)])]
+    new = np.empty(len(keys), dtype=np.int64)
+    new[old] = np.arange(len(old))
+    return new[ids], list(map(keys.__getitem__, old.tolist()))
 
 
 def to_user_item_matrix(iset: InteractionSet) -> UserItemMatrix:

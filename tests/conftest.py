@@ -364,7 +364,7 @@ def load_interactions_reference(
     value_arr = np.asarray(vals, dtype=np.float64)
     time_arr = np.asarray(times, dtype=np.int64) if has_time else None
 
-    keep = dedup_indices_reference(user_arr, item_arr, value_arr, dedup)
+    keep = dedup_indices_reference(user_arr, item_arr, value_arr, dedup, user_keys, item_keys)
     if binarize:
         value_arr = np.ones_like(value_arr)
     parsed = InteractionSet(
@@ -378,9 +378,10 @@ def load_interactions_reference(
     return reindex_reference(parsed, keep)
 
 
-def dedup_indices_reference(uids, iids, vals, policy: str) -> np.ndarray:
+def dedup_indices_reference(uids, iids, vals, policy: str, user_keys, item_keys) -> np.ndarray:
     """Surviving event per (user, item) pair, in file order; ``keep_max``
-    takes each group's ``argmax``."""
+    takes each group's ``argmax``.  ``error`` names the smallest duplicated
+    (user id, item id) pair by its keys."""
     if len(uids) == 0:
         return np.empty(0, dtype=np.intp)
     order = np.lexsort((iids, uids))
@@ -395,7 +396,7 @@ def dedup_indices_reference(uids, iids, vals, policy: str) -> np.ndarray:
         dup_pos = np.flatnonzero(~boundary)[0]
         raise DataError(
             "duplicate (user, item) events under dedup policy 'error' "
-            f"(first duplicated pair: user id {su[dup_pos]}, item id {si[dup_pos]})"
+            f"(first duplicated pair: user {user_keys[su[dup_pos]]!r}, item {item_keys[si[dup_pos]]!r})"
         )
     keep = np.empty(len(starts), dtype=np.intp)
     for g, start in enumerate(starts):

@@ -513,6 +513,15 @@ def test_ingest_bad_timestamp_exit_code(tmp_path, stamp):
     assert "Traceback" not in res.stderr
 
 
+def test_ingest_dedup_error_names_the_pair_by_its_keys(tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("user,item,value\nu1,i9,1\nu2,i9,1\nu1,i9,3\n", encoding="utf-8")
+    res = run_cli(["ingest", "--input", str(raw), "--output", str(tmp_path / "out.csv"), "--dedup", "error"])
+    assert res.returncode == 2
+    assert "first duplicated pair: user 'u1', item 'i9'" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_ingest_reads_utf8_under_c_locale(tmp_path):
     env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
     raw = tmp_path / "raw.csv"

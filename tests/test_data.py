@@ -22,7 +22,7 @@ from gramrec import (
     to_user_item_matrix,
 )
 from gramrec.cli import main
-from gramrec.data import DEDUP_POLICIES, _dedup_indices, _reindex, fold_in_indices
+from gramrec.data import DEDUP_POLICIES, _csv_field, _dedup_indices, _reindex, fold_in_indices
 
 from conftest import (
     assert_same_interactions,
@@ -568,39 +568,65 @@ def test_load_matches_per_row_reference(tmp_path_factory, case, chunk):
         assert_same_interactions(got, want)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    events=st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0])),
+@st.composite
+def pair_events(draw):
+    """Up to 40 (user id, item id, value) events over four users from ``u0``
+    and the items 0, 1, m - 1 and m, ids up to 10⁶: pairs repeat, and (u, m)
+    sits beside (u + 1, 0), which a pair key ``u·m + i`` would merge."""
+    u0, m = draw(st.integers(0, 10**6 - 3)), draw(st.integers(1, 10**6))
+    return draw(st.lists(
+        st.tuples(st.integers(u0, u0 + 3), st.sampled_from([0, 1, m - 1, m]),
+                  st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0])),
         max_size=40,
-    ),
-    policy=st.sampled_from(DEDUP_POLICIES),
-)
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=pair_events(), policy=st.sampled_from(DEDUP_POLICIES))
 @example(events=[(0, 0, -0.0), (1, 0, 1.0), (0, 0, 0.0)], policy="keep_max")
 @example(events=[(0, 0, 0.0), (0, 0, -0.0)], policy="keep_max")
+@example(events=[(10**6, 10**6, 1.0), (10**6 - 1, 0, 1.0), (10**6 - 2, 10**6, 2.0)], policy="error")
 def test_dedup_matches_group_loop(events, policy):
-    """keep_max ties go to the earliest event, exactly as argmax, ±0.0 included."""
+    """keep_max ties go to the earliest event, exactly as argmax, ±0.0
+    included; errors name the same pair by the same keys."""
     uids = np.array([e[0] for e in events], dtype=np.int64)
     iids = np.array([e[1] for e in events], dtype=np.int64)
     vals = np.array([e[2] for e in events], dtype=np.float64)
+    # key tables of 10⁶ entries would be slow to build per example; the
+    # dicts name just the ids the events use
+    user_keys = {u: f"u{u}" for u in uids.tolist()}
+    item_keys = {i: f"i{i}" for i in iids.tolist()}
     outcome = []
     for dedup in (_dedup_indices, dedup_indices_reference):
         try:
-            outcome.append(dedup(uids, iids, vals, policy).tolist())
+            outcome.append(dedup(uids, iids, vals, policy, user_keys, item_keys).tolist())
         except DataError as exc:
             outcome.append(str(exc))
     assert outcome[0] == outcome[1]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    events=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=40),
+    n_keys=st.sampled_from([7, 10**5]),
+    ids=st.lists(st.tuples(st.integers(0, 10**5 - 1), st.integers(0, 10**5 - 1)), min_size=1, max_size=7),
+    picks=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=40),
     keep=st.lists(st.booleans(), min_size=40, max_size=40),
+    numbered=st.booleans(),
 )
-def test_reindex_matches_event_walk(events, keep):
-    iset = make_iset([(u, i, float(k)) for k, (u, i) in enumerate(events)], timestamps=list(range(len(events))))
+def test_reindex_matches_event_walk(n_keys, ids, picks, keep, numbered):
+    """Ids up to 10⁵ from key tables with keys no event uses, any selection
+    (the empty one included), and logs already numbered in order of first
+    appearance, which come back with their own key tables."""
+    pool = [(u % n_keys, i % n_keys) for u, i in ids]
+    events = [(pool[a % len(pool)][0], pool[b % len(pool)][1], float(k)) for k, (a, b) in enumerate(picks)]
+    iset = make_iset(events, n_users=n_keys, n_items=n_keys, timestamps=list(range(len(events))))
     idx = np.flatnonzero(keep[: len(events)])
-    assert_same_interactions(_reindex(iset, idx), reindex_reference(iset, idx))
+    if numbered:
+        iset, idx = reindex_reference(iset, np.arange(len(events))), np.arange(len(events))
+    got = _reindex(iset, idx)
+    assert_same_interactions(got, reindex_reference(iset, idx))
+    if numbered:
+        assert got.user_keys is iset.user_keys and got.item_keys is iset.item_keys
 
 
 SIGNED_ZEROS = (
@@ -625,6 +651,20 @@ def test_ingest_writes_reference_bytes(tmp_path_factory, case, min_user_events):
     write_canonical_reference(want, root / "want.csv")
     assert main(ingest_argv(raw, root / "got.csv", kwargs, min_user_events)) == 0
     assert (root / "got.csv").read_bytes() == (root / "want.csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.text(st.sampled_from([",", '"', "\r", "\n", "\t", " ", "0", "7", "a", "Z", "é", "日", "²"])
+               | st.characters(), min_size=1))
+@example(key="12345")
+@example(key=" pad ")
+@example(key="Müller")
+def test_csv_field_is_the_field_csv_writer_writes(key):
+    """Keys hold delimiters, quotes, line breaks, tabs, padding, digits
+    only, or non-ASCII text; each is the field csv.writer puts in a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([key, "1.0"])
+    assert _csv_field(key) + ",1.0\r\n" == buf.getvalue()
 
 
 def ingest_argv(raw, output, kwargs, min_user_events):

@@ -218,6 +218,27 @@ def test_load_holds_a_few_times_its_arrays(canonical_log):
     assert peak <= 4 * arrays
 
 
+def test_filter_activity_renumbers_in_a_few_id_arrays():
+    """Of 186,813 events over 25,000 users, the 90 % that survive the
+    filters come back as four arrays of 8 bytes per event.  Renumbering each
+    id column scatters its first positions into a table over the keys, so
+    beyond the result it holds the kept events' indices and two arrays of
+    them.  Renumbering with ``np.unique``, which sorts every event, peaked
+    at 69 bytes per event; the scatter peaks at 39."""
+    r = np.random.default_rng(17)
+    n_users, n_items = 25_000, 400
+    per_user = r.integers(1, 15, n_users)
+    n = int(per_user.sum())
+    iset = InteractionSet(
+        user_ids=r.permutation(np.repeat(np.arange(n_users), per_user)), item_ids=r.integers(0, n_items, n),
+        values=np.ones(n), timestamps=r.integers(8e8, 1.6e9, n),
+        user_keys=[f"u{u}" for u in range(n_users)], item_keys=[f"i{i}" for i in range(n_items)],
+    )
+    peak, kept = peak_bytes(lambda: filter_activity(iset, min_user_events=5, min_item_events=2))
+    assert kept.n_users < n_users and 0.85 * n < kept.n_events < n
+    assert peak <= 48 * n
+
+
 @pytest.fixture(scope="module", params=["wide", "tall"])
 def eval_case(request):
     """All users evaluated against a dense model of random packed P: 1,100 users with
