@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
 import sys
 import time
@@ -620,5 +621,10 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> int:
+    """The process entry of ``gramrec`` and ``python -m gramrec``.  The
+    objects the imports made are frozen first, so no collection, the one
+    at exit included, walks them again; ``main`` called in process leaves
+    the collector alone."""
+    gc.freeze()
+    return main()

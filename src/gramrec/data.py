@@ -680,9 +680,11 @@ def load_split_files(
     """Read user-key files back into a :class:`SplitSpec` over dense ids.
     A user listed twice, in one file or in two, is refused."""
     split_dir = Path(split_dir)
+    names = ("train_users.txt", "validation_users.txt", "test_users.txt")
     sets = {}
-    listed: dict[str, Path] = {}  # user key -> the file that lists it
-    for name in ("train_users.txt", "validation_users.txt", "test_users.txt"):
+    # per user id, 1 + the index in names of the file that lists it, or 0
+    listed = bytearray(len(user_index))
+    for f, name in enumerate(names, 1):
         fpath = split_dir / name
         if not fpath.exists():
             raise DataError(f"missing split file {fpath}")
@@ -694,12 +696,14 @@ def load_split_files(
         for key in keys:
             if not key:
                 continue
-            if key not in user_index:
+            uid = user_index.get(key)
+            if uid is None:
                 raise DataError(f"{fpath}: unknown user key {key!r}")
-            if key in listed:
-                raise DataError(f"{fpath}: user key {key!r} is already listed in {listed[key]}")
-            listed[key] = fpath
-            ids.append(user_index[key])
+            if listed[uid]:
+                raise DataError(f"{fpath}: user key {key!r} is already listed in "
+                                f"{split_dir / names[listed[uid] - 1]}")
+            listed[uid] = f
+            ids.append(uid)
         sets[name] = np.sort(np.asarray(ids, dtype=np.int64))
     return SplitSpec(
         train_users=sets["train_users.txt"],

@@ -1,10 +1,15 @@
 import csv
 import filecmp
+import gc
 import json
 import os
 import re
 import shutil
+import subprocess
+import sys
+import tomllib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1154,3 +1159,49 @@ def test_commands_after_ingest_skip_the_parser(workdir, tmp_path, monkeypatch, c
                "split/test_users.txt"]
     for name in outputs:
         assert (tmp_path / "container" / name).read_bytes() == (tmp_path / "parsed" / name).read_bytes(), name
+
+
+def _child(code: str) -> str:
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+# ``python -m gramrec``, with ``gramrec.cli.main`` replaced by a probe of the collector
+_PROBE_ENTRY = """
+import gc, runpy
+import gramrec.cli
+def main():
+    print(gc.get_freeze_count() > 0, gc.isenabled())
+    return 0
+gramrec.cli.main = main
+runpy.run_module("gramrec", run_name="__main__")
+"""
+
+
+def test_process_entry_freezes_the_import_time_heap():
+    assert _child(_PROBE_ENTRY).split() == ["True", "True"]
+
+
+def test_import_leaves_the_collector_alone():
+    code = "import gc, gramrec.cli; print(gc.get_freeze_count(), gc.isenabled())"
+    assert _child(code).split() == ["0", "True"]
+
+
+def test_main_in_process_leaves_the_collector_alone(workdir, tmp_path):
+    before = gc.get_freeze_count()
+    assert main(["popularity", "--data", str(workdir["data"]), "--output", str(tmp_path / "pop.csv")]) == 0
+    assert gc.get_freeze_count() == before and gc.isenabled()
+
+
+def test_installed_script_is_the_entry_python_m_runs():
+    """The ``[project.scripts]`` target is what ``__main__.py`` calls."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["gramrec"]
+    module, name = target.split(":")
+    # the probe names the module that called it
+    code = (f"import runpy, sys, {module}\n"
+            f"setattr({module}, {name!r}, lambda: print(sys._getframe(1).f_globals['__spec__'].name) or 0)\n"
+            "runpy.run_module('gramrec', run_name='__main__')\n")
+    assert _child(code) == "gramrec.__main__\n"
