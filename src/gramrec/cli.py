@@ -628,3 +628,7 @@ def run() -> int:
     the collector alone."""
     gc.freeze()
     return main()
+
+
+if __name__ == "__main__":  # a second entry would skip run(); name the one there is
+    sys.exit("error: run gramrec as 'gramrec' or 'python -m gramrec'")

@@ -589,15 +589,6 @@ def split_strong_generalization(
     )
 
 
-def fold_in_indices(n: int, fraction: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Positions for the input part (ceil(fraction*n) of them) and the rest."""
-    if n <= 0:
-        raise DataError("cannot fold in an empty row")
-    n_in = int(np.ceil(fraction * n))
-    perm = rng.permutation(n)
-    return np.sort(perm[:n_in]), np.sort(perm[n_in:])
-
-
 def popularity(iset: InteractionSet, user_subset: np.ndarray | None = None) -> np.ndarray:
     """Per-item sums of the event values (interaction counts once binarized)
     as float64, optionally over the events of a user subset only.  Each

@@ -7,8 +7,9 @@ Input items are forced to the bottom of the ranking so only unseen items
 compete.  All randomness flows through one seed, drawn per user, so
 reports are reproducible bit for bit.
 
-Both protocols run on one engine: each user's split is drawn once, into
-one matrix of input rows, and held-out item i gets rank
+Both protocols run on one engine: each user's split is drawn once, from
+one permutation per user and with no per-user sort, into one matrix of
+input rows, and held-out item i gets rank
 1 + #{j : s_j > s_i} + #{j < i : s_j == s_i} in its score row s.  That is
 its position in ``argsort(-s, kind="stable")``: ties go to the lower item
 id, and NaN scores rank last, among themselves by id.  Each held-out
@@ -17,10 +18,11 @@ its user's input items and itself (each model kind reads them with
 ``entries(i, j)``).  Then the rows are scored one column panel of the
 model at a time (each kind forms its panels with ``columns(lo, hi)``), in
 one pass over the panels, so a dense model forms each panel of B from
-packed P once per evaluation and never holds B whole.  The ranks then
-reduce to per-user metrics.  Score blocks and comparison blocks hold at
-most ``_CHUNK`` floats.  Metric means come with the standard error of the
-mean across evaluated users.
+packed P once per evaluation and never holds B whole.  Each panel item's
+score is compared with s_i once, the tie rule applied only where i falls
+inside the panel.  The ranks then reduce to per-user metrics.  Score
+blocks and comparison blocks hold at most ``_CHUNK`` floats.  Metric means
+come with the standard error of the mean across evaluated users.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .data import (
     TimeIntervalIndex,
     UserItemMatrix,
     _of_users,
-    fold_in_indices,
 )
 from .errors import DataError
 from .gram import PANEL, GramStats
@@ -176,27 +177,31 @@ class _Folds(NamedTuple):
 
 def _draw_folds(indptr, items, values, n_items: int, split: SplitSpec, users: str) -> _Folds:
     """Fold each selected user's id-sorted row ``indptr[u]:indptr[u + 1]``
-    with ``default_rng((split.seed, u))``, skipping (and counting) rows that
-    cannot be split."""
+    of n events: ``default_rng((split.seed, u)).permutation(n)[:ceil(f·n)]``
+    are its input positions, marked in one int8 array over the folded rows'
+    events, so both parts come off it in user and then item order.  Rows
+    that cannot be split are skipped and counted."""
     user_ids = split.users(users)
     fraction, seed = split.fold_in_fraction, split.seed
     if not 0.0 < fraction < 1.0:
         raise DataError(f"fold-in fraction must be in (0, 1), got {fraction}")
-    ins, outs = [], []
-    for u in user_ids:
-        start, n = int(indptr[u]), int(indptr[u + 1] - indptr[u])
-        if n >= 2:
-            pos_in, pos_out = fold_in_indices(n, fraction, np.random.default_rng((seed, int(u))))
-            if pos_out.size:
-                ins.append(pos_in + start)
-                outs.append(pos_out + start)
-    empty = np.zeros(0, dtype=np.int64)
-    pos_in, pos_out = np.concatenate([empty, *ins]), np.concatenate([empty, *outs])
-    indptr_in = np.append(0, np.cumsum([len(p) for p in ins], dtype=np.int64))
-    xin = sp.csr_matrix((values[pos_in], items[pos_in], indptr_in), shape=(len(ins), n_items))
-    rows = np.repeat(np.arange(len(outs)), np.array([len(p) for p in outs], dtype=np.int64))
+    start = indptr[user_ids]
+    n = indptr[user_ids + 1] - start
+    n_in = np.ceil(fraction * n).astype(np.int64)
+    kept = (n >= 2) & (n_in < n)  # two events or more, and some held out
+    folded, start, n, n_in = user_ids[kept], start[kept], n[kept], n_in[kept]
+    end = np.cumsum(n)
+    mark = np.zeros(n.sum(), dtype=np.int8)
+    for u, a, b, k in zip(folded.tolist(), (end - n).tolist(), end.tolist(), n_in.tolist()):
+        mark[a:b][np.random.default_rng((seed, u)).permutation(b - a)[:k]] = 1
+    shift = start - (end - n)  # from a folded row's events to their positions in items
+    pos_in = np.flatnonzero(mark) + np.repeat(shift, n_in)
+    pos_out = np.flatnonzero(mark == 0) + np.repeat(shift, n - n_in)
+    xin = sp.csr_matrix((values[pos_in], items[pos_in], np.append(0, np.cumsum(n_in))),
+                        shape=(len(folded), n_items))
+    rows = np.repeat(np.arange(len(folded)), n - n_in)
     config = {"users": users, "fold_in_fraction": float(fraction), "seed": int(seed)}
-    return _Folds(xin, rows, items[pos_out], pos_out, len(user_ids) - len(ins), config)
+    return _Folds(xin, rows, items[pos_out], pos_out, len(user_ids) - len(folded), config)
 
 
 def _adjust(s, model, scale, events, cols) -> None:
@@ -239,45 +244,55 @@ def _own_scores(model, folds: _Folds, scale=None) -> np.ndarray:
 def _rank_held_out(model, folds: _Folds, scale=None) -> np.ndarray:
     """Rank of every held-out item in its user's score row, in fold order.
 
-    Each event's own score is gathered first (:func:`_own_scores`).  Then
-    each column panel of ``PANEL`` items is formed once, by the model's
-    ``columns``, every user is scored against it, ``_CHUNK // PANEL`` users
-    at a time, and each event's rank gains the panel's items that rank
-    before it, compared as many events at a time; a panel is released
-    before the next one is formed.  Input items score -inf.  With
-    ``scale = (table, idx)``, the row of the held-out event at folded
+    Each event's own score is gathered first (:func:`_own_scores`).  The
+    users are sliced once into chunks of ``_CHUNK // PANEL``, whose events
+    are put in item order.  Then each column panel of ``PANEL`` items is
+    formed once, by the model's ``columns``, and released before the next;
+    every chunk is scored against it, and each event's rank gains the
+    panel's items that rank before it, as many events at a time.  Its row
+    is compared once with its own score: by ``>=`` if its item lies after
+    the panel, where every tie ranks before it, by ``>`` if before, and
+    with the ``j < i`` tie mask only if inside.  Input items score -inf.
+    With ``scale = (table, idx)``, the row of the held-out event at folded
     position p is then multiplied by ``table[idx[p]]``.  The target means
     of a dense model are added last.
     """
-    xin, rows, items, events = folds.xin, folds.rows, folds.items, folds.events
-    n_users, n = xin.shape
+    xin, n_users, n = folds.xin, *folds.xin.shape
     step = max(1, _CHUNK // PANEL)
-    own = _own_scores(model, folds, scale)
+    order = np.lexsort((folds.items, folds.rows // step))
+    rows, items, events = folds.rows[order], folds.items[order], folds.events[order]
+    own = _own_scores(model, folds, scale)[order]
+    chunks = []
+    for top in range(0, n_users, step):
+        x = xin[top : top + step]
+        x_rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+        chunks.append((top, x, x_rows, *np.searchsorted(rows, (top, top + step))))
     ranks = np.ones(len(items), dtype=np.int64)
     for lo in range(0, n if len(items) else 0, PANEL):  # no panel is formed for no events
         cols = model.columns(lo, lo + PANEL)
-        for top in range(0, n_users, step):
-            x = xin[top : top + step]
+        for top, x, x_rows, first, last in chunks:
             scores = _scores(x, cols)
-            hit = (x.indices >= lo) & (x.indices < lo + scores.shape[1])
-            scores[np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))[hit],
-                   x.indices[hit] - lo] = -np.inf
-            first, last = np.searchsorted(rows, (top, top + step))
+            hi = lo + scores.shape[1]
+            hit = (x.indices >= lo) & (x.indices < hi)
+            scores[x_rows[hit], x.indices[hit] - lo] = -np.inf
             for e0 in range(first, last, step):
                 e = slice(e0, min(e0 + step, last))
                 s = scores[rows[e] - top]
-                _adjust(s, model, scale, events[e], slice(lo, lo + s.shape[1]))
-                si = own[e][:, None]
-                before = np.arange(lo, lo + s.shape[1]) < items[e][:, None]
-                tied_before = s == si
-                tied_before &= before
-                ranks[e] += np.count_nonzero(s > si, axis=1) + np.count_nonzero(tied_before, axis=1)
+                _adjust(s, model, scale, events[e], slice(lo, hi))
+                si, r = own[e][:, None], ranks[e]  # r is a view
+                a, b = np.searchsorted(items[e], (lo, hi))  # items before, inside, after
+                r[:a] += (s[:a] > si[:a]).sum(axis=1)
+                r[b:] += (s[b:] >= si[b:]).sum(axis=1)
+                tied_before = s[a:b] == si[a:b]
+                tied_before &= np.arange(lo, hi) < items[e][a:b, None]
+                r[a:b] += (s[a:b] > si[a:b]).sum(axis=1) + tied_before.sum(axis=1)
                 nan = np.isnan(si[:, 0])
                 if nan.any():
                     s_nan = np.isnan(s[nan])
-                    ranks[e][nan] += (np.count_nonzero(~s_nan, axis=1)
-                                      + np.count_nonzero(s_nan & before[nan], axis=1))
+                    r[nan] += ((~s_nan).sum(axis=1)
+                               + (s_nan & (np.arange(lo, hi) < items[e][nan, None])).sum(axis=1))
         del cols  # before the next panel is formed
+    ranks[order] = ranks.copy()
     return ranks
 
 

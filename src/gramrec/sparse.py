@@ -294,15 +294,16 @@ def aggregate_blocks(
     Accumulates per-position sums and counts over the pattern's entries,
     divides once, and leaves zero where no block covered a position.  Each
     block contributes only at the pattern positions inside it: for each of
-    its columns, the pattern rows that are also members.  Sum-then-divide
-    keeps the average independent of block order.  Each solution is read in
+    its columns, the pattern rows that are also members.  The sums are
+    taken in block order, which makes the result deterministic; the average
+    does not depend on block order up to rounding.  Each solution is read in
     turn and dropped once added, so lazy ones are held one block at a time.
     """
     a = pattern.a
     starts, nnz_col = a.indptr[:-1], np.diff(a.indptr)
     sums = np.zeros(a.nnz, dtype=np.float64)
-    counts = np.zeros(a.nnz, dtype=np.float64)
-    local = np.full(pattern.n_items, -1, dtype=np.int64)  # item -> index in the block
+    counts = np.zeros(a.nnz, dtype=np.int32)  # at most the number of blocks
+    local = np.full(pattern.n_items, -1, dtype=np.int32)  # item -> index in the block
     subs = iter(submatrices)
     for b, members in enumerate(blocks):
         if (sub := next(subs, None)) is None:
@@ -312,14 +313,15 @@ def aggregate_blocks(
             raise DataError(f"block of {k} items got a {sub.shape} solution")
         # every pattern position in the members' columns, column by column
         lens = nnz_col[members]
-        col = np.repeat(np.arange(k), lens)
+        col = np.repeat(np.arange(k, dtype=np.int32), lens)
         pos = np.repeat(starts[members] - (np.cumsum(lens) - lens), lens) + np.arange(col.size)
         local[members] = np.arange(k)
         row = local[a.indices[pos]]
         local[members] = -1
-        inside = row >= 0
-        sums[pos[inside]] += np.asarray(sub, dtype=np.float64)[row[inside], col[inside]]
-        counts[pos[inside]] += 1.0
+        inside = np.flatnonzero(row >= 0)
+        pos = pos[inside]
+        sums[pos] += np.asarray(sub, dtype=np.float64)[row[inside], col[inside]]
+        counts[pos] += 1
         del sub  # before the next block is solved
     if next(subs, None) is not None:
         raise DataError(f"{len(blocks)} blocks but more solutions")

@@ -53,11 +53,20 @@ from gramrec import (
     time_popularity_weights,
     to_user_item_matrix,
 )
-from gramrec.data import fold_in_indices
 from gramrec.evaluation import _aggregate, _model_config
 from gramrec.gram import PANEL
 from gramrec.packed import diagonal_index, order, pack, unpack
 from gramrec.weighting import DEFAULT_EPSILON, KIND_UNIFORM
+
+
+def fold_in_indices(n: int, fraction: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The fold rule for one row of n events: positions for the input part
+    (the first ceil(fraction*n) of a permutation) and the rest, each sorted."""
+    if n <= 0:
+        raise DataError("cannot fold in an empty row")
+    n_in = int(np.ceil(fraction * n))
+    perm = rng.permutation(n)
+    return np.sort(perm[:n_in]), np.sort(perm[n_in:])
 
 
 def ridge_oracle(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:

@@ -31,7 +31,6 @@ from gramrec import (
     to_user_item_matrix,
     train_sparse,
 )
-from gramrec.data import fold_in_indices
 from gramrec.evaluation import PopularityScorer
 from gramrec.gram import build_disjoint_gram
 from gramrec.packed import unpack
@@ -39,6 +38,7 @@ from gramrec.packed import unpack
 from conftest import (
     constrained_ridge_oracle,
     every_entry_model,
+    fold_in_indices,
     general_solve,
     gram_of,
     make_iset,

@@ -1194,6 +1194,16 @@ def test_main_in_process_leaves_the_collector_alone(workdir, tmp_path):
     assert gc.get_freeze_count() == before and gc.isenabled()
 
 
+def test_module_path_is_refused_without_running_a_command():
+    """``python -m gramrec.cli`` names the entry instead of exiting 0 with
+    nothing done."""
+    res = subprocess.run([sys.executable, "-m", "gramrec.cli", "train", "--data", "nowhere.csv"],
+                         capture_output=True, text=True)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == "error: run gramrec as 'gramrec' or 'python -m gramrec'\n"
+
+
 def test_installed_script_is_the_entry_python_m_runs():
     """The ``[project.scripts]`` target is what ``__main__.py`` calls."""
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

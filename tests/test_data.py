@@ -22,11 +22,12 @@ from gramrec import (
     to_user_item_matrix,
 )
 from gramrec.cli import main
-from gramrec.data import DEDUP_POLICIES, _csv_field, _dedup_indices, _reindex, fold_in_indices
+from gramrec.data import DEDUP_POLICIES, _csv_field, _dedup_indices, _reindex
 
 from conftest import (
     assert_same_interactions,
     dedup_indices_reference,
+    fold_in_indices,
     load_interactions_reference,
     make_iset,
     popularity_reference,

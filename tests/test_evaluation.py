@@ -32,7 +32,6 @@ from gramrec import (
     to_user_item_matrix,
 )
 import gramrec.evaluation as evaluation
-from gramrec.data import fold_in_indices
 from gramrec.packed import pack, size
 from gramrec.weighting import KIND_UNIFORM, ItemWeightVector
 
@@ -40,6 +39,7 @@ from conftest import (
     every_entry_model,
     evaluate_model_reference,
     evaluate_time_aware_reference,
+    fold_in_indices,
     make_iset,
     matrix_from_dense,
     ndcg_at_k,
@@ -776,9 +776,12 @@ def test_own_scores_are_bitwise_the_panel_products(n, n_users, kind, timed, chun
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
+@given(st.integers(1, 12), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
 def test_ranks_are_stable_descending_sort_positions(n, n_events, seed, special):
-    """rank = position in argsort(-s, kind="stable") + 1, NaN and ±inf included."""
+    """rank = position in argsort(-s, kind="stable") + 1, NaN and ±inf included.
+    Each event's own score is tied at a random item of its row, which lies
+    before, inside or after the event's panel, and with ``special`` the
+    first event's own score is NaN."""
     r = np.random.default_rng(seed)
     pool = [0.0, 1.0, 2.0] + ([np.nan, np.inf, -np.inf] if special else [])
     rows = np.sort(r.integers(0, 3, n_events))
@@ -786,12 +789,76 @@ def test_ranks_are_stable_descending_sort_positions(n, n_events, seed, special):
     xin = sp.csr_matrix((3, n))
     folds = evaluation._Folds(xin, rows, items, np.arange(n_events), 0, {})
     table = r.choice(pool, (3, n))
+    if special:
+        table[rows[0], items[0]] = np.nan
+    table[rows, r.integers(0, n, n_events)] = table[rows, items]
     model = PopularityScorer(np.ones(n))
     with with_chunk(int(r.integers(1, 2 * n + 2)), panel=int(r.integers(1, n + 1))):
         ranks = evaluation._rank_held_out(model, folds, (table, rows))
     for rank, row, item in zip(ranks, rows, items):
         order = np.argsort(-table[row], kind="stable")
         assert rank == 1 + np.flatnonzero(order == item)[0]
+
+
+def folds_by_rule(indptr, items, values, n_items, split, users):
+    """``_draw_folds`` as the fold rule applied one user at a time."""
+    ins, outs, n_skipped = [], [], 0
+    for u in split.users(users):
+        start, n = int(indptr[u]), int(indptr[u + 1] - indptr[u])
+        if n < 2:
+            n_skipped += 1
+            continue
+        rng = np.random.default_rng((split.seed, int(u)))
+        pos_in, pos_out = fold_in_indices(n, split.fold_in_fraction, rng)
+        if pos_out.size == 0:
+            n_skipped += 1
+            continue
+        ins.append(pos_in + start)
+        outs.append(pos_out + start)
+    empty = np.zeros(0, dtype=np.int64)
+    pos_in, pos_out = np.concatenate([empty, *ins]), np.concatenate([empty, *outs])
+    indptr_in = np.append(0, np.cumsum([len(p) for p in ins], dtype=np.int64))
+    xin = sp.csr_matrix((values[pos_in], items[pos_in], indptr_in), shape=(len(ins), n_items))
+    rows = np.repeat(np.arange(len(outs)), np.array([len(p) for p in outs], dtype=np.int64))
+    return xin, rows, items[pos_out], pos_out, n_skipped
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=14),
+       st.sampled_from([0.05, 0.3, 0.5, 0.8, 0.9, 0.999]), st.integers(0, 1000),
+       st.sampled_from(["all", "subset", "time-aware"]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_draw_folds_is_the_fold_rule_user_by_user(sizes, fraction, seed, layout, csr_dtypes,
+                                                   data_seed):
+    """Rows of 0, 1, 2 and more events; fractions that leave nothing held
+    out; the users all, a shuffled subset, or a subset that alone has rows
+    (the time-aware layout); int32 CSR arrays or int64 event arrays."""
+    r = np.random.default_rng(data_seed)
+    n_items = 9
+    users = np.arange(len(sizes))
+    if layout != "all":
+        users = r.permutation(users)[: int(r.integers(0, len(sizes) + 1))]
+    if layout == "time-aware":
+        sizes = [size if u in users else 0 for u, size in enumerate(sizes)]
+        users = np.sort(users)
+    dtype = np.int32 if csr_dtypes else np.int64
+    indptr = np.append(0, np.cumsum(sizes)).astype(dtype)
+    items = np.concatenate([np.zeros(0, dtype=np.int64), *(
+        np.sort(r.choice(n_items, size, replace=False)) for size in sizes)]).astype(dtype)
+    values = r.integers(-2, 6, len(items)).astype(np.float64)
+    split = SplitSpec(train_users=np.array([], dtype=np.int64),
+                      validation_users=np.array([], dtype=np.int64), test_users=users,
+                      fold_in_fraction=fraction, seed=seed)
+    got = evaluation._draw_folds(indptr, items, values, n_items, split, "test")
+    xin, rows, held, events, n_skipped = folds_by_rule(indptr, items, values, n_items, split,
+                                                       "test")
+    assert got.xin.shape == xin.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got.xin, name), getattr(xin, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for a, b in ((got.rows, rows), (got.items, held), (got.events, events)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.n_skipped == n_skipped
 
 
 def test_engine_metrics_match_public_metric_functions():
