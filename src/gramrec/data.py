@@ -683,19 +683,32 @@ def load_split_files(
             keys = fpath.read_text(encoding="utf-8-sig").splitlines()
         except UnicodeDecodeError as exc:
             raise DataError(f"{fpath}: not UTF-8 text ({exc.reason})") from None
-        ids = []
-        for key in keys:
-            if not key:
-                continue
-            uid = user_index.get(key)
-            if uid is None:
-                raise DataError(f"{fpath}: unknown user key {key!r}")
-            if listed[uid]:
-                raise DataError(f"{fpath}: user key {key!r} is already listed in "
-                                f"{split_dir / names[listed[uid] - 1]}")
-            listed[uid] = f
-            ids.append(uid)
-        sets[name] = np.sort(np.asarray(ids, dtype=np.int64))
+        marked = bytearray(listed)
+        try:  # every key at once: clean when each is known and marks a user unmarked so far
+            ids = np.fromiter(map(user_index.__getitem__, filter(None, keys)), np.int64,
+                              len(keys) - keys.count(""))
+            np.frombuffer(marked, dtype=np.uint8)[ids] = f
+            clean = marked.count(0) == listed.count(0) - len(ids)
+        except KeyError:
+            clean = False
+        if clean:
+            listed = marked
+        else:  # key by key, so the first unknown or repeated key is the one named
+            ids = []
+            for key in keys:
+                if not key:
+                    continue
+                uid = user_index.get(key)
+                if uid is None:
+                    raise DataError(f"{fpath}: unknown user key {key!r}")
+                if listed[uid]:
+                    raise DataError(f"{fpath}: user key {key!r} is already listed in "
+                                    f"{split_dir / names[listed[uid] - 1]}")
+                listed[uid] = f
+                ids.append(uid)
+            ids = np.asarray(ids, dtype=np.int64)
+        ids.sort()
+        sets[name] = ids
     return SplitSpec(
         train_users=sets["train_users.txt"],
         validation_users=sets["validation_users.txt"],

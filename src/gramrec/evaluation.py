@@ -4,8 +4,10 @@ Evaluation users are disjoint from the users the model was trained on.
 Each one's row is split at random into an input part, which is fed to the
 model, and a held-out part, which the produced ranking is scored against.
 Input items are forced to the bottom of the ranking so only unseen items
-compete.  All randomness flows through one seed, drawn per user, so
-reports are reproducible bit for bit.
+compete.  All randomness flows through one seed: each user's fold is the
+stream of ``default_rng((seed, u))``, so reports are reproducible bit for
+bit.  Every user's generator is seeded in one vectorised pass
+(:func:`_seed_states`) rather than through a ``SeedSequence`` per user.
 
 Both protocols run on one engine: each user's split is drawn once, from
 one permutation per user and with no per-user sort, into one matrix of
@@ -28,11 +30,13 @@ come with the standard error of the mean across evaluated users.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.random.bit_generator import ISeedSequence
 
 from .data import (
     InteractionSet,
@@ -175,11 +179,89 @@ class _Folds(NamedTuple):
     config: dict
 
 
+# numpy's SeedSequence: pool words, its hashmix and mix constants, and the
+# number of bits its hashes shift right
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_SHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_states(seed: int, users: np.ndarray) -> np.ndarray:
+    """Row k is ``SeedSequence((seed, users[k])).generate_state(4, np.uint64)``,
+    what ``default_rng((seed, users[k]))`` seeds its PCG64 from.
+
+    SeedSequence's hash constants run the same course whatever the words,
+    so every user's pool is mixed at once.  Its entropy is the seed's
+    little-endian 32-bit words (0 is one word), then the user's one word;
+    the first 4 fill the pool, the rest are mixed into it.  A word of every
+    user sits in that user's 64-bit lane of one Python int, where a 32-bit
+    word times a 32-bit constant cannot carry into the next lane.  (numpy's
+    integer bitwise ufuncs would do the same, but their first call maps
+    64 KiB more of numpy's code into the process.)"""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise DataError(f"the seed must be a non-negative integer, got {seed}")
+    if users.size and not 0 <= users.min() <= users.max() <= _MASK32:
+        raise DataError("user ids must be in [0, 2**32) to seed their folds")
+    n = len(users)
+    one = int.from_bytes((b"\1" + bytes(7)) * n, "little")  # 1 in every lane
+    mask = _MASK32 * one
+
+    def hash_(x: int, h: int, mult: int) -> tuple[int, int]:
+        """SeedSequence's hash of the words x under the running constant h,
+        and the next constant."""
+        h_next = h * mult & _MASK32
+        x = (x ^ h * one) * h_next & mask
+        return x ^ (x >> _SHIFT & mask), h_next
+
+    entropy = [seed & _MASK32]
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    entropy = [word * one for word in entropy]
+    entropy.append(int.from_bytes(users.astype("<u8").tobytes(), "little"))
+    h, pool = _INIT_A, []
+    for i in range(_POOL):  # pool words past the entropy hash a 0
+        word, h = hash_(entropy[i] if i < len(entropy) else 0, h, _MULT_A)
+        pool.append(word)
+    sources = [(i, None) for i in range(_POOL)] + [(None, e) for e in entropy[_POOL:]]
+    for i, e in sources:
+        for d in range(_POOL):
+            if d != i:  # pool[d] = mix(pool[d], hashmix(source))
+                word, h = hash_(pool[i] if e is None else e, h, _MULT_A)
+                x = ((pool[d] * _MIX_L & mask) + (one << 32) - (word * _MIX_R & mask)) & mask
+                pool[d] = x ^ (x >> _SHIFT & mask)
+    states = np.empty((n, _POOL), dtype=np.uint64)
+    h = _INIT_B
+    for j in range(_POOL):  # 8 words out, drawn from the pool in turn, in little-endian pairs
+        lo, h = hash_(pool[2 * j % _POOL], h, _MULT_B)
+        hi, h = hash_(pool[(2 * j + 1) % _POOL], h, _MULT_B)
+        states[:, j] = np.frombuffer((lo | hi << 32).to_bytes(8 * n, "little"), dtype="<u8")
+    return states
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence that hands over a state computed beforehand."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.state) or np.dtype(dtype) != self.state.dtype:
+            raise ValueError(f"holds {self.state.shape} {self.state.dtype} words, "
+                             f"not {n_words} {np.dtype(dtype)}")
+        return self.state
+
+
 def _draw_folds(indptr, items, values, n_items: int, split: SplitSpec, users: str) -> _Folds:
     """Fold each selected user's id-sorted row ``indptr[u]:indptr[u + 1]``
     of n events: ``default_rng((split.seed, u)).permutation(n)[:ceil(f·n)]``
     are its input positions, marked in one int8 array over the folded rows'
-    events, so both parts come off it in user and then item order.  Rows
+    events, so both parts come off it in user and then item order.  Every
+    user's generator is that one, seeded from :func:`_seed_states`.  Rows
     that cannot be split are skipped and counted."""
     user_ids = split.users(users)
     fraction, seed = split.fold_in_fraction, split.seed
@@ -192,8 +274,10 @@ def _draw_folds(indptr, items, values, n_items: int, split: SplitSpec, users: st
     folded, start, n, n_in = user_ids[kept], start[kept], n[kept], n_in[kept]
     end = np.cumsum(n)
     mark = np.zeros(n.sum(), dtype=np.int8)
-    for u, a, b, k in zip(folded.tolist(), (end - n).tolist(), end.tolist(), n_in.tolist()):
-        mark[a:b][np.random.default_rng((seed, u)).permutation(b - a)[:k]] = 1
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    for state, a, b, k in zip(_seed_states(seed, folded), (end - n).tolist(), end.tolist(),
+                              n_in.tolist()):
+        mark[a:b][generator(pcg64(_SeedState(state))).permutation(b - a)[:k]] = 1
     shift = start - (end - n)  # from a folded row's events to their positions in items
     pos_in = np.flatnonzero(mark) + np.repeat(shift, n_in)
     pos_out = np.flatnonzero(mark == 0) + np.repeat(shift, n - n_in)

@@ -179,7 +179,7 @@ def _read_header(fh, path, size: int):
         keys = header["keys"]
         if not (isinstance(header["kind"], str) and isinstance(header["meta"], dict)
                 and isinstance(keys, dict) and all(isinstance(table, list) for table in keys.values())
-                and all(isinstance(k, str) for table in keys.values() for k in table)):
+                and all(set(map(type, table)) <= {str} for table in keys.values())):
             raise TypeError("kind, metadata or key tables of the wrong type")
         if "items" in keys and len(keys["items"]) != n_items:
             raise ValueError(f"{len(keys['items'])} item keys for {n_items} items")

@@ -28,6 +28,7 @@ at a time; the library ranks batches of events by counting comparisons.
 """
 
 import csv
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -674,6 +675,18 @@ def assert_same_interactions(got, want):
     assert got.item_index == want.item_index
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(env=None) -> dict[str, str]:
+    """``env`` (by default this process's) with this checkout's ``src`` first
+    on ``PYTHONPATH`` as an absolute path, so that a child started in any
+    directory imports this ``gramrec``."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(args: list[str], cwd=None, env=None) -> subprocess.CompletedProcess:
     """Run the command-line interface in a subprocess."""
     return subprocess.run(
@@ -682,7 +695,7 @@ def run_cli(args: list[str], cwd=None, env=None) -> subprocess.CompletedProcess:
         text=True,
         encoding="utf-8",
         cwd=cwd,
-        env=env,
+        env=child_env(env),
     )
 
 

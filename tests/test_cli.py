@@ -28,7 +28,8 @@ import gramrec.cli
 from gramrec.cli import main
 from gramrec.packed import pack
 
-from conftest import evaluate_time_aware_reference, general_solve, invert_regularized_copying, run_cli
+from conftest import (SRC, child_env, evaluate_time_aware_reference, general_solve,
+                      invert_regularized_copying, run_cli)
 
 
 @pytest.fixture(scope="session")
@@ -1161,8 +1162,9 @@ def test_commands_after_ingest_skip_the_parser(workdir, tmp_path, monkeypatch, c
         assert (tmp_path / "container" / name).read_bytes() == (tmp_path / "parsed" / name).read_bytes(), name
 
 
-def _child(code: str) -> str:
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+def _child(code: str, cwd=None) -> str:
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
+                         env=child_env())
     assert res.returncode == 0, res.stderr
     return res.stdout
 
@@ -1183,6 +1185,13 @@ def test_process_entry_freezes_the_import_time_heap():
     assert _child(_PROBE_ENTRY).split() == ["True", "True"]
 
 
+def test_children_import_this_checkout_from_any_directory(tmp_path):
+    assert Path(_child("import gramrec; print(gramrec.__file__)", cwd=tmp_path).strip()) \
+        == SRC / "gramrec" / "__init__.py"
+    res = run_cli(["--help"], cwd=tmp_path)
+    assert res.returncode == 0 and "usage: gramrec" in res.stdout, res.stderr
+
+
 def test_import_leaves_the_collector_alone():
     code = "import gc, gramrec.cli; print(gc.get_freeze_count(), gc.isenabled())"
     assert _child(code).split() == ["0", "True"]
@@ -1198,7 +1207,7 @@ def test_module_path_is_refused_without_running_a_command():
     """``python -m gramrec.cli`` names the entry instead of exiting 0 with
     nothing done."""
     res = subprocess.run([sys.executable, "-m", "gramrec.cli", "train", "--data", "nowhere.csv"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env())
     assert res.returncode == 1
     assert res.stdout == ""
     assert res.stderr == "error: run gramrec as 'gramrec' or 'python -m gramrec'\n"

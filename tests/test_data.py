@@ -481,6 +481,27 @@ def test_split_files_refuse_a_user_listed_twice(tmp_path, extra):
         load_split_files(tmp_path, {k: i for i, k in enumerate(keys)})
 
 
+@pytest.mark.parametrize("name, lines, message", [
+    ("validation_users.txt", ["u2", "", "ghost", "u9"], "{v}: unknown user key 'ghost'"),
+    ("validation_users.txt", ["u4", "u2", "u4", "ghost"],
+     "{v}: user key 'u4' is already listed in {v}"),
+    ("test_users.txt", ["u3", "u1", "ghost"], "{t}: user key 'u1' is already listed in {r}"),
+])
+def test_split_files_name_the_first_bad_key_in_file_order(tmp_path, name, lines, message):
+    """A key unknown, repeated within one file or listed in an earlier one:
+    the error names the first such key of the file, and where it was listed."""
+    keys = [f"u{i}" for i in range(6)]
+    save_split_files(tmp_path, SplitSpec(train_users=np.array([0, 1]),
+                                         validation_users=np.array([2]),
+                                         test_users=np.array([3])), keys)
+    (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_split_files(tmp_path, {k: i for i, k in enumerate(keys)})
+    assert str(exc.value) == message.format(r=tmp_path / "train_users.txt",
+                                            v=tmp_path / "validation_users.txt",
+                                            t=tmp_path / "test_users.txt")
+
+
 def test_split_files_missing_file(tmp_path):
     with pytest.raises(DataError, match="missing split file"):
         load_split_files(tmp_path / "nowhere", {})

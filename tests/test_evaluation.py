@@ -825,14 +825,17 @@ def folds_by_rule(indptr, items, values, n_items, split, users):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=14),
-       st.sampled_from([0.05, 0.3, 0.5, 0.8, 0.9, 0.999]), st.integers(0, 1000),
+       st.sampled_from([0.05, 0.3, 0.5, 0.8, 0.9, 0.999]),
+       st.integers(0, 1000) | st.integers(2**32, 2**160 - 1),
        st.sampled_from(["all", "subset", "time-aware"]), st.booleans(),
        st.integers(0, 2**32 - 1))
 def test_draw_folds_is_the_fold_rule_user_by_user(sizes, fraction, seed, layout, csr_dtypes,
                                                    data_seed):
     """Rows of 0, 1, 2 and more events; fractions that leave nothing held
-    out; the users all, a shuffled subset, or a subset that alone has rows
-    (the time-aware layout); int32 CSR arrays or int64 event arrays."""
+    out; seeds of one word and of two to five, the longest outgrowing
+    SeedSequence's pool of four words; the users all, a shuffled subset, or
+    a subset that alone has rows (the time-aware layout); int32 CSR arrays
+    or int64 event arrays."""
     r = np.random.default_rng(data_seed)
     n_items = 9
     users = np.arange(len(sizes))
@@ -859,6 +862,33 @@ def test_draw_folds_is_the_fold_rule_user_by_user(sizes, fraction, seed, layout,
     for a, b in ((got.rows, rows), (got.items, held), (got.events, events)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert got.n_skipped == n_skipped
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda w: st.integers(0 if w == 1 else 2**(32 * w - 32),
+                                                         2**(32 * w) - 1)),
+       st.lists(st.integers(0, 2**32 - 1), max_size=12))
+def test_seed_states_are_seed_sequence_states(seed, users):
+    """Seeds of 1 to 5 words, 0 and 2**32 - 1 among the users."""
+    users = np.array([0, *users, 2**32 - 1], dtype=np.int64)
+    got = evaluation._seed_states(seed, users)
+    assert got.dtype == np.uint64 and got.shape == (len(users), 4) and got.flags.c_contiguous
+    for row, u in zip(got, users.tolist()):
+        want = np.random.SeedSequence((seed, u)).generate_state(4, np.uint64)
+        assert row.tobytes() == want.tobytes(), (seed, u)
+
+
+@pytest.mark.parametrize("seed, users, message", [
+    (-1, [0], "the seed must be a non-negative integer, got -1"),
+    (0, [2**32], "user ids must be in [0, 2**32) to seed their folds"),
+    (0, [3, -1], "user ids must be in [0, 2**32) to seed their folds"),
+])
+def test_seed_states_refuse_what_seed_sequence_refuses(seed, users, message):
+    """SeedSequence refuses negative words; a user of 2**32 or more would take
+    two words, which the one-word layout does not cover."""
+    with pytest.raises(DataError) as exc:
+        evaluation._seed_states(seed, np.array(users, dtype=np.int64))
+    assert str(exc.value) == message
 
 
 def test_engine_metrics_match_public_metric_functions():

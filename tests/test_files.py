@@ -247,6 +247,9 @@ MALFORMED = {
     "key_table_not_strings": (lambda p: _dense_model_file(p, {}, {"c": np.ones(3), "p": np.zeros(6)},
                                                           [1, 2, 3]),
                               "malformed header (kind, metadata or key tables of the wrong type)"),
+    "key_table_one_not_a_string": (lambda p: _dense_model_file(
+                                       p, {}, {"c": np.ones(3), "p": np.zeros(6)}, ["a", 1, "c"]),
+                                   "malformed header (kind, metadata or key tables of the wrong type)"),
     "metadata_not_an_object": (lambda p: write_container(p, "dense_model", 3, [1.0, "rr"],
                                                          {"c": np.ones(3), "p": np.zeros(6)}, {}),
                                "malformed header (kind, metadata or key tables of the wrong type)"),
