@@ -27,12 +27,13 @@ from .evaluation import (
     evaluate_model,
     evaluate_time_aware,
     grid_search_lambda,
-    popularity_rank,
+    rank_items,
     score_histories,
 )
 from .gram import GramStats, build_disjoint_gram, build_gram, build_user_weighted_gram
 from .solver import (
     DenseModel,
+    ItemWeightVector,
     PrecisionMatrix,
     invert_regularized,
     load_model,
@@ -55,7 +56,6 @@ from .sparse import (
     train_sparse,
 )
 from .weighting import (
-    ItemWeightVector,
     apply_item_rescaling,
     load_weights_csv,
     popularity_weights,

@@ -11,7 +11,6 @@ renamed, so a failed run leaves nothing half-written behind.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import gc
 import json
@@ -43,10 +42,10 @@ from .evaluation import (
     evaluate_model,
     evaluate_time_aware,
     grid_search_lambda,
-    popularity_rank,
+    rank_items,
     score_histories,
 )
-from .files import atomic_write, container_kind, read_key_csv
+from .files import atomic_write, container_kind, read_key_csv, write_key_csv
 from .gram import build_disjoint_gram, build_gram, build_user_weighted_gram
 from .solver import (
     DenseModel,
@@ -244,9 +243,8 @@ def cmd_train(args) -> int:
     matrix = to_user_item_matrix(iset)
     split = _load_split(args, iset)
     if args.disjoint:
-        fraction = 0.05 if args.split_fraction is None else args.split_fraction
-        builder, options = build_disjoint_gram, {"split_fraction": fraction,
-                                                 "explicit_lambda": not args.exact_expectation}
+        fraction = (args.split_fraction or 0.05) if args.exact_expectation else None
+        builder, options = build_disjoint_gram, {"split_fraction": fraction}
     elif args.user_weights is not None:
         w_u = _training_user_weights(args.user_weights, iset, split)
         builder, options = build_user_weighted_gram, {"w_u": w_u}
@@ -366,7 +364,6 @@ def cmd_recommend(args) -> int:
     if item_keys is None:
         raise DataError(f"{args.model}: model file carries no item keys; cannot map history")
     item_index = {key: i for i, key in enumerate(item_keys)}
-    top_k = args.top_k
     if args.weights is not None:
         if not isinstance(model, DenseModel):
             raise DataError("--weights applies to dense model files")
@@ -378,26 +375,16 @@ def cmd_recommend(args) -> int:
         else:
             _log(f"warning: unknown item key {key!r} dropped from history")
     ids = sorted(set(ids))
-    n = model.n_items
-    if ids:
-        xin = sp.csr_matrix(
-            (np.ones(len(ids)), np.asarray(ids, dtype=np.int64), np.asarray([0, len(ids)])),
-            shape=(1, n),
-        )
-        scores = score_histories(model, xin)[0]
-        scores[ids] = -np.inf
-        ranked = np.argsort(-scores, kind="stable")
-    else:
+    if not ids:
         if args.popularity is None:
-            raise DataError(
-                "history is empty after dropping unknown keys and no --popularity "
-                "file is available for the fallback ranking"
-            )
+            raise DataError("history is empty after dropping unknown keys and no --popularity "
+                            "file is available for the fallback ranking")
         _log("warning: empty history; falling back to popularity order")
-        scores = read_key_csv(args.popularity, item_index, "item", "count", 0.0)[0]
-        ranked = popularity_rank(scores)
-    for rank in range(min(top_k, n - len(ids))):
-        item = int(ranked[rank])
+        model = PopularityScorer(read_key_csv(args.popularity, item_index, "item", "count", 0.0)[0])
+    xin = sp.csr_matrix((np.ones(len(ids)), np.asarray(ids, dtype=np.int64), [0, len(ids)]),
+                        shape=(1, model.n_items))
+    scores = score_histories(model, xin)[0]
+    for rank, item in enumerate(rank_items(scores, exclude=ids)[:args.top_k].tolist()):
         sys.stdout.write(f"{rank + 1}\t{item_keys[item]}\t{float(scores[item])!r}\n")
     return 0
 
@@ -410,11 +397,7 @@ def cmd_popularity(args) -> int:
         _log(f"popularity over {len(split.train_users)} training users")
     else:
         pop = popularity(iset)
-    with atomic_write(args.output) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item", "count"])
-        for i, key in enumerate(iset.item_keys):
-            writer.writerow([key, repr(float(pop[i]))])
+    write_key_csv(args.output, iset.item_keys, "item", "count", pop)
     _log(f"popularity for {iset.n_items} items -> {args.output}")
     return 0
 

@@ -650,7 +650,14 @@ def time_intervals(
 
 
 def save_split_files(split_dir: str | Path, split: SplitSpec, user_keys: list[str]) -> None:
-    """Write the three user sets as newline-delimited user keys, one atomic file each."""
+    """Write the three user sets as newline-delimited user keys, one atomic file each.
+    A key that is empty, holds a line break or starts with U+FEFF (which a
+    reader drops as a byte-order mark) is refused before anything is written."""
+    text = "\n".join(user_keys)
+    if text.splitlines() != list(user_keys) or "" in user_keys or "\n\ufeff" in "\n" + text:
+        bad = next(k for k in user_keys if k.splitlines() != [k] or k.startswith("\ufeff"))
+        raise DataError(f"user key {bad!r} cannot be written to a split file: it is empty, "
+                        "holds a line break or starts with U+FEFF")
     split_dir = Path(split_dir)
     split_dir.mkdir(parents=True, exist_ok=True)
     for name, ids in (

@@ -104,9 +104,12 @@ def _ideal_dcg(m: int) -> float:
     return float(np.sum(1.0 / np.log2(np.arange(m) + 2.0)))
 
 
-def popularity_rank(pop: np.ndarray) -> np.ndarray:
-    """All items by popularity descending, ties by ascending id."""
-    return np.argsort(-pop, kind="stable")
+def rank_items(scores: np.ndarray, exclude=()) -> np.ndarray:
+    """The ids of the items scored by ``scores``, but those in ``exclude``,
+    by descending score: ties go to the lower id, and NaN scores come
+    last, among themselves by id."""
+    ids = np.delete(np.arange(len(scores)), exclude)
+    return ids[np.argsort(-scores[ids], kind="stable")]
 
 
 def _scores(xin: sp.csr_matrix, cols) -> np.ndarray:
@@ -152,16 +155,21 @@ def _model_config(model) -> dict:
     }
 
 
+def _require_users(n_users: int, n_skipped: int, users: str) -> None:
+    """Refuse an evaluation in which none of the ``users`` could be folded."""
+    if not n_users:
+        raise DataError(f"no {users} users were evaluable ({n_users + n_skipped} {users} users, "
+                        f"{n_skipped} skipped as rows too small to split)")
+
+
 def _aggregate(
     per_user: dict[str, list[float]], n_skipped: int, config: dict
 ) -> EvalReport:
+    n_users = len(next(iter(per_user.values()), ()))
+    _require_users(n_users, n_skipped, config["users"])
     metrics: dict[str, tuple[float, float]] = {}
-    n_users = 0
     for name, vals in per_user.items():
         arr = np.asarray(vals, dtype=np.float64)
-        n_users = len(arr)
-        if n_users == 0:
-            raise DataError("no users were evaluable (all rows too small to split)")
         stderr = 0.0 if n_users == 1 else float(np.std(arr, ddof=1) / np.sqrt(n_users))
         metrics[name] = (float(arr.mean()), stderr)
     return EvalReport(metrics=metrics, n_users=n_users, n_skipped=n_skipped, config=config)
@@ -518,6 +526,7 @@ def grid_search_lambda(
     recall_ks, ndcg_k = (20, 50), 100
     csr = matrix.matrix
     folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, "validation")
+    _require_users(folds.xin.shape[0], folds.n_skipped, "validation")  # before any G is built
     reports: dict[float, EvalReport] = {}
     best_lam = None
     best_score = -np.inf

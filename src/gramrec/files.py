@@ -1,5 +1,5 @@
 """File output, the one binary container every model and event file is
-stored in, and the reader of key-indexed CSV columns.
+stored in, and the reader and writer of key-indexed CSVs.
 
 A container is, in order:
 
@@ -191,6 +191,21 @@ def _read_header(fh, path, size: int):
     except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
         raise DataError(f"{path}: malformed header ({exc})") from None
     return digest, head[_HEAD.size :], n_items, header, specs
+
+
+def write_key_csv(path, keys: list[str], key_column: str, column: str, values,
+                  comment: str = "") -> None:
+    """A ``<key_column>,<column>`` CSV, written atomically, as :func:`read_key_csv`
+    reads it: a ``# <comment>`` line when ``comment`` is given, the header
+    row, and one row per key with its value as a full-precision float."""
+    if len(keys) != len(values):
+        raise DataError(f"expected {len(values)} {key_column} keys, got {len(keys)}")
+    with atomic_write(path) as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow([key_column, column])
+        writer.writerows((key, repr(float(val))) for key, val in zip(keys, values))
 
 
 def read_key_csv(

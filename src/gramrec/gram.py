@@ -6,8 +6,9 @@ computed in a single pass over the sparse interaction rows, in ascending
 user-id order.  G is held as its lower triangle in rectangular full packed
 storage (:mod:`gramrec.packed`), n(n+1)/2 floats written one row panel at a
 time.  Includes the disjoint-split construction that removes the diagonal
-of C, optional target-column centering and per-user error weighting; none
-of them forms C.
+of C (approximate, or exact at a given split fraction), optional
+target-column centering and per-user error weighting; none of them forms
+C.
 """
 
 from __future__ import annotations
@@ -122,25 +123,21 @@ def build_gram(x: UserItemMatrix, center: bool = False) -> GramStats:
     return GramStats(g=_gram(x.matrix, x.matrix), n_users=x.n_users, colsum=colsum, mu=mu)
 
 
-def build_disjoint_gram(
-    z: UserItemMatrix,
-    explicit_lambda: bool = True,
-    split_fraction: float = 0.05,
-) -> GramStats:
+def build_disjoint_gram(z: UserItemMatrix, split_fraction: float | None = None) -> GramStats:
     """Expected Gram statistics for random disjoint splits of a binary Z.
 
     Splitting each observed interaction independently into either the input
     or the target matrix makes diag(XᵀY) vanish; in expectation the
-    off-diagonal entries stay proportional to ZᵀZ.  With ``explicit_lambda``
-    (the default) the small-split-fraction approximation is used and all
-    proportionality constants are dropped, so the solver's λ remains the
-    single explicit regularizer:
+    off-diagonal entries stay proportional to ZᵀZ.  Without a
+    ``split_fraction`` the small-split-fraction approximation is used and
+    all proportionality constants are dropped, so the solver's λ remains
+    the single explicit regularizer:
 
         G = ZᵀZ,   C = ZᵀZ − diagMat(diag(ZᵀZ)).
 
-    With ``explicit_lambda=False`` the exact expectations for a target
-    fraction p = ``split_fraction`` are kept instead, which inflate G's
-    diagonal and thereby add an implicit regularization of their own:
+    With a target fraction p = ``split_fraction`` in (0, 1) the exact
+    expectations are kept instead, which inflate G's diagonal and thereby
+    add an implicit regularization of their own:
 
         G = (1−p)²·ZᵀZ + p(1−p)·diagMat(diag(ZᵀZ)),
         C = p(1−p)·(ZᵀZ − diagMat(diag(ZᵀZ))) = p/(1−p)·(G − diagMat(diag(G))).
@@ -152,7 +149,7 @@ def build_disjoint_gram(
         raise DataError("disjoint-split statistics require a binary matrix")
     g = _gram(z.matrix, z.matrix)
     kappa = 1.0
-    if not explicit_lambda:
+    if split_fraction is not None:
         p = split_fraction
         if not 0.0 < p < 1.0:
             raise DataError(f"split fraction must be in (0, 1), got {p}")

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import lapack
@@ -36,11 +35,26 @@ from .errors import DataError, NumericalError
 from .files import read_container, write_container
 from .gram import PANEL, GramStats
 
-if TYPE_CHECKING:
-    from .weighting import ItemWeightVector
-
 VARIANT_RR = "rr"
 VARIANT_ZERO_DIAG = "zero_diag"
+
+KIND_UNIFORM = "uniform"
+KIND_INVERSE_POP = "inverse_pop"
+KIND_TIME_ADJUSTED = "time_adjusted"
+WEIGHT_KINDS = (KIND_UNIFORM, KIND_INVERSE_POP, KIND_TIME_ADJUSTED)
+
+
+@dataclass
+class ItemWeightVector:
+    """Positive per-item scaling factors with their construction recorded."""
+
+    w: np.ndarray
+    kind: str
+    alpha: float
+
+    @property
+    def n_items(self) -> int:
+        return len(self.w)
 
 
 @dataclass
@@ -76,7 +90,7 @@ class DenseModel:
     v: np.ndarray | None = None
     mu: np.ndarray | None = None
     kappa: float | None = None
-    applied_item_weights: "ItemWeightVector | None" = None
+    applied_item_weights: ItemWeightVector | None = None
     gamma: np.ndarray | None = None
 
     @property
@@ -229,8 +243,6 @@ def load_model(path: str | Path, verify: bool = False) -> tuple[DenseModel, list
     without, the arrays are used as stored, so in-process checks of B see
     them.  A file that holds B itself, the layout before models held P, is
     refused, and so is one whose variant disagrees with its ``kappa``."""
-    from .weighting import WEIGHT_KINDS, ItemWeightVector
-
     c = read_container(path, "dense_model", verify)
     n = c.n_items
     if "b" in c.arrays:

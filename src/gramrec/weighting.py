@@ -11,35 +11,17 @@ time interval (w_i proportional to (pop_i(t)/pop_i)^alpha).
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .files import atomic_write, read_key_csv
-from .solver import VARIANT_ZERO_DIAG, DenseModel
-
-KIND_UNIFORM = "uniform"
-KIND_INVERSE_POP = "inverse_pop"
-KIND_TIME_ADJUSTED = "time_adjusted"
-WEIGHT_KINDS = (KIND_UNIFORM, KIND_INVERSE_POP, KIND_TIME_ADJUSTED)
+from .files import read_key_csv, write_key_csv
+from .solver import (KIND_INVERSE_POP, KIND_TIME_ADJUSTED, KIND_UNIFORM, VARIANT_ZERO_DIAG,
+                     WEIGHT_KINDS, DenseModel, ItemWeightVector)
 
 DEFAULT_EPSILON = 1e-9
-
-
-@dataclass
-class ItemWeightVector:
-    """Positive per-item scaling factors with their construction recorded."""
-
-    w: np.ndarray
-    kind: str
-    alpha: float
-
-    @property
-    def n_items(self) -> int:
-        return len(self.w)
 
 
 def _checked(w: np.ndarray, kind: str, alpha: float) -> ItemWeightVector:
@@ -112,14 +94,8 @@ def apply_item_rescaling(model: DenseModel, weights: ItemWeightVector) -> DenseM
 
 def save_weights_csv(path: str | Path, weights: ItemWeightVector, item_keys: list[str]) -> None:
     """Item-key/weight CSV with a leading comment carrying kind and alpha."""
-    if len(item_keys) != weights.n_items:
-        raise DataError(f"expected {weights.n_items} item keys, got {len(item_keys)}")
-    with atomic_write(path) as fh:
-        fh.write(f"# kind={weights.kind} alpha={float(weights.alpha)!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["item", "weight"])
-        for key, val in zip(item_keys, weights.w):
-            writer.writerow([key, repr(float(val))])
+    write_key_csv(path, item_keys, "item", "weight", weights.w,
+                  comment=f"kind={weights.kind} alpha={float(weights.alpha)!r}")
 
 
 def load_weights_csv(path: str | Path, item_index: dict[str, int]) -> ItemWeightVector:

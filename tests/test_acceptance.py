@@ -167,7 +167,7 @@ def test_acceptance_5_disjoint_split_expectation():
     # the library's closed-form expectation is the limit the average approaches
     from conftest import matrix_from_dense
 
-    exact = build_disjoint_gram(matrix_from_dense(z), explicit_lambda=False, split_fraction=p)
+    exact = build_disjoint_gram(matrix_from_dense(z), split_fraction=p)
     library_ok = bool(np.allclose(target_of(exact) / (p * (1.0 - p)), target, atol=1e-10))
 
     _verdict(

@@ -14,18 +14,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
 from gramrec import (
+    DenseModel,
     load_interactions,
     load_model,
     load_sparse_model,
     load_split_files,
     load_weights_csv,
+    save_model,
+    score_histories,
     time_intervals,
     time_popularity_weights,
     to_user_item_matrix,
 )
 import gramrec.cli
 from gramrec.cli import main
+from gramrec.files import read_key_csv
 from gramrec.packed import pack
 
 from conftest import (SRC, child_env, evaluate_time_aware_reference, general_solve,
@@ -745,6 +751,42 @@ def test_split_takes_no_binarize(workdir, tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+@pytest.mark.parametrize("key", ["u\u2028x", "u\nx", "\ufeffu"])
+def test_split_refuses_keys_a_split_file_cannot_hold(tmp_path, key):
+    raw = tmp_path / "raw.csv"
+    with open(raw, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["user", "item"])
+        writer.writerows([(u, i) for u in ("u0", key, "u1") for i in ("i0", "i1", "i2")])
+    data = tmp_path / "data.csv"
+    assert run_cli(["ingest", "--input", str(raw), "--output", str(data)]).returncode == 0
+    assert key in load_interactions(data).user_keys
+    out = tmp_path / "split"
+    res = run_cli(["split", "--data", str(data), "--output-dir", str(out), "--n-val", "1",
+                   "--n-test", "1"])
+    assert res.returncode == 2
+    assert f"error: user key {key!r} cannot be written to a split file" in res.stderr
+    assert not out.exists()
+
+
+def test_empty_validation_set_is_refused_before_any_gram(workdir, tmp_path, capsys, monkeypatch):
+    splits = tmp_path / "splits"
+    assert main(["split", "--data", str(workdir["data"]), "--output-dir", str(splits),
+                 "--n-val", "0", "--n-test", "6"]) == 0
+    calls, build = [], gramrec.cli.build_gram
+    monkeypatch.setattr(gramrec.cli, "build_gram", lambda *a, **k: calls.append(a) or build(*a, **k))
+    capsys.readouterr()
+    data = ["--data", str(workdir["data"]), "--split-dir", str(splits)]
+    assert main(["train", *data, "--lambda-grid", "1,2", "--output", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    message = "no validation users were evaluable (0 validation users, 0 skipped"
+    assert message in err and "phase gram:" not in err
+    assert calls == [] and not (tmp_path / "m").exists()
+    assert main(["evaluate", *data, "--model", str(workdir["model"]), "--users",
+                 "validation"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_train_sparse_and_evaluate(workdir, tmp_path):
     out = tmp_path / "model.easp"
     res = run_cli([
@@ -880,6 +922,51 @@ def test_recommend_unknown_and_empty_history(workdir):
     assert res.returncode == 0, res.stderr
     assert "falling back to popularity" in res.stderr
     assert len(res.stdout.strip().split("\n")) == 2
+
+
+def _recommended_before(scores: np.ndarray, history: list[int], top_k: int, keys) -> str:
+    """`recommend`'s stdout by the rule it had before it came to rank with
+    rank_items: history scores set to -inf, then a stable argsort."""
+    scores = scores.copy()
+    scores[history] = -np.inf
+    ranked = np.argsort(-scores, kind="stable")[: min(top_k, len(scores) - len(history))]
+    return "".join(f"{r + 1}\t{keys[i]}\t{float(scores[i])!r}\n" for r, i in enumerate(ranked))
+
+
+@pytest.mark.parametrize("top_k", [3, 20])
+def test_recommend_prints_finite_rankings_as_before(workdir, top_k):
+    model, keys = load_model(workdir["model"])
+    history = [keys.index("i0"), keys.index("i1")]
+    res = run_cli(["recommend", "--model", str(workdir["model"]), "--history", "i1,i0",
+                   "--top-k", str(top_k)])
+    assert res.returncode == 0, res.stderr
+    xin = sp.csr_matrix((np.ones(2), sorted(history), [0, 2]), shape=(1, model.n_items))
+    scores = score_histories(model, xin)[0]
+    assert np.isfinite(scores).all()
+    assert res.stdout == _recommended_before(scores, sorted(history), top_k, keys)
+
+    res = run_cli(["recommend", "--model", str(workdir["model"]), "--history", "zzz",
+                   "--top-k", str(top_k), "--popularity", str(workdir["pop"])])
+    assert res.returncode == 0, res.stderr
+    pop = read_key_csv(workdir["pop"], {k: i for i, k in enumerate(keys)}, "item", "count", 0.0)[0]
+    assert res.stdout == _recommended_before(pop, [], top_k, keys)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_recommend_never_prints_a_history_item(tmp_path, bad):
+    # item e's column of B is NaN (or -inf): the ranking holds every item
+    # outside the history, e last, and no history item
+    keys = ["a", "b", "c", "d", "e"]
+    m = np.array([[1.0, 4.0, 2.0, 1.0, 0.0]] * 5)
+    m = m + m.T
+    m[:, 4] = m[4, :] = bad
+    model = DenseModel(p=pack(m), c=np.ones(5), lam=1.0)
+    save_model(tmp_path / "m.ease", model, item_keys=keys)
+    res = run_cli(["recommend", "--model", str(tmp_path / "m.ease"), "--history", "a,c",
+                   "--top-k", "5"])
+    assert res.returncode == 0, res.stderr
+    assert [line.split("\t")[1] for line in res.stdout.splitlines()] == ["b", "d", "e"]
+    assert res.stdout.splitlines()[-1] == f"3\te\t{float(bad)!r}"
 
 
 def test_recommend_with_weights(workdir, tmp_path):

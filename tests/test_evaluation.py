@@ -22,8 +22,8 @@ from gramrec import (
     grid_search_lambda,
     mask_model,
     popularity,
-    popularity_rank,
     popularity_weights,
+    rank_items,
     score_histories,
     solve_rr,
     solve_zero_diag,
@@ -73,9 +73,23 @@ def test_metrics_reject_empty_held_out():
         ndcg_at_k(np.arange(3), np.array([]), 2)
 
 
-def test_popularity_rank_stable_ties():
+def test_rank_items_stable_ties():
     pop = np.array([3.0, 5.0, 5.0, 1.0])
-    np.testing.assert_array_equal(popularity_rank(pop), [1, 2, 0, 3])
+    np.testing.assert_array_equal(rank_items(pop), [1, 2, 0, 3])
+
+
+_RANKED_SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RANKED_SCORES, max_size=12), st.data())
+def test_rank_items_is_a_filtered_stable_argsort(values, data):
+    # ties, NaN, ±inf and any set of excluded ids: the stable argsort of
+    # -s with the excluded ids taken out
+    s = np.array(values, dtype=np.float64)
+    exclude = data.draw(st.lists(st.integers(0, max(len(s) - 1, 0)), max_size=len(s)))
+    expected = [i for i in np.argsort(-s, kind="stable") if i not in exclude]
+    assert rank_items(s, exclude=exclude).tolist() == expected
 
 
 def test_score_histories_kinds(rng):

@@ -1,4 +1,5 @@
 import ast
+import csv
 import errno
 import re
 import tempfile
@@ -27,7 +28,7 @@ from gramrec import (
 )
 from gramrec.cli import _write_text, main
 from gramrec.data import _load_events, load_interactions, save_interactions
-from gramrec.files import read_key_csv, write_container
+from gramrec.files import read_key_csv, write_container, write_key_csv
 
 from conftest import assert_same_interactions, make_iset, matrix_from_dense, uniform_weights
 
@@ -275,6 +276,34 @@ def test_malformed_model_exits_2(tmp_path, capsys, case):
                  ["rescale", *data, "--model", str(path), "--output", str(tmp_path / "out")]):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+def _key_csv_before(path, comment, header, keys, values):
+    """The popularity and weights CSVs as their writers wrote them before
+    both came to call write_key_csv."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if comment:
+            fh.write(comment)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for key, val in zip(keys, values):
+            writer.writerow([key, repr(float(val))])
+
+
+def test_write_key_csv_writes_the_csvs_as_before(tmp_path):
+    keys = ["a", 'b,"quoted"', "line\nbreak", "ü"]
+    values = np.array([3.0, 0.1 + 0.2, 1e-300, 7.0])
+    write_key_csv(tmp_path / "pop.csv", keys, "item", "count", values)
+    _key_csv_before(tmp_path / "pop_before.csv", "", ["item", "count"], keys, values)
+    assert (tmp_path / "pop.csv").read_bytes() == (tmp_path / "pop_before.csv").read_bytes()
+    weights = replace(uniform_weights(4), w=values, kind="inverse_pop", alpha=0.5)
+    save_weights_csv(tmp_path / "w.csv", weights, keys)
+    _key_csv_before(tmp_path / "w_before.csv", "# kind=inverse_pop alpha=0.5\n", ["item", "weight"],
+                    keys, values)
+    assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "w_before.csv").read_bytes()
+    index = {key: i for i, key in enumerate(keys)}
+    got, comment = read_key_csv(tmp_path / "w.csv", index, "item", "weight", np.nan)
+    assert got.tobytes() == values.tobytes() and comment == "# kind=inverse_pop alpha=0.5\n"
 
 
 def test_container_format_is_decided_in_files_only():

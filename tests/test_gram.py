@@ -50,7 +50,7 @@ def test_only_plain_builders_target_g(rng):
     for stats in (
         build_gram(x, center=True),
         build_disjoint_gram(x),
-        build_disjoint_gram(x, explicit_lambda=False),
+        build_disjoint_gram(x, split_fraction=0.05),
     ):
         assert not stats.plain
 
@@ -130,7 +130,7 @@ def test_disjoint_small_example():
 def test_disjoint_exact_expectation_mode(rng):
     z = binary_matrix(rng, 20, 5)
     p = 0.1
-    stats = build_disjoint_gram(z, explicit_lambda=False, split_fraction=p)
+    stats = build_disjoint_gram(z, split_fraction=p)
     zz = z.matrix.toarray().T @ z.matrix.toarray()
     off = zz - np.diag(np.diag(zz))
     np.testing.assert_allclose(target_of(stats), p * (1 - p) * off, atol=1e-12)
@@ -156,7 +156,7 @@ def test_disjoint_reads_binary_off_the_matrix():
 def test_disjoint_rejects_bad_fraction(rng):
     z = binary_matrix(rng, 10, 4)
     with pytest.raises(DataError, match="fraction"):
-        build_disjoint_gram(z, explicit_lambda=False, split_fraction=1.0)
+        build_disjoint_gram(z, split_fraction=1.0)
 
 
 def test_unit_weights_bitwise_identical(rng):
@@ -233,7 +233,7 @@ def test_every_builder_packs_the_dense_lower_triangle(n_items, n_users, density,
         (build_gram(x, center=True), dense_gram(x.matrix, x.matrix)),
         (build_user_weighted_gram(x, w), dense_gram(x.matrix, xw)),
         (build_disjoint_gram(z), dense_gram(z.matrix, z.matrix)),
-        (build_disjoint_gram(z, explicit_lambda=False, split_fraction=p), exact),
+        (build_disjoint_gram(z, split_fraction=p), exact),
     ):
         assert stats.g.shape == (n_items * (n_items + 1) // 2,)
         assert stats.g.tobytes() == pack(expected).tobytes()

@@ -131,7 +131,7 @@ def test_centered_build_and_solve_hold_one_matrix(wide):
 BUILDS = {
     "center": lambda x: build_gram(x, center=True),
     "disjoint": build_disjoint_gram,
-    "exact": lambda x: build_disjoint_gram(x, explicit_lambda=False),
+    "exact": lambda x: build_disjoint_gram(x, split_fraction=0.05),
     "plain": build_gram,
 }
 

@@ -308,7 +308,7 @@ def test_every_target_reads_off_like_the_general_oracle(n_users, n_items, densit
         "plain": lambda: build_gram(x),
         "centered": lambda: build_gram(x, center=True),
         "disjoint": lambda: build_disjoint_gram(x),
-        "exact": lambda: build_disjoint_gram(x, explicit_lambda=False, split_fraction=0.2),
+        "exact": lambda: build_disjoint_gram(x, split_fraction=0.2),
     }[kind]()
     g, c = unpack(stats.g), target_of(stats)
     d = np.diag(g).max(initial=0.0) if stats.removed_diag else 0.0
@@ -352,7 +352,7 @@ def test_in_place_solve_is_bitwise_the_copying_one(rng, monkeypatch, solver, kin
         "plain": lambda: build_gram(x),
         "centered": lambda: build_gram(x, center=True),
         "disjoint": lambda: build_disjoint_gram(x),
-        "exact": lambda: build_disjoint_gram(x, explicit_lambda=False),
+        "exact": lambda: build_disjoint_gram(x, split_fraction=0.05),
         "user_weighted": lambda: build_user_weighted_gram(x, w),
     }[kind]
     def copying(gram, lam):
