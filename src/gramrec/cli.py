@@ -11,18 +11,19 @@ renamed, so a failed run leaves nothing half-written behind.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import gc
 import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .data import (
     DEDUP_POLICIES,
+    DEFAULT_FOLD_IN,
     InteractionSchema,
     InteractionSet,
     events_of,
@@ -38,6 +39,8 @@ from .data import (
 )
 from .errors import DataError, GramrecError, NumericalError
 from .evaluation import (
+    DEFAULT_NDCG_K,
+    DEFAULT_RECALL_KS,
     PopularityScorer,
     evaluate_model,
     evaluate_time_aware,
@@ -54,8 +57,9 @@ from .solver import (
     solve_rr,
     solve_zero_diag,
 )
-from .sparse import load_sparse_model, save_sparse_model, train_sparse
+from .sparse import DEFAULT_N_MAX, load_sparse_model, save_sparse_model, train_sparse
 from .weighting import (
+    DEFAULT_ALPHA,
     DEFAULT_EPSILON,
     apply_item_rescaling,
     load_weights_csv,
@@ -88,11 +92,6 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    with atomic_write(path) as fh:
-        fh.write(text)
-
-
 def _number(cast, ok, expected: str):
     """argparse type of a numeric option: ``cast`` parses the text, a float
     must be finite, and ``ok`` must hold of the value, which the message
@@ -123,30 +122,15 @@ def _int_at_least(low: int):
     return _number(int, lambda v: v >= low, f"an integer of at least {low}")
 
 
-def _positive_floats(text: str) -> list[float]:
-    """argparse type of --lambda-grid: a non-empty comma-separated list of
-    finite numbers above 0."""
-    values = [_positive_float(v) for v in text.split(",") if v.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
-    return values
-
-
-def _cutoff_list(text: str) -> list[int]:
-    """argparse type of --recall-ks: a non-empty comma-separated list of
-    integers of at least 1."""
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one cutoff, got {text!r}")
-    if not all(v.is_integer() for v in values):
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not all(v >= 1 for v in values):
-        raise argparse.ArgumentTypeError(f"expected cutoffs of at least 1, got {text!r}")
-    return [int(v) for v in values]
+def _list_of(item, what: str):
+    """argparse type of a list option: comma-separated entries, each parsed
+    by the scalar type ``item``, and at least one ``what``."""
+    def parse(text: str) -> list:
+        values = [item(v) for v in text.split(",") if v.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one {what}, got {text!r}")
+        return values
+    return parse
 
 
 def _schema_from_args(args) -> InteractionSchema | None:
@@ -262,8 +246,8 @@ def cmd_train(args) -> int:
                                                  solver=solver_fn)
         _log(f"phase grid search: {time.perf_counter() - t0:.2f}s")
         for val in sorted(reports):
-            mean, stderr = reports[val].metrics["ndcg@100"]
-            _log(f"grid lambda={val:g}: ndcg@100 = {mean:.5f} (stderr {stderr:.5f})")
+            mean, stderr = reports[val].metrics[f"ndcg@{DEFAULT_NDCG_K}"]
+            _log(f"grid lambda={val:g}: ndcg@{DEFAULT_NDCG_K} = {mean:.5f} (stderr {stderr:.5f})")
         _log(f"grid search chose lambda={lam:g}")
     else:
         lam = getattr(args, "lambda")
@@ -354,7 +338,8 @@ def cmd_evaluate(args) -> int:
                                      epsilon=args.epsilon, **cutoffs)
     sys.stdout.write(report.to_text())
     if args.report_json is not None:
-        _write_text(args.report_json, report.to_json())
+        with atomic_write(args.report_json) as fh:
+            fh.write(report.to_json())
         _log(f"report -> {args.report_json}")
     return 0
 
@@ -368,13 +353,14 @@ def cmd_recommend(args) -> int:
         if not isinstance(model, DenseModel):
             raise DataError("--weights applies to dense model files")
         model = apply_item_rescaling(model, load_weights_csv(args.weights, item_index))
-    ids = []
-    for key in filter(None, args.history.split(",")):
-        if key in item_index:
-            ids.append(item_index[key])
-        else:
+    try:
+        history = next(csv.reader([args.history]), [])
+    except csv.Error as exc:  # a line break outside quotes
+        raise UsageError(f"--history is not one comma-separated record: {exc}") from None
+    for key in filter(None, history):
+        if key not in item_index:
             _log(f"warning: unknown item key {key!r} dropped from history")
-    ids = sorted(set(ids))
+    ids = sorted({item_index[key] for key in filter(None, history) if key in item_index})
     if not ids:
         if args.popularity is None:
             raise DataError("history is empty after dropping unknown keys and no --popularity "
@@ -384,8 +370,9 @@ def cmd_recommend(args) -> int:
     xin = sp.csr_matrix((np.ones(len(ids)), np.asarray(ids, dtype=np.int64), [0, len(ids)]),
                         shape=(1, model.n_items))
     scores = score_histories(model, xin)[0]
-    for rank, item in enumerate(rank_items(scores, exclude=ids)[:args.top_k].tolist()):
-        sys.stdout.write(f"{rank + 1}\t{item_keys[item]}\t{float(scores[item])!r}\n")
+    out = csv.writer(sys.stdout, delimiter="\t", lineterminator="\n")
+    for rank, item in enumerate(rank_items(scores, exclude=ids)[:args.top_k].tolist(), 1):
+        out.writerow([rank, item_keys[item], repr(float(scores[item]))])
     return 0
 
 
@@ -411,10 +398,10 @@ def _add_data_options(p) -> None:
 def _add_split_options(p, required: bool = True) -> None:
     p.add_argument("--split-dir", dest="split_dir", required=required,
                    help="directory written by the split command")
-    p.add_argument("--fold-in", dest="fold_in", type=_open_unit_float, default=0.8,
-                   help="fraction in (0, 1) of each evaluation row fed to the model (default 0.8)")
+    p.add_argument("--fold-in", dest="fold_in", type=_open_unit_float, default=DEFAULT_FOLD_IN,
+                   help="fraction in (0, 1) of each evaluation row fed to the model (default %(default)s)")
     p.add_argument("--seed", type=_int_at_least(0), default=0,
-                   help="seed for all randomness (default 0)")
+                   help="seed for all randomness (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="raw CSV/TSV file with a header row")
     p.add_argument("--output", required=True, help="canonical CSV to write")
     p.add_argument("--format", choices=("csv", "tsv"), default="csv",
-                   help="input delimiter (default csv)")
+                   help="input delimiter (default %(default)s)")
     p.add_argument("--user-col", dest="user_col")
     p.add_argument("--item-col", dest="item_col")
     p.add_argument("--value-col", dest="value_col")
@@ -436,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop events with value below this before anything else")
     p.add_argument("--binarize", action="store_true", help="write all kept values as 1.0")
     p.add_argument("--dedup", choices=DEDUP_POLICIES, default="keep_max",
-                   help="duplicate (user,item) policy (default keep_max)")
+                   help="duplicate (user,item) policy (default %(default)s)")
     p.add_argument("--min-user-events", dest="min_user_events", type=_int_at_least(0), default=0)
     p.add_argument("--min-item-events", dest="min_item_events", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_ingest)
@@ -455,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="model file to write")
     lam = p.add_mutually_exclusive_group(required=True)
     lam.add_argument("--lambda", type=_positive_float, help="regularization strength")
-    lam.add_argument("--lambda-grid", dest="lambda_grid", type=_positive_floats,
+    lam.add_argument("--lambda-grid", dest="lambda_grid", type=_list_of(_positive_float, "number"),
                      help="comma-separated candidates; best on validation users wins")
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default="zero-diag",
                    help="rr or zero-diag (default)")
@@ -479,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=_positive_float, required=True)
     p.add_argument("--threshold", type=_non_negative_float, required=True,
                    help="minimum |correlation| kept in the pattern")
-    p.add_argument("--n-max", dest="n_max", type=_int_at_least(1), default=1000,
-                   help="per-column cap (default 1000)")
+    p.add_argument("--n-max", dest="n_max", type=_int_at_least(1), default=DEFAULT_N_MAX,
+                   help="per-column cap (default %(default)s)")
     p.set_defaults(func=cmd_train_sparse)
 
     p = sub.add_parser("rescale", help="build item weights and optionally a rescaled model")
@@ -489,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="trained dense model file")
     p.add_argument("--mode", choices=("remove-pop", "time"), default="remove-pop",
                    help="remove-pop (default) or time")
-    p.add_argument("--alpha", type=_unit_float, default=0.5,
-                   help="re-scaling exponent in [0, 1] (default 0.5)")
+    p.add_argument("--alpha", type=_unit_float, default=DEFAULT_ALPHA,
+                   help="re-scaling exponent in [0, 1] (default %(default)s)")
     p.add_argument("--epsilon", type=_non_negative_float, default=DEFAULT_EPSILON,
                    help="additive popularity smoothing, at least 0")
     p.add_argument("--intervals", type=_int_at_least(1),
@@ -509,14 +496,15 @@ def build_parser() -> argparse.ArgumentParser:
     scorer.add_argument("--baseline", choices=("popularity",),
                         help="score by training popularity")
     p.add_argument("--users", choices=("test", "validation"), default="test")
-    p.add_argument("--recall-ks", dest="recall_ks", type=_cutoff_list, default="20,50",
-                   help="comma-separated cutoffs (default 20,50)")
-    p.add_argument("--ndcg-k", dest="ndcg_k", type=_int_at_least(1), default=100,
-                   help="gain cutoff (default 100)")
+    p.add_argument("--recall-ks", dest="recall_ks", type=_list_of(_int_at_least(1), "cutoff"),
+                   default=",".join(map(str, DEFAULT_RECALL_KS)),
+                   help="comma-separated cutoffs (default %(default)s)")
+    p.add_argument("--ndcg-k", dest="ndcg_k", type=_int_at_least(1), default=DEFAULT_NDCG_K,
+                   help="gain cutoff (default %(default)s)")
     p.add_argument("--time-intervals", dest="time_intervals", type=_int_at_least(1),
                    help="evaluate per event with interval popularity re-scaling")
-    p.add_argument("--alpha", type=_unit_float, default=0.5,
-                   help="re-scaling exponent in [0, 1] for --time-intervals")
+    p.add_argument("--alpha", type=_unit_float, default=DEFAULT_ALPHA,
+                   help="re-scaling exponent in [0, 1] for --time-intervals (default %(default)s)")
     p.add_argument("--epsilon", type=_non_negative_float, default=DEFAULT_EPSILON,
                    help="additive popularity smoothing for --time-intervals, at least 0")
     p.add_argument("--report-json", dest="report_json", help="write the report as JSON here")
@@ -524,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recommend", help="top-k items for an ad-hoc history")
     p.add_argument("--model", required=True, help="model file (dense or sparse)")
-    p.add_argument("--history", default="", help="comma-separated item keys")
+    p.add_argument("--history", default="", help="item keys as one comma-separated CSV record")
     p.add_argument("--top-k", dest="top_k", type=_int_at_least(0), default=10)
     p.add_argument("--weights", help="item weight CSV applied by column scaling")
     p.add_argument("--popularity", help="popularity CSV for the empty-history fallback")

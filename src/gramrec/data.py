@@ -30,6 +30,7 @@ from .errors import DataError
 from .files import atomic_write, read_container, write_container
 
 DEDUP_POLICIES = ("keep_max", "keep_last", "error")
+DEFAULT_FOLD_IN = 0.8  # fraction of an evaluated row fed to the model
 _CHUNK_CHARS = 1 << 16  # characters of whole lines parsed at a time
 _TIMESTAMP_BOUND = 2.0**63  # timestamps are int64
 _ROWS_PER_WRITE = 4096  # canonical CSV rows per file write
@@ -113,7 +114,7 @@ class SplitSpec:
     train_users: np.ndarray
     validation_users: np.ndarray
     test_users: np.ndarray
-    fold_in_fraction: float = 0.8
+    fold_in_fraction: float = DEFAULT_FOLD_IN
     seed: int = 0
 
     def users(self, which: str) -> np.ndarray:
@@ -595,13 +596,13 @@ def popularity(iset: InteractionSet, user_subset: np.ndarray | None = None) -> n
     item's sum runs in event order."""
     items, values = iset.item_ids, iset.values
     if user_subset is not None:
-        events = _of_users(iset, user_subset)
+        events = user_event_mask(iset, user_subset)
         items, values = items[events], values[events]
     pop = np.bincount(items, weights=values, minlength=iset.n_items)
     return pop.astype(np.float64, copy=False)  # bincount gives int64 zeros for no events
 
 
-def _of_users(iset: InteractionSet, user_subset: np.ndarray) -> np.ndarray:
+def user_event_mask(iset: InteractionSet, user_subset: np.ndarray) -> np.ndarray:
     """Whether each event's user is in ``user_subset``."""
     member = np.zeros(iset.n_users, dtype=bool)
     member[np.asarray(user_subset, dtype=np.intp)] = True
@@ -611,7 +612,7 @@ def _of_users(iset: InteractionSet, user_subset: np.ndarray) -> np.ndarray:
 def events_of(iset: InteractionSet, user_subset: np.ndarray) -> InteractionSet:
     """The events of the users in ``user_subset``, in their order, with the
     ids and key tables of ``iset``."""
-    keep = _of_users(iset, user_subset)
+    keep = user_event_mask(iset, user_subset)
     return replace(iset, user_ids=iset.user_ids[keep], item_ids=iset.item_ids[keep],
                    values=iset.values[keep],
                    timestamps=None if iset.timestamps is None else iset.timestamps[keep])
@@ -634,7 +635,7 @@ def time_intervals(
         raise DataError("n_intervals must be >= 1")
     if iset.timestamps is None:
         raise DataError("events carry no timestamps; a time column is required")
-    ev = np.flatnonzero(_of_users(iset, user_subset))
+    ev = np.flatnonzero(user_event_mask(iset, user_subset))
     if len(ev) == 0:
         raise DataError("user subset has no events")
     ev = ev[np.argsort(iset.timestamps[ev], kind="stable")]
@@ -672,7 +673,7 @@ def save_split_files(split_dir: str | Path, split: SplitSpec, user_keys: list[st
 def load_split_files(
     split_dir: str | Path,
     user_index: dict[str, int],
-    fold_in_fraction: float = 0.8,
+    fold_in_fraction: float = DEFAULT_FOLD_IN,
     seed: int = 0,
 ) -> SplitSpec:
     """Read user-key files back into a :class:`SplitSpec` over dense ids.

@@ -43,7 +43,7 @@ from .data import (
     SplitSpec,
     TimeIntervalIndex,
     UserItemMatrix,
-    _of_users,
+    user_event_mask,
 )
 from .errors import DataError
 from .gram import PANEL, GramStats
@@ -52,6 +52,7 @@ from .sparse import SparseModel
 from .weighting import DEFAULT_EPSILON, time_popularity_weights
 
 _CHUNK = 1 << 16  # floats per score block (_CHUNK // PANEL users) and per comparison block
+DEFAULT_RECALL_KS, DEFAULT_NDCG_K = (20, 50), 100  # the paper's cutoffs
 
 
 @dataclass
@@ -424,8 +425,8 @@ def evaluate_model(
     model,
     matrix: UserItemMatrix,
     split: SplitSpec,
-    recall_ks: tuple[int, ...] = (20, 50),
-    ndcg_k: int = 100,
+    recall_ks: tuple[int, ...] = DEFAULT_RECALL_KS,
+    ndcg_k: int = DEFAULT_NDCG_K,
     users: str = "test",
 ) -> EvalReport:
     """Strong-generalization report for a dense, sparse, or popularity model.
@@ -447,8 +448,8 @@ def evaluate_time_aware(
     intervals: TimeIntervalIndex,
     alpha: float,
     epsilon: float = DEFAULT_EPSILON,
-    recall_ks: tuple[int, ...] = (20, 50),
-    ndcg_k: int = 100,
+    recall_ks: tuple[int, ...] = DEFAULT_RECALL_KS,
+    ndcg_k: int = DEFAULT_NDCG_K,
     users: str = "test",
 ) -> EvalReport:
     """Per-event protocol with interval-dependent popularity re-scaling.
@@ -477,7 +478,7 @@ def evaluate_time_aware(
     if model.n_items != iset.n_items:
         raise DataError(f"model has {model.n_items} items, events cover {iset.n_items}")
     # the evaluated users' entries to_user_item_matrix stores, by user and item
-    order = np.flatnonzero(_of_users(iset, split.users(users)) & (iset.values != 0))
+    order = np.flatnonzero(user_event_mask(iset, split.users(users)) & (iset.values != 0))
     order = order[np.lexsort((iset.item_ids[order], iset.user_ids[order]))]
     indptr = np.append(0, np.cumsum(np.bincount(iset.user_ids[order], minlength=iset.n_users)))
     folds = _draw_folds(indptr, iset.item_ids[order], iset.values[order], iset.n_items, split,
@@ -523,7 +524,6 @@ def grid_search_lambda(
         raise DataError("empty lambda grid")
     if not all(0 < l < np.inf for l in lams):
         raise DataError("all grid lambdas must be positive and finite")
-    recall_ks, ndcg_k = (20, 50), 100
     csr = matrix.matrix
     folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, "validation")
     _require_users(folds.xin.shape[0], folds.n_skipped, "validation")  # before any G is built
@@ -533,9 +533,9 @@ def grid_search_lambda(
     for lam in lams:
         model = None  # before the next G is built
         model = solver(build(), lam)
-        report = _evaluate(model, folds, recall_ks, ndcg_k)
+        report = _evaluate(model, folds, DEFAULT_RECALL_KS, DEFAULT_NDCG_K)
         reports[lam] = report
-        score = report.metrics[f"ndcg@{ndcg_k}"][0]
+        score = report.metrics[f"ndcg@{DEFAULT_NDCG_K}"][0]
         if score > best_score:
             best_score, best_lam = score, lam
     if best_lam != lams[-1]:

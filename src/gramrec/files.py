@@ -39,7 +39,6 @@ _VERSION = 1
 _HEAD = struct.Struct("<4sIQQ")  # magic, version, item count, header length
 _DIGEST_SIZE = 32  # the sha256 that follows the head
 _DTYPES = ("<f8", "<i8")
-_OLD_MAGIC = {b"EASE": "dense model", b"EASP": "sparse model"}  # formats containers replaced
 
 
 @contextmanager
@@ -158,11 +157,7 @@ def _read_header(fh, path, size: int):
     item count, the header, and each array's (name, dtype, shape)."""
     head = fh.read(_HEAD.size + _DIGEST_SIZE)
     if head[:4] != _MAGIC:
-        magic = head[:4]
-        if magic in _OLD_MAGIC:
-            raise DataError(f"{path}: a {_OLD_MAGIC[magic]} file in the format before "
-                            f"containers (magic {magic!r}); write it again")
-        raise DataError(f"{path}: not a gramrec container (magic {magic!r})")
+        raise DataError(f"{path}: not a gramrec container (magic {head[:4]!r})")
     if len(head) < _HEAD.size + _DIGEST_SIZE:
         raise DataError(f"{path}: truncated container")
     _, version, n_items, header_len = _HEAD.unpack_from(head)

@@ -84,25 +84,18 @@ def _product_rows(xt: sp.csr_matrix, y: sp.csr_matrix, lo: int, hi: int) -> np.n
 
 
 def _gram(x: sp.csr_matrix, xw: sp.csr_matrix) -> np.ndarray:
-    """The symmetrized product ½(XᵀXw + XwᵀX), accumulated in float64 over
-    ascending user ids, packed (see :mod:`gramrec.packed`).  It is made one
-    row panel at a time, of at most PANEL rows and a quarter of the rows,
-    and only the panel's lower triangle is stored; no n×n array is
-    allocated.  XᵀX is exactly symmetric, so without weights the panel is
-    the product's own rows."""
+    """The product XᵀXw, accumulated in float64 over ascending user ids and
+    packed (see :mod:`gramrec.packed`), so symmetric by storage: it is made
+    one row panel at a time, of at most PANEL rows and a quarter of the
+    rows, and only the panel's lower triangle is stored; no n×n array is
+    allocated.  XᵀX is exactly symmetric; XᵀWX differs from its transpose
+    only at round-off, and not at all for binary X."""
     xt = x.T.tocsr()
-    xwt = None if xw is x else xw.T.tocsr()
     n = xt.shape[0]
     g = np.empty(packed.size(n))
     step = max(1, min(PANEL, -(-n // 4)))  # a panel is at most a quarter of n² floats
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        panel = _product_rows(xt, xw, lo, hi)
-        if xwt is not None:
-            panel += _product_rows(xwt, x, lo, hi)  # rows of the transpose: same products
-            panel *= 0.5
-        packed.write_rows(g, lo, panel)
-        del panel  # before the next panel is allocated
+    for lo in range(0, n, step):  # each panel is freed before the next is made
+        packed.write_rows(g, lo, _product_rows(xt, xw, lo, min(lo + step, n)))
     return g
 
 

@@ -241,13 +241,11 @@ def load_model(path: str | Path, verify: bool = False) -> tuple[DenseModel, list
     when the file was written without a key table).  With ``verify``, as
     every command reads it, a file whose bytes fail its sha256 is refused;
     without, the arrays are used as stored, so in-process checks of B see
-    them.  A file that holds B itself, the layout before models held P, is
-    refused, and so is one whose variant disagrees with its ``kappa``."""
+    them.  A file without the arrays and metadata a model is read off (see
+    :func:`save_model`) is refused, and so is one whose variant disagrees
+    with its ``kappa``."""
     c = read_container(path, "dense_model", verify)
     n = c.n_items
-    if "b" in c.arrays:
-        raise DataError(f"{path}: a dense model file in the layout that holds B (array 'b') "
-                        "and not packed P; train the model again")
     variant = c.scalar("variant", str, (VARIANT_RR, VARIANT_ZERO_DIAG))
     kappa = c.scalar("kappa", float) if "kappa" in c.meta else None
     if (kappa is not None) != (variant == VARIANT_RR):

@@ -37,6 +37,8 @@ from .files import read_container, write_container
 from .gram import PANEL, GramStats
 from .solver import DenseModel, solve_zero_diag
 
+DEFAULT_N_MAX = 1000  # entries a column of the pattern keeps at most
+
 
 @dataclass
 class SparsityPattern:
@@ -150,7 +152,7 @@ def correlation_from_gram(gram: GramStats) -> CorrelationMatrix:
 
 
 def threshold_pattern(
-    m: np.ndarray | CorrelationMatrix, theta: float, n_max: int = 1000
+    m: np.ndarray | CorrelationMatrix, theta: float, n_max: int = DEFAULT_N_MAX
 ) -> SparsityPattern:
     """A_ij = 1 where |m_ij| reaches theta, capped per column.
 

@@ -21,6 +21,7 @@ from .files import read_key_csv, write_key_csv
 from .solver import (KIND_INVERSE_POP, KIND_TIME_ADJUSTED, KIND_UNIFORM, VARIANT_ZERO_DIAG,
                      WEIGHT_KINDS, DenseModel, ItemWeightVector)
 
+DEFAULT_ALPHA = 0.5  # a good operating point on the public rating datasets
 DEFAULT_EPSILON = 1e-9
 
 
@@ -46,9 +47,9 @@ def popularity_weights(
 ) -> ItemWeightVector:
     """w_i = 1/(pop_i + epsilon)^alpha, unnormalized.
 
-    Normalization is irrelevant for ranking, so none is applied.  alpha=0.5
-    is a good operating point on the public rating datasets; epsilon keeps
-    weights finite for items nobody interacted with.
+    Normalization is irrelevant for ranking, so none is applied
+    (:data:`DEFAULT_ALPHA` is a good alpha); epsilon keeps weights finite
+    for items nobody interacted with.
     """
     _check_options(alpha, epsilon)
     with np.errstate(divide="ignore", invalid="ignore"):  # _checked rejects nan/inf

@@ -11,8 +11,8 @@ routes is the point of the tests.
 P·C product and rank correction that the solvers avoid by reading every
 model off P; ``target_of`` writes out the C that Gram statistics describe.
 ``dense_gram`` is the Gram builder as it was before G was packed: the
-whole n×n product, symmetrised in place; every builder's packed G must be
-its lower triangle bit for bit.
+whole n×n product; every builder's packed G must be its lower triangle
+bit for bit.
 
 The ``*_reference`` functions are the sparse trainer's steps as whole-matrix
 code: one dense correlation matrix, a column loop over it, and one COO sum
@@ -134,20 +134,15 @@ def invert_regularized_copying(g: np.ndarray, lam: float) -> np.ndarray:
 
 
 def dense_gram(x: sp.csr_matrix, xw: sp.csr_matrix) -> np.ndarray:
-    """Densified, symmetrized XᵀXw over ascending user ids as the builders
-    made it in full storage: the product one row panel of Xᵀ at a time,
-    then g ← 0.5·(g + gᵀ) in row panels."""
+    """Densified XᵀXw over ascending user ids as the builders made it in
+    full storage, one row panel of Xᵀ at a time.  It is not symmetrised:
+    that is a no-op for XᵀX, which is exactly symmetric, and packed G
+    keeps the lower triangle of XᵀWX alone."""
     xt = x.T.tocsr()
     n = xt.shape[0]
     g = np.empty((n, n), dtype=np.float64)
     for lo in range(0, n, PANEL):
         (xt[lo : lo + PANEL] @ xw).astype(np.float64, copy=False).toarray(out=g[lo : lo + PANEL])
-    for lo in range(0, n, PANEL):
-        hi = min(lo + PANEL, n)
-        half = g[lo:hi, lo:] + g[lo:, lo:hi].T
-        half *= 0.5
-        g[lo:hi, lo:] = half
-        g[lo:, lo:hi] = half.T
     return g
 
 

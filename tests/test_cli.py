@@ -1,6 +1,8 @@
 import csv
 import filecmp
 import gc
+import inspect
+import io
 import json
 import os
 import re
@@ -23,6 +25,7 @@ from gramrec import (
     load_sparse_model,
     load_split_files,
     load_weights_csv,
+    rank_items,
     save_model,
     score_histories,
     time_intervals,
@@ -31,8 +34,12 @@ from gramrec import (
 )
 import gramrec.cli
 from gramrec.cli import main
+from gramrec.data import DEFAULT_FOLD_IN, SplitSpec
+from gramrec.evaluation import DEFAULT_NDCG_K, DEFAULT_RECALL_KS, evaluate_model, evaluate_time_aware
 from gramrec.files import read_key_csv
 from gramrec.packed import pack
+from gramrec.sparse import DEFAULT_N_MAX, threshold_pattern
+from gramrec.weighting import DEFAULT_ALPHA
 
 from conftest import (SRC, child_env, evaluate_time_aware_reference, general_solve,
                       invert_regularized_copying, run_cli)
@@ -279,14 +286,17 @@ def test_negative_epsilon_exits_1(workdir, tmp_path, argv):
     assert not (tmp_path / "w.csv").exists()
 
 
-@pytest.mark.parametrize("cutoffs", ["2.5", "0.9", "20,1e400"])
+@pytest.mark.parametrize("cutoffs", ["2.5", "0.9", "20,1e400", "20.0"])
 def test_evaluate_rejects_fractional_cutoffs(workdir, cutoffs):
+    # each entry is parsed as --ndcg-k is, so 20.0 is refused as it is there,
+    # and the message names the bad entry
+    entry = cutoffs.split(",")[-1]
     res = run_cli([
         "evaluate", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
         "--model", str(workdir["model"]), "--recall-ks", cutoffs,
     ])
     assert res.returncode == 1
-    assert "argument --recall-ks: expected comma-separated integers" in res.stderr
+    assert f"argument --recall-ks: expected an integer, got {entry!r}" in res.stderr
 
 
 def test_evaluate_model_data_mismatch(workdir):
@@ -969,6 +979,73 @@ def test_recommend_never_prints_a_history_item(tmp_path, bad):
     assert res.stdout.splitlines()[-1] == f"3\te\t{float(bad)!r}"
 
 
+_QUOTED_KEYS = ["a,b", "c", "x\ty", 'q"x', "l\nb", '"q']  # what a CSV field can hold
+
+
+def _quoted_keys_model(path):
+    """A dense model over _QUOTED_KEYS whose every score is finite."""
+    n = len(_QUOTED_KEYS)
+    m = np.arange(1.0, n * n + 1).reshape(n, n)
+    save_model(path, DenseModel(p=pack(m + m.T), c=np.ones(n), lam=1.0), item_keys=_QUOTED_KEYS)
+
+
+def test_recommend_reads_the_history_as_one_csv_record(tmp_path, capsys):
+    # a key holding a comma, a quote or a line break, or starting with a
+    # quote, is named quoted; each is taken out of the ranking
+    _quoted_keys_model(tmp_path / "m.ease")
+    for history, named in [('"a,b"', ["a,b"]), ('c,"q""x","l\nb"', ["c", 'q"x', "l\nb"]),
+                           ('"""q"', ['"q'])]:
+        assert main(["recommend", "--model", str(tmp_path / "m.ease"), "--history", history,
+                     "--top-k", "9"]) == 0
+        out, err = capsys.readouterr()
+        assert "warning" not in err
+        ranked = [row[1] for row in csv.reader(io.StringIO(out, newline=""), delimiter="\t")]
+        assert sorted(ranked + named) == sorted(_QUOTED_KEYS)
+    # a line break outside quotes is no CSV record: a usage error
+    assert main(["recommend", "--model", str(tmp_path / "m.ease"), "--history", "c\nd"]) == 1
+    assert "--history is not one comma-separated record" in capsys.readouterr().err
+
+
+def test_recommend_quotes_the_keys_it_prints(tmp_path, capsys):
+    # every line is three tab-separated fields, a key with a tab, a quote
+    # or a line break quoted as the csv module quotes it
+    _quoted_keys_model(tmp_path / "m.ease")
+    assert main(["recommend", "--model", str(tmp_path / "m.ease"), "--history", "c"]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out, newline=""), delimiter="\t"))
+    assert [len(row) for row in rows] == [3] * 5
+    assert [int(row[0]) for row in rows] == [1, 2, 3, 4, 5]
+    assert sorted(row[1] for row in rows) == sorted(set(_QUOTED_KEYS) - {"c"})
+    assert '\t"x\ty"\t' in out and '\t"q""x"\t' in out and '\t"l\nb"\t' in out
+    assert len(out.split("\n")) == 5 + 1 + 1  # the quoted line break, and the last newline
+
+
+def test_recommend_prints_plain_keys_as_before(workdir, tmp_path, capsys):
+    # plain keys print as f"{rank}\t{key}\t{score!r}\n", with a dense and a
+    # sparse model and with the popularity fallback
+    sparse_model = tmp_path / "m.easp"
+    assert main(["train-sparse", "--data", str(workdir["data"]), "--split-dir",
+                 str(workdir["splits"]), "--lambda", "2.0", "--threshold", "0.1",
+                 "--output", str(sparse_model)]) == 0
+    keys = load_model(workdir["model"])[1]
+    index = {k: i for i, k in enumerate(keys)}
+    pop = read_key_csv(workdir["pop"], index, "item", "count", 0.0)[0]
+    dense, sparse = load_model(workdir["model"])[0], load_sparse_model(sparse_model)[0]
+    for path, model, history in [(workdir["model"], dense, ["i3", "i0"]),
+                                 (sparse_model, sparse, ["i3", "i0"]),
+                                 (workdir["model"], None, ["zzz"])]:
+        assert main(["recommend", "--model", str(path), "--history", ",".join(history),
+                     "--top-k", "20", "--popularity", str(workdir["pop"])]) == 0
+        ids, scores = [], pop
+        if model is not None:
+            ids = sorted(index[k] for k in history)
+            xin = sp.csr_matrix((np.ones(len(ids)), ids, [0, len(ids)]), shape=(1, len(keys)))
+            scores = score_histories(model, xin)[0]
+        expected = "".join(f"{rank}\t{keys[i]}\t{float(scores[i])!r}\n" for rank, i in
+                           enumerate(rank_items(scores, exclude=ids).tolist(), 1))
+        assert capsys.readouterr().out == expected
+
+
 def test_recommend_with_weights(workdir, tmp_path):
     weights = tmp_path / "weights.csv"
     res = run_cli([
@@ -1064,11 +1141,14 @@ def test_non_finite_options_exit_1(capsys, argv, flag):
     (["evaluate", *_D, "--model", "m", "--time-intervals", "2", "--epsilon=-1"],
      "argument --epsilon: expected a non-negative number"),
     (["evaluate", *_D, "--model", "m", "--recall-ks", "2.5"],
-     "argument --recall-ks: expected comma-separated integers"),
+     "argument --recall-ks: expected an integer, got '2.5'"),
     (["evaluate", *_D, "--model", "m", "--recall-ks", "20,x"],
-     "argument --recall-ks: expected comma-separated numbers"),
+     "argument --recall-ks: expected an integer, got 'x'"),
+    (["evaluate", *_D, "--model", "m", "--recall-ks", "20.0"],
+     "argument --recall-ks: expected an integer, got '20.0'"),
 ], ids=["rescale-alpha-above", "rescale-alpha-below", "rescale-epsilon", "evaluate-alpha",
-        "evaluate-epsilon", "evaluate-recall-ks-fraction", "evaluate-recall-ks-word"])
+        "evaluate-epsilon", "evaluate-recall-ks-fraction", "evaluate-recall-ks-word",
+        "evaluate-recall-ks-float"])
 def test_out_of_range_options_exit_1_before_reading(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -1092,7 +1172,7 @@ def test_out_of_range_options_exit_1_before_reading(capsys, argv, message):
     (["evaluate", *_D, "--model", "m", "--ndcg-k", "0"],
      "argument --ndcg-k: expected an integer of at least 1"),
     (["evaluate", *_D, "--model", "m", "--recall-ks", "20,0"],
-     "argument --recall-ks: expected cutoffs of at least 1"),
+     "argument --recall-ks: expected an integer of at least 1, got '0'"),
     (["evaluate", *_D, "--model", "m", "--recall-ks", ","],
      "argument --recall-ks: expected at least one cutoff"),
     (["evaluate", *_D, "--model", "m", "--recall-ks="],
@@ -1142,6 +1222,38 @@ def test_every_numeric_option_is_range_checked():
     bare = [f"{name} {action.option_strings[0]}" for name, command in commands.items()
             for action in command._actions if action.type in (float, int)]
     assert bare == []
+
+
+def test_cli_defaults_are_the_library_constants():
+    """Each default the CLI shares with the library is its one constant,
+    which the library's own defaults read too, and help shows it by
+    %(default)s instead of restating it."""
+    parser = gramrec.cli.build_parser()
+    evaluate = parser.parse_args(["evaluate", *_D, "--model", "m", "--time-intervals", "2"])
+    assert evaluate.recall_ks == list(DEFAULT_RECALL_KS) == [20, 50]
+    assert evaluate.ndcg_k == DEFAULT_NDCG_K == 100
+    assert evaluate.fold_in == DEFAULT_FOLD_IN == 0.8  # perfbench relies on the 0.8
+    assert evaluate.alpha == DEFAULT_ALPHA == 0.5
+    rescale = parser.parse_args(["rescale", *_D, "--model", "m", "--weights-out", "w"])
+    assert rescale.alpha == DEFAULT_ALPHA and rescale.fold_in == DEFAULT_FOLD_IN
+    sparse = parser.parse_args(["train-sparse", *_D, "--output", "m", "--lambda", "1",
+                                "--threshold", "0.1"])
+    assert sparse.n_max == DEFAULT_N_MAX == 1000
+    library = {
+        (evaluate_model, "recall_ks"): DEFAULT_RECALL_KS,
+        (evaluate_model, "ndcg_k"): DEFAULT_NDCG_K,
+        (evaluate_time_aware, "recall_ks"): DEFAULT_RECALL_KS,
+        (evaluate_time_aware, "ndcg_k"): DEFAULT_NDCG_K,
+        (load_split_files, "fold_in_fraction"): DEFAULT_FOLD_IN,
+        (SplitSpec, "fold_in_fraction"): DEFAULT_FOLD_IN,
+        (threshold_pattern, "n_max"): DEFAULT_N_MAX,
+    }
+    for (fn, name), constant in library.items():
+        assert inspect.signature(fn).parameters[name].default is constant, (fn, name)
+    restated = [f"{name} {action.option_strings[0]}" for name, command in parser.commands.items()
+                for action in command._actions if action.default is not None
+                and "(default " in (action.help or "") and "%(default)s" not in action.help]
+    assert restated == []
 
 
 @pytest.mark.parametrize("command", ["train", "train-sparse"])

@@ -26,9 +26,9 @@ from gramrec import (
     solve_zero_diag,
     train_sparse,
 )
-from gramrec.cli import _write_text, main
+from gramrec.cli import main
 from gramrec.data import _load_events, load_interactions, save_interactions
-from gramrec.files import read_key_csv, write_container, write_key_csv
+from gramrec.files import atomic_write, read_key_csv, write_container, write_key_csv
 
 from conftest import assert_same_interactions, make_iset, matrix_from_dense, uniform_weights
 
@@ -67,6 +67,12 @@ def _stats():
     return build_gram(x)
 
 
+def _write_report(path):
+    """Write a report as `evaluate --report-json` does: text, atomically."""
+    with atomic_write(path) as fh:
+        fh.write('{"metrics": {}}\n')
+
+
 _SPLIT = SplitSpec(
     train_users=np.array([0, 1, 2]),
     validation_users=np.array([3]),
@@ -78,7 +84,7 @@ _SPLIT = SplitSpec(
 _WRITERS = {
     "ingest": lambda t, data: main(["ingest", "--input", str(data), "--output", str(t)]),
     "popularity": lambda t, data: main(["popularity", "--data", str(data), "--output", str(t)]),
-    "report_json": lambda t, data: _write_text(t, '{"metrics": {}}\n'),
+    "report_json": lambda t, data: _write_report(t),
     "model": lambda t, data: save_model(t, solve_zero_diag(_stats(), 1.0), ["a", "b", "c"]),
     "sparse_model": lambda t, data: save_sparse_model(
         t, train_sparse(_stats(), theta=0.0, n_max=3, lam=1.0), ["a", "b", "c"]
@@ -221,10 +227,9 @@ def _dense_model_file(path, meta, arrays, items=None):
 
 # Each writes a malformed model file; loading it is a DataError naming what is wrong.
 MALFORMED = {
-    "old_format": (_old_dense_model, "a dense model file in the format before containers"),
+    "old_format": (_old_dense_model, "not a gramrec container (magic b'EASE')"),
     "b_layout": (lambda p: _dense_model_file(p, {}, {"b": np.zeros((3, 3))}, ["a", "b", "c"]),
-                 "a dense model file in the layout that holds B (array 'b') and not packed P; "
-                 "train the model again"),
+                 "the dense_model container has no array 'p'"),
     "rr_without_kappa": (lambda p: _dense_model_file(p, {"variant": "rr"},
                                                      {"c": np.ones(3), "p": np.zeros(6)}),
                          "metadata 'variant' is 'rr' but 'kappa' is absent"),

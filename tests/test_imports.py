@@ -41,3 +41,37 @@ def test_package_imports_are_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reaches(source: str) -> list[str]:
+    """The private names of other package modules that ``source`` takes:
+    ``from .x import _name`` (or ``from gramrec.x import _name``), and
+    ``x._name`` for a module ``x`` bound by ``from . import x``."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").split(".")[0] == "gramrec"):
+            if node.module in (None, "gramrec"):
+                modules |= {a.asname or a.name for a in node.names}
+            else:
+                found += [f"from {node.module} import {a.name}" for a in node.names
+                          if _private(a.name)]
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and _private(node.attr)]
+    return found
+
+
+def test_no_module_takes_another_modules_private_names():
+    # the scan sees both ways in
+    assert _private_reaches("from . import packed\nfrom .data import a, _b\npacked._blocks(g)\n"
+                            "packed.size(3)\nfrom .files import __doc__\n") == [
+        "from data import _b", "packed._blocks"]
+    reaches = {path.stem: _private_reaches(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in reaches.items() if found} == {}

@@ -221,6 +221,9 @@ def test_zero_diag_general_path_matches_oracle(rng, kind):
         stats = build_disjoint_gram(x)
         expected = constrained_ridge_oracle(xd, xd, lam)
     else:
+        # rated values, where X^T W X and its transpose differ at round-off
+        xd = xd * rng.integers(1, 6, xd.shape)
+        x = matrix_from_dense(xd)
         w = rng.uniform(0.5, 2.0, 30)
         stats = build_user_weighted_gram(x, w)
         root = np.sqrt(w)[:, np.newaxis]
