@@ -272,6 +272,7 @@ def cmd_train_sparse(args) -> int:
         _log("warning: threshold 0 keeps every pair; expect one giant block capped by --n-max")
 
     gram = _train_gram(matrix, split, build_gram)
+    del matrix, split  # training reads G alone
     t0 = time.perf_counter()
     model = train_sparse(gram, theta=theta, n_max=n_max, lam=lam)
     _log(f"phase sparse solve: {time.perf_counter() - t0:.2f}s")
@@ -371,8 +372,13 @@ def cmd_recommend(args) -> int:
                         shape=(1, model.n_items))
     scores = score_histories(model, xin)[0]
     out = csv.writer(sys.stdout, delimiter="\t", lineterminator="\n")
+    # the writer quotes only the line breaks of its terminator, so a key
+    # holding a bare \r is quoted as every text field is
+    quoted = csv.writer(sys.stdout, delimiter="\t", lineterminator="\n",
+                        quoting=csv.QUOTE_NONNUMERIC)
     for rank, item in enumerate(rank_items(scores, exclude=ids)[:args.top_k].tolist(), 1):
-        out.writerow([rank, item_keys[item], repr(float(scores[item]))])
+        key = item_keys[item]
+        (quoted if "\r" in key else out).writerow([rank, key, float(scores[item])])
     return 0
 
 

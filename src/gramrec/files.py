@@ -39,6 +39,7 @@ _VERSION = 1
 _HEAD = struct.Struct("<4sIQQ")  # magic, version, item count, header length
 _DIGEST_SIZE = 32  # the sha256 that follows the head
 _DTYPES = ("<f8", "<i8")
+_CHUNK = 1 << 16  # entries an array is converted, hashed and written or read in at a time
 
 
 @contextmanager
@@ -94,9 +95,11 @@ def write_container(
     keys: dict[str, list[str] | None],
 ) -> None:
     """Write one container atomically.  Integer arrays are stored as ``<i8``,
-    the others as ``<f8``, each from its own buffer when it already has that
-    dtype and layout; key tables given as None are left out.  Every array
-    is hashed as it is written, and the digest filled in after the last."""
+    the others as ``<f8``, each in C order and _CHUNK entries at a time:
+    a chunk is written from the array's own buffer when that already has
+    the dtype and layout, and converted otherwise, so a C-contiguous array
+    is never copied whole.  Key tables given as None are left out.  Every chunk is hashed
+    as it is written, and the digest filled in after the last."""
     keys = {name: table for name, table in keys.items() if table is not None}
     if "items" in keys and len(keys["items"]) != n_items:
         raise DataError(f"expected {n_items} item keys, got {len(keys['items'])}")
@@ -116,9 +119,12 @@ def write_container(
         fh.write(bytes(_DIGEST_SIZE))
         fh.write(header)
         for arr, dtype in arrays.values():
-            buf = memoryview(np.ascontiguousarray(arr, dtype))
-            digest.update(buf)
-            fh.write(buf)
+            flat = np.ravel(arr)
+            for lo in range(0, flat.size, _CHUNK):
+                buf = memoryview(np.ascontiguousarray(flat[lo : lo + _CHUNK], dtype))
+                digest.update(buf)
+                fh.write(buf)
+                del buf  # before the next chunk is converted
         fh.seek(_HEAD.size)
         fh.write(digest.digest())
 
@@ -129,11 +135,14 @@ def container_kind(path: str | Path) -> str:
         return _read_header(fh, path, os.fstat(fh.fileno()).st_size)[3]["kind"]
 
 
-def read_container(path: str | Path, kind: str, verify: bool) -> Container:
-    """Read a container of ``kind``, each array into its own buffer.  A file
-    that is not a container, of another version or kind, truncated, or
-    with a malformed header is a DataError; with ``verify``, each array is
-    hashed in its buffer, and a file whose bytes fail its sha256 is too."""
+def read_container(path: str | Path, kind: str, verify: bool, narrow: tuple[str, ...] = ()) -> Container:
+    """Read a container of ``kind``, each array into its own buffer.  The
+    ``<i8`` arrays named in ``narrow`` are read into int32 buffers a chunk
+    at a time, and kept as int64 once a chunk holds a value int32 cannot.
+    A file that is not a container, of another version or kind, truncated,
+    or with a malformed header is a DataError; with ``verify``, the stored
+    bytes are hashed as they are read, and a file whose bytes fail its
+    sha256 is too."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         digest, stored, n_items, header, specs = _read_header(fh, path, size)
@@ -142,14 +151,33 @@ def read_container(path: str | Path, kind: str, verify: bool) -> Container:
         expected = fh.tell() + sum(8 * math.prod(shape) for _, _, shape in specs)
         if size != expected:
             raise DataError(f"{path}: expected {expected} bytes, found {size}")
-        arrays = {}
-        for name, dtype, shape in specs:
-            arrays[name] = np.fromfile(fh, dtype, math.prod(shape)).reshape(shape)
-            if verify:
-                digest.update(arrays[name])
+        arrays = {name: _read_array(fh, dtype, shape, digest if verify else None,
+                                    name in narrow and dtype == "<i8")
+                  for name, dtype, shape in specs}
     if verify and digest.digest() != stored:
         raise DataError(f"{path}: damaged: its bytes do not match their sha256")
     return Container(path, kind, n_items, header["meta"], header["keys"], arrays)
+
+
+def _read_array(fh, dtype: str, shape: tuple[int, ...], digest, narrow: bool) -> np.ndarray:
+    """The next array of the file, hashed into ``digest`` unless it is None;
+    when ``narrow``, as int32 if all its values fit, as int64 otherwise."""
+    count = math.prod(shape)
+    if not narrow:
+        out = np.fromfile(fh, dtype, count)
+        if digest is not None:
+            digest.update(out)
+        return out.reshape(shape)
+    out = np.empty(count, dtype=np.int32)
+    limits = np.iinfo(np.int32)
+    for lo in range(0, count, _CHUNK):
+        chunk = np.fromfile(fh, dtype, min(_CHUNK, count - lo))
+        if digest is not None:
+            digest.update(chunk)
+        if out.dtype == np.int32 and not limits.min <= chunk.min() <= chunk.max() <= limits.max:
+            out = out.astype(np.int64)
+        out[lo : lo + len(chunk)] = chunk
+    return out.reshape(shape)
 
 
 def _read_header(fh, path, size: int):
@@ -208,17 +236,21 @@ def read_key_csv(
 ) -> tuple[np.ndarray, str]:
     """The ``column`` of a ``<key_column>,<column>`` CSV aligned to ``index``
     (``fill`` where no row names a key), and the file's leading ``#`` line,
-    if any.  A key named by two rows is refused."""
+    if any.  A key named by two rows is refused, and so is a line the csv
+    module cannot parse, such as a field over ``csv.field_size_limit()``."""
     out = np.full(len(index), fill)
     seen = set()
+    line_no = 0  # the last line read
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             first = fh.readline()
             comment = first if first.startswith("#") else ""
+            line_no = 1 if comment else 0
             header = next(csv.reader([fh.readline() if comment else first]), None)
             if header is None or [h.strip().lower() for h in header] != [key_column, column]:
                 raise DataError(f"{path}: expected the header row '{key_column},{column}'")
-            for line_no, row in enumerate(csv.reader(fh), start=3 if comment else 2):
+            line_no += 1
+            for line_no, row in enumerate(csv.reader(fh), start=line_no + 1):
                 if not row:
                     continue
                 if len(row) != 2:
@@ -235,4 +267,6 @@ def read_key_csv(
                     raise DataError(f"{path}: line {line_no}: {column} is not a number: {val!r}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {line_no + 1}: {exc}") from None
     return out, comment

@@ -15,11 +15,13 @@ trades accuracy for never inverting an n_items x n_items matrix (Steck,
 
 G is held packed, n(n+1)/2 floats (see :mod:`gramrec.packed`).  Beyond
 it, training holds O(n_items · panel width + nnz(A)) memory plus the
-largest block's solution (k² values for k items): correlations are produced
-from G's rows in panels of bounded width and read once, by the pattern
-pass, and each block's Gram sub-matrix is copied out of G, packed, and
-solved when the aggregation reads it, then added at pattern positions.
-The model's weights share the pattern's index arrays.
+largest block's packed solve (k(k+1)/2 values for k items, and the k×k
+sub-matrix it is packed from): correlations are produced from G's rows in
+panels of bounded width and read once, by the pattern pass, and each
+block's Gram sub-matrix is copied out of G, packed, and solved when the
+aggregation reads it, which reads the weights off packed P at the pattern
+positions inside the block only.  The model's weights share the pattern's
+index arrays.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .gram import PANEL, GramStats
 from .solver import DenseModel, solve_zero_diag
 
 DEFAULT_N_MAX = 1000  # entries a column of the pattern keeps at most
+_SLICE = 1 << 13  # pattern positions a block's aggregation scans at a time
 
 
 @dataclass
@@ -274,58 +277,68 @@ def block_partition(pattern: SparsityPattern) -> list[np.ndarray]:
     return blocks
 
 
-def solve_blocks(gram: GramStats, blocks: list[np.ndarray], lam: float) -> Iterator[np.ndarray]:
-    """Each block's solution by the dense closed form on its Gram sub-matrix,
-    in block order, as a k×k array.  The statistics are checked now; each
-    sub-matrix is copied out of G, packed, and solved in place only when its
-    solution is asked for."""
+def solve_blocks(gram: GramStats, blocks: list[np.ndarray], lam: float) -> Iterator[DenseModel]:
+    """Each block's model by the dense closed form on its Gram sub-matrix,
+    in block order: packed P and its read-off vectors, not the k×k weights.
+    The statistics are checked now; each sub-matrix is copied out of G,
+    packed, and solved in place only when its model is asked for."""
     if not gram.plain:
         raise DataError("block-wise training requires plain statistics (target C = G)")
     return (solve_zero_diag(GramStats(g=packed.submatrix(gram.require_g(), b), n_users=gram.n_users,
-                                      colsum=gram.colsum[b]), lam).b for b in blocks)
+                                      colsum=gram.colsum[b]), lam) for b in blocks)
 
 
 def aggregate_blocks(
     blocks: list[np.ndarray],
-    submatrices: Iterable[np.ndarray],
+    models: Iterable[DenseModel],
     pattern: SparsityPattern,
     lam: float,
 ) -> SparseModel:
-    """Merge block solutions onto the pattern, averaging where blocks overlap.
+    """Merge block models onto the pattern, averaging where blocks overlap.
 
     Accumulates per-position sums and counts over the pattern's entries,
     divides once, and leaves zero where no block covered a position.  Each
     block contributes only at the pattern positions inside it: for each of
-    its columns, the pattern rows that are also members.  The sums are
-    taken in block order, which makes the result deterministic; the average
-    does not depend on block order up to rounding.  Each solution is read in
-    turn and dropped once added, so lazy ones are held one block at a time.
+    its columns, the pattern rows that are also members.  Those candidates
+    are scanned _SLICE at a time, and the weights at the kept ones are read
+    with :meth:`DenseModel.entries`, bitwise the values :meth:`DenseModel.columns`
+    would give, so no block's k×k weights are formed.  The sums are taken
+    in block order, which makes the result deterministic; the average does
+    not depend on block order up to rounding.  Each model is read in turn
+    and dropped once added, so lazy ones are held one block at a time.
     """
     a = pattern.a
     starts, nnz_col = a.indptr[:-1], np.diff(a.indptr)
     sums = np.zeros(a.nnz, dtype=np.float64)
-    counts = np.zeros(a.nnz, dtype=np.int32)  # at most the number of blocks
+    counts = np.zeros(a.nnz, dtype=np.min_scalar_type(len(blocks)))  # at most the number of blocks
     local = np.full(pattern.n_items, -1, dtype=np.int32)  # item -> index in the block
-    subs = iter(submatrices)
+    models = iter(models)
     for b, members in enumerate(blocks):
-        if (sub := next(subs, None)) is None:
+        if (model := next(models, None)) is None:
             raise DataError(f"{len(blocks)} blocks but {b} solutions")
         k = len(members)
-        if sub.shape != (k, k):
-            raise DataError(f"block of {k} items got a {sub.shape} solution")
-        # every pattern position in the members' columns, column by column
-        lens = nnz_col[members]
-        col = np.repeat(np.arange(k, dtype=np.int32), lens)
-        pos = np.repeat(starts[members] - (np.cumsum(lens) - lens), lens) + np.arange(col.size)
+        if model.n_items != k:
+            raise DataError(f"block of {k} items got a solution of {model.n_items}")
+        # the candidates t, every pattern position in the members' columns,
+        # column by column; column c holds those from first[c] to ends[c]
+        ends = np.cumsum(nnz_col[members])
+        first, total = ends - nnz_col[members], int(ends[-1]) if k else 0
         local[members] = np.arange(k)
-        row = local[a.indices[pos]]
+        for t0 in range(0, total, _SLICE):
+            t1 = min(t0 + _SLICE, total)
+            c0, c1 = np.searchsorted(ends, [t0, t1 - 1], side="right")
+            cs = slice(c0, c1 + 1)
+            lens = np.minimum(ends[cs], t1) - np.maximum(first[cs], t0)
+            col = np.repeat(np.arange(c0, c1 + 1, dtype=np.int32), lens)
+            pos = np.repeat(starts[members[cs]] - first[cs], lens) + np.arange(t0, t1)
+            row = local[a.indices[pos]]
+            inside = np.flatnonzero(row >= 0)
+            pos = pos[inside]
+            sums[pos] += model.entries(row[inside], col[inside])
+            counts[pos] += 1
         local[members] = -1
-        inside = np.flatnonzero(row >= 0)
-        pos = pos[inside]
-        sums[pos] += np.asarray(sub, dtype=np.float64)[row[inside], col[inside]]
-        counts[pos] += 1
-        del sub  # before the next block is solved
-    if next(subs, None) is not None:
+        del model  # before the next block is solved
+    if next(models, None) is not None:
         raise DataError(f"{len(blocks)} blocks but more solutions")
     means = np.divide(sums, counts, out=sums, where=counts > 0)
     values = sp.csc_matrix((means, a.indices, a.indptr), shape=a.shape)
@@ -354,8 +367,10 @@ def save_sparse_model(
 
 def load_sparse_model(path: str | Path, verify: bool = False) -> tuple[SparseModel, list[str] | None]:
     """Read a sparse model file back, as :func:`gramrec.solver.load_model`
-    does: one compressed-column matrix on the container's arrays."""
-    c = read_container(path, "sparse_model", verify)
+    does: one compressed-column matrix on the container's arrays, whose
+    index arrays are read as int32 when their values fit, as scipy keeps
+    them, so the structure is never held twice."""
+    c = read_container(path, "sparse_model", verify, narrow=("indptr", "indices"))
     n = c.n_items
     indptr = c.array("indptr", (n + 1,))
     nnz = int(indptr[-1])

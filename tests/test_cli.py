@@ -1020,6 +1020,34 @@ def test_recommend_quotes_the_keys_it_prints(tmp_path, capsys):
     assert len(out.split("\n")) == 5 + 1 + 1  # the quoted line break, and the last newline
 
 
+def test_recommend_quotes_a_key_holding_a_bare_carriage_return(tmp_path, capsys):
+    # the lines end in \n alone, which csv.writer quotes; a lone \r is
+    # quoted too, so that each line reads back as one record
+    keys = ["cr\rx", "a", "b"]
+    m = np.arange(1.0, 10.0).reshape(3, 3)
+    save_model(tmp_path / "m.ease", DenseModel(p=pack(m + m.T), c=np.ones(3), lam=1.0),
+               item_keys=keys)
+    assert main(["recommend", "--model", str(tmp_path / "m.ease"), "--history", "a"]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out, newline=""), delimiter="\t"))
+    assert [len(row) for row in rows] == [3, 3]
+    assert sorted(row[1] for row in rows) == ["b", "cr\rx"]
+    assert '\t"cr\rx"\t' in out and len(out.split("\n")) == 2 + 1
+
+
+def test_recommend_weights_with_an_overlong_field_exits_2(workdir, tmp_path, capsys):
+    # a field over csv.field_size_limit() is named by its file and line
+    weights = tmp_path / "w.csv"
+    long_field = "1" * (csv.field_size_limit() + 1)
+    assert len(long_field) == 131_073
+    weights.write_text(f"item,weight\ni0,1.0\ni1,{long_field}\n", encoding="utf-8")
+    assert main(["recommend", "--model", str(workdir["model"]), "--history", "i0",
+                 "--weights", str(weights)]) == 2
+    err = capsys.readouterr().err
+    assert f"{weights}: line 3: field larger than field limit (131072)" in err
+    assert "Traceback" not in err
+
+
 def test_recommend_prints_plain_keys_as_before(workdir, tmp_path, capsys):
     # plain keys print as f"{rank}\t{key}\t{score!r}\n", with a dense and a
     # sparse model and with the popularity fallback

@@ -28,7 +28,8 @@ from gramrec import (
 )
 from gramrec.cli import main
 from gramrec.data import _load_events, load_interactions, save_interactions
-from gramrec.files import atomic_write, read_key_csv, write_container, write_key_csv
+import gramrec.files as files
+from gramrec.files import atomic_write, read_container, read_key_csv, write_container, write_key_csv
 
 from conftest import assert_same_interactions, make_iset, matrix_from_dense, uniform_weights
 
@@ -324,3 +325,50 @@ def test_container_format_is_decided_in_files_only():
             elif isinstance(node, ast.Attribute) and node.attr == "fromfile":
                 holders.add(module.name)
     assert holders == {"files.py"}
+
+
+_CHUNKED = {  # int32 arrays against a chunk of four entries
+    "longer": np.arange(-5, 6, dtype=np.int32),
+    "one_chunk": np.array([7, -8, 2**31 - 1, -(2**31)], dtype=np.int32),
+    "empty": np.zeros(0, dtype=np.int32),
+    "two_d": np.arange(15, dtype=np.int32).reshape(3, 5)[:, ::-1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNKED))
+def test_write_container_widens_in_chunks_to_the_one_shot_bytes(tmp_path, monkeypatch, name):
+    """Each integer array is widened to <i8 four entries at a time, and the
+    file is byte for byte the one written with the array widened whole."""
+    arrays = {"x": _CHUNKED[name], "data": np.linspace(0.0, 1.0, 9)}
+    monkeypatch.setattr(files, "_CHUNK", 2**62)
+    write_container(tmp_path / "whole", "sparse_model", 3, {"lam": 1.0}, arrays, {})
+    monkeypatch.setattr(files, "_CHUNK", 4)
+    write_container(tmp_path / "chunked", "sparse_model", 3, {"lam": 1.0}, arrays, {})
+    raw = (tmp_path / "chunked").read_bytes()
+    assert raw == (tmp_path / "whole").read_bytes()
+    tail = np.ascontiguousarray(arrays["x"], "<i8").tobytes() + arrays["data"].tobytes()
+    assert raw.endswith(tail)
+    held = read_container(tmp_path / "chunked", "sparse_model", verify=True).arrays
+    assert held["x"].dtype == "<i8" and np.array_equal(held["x"], arrays["x"])
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_narrowed_arrays_are_int32_until_a_value_outgrows_it(tmp_path, monkeypatch, verify):
+    """Arrays read narrowed come back as int32 while every chunk fits it,
+    and as int64, value for value, once one does not; the stored bytes are
+    hashed as read either way."""
+    fits = np.arange(-(2**31), -(2**31) + 10)
+    wide = np.r_[np.arange(9), 2**31]  # the last chunk outgrows int32
+    arrays = {"fits": fits, "wide": wide, "kept": fits}
+    write_container(tmp_path / "c", "sparse_model", 3, {}, arrays, {})
+    monkeypatch.setattr(files, "_CHUNK", 4)
+    held = read_container(tmp_path / "c", "sparse_model", verify, narrow=("fits", "wide")).arrays
+    assert held["fits"].dtype == np.int32 and np.array_equal(held["fits"], fits)
+    assert held["wide"].dtype == np.int64 and np.array_equal(held["wide"], wide)
+    assert held["kept"].dtype == "<i8"
+    if verify:
+        raw = bytearray((tmp_path / "c").read_bytes())
+        raw[-8 * 15] ^= 1  # an entry of the narrowed array "wide"
+        (tmp_path / "c").write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="do not match their sha256"):
+            read_container(tmp_path / "c", "sparse_model", verify, narrow=("fits", "wide"))

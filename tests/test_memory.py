@@ -21,6 +21,7 @@ from gramrec import (
     apply_item_rescaling,
     GramStats,
     SplitSpec,
+    aggregate_blocks,
     block_partition,
     build_disjoint_gram,
     build_gram,
@@ -37,6 +38,7 @@ from gramrec import (
     save_model,
     save_sparse_model,
     save_split_files,
+    solve_blocks,
     solve_rr,
     split_strong_generalization,
     solve_zero_diag,
@@ -45,9 +47,12 @@ from gramrec import (
     train_sparse,
     to_user_item_matrix,
 )
+import gramrec.sparse as sparse
+from gramrec import packed
 from gramrec.cli import main
 from gramrec.data import save_interactions
 from gramrec.evaluation import _CHUNK, _draw_folds
+from gramrec.files import _CHUNK as _FILE_CHUNK
 from gramrec.gram import PANEL
 from gramrec.packed import pack
 
@@ -178,19 +183,54 @@ def test_train_sparse_holds_one_block_at_a_time():
     assert peak_n2(lambda: train_sparse(gram, theta=0.25, n_max=300, lam=50.0), n) < 0.6
 
 
-def test_load_sparse_model_holds_its_arrays_once(wide, tmp_path):
-    """The file's arrays as read (8 bytes an entry), and the 32-bit index
-    arrays the compressed-column matrix keeps of them: no second copy of
-    the structure beside the weights."""
+@pytest.fixture(scope="module")
+def wide_sparse(wide):
+    """The pattern of the wide data at threshold 0.05 and cap 300, its
+    blocks, and the sparse model trained on them."""
     _, gram = wide
+    pattern = threshold_pattern(correlation_from_gram(gram), theta=0.05, n_max=300)
+    return pattern, block_partition(pattern), train_sparse(gram, theta=0.05, n_max=300, lam=50.0)
+
+
+def test_block_phase_holds_the_sums_and_one_packed_block(wide, wide_sparse):
+    """Beyond G and the pattern, averaging the block solutions onto the
+    pattern holds the sums (8 bytes a position), the counts (1 byte under
+    256 blocks) and the mask of covered positions (1 byte), each item's
+    place in its block (4 bytes an item), one block's Gram sub-matrix and
+    its packed copy (three times the packed size of the largest block),
+    and one slice of the candidates' index temporaries.  Reading each
+    block's k×k weights with whole-block index arrays and int32 counts
+    peaked 1.8 times as high."""
+    _, gram = wide
+    pattern, blocks, _ = wide_sparse
+    n, nnz, k = gram.n_items, pattern.a.nnz, max(len(b) for b in blocks)
+    assert len(blocks) < 256 and k == 300 and nnz > 250 * n
+    peak, _ = peak_bytes(
+        lambda: aggregate_blocks(blocks, solve_blocks(gram, blocks, 50.0), pattern, 50.0))
+    assert peak <= (8 + 1 + 1) * nnz + 4 * n + 3 * 8 * packed.size(k) + 96 * sparse._SLICE
+
+
+def test_save_sparse_model_holds_one_chunk_beyond_the_model(wide_sparse, tmp_path):
+    """The 32-bit index arrays are widened to the file's <i8 a chunk at a
+    time; widening them whole held 8 bytes a position."""
+    *_, model = wide_sparse
+    assert model.values.nnz > 4 * _FILE_CHUNK
+    peak, _ = peak_bytes(lambda: save_sparse_model(tmp_path / "m.easp", model))
+    assert peak <= 8 * _FILE_CHUNK + 64 * 1024
+
+
+def test_load_sparse_model_holds_its_arrays_once(wide_sparse, tmp_path):
+    """The weights as read (8 bytes an entry), the 32-bit index arrays the
+    compressed-column matrix keeps, filled from the file's <i8 a chunk at a
+    time, and that one chunk: no second copy of the structure beside the
+    weights."""
     path = tmp_path / "m.easp"
-    save_sparse_model(path, train_sparse(gram, theta=0.05, n_max=50, lam=50.0))
+    save_sparse_model(path, wide_sparse[2])
     peak, (model, _) = peak_bytes(lambda: load_sparse_model(path))
     v = model.values
     nnz, n = v.nnz, model.n_items
-    assert nnz > 20 * n and v.indices.dtype == v.indptr.dtype == np.int32
-    read = 8 * (nnz + nnz + n + 1)  # data, indices and indptr as the file holds them
-    assert peak <= read + v.indices.nbytes + v.indptr.nbytes + 64 * 1024
+    assert nnz > 4 * _FILE_CHUNK and nnz > 20 * n and v.indices.dtype == v.indptr.dtype == np.int32
+    assert peak <= 8 * nnz + v.indices.nbytes + v.indptr.nbytes + 8 * _FILE_CHUNK + 64 * 1024
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -26,6 +28,7 @@ from gramrec import (
     train_sparse,
 )
 import gramrec.evaluation as evaluation
+import gramrec.sparse as sparse
 from gramrec.packed import pack
 
 from conftest import (
@@ -273,30 +276,43 @@ def test_sparse_steps_match_whole_matrix_references(
     ref_blocks = block_partition_reference(ref_a, ref)
     assert [b.tolist() for b in blocks] == [b.tolist() for b in ref_blocks]
 
-    subs = list(solve_blocks(gram, blocks, lam=1.0))
-    got = aggregate_blocks(blocks, subs, pattern, lam=1.0).values.toarray()
-    expected = aggregate_blocks_reference(blocks, subs, ref_a)
+    models = list(solve_blocks(gram, blocks, lam=1.0))
+    got = aggregate_blocks(blocks, models, pattern, lam=1.0).values.toarray()
+    expected = aggregate_blocks_reference(blocks, [m.b for m in models], ref_a)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.abs(expected).max()
+
+
+def block_model(p, c) -> DenseModel:
+    """A block's zero-diagonal model, B_ij = P_ij / c_j off the diagonal."""
+    return DenseModel(p=pack(np.asarray(p, dtype=float)), c=np.asarray(c, dtype=float), lam=1.0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 40),
-    n_blocks=st.integers(0, 8),
+    n_blocks=st.one_of(st.integers(0, 8), st.integers(256, 270)),
     fill=st.floats(0.0, 1.0),
+    slice_len=st.sampled_from([1, 2, 3, sparse._SLICE]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_aggregate_matches_reference_on_overlapping_blocks(n, n_blocks, fill, seed):
+def test_aggregate_matches_reference_on_overlapping_blocks(n, n_blocks, fill, slice_len, seed):
+    """Bitwise the average of the blocks' k×k weights, whether a block's
+    positions are scanned 1–3 at a time or in one slice.  Over 255 blocks
+    each holds every item, so the counts outgrow one byte."""
     r = np.random.default_rng(seed)
+    many = n_blocks > 255
+    n = min(n, 8) if many else n  # a slice of one position is one pass of the loop
     mask = r.random((n, n)) < fill
     np.fill_diagonal(mask, True)
     pattern = pattern_from_dense(mask)
-    blocks = [r.permutation(n)[: r.integers(1, n + 1)] for _ in range(n_blocks)]
-    subs = [r.normal(size=(len(b), len(b))) for b in blocks]
-    got = aggregate_blocks(blocks, subs, pattern, lam=1.0).values
-    expected = aggregate_blocks_reference(blocks, subs, pattern.a)
-    scale = np.abs(expected).max() if n_blocks else 0.0
-    assert np.max(np.abs(got.toarray() - expected)) <= 1e-12 * scale
+    sizes = r.integers(n if many else 1, n + 1, n_blocks)
+    blocks = [r.permutation(n)[:k] for k in sizes]
+    models = [DenseModel(p=r.normal(size=k * (k + 1) // 2), c=1.0 + r.random(k), lam=1.0)
+              for k in sizes]
+    with mock.patch.object(sparse, "_SLICE", slice_len):
+        got = aggregate_blocks(blocks, iter(models), pattern, lam=1.0).values
+    expected = aggregate_blocks_reference(blocks, [m.b for m in models], pattern.a)
+    np.testing.assert_array_equal(got.toarray(), expected)
     assert np.shares_memory(got.indices, pattern.a.indices)  # the pattern's arrays, not copies
     assert np.shares_memory(got.indptr, pattern.a.indptr)
 
@@ -389,15 +405,15 @@ def test_blocks_cover_every_item(rng):
 def test_solve_blocks_single_block_is_dense(rng):
     x = binary_matrix(rng, 20, 6)
     stats = build_gram(x)
-    subs = list(solve_blocks(stats, [np.arange(6)], lam=1.5))
+    models = list(solve_blocks(stats, [np.arange(6)], lam=1.5))
     dense = solve_zero_diag(stats, lam=1.5)
-    np.testing.assert_allclose(subs[0], dense.b, atol=1e-12)
+    np.testing.assert_allclose(models[0].b, dense.b, atol=1e-12)
 
 
 def test_solve_blocks_singleton(rng):
     x = binary_matrix(rng, 15, 4)
-    subs = list(solve_blocks(build_gram(x), [np.array([2])], lam=1.0))
-    np.testing.assert_array_equal(subs[0], [[0.0]])
+    models = list(solve_blocks(build_gram(x), [np.array([2])], lam=1.0))
+    np.testing.assert_array_equal(models[0].b, [[0.0]])
 
 
 def test_solve_blocks_refuses_distinct_target(rng):
@@ -411,8 +427,11 @@ def test_solve_blocks_refuses_distinct_target(rng):
 def test_aggregate_averages_overlaps():
     pat = pattern_from_dense(np.ones((2, 2)))
     blocks = [np.array([0, 1]), np.array([0, 1])]
-    subs = [np.array([[0.0, 0.2], [0.4, 0.0]]), np.array([[0.0, 0.4], [0.2, 0.0]])]
-    model = aggregate_blocks(blocks, subs, pat, lam=1.0)
+    models = [block_model([[1.0, 0.4], [0.4, 1.0]], [1.0, 2.0]),
+              block_model([[1.0, 0.4], [0.4, 1.0]], [2.0, 1.0])]
+    np.testing.assert_array_equal(models[0].b, [[0.0, 0.2], [0.4, 0.0]])
+    np.testing.assert_array_equal(models[1].b, [[0.0, 0.4], [0.2, 0.0]])
+    model = aggregate_blocks(blocks, models, pat, lam=1.0)
     np.testing.assert_allclose(
         model.values.toarray(), [[0.0, 0.3], [0.3, 0.0]]
     )
@@ -422,8 +441,9 @@ def test_aggregate_averages_overlaps():
 def test_aggregate_uncovered_positions_stay_zero():
     pat = pattern_from_dense([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     blocks = [np.array([0, 1])]
-    subs = [np.array([[0.0, 0.5], [0.6, 0.0]])]
-    model = aggregate_blocks(blocks, subs, pat, lam=1.0)
+    models = [block_model([[1.0, 3.0], [3.0, 1.0]], [5.0, 6.0])]
+    np.testing.assert_array_equal(models[0].b, [[0.0, 0.5], [0.6, 0.0]])
+    model = aggregate_blocks(blocks, models, pat, lam=1.0)
     dense = model.values.toarray()
     assert dense[0, 2] == 0.0  # pattern position no block covered
     assert dense[0, 1] == 0.0  # block estimate outside the pattern is dropped
@@ -435,13 +455,13 @@ def test_aggregate_validation():
     with pytest.raises(DataError, match="blocks"):
         aggregate_blocks([np.array([0])], [], pat, lam=1.0)
     with pytest.raises(DataError, match="solution"):
-        aggregate_blocks([np.array([0])], [np.zeros((2, 2))], pat, lam=1.0)
+        aggregate_blocks([np.array([0])], [block_model(np.zeros((2, 2)), np.ones(2))], pat, lam=1.0)
 
 
 def test_aggregate_refuses_a_count_mismatch_from_any_iterable():
     pat = pattern_from_dense(np.eye(2))
     blocks = [np.array([0]), np.array([1])]
-    one = np.zeros((1, 1))
+    one = block_model([[1.0]], [1.0])
     for subs in ([one], iter([one]), [one] * 3, (s for s in [one] * 3)):
         with pytest.raises(DataError, match="2 blocks but"):
             aggregate_blocks(blocks, subs, pat, lam=1.0)
