@@ -43,11 +43,11 @@ for blk in range(3):
 x = UserItemMatrix(matrix=sp.csr_matrix(dense))
 stats = build_gram(x)
 cor_stats = correlation_from_gram(stats)
-cor = cor_stats[:, :]  # the whole matrix; fine at this size
+cor = cor_stats.rows(0, n_items)  # the whole matrix; fine at this size
 print("mean |correlation| within communities :", np.abs(cor[:ipb, :ipb]).mean().round(3))
 print("mean |correlation| across communities :", np.abs(cor[:ipb, ipb:2 * ipb]).mean().round(3))
 
-pattern = threshold_pattern(np.abs(cor), theta=0.3, n_max=n_items)
+pattern = threshold_pattern(cor_stats, theta=0.3, n_max=n_items)
 blocks = block_partition(pattern)
 print("\nblocks found:", [len(b) for b in blocks])
 
@@ -61,7 +61,7 @@ print(f"max |blockwise - dense| on the pattern: {gap:.2e}")
 
 # overlap: lower the threshold until cross-community pairs sneak in
 loose = train_sparse(stats, theta=0.2, n_max=n_items, lam=lam)
-loose_blocks = block_partition(threshold_pattern(np.abs(cor), theta=0.2, n_max=n_items))
+loose_blocks = block_partition(threshold_pattern(cor_stats, theta=0.2, n_max=n_items))
 print("\nwith theta=0.2 the blocks overlap:", [len(b) for b in loose_blocks])
 overlap_gap = np.max(np.abs(loose.values.toarray() - dense_model.b * (loose.values.toarray() != 0)))
 print(f"averaged entries now differ from the dense model by up to {overlap_gap:.3f}")

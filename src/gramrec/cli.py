@@ -146,11 +146,6 @@ def _load_events(args) -> InteractionSet:
     return load_interactions(args.data, binarize=args.binarize)
 
 
-def _load_split(args, iset):
-    return load_split_files(args.split_dir, iset.user_index, fold_in_fraction=args.fold_in,
-                            seed=args.seed)
-
-
 def _load_any_model(path: str):
     """Dense or sparse model file, told apart by the kind of its container,
     refused when its bytes fail their sha256."""
@@ -225,7 +220,7 @@ def cmd_train(args) -> int:
         raise UsageError("--split-fraction applies only with --exact-expectation")
     iset = _load_events(args)
     matrix = to_user_item_matrix(iset)
-    split = _load_split(args, iset)
+    split = load_split_files(args.split_dir, iset.user_index, args.fold_in, args.seed)
     if args.disjoint:
         fraction = (args.split_fraction or 0.05) if args.exact_expectation else None
         builder, options = build_disjoint_gram, {"split_fraction": fraction}
@@ -264,7 +259,7 @@ def cmd_train(args) -> int:
 def cmd_train_sparse(args) -> int:
     iset = _load_events(args)
     matrix = to_user_item_matrix(iset)
-    split = _load_split(args, iset)
+    split = load_split_files(args.split_dir, iset.user_index)
     item_keys = iset.item_keys
     del iset  # before G is built
     lam, theta, n_max = getattr(args, "lambda"), args.threshold, args.n_max
@@ -290,7 +285,7 @@ def cmd_rescale(args) -> int:
     if args.weights_out is None and args.output is None:
         raise UsageError("nothing to do: give --weights-out and/or --output")
     iset = _load_events(args)
-    split = _load_split(args, iset)
+    split = load_split_files(args.split_dir, iset.user_index)
     if args.mode == "time":
         index = time_intervals(iset, args.intervals, user_subset=split.train_users)
         k = int(index.locate(np.asarray([args.at_time]))[0])
@@ -316,7 +311,7 @@ def cmd_rescale(args) -> int:
 
 def cmd_evaluate(args) -> int:
     iset = _load_events(args)
-    split = _load_split(args, iset)
+    split = load_split_files(args.split_dir, iset.user_index, args.fold_in, args.seed)
     pop = popularity(iset, split.train_users) if args.baseline is not None else None
     index = None
     if args.time_intervals is not None:
@@ -385,7 +380,7 @@ def cmd_recommend(args) -> int:
 def cmd_popularity(args) -> int:
     iset = _load_events(args)
     if args.split_dir is not None:
-        split = _load_split(args, iset)
+        split = load_split_files(args.split_dir, iset.user_index)
         pop = popularity(iset, split.train_users)
         _log(f"popularity over {len(split.train_users)} training users")
     else:
@@ -401,13 +396,19 @@ def _add_data_options(p) -> None:
                    help="count every event as 1.0 (matrix, popularity, time intervals)")
 
 
-def _add_split_options(p, required: bool = True) -> None:
-    p.add_argument("--split-dir", dest="split_dir", required=required,
+def _add_split_options(p) -> None:
+    p.add_argument("--split-dir", dest="split_dir", required=True,
                    help="directory written by the split command")
-    p.add_argument("--fold-in", dest="fold_in", type=_open_unit_float, default=DEFAULT_FOLD_IN,
-                   help="fraction in (0, 1) of each evaluation row fed to the model (default %(default)s)")
+    # train-sparse and rescale draw nothing; perfbench's command lines pass them --seed
     p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="seed for all randomness (default %(default)s)")
+
+
+def _add_fold_options(p) -> None:
+    """The split options of a command that folds users into input and held-out items."""
+    _add_split_options(p)
+    p.add_argument("--fold-in", dest="fold_in", type=_open_unit_float, default=DEFAULT_FOLD_IN,
+                   help="fraction in (0, 1) of each evaluation row fed to the model (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a dense model on the training users")
     _add_data_options(p)
-    _add_split_options(p)
+    _add_fold_options(p)
     p.add_argument("--output", required=True, help="model file to write")
     lam = p.add_mutually_exclusive_group(required=True)
     lam.add_argument("--lambda", type=_positive_float, help="regularization strength")
@@ -496,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="strong-generalization ranking report")
     _add_data_options(p)
-    _add_split_options(p)
+    _add_fold_options(p)
     scorer = p.add_mutually_exclusive_group(required=True)
     scorer.add_argument("--model", help="model file (dense or sparse)")
     scorer.add_argument("--baseline", choices=("popularity",),
@@ -527,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("popularity", help="write per-item sums of event values as the count "
                        "column (interaction counts with --binarize)")
     _add_data_options(p)
-    _add_split_options(p, required=False)
+    p.add_argument("--split-dir", dest="split_dir", help="count the training users of this split only")
     p.add_argument("--output", required=True, help="CSV to write")
     p.set_defaults(func=cmd_popularity)
 
@@ -536,14 +537,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_tokens(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
+def _config_tokens(command: argparse.ArgumentParser, cfg: dict, given: list[str]) -> list[str]:
     """The flags a config file stands for, one per key that is an option of
     ``command``: a list becomes one comma-joined value, an on/off flag takes
-    true or false, and null or a key of no option gives nothing."""
+    true or false, and null or a key of no option gives nothing.  A key is
+    also skipped when the command line ``given`` holds an option of its
+    mutually exclusive group, so that option wins as any other flag does."""
+    flags = {token.split("=", 1)[0] for token in given}
+    taken = {action for group in command._mutually_exclusive_groups
+             if any(flags & set(other.option_strings) for other in group._group_actions)
+             for action in group._group_actions}
     tokens = []
     for action in command._actions:
         value = cfg.get(action.dest)
-        if value is None or action.dest in ("help", "config"):
+        if value is None or action.dest in ("help", "config") or action in taken:
             continue
         flag = action.option_strings[0]
         if action.nargs == 0:
@@ -558,31 +565,30 @@ def _config_tokens(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
     return tokens
 
 
+def _load_config(path: str) -> dict:
+    """The JSON object of a config file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            cfg = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: invalid JSON config: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise DataError(f"{path}: config must be a JSON object")
+    return cfg
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
     pre = _Parser(prog=parser.prog, add_help=False)
     pre.add_argument("--config")
     cfg_path = pre.parse_known_args(argv)[0].config
-    if cfg_path is not None:
-        try:
-            with open(cfg_path, "r", encoding="utf-8-sig") as fh:
-                cfg = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            print(f"error: {cfg_path}: invalid JSON config: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(cfg, dict):
-            print(f"error: {cfg_path}: config must be a JSON object", file=sys.stderr)
-            return 2
-        command = parser.commands.get(argv[0]) if argv else None
-        if command is not None:
-            # after the command name, so flags given on the command line win
-            argv[1:1] = _config_tokens(command, cfg)
-    args = parser.parse_args(argv)
     try:
+        if cfg_path is not None and command is not None:
+            # after the command name, so flags given on the command line win
+            argv[1:1] = _config_tokens(command, _load_config(cfg_path), argv[1:])
+        args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -591,7 +597,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
-        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        print(f"error: {argv[0] if command else parser.prog} ran out of memory", file=sys.stderr)
         return 2
     except (GramrecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

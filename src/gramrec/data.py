@@ -98,13 +98,9 @@ class UserItemMatrix:
     def n_items(self) -> int:
         return self.matrix.shape[1]
 
-    def rows(self, user_ids: np.ndarray) -> sp.csr_matrix:
-        """Row slice for the given user ids (in the given order)."""
-        return self.matrix[np.asarray(user_ids, dtype=np.intp)]
-
     def restrict_users(self, user_ids: np.ndarray) -> "UserItemMatrix":
-        """New matrix containing only the given users' rows."""
-        return UserItemMatrix(matrix=self.rows(user_ids))
+        """New matrix containing only the given users' rows, in the given order."""
+        return UserItemMatrix(matrix=self.matrix[np.asarray(user_ids, dtype=np.intp)])
 
 
 @dataclass

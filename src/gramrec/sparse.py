@@ -68,10 +68,9 @@ class CorrelationMatrix:
     """Item-item Pearson correlations, computed on demand from G.
 
     Holds the Gram statistics and the per-item moments, and reads G when
-    indexed, so indexing after a dense solve has consumed the statistics
-    raises.  It is read like the dense symmetric matrix with unit diagonal,
-    one column panel ``cor[:, lo:hi]`` at a time.  Each entry is
-    (G_ij/n − m_i·m_j)/(s_i·s_j), zero where item i or j has no variance.
+    its rows are asked for, so reading after a dense solve has consumed
+    the statistics raises.  Each entry is (G_ij/n − m_i·m_j)/(s_i·s_j),
+    zero where item i or j has no variance, and 1 on the diagonal.
     """
 
     gram: GramStats
@@ -80,20 +79,15 @@ class CorrelationMatrix:
     constant: np.ndarray  # zero-variance items
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.mean), len(self.mean))
+    def n_items(self) -> int:
+        return len(self.mean)
 
-    def __getitem__(self, key) -> np.ndarray:
-        rows, cols = key
-        if not (isinstance(rows, slice) and rows == slice(None)
-                and isinstance(cols, slice) and cols.step in (None, 1)):
-            raise TypeError("correlation panels are indexed as cor[:, lo:hi]")
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The correlation rows lo:hi, C-ordered; row j is also column j,
+        since G is symmetric by its packed storage."""
         g = self.gram.require_g()
         m, s, n = self.mean, self.std, self.gram.n_users
-        # G is symmetric: the panel is built from G's rows and returned
-        # transposed, entry for entry the same products
-        lo, hi, _ = cols.indices(len(m))
-        idx = np.arange(lo, hi)
+        idx = np.arange(lo, min(hi, len(m)))
         cor = packed.rows(g, lo, hi)
         cor /= n
         for at in range(0, len(idx), 32):  # whole-panel outers would double its memory
@@ -103,7 +97,7 @@ class CorrelationMatrix:
         cor[:, self.constant] = 0.0
         cor[self.constant[idx]] = 0.0
         cor[np.arange(len(idx)), idx] = 1.0
-        return cor.T
+        return cor
 
 
 @dataclass
@@ -143,7 +137,7 @@ def correlation_from_gram(gram: GramStats) -> CorrelationMatrix:
     (G_ij/n − m_i·m_j)/(s_i·s_j), exact for any X.  Zero-variance items
     (empty or constant) get zero correlation to everything; the diagonal is
     always 1.  Only the moments are computed here: the result refers to the
-    statistics and produces entries from G when indexed.
+    statistics and produces rows from G when they are read.
     """
     n = gram.n_users
     if n < 2:
@@ -154,31 +148,27 @@ def correlation_from_gram(gram: GramStats) -> CorrelationMatrix:
     return CorrelationMatrix(gram=gram, mean=m, std=np.where(constant, 1.0, s), constant=constant)
 
 
-def threshold_pattern(
-    m: np.ndarray | CorrelationMatrix, theta: float, n_max: int = DEFAULT_N_MAX
-) -> SparsityPattern:
-    """A_ij = 1 where |m_ij| reaches theta, capped per column.
+def threshold_pattern(cor: CorrelationMatrix, theta: float,
+                      n_max: int = DEFAULT_N_MAX) -> SparsityPattern:
+    """A_ij = 1 where |cor_ij| reaches theta, capped per column.
 
     A column exceeding the cap keeps its diagonal plus the n_max − 1
     strongest other entries (ties broken by ascending row); the diagonal is
-    always present regardless of its own magnitude.  ``m`` is read once, in
-    column panels ``m[:, lo:hi]``, so a :class:`CorrelationMatrix` is never
-    materialized whole; a plain array is sliced the same way and never
-    written to.  Each panel is capped at once (see :func:`_cap_panel`), and
-    each column's strength is the largest |m| gathered at its kept
-    off-diagonal positions.
+    always present regardless of its own magnitude.  The correlations are
+    read once, PANEL rows at a time, and row j stands for column j, so the
+    matrix is never materialized whole.  Each panel is capped at once (see
+    :func:`_cap_panel`), and each column's strength is the largest |cor|
+    gathered at its kept off-diagonal positions.
     """
     if not theta >= 0:
         raise DataError(f"threshold must be a non-negative number, got {theta}")
     if n_max < 1:
         raise DataError(f"per-column cap must be at least 1, got {n_max}")
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise DataError(f"pattern source matrix must be square, got {m.shape}")
+    n = cor.n_items
     counts, indices = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int32)]
     strength = np.empty(n)
     for lo in range(0, n, PANEL):
-        cnt, rows, strength[lo : lo + PANEL] = _panel_pattern(m, lo, theta, n_max)
+        cnt, rows, strength[lo : lo + PANEL] = _panel_pattern(cor, lo, theta, n_max)
         counts.append(cnt)
         indices.append(rows)
     indices, indptr = np.concatenate(indices), np.cumsum(np.concatenate(counts))
@@ -186,16 +176,15 @@ def threshold_pattern(
     return SparsityPattern(a=a, threshold=theta, n_max=n_max, strength=strength)
 
 
-def _panel_pattern(m, lo: int, theta: float, n_max: int):
+def _panel_pattern(cor: CorrelationMatrix, lo: int, theta: float, n_max: int):
     """Entry counts, row indices and strengths of the pattern columns lo,
-    lo + 1, … read from one panel of ``m``, which is dropped on return."""
-    panel = m[:, lo : lo + PANEL].T  # one row per column
-    # |panel|, in place when it is a fresh correlation panel
-    crit = np.abs(panel, out=panel if isinstance(m, CorrelationMatrix) else None, order="C")
+    lo + 1, … read from one panel of correlation rows, dropped on return."""
+    crit = cor.rows(lo, lo + PANEL)
+    np.abs(crit, out=crit)
     keep = _cap_panel(crit, lo, theta, n_max)
     flat, cnt = np.flatnonzero(keep), np.count_nonzero(keep, axis=1)
     strength = np.maximum.reduceat(crit.ravel()[flat], np.cumsum(cnt) - cnt)
-    return cnt, (flat % m.shape[0]).astype(np.int32), strength  # rows as the CSC arrays hold them
+    return cnt, (flat % cor.n_items).astype(np.int32), strength  # rows as the CSC arrays hold them
 
 
 def _cap_panel(crit: np.ndarray, lo: int, theta: float, n_max: int) -> np.ndarray:

@@ -40,6 +40,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from gramrec import (
+    CorrelationMatrix,
     DataError,
     DenseModel,
     InteractionSchema,
@@ -49,6 +50,7 @@ from gramrec import (
     GramStats,
     ItemWeightVector,
     SparseModel,
+    SparsityPattern,
     build_gram,
     score_histories,
     time_popularity_weights,
@@ -233,6 +235,23 @@ def pattern_strength_reference(a: sp.csc_matrix, cor: np.ndarray) -> np.ndarray:
         if offd.size:
             sec[j] = np.max(np.abs(cor[offd, j]))
     return sec
+
+
+def pattern_from_dense(mask: np.ndarray, cor=None, theta=0.0, n_max=1000) -> SparsityPattern:
+    """A hand-made pattern whose strengths come from ``cor`` (the mask
+    itself by default)."""
+    a = sp.csc_matrix(np.asarray(mask, dtype=np.int8))
+    strength = pattern_strength_reference(a, np.asarray(mask if cor is None else cor, dtype=float))
+    return SparsityPattern(a=a, threshold=theta, n_max=n_max, strength=strength)
+
+
+def correlations_of(sym: np.ndarray) -> CorrelationMatrix:
+    """Correlations that read exactly the symmetric ``sym``, with a unit
+    diagonal: no mean and unit spread over 2 users, so each is G / 2."""
+    n = len(sym)
+    return CorrelationMatrix(gram=GramStats(g=pack(2.0 * np.asarray(sym, dtype=float)), n_users=2,
+                                            colsum=np.zeros(n)),
+                             mean=np.zeros(n), std=np.ones(n), constant=np.zeros(n, dtype=bool))
 
 
 def block_partition_reference(a: sp.csc_matrix, cor: np.ndarray) -> list[np.ndarray]:

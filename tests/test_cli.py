@@ -393,7 +393,7 @@ def test_option_names_are_not_abbreviated(workdir, tmp_path):
     # the --config pre-parser takes no prefix either: --c names no file to read
     res = run_cli(_evaluate_args(workdir) + ["--c", str(tmp_path / "absent.json")])
     assert res.returncode == 1
-    assert "cannot read config" not in res.stderr
+    assert "No such file" not in res.stderr
 
 
 def test_train_usage_errors(workdir, tmp_path):
@@ -685,6 +685,39 @@ def test_config_file_not_utf8(workdir, tmp_path):
     res = run_cli(["recommend", "--model", str(workdir["model"]), "--config", str(cfg)])
     assert res.returncode == 2
     assert "invalid JSON config" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_missing_config_file_is_reported_as_any_missing_input(tmp_path, capsys):
+    absent = tmp_path / "absent.json"
+    assert main(["popularity", "--data", str(absent), "--output", str(tmp_path / "p.csv")]) == 2
+    missing_data = capsys.readouterr().err
+    assert main(["popularity", "--data", "d.csv", "--output", str(tmp_path / "p.csv"),
+                 "--config", str(absent)]) == 2
+    assert capsys.readouterr().err == missing_data
+    assert missing_data == f"error: [Errno 2] No such file or directory: '{absent}'\n"
+
+
+@pytest.mark.parametrize("command,config,options", [
+    ("train", {"lambda": 300.0}, ["--lambda-grid", "2,5"]),
+    ("train", {"center": True, "user_weights": "absent.csv"}, ["--lambda", "2", "--disjoint"]),
+    ("evaluate", {"model": "absent.ease"}, ["--baseline", "popularity"]),
+], ids=["lambda", "gram", "scorer"])
+def test_config_yields_to_an_exclusive_option_on_the_command_line(
+    workdir, tmp_path, capsys, command, config, options
+):
+    """A config key whose option shares a mutually exclusive group with an
+    option on the command line gives nothing, so the run is the one
+    without the config."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = "--output" if command == "train" else "--report-json"
+    argv = [command, "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+            "--binarize", *options]
+    assert main(argv + [out, str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + [out, str(tmp_path / "configured"), "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == plain
+    assert filecmp.cmp(tmp_path / "configured", tmp_path / "plain", shallow=False)
 
 
 def _evaluate_args(workdir):
@@ -1263,7 +1296,7 @@ def test_cli_defaults_are_the_library_constants():
     assert evaluate.fold_in == DEFAULT_FOLD_IN == 0.8  # perfbench relies on the 0.8
     assert evaluate.alpha == DEFAULT_ALPHA == 0.5
     rescale = parser.parse_args(["rescale", *_D, "--model", "m", "--weights-out", "w"])
-    assert rescale.alpha == DEFAULT_ALPHA and rescale.fold_in == DEFAULT_FOLD_IN
+    assert rescale.alpha == DEFAULT_ALPHA
     sparse = parser.parse_args(["train-sparse", *_D, "--output", "m", "--lambda", "1",
                                 "--threshold", "0.1"])
     assert sparse.n_max == DEFAULT_N_MAX == 1000
@@ -1282,6 +1315,19 @@ def test_cli_defaults_are_the_library_constants():
                 for action in command._actions if action.default is not None
                 and "(default " in (action.help or "") and "%(default)s" not in action.help]
     assert restated == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["popularity", "--data", "d.csv", "--output", "p.csv", "--fold-in", "0.5"],
+    ["popularity", "--data", "d.csv", "--output", "p.csv", "--split-dir", "s", "--seed", "3"],
+    ["train-sparse", *_D, "--output", "m", "--lambda", "1", "--threshold", "0.1", "--fold-in", "0.5"],
+    ["rescale", *_D, "--model", "m", "--weights-out", "w", "--fold-in", "0.5"],
+], ids=["popularity-fold-in", "popularity-seed", "train-sparse-fold-in", "rescale-fold-in"])
+def test_commands_that_fold_no_users_refuse_fold_options(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "train-sparse"])

@@ -27,7 +27,6 @@ from gramrec import (
     score_histories,
     solve_rr,
     solve_zero_diag,
-    threshold_pattern,
     time_intervals,
     to_user_item_matrix,
 )
@@ -43,6 +42,7 @@ from conftest import (
     make_iset,
     matrix_from_dense,
     ndcg_at_k,
+    pattern_from_dense,
     recall_at_k,
     uniform_weights,
     zero_model,
@@ -253,7 +253,7 @@ def test_evaluation_scale_invariant_ranking():
 
 def test_sparse_full_pattern_matches_dense_report():
     model, matrix, split, _ = eval_setup()
-    pattern = threshold_pattern(np.ones((model.n_items, model.n_items)), theta=0.5)
+    pattern = pattern_from_dense(np.ones((model.n_items, model.n_items)), theta=0.5)
     masked = mask_model(model, pattern)
     dense_report = evaluate_model(model, matrix, split)
     sparse_report = evaluate_model(masked, matrix, split)
@@ -266,7 +266,7 @@ def test_sparse_model_converted_to_csr_once():
     # panel of the model once, in its one pass over the panels, instead of
     # once per score block, with the same report
     model, matrix, split, _ = eval_setup(n_users=60)
-    masked = mask_model(model, threshold_pattern(np.ones((model.n_items, model.n_items)), 0.5))
+    masked = mask_model(model, pattern_from_dense(np.ones((model.n_items,) * 2), theta=0.5))
     expected = evaluate_model(masked, matrix, split).to_json()
     tocsr = sp.csc_matrix.tocsr
     calls = []
@@ -692,7 +692,8 @@ def test_evaluate_model_matches_per_user_sort(case, kind):
         model = apply_item_rescaling(
             model, popularity_weights(popularity(iset), alpha=0.5))
     elif kind == "sparse":
-        model = mask_model(model, threshold_pattern(r.random((n, n)), theta=0.7))
+        keep = (r.random((n, n)) >= 0.7) | np.eye(n, dtype=bool)
+        model = mask_model(model, pattern_from_dense(keep, theta=0.7))
     elif kind.startswith("popularity"):
         pop = popularity(iset) if kind == "popularity" else np.ones(n)
         model = PopularityScorer(pop)
@@ -749,7 +750,8 @@ def gather_model(r, n, kind):
     if kind == "weighted":
         model = apply_item_rescaling(model, ItemWeightVector(r.random(n) * 3, KIND_UNIFORM, 0.0))
     elif kind == "sparse":
-        model = mask_model(model, threshold_pattern(r.random((n, n)), theta=0.6))
+        keep = (r.random((n, n)) >= 0.6) | np.eye(n, dtype=bool)
+        model = mask_model(model, pattern_from_dense(keep, theta=0.6))
     return model
 
 
@@ -1023,7 +1025,7 @@ def test_loaded_model_scores_chunk_over_n_users_at_a_time(kind, chunk):
     # most PANEL items; the one pass scores all 400 users against the one panel
     model, matrix, split = trained_case(40)
     model = {"dense": model,
-             "sparse": mask_model(model, threshold_pattern(np.ones((40, 40)), theta=0.5)),
+             "sparse": mask_model(model, pattern_from_dense(np.ones((40, 40)), theta=0.5)),
              "popularity": PopularityScorer(np.ones(40))}[kind]
     with with_chunk(chunk), mock.patch.object(evaluation, "_scores",
                                               wraps=evaluation._scores) as score:

@@ -56,7 +56,7 @@ from gramrec.files import _CHUNK as _FILE_CHUNK
 from gramrec.gram import PANEL
 from gramrec.packed import pack
 
-from conftest import binary_matrix, kept, make_iset, write_canonical_reference
+from conftest import binary_matrix, kept, make_iset, pattern_from_dense, write_canonical_reference
 
 
 @pytest.fixture(scope="module")
@@ -378,7 +378,7 @@ def test_mask_model_holds_one_column_panel(saved_trained):
     formed whole."""
     _, model, _, _ = saved_trained
     n = model.n_items
-    pattern = threshold_pattern(np.eye(n), theta=0.5)
+    pattern = pattern_from_dense(np.eye(n), theta=0.5)
     assert peak_n2(lambda: mask_model(model, pattern), n) < PANEL / n + 0.05
 
 

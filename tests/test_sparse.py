@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramrec import (
-    CorrelationMatrix,
     DataError,
     DenseModel,
-    GramStats,
     SparseModel,
     SparsityPattern,
     aggregate_blocks,
@@ -29,6 +27,7 @@ from gramrec import (
 )
 import gramrec.evaluation as evaluation
 import gramrec.sparse as sparse
+from gramrec.gram import PANEL
 from gramrec.packed import pack
 
 from conftest import (
@@ -36,20 +35,14 @@ from conftest import (
     block_partition_reference,
     binary_matrix,
     correlation_reference,
+    correlations_of,
     gram_of,
     matrix_from_dense,
+    pattern_from_dense,
     pattern_strength_reference,
     threshold_pattern_reference,
     two_pass_correlation,
 )
-
-
-def pattern_from_dense(mask: np.ndarray, cor=None, theta=0.0, n_max=1000) -> SparsityPattern:
-    """A hand-made pattern whose strengths come from ``cor`` (the mask
-    itself by default)."""
-    a = sp.csc_matrix(np.asarray(mask, dtype=np.int8))
-    strength = pattern_strength_reference(a, np.asarray(mask if cor is None else cor, dtype=float))
-    return SparsityPattern(a=a, threshold=theta, n_max=n_max, strength=strength)
 
 
 def three_block_gram(rng, users_per_block=8, items_per_block=5):
@@ -70,20 +63,20 @@ def three_block_gram(rng, users_per_block=8, items_per_block=5):
 
 def test_correlation_identical_columns():
     stats = gram_of([[1, 1], [0, 0], [1, 1], [0, 0]])
-    cor = correlation_from_gram(stats)[:, :]
+    cor = correlation_from_gram(stats).rows(0, 2)
     np.testing.assert_allclose(cor, np.ones((2, 2)), atol=1e-12)
 
 
 def test_correlation_independent_balanced_pair():
     stats = gram_of([[0, 0], [0, 1], [1, 0], [1, 1]])
-    cor = correlation_from_gram(stats)[:, :]
+    cor = correlation_from_gram(stats).rows(0, 2)
     assert cor[0, 1] == 0.0
     np.testing.assert_array_equal(np.diag(cor), [1.0, 1.0])
 
 
 def test_correlation_zero_variance_column():
     stats = gram_of([[1, 1], [1, 0], [1, 1]])  # item 0 is ubiquitous
-    cor = correlation_from_gram(stats)[:, :]
+    cor = correlation_from_gram(stats).rows(0, 2)
     assert cor[0, 1] == 0.0
     assert cor[1, 0] == 0.0
     assert cor[0, 0] == 1.0
@@ -92,14 +85,14 @@ def test_correlation_zero_variance_column():
 def test_correlation_matches_two_pass_oracle(rng):
     x = binary_matrix(rng, 50, 6)
     cor = correlation_from_gram(build_gram(x))
-    np.testing.assert_allclose(cor[:, :], two_pass_correlation(x.matrix.toarray()), atol=1e-10)
-    assert np.abs(cor[:, :]).max() <= 1.0 + 1e-12
+    np.testing.assert_allclose(cor.rows(0, 6), two_pass_correlation(x.matrix.toarray()), atol=1e-10)
+    assert np.abs(cor.rows(0, 6)).max() <= 1.0 + 1e-12
 
 
 def test_correlation_on_ratings_matches_corrcoef(rng):
     dense = rng.integers(1, 6, (300, 30)) * (rng.random((300, 30)) < 0.3)
     dense[:, 1] = dense[:, 0]  # item 1 copies item 0
-    cor = correlation_from_gram(gram_of(dense))[:, :]
+    cor = correlation_from_gram(gram_of(dense)).rows(0, 30)
     np.testing.assert_allclose(cor, np.corrcoef(dense.T), atol=1e-10)
     assert cor[0, 1] == pytest.approx(1.0, abs=1e-12)
 
@@ -126,23 +119,37 @@ def test_correlations_indexed_after_a_solve_are_refused(rng):
     x = binary_matrix(rng, 30, 8)
     stats = build_gram(x)
     cor = correlation_from_gram(stats)
-    np.testing.assert_array_equal(cor[:, :], correlation_reference(stats))
+    np.testing.assert_array_equal(cor.rows(0, 8), correlation_reference(stats))
     solve_zero_diag(stats, 1.0)
-    assert cor.shape == (8, 8)
+    assert cor.n_items == 8
     with pytest.raises(DataError, match="consumed by an earlier solve"):
-        cor[:, 0:8]
+        cor.rows(0, 8)
 
 
-def test_correlations_are_read_only_as_column_panels(rng):
-    cor = correlation_from_gram(build_gram(binary_matrix(rng, 30, 8)))
-    for key in ((np.arange(8), np.arange(8)[::-1]), (slice(0, 4), slice(0, 8)),
-                (slice(None), slice(0, 8, 2)), (slice(None), 3)):
-        with pytest.raises(TypeError, match=r"cor\[:, lo:hi\]"):
-            cor[key]
+@settings(max_examples=25, deadline=None)
+@given(
+    n_items=st.sampled_from([1, 2, 9, PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 3]),
+    n_users=st.integers(2, 20),
+    width=st.sampled_from([1, 5, PANEL]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_correlation_rows_are_the_reference_bitwise_and_symmetric(n_items, n_users, width, seed):
+    """Row panels of any width, stacked, are bitwise the whole-matrix
+    reference and bitwise its transpose, so row j serves as column j."""
+    r = np.random.default_rng(seed)
+    dense = (r.random((n_users, n_items)) < 0.3) * r.integers(1, 6, (n_users, n_items))
+    dense[:, ::7] = 0  # empty items and
+    dense[:, 3::11] = 2  # constant ones have zero variance
+    gram = gram_of(dense)
+    cor = correlation_from_gram(gram)
+    whole = np.concatenate([cor.rows(lo, lo + width) for lo in range(0, n_items, width)])
+    assert whole.flags.c_contiguous
+    assert whole.tobytes() == correlation_reference(gram).tobytes()
+    assert whole.tobytes() == np.ascontiguousarray(whole.T).tobytes()
 
 
 def test_threshold_small_example():
-    cor = np.array([[1.0, 0.8, 0.1], [0.8, 1.0, -0.4], [0.1, -0.4, 1.0]])
+    cor = correlations_of([[1.0, 0.8, 0.1], [0.8, 1.0, -0.4], [0.1, -0.4, 1.0]])
     pat = threshold_pattern(cor, theta=0.3)
     dense = pat.a.toarray()
     np.testing.assert_array_equal(
@@ -154,7 +161,7 @@ def test_threshold_small_example():
 
 
 def test_threshold_cap_keeps_strongest():
-    cor = np.array([[1.0, 0.8, 0.1], [0.8, 1.0, -0.4], [0.1, -0.4, 1.0]])
+    cor = correlations_of([[1.0, 0.8, 0.1], [0.8, 1.0, -0.4], [0.1, -0.4, 1.0]])
     pat = threshold_pattern(cor, theta=0.0, n_max=2)
     dense = pat.a.toarray()
     np.testing.assert_array_equal(dense[:, 1], [1, 1, 0])  # |0.8| beats |-0.4|
@@ -165,27 +172,25 @@ def test_threshold_cap_keeps_strongest():
 def test_threshold_cap_ties_go_to_lower_row():
     m = np.full((4, 4), 0.5)
     np.fill_diagonal(m, 1.0)
-    pat = threshold_pattern(m, theta=0.0, n_max=2)
+    pat = threshold_pattern(correlations_of(m), theta=0.0, n_max=2)
     np.testing.assert_array_equal(pat.a.toarray()[:, 2], [1, 0, 1, 0])
 
 
 def test_threshold_diagonal_always_present():
-    m = np.zeros((3, 3))
+    m = correlations_of(np.zeros((3, 3)))
     pat = threshold_pattern(m, theta=0.5)
     np.testing.assert_array_equal(pat.a.toarray(), np.eye(3))
     np.testing.assert_array_equal(pat.strength, [-1.0, -1.0, -1.0])  # no off-diagonal entry
 
 
 def test_threshold_validation():
-    m = np.eye(2)
+    m = correlations_of(np.eye(2))
     with pytest.raises(DataError, match="non-negative"):
         threshold_pattern(m, theta=-0.1)
     with pytest.raises(DataError, match="non-negative"):
         threshold_pattern(m, theta=np.nan)
     with pytest.raises(DataError, match="cap"):
         threshold_pattern(m, theta=0.0, n_max=0)
-    with pytest.raises(DataError, match="square"):
-        threshold_pattern(np.zeros((2, 3)), theta=0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,7 +205,7 @@ def test_threshold_pattern_invariants(n, theta, n_max, seed):
     m = r.uniform(-1, 1, (n, n))
     m = 0.5 * (m + m.T)
     np.fill_diagonal(m, 1.0)
-    pat = threshold_pattern(m, theta=theta, n_max=n_max)
+    pat = threshold_pattern(correlations_of(m), theta=theta, n_max=n_max)
     a = pat.a
     counts = np.diff(a.indptr)
     assert np.all(counts <= n_max)
@@ -219,25 +224,18 @@ def test_threshold_pattern_invariants(n, theta, n_max, seed):
 )
 def test_threshold_pattern_matches_reference_with_ties_at_the_cap(n, n_max, theta, seed):
     """Multiples of 1/4 tie at many columns' cap value; the ties kept are
-    the lowest rows.  A plain array need not be symmetric and is not
-    written to."""
+    the lowest rows."""
     r = np.random.default_rng(seed)
     plain = r.integers(-4, 5, (n, n)) / 4.0
     sym = np.triu(plain) + np.triu(plain, 1).T
     np.fill_diagonal(sym, 1.0)
-    # no mean and unit spread: the correlations are G / n_users, exactly sym
-    cor = CorrelationMatrix(gram=GramStats(g=pack(2.0 * sym), n_users=2, colsum=np.zeros(n)),
-                            mean=np.zeros(n), std=np.ones(n), constant=np.zeros(n, dtype=bool))
-    before = plain.copy()
-    for m, source in ((cor, sym), (plain, before)):
-        pattern = threshold_pattern(m, theta=theta, n_max=n_max)
-        ref = threshold_pattern_reference(source, theta, n_max)
-        np.testing.assert_array_equal(pattern.a.indptr, ref.indptr)
-        np.testing.assert_array_equal(pattern.a.indices, ref.indices)
-        np.testing.assert_array_equal(pattern.strength, pattern_strength_reference(ref, source))
-        blocks = block_partition(pattern)
-        assert [b.tolist() for b in blocks] == [b.tolist() for b in block_partition_reference(ref, source)]
-    np.testing.assert_array_equal(plain, before)
+    pattern = threshold_pattern(correlations_of(sym), theta=theta, n_max=n_max)
+    ref = threshold_pattern_reference(sym, theta, n_max)
+    np.testing.assert_array_equal(pattern.a.indptr, ref.indptr)
+    np.testing.assert_array_equal(pattern.a.indices, ref.indices)
+    np.testing.assert_array_equal(pattern.strength, pattern_strength_reference(ref, sym))
+    blocks = block_partition(pattern)
+    assert [b.tolist() for b in blocks] == [b.tolist() for b in block_partition_reference(ref, sym)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -264,7 +262,7 @@ def test_sparse_steps_match_whole_matrix_references(
 
     cor = correlation_from_gram(gram)
     ref = correlation_reference(gram)
-    np.testing.assert_array_equal(cor[:, :], ref)
+    np.testing.assert_array_equal(cor.rows(0, n_items), ref)
 
     pattern = threshold_pattern(cor, theta=theta, n_max=n_max)
     ref_a = threshold_pattern_reference(ref, theta, n_max)
@@ -378,7 +376,7 @@ def test_blocks_chain_overlap():
         ]
     )
     # support ties 1 and 2; 1's 0.9 beats 2's 0.8
-    for pat in (pattern_from_dense(mask, cor), threshold_pattern(cor, theta=0.5)):
+    for pat in (pattern_from_dense(mask, cor), threshold_pattern(correlations_of(cor), theta=0.5)):
         np.testing.assert_array_equal(pat.a.toarray(), mask)
         np.testing.assert_array_equal(pat.strength, [0.9, 0.9, 0.8, 0.8])
         blocks = block_partition(pat)
