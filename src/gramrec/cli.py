@@ -26,6 +26,7 @@ from .data import (
     DEFAULT_FOLD_IN,
     InteractionSchema,
     InteractionSet,
+    SplitSpec,
     events_of,
     filter_activity,
     load_interactions,
@@ -142,8 +143,19 @@ def _schema_from_args(args) -> InteractionSchema | None:
     return InteractionSchema(*columns)
 
 
-def _load_events(args) -> InteractionSet:
-    return load_interactions(args.data, binarize=args.binarize)
+def _split_events(args, groups: list[str], **fold) -> tuple[InteractionSet, SplitSpec]:
+    """The events of ``args.data`` of the users in ``groups`` only, each the
+    name of a user set of the split (``train``, ``validation`` or ``test``),
+    and the split of ``args.split_dir``, which is read against the log's
+    user keys first."""
+    found = []
+
+    def users(user_index: dict[str, int]) -> np.ndarray:
+        found.append(load_split_files(args.split_dir, user_index, **fold))
+        return np.concatenate([getattr(found[-1], f"{group}_users") for group in groups])
+
+    iset = load_interactions(args.data, binarize=args.binarize, users=users)
+    return iset, found[-1]
 
 
 def _load_any_model(path: str):
@@ -218,9 +230,9 @@ def cmd_train(args) -> int:
         raise UsageError("--exact-expectation applies only with --disjoint")
     if args.split_fraction is not None and not args.exact_expectation:
         raise UsageError("--split-fraction applies only with --exact-expectation")
-    iset = _load_events(args)
+    iset, split = _split_events(args, ["train", "validation"] if args.lambda_grid else ["train"],
+                                fold_in_fraction=args.fold_in, seed=args.seed)
     matrix = to_user_item_matrix(iset)
-    split = load_split_files(args.split_dir, iset.user_index, args.fold_in, args.seed)
     if args.disjoint:
         fraction = (args.split_fraction or 0.05) if args.exact_expectation else None
         builder, options = build_disjoint_gram, {"split_fraction": fraction}
@@ -257,9 +269,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_train_sparse(args) -> int:
-    iset = _load_events(args)
+    iset, split = _split_events(args, ["train"])
     matrix = to_user_item_matrix(iset)
-    split = load_split_files(args.split_dir, iset.user_index)
     item_keys = iset.item_keys
     del iset  # before G is built
     lam, theta, n_max = getattr(args, "lambda"), args.threshold, args.n_max
@@ -284,8 +295,7 @@ def cmd_rescale(args) -> int:
         raise UsageError("--intervals and --at-time apply only with --mode time")
     if args.weights_out is None and args.output is None:
         raise UsageError("nothing to do: give --weights-out and/or --output")
-    iset = _load_events(args)
-    split = load_split_files(args.split_dir, iset.user_index)
+    iset, split = _split_events(args, ["train"])
     if args.mode == "time":
         index = time_intervals(iset, args.intervals, user_subset=split.train_users)
         k = int(index.locate(np.asarray([args.at_time]))[0])
@@ -310,14 +320,16 @@ def cmd_rescale(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    iset = _load_events(args)
-    split = load_split_files(args.split_dir, iset.user_index, args.fold_in, args.seed)
+    with_train = args.baseline is not None or args.time_intervals is not None
+    iset, split = _split_events(args, [args.users] + ["train"] * with_train,
+                                fold_in_fraction=args.fold_in, seed=args.seed)
     pop = popularity(iset, split.train_users) if args.baseline is not None else None
     index = None
     if args.time_intervals is not None:
         index = time_intervals(iset, args.time_intervals, user_subset=split.train_users)
     data_keys = iset.item_keys
-    evaluated = events_of(iset, split.users(args.users))  # with their ids
+    # the evaluated users' events, with their ids, once the training users' are done with
+    evaluated = events_of(iset, split.users(args.users)) if with_train else iset
     del iset  # before P is loaded
     if index is None:  # the time-aware protocol folds the events themselves
         evaluated = to_user_item_matrix(evaluated)
@@ -378,12 +390,12 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_popularity(args) -> int:
-    iset = _load_events(args)
     if args.split_dir is not None:
-        split = load_split_files(args.split_dir, iset.user_index)
+        iset, split = _split_events(args, ["train"])
         pop = popularity(iset, split.train_users)
         _log(f"popularity over {len(split.train_users)} training users")
     else:
+        iset = load_interactions(args.data, binarize=args.binarize)
         pop = popularity(iset)
     write_key_csv(args.output, iset.item_keys, "item", "count", pop)
     _log(f"popularity for {iset.n_items} items -> {args.output}")

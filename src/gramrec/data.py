@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -153,6 +154,7 @@ def load_interactions(
     binarize: bool = False,
     dedup: str = "keep_max",
     min_value: float | None = None,
+    users: Callable[[dict[str, int]], np.ndarray] | None = None,
 ) -> InteractionSet:
     """Read an interaction log into an :class:`InteractionSet`.
 
@@ -174,15 +176,21 @@ def load_interactions(
         wins), ``keep_last`` (file order wins), or ``error``.
     min_value:
         Drop events with value below this threshold before indexing.
+    users:
+        Called with the log's user key index (key to dense id) and returns
+        the ids of the users whose events are kept; the others' events are
+        dropped, as :func:`events_of` drops them.  Ids and key tables stay
+        those of the whole log.
 
     Dense ids are assigned in first-appearance order of the retained events.
     A missing value column means every event has value 1.0.  Errors name the
     record (``line N``, the header being line 1) of the first bad event.
 
-    With every option but ``binarize`` at its default, the event container
-    ``ingest`` wrote beside ``path`` is read instead of the text, when it is
-    intact and holds the sha256 of ``path``'s current bytes; it gives the
-    same result.
+    With every option but ``binarize`` and ``users`` at its default, the
+    event container ``ingest`` wrote beside ``path`` is read instead of the
+    text, when it is intact, holds the sha256 of ``path``'s current bytes
+    and passes its checks; it gives the same result, and only the kept
+    users' events are read into memory.
     """
     if fmt not in ("csv", "tsv"):
         raise DataError(f"unknown format {fmt!r}; expected 'csv' or 'tsv'")
@@ -191,9 +199,11 @@ def load_interactions(
     path = Path(path)
     iset = None
     if (fmt, schema, dedup, min_value) == ("csv", None, "keep_max", None):
-        iset = _load_events(path)
+        iset = _load_events(path, users)
     if iset is None:
         iset = _parse_interactions(path, "," if fmt == "csv" else "\t", schema, dedup, min_value)
+        if users is not None:
+            iset = events_of(iset, users(dict(zip(iset.user_keys, count()))))
     if binarize:
         iset.values.fill(1.0)
     return iset
@@ -327,12 +337,16 @@ def _events_path(path: Path) -> Path:
     return path.with_name(path.name + ".events")
 
 
-def _load_events(path: Path) -> InteractionSet | None:
-    """The events in the container beside ``path``; None when there is no
-    container, or it is unreadable, malformed or damaged, or was written
-    for other bytes than ``path`` holds now."""
+def _load_events(path: Path, users: Callable[[dict[str, int]], np.ndarray] | None) -> InteractionSet | None:
+    """The events in the container beside ``path``, of the ``users`` only
+    when that is given (see :func:`load_interactions`); None when there is
+    no container, or it is unreadable, malformed, damaged or out of range,
+    or was written for other bytes than ``path`` holds now.  A ``users``
+    that raises is called again on the parsed log, whose keys decide."""
+    select = None if users is None else ("user_ids", lambda keys: users(dict(zip(keys, count()))))
     try:
-        c = read_container(_events_path(path), "events", verify=True)
+        c = read_container(_events_path(path), "events", verify=True, select=select,
+                           ids={"user_ids": "users", "item_ids": "items"}, finite=("values",))
         user_ids = c.array("user_ids", (-1,))
         n = user_ids.shape
         iset = InteractionSet(

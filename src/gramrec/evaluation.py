@@ -51,7 +51,7 @@ from .solver import VARIANT_ZERO_DIAG, DenseModel, solve_zero_diag
 from .sparse import SparseModel
 from .weighting import DEFAULT_EPSILON, time_popularity_weights
 
-_CHUNK = 1 << 16  # floats per score block (_CHUNK // PANEL users) and per comparison block
+_CHUNK = 1 << 14  # floats per score block (_CHUNK // PANEL users) and per comparison block
 DEFAULT_RECALL_KS, DEFAULT_NDCG_K = (20, 50), 100  # the paper's cutoffs
 
 

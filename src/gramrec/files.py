@@ -29,6 +29,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -135,14 +136,23 @@ def container_kind(path: str | Path) -> str:
         return _read_header(fh, path, os.fstat(fh.fileno()).st_size)[3]["kind"]
 
 
-def read_container(path: str | Path, kind: str, verify: bool, narrow: tuple[str, ...] = ()) -> Container:
+def read_container(path: str | Path, kind: str, verify: bool, narrow: tuple[str, ...] = (),
+                   ids: dict[str, str] | None = None, finite: tuple[str, ...] = (),
+                   select: tuple[str, Callable[[list[str]], np.ndarray]] | None = None) -> Container:
     """Read a container of ``kind``, each array into its own buffer.  The
     ``<i8`` arrays named in ``narrow`` are read into int32 buffers a chunk
     at a time, and kept as int64 once a chunk holds a value int32 cannot.
-    A file that is not a container, of another version or kind, truncated,
-    or with a malformed header is a DataError; with ``verify``, the stored
-    bytes are hashed as they are read, and a file whose bytes fail its
-    sha256 is too."""
+    Each array ``ids`` maps to a key table must hold ids of that table, and
+    each named in ``finite`` finite values; both are checked a chunk at a
+    time as read.  With ``select = (name, keep)``, ``name`` one of ``ids``,
+    ``keep(table)`` gets that array's key table once the header is read and
+    returns the ids to keep.  Each entry of ``name`` is then marked, one
+    byte an entry, when it holds one of them, and of ``name`` and of every
+    later array of its length only the marked entries are kept, in buffers
+    sized to them.  A file that is not a container, of another version or
+    kind, truncated, with a malformed header or with an entry that fails
+    its check is a DataError; with ``verify``, the stored bytes are hashed
+    as they are read, and a file whose bytes fail its sha256 is too."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         digest, stored, n_items, header, specs = _read_header(fh, path, size)
@@ -151,33 +161,82 @@ def read_container(path: str | Path, kind: str, verify: bool, narrow: tuple[str,
         expected = fh.tell() + sum(8 * math.prod(shape) for _, _, shape in specs)
         if size != expected:
             raise DataError(f"{path}: expected {expected} bytes, found {size}")
-        arrays = {name: _read_array(fh, dtype, shape, digest if verify else None,
-                                    name in narrow and dtype == "<i8")
-                  for name, dtype, shape in specs}
+        tables = {name: header["keys"].get(table, []) for name, table in (ids or {}).items()}
+        if select is not None:
+            member = np.zeros(len(tables[select[0]]), dtype=bool)
+            member[select[1](tables[select[0]])] = True
+        arrays, marked = {}, None
+        for name, dtype, shape in specs:
+            count = math.prod(shape)
+            checked = name in tables or name in finite
+            if not (checked or name in narrow or select is not None):
+                arrays[name] = np.fromfile(fh, dtype, count).reshape(shape)
+                if verify:
+                    digest.update(arrays[name])
+                continue
+            chunks = _chunks(fh, dtype, count, digest if verify else None)
+            if checked:
+                bound = len(tables[name]) if name in tables else None
+                chunks = _checked(chunks, f"{path}: array {name!r} holds an entry out of range", bound)
+            if select is not None and name == select[0]:
+                marked = np.empty(count, dtype=bool)
+                arrays[name] = _marking(chunks, dtype, member, marked)
+            else:
+                keep = marked if marked is not None and count == len(marked) else None
+                out = _assemble(chunks, count, dtype, name in narrow and dtype == "<i8", keep)
+                arrays[name] = out if keep is not None else out.reshape(shape)
     if verify and digest.digest() != stored:
         raise DataError(f"{path}: damaged: its bytes do not match their sha256")
     return Container(path, kind, n_items, header["meta"], header["keys"], arrays)
 
 
-def _read_array(fh, dtype: str, shape: tuple[int, ...], digest, narrow: bool) -> np.ndarray:
-    """The next array of the file, hashed into ``digest`` unless it is None;
-    when ``narrow``, as int32 if all its values fit, as int64 otherwise."""
-    count = math.prod(shape)
-    if not narrow:
-        out = np.fromfile(fh, dtype, count)
-        if digest is not None:
-            digest.update(out)
-        return out.reshape(shape)
-    out = np.empty(count, dtype=np.int32)
-    limits = np.iinfo(np.int32)
+def _chunks(fh, dtype: str, count: int, digest):
+    """The next ``count`` entries of the file, ``_CHUNK`` at a time, each
+    hashed into ``digest`` unless it is None."""
     for lo in range(0, count, _CHUNK):
         chunk = np.fromfile(fh, dtype, min(_CHUNK, count - lo))
         if digest is not None:
             digest.update(chunk)
-        if out.dtype == np.int32 and not limits.min <= chunk.min() <= chunk.max() <= limits.max:
+        yield chunk
+
+
+def _checked(chunks, message: str, bound: int | None):
+    """The chunks, refused with ``message`` once one holds an entry outside
+    [0, ``bound``), or one not finite when ``bound`` is None."""
+    for chunk in chunks:
+        if not (np.isfinite(chunk).all() if bound is None
+                else not len(chunk) or 0 <= chunk.min() <= chunk.max() < bound):
+            raise DataError(message)
+        yield chunk
+
+
+def _marking(chunks, dtype: str, member: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """The entries of ``chunks`` that ``member`` holds true at, each marked in ``marked``."""
+    parts, lo = [np.empty(0, dtype)], 0
+    for chunk in chunks:
+        mark = marked[lo : lo + len(chunk)]
+        mark[:] = member[chunk]
+        parts.append(np.compress(mark, chunk))  # faster than chunk[mark] on scattered marks
+        lo += len(chunk)
+    return np.concatenate(parts)
+
+
+def _assemble(chunks, count: int, dtype: str, narrow: bool, keep: np.ndarray | None) -> np.ndarray:
+    """The ``count`` entries of ``chunks`` in one buffer, or only those
+    ``keep`` marks; when ``narrow``, as int32 if all fit, as int64 otherwise."""
+    out = np.empty(count if keep is None else int(np.count_nonzero(keep)),
+                   np.int32 if narrow else dtype)
+    limits = np.iinfo(np.int32)
+    lo = at = 0
+    for chunk in chunks:
+        if keep is not None:
+            lo, chunk = lo + len(chunk), np.compress(keep[lo : lo + len(chunk)], chunk)
+        if out.dtype == np.int32 and len(chunk) and not (
+                limits.min <= chunk.min() <= chunk.max() <= limits.max):
             out = out.astype(np.int64)
-        out[lo : lo + len(chunk)] = chunk
-    return out.reshape(shape)
+        out[at : at + len(chunk)] = chunk
+        at += len(chunk)
+    return out
 
 
 def _read_header(fh, path, size: int):
@@ -211,7 +270,8 @@ def _read_header(fh, path, size: int):
             if not isinstance(name, str) or dtype not in _DTYPES or not all(
                     isinstance(s, int) and s >= 0 for s in shape):
                 raise TypeError(f"array {name!r}")
-    except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
+    # UnicodeDecodeError is a ValueError; JSON nested too deep for the parser is a RecursionError
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DataError(f"{path}: malformed header ({exc})") from None
     return digest, head[_HEAD.size :], n_items, header, specs
 

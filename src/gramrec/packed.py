@@ -142,16 +142,25 @@ def unpack(a: np.ndarray) -> np.ndarray:
 
 def submatrix(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """A[idx][:, idx], packed, for ascending ``idx``: its lower triangle is
-    gathered block by block."""
+    gathered from W, R and T a panel of ``PANEL // 4`` rows at a time and
+    stored with :func:`write_rows`.  A gather from two index arrays holds a
+    temporary of its own size beside its result, and a panel of A21 and A22
+    is filled by two, so beyond the result at most PANEL·len(idx) floats are held."""
     n, n1, w, r, t = _blocks(a)
     idx = np.asarray(idx, dtype=np.int64)
     if np.any(np.diff(idx) < 0):
         raise ValueError("submatrix indices must be in ascending order")
-    low, high = np.split(idx, [np.searchsorted(idx, n1)])
-    high = high - n1  # not in place: both are views of the caller's indices
-    m = len(low)
-    sub = np.empty((len(idx), len(idx)))
-    sub[:m, :m] = w[np.ix_(low, low)].T  # W holds A11's upper triangle
-    sub[m:, :m] = r[np.ix_(low, high)].T
-    sub[m:, m:] = t[np.ix_(high, high)]  # T holds A22's lower triangle
-    return pack(sub)  # reads the lower triangle only
+    k, m = len(idx), int(np.searchsorted(idx, n1))  # idx[:m] are rows of A11
+    out = np.empty(size(k))
+    step = PANEL // 4
+    for lo in range(0, m, step):  # W holds A11's upper triangle
+        hi = min(lo + step, m)
+        write_rows(out, lo, w[np.ix_(idx[:hi], idx[lo:hi])].T)
+    for lo in range(m, k, step):
+        hi = min(lo + step, k)
+        rows = idx[lo:hi] - n1
+        panel = np.empty((hi - lo, hi))
+        panel[:, :m] = r[np.ix_(idx[:m], rows)].T  # R is A12, so A21 transposed
+        panel[:, m:] = t[np.ix_(rows, idx[m:hi] - n1)]  # T holds A22's lower triangle
+        write_rows(out, lo, panel)
+    return out

@@ -223,7 +223,8 @@ def test_traced_train_on_ingested_data_records_one_load(tmp_path):
     """``data.rows_per_s`` divides the ``events`` of each non-ingest
     ``data.load_interactions`` span by its time; a load that reads the
     event container ``ingest`` wrote must still be one such span, counting
-    every row of the canonical CSV."""
+    the rows of the canonical CSV it keeps: ``train`` without a grid keeps
+    the training users' events only."""
     from conftest import run_cli
 
     r = np.random.default_rng(4)
@@ -238,7 +239,8 @@ def test_traced_train_on_ingested_data_records_one_load(tmp_path):
         res = run_cli(argv)
         assert res.returncode == 0, res.stderr
     assert (tmp_path / "data.csv.events").is_file()
-    n_rows = len(data.read_text(encoding="utf-8").splitlines()) - 1
+    train = set((split / "train_users.txt").read_text(encoding="utf-8").split())
+    n_rows = sum(row.split(",")[0] in train for row in data.read_text(encoding="utf-8").splitlines()[1:])
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -251,7 +253,7 @@ def test_traced_train_on_ingested_data_records_one_load(tmp_path):
     assert res.returncode == 0, res.stderr
     spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
     loads = [s for s in spans if s["name"] == "data.load_interactions"]
-    assert len(loads) == 1 and loads[0]["events"] == n_rows == 200
+    assert len(loads) == 1 and loads[0]["events"] == n_rows == 5 * 24
 
 
 def test_model_file_bytes_the_benchmark_reads_and_edits(tmp_path):

@@ -36,7 +36,7 @@ import gramrec.cli
 from gramrec.cli import main
 from gramrec.data import DEFAULT_FOLD_IN, SplitSpec
 from gramrec.evaluation import DEFAULT_NDCG_K, DEFAULT_RECALL_KS, evaluate_model, evaluate_time_aware
-from gramrec.files import read_key_csv
+from gramrec.files import read_container, read_key_csv, write_container
 from gramrec.packed import pack
 from gramrec.sparse import DEFAULT_N_MAX, threshold_pattern
 from gramrec.weighting import DEFAULT_ALPHA
@@ -1433,6 +1433,42 @@ def test_commands_after_ingest_skip_the_parser(workdir, tmp_path, monkeypatch, c
                "split/test_users.txt"]
     for name in outputs:
         assert (tmp_path / "container" / name).read_bytes() == (tmp_path / "parsed" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name,value", [
+    ("user_ids", 10**9), ("user_ids", -1), ("item_ids", 10), ("item_ids", -1),
+    ("values", np.nan), ("values", -np.inf),
+])
+def test_event_container_with_an_entry_out_of_range_is_not_used(workdir, tmp_path, capsys, name,
+                                                                 value):
+    """One entry of the event container set out of range (an id outside its
+    key table, 10 items here, or a value that is not finite) and the file
+    written again, so its sha256 holds: ``evaluate`` and ``popularity`` parse
+    the CSV, and write what they write with the container deleted."""
+    whole = load_interactions(workdir["data"])
+    split = load_split_files(workdir["splits"], whole.user_index)
+    # the edited event is a training user's, neither the last user's nor of
+    # the last item, so that an id read as a wrapped index would move it
+    assert whole.user_ids[0] in split.train_users and whole.n_users - 1 not in split.train_users
+    assert whole.item_ids[0] != whole.n_items - 1 == 9
+    outputs = {}
+    for case in ("edited", "deleted"):
+        d = tmp_path / case
+        d.mkdir()
+        shutil.copy(workdir["data"], d / "data.csv")
+        if case == "edited":
+            c = read_container(f"{workdir['data']}.events", "events", verify=True)
+            arrays = {key: arr.copy() for key, arr in c.arrays.items()}
+            arrays[name][0] = value
+            write_container(d / "data.csv.events", "events", c.n_items, c.meta, arrays, c.keys)
+        common = ["--data", str(d / "data.csv"), "--split-dir", str(workdir["splits"])]
+        codes = (main(["evaluate", *common, "--model", str(workdir["model"]),
+                       "--report-json", str(d / "report.json")]),
+                 main(["popularity", *common, "--output", str(d / "pop.csv")]))
+        outputs[case] = (codes, capsys.readouterr().out,
+                         (d / "report.json").read_bytes(), (d / "pop.csv").read_bytes())
+    assert outputs["edited"] == outputs["deleted"]
+    assert outputs["deleted"][0] == (0, 0)
 
 
 def _child(code: str, cwd=None) -> str:

@@ -22,7 +22,7 @@ from gramrec import (
     to_user_item_matrix,
 )
 from gramrec.cli import main
-from gramrec.data import DEDUP_POLICIES, _csv_field, _dedup_indices, _reindex
+from gramrec.data import DEDUP_POLICIES, _csv_field, _dedup_indices, _reindex, events_of
 
 from conftest import (
     assert_same_interactions,
@@ -739,6 +739,39 @@ def test_event_container_loads_what_parsing_gives(tmp_path_factory, case, min_us
     assert parses.count == 0
     (root / "data.csv.events").unlink()
     assert_same_interactions(got, load_interactions(root / "data.csv"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 5), st.sampled_from([1.0, 2.5, -0.0]),
+                                 st.integers(-5, 5)), max_size=40, unique_by=lambda e: e[:2]),
+       chosen=st.sets(st.integers(0, 9)), binarize=st.booleans(), chunk=st.sampled_from([1, 2, 3, 7]))
+def test_selected_load_is_the_users_events_of_the_whole_log(tmp_path_factory, events, chosen, binarize,
+                                                          chunk):
+    """The users a split names, picked by key from the user key index: their
+    events, read from the container ``chunk`` entries at a time or parsed
+    from the CSV, are ``events_of`` the whole log, with its ids and keys."""
+    root = tmp_path_factory.mktemp("selected")
+    log = "user,item,value,timestamp\n" + "".join(f"u{u},i{i},{v},{t}\n" for u, i, v, t in events)
+    raw = write(root, log, "raw.csv")
+    assert main(["ingest", "--input", str(raw), "--output", str(root / "data.csv")]) == 0
+    whole = load_interactions(root / "data.csv", binarize=binarize)
+    keys = [f"u{u}" for u in sorted(chosen) if f"u{u}" in whole.user_index]
+    want = events_of(whole, np.asarray([whole.user_index[k] for k in keys], dtype=np.int64))
+
+    def users(index):
+        assert index == whole.user_index
+        return np.asarray([index[k] for k in keys], dtype=np.int64)
+
+    parsed = root / "parsed"
+    parsed.mkdir()
+    (parsed / "data.csv").write_bytes((root / "data.csv").read_bytes())
+    for path, n_parses in ((root / "data.csv", 0), (parsed / "data.csv", 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(files, "_CHUNK", chunk)
+            parses = Parses(mp)
+            got = load_interactions(path, binarize=binarize, users=users)
+        assert parses.count == n_parses
+        assert_same_interactions(got, want)
 
 
 CANONICAL_LOG = "user,item,value,timestamp\nu1,i1,1,10\nu2,i2,4,11\nu1,i1,5,12\nu3,i1,2,13\n"

@@ -1,6 +1,7 @@
 import ast
 import csv
 import errno
+import hashlib
 import re
 import tempfile
 from dataclasses import replace
@@ -186,7 +187,7 @@ def test_any_flipped_byte_is_refused(tmp_path_factory, name, at, mask):
     (d / name).write_bytes(bytes(raw))
     if name == "data.csv.events":
         (d / "data.csv").write_bytes(saved["data.csv"])
-        assert _load_events(d / "data.csv") is None
+        assert _load_events(d / "data.csv", None) is None
         assert_same_interactions(load_interactions(d / "data.csv"), _events())
     else:
         with pytest.raises(DataError):
@@ -226,6 +227,14 @@ def _dense_model_file(path, meta, arrays, items=None):
                     {"items": items})
 
 
+def _nested_header(path, depth=100_000):
+    """A container whose header is ``depth`` nested JSON arrays, with the
+    sha256 of its bytes, as no writer of the package writes one."""
+    header = b"[" * depth + b"]" * depth
+    head = files._HEAD.pack(files._MAGIC, files._VERSION, 3, len(header))
+    path.write_bytes(head + hashlib.sha256(head + header).digest() + header)
+
+
 # Each writes a malformed model file; loading it is a DataError naming what is wrong.
 MALFORMED = {
     "old_format": (_old_dense_model, "not a gramrec container (magic b'EASE')"),
@@ -257,6 +266,7 @@ MALFORMED = {
     "key_table_one_not_a_string": (lambda p: _dense_model_file(
                                        p, {}, {"c": np.ones(3), "p": np.zeros(6)}, ["a", 1, "c"]),
                                    "malformed header (kind, metadata or key tables of the wrong type)"),
+    "nested_too_deep": (_nested_header, "malformed header (maximum recursion depth exceeded"),
     "metadata_not_an_object": (lambda p: write_container(p, "dense_model", 3, [1.0, "rr"],
                                                          {"c": np.ones(3), "p": np.zeros(6)}, {}),
                                "malformed header (kind, metadata or key tables of the wrong type)"),
@@ -272,6 +282,9 @@ def test_malformed_model_exits_2(tmp_path, capsys, case):
     write(path)
     with pytest.raises(DataError, match=re.escape(message)):
         load_model(path)
+    if "malformed header" in message:
+        with pytest.raises(DataError, match=re.escape(message)):
+            files.container_kind(path)
     events = _events()
     save_interactions(tmp_path / "data.csv", events)
     save_split_files(tmp_path / "split", SplitSpec(np.array([0]), np.array([1]), np.array([2])),

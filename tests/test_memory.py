@@ -49,6 +49,7 @@ from gramrec import (
 )
 import gramrec.sparse as sparse
 from gramrec import packed
+import gramrec.cli
 from gramrec.cli import main
 from gramrec.data import save_interactions
 from gramrec.evaluation import _CHUNK, _draw_folds
@@ -196,18 +197,34 @@ def test_block_phase_holds_the_sums_and_one_packed_block(wide, wide_sparse):
     """Beyond G and the pattern, averaging the block solutions onto the
     pattern holds the sums (8 bytes a position), the counts (1 byte under
     256 blocks) and the mask of covered positions (1 byte), each item's
-    place in its block (4 bytes an item), one block's Gram sub-matrix and
-    its packed copy (three times the packed size of the largest block),
-    and one slice of the candidates' index temporaries.  Reading each
-    block's k×k weights with whole-block index arrays and int32 counts
-    peaked 1.8 times as high."""
+    place in its block (4 bytes an item), the largest block's packed Gram
+    sub-matrix and the panel it is gathered in (PANEL·k floats), and one
+    slice of the candidates' index temporaries.  Reading each block's k×k
+    weights with whole-block index arrays and int32 counts peaked 1.8
+    times as high."""
     _, gram = wide
     pattern, blocks, _ = wide_sparse
     n, nnz, k = gram.n_items, pattern.a.nnz, max(len(b) for b in blocks)
     assert len(blocks) < 256 and k == 300 and nnz > 250 * n
     peak, _ = peak_bytes(
         lambda: aggregate_blocks(blocks, solve_blocks(gram, blocks, 50.0), pattern, 50.0))
-    assert peak <= (8 + 1 + 1) * nnz + 4 * n + 3 * 8 * packed.size(k) + 96 * sparse._SLICE
+    assert peak <= (8 + 1 + 1) * nnz + 4 * n + 8 * (packed.size(k) + PANEL * k) + 96 * sparse._SLICE
+
+
+@pytest.mark.parametrize("items", ["spread", "first_half", "second_half"])
+def test_submatrix_holds_one_packed_block_and_a_panel(wide, items):
+    """300 of G's 1,024 items, from both halves of its packed storage or from
+    one: the sub-matrix is gathered into its packed array a panel at a
+    time.  Gathering the whole k×k sub-matrix and then packing it held
+    three times the packed size."""
+    _, gram = wide
+    pool = {"spread": np.arange(1024), "first_half": np.arange(512),
+            "second_half": np.arange(512, 1024)}[items]
+    idx = np.sort(np.random.default_rng(3).choice(pool, 300, replace=False))
+    k = len(idx)
+    peak, sub = peak_bytes(lambda: packed.submatrix(gram.g, idx))
+    assert sub.nbytes == 8 * packed.size(k)
+    assert peak <= 8 * (packed.size(k) + PANEL * k)
 
 
 def test_save_sparse_model_holds_one_chunk_beyond_the_model(wide_sparse, tmp_path):
@@ -300,17 +317,27 @@ def eval_case(request):
     return DenseModel(p=r.random(n * (n + 1) // 2), c=np.ones(n), lam=1.0), matrix, split
 
 
+def _folds_bytes(matrix, split) -> int:
+    """Bytes of the arrays the folds of the test users hold."""
+    csr = matrix.matrix
+    folds = _draw_folds(csr.indptr, csr.indices, csr.data, matrix.n_items, split, "test")
+    return sum(a.nbytes for a in (folds.xin.data, folds.xin.indices, folds.xin.indptr,
+                                  folds.rows, folds.items, folds.events))
+
+
 def test_evaluate_peak_within_one_score_batch_and_a_quarter(eval_case):
-    """Scoring users 1,024 at a time holds a 1,024 × n score batch.  The
-    engine's bounded batches and comparison blocks, and its folds, must fit
-    in that and a quarter more, however many held-out events there are,
-    beside the model's column panel of at most PANEL·n floats, which a
-    dense model forms from packed P."""
+    """Users are scored ``_CHUNK // PANEL`` at a time against one column panel
+    of the model, so a score block and each comparison block hold at most
+    _CHUNK floats, however many users there are.  The engine's blocks (four
+    _CHUNK floats in all), the folds and at most twice as much again for
+    their copies in panel order and the input rows sliced into score
+    batches, and the model's column panel of at most PANEL·n floats, which
+    a dense model forms from packed P, must hold the peak."""
     model, matrix, split = eval_case
     n = model.n_items
     peak, report = peak_bytes(lambda: evaluate_model(model, matrix, split))
     assert report.n_users == matrix.matrix.shape[0]
-    assert peak <= 1.25 * 1024 * n * 8 + min(PANEL, n) * n * 8
+    assert peak <= 4 * _CHUNK * 8 + 3 * _folds_bytes(matrix, split) + min(PANEL, n) * n * 8
 
 
 def test_draw_folds_marks_inputs_in_one_byte_per_event(eval_case):
@@ -347,19 +374,19 @@ def saved_trained(tmp_path_factory):
 
 def test_evaluate_loaded_trained_model_holds_p_and_one_panel(saved_trained):
     """Loading and evaluating a trained model's file holds packed P, as the
-    file stores it, one column panel of B (PANEL·n floats) and the engine's
-    fixed blocks beyond the folds: a score block, its comparison block and
-    masks, and the own-score gather's temporaries, four _CHUNK floats in
-    all.  B is never formed whole, and a panel is formed once."""
+    file stores it, one column panel of B (PANEL·n floats), the folds and
+    at most twice as much again for their copies in panel order and the
+    input rows sliced into score batches, and the engine's fixed blocks: a
+    score block, its comparison block and masks, and the own-score
+    gather's temporaries, four _CHUNK floats in all.  B is never formed
+    whole, and a panel is formed once.  With blocks of 65,536 floats the
+    peak was 7.6 MB; it is 6.4 MB."""
     path, model, matrix, split = saved_trained
     n = model.n_items
-    csr = matrix.matrix
-    folds = _draw_folds(csr.indptr, csr.indices, csr.data, n, split, "test")
-    folds_bytes = sum(a.nbytes for a in (folds.xin.data, folds.xin.indices, folds.xin.indptr,
-                                          folds.rows, folds.items, folds.events))
+    folds_bytes = _folds_bytes(matrix, split)
     peak, report = peak_bytes(lambda: evaluate_model(load_model(path)[0], matrix, split))
     assert report.n_users == 700
-    assert peak <= model.p.nbytes + PANEL * n * 8 + 4 * _CHUNK * 8 + folds_bytes
+    assert peak <= model.p.nbytes + PANEL * n * 8 + 4 * _CHUNK * 8 + 3 * folds_bytes
 
 
 def test_rescaling_a_trained_model_allocates_no_matrix(saved_trained):
@@ -432,6 +459,29 @@ def test_command_peaks_without_the_event_log(long_log, command, matrix, capsys):
     peak, code = peak_bytes(lambda: main(argv))
     assert code == 0, capsys.readouterr().err
     assert peak <= base + 0.05 * 32 * 300_000
+
+
+def test_evaluate_reads_only_the_evaluated_users_events(long_log, monkeypatch):
+    """Up to the model's load, ``evaluate`` holds the 2,000 test users'
+    30,000 events (32 bytes each), a byte per event of the log to mark
+    them, a chunk of the container as it is read, and O(users) bytes: the
+    user key table, the key index the split is read against and the split
+    files' keys, under 192 bytes a user of these short keys.  Reading the
+    whole log of 300,000 events first held over 13 MB."""
+    class Loaded(Exception):
+        pass
+
+    def stop(path):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        raise Loaded
+
+    peaks = []
+    monkeypatch.setattr(gramrec.cli, "_load_any_model", stop)
+    argv = ["evaluate", *_log_options(long_log), "--model", str(long_log / "m.ease")]
+    with pytest.raises(Loaded):
+        peak_bytes(lambda: main(argv))
+    n_events, n_users, evaluated = 300_000, 20_000, 2_000 * 15
+    assert peaks[0] <= 32 * evaluated + n_events + 2 * 8 * _FILE_CHUNK + 192 * n_users
 
 
 def test_time_intervals_hold_three_event_arrays():

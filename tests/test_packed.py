@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from gramrec import packed
@@ -74,6 +76,19 @@ def test_submatrix_takes_ascending_indices_only():
     for bad in ([2, 1], [0, 5, 3, 8]):
         with pytest.raises(ValueError, match="ascending"):
             packed.submatrix(a, np.array(bad))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 700), data=st.data())
+def test_submatrix_is_the_packed_gather_of_the_unpacked_matrix(n, data):
+    """Any ascending indices, repeats included, of either half or both and
+    across panel edges: the packed sub-matrix is bitwise the pack of the
+    unpacked matrix's sub-matrix."""
+    a = packed.pack(symmetric(n, seed=n))
+    idx = np.sort(data.draw(st.lists(st.integers(0, n - 1), max_size=min(3 * packed.PANEL, 2 * n))))
+    idx = np.asarray(idx, dtype=np.int64)
+    want = packed.pack(packed.unpack(a)[np.ix_(idx, idx)])
+    assert packed.submatrix(a, idx).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 257])
