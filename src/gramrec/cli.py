@@ -152,7 +152,7 @@ def _split_events(args, groups: list[str], **fold) -> tuple[InteractionSet, Spli
 
     def users(user_index: dict[str, int]) -> np.ndarray:
         found.append(load_split_files(args.split_dir, user_index, **fold))
-        return np.concatenate([getattr(found[-1], f"{group}_users") for group in groups])
+        return np.concatenate([found[-1].users(group) for group in groups])
 
     iset = load_interactions(args.data, binarize=args.binarize, users=users)
     return iset, found[-1]

@@ -35,6 +35,8 @@ DEFAULT_FOLD_IN = 0.8  # fraction of an evaluated row fed to the model
 _CHUNK_CHARS = 1 << 16  # characters of whole lines parsed at a time
 _TIMESTAMP_BOUND = 2.0**63  # timestamps are int64
 _ROWS_PER_WRITE = 4096  # canonical CSV rows per file write
+_SPLIT_FILES = {"train": "train_users.txt", "validation": "validation_users.txt",
+                "test": "test_users.txt"}  # each user set of a split, and its file
 
 
 @dataclass
@@ -115,12 +117,10 @@ class SplitSpec:
     seed: int = 0
 
     def users(self, which: str) -> np.ndarray:
-        """The ``test`` or the ``validation`` users."""
-        if which == "test":
-            return self.test_users
-        if which == "validation":
-            return self.validation_users
-        raise DataError(f"users must be 'test' or 'validation', got {which!r}")
+        """The ``train``, ``validation`` or ``test`` users."""
+        if which not in _SPLIT_FILES:
+            raise DataError(f"users must be one of {tuple(_SPLIT_FILES)}, got {which!r}")
+        return getattr(self, f"{which}_users")
 
 
 @dataclass
@@ -141,10 +141,17 @@ class TimeIntervalIndex:
         return self.pops.shape[0]
 
     def locate(self, timestamps) -> np.ndarray:
-        """Interval index for each timestamp (ties go to the earlier interval)."""
-        ts = np.atleast_1d(np.asarray(timestamps, dtype=np.int64))
+        """Interval index for each timestamp (ties go to the earlier interval),
+        by its value: a float t lies after an integer boundary exactly when
+        ceil(t) does, and one at or beyond 2**63 after every boundary."""
+        ts = np.atleast_1d(np.asarray(timestamps))
         inner = self.boundaries[1:-1]
-        return np.searchsorted(inner, ts, side="left")
+        if ts.dtype.kind != "f":
+            return np.searchsorted(inner, ts.astype(np.int64, copy=False), side="left")
+        up = np.maximum(np.ceil(ts), -_TIMESTAMP_BOUND)
+        beyond = up >= _TIMESTAMP_BOUND
+        k = np.searchsorted(inner, np.where(beyond, 0.0, up).astype(np.int64), side="left")
+        return np.where(beyond, len(inner), k)
 
 
 def load_interactions(
@@ -664,20 +671,15 @@ def save_split_files(split_dir: str | Path, split: SplitSpec, user_keys: list[st
     """Write the three user sets as newline-delimited user keys, one atomic file each.
     A key that is empty, holds a line break or starts with U+FEFF (which a
     reader drops as a byte-order mark) is refused before anything is written."""
-    text = "\n".join(user_keys)
-    if text.splitlines() != list(user_keys) or "" in user_keys or "\n\ufeff" in "\n" + text:
-        bad = next(k for k in user_keys if k.splitlines() != [k] or k.startswith("\ufeff"))
-        raise DataError(f"user key {bad!r} cannot be written to a split file: it is empty, "
-                        "holds a line break or starts with U+FEFF")
+    for key in user_keys:
+        if key.splitlines() != [key] or key.startswith("\ufeff"):
+            raise DataError(f"user key {key!r} cannot be written to a split file: it is empty, "
+                            "holds a line break or starts with U+FEFF")
     split_dir = Path(split_dir)
     split_dir.mkdir(parents=True, exist_ok=True)
-    for name, ids in (
-        ("train_users.txt", split.train_users),
-        ("validation_users.txt", split.validation_users),
-        ("test_users.txt", split.test_users),
-    ):
+    for group, name in _SPLIT_FILES.items():
         with atomic_write(split_dir / name) as fh:
-            fh.writelines(user_keys[i] + "\n" for i in ids)
+            fh.writelines(user_keys[i] + "\n" for i in split.users(group))
 
 
 def load_split_files(
@@ -687,13 +689,14 @@ def load_split_files(
     seed: int = 0,
 ) -> SplitSpec:
     """Read user-key files back into a :class:`SplitSpec` over dense ids.
-    A user listed twice, in one file or in two, is refused."""
+    Keys are read in file order, so the first unknown key, or the first
+    user listed twice, in one file or in two, is the one refused."""
     split_dir = Path(split_dir)
-    names = ("train_users.txt", "validation_users.txt", "test_users.txt")
+    names = list(_SPLIT_FILES.values())
     sets = {}
     # per user id, 1 + the index in names of the file that lists it, or 0
     listed = bytearray(len(user_index))
-    for f, name in enumerate(names, 1):
+    for f, (group, name) in enumerate(_SPLIT_FILES.items(), 1):
         fpath = split_dir / name
         if not fpath.exists():
             raise DataError(f"missing split file {fpath}")
@@ -701,36 +704,18 @@ def load_split_files(
             keys = fpath.read_text(encoding="utf-8-sig").splitlines()
         except UnicodeDecodeError as exc:
             raise DataError(f"{fpath}: not UTF-8 text ({exc.reason})") from None
-        marked = bytearray(listed)
-        try:  # every key at once: clean when each is known and marks a user unmarked so far
-            ids = np.fromiter(map(user_index.__getitem__, filter(None, keys)), np.int64,
-                              len(keys) - keys.count(""))
-            np.frombuffer(marked, dtype=np.uint8)[ids] = f
-            clean = marked.count(0) == listed.count(0) - len(ids)
-        except KeyError:
-            clean = False
-        if clean:
-            listed = marked
-        else:  # key by key, so the first unknown or repeated key is the one named
-            ids = []
-            for key in keys:
-                if not key:
-                    continue
-                uid = user_index.get(key)
-                if uid is None:
-                    raise DataError(f"{fpath}: unknown user key {key!r}")
-                if listed[uid]:
-                    raise DataError(f"{fpath}: user key {key!r} is already listed in "
-                                    f"{split_dir / names[listed[uid] - 1]}")
-                listed[uid] = f
-                ids.append(uid)
-            ids = np.asarray(ids, dtype=np.int64)
+        ids, m = np.empty(len(keys), dtype=np.int64), 0  # one buffer, never grown
+        for key in filter(None, keys):
+            uid = user_index.get(key)
+            if uid is None:
+                raise DataError(f"{fpath}: unknown user key {key!r}")
+            if listed[uid]:
+                raise DataError(f"{fpath}: user key {key!r} is already listed in "
+                                f"{split_dir / names[listed[uid] - 1]}")
+            listed[uid] = f
+            ids[m] = uid
+            m += 1
+        ids = ids[:m]
         ids.sort()
-        sets[name] = ids
-    return SplitSpec(
-        train_users=sets["train_users.txt"],
-        validation_users=sets["validation_users.txt"],
-        test_users=sets["test_users.txt"],
-        fold_in_fraction=fold_in_fraction,
-        seed=seed,
-    )
+        sets[f"{group}_users"] = ids
+    return SplitSpec(**sets, fold_in_fraction=fold_in_fraction, seed=seed)

@@ -20,11 +20,12 @@ its user's input items and itself (each model kind reads them with
 ``entries(i, j)``).  Then the rows are scored one column panel of the
 model at a time (each kind forms its panels with ``columns(lo, hi)``), in
 one pass over the panels, so a dense model forms each panel of B from
-packed P once per evaluation and never holds B whole.  Each panel item's
-score is compared with s_i once, the tie rule applied only where i falls
-inside the panel.  The ranks then reduce to per-user metrics.  Score
-blocks and comparison blocks hold at most ``_CHUNK`` floats.  Metric means
-come with the standard error of the mean across evaluated users.
+packed P once per evaluation and never holds B whole.  The held-out
+events stay in fold order, and each panel item's score is compared with
+s_i by that one rule, whichever side of i the panel lies.  The ranks then
+reduce to per-user metrics.  Score blocks and comparison blocks hold at
+most ``_CHUNK`` floats.  Metric means come with the standard error of the
+mean across evaluated users.
 """
 
 from __future__ import annotations
@@ -337,24 +338,22 @@ def _own_scores(model, folds: _Folds, scale=None) -> np.ndarray:
 def _rank_held_out(model, folds: _Folds, scale=None) -> np.ndarray:
     """Rank of every held-out item in its user's score row, in fold order.
 
-    Each event's own score is gathered first (:func:`_own_scores`).  The
-    users are sliced once into chunks of ``_CHUNK // PANEL``, whose events
-    are put in item order.  Then each column panel of ``PANEL`` items is
-    formed once, by the model's ``columns``, and released before the next;
-    every chunk is scored against it, and each event's rank gains the
-    panel's items that rank before it, as many events at a time.  Its row
-    is compared once with its own score: by ``>=`` if its item lies after
-    the panel, where every tie ranks before it, by ``>`` if before, and
-    with the ``j < i`` tie mask only if inside.  Input items score -inf.
-    With ``scale = (table, idx)``, the row of the held-out event at folded
+    Each event's own score s_i is gathered first (:func:`_own_scores`).  The
+    users are sliced once into chunks of ``_CHUNK // PANEL``; the folds'
+    rows ascend, so each chunk's events are one slice of them.  Then each
+    column panel of ``PANEL`` items is formed once, by the model's
+    ``columns``, and released before the next; every chunk is scored
+    against it, and each event's rank gains the panel's items j that rank
+    before its item i, ``(s_j > s_i) + (s_j == s_i and j < i)``, as many
+    events at a time.  Input items score -inf.  With
+    ``scale = (table, idx)``, the row of the held-out event at folded
     position p is then multiplied by ``table[idx[p]]``.  The target means
     of a dense model are added last.
     """
     xin, n_users, n = folds.xin, *folds.xin.shape
+    rows, items, events = folds.rows, folds.items, folds.events
     step = max(1, _CHUNK // PANEL)
-    order = np.lexsort((folds.items, folds.rows // step))
-    rows, items, events = folds.rows[order], folds.items[order], folds.events[order]
-    own = _own_scores(model, folds, scale)[order]
+    own = _own_scores(model, folds, scale)
     chunks = []
     for top in range(0, n_users, step):
         x = xin[top : top + step]
@@ -372,20 +371,14 @@ def _rank_held_out(model, folds: _Folds, scale=None) -> np.ndarray:
                 e = slice(e0, min(e0 + step, last))
                 s = scores[rows[e] - top]
                 _adjust(s, model, scale, events[e], slice(lo, hi))
-                si, r = own[e][:, None], ranks[e]  # r is a view
-                a, b = np.searchsorted(items[e], (lo, hi))  # items before, inside, after
-                r[:a] += (s[:a] > si[:a]).sum(axis=1)
-                r[b:] += (s[b:] >= si[b:]).sum(axis=1)
-                tied_before = s[a:b] == si[a:b]
-                tied_before &= np.arange(lo, hi) < items[e][a:b, None]
-                r[a:b] += (s[a:b] > si[a:b]).sum(axis=1) + tied_before.sum(axis=1)
+                si, before = own[e][:, None], np.arange(lo, hi) < items[e][:, None]
+                r = ranks[e]  # a view
+                r += (s > si).sum(axis=1) + ((s == si) & before).sum(axis=1)
                 nan = np.isnan(si[:, 0])
                 if nan.any():
                     s_nan = np.isnan(s[nan])
-                    r[nan] += ((~s_nan).sum(axis=1)
-                               + (s_nan & (np.arange(lo, hi) < items[e][nan, None])).sum(axis=1))
+                    r[nan] += (~s_nan).sum(axis=1) + (s_nan & before[nan]).sum(axis=1)
         del cols  # before the next panel is formed
-    ranks[order] = ranks.copy()
     return ranks
 
 

@@ -198,16 +198,20 @@ def _chunks(fh, dtype: str, count: int, digest):
         if digest is not None:
             digest.update(chunk)
         yield chunk
+        del chunk  # before the next is read
 
 
 def _checked(chunks, message: str, bound: int | None):
     """The chunks, refused with ``message`` once one holds an entry outside
-    [0, ``bound``), or one not finite when ``bound`` is None."""
+    [0, ``bound``), or one not finite when ``bound`` is None.  Each is
+    judged by its min and max, which are NaN when an entry is, and which
+    allocate nothing."""
+    low, high = (-np.inf, np.inf) if bound is None else (-1, bound)
     for chunk in chunks:
-        if not (np.isfinite(chunk).all() if bound is None
-                else not len(chunk) or 0 <= chunk.min() <= chunk.max() < bound):
+        if len(chunk) and not (low < chunk.min() and chunk.max() < high):
             raise DataError(message)
         yield chunk
+        del chunk
 
 
 def _marking(chunks, dtype: str, member: np.ndarray, marked: np.ndarray) -> np.ndarray:
@@ -218,6 +222,7 @@ def _marking(chunks, dtype: str, member: np.ndarray, marked: np.ndarray) -> np.n
         mark[:] = member[chunk]
         parts.append(np.compress(mark, chunk))  # faster than chunk[mark] on scattered marks
         lo += len(chunk)
+        del chunk
     return np.concatenate(parts)
 
 
@@ -236,6 +241,7 @@ def _assemble(chunks, count: int, dtype: str, narrow: bool, keep: np.ndarray | N
             out = out.astype(np.int64)
         out[at : at + len(chunk)] = chunk
         at += len(chunk)
+        del chunk
     return out
 
 

@@ -243,8 +243,9 @@ def load_model(path: str | Path, verify: bool = False) -> tuple[DenseModel, list
     without, the arrays are used as stored, so in-process checks of B see
     them.  A file without the arrays and metadata a model is read off (see
     :func:`save_model`) is refused, and so is one whose variant disagrees
-    with its ``kappa``."""
-    c = read_container(path, "dense_model", verify)
+    with its ``kappa``, or whose ``c`` holds a zero or, like ``v``, ``mu``
+    and the weights, a value that is not finite, with or without ``verify``."""
+    c = read_container(path, "dense_model", verify, finite=("c", "v", "mu", "weights"))
     n = c.n_items
     variant = c.scalar("variant", str, (VARIANT_RR, VARIANT_ZERO_DIAG))
     kappa = c.scalar("kappa", float) if "kappa" in c.meta else None
@@ -264,4 +265,6 @@ def load_model(path: str | Path, verify: bool = False) -> tuple[DenseModel, list
     model = DenseModel(p=c.array("p", (packed.size(n),)), c=c.array("c", (n,)),
                        lam=c.scalar("lam", float), v=v, mu=mu, kappa=kappa,
                        applied_item_weights=weights)
+    if not model.c.all():
+        raise DataError(f"{path}: array 'c' holds a zero")
     return model, c.keys.get("items")

@@ -15,13 +15,13 @@ trades accuracy for never inverting an n_items x n_items matrix (Steck,
 
 G is held packed, n(n+1)/2 floats (see :mod:`gramrec.packed`).  Beyond
 it, training holds O(n_items · panel width + nnz(A)) memory plus the
-largest block's packed solve (k(k+1)/2 values for k items, and the k×k
-sub-matrix it is packed from): correlations are produced from G's rows in
-panels of bounded width and read once, by the pattern pass, and each
-block's Gram sub-matrix is copied out of G, packed, and solved when the
-aggregation reads it, which reads the weights off packed P at the pattern
-positions inside the block only.  The model's weights share the pattern's
-index arrays.
+largest block's packed solve (k(k+1)/2 values for k items, and at most
+PANEL·k floats beside them while they are gathered): correlations are
+produced from G's rows in panels of bounded width and read once, by the
+pattern pass, and each block's Gram sub-matrix is gathered from G straight
+into packed storage and solved when the aggregation reads it, which reads
+the weights off packed P at the pattern positions inside the block only.
+The model's weights share the pattern's index arrays.
 """
 
 from __future__ import annotations
@@ -269,8 +269,9 @@ def block_partition(pattern: SparsityPattern) -> list[np.ndarray]:
 def solve_blocks(gram: GramStats, blocks: list[np.ndarray], lam: float) -> Iterator[DenseModel]:
     """Each block's model by the dense closed form on its Gram sub-matrix,
     in block order: packed P and its read-off vectors, not the k×k weights.
-    The statistics are checked now; each sub-matrix is copied out of G,
-    packed, and solved in place only when its model is asked for."""
+    The statistics are checked now; each sub-matrix is gathered from G
+    straight into packed storage, with at most PANEL·k floats beside it,
+    and solved in place only when its model is asked for."""
     if not gram.plain:
         raise DataError("block-wise training requires plain statistics (target C = G)")
     return (solve_zero_diag(GramStats(g=packed.submatrix(gram.require_g(), b), n_users=gram.n_users,
@@ -358,13 +359,20 @@ def load_sparse_model(path: str | Path, verify: bool = False) -> tuple[SparseMod
     """Read a sparse model file back, as :func:`gramrec.solver.load_model`
     does: one compressed-column matrix on the container's arrays, whose
     index arrays are read as int32 when their values fit, as scipy keeps
-    them, so the structure is never held twice."""
-    c = read_container(path, "sparse_model", verify, narrow=("indptr", "indices"))
+    them, so the structure is never held twice.  Whether or not ``verify``
+    is set, a file whose column pointers do not start at 0 and never
+    fall, whose row indices leave [0, n) or whose weights are not finite
+    is refused before the matrix is built on them."""
+    c = read_container(path, "sparse_model", verify, narrow=("indptr", "indices"), finite=("data",))
     n = c.n_items
     indptr = c.array("indptr", (n + 1,))
+    if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
+        raise DataError(f"{path}: array 'indptr' must start at 0 and never decrease")
     nnz = int(indptr[-1])
-    values = sp.csc_matrix((c.array("data", (nnz,)), c.array("indices", (nnz,)), indptr),
-                           shape=(n, n))
+    indices = c.array("indices", (nnz,))
+    if nnz and not 0 <= indices.min() <= indices.max() < n:  # against n: a file may have no keys
+        raise DataError(f"{path}: array 'indices' holds an entry out of range")
+    values = sp.csc_matrix((c.array("data", (nnz,)), indices, indptr), shape=(n, n))
     # one stored value per position, as training writes them: a weight given
     # twice is its sum for scoring and for reading single entries alike
     values.sum_duplicates()

@@ -253,6 +253,19 @@ def test_binarized_time_weights_count_interactions(workdir, tmp_path):
     np.testing.assert_array_equal(load_weights_csv(out, ones.item_index).w, want.w)
 
 
+def test_rescale_at_a_time_beyond_int64_takes_the_last_interval(workdir, tmp_path):
+    """``--at-time`` is compared by its value, so 1e30 falls after every boundary."""
+    out = tmp_path / "w.csv"
+    res = run_cli([
+        "rescale", "--data", str(workdir["data"]), "--split-dir", str(workdir["splits"]),
+        "--model", str(workdir["model"]), "--mode", "time", "--intervals", "4",
+        "--at-time", "1e30", "--weights-out", str(out),
+    ])
+    assert res.returncode == 0, res.stderr
+    assert "timestamp 1e+30 falls into interval 3 of 4" in res.stderr
+    assert "Warning" not in res.stderr
+
+
 @pytest.mark.parametrize("users", ["test", "validation"])
 def test_binarized_time_aware_report_matches_reference(workdir, tmp_path, users):
     # on this log, interval popularity summed from the ratings moves a

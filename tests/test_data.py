@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -425,6 +426,18 @@ def test_locate_outside_range_maps_to_nearest():
     iset = make_iset([(0, 0, 1.0)] * 6, timestamps=[10, 20, 30, 40, 50, 60])
     idx = time_intervals(iset, 2, user_subset=np.array([0]))
     np.testing.assert_array_equal(idx.locate([-5, 1000]), [0, 1])
+
+
+def test_locate_compares_float_times_by_value():
+    """A float time goes to the interval its value lies in: 10.5 is after
+    the boundary 10, and 1e30, beyond int64, after every boundary."""
+    idx = data.TimeIntervalIndex(boundaries=np.array([0, 10, 20, 30]), pops=np.zeros((3, 1)),
+                                 counts=np.ones(3, dtype=np.int64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast out of range
+        located = idx.locate([10.0, 10.5, 19.999, 20.25, 1e30, 2.0**63, -1e30, np.inf, -np.inf])
+    np.testing.assert_array_equal(located, [0, 1, 1, 2, 2, 2, 0, 2, 0])
+    np.testing.assert_array_equal(idx.locate(np.array([10, 11, 2**63 - 1])), [0, 1, 2])
 
 
 def test_time_intervals_subset_restricts_events():

@@ -297,6 +297,76 @@ def test_malformed_model_exits_2(tmp_path, capsys, case):
         assert message in capsys.readouterr().err
 
 
+def _rewrite(path, kind, fault, meta=None):
+    """Write the container at ``path`` again with the arrays ``fault`` makes
+    of its own in their place (or beside them) and ``meta`` added, its
+    sha256 valid, as only another writer would."""
+    c = read_container(path, kind, verify=True)
+    write_container(path, kind, c.n_items, {**c.meta, **(meta or {})},
+                    {**c.arrays, **fault(c.arrays)}, c.keys)
+
+
+def _replaced(arr, at, value):
+    out = arr.copy()
+    out[at] = value
+    return out
+
+
+# Each rewrites a saved model of three items with a fault no writer of the
+# package writes; loading it is a DataError naming the array.
+_NAN3, _INF3, _ZERO3 = np.array([np.nan, 1.0, 1.0]), np.array([0.0, np.inf, 0.0]), np.zeros(3)
+FAULTY = {
+    "sparse_index_past_n": ("sparse_model", lambda a: {"indices": _replaced(a["indices"], 0, 3 + 7)},
+                            "array 'indices' holds an entry out of range"),
+    "sparse_negative_index": ("sparse_model", lambda a: {"indices": _replaced(a["indices"], -1, -3)},
+                              "array 'indices' holds an entry out of range"),
+    "sparse_nan_weight": ("sparse_model", lambda a: {"data": _replaced(a["data"], 0, np.nan)},
+                          "array 'data' holds an entry out of range"),
+    "sparse_indptr_not_from_0": ("sparse_model", lambda a: {"indptr": _replaced(a["indptr"], 0, 3)},
+                                 "array 'indptr' must start at 0 and never decrease"),
+    "sparse_indptr_falls": ("sparse_model",
+                            lambda a: {"indptr": _replaced(a["indptr"], 1, a["indptr"][2] + 1)},
+                            "array 'indptr' must start at 0 and never decrease"),
+    "dense_nan_c": ("dense_model", lambda a: {"c": _NAN3}, "array 'c' holds an entry out of range"),
+    "dense_zero_c": ("dense_model", lambda a: {"c": _replaced(a["c"], 1, 0.0)},
+                     "array 'c' holds a zero"),
+    "dense_infinite_v": ("dense_model", lambda a: {"v": _INF3, "mu": _ZERO3},
+                         "array 'v' holds an entry out of range"),
+    "dense_nan_mu": ("dense_model", lambda a: {"mu": _NAN3}, "array 'mu' holds an entry out of range"),
+    "dense_nan_weights": ("dense_model", lambda a: {"weights": _NAN3},
+                          "array 'weights' holds an entry out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULTY))
+def test_model_passing_its_sha256_is_checked_before_it_is_indexed(tmp_path, capsys, case):
+    """A model file whose digest is valid but whose arrays cannot be
+    indexed or scored is refused by its loader, with or without ``verify``,
+    and ``evaluate`` and ``recommend`` exit 2 naming the file."""
+    kind, fault, message = FAULTY[case]
+    events = make_iset([(u, i, 1.0) for u in range(6) for i in range(3)])
+    save_interactions(tmp_path / "data.csv", events)
+    save_split_files(tmp_path / "split", SplitSpec(np.arange(4), np.array([4]), np.array([5])),
+                     events.user_keys)
+    path = tmp_path / ("m.ease" if kind == "dense_model" else "m.easp")
+    if kind == "dense_model":
+        save_model(path, solve_zero_diag(_stats(), 1.0), events.item_keys)
+        load = load_model
+    else:
+        save_sparse_model(path, train_sparse(_stats(), theta=0.0, n_max=3, lam=1.0), events.item_keys)
+        load = load_sparse_model
+    meta = {"weight_kind": "uniform", "weight_alpha": 0.0} if case.endswith("weights") else None
+    _rewrite(path, kind, fault, meta)
+    for verify in (False, True):
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load(path, verify=verify)
+    data = ["--data", str(tmp_path / "data.csv"), "--split-dir", str(tmp_path / "split")]
+    for argv in (["evaluate", *data, "--fold-in", "0.5", "--model", str(path)],
+                 ["recommend", "--model", str(path), "--history", "i0"]):
+        assert main(argv) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
 def _key_csv_before(path, comment, header, keys, values):
     """The popularity and weights CSVs as their writers wrote them before
     both came to call write_key_csv."""

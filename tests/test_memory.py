@@ -330,9 +330,9 @@ def test_evaluate_peak_within_one_score_batch_and_a_quarter(eval_case):
     of the model, so a score block and each comparison block hold at most
     _CHUNK floats, however many users there are.  The engine's blocks (four
     _CHUNK floats in all), the folds and at most twice as much again for
-    their copies in panel order and the input rows sliced into score
-    batches, and the model's column panel of at most PANEL·n floats, which
-    a dense model forms from packed P, must hold the peak."""
+    the input rows sliced into score batches and the own-score gather's
+    index arrays, and the model's column panel of at most PANEL·n floats,
+    which a dense model forms from packed P, must hold the peak."""
     model, matrix, split = eval_case
     n = model.n_items
     peak, report = peak_bytes(lambda: evaluate_model(model, matrix, split))
@@ -375,18 +375,20 @@ def saved_trained(tmp_path_factory):
 def test_evaluate_loaded_trained_model_holds_p_and_one_panel(saved_trained):
     """Loading and evaluating a trained model's file holds packed P, as the
     file stores it, one column panel of B (PANEL·n floats), the folds and
-    at most twice as much again for their copies in panel order and the
-    input rows sliced into score batches, and the engine's fixed blocks: a
-    score block, its comparison block and masks, and the own-score
-    gather's temporaries, four _CHUNK floats in all.  B is never formed
-    whole, and a panel is formed once.  With blocks of 65,536 floats the
-    peak was 7.6 MB; it is 6.4 MB."""
+    at most 1.3 times as much again for the input rows sliced into score
+    batches and the own-score gather's index arrays, and the engine's
+    fixed blocks: a score block, its comparison block and masks, and the
+    own-score gather's temporaries, four _CHUNK floats in all.  B is never
+    formed whole, and a panel is formed once.  Ranking the held-out events
+    in fold order holds no reordered copy of them: beyond P, the panel and
+    the blocks, the peak is 2.15 times the folds here; with the events
+    copied into chunk-then-item order it was 2.49."""
     path, model, matrix, split = saved_trained
     n = model.n_items
     folds_bytes = _folds_bytes(matrix, split)
     peak, report = peak_bytes(lambda: evaluate_model(load_model(path)[0], matrix, split))
     assert report.n_users == 700
-    assert peak <= model.p.nbytes + PANEL * n * 8 + 4 * _CHUNK * 8 + 3 * folds_bytes
+    assert peak <= model.p.nbytes + PANEL * n * 8 + 4 * _CHUNK * 8 + 2.3 * folds_bytes
 
 
 def test_rescaling_a_trained_model_allocates_no_matrix(saved_trained):
